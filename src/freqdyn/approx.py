@@ -6,7 +6,11 @@ regions, each carrying its own target values and tolerance budget.
 Least squares in a shifted and scaled monomial basis is the primary
 path; when the normal equations degenerate the fit switches to an
 orthogonalized sample basis built by the Arnoldi recurrence, which
-spans the same polynomial space with well conditioned columns.
+spans the same polynomial space with well conditioned columns.  The
+recurrence follows "Vandermonde with Arnoldi" (Brubeck, Nakatsukasa
+and Trefethen, SIAM Review 63(2), 2021): each step orthogonalizes the
+new column against the whole basis by block classical Gram-Schmidt
+with one reorthogonalization, each pass two matrix-vector products.
 """
 
 from __future__ import annotations
@@ -161,14 +165,16 @@ class ArnoldiPoly:
     def degree(self) -> int:
         return int(self.coefficients.size - 1)
 
-    def _eval_block(self, w: np.ndarray) -> np.ndarray:
+    def basis(self, z: np.ndarray) -> np.ndarray:
+        """Basis values q_k(z) as the rows of a (degree + 1, len(z)) array."""
+        z = np.asarray(z, dtype=complex).ravel()
         d = self.degree
-        q = np.empty((w.size, d + 1), dtype=complex)
-        q[:, 0] = 1.0 / self.norm0
+        q = np.empty((d + 1, z.size), dtype=complex)
+        q[0] = 1.0 / self.norm0
         for k in range(d):
-            v = w * q[:, k] - q[:, : k + 1] @ self.hessenberg[: k + 1, k]
-            q[:, k + 1] = v / self.hessenberg[k + 1, k]
-        return q @ self.coefficients
+            v = z * q[k] - self.hessenberg[: k + 1, k] @ q[: k + 1]
+            q[k + 1] = v / self.hessenberg[k + 1, k]
+        return q
 
     def evaluate(self, z):
         w = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
@@ -176,7 +182,7 @@ class ArnoldiPoly:
         out = np.empty(w.size, dtype=complex)
         step = 8192
         for s in range(0, w.size, step):
-            out[s : s + step] = self._eval_block(w[s : s + step])
+            out[s : s + step] = self.coefficients @ self.basis(w[s : s + step])
         if np.ndim(z) == 0:
             return complex(out[0])
         return out.reshape(np.shape(z))
@@ -467,32 +473,40 @@ def _fit_monomial(pts, vals, weights, center, scale, degree):
 
 
 def _fit_arnoldi(pts, vals, weights, degree):
-    m = pts.size
-    q = np.empty((m, degree + 1), dtype=complex)
+    """Weighted least squares in the Arnoldi basis of the sample points.
+
+    Row k of b holds the weighted basis vector w * q_k(pts), so plain
+    Euclidean products of rows are the weighted inner products of the
+    basis.  Each new vector pts * q_k is orthogonalized against all
+    previous rows at once by block classical Gram-Schmidt, applied
+    twice: the second pass restores the orthogonality a single pass
+    loses on the ill-conditioned Krylov spaces of widely separated
+    compacts.  Both passes conjugate the vector instead of the basis,
+    since conj(b) would copy the whole basis at every step.
+    """
+    w = weights.astype(float)
+    b = np.empty((degree + 1, pts.size), dtype=complex)
     h = np.zeros((degree + 1, degree), dtype=complex)
-    w2 = weights.astype(float) ** 2
-
-    def _dot(u, v):
-        return np.sum(w2 * np.conj(u) * v)
-
-    norm0 = float(np.sqrt(np.sum(w2)))
-    q[:, 0] = 1.0 / norm0
+    norm0 = float(np.sqrt(np.sum(w * w)))
+    b[0] = w / norm0
     for k in range(degree):
-        v = pts * q[:, k]
-        for j in range(k + 1):
-            h[j, k] = _dot(q[:, j], v)
-            v = v - h[j, k] * q[:, j]
-        nrm = float(np.sqrt(np.real(_dot(v, v))))
+        basis = b[: k + 1]
+        v = pts * b[k]
+        c = np.conj(basis @ np.conj(v))
+        v -= c @ basis
+        c2 = np.conj(basis @ np.conj(v))
+        v -= c2 @ basis
+        h[: k + 1, k] = c + c2
+        nrm = float(np.linalg.norm(v))
         if nrm < 1e-14 * norm0:
             # basis saturated: the sample set cannot distinguish higher
             # degrees; stop extending
-            q = q[:, : k + 1]
+            b = b[: k + 1]
             h = h[: k + 1, :k]
-            degree = k
             break
         h[k + 1, k] = nrm
-        q[:, k + 1] = v / nrm
-    coeffs = np.array([_dot(q[:, j], vals) for j in range(degree + 1)])
+        b[k + 1] = v / nrm
+    coeffs = np.conj(b @ np.conj(w * vals))
     return ArnoldiPoly(h, norm0, coeffs)
 
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import approx, density, orbit, runaway
 from .approx import (
@@ -111,7 +110,7 @@ WEAK_DENSITY_FLOOR = 0.01
 PROBE_STEPS = (1, 2, 3, 5, 10, 100)
 MESH_POINTS = 1000
 
-CANDIDATE_FORMAT = "freqdyn-candidate-v1"
+CANDIDATE_FORMAT = "freqdyn-candidate-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +144,10 @@ def _growth_ratio(alpha: float, beta: float) -> Callable:
 
 
 def _interior_minimum(ratio: Callable, t_max: float) -> tuple:
+    # imported here, not at module level: loading scipy.optimize is a large
+    # share of start-up and only the sigma computation needs it
+    from scipy import optimize
+
     lo = math.log1p(1e-8)
     hi = math.log(t_max)
     us = np.linspace(lo, hi, SIGMA_GRID_POINTS)
@@ -299,12 +302,16 @@ def _parse_value(kind, raw: str):
         try:
             return int(raw, 10)
         except ValueError:
-            val = float(raw)
-            out = int(round(val))
-            if abs(val - out) > 0.0:
-                raise ValueError(f"expected an integer, got {raw!r}")
-            return out
-    return float(raw)
+            pass
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    if kind is int:
+        out = int(round(val))
+        if abs(val - out) > 0.0:
+            raise ValueError(f"expected an integer, got {raw!r}")
+        return out
+    return val
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -473,22 +480,33 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
-def _plain(value):
-    if isinstance(value, (np.floating, np.integer)):
+def _json_default(value):
+    """Encode the values json cannot: numpy scalars and arrays, complex."""
+    if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return value
+        return value.tolist()
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+
+def _unbounded_as_null(value: float):
+    """JSON has no infinity: an infinite value is written as null."""
+    return None if math.isinf(value) else float(value)
+
+
+def _sigma_payload(rep: SigmaReport) -> dict:
+    payload = dataclasses.asdict(rep)
+    payload["limit_at_one"] = _unbounded_as_null(rep.limit_at_one)
+    return payload
 
 
 def _write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(
+        payload, default=_json_default, indent=2, sort_keys=True, allow_nan=False
+    )
+    _atomic_write(path, text + "\n")
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -518,36 +536,47 @@ def _finish(
 def _encode_function(fn) -> dict:
     if isinstance(fn, ArnoldiPoly):
         hess = np.asarray(fn.hessenberg, dtype=complex)
+        # column k of an upper Hessenberg matrix is zero below row k + 1
         return {
             "type": "arnoldi",
             "norm0": float(fn.norm0),
             "hessenberg": [
-                [[v.real, v.imag] for v in row] for row in hess.tolist()
+                _complex_pairs(hess[: k + 2, k]) for k in range(hess.shape[1])
             ],
-            "coefficients": [
-                [complex(c).real, complex(c).imag] for c in np.asarray(fn.coefficients)
-            ],
+            "coefficients": _complex_pairs(fn.coefficients),
         }
     return {
         "type": "polynomial",
         "center": [complex(fn.center).real, complex(fn.center).imag],
         "scale": float(fn.scale),
-        "coefficients": [
-            [complex(c).real, complex(c).imag] for c in fn.coefficients
-        ],
+        "coefficients": _complex_pairs(fn.coefficients),
     }
+
+
+def _complex_pairs(values) -> list:
+    values = np.asarray(values, dtype=complex)
+    return np.column_stack((values.real, values.imag)).tolist()
 
 
 def _decode_function(blob: dict):
     kind = blob.get("type")
     if kind == "arnoldi":
-        hess = np.array(
-            [[complex(re, im) for re, im in row] for row in blob["hessenberg"]],
-            dtype=complex,
-        )
+        columns = blob["hessenberg"]
+        degree = len(columns)
+        hess = np.zeros((degree + 1, degree), dtype=complex)
+        for k, col in enumerate(columns):
+            if len(col) != k + 2:
+                raise ValueError(
+                    f"Hessenberg column {k} holds {len(col)} entries, expected {k + 2}"
+                )
+            hess[: k + 2, k] = [complex(re, im) for re, im in col]
         coeffs = np.array(
             [complex(re, im) for re, im in blob["coefficients"]], dtype=complex
         )
+        if coeffs.size != degree + 1:
+            raise ValueError(
+                f"{coeffs.size} coefficients for {degree} Hessenberg columns"
+            )
         return ArnoldiPoly(
             hessenberg=hess, norm0=float(blob["norm0"]), coefficients=coeffs
         )
@@ -568,13 +597,13 @@ def _encode_candidate(
         "status": cand.status,
         "reason": cand.reason,
         "degree": int(cand.degree),
-        "condition": float(cand.condition),
+        "condition": _unbounded_as_null(cand.condition),
         "orthogonal_basis": bool(cand.used_orthogonal_basis),
         "certificates": [
             {
-                "achieved": float(c.achieved),
+                "achieved": _unbounded_as_null(c.achieved),
                 "envelope": float(c.envelope),
-                "fine_grid": float(c.fine_grid),
+                "fine_grid": _unbounded_as_null(c.fine_grid),
             }
             for c in cand.certificates
         ],
@@ -590,8 +619,11 @@ def load_candidate(path: str):
     """Read back a stored candidate; returns (function, metadata)."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
-    if blob.get("format") != CANDIDATE_FORMAT:
-        raise ValueError(f"not a candidate file: {path}")
+    if not isinstance(blob, dict) or blob.get("format") != CANDIDATE_FORMAT:
+        raise ValueError(
+            f"not a candidate file of format {CANDIDATE_FORMAT}: {path};"
+            " rebuild it with build_fhc"
+        )
     encoded = blob.get("function")
     if encoded is None:
         raise ValueError(f"candidate file carries no function: {path}")
@@ -738,7 +770,7 @@ def _cli_sigma(cfg: ExperimentConfig) -> CommandResult:
         ),
     ]
     path = os.path.join(out, "report.json")
-    _write_json(path, {"config": config_hash(cfg), **dataclasses.asdict(rep)})
+    _write_json(path, {"config": config_hash(cfg), **_sigma_payload(rep)})
     return _finish(cfg, "sigma", out, lines, [path])
 
 
@@ -788,12 +820,12 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
 
     payload = {
         "config": config_hash(cfg),
-        "sigma": dataclasses.asdict(sig),
+        "sigma": _sigma_payload(sig),
         "p1_ok": rep.p1_ok,
         "p2_ok": rep.p2_ok,
         "p3_ok": rep.p3_ok,
         "islands": len(rep.islands),
-        "disc_gap": gap,
+        "disc_gap": _unbounded_as_null(gap),
         "disc_pairs_checked": checked,
     }
     artifacts = []

@@ -19,6 +19,7 @@ from freqdyn.approx import (
     _cantor_unpair,
     _fit_arnoldi,
     _gaussian_rational,
+    _piece_data,
     _signed_rational,
     build_span_basis,
     double_split,
@@ -101,6 +102,40 @@ def test_arnoldi_reproduces_polynomial_targets():
     rng = np.random.default_rng(4)
     zs = rng.normal(size=30) + 1j * rng.normal(size=30)
     assert np.max(np.abs(fn.evaluate(zs) - p.evaluate(zs))) < 1e-9
+
+
+def test_arnoldi_saturates_on_few_distinct_points():
+    # five distinct points, each sampled three times, only separate
+    # polynomials up to degree 4; the fit must stop there and interpolate
+    distinct = 0.3 + 1.5 * np.exp(2j * np.pi * np.arange(5) / 5)
+    pts = np.tile(distinct, 3)
+    vals = np.cos(pts)
+    fn = _fit_arnoldi(pts, vals, np.linspace(1.0, 2.0, pts.size), 10)
+    assert fn.degree == 4
+    assert fn.hessenberg.shape == (5, 4)
+    assert np.max(np.abs(fn.evaluate(pts) - vals)) < 1e-12
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0])
+def test_arnoldi_basis_orthonormal_on_dense_shaped_grid(offset):
+    # the seven discs and budgets of the third dense member at degree 256;
+    # moved away from the origin, a single Gram-Schmidt pass loses
+    # orthogonality completely, so this pins the reorthogonalization
+    discs = ((0.0, 4.0), (8.0, 1.0), (16.0, 1.0), (24.0, 2.0), (32.0, 1.0),
+             (40.0, 1.0), (48.0, 1.0))
+    taus = (0.162, 0.0736, 0.0391, 0.0256, 0.0202, 0.0163, 0.0136)
+    target = PiecewiseTarget(
+        tuple(
+            TargetPiece(ClosedDisc(complex(c + offset), r), Zero(), tau)
+            for (c, r), tau in zip(discs, taus)
+        )
+    )
+    pts, _, weights = _piece_data(target, 256, 3)
+    fn = _fit_arnoldi(pts, np.exp(-pts / 30.0), weights, 256)
+    assert fn.degree == 256
+    q = fn.basis(pts) * weights
+    gram = np.conj(q) @ q.T
+    assert np.max(np.abs(gram - np.eye(257))) < 1e-10
 
 
 def test_arnoldi_chunked_evaluation_consistent():

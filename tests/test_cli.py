@@ -286,6 +286,40 @@ def test_load_candidate_rejects_other_json(tmp_path):
         load_candidate(str(path))
 
 
+def test_arnoldi_encoding_round_trip_is_banded_and_bitwise():
+    from freqdyn.approx import _fit_arnoldi
+
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=200) + 1j * rng.normal(size=200)
+    fn = _fit_arnoldi(pts, np.exp(pts), np.full(pts.size, 3.0), 24)
+    blob = json.loads(json.dumps(cli._encode_function(fn)))
+    assert [len(col) for col in blob["hessenberg"]] == [k + 2 for k in range(24)]
+    again = cli._decode_function(blob)
+    assert np.array_equal(again.hessenberg, fn.hessenberg)
+    z = np.linspace(-2.0, 2.0, 301) + 0.4j
+    assert np.array_equal(again.evaluate(z), fn.evaluate(z))
+
+
+def test_load_candidate_rejects_v1_format(tmp_path, capsys):
+    path = tmp_path / "old.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format": "freqdyn-candidate-v1",
+                "kind": "existence",
+                "function": {"type": "arnoldi", "norm0": 1.0,
+                             "hessenberg": [], "coefficients": [[1.0, 0.0]]},
+            }
+        )
+    )
+    ini = tmp_path / "scan.ini"
+    ini.write_text(f"[scan]\ncandidate = {path}\n")
+    assert main(["scan", str(ini)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert cli.CANDIDATE_FORMAT in err[0] and "rebuild" in err[0]
+
+
 def test_polynomial_encoding_round_trip():
     from freqdyn.approx import Polynomial
 
@@ -468,6 +502,73 @@ def test_main_config_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[maps]\nwobble = 1\n")
     assert main(["split", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+def test_main_rejects_non_finite_values(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    path = tmp_path / "sigma.ini"
+    path.write_text(f"[maps]\nalpha = 0\nbeta = 1\n[tolerances]\nsigma_t_max = {raw}\n")
+    assert main(["sigma", str(path)]) == 2
+    path.write_text("[maps]\nalpha = 0\nbeta = 1\n")
+    assert main(["sigma", str(path), "--override", f"horizons.n_max={raw}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all("finite" in line for line in err)
+    assert not (tmp_path / "out" / "sigma").exists()
+
+
+def test_write_json_rejects_nan(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(str(tmp_path / "r.json"), {"sigma": float("nan")})
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_main_sigma_wide_gap_writes_null_limit(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    path = tmp_path / "sigma.ini"
+    path.write_text("[maps]\nalpha = 0\nbeta = 2\n")
+    assert main(["sigma", str(path)]) == 0
+    report = _strict_json(tmp_path / "out" / "sigma" / "report.json")
+    assert report["limit_at_one"] is None
+    assert report["limit_at_inf"] == 1.0
+
+
+def test_cmd_example1_wide_gap_report_is_strict_json(outdir):
+    cfg = _cfg(
+        domain_kind="slit_plane",
+        map_family="root_shift",
+        beta=2.0,
+        c_const=0.25,
+        pairs=1,
+        n_max=50,
+        nu_max=1,
+        max_islands=1,
+    )
+    assert not cmd_example1(cfg).failed
+    report = _strict_json(outdir / "example1" / "report.json")
+    assert report["sigma"]["limit_at_one"] is None
+
+
+def test_unbounded_values_are_written_as_null(tmp_path):
+    assert cli._image_disc_separation([])[0] == math.inf
+    path = tmp_path / "r.json"
+    cli._write_json(
+        str(path),
+        {
+            "gap": cli._unbounded_as_null(math.inf),
+            "low": cli._unbounded_as_null(-math.inf),
+            "x": cli._unbounded_as_null(np.float64(0.5)),
+        },
+    )
+    assert _strict_json(path) == {"gap": None, "low": None, "x": 0.5}
+    with pytest.raises(ValueError):
+        cli._write_json(str(path), {"x": cli._unbounded_as_null(math.nan)})
 
 
 def test_main_override_changes_result(tmp_path, monkeypatch):
