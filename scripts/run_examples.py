@@ -3,8 +3,11 @@
 
 Each run writes under its own output root so repeated builds never
 overwrite one another; the stored-candidate scan is pointed at the
-existence build it consumes.  The weak runaway example is expected to
-fail by construction, so its nonzero exit counts as success here.
+existence build it consumes.  Two runs patch a shipped config: example1
+at a radius constant large enough for its orbit scan to run, and the
+spaceable config built as a mixed basis.  The weak runaway example is
+expected to fail by construction, so its nonzero exit counts as success
+here.
 """
 
 import argparse
@@ -12,23 +15,32 @@ import os
 
 from freqdyn.cli import main as freqdyn_main
 
-# (label, subcommand, config file, expected exit code)
+# (label, subcommand, config file, overrides, expected exit code); "{out}"
+# in an override stands for the --out root
 RUNS = (
-    ("sigma", "sigma", "sigma.ini", 0),
-    ("split", "split", "split.ini", 0),
-    ("density", "density", "density.ini", 0),
-    ("sepfamily", "sepfamily", "sepfamily.ini", 0),
-    ("runaway-strong", "runaway", "runaway_strong.ini", 0),
-    ("runaway-weak", "runaway", "runaway_weak.ini", 1),
-    ("example1", "example1", "example1.ini", 0),
-    ("example2", "example2", "example2.ini", 0),
-    ("example3", "example3", "example3.ini", 0),
-    ("example4", "example4", "example4.ini", 0),
-    ("example5", "example5", "example5.ini", 0),
-    ("existence", "build_fhc", "existence.ini", 0),
-    ("scan", "scan", "scan.ini", 0),
-    ("spaceable", "build_fhc", "spaceable.ini", 0),
-    ("dense", "build_fhc", "dense.ini", 0),
+    ("sigma", "sigma", "sigma.ini", (), 0),
+    ("split", "split", "split.ini", (), 0),
+    ("density", "density", "density.ini", (), 0),
+    ("sepfamily", "sepfamily", "sepfamily.ini", (), 0),
+    ("runaway-strong", "runaway", "runaway_strong.ini", (), 0),
+    ("runaway-weak", "runaway", "runaway_weak.ini", (), 1),
+    ("example1", "example1", "example1.ini", (), 0),
+    ("example1-scan", "example1", "example1.ini", ("maps.c=1.0",), 0),
+    ("example2", "example2", "example2.ini", (), 0),
+    ("example3", "example3", "example3.ini", (), 0),
+    ("example4", "example4", "example4.ini", (), 0),
+    ("example5", "example5", "example5.ini", (), 0),
+    ("existence", "build_fhc", "existence.ini", (), 0),
+    (
+        "scan",
+        "scan",
+        "scan.ini",
+        ("scan.candidate={out}/existence/build_fhc/candidate.json",),
+        0,
+    ),
+    ("spaceable", "build_fhc", "spaceable.ini", (), 0),
+    ("mixed", "build_fhc", "spaceable.ini", ("build.kind=mixed",), 0),
+    ("dense", "build_fhc", "dense.ini", (), 0),
 )
 
 
@@ -43,14 +55,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     mismatches = []
-    for label, command, config, expected in RUNS:
+    for label, command, config, overrides, expected in RUNS:
         os.environ["FREQDYN_OUT"] = os.path.join(args.out, label)
         argv_run = [command, os.path.join(args.configs, config)]
-        if label == "scan":
-            candidate = os.path.join(
-                args.out, "existence", "build_fhc", "candidate.json"
-            )
-            argv_run += ["--override", f"scan.candidate={candidate}"]
+        for item in overrides:
+            argv_run += ["--override", item.format(out=args.out)]
         code = freqdyn_main(argv_run)
         note = "as expected" if code == expected else f"expected {expected}"
         print(f"== {label}: exit {code} ({note})")

@@ -666,6 +666,31 @@ def assemble_existence_target(
     return PiecewiseTarget(tuple(pieces))
 
 
+def _member_target(
+    tr: CarlemanTruncation,
+    splits: dict,
+    base: CompactSet,
+    base_spec,
+    block: int,
+    scale: float,
+    resolution: int,
+) -> PiecewiseTarget:
+    """base_spec on the base, the labelled polynomial composed with its
+    inverse on islands whose p-block is block, zero on the rest; every
+    tolerance is scale * min(1, envelope)."""
+    tau = lambda e: scale * min(1.0, e)
+    eps_base = min_envelope(tr.domain, base, resolution)
+    pieces = [TargetPiece(base, base_spec, tau(eps_base))]
+    lookup = _label_lookup(splits)
+    for island in tr.islands:
+        key = lookup(island.n, island.nu)
+        poly = None
+        if key is not None and key[1] == block:
+            poly = enumerate_dense_polynomial(key[0])
+        pieces.append(_island_piece(tr.domain, island, poly, tau, resolution))
+    return PiecewiseTarget(tuple(pieces))
+
+
 def assemble_spaceable_target(
     mu: int,
     tr: CarlemanTruncation,
@@ -684,28 +709,9 @@ def assemble_spaceable_target(
         raise ValueError("member index must be at least 1")
     if len(tr.bases) != 1:
         raise ValueError("the spaceable build uses exactly one base compact")
-    scale = 3.0 ** (-mu)
-    base = tr.bases[0]
-    eps_base = min_envelope(tr.domain, base, resolution)
-    pieces = [
-        TargetPiece(base, Monomial(mu), scale * min(1.0, eps_base))
-    ]
-    lookup = _label_lookup(splits)
-    for island in tr.islands:
-        key = lookup(island.n, island.nu)
-        poly = None
-        if key is not None and key[1] == mu:
-            poly = enumerate_dense_polynomial(key[0])
-        pieces.append(
-            _island_piece(
-                tr.domain,
-                island,
-                poly,
-                lambda e: scale * min(1.0, e),
-                resolution,
-            )
-        )
-    return PiecewiseTarget(tuple(pieces))
+    return _member_target(
+        tr, splits, tr.bases[0], Monomial(mu), mu, 3.0 ** (-mu), resolution
+    )
 
 
 def assemble_dense_target(
@@ -722,28 +728,10 @@ def assemble_dense_target(
         raise ValueError("member index must be at least 1")
     if len(tr.bases) < mu + 1:
         raise ValueError("the dense build needs base compacts up to level mu + 1")
-    scale = 1.0 / mu
-    base = tr.bases[mu]
-    eps_base = min_envelope(tr.domain, base, resolution)
-    pieces = [
-        TargetPiece(base, FixedPoly(enumerate_dense_polynomial(mu)), scale * min(1.0, eps_base))
-    ]
-    lookup = _label_lookup(splits)
-    for island in tr.islands:
-        key = lookup(island.n, island.nu)
-        poly = None
-        if key is not None and key[1] == mu + 1:
-            poly = enumerate_dense_polynomial(key[0])
-        pieces.append(
-            _island_piece(
-                tr.domain,
-                island,
-                poly,
-                lambda e: scale * min(1.0, e),
-                resolution,
-            )
-        )
-    return PiecewiseTarget(tuple(pieces))
+    base_spec = FixedPoly(enumerate_dense_polynomial(mu))
+    return _member_target(
+        tr, splits, tr.bases[mu], base_spec, mu + 1, 1.0 / mu, resolution
+    )
 
 
 def assemble_mixed_target(

@@ -424,10 +424,6 @@ def build_schedule(cfg: ExperimentConfig) -> Callable[[int], HoloMap]:
     return base
 
 
-def _family_levels(fam, nu_max: int) -> list:
-    return sorted({int(nu) for nu in fam.nu_values() if int(nu) <= nu_max})
-
-
 def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
     fam = density.build_separated_family(
         pairs if pairs else cfg.pairs, cfg.n_max, cfg.multiplier
@@ -671,38 +667,117 @@ def _image_disc_separation(islands):
     return best, checked, witness
 
 
-def _island_pairs(tr, splits, horizon: int):
-    """Designed index sets of the retained islands, grouped by block."""
+def _splits(kind: str, fam, cfg: ExperimentConfig) -> dict:
+    """Per-level index splits that label the island targets of a build.
+
+    An existence candidate splits each family set into l_max labels;
+    member builds split it again into member blocks (one block more than
+    members for dense, whose block mu + 1 feeds member mu), and mixed
+    members subdivide the first part of a split in two.
+    """
+    out = {}
+    for nu in sorted({int(nu) for nu in fam.nu_values() if int(nu) <= cfg.nu_max}):
+        a = fam.a_of_nu(nu)
+        if kind == "existence":
+            out[nu] = density.split(a, cfg.l_max, cfg.n_max)
+        elif kind == "dense":
+            out[nu] = approx.double_split(a, cfg.l_max, cfg.mu_max + 1, cfg.n_max)
+        else:
+            if kind == "mixed":
+                a = density.split(a, 2, cfg.n_max)[0]
+            out[nu] = approx.double_split(a, cfg.l_max, cfg.mu_max, cfg.n_max)
+    return out
+
+
+def _runaway_lines(rep) -> tuple:
+    """P1-P3 verdict lines and one NOTE per witness the check found."""
+    verdicts = [
+        _verdict(rep.p1_ok, "P1: index families keep positive lower density"),
+        _verdict(rep.p2_ok, "P2: islands are disjoint with separated images"),
+        _verdict(rep.p3_ok, "P3: probe compacts avoid foreign image discs"),
+    ]
+    notes = [
+        f"NOTE: {label} witness {witness}"
+        for label, witness in (
+            ("P1", rep.p1_witness),
+            ("P2 index", rep.p2_index_witness),
+            ("P2 disc", rep.p2_disc_witness),
+            ("P3", rep.p3_witness),
+        )
+        if witness is not None
+    ]
+    return verdicts, notes
+
+
+def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
+    """Fit one candidate on the islands of a base-free truncation and
+    write candidate.json; returns (candidate, verdict line, path)."""
+    target = approx.assemble_existence_target(tr, splits, cfg.l_max, cfg.grid_res)
+    cand = approx.fit_on_compacts(target, cfg.max_degree, cfg.grid_res)
+    line = _verdict(
+        cand.status == "PASS",
+        f"{label} {cand.status} at degree {cand.degree}"
+        f" (worst error ratio {cand.max_ratio:.3g})",
+    )
+    path = os.path.join(out, "candidate.json")
+    _write_json(path, _encode_candidate(cand, cfg, "existence", tr.islands))
+    return cand, line, path
+
+
+def _island_pairs(islands, splits, horizon: int):
+    """Designed index sets of the (n, nu) islands, grouped by block; every
+    island index must be at most horizon."""
     member = {}
     for nu, pieces in splits.items():
         for l_idx, piece in enumerate(pieces, start=1):
             for n in piece.elements:
                 member[(int(n), int(nu))] = l_idx
     blocks = {}
-    for isl in tr.islands:
-        l_idx = member.get((int(isl.n), int(isl.nu)))
+    for n, nu in islands:
+        l_idx = member.get((int(n), int(nu)))
         if l_idx is None:
             continue
-        blocks.setdefault((int(isl.nu), l_idx), []).append(int(isl.n))
+        blocks.setdefault((int(nu), l_idx), []).append(int(n))
     out = []
     for (nu, l_idx), ns in sorted(blocks.items()):
-        els = np.array(sorted(n for n in ns if n <= horizon), dtype=np.int64)
-        if els.size:
-            out.append(
-                (nu, l_idx, IndexSet(els, horizon, f"designed(nu={nu},l={l_idx})"))
-            )
+        els = np.array(sorted(ns), dtype=np.int64)
+        out.append((nu, l_idx, IndexSet(els, horizon, f"designed(nu={nu},l={l_idx})")))
     return out
 
 
-def _pairs_from_meta(meta: dict, splits, horizon: int):
-    class _Shim:
-        def __init__(self, n, nu):
-            self.n = n
-            self.nu = nu
+SCAN_HEADER = ("nu", "l", "n", "designed", "error", "eps_sup", "hit", "prefix_ratio")
 
-    shim = [_Shim(n, nu) for n, nu in meta.get("islands", [])]
-    holder = type("_Holder", (), {"islands": shim})
-    return _island_pairs(holder, splits, horizon)
+
+def _scan_candidate(
+    fn, islands, envelopes, cfg: ExperimentConfig, splits, exh, schedule, out: str
+):
+    """Scan an existence candidate over the designed blocks of its (n, nu)
+    islands, up to the largest island index, and write scan.csv.
+
+    Blocks whose compact has an empty grid are dropped; returns None when
+    none is left, else (report, path).  A zero configured delta means
+    twice the largest certificate envelope.
+    """
+    horizon = max((int(n) for n, _ in islands), default=0)
+    pairs = [
+        (nu, l, d)
+        for nu, l, d in _island_pairs(islands, splits, horizon)
+        if sample_grid(exh.member(nu), cfg.grid_res).size > 0
+    ]
+    if not pairs:
+        return None
+    delta = cfg.delta
+    if delta <= 0.0:
+        if not envelopes:
+            raise ValueError("candidate carries no certificates, set a delta")
+        delta = 2.0 * max(envelopes)
+    report = orbit.scan(
+        fn, schedule, exh, enumerate_dense_polynomial, delta, horizon, pairs,
+        cfg.grid_res,
+    )
+    path = os.path.join(out, "scan.csv")
+    _write_csv(path, SCAN_HEADER, _scan_rows(report))
+    return report, path
 
 
 def _scan_lines(report) -> list:
@@ -794,19 +869,8 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
     )
     lines.append(_verdict(fam_report.passed, "separated family verifies"))
     rep = runaway.check_strong_runaway(rcfg)
-    lines.append(
-        _verdict(rep.p1_ok, "P1: index families keep positive lower density")
-    )
-    lines.append(_verdict(rep.p2_ok, "P2: islands are disjoint with separated images"))
-    lines.append(_verdict(rep.p3_ok, "P3: probe compacts avoid foreign image discs"))
-    for label, witness in (
-        ("P1", rep.p1_witness),
-        ("P2 index", rep.p2_index_witness),
-        ("P2 disc", rep.p2_disc_witness),
-        ("P3", rep.p3_witness),
-    ):
-        if witness is not None:
-            lines.append(f"NOTE: {label} witness {witness}")
+    verdicts, notes = _runaway_lines(rep)
+    lines.extend(verdicts + notes)
     gap, checked, gap_witness = _image_disc_separation(rep.islands)
     lines.append(
         _verdict(
@@ -833,63 +897,26 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
         tr = runaway.build_carleman_truncation(
             rcfg, bases=0, report=rep, max_islands=cfg.max_islands
         )
-        levels = _family_levels(fam, cfg.nu_max)
-        splits = {
-            nu: density.split(fam.a_of_nu(nu), cfg.l_max, cfg.n_max) for nu in levels
-        }
-        target = approx.assemble_existence_target(tr, splits, cfg.l_max, cfg.grid_res)
-        cand = approx.fit_on_compacts(target, cfg.max_degree, cfg.grid_res)
-        lines.append(
-            _verdict(
-                cand.status == "PASS",
-                f"island fit {cand.status} at degree {cand.degree}"
-                f" (worst error ratio {cand.max_ratio:.3g})",
-            )
-        )
-        cpath = os.path.join(out, "candidate.json")
-        _write_json(cpath, _encode_candidate(cand, cfg, "existence", tr.islands))
+        splits = _splits("existence", fam, cfg)
+        cand, line, cpath = _fit_existence(cfg, tr, splits, out, "island fit")
+        lines.append(line)
         artifacts.append(cpath)
         payload["fit_status"] = cand.status
         payload["fit_degree"] = int(cand.degree)
 
-        pairs = _island_pairs(tr, splits, cfg.n_max)
-        scannable = [
-            (nu, l, d)
-            for nu, l, d in pairs
-            if sample_grid(exh.member(nu), cfg.grid_res).size > 0
-        ]
-        if not scannable:
+        islands = [(isl.n, isl.nu) for isl in tr.islands]
+        envelopes = [c.envelope for c in cand.certificates]
+        scanned = _scan_candidate(
+            cand.fn, islands, envelopes, cfg, splits, exh, schedule, out
+        )
+        if scanned is None:
             lines.append(
                 "NOTE: orbit scan skipped, every truncation compact is empty at"
                 " this radius constant"
             )
         else:
-            delta = cfg.delta
-            if delta <= 0.0:
-                delta = 2.0 * max(c.envelope for c in cand.certificates)
-            horizon = max(int(isl.n) for isl in tr.islands)
-            clipped = []
-            for nu, l, d in scannable:
-                els = d.elements[d.elements <= horizon]
-                if els.size:
-                    clipped.append((nu, l, IndexSet(els, horizon, d.descriptor)))
-            scan_rep = orbit.scan(
-                cand.fn,
-                schedule,
-                exh,
-                enumerate_dense_polynomial,
-                delta,
-                horizon,
-                clipped,
-                cfg.grid_res,
-            )
+            scan_rep, spath = scanned
             lines.extend(_scan_lines(scan_rep))
-            spath = os.path.join(out, "scan.csv")
-            _write_csv(
-                spath,
-                ("nu", "l", "n", "designed", "error", "eps_sup", "hit", "prefix_ratio"),
-                _scan_rows(scan_rep),
-            )
             artifacts.append(spath)
     else:
         lines.append("NOTE: truncation and fit skipped, the runaway check failed")
@@ -1060,12 +1087,32 @@ def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
     return _finish(cfg, "example5", out, lines, [path])
 
 
+# Build kinds: (base compacts for a config, member target assembler, kind
+# of the span basis the members form).  The existence build fits a single
+# candidate instead of members, and dense members form no basis.
+# Assemblers are named, not bound, so each call resolves them on approx
+# and passes through any wrapper installed there.
+_BUILD_KINDS = {
+    "existence": (lambda cfg: 0, None, None),
+    "dense": (
+        lambda cfg: max(cfg.bases, cfg.mu_max + 1), "assemble_dense_target", None
+    ),
+    "spaceable": (lambda cfg: 1, "assemble_spaceable_target", BasisKind.SPACEABLE),
+    "mixed": (lambda cfg: 1, "assemble_mixed_target", BasisKind.MIXED),
+}
+
+
 def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
     """Certify a runaway family and fit candidates on its truncation."""
-    out = _artifact_dir(cfg, "build_fhc")
     kind = cfg.build_kind
-    if kind not in ("existence", "spaceable", "dense", "mixed"):
+    if kind not in _BUILD_KINDS:
         raise ValueError(f"unknown build kind {kind!r}")
+    base_count, assembler, span_kind = _BUILD_KINDS[kind]
+    if kind != "existence" and cfg.mu_max < 1:
+        raise ValueError(
+            f"horizons.mu_max must be at least 1 for a {kind} build, got {cfg.mu_max}"
+        )
+    out = _artifact_dir(cfg, "build_fhc")
     fam, fam_report, exh, schedule, rcfg = _prepare_runaway(cfg)
     lines = [_verdict(fam_report.passed, "separated family verifies")]
     rep = runaway.check_strong_runaway(rcfg)
@@ -1079,115 +1126,47 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
     if not (rep.p1_ok and rep.p2_ok and rep.p3_ok):
         return _finish(cfg, "build_fhc", out, lines, [])
 
-    # each build shape fixes its own base-compact count
-    if kind == "existence":
-        bases = 0
-    elif kind in ("spaceable", "mixed"):
-        bases = 1
-    else:
-        bases = max(cfg.bases, cfg.mu_max + 1)
     tr = runaway.build_carleman_truncation(
-        rcfg, bases=bases, report=rep, max_islands=cfg.max_islands
+        rcfg, bases=base_count(cfg), report=rep, max_islands=cfg.max_islands
     )
-    levels = _family_levels(fam, cfg.nu_max)
     lines.append(
         f"NOTE: truncation keeps {len(tr.islands)} islands and"
         f" {len(tr.bases)} base compacts (k_base {tr.k_base})"
     )
-    artifacts = []
-
+    splits = _splits(kind, fam, cfg)
     if kind == "existence":
-        splits = {
-            nu: density.split(fam.a_of_nu(nu), cfg.l_max, cfg.n_max) for nu in levels
-        }
-        target = approx.assemble_existence_target(tr, splits, cfg.l_max, cfg.grid_res)
-        cand = approx.fit_on_compacts(target, cfg.max_degree, cfg.grid_res)
-        lines.append(
-            _verdict(
-                cand.status == "PASS",
-                f"candidate fit {cand.status} at degree {cand.degree}"
-                f" (worst error ratio {cand.max_ratio:.3g})",
-            )
-        )
-        path = os.path.join(out, "candidate.json")
-        _write_json(path, _encode_candidate(cand, cfg, kind, tr.islands))
-        artifacts.append(path)
-        return _finish(cfg, "build_fhc", out, lines, artifacts)
+        _, line, path = _fit_existence(cfg, tr, splits, out, "candidate fit")
+        return _finish(cfg, "build_fhc", out, lines + [line], [path])
 
-    if kind == "dense":
-        dense_splits = {
-            nu: approx.double_split(
-                fam.a_of_nu(nu), cfg.l_max, cfg.mu_max + 1, cfg.n_max
-            )
-            for nu in levels
-        }
-        members = []
-        ok = True
-        for mu in range(1, cfg.mu_max + 1):
-            target = approx.assemble_dense_target(mu, tr, dense_splits, cfg.grid_res)
-            cand = approx.fit_on_compacts(target, cfg.max_degree, cfg.grid_res)
-            members.append(cand)
-            base_cert = cand.certificates[0]
-            lines.append(
-                _verdict(
-                    cand.status == "PASS",
-                    f"member {mu} fit {cand.status} at degree {cand.degree}"
-                    f" (base error {base_cert.achieved:.3e} vs {1.0 / mu:.3e})",
-                )
-            )
-            ok = ok and cand.status == "PASS"
-            path = os.path.join(out, f"member{mu}.json")
-            _write_json(
-                path,
-                _encode_candidate(cand, cfg, kind, tr.islands, extra={"mu": mu}),
-            )
-            artifacts.append(path)
-        if not ok:
-            lines.append("NOTE: some member failed, no collection written")
-        return _finish(cfg, "build_fhc", out, lines, artifacts)
-
-    # spaceable and mixed both perturb monomials on a single base compact
-    if kind == "spaceable":
-        block_splits = {
-            nu: approx.double_split(fam.a_of_nu(nu), cfg.l_max, cfg.mu_max, cfg.n_max)
-            for nu in levels
-        }
-        assemble = approx.assemble_spaceable_target
-        basis_kind = BasisKind.SPACEABLE
-    else:
-        block_splits = {
-            nu: approx.double_split(
-                density.split(fam.a_of_nu(nu), 2, cfg.n_max)[0],
-                cfg.l_max,
-                cfg.mu_max,
-                cfg.n_max,
-            )
-            for nu in levels
-        }
-        assemble = approx.assemble_mixed_target
-        basis_kind = BasisKind.MIXED
+    assemble = getattr(approx, assembler)
     members = []
-    ok = True
+    artifacts = []
     for mu in range(1, cfg.mu_max + 1):
-        target = assemble(mu, tr, block_splits, cfg.grid_res)
+        target = assemble(mu, tr, splits, cfg.grid_res)
         cand = approx.fit_on_compacts(target, cfg.max_degree, cfg.grid_res)
         members.append(cand)
-        lines.append(
-            _verdict(
-                cand.status == "PASS",
-                f"member {mu} fit {cand.status} at degree {cand.degree}",
+        text = f"member {mu} fit {cand.status} at degree {cand.degree}"
+        if span_kind is None:
+            text += (
+                f" (base error {cand.certificates[0].achieved:.3e}"
+                f" vs {1.0 / mu:.3e})"
             )
-        )
-        ok = ok and cand.status == "PASS"
+        lines.append(_verdict(cand.status == "PASS", text))
         path = os.path.join(out, f"member{mu}.json")
         _write_json(
             path, _encode_candidate(cand, cfg, kind, tr.islands, extra={"mu": mu})
         )
         artifacts.append(path)
-    if ok:
+    ok = all(cand.status == "PASS" for cand in members)
+    if span_kind is None:
+        if not ok:
+            lines.append("NOTE: some member failed, no collection written")
+    elif not ok:
+        lines.append(_verdict(False, "span basis skipped, a member fit failed"))
+    else:
         try:
             basis = approx.build_span_basis(
-                members, list(range(1, cfg.mu_max + 1)), basis_kind
+                members, list(range(1, cfg.mu_max + 1)), span_kind
             )
         except ValueError as exc:
             lines.append(_verdict(False, f"span basis rejected: {exc}"))
@@ -1216,8 +1195,6 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
                 },
             )
             artifacts.append(path)
-    else:
-        lines.append(_verdict(False, "span basis skipped, a member fit failed"))
     return _finish(cfg, "build_fhc", out, lines, artifacts)
 
 
@@ -1235,51 +1212,24 @@ def cmd_scan(cfg: ExperimentConfig) -> CommandResult:
             "NOTE: candidate was built under a different configuration,"
             f" hash {meta.get('config')}"
         )
-    fam = density.build_separated_family(cfg.pairs, cfg.n_max, cfg.multiplier)
-    exh = build_exhaustion(cfg)
-    schedule = build_schedule(cfg)
-    levels = _family_levels(fam, cfg.nu_max)
-    splits = {
-        nu: density.split(fam.a_of_nu(nu), cfg.l_max, cfg.n_max) for nu in levels
-    }
     islands = meta.get("islands", [])
     if not islands:
         raise ValueError("candidate file lists no islands to scan")
-    horizon = max(int(n) for n, _ in islands)
-    pairs = _pairs_from_meta(meta, splits, horizon)
-    pairs = [
-        (nu, l, d)
-        for nu, l, d in pairs
-        if sample_grid(exh.member(nu), cfg.grid_res).size > 0
-    ]
-    if not pairs:
+    fam = density.build_separated_family(cfg.pairs, cfg.n_max, cfg.multiplier)
+    exh = build_exhaustion(cfg)
+    schedule = build_schedule(cfg)
+    envelopes = [c["envelope"] for c in meta.get("certificates", [])]
+    splits = _splits("existence", fam, cfg)
+    scanned = _scan_candidate(fn, islands, envelopes, cfg, splits, exh, schedule, out)
+    if scanned is None:
         raise ValueError("every designed compact has an empty grid at this radius")
-    delta = cfg.delta
-    if delta <= 0.0:
-        envelopes = [c["envelope"] for c in meta.get("certificates", [])]
-        if not envelopes:
-            raise ValueError("candidate carries no certificates, set a delta")
-        delta = 2.0 * max(envelopes)
-    lines.append(f"NOTE: scanning {len(pairs)} blocks to horizon {horizon}"
-                 f" at delta {delta:.6g}")
-    report = orbit.scan(
-        fn,
-        schedule,
-        exh,
-        enumerate_dense_polynomial,
-        delta,
-        horizon,
-        pairs,
-        cfg.grid_res,
+    report, path = scanned
+    lines.append(
+        f"NOTE: scanning {len(report.entries)} blocks to horizon {report.horizon}"
+        f" at delta {report.delta:.6g}"
     )
     lines.extend(_scan_lines(report))
     lines.append(_verdict(report.passed, "orbit scan verdict"))
-    path = os.path.join(out, "scan.csv")
-    _write_csv(
-        path,
-        ("nu", "l", "n", "designed", "error", "eps_sup", "hit", "prefix_ratio"),
-        _scan_rows(report),
-    )
     return _finish(cfg, "scan", out, lines, [path])
 
 
@@ -1380,21 +1330,13 @@ def cmd_runaway(cfg: ExperimentConfig) -> CommandResult:
     if cfg.runaway_mode == "strong":
         fam, fam_report, exh, schedule, rcfg = _prepare_runaway(cfg)
         rep = runaway.check_strong_runaway(rcfg)
-        lines = [
-            _verdict(fam_report.passed, "separated family verifies"),
-            _verdict(rep.p1_ok, "P1: index families keep positive lower density"),
-            _verdict(rep.p2_ok, "P2: islands are disjoint with separated images"),
-            _verdict(rep.p3_ok, "P3: probe compacts avoid foreign image discs"),
-            f"NOTE: inspected {len(rep.islands)} islands",
-        ]
-        for label, witness in (
-            ("P1", rep.p1_witness),
-            ("P2 index", rep.p2_index_witness),
-            ("P2 disc", rep.p2_disc_witness),
-            ("P3", rep.p3_witness),
-        ):
-            if witness is not None:
-                lines.append(f"NOTE: {label} witness {witness}")
+        verdicts, notes = _runaway_lines(rep)
+        lines = (
+            [_verdict(fam_report.passed, "separated family verifies")]
+            + verdicts
+            + [f"NOTE: inspected {len(rep.islands)} islands"]
+            + notes
+        )
         path = os.path.join(out, "report.json")
         _write_json(
             path,
@@ -1476,7 +1418,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = apply_overrides(load_config(args.config), args.override)
         result = _COMMANDS[args.command](cfg)
-    except (OSError, ValueError, runaway.HorizonExhausted) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in result.lines:

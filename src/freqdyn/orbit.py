@@ -119,25 +119,23 @@ class OrbitScanReport:
         raise KeyError((nu, l))
 
 
-def _entry_from_errors(
+def _pair_scan(
     nu: int,
     l: int,
     designed: IndexSet,
     errors: np.ndarray,
     eps_sup: np.ndarray,
-    delta: float,
+    hit_mask: np.ndarray,
+    burn_in: int,
     horizon: int,
-    envelope_constant: float,
-    grid_slack: float,
 ) -> PairScan:
-    hit_mask = errors * grid_slack < delta
+    """Hit set, density, coverage and verdict of one pair from the mask of
+    indices it hits and its burn-in."""
     hits = IndexSet(
         np.nonzero(hit_mask)[0].astype(np.int64) + 1,
         horizon,
         f"hits(nu={nu},l={l})",
     )
-    over = np.nonzero(eps_sup >= delta / envelope_constant)[0]
-    burn_in = int(over[-1] + 1) if over.size else 0
     density = lower_density_estimate(
         hits, horizon, burn_in=min(max(burn_in, horizon // 5, 1), horizon)
     )
@@ -208,13 +206,15 @@ def scan(
             eps_to_boundary(exhaustion.domain, mapped.ravel()).reshape(mapped.shape),
             axis=1,
         )
+        over = np.nonzero(eps_sup >= delta / envelope_constant)[0]
+        burn_in = int(over[-1] + 1) if over.size else 0
         for l, designed in sorted(blocks, key=lambda t: t[0]):
             targ = dense_seq(l).evaluate(grid)
             errors = np.max(np.abs(vals - targ[None, :]), axis=1)
             entries.append(
-                _entry_from_errors(
-                    nu, l, designed, errors, eps_sup, delta, horizon,
-                    envelope_constant, grid_slack,
+                _pair_scan(
+                    nu, l, designed, errors, eps_sup, errors * grid_slack < delta,
+                    burn_in, horizon,
                 )
             )
     return OrbitScanReport(
@@ -287,59 +287,26 @@ def combination_scan(
             comb, maps_schedule, exhaustion, lambda l: Polynomial.zero(), half,
             horizon, pairs, grid_res, envelope_constant, grid_slack,
         )
-        entries = []
-        for e_phi, e_h in zip(rep_phi.entries, rep_h.entries):
-            errors = e_phi.errors + e_h.errors
-            hit_mask = (e_phi.errors * grid_slack < half) & (
-                e_h.errors * grid_slack < half
-            )
-            hits = IndexSet(
-                np.nonzero(hit_mask)[0].astype(np.int64) + 1,
+        entries = tuple(
+            _pair_scan(
+                e_phi.nu,
+                e_phi.l,
+                e_phi.designed,
+                e_phi.errors + e_h.errors,
+                e_phi.eps_sup,
+                (e_phi.errors * grid_slack < half) & (e_h.errors * grid_slack < half),
+                max(e_phi.burn_in, e_h.burn_in),
                 horizon,
-                f"hits(nu={e_phi.nu},l={e_phi.l})",
             )
-            burn_in = max(e_phi.burn_in, e_h.burn_in)
-            density = lower_density_estimate(
-                hits, horizon, burn_in=min(max(burn_in, horizon // 5, 1), horizon)
-            )
-            els = e_phi.designed.elements[e_phi.designed.elements <= horizon]
-            tail = els[els > burn_in]
-            covered = bool(np.all(hit_mask[tail - 1])) if tail.size else True
-            window = horizon - burn_in
-            hit_rate = (
-                float(np.count_nonzero(hit_mask[burn_in:]) / window)
-                if window > 0
-                else 0.0
-            )
-            entries.append(
-                PairScan(
-                    nu=e_phi.nu,
-                    l=e_phi.l,
-                    designed=e_phi.designed,
-                    hits=hits,
-                    burn_in=burn_in,
-                    errors=errors,
-                    eps_sup=e_phi.eps_sup,
-                    density=density,
-                    hit_rate=hit_rate,
-                    passed=covered and hit_rate > 0.0,
-                )
-            )
-        return OrbitScanReport(
-            entries=tuple(entries),
-            delta=delta,
-            horizon=horizon,
-            grid_res=grid_res,
-            coefficients=tuple(alphas.tolist()),
-            coeff_square_sum=1.0 + tail_sq,
+            for e_phi, e_h in zip(rep_phi.entries, rep_h.entries)
         )
-
-    rep = scan(
-        comb, maps_schedule, exhaustion, dense_seq, delta, horizon, pairs,
-        grid_res, envelope_constant, grid_slack,
-    )
+    else:
+        entries = scan(
+            comb, maps_schedule, exhaustion, dense_seq, delta, horizon, pairs,
+            grid_res, envelope_constant, grid_slack,
+        ).entries
     return OrbitScanReport(
-        entries=rep.entries,
+        entries=entries,
         delta=delta,
         horizon=horizon,
         grid_res=grid_res,

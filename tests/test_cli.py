@@ -366,6 +366,41 @@ def test_cmd_example1_large_radius_fails(outdir):
     assert any(line.startswith("FAIL: P2") for line in res.lines)
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def _shipped(name, *overrides):
+    return apply_overrides(load_config(os.path.join(CONFIGS, name)), overrides)
+
+
+def test_cmd_example1_scan_matches_stored_candidate_scan(outdir):
+    cfg = _shipped("example1.ini", "maps.c=1.0")
+    res = cmd_example1(cfg)
+    assert not res.failed
+    assert sum(line.startswith("PASS: scan block") for line in res.lines) == 3
+    stored = outdir / "example1" / "candidate.json"
+    rescan = cmd_scan(dataclasses.replace(cfg, candidate_path=str(stored)))
+    assert not rescan.failed
+    assert any("3 blocks to horizon 48" in line for line in rescan.lines)
+    example_csv = (outdir / "example1" / "scan.csv").read_bytes()
+    assert len(example_csv.splitlines()) == 145
+    assert (outdir / "scan" / "scan.csv").read_bytes() == example_csv
+
+
+def test_cmd_build_mixed_members_and_basis(outdir):
+    res = cmd_build_fhc(_shipped("spaceable.ini", "build.kind=mixed"))
+    assert not res.failed
+    members = [line for line in res.lines if line.startswith("PASS: member")]
+    assert members == [
+        f"PASS: member {mu} fit PASS at degree {d}"
+        for mu, d in ((1, 16), (2, 32), (3, 64))
+    ]
+    basis = json.loads((outdir / "build_fhc" / "basis.json").read_text())
+    assert basis["kind"] == "mixed"
+    assert basis["indices"] == [1, 2, 3]
+    assert f"{basis['perturbation_sum']:.6f}" == "0.105069"
+
+
 def test_cmd_example2_residuals(outdir):
     res = cmd_example2(_cfg(map_family="root_shift"))
     assert not res.failed
@@ -515,6 +550,32 @@ def test_main_rejects_non_finite_values(tmp_path, monkeypatch, capsys, raw):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 2 and all("finite" in line for line in err)
     assert not (tmp_path / "out" / "sigma").exists()
+
+
+@pytest.mark.parametrize("kind", ["dense", "spaceable", "mixed"])
+def test_main_member_build_rejects_zero_mu_max(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    path = os.path.join(CONFIGS, "dense.ini")
+    argv = ["build_fhc", path, "--override", f"build.kind={kind}",
+            "--override", "horizons.mu_max=0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "mu_max" in err[0]
+    assert "member" not in captured.out
+    assert not (tmp_path / "out" / "build_fhc").exists()
+
+
+def test_main_runtime_error_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    path = os.path.join(CONFIGS, "sepfamily.ini")
+    argv = ["sepfamily", path, "--override", "horizons.n_max=27",
+            "--override", "family.pairs=8"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_write_json_rejects_nan(tmp_path):

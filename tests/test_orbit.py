@@ -18,6 +18,7 @@ from freqdyn.geometry import ClosedDisc, whole_plane_exhaustion
 from freqdyn.maps import Identity, ParabolicDisc, Similarity
 from freqdyn.orbit import (
     GRID_SLACK,
+    _Combination,
     combination_scan,
     first_monotone_tail,
     iterate_convergence,
@@ -279,6 +280,33 @@ def test_combination_scan_passes_with_sp2_bound(spaceable_setup):
         tail = entry.designed_elements[entry.designed_elements > entry.burn_in]
         for n in tail:
             assert entry.errors[n - 1] <= bound_const * entry.eps_sup[n - 1] * GRID_SLACK
+
+
+def test_mixed_combination_splits_delta_between_phi_and_span(
+    spaceable_setup, existence_setup
+):
+    basis, delta, horizon, pairs = spaceable_setup
+    mixed = build_span_basis(basis.members, basis.indices, BasisKind.MIXED)
+    phi = existence_setup[0].fn
+    coeffs = (1.0, 0.1, 0.01)
+    env = 1.25
+    rep = combination_scan(mixed, coeffs, _translations, EXH,
+                           enumerate_dense_polynomial, delta, horizon, pairs,
+                           envelope_constant=env, phi=phi)
+    half = delta / 2.0
+    rep_phi = scan(phi, _translations, EXH, enumerate_dense_polynomial, half,
+                   horizon, pairs, envelope_constant=env)
+    rep_h = scan(_Combination(basis.members, np.asarray(coeffs, dtype=complex)),
+                 _translations, EXH, lambda l: Polynomial.zero(), half, horizon,
+                 pairs, envelope_constant=env)
+    assert len(rep.entries) == len(rep_phi.entries) == len(rep_h.entries) > 0
+    for e, a, b in zip(rep.entries, rep_phi.entries, rep_h.entries):
+        assert (e.nu, e.l) == (a.nu, a.l) == (b.nu, b.l)
+        assert np.array_equal(e.errors, a.errors + b.errors)
+        both = np.intersect1d(a.hits.elements, b.hits.elements)
+        assert np.array_equal(e.hits.elements, both)
+        assert e.burn_in == max(a.burn_in, b.burn_in)
+        assert np.array_equal(e.eps_sup, a.eps_sup)
 
 
 # ---------------------------------------------------------------------------
