@@ -8,6 +8,11 @@ at a radius constant large enough for its orbit scan to run, and the
 spaceable config built as a mixed basis.  The weak runaway example is
 expected to fail by construction, so its nonzero exit counts as success
 here.
+
+To compare two versions of the package with ``diff -r``, give both runs
+the same ``--out`` path and move the first tree aside before the second
+run: the stored-candidate scan names its candidate under that root, and
+the path enters the config hash recorded in ``scan/summary.txt``.
 """
 
 import argparse

@@ -3,14 +3,15 @@
 A candidate holomorphic function is represented by a single polynomial
 fitted simultaneously on finitely many pairwise disjoint compact
 regions, each carrying its own target values and tolerance budget.
-Least squares in a shifted and scaled monomial basis is the primary
-path; when the normal equations degenerate the fit switches to an
-orthogonalized sample basis built by the Arnoldi recurrence, which
-spans the same polynomial space with well conditioned columns.  The
-recurrence follows "Vandermonde with Arnoldi" (Brubeck, Nakatsukasa
-and Trefethen, SIAM Review 63(2), 2021): each step orthogonalizes the
-new column against the whole basis by block classical Gram-Schmidt
-with one reorthogonalization, each pass two matrix-vector products.
+The fit is weighted least squares in an orthogonalized sample basis
+built by the Arnoldi recurrence, which spans the polynomials of the
+fitted degree with well conditioned columns however far apart the
+compacts lie.  The recurrence follows "Vandermonde with Arnoldi"
+(Brubeck, Nakatsukasa and Trefethen, SIAM Review 63(2), 2021): each
+step orthogonalizes the new column against the whole basis by block
+classical Gram-Schmidt with one reorthogonalization, each pass two
+matrix-vector products.  Fixed polynomials (targets, the dense
+enumeration, span monomials) are plain monomial coefficient vectors.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ __all__ = [
 # Escalation schedule: degrees double from here until max_degree.
 START_DEGREE = 8
 
-# Condition-number threshold beyond which the monomial normal equations
-# are declared degenerate and the orthogonalized basis takes over.
-COND_LIMIT = 1e12
-
 # Quadrature points for circle norms; exact (up to rounding) for
 # polynomial integrands of degree below half this count.
 CIRCLE_QUADRATURE_POINTS = 2048
@@ -84,11 +81,9 @@ _EPS_RESOLUTION = 3
 
 @dataclass(frozen=True, eq=False)
 class Polynomial:
-    """Coefficients in the shifted and scaled monomial basis ((z-c)/s)^j."""
+    """Coefficients in the monomial basis z^j, ascending."""
 
     coefficients: np.ndarray
-    center: complex = 0.0 + 0.0j
-    scale: float = 1.0
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
@@ -99,16 +94,13 @@ class Polynomial:
         else:
             coeffs = coeffs[:1] * 0.0
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "center", complex(self.center))
-        if not (self.scale > 0.0):
-            raise ValueError("scale must be positive")
 
     @property
     def degree(self) -> int:
         return int(self.coefficients.size - 1)
 
     def evaluate(self, z):
-        w = (np.asarray(z, dtype=complex) - self.center) / self.scale
+        w = np.asarray(z, dtype=complex)
         out = np.zeros_like(w)
         for c in self.coefficients[::-1]:
             out = out * w + c
@@ -116,34 +108,17 @@ class Polynomial:
             return complex(out)
         return out
 
-    def standard_coefficients(self) -> np.ndarray:
-        """Coefficients in the plain monomial basis z^j (ascending)."""
-        a = 1.0 / self.scale
-        b = -self.center / self.scale
-        out = np.zeros(1, dtype=complex)
-        for c in self.coefficients[::-1]:
-            out = np.convolve(out, np.array([b, a], dtype=complex))[
-                : out.size + 1
-            ]
-            out[0] += c
-        nz = np.nonzero(out)[0]
-        return out[: nz[-1] + 1] if nz.size else out[:1]
-
-    @staticmethod
-    def from_standard(coeffs) -> "Polynomial":
-        return Polynomial(np.asarray(coeffs, dtype=complex), 0.0, 1.0)
-
     @staticmethod
     def monomial(mu: int) -> "Polynomial":
         if mu < 0:
             raise ValueError("monomial exponent must be nonnegative")
         c = np.zeros(mu + 1, dtype=complex)
         c[mu] = 1.0
-        return Polynomial(c, 0.0, 1.0)
+        return Polynomial(c)
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(np.zeros(1, dtype=complex), 0.0, 1.0)
+        return Polynomial(np.zeros(1, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +236,7 @@ def enumerate_dense_polynomial(l: int) -> Polynomial:
     idx = _decode_tuple(pack, degree + 1)
     coeffs = [_gaussian_rational(m) for m in idx[:-1]]
     coeffs.append(_gaussian_rational(idx[-1] + 1))
-    return Polynomial(np.asarray(coeffs, dtype=complex), 0.0, 1.0)
+    return Polynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +252,12 @@ def l2_circle_norm(p: PolyLike) -> float:
     """Norm in L2 of the unit circle with normalized arclength measure.
 
     For a plain polynomial this is the square root of the sum of squared
-    moduli of the standard-basis coefficients, exactly; the orthogonal
+    moduli of its coefficients, exactly (Parseval); the orthogonal
     sample-basis representation is integrated by midpoint quadrature,
     which is alias-free for the degrees handled here.
     """
     if isinstance(p, Polynomial):
-        return float(np.sqrt(np.sum(np.abs(p.standard_coefficients()) ** 2)))
+        return float(np.sqrt(np.sum(np.abs(p.coefficients) ** 2)))
     vals = p.evaluate(_circle_points())
     return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
 
@@ -396,13 +371,11 @@ class CandidateStatus:
 
 @dataclass(frozen=True, eq=False)
 class FhcCandidate:
-    fn: PolyLike
+    fn: ArnoldiPoly
     certificates: tuple
     status: str
     reason: Optional[str]
     degree: int
-    condition: float
-    used_orthogonal_basis: bool
 
     def evaluate(self, z):
         return self.fn.evaluate(z)
@@ -441,7 +414,7 @@ def _piece_grid(
     The ring density tracks the polynomial degree so oscillation between
     samples cannot hide; refine = 2 interleaves every fit angle with a
     midpoint, refine = 4 twice over.  The interior lattice stays coarse:
-    it only matters for the centroid and scale of the basis.
+    the sup error of a holomorphic target sits on the boundary ring.
     """
     m = refine * max(32, 4 * (degree + 1))
     lattice = sample_grid(region, grid_res if refine == 1 else 2 * grid_res)
@@ -458,18 +431,6 @@ def _piece_data(target: PiecewiseTarget, degree: int, grid_res: int):
         vals.append(piece.spec.values(grid))
         weights.append(np.full(grid.size, 1.0 / piece.tau))
     return np.concatenate(pts), np.concatenate(vals), np.concatenate(weights)
-
-
-def _scaled_vandermonde(pts: np.ndarray, center: complex, scale: float, degree: int) -> np.ndarray:
-    w = (pts - center) / scale
-    return np.vander(w, degree + 1, increasing=True)
-
-
-def _fit_monomial(pts, vals, weights, center, scale, degree):
-    a = _scaled_vandermonde(pts, center, scale, degree) * weights[:, None]
-    cond = float(np.linalg.cond(a))
-    sol, *_ = np.linalg.lstsq(a, vals * weights, rcond=None)
-    return Polynomial(sol, center, scale), cond
 
 
 def _fit_arnoldi(pts, vals, weights, degree):
@@ -529,41 +490,29 @@ def fit_on_compacts(
     The degree doubles from START_DEGREE, the sample grids growing with
     it, until every piece's sup error on the verification grid (boundary
     rings at twice the fit density) drops below its tolerance budget.
-    If the monomial basis becomes numerically degenerate (condition past
-    COND_LIMIT) the orthogonalized sample basis takes over from that
-    degree on.  A candidate only PASSes when the errors re-measured at
-    four times the fit density stay below every budget and within a
-    factor 2 of the certified values.
+    Every step fits in the Arnoldi basis of its own sample grid.  A
+    candidate only PASSes when the errors re-measured at four times the
+    fit density stay below every budget and within a factor 2 of the
+    certified values.
     """
     if max_degree < START_DEGREE:
         raise ValueError(f"max_degree must be at least {START_DEGREE}")
     taus = [p.tau for p in target.pieces]
     degree = START_DEGREE
-    use_arnoldi = False
-    best = None  # (fn, errs, degree, cond)
-    center, scale = None, None
-    last_cond = 0.0
+    best = None  # (fn, errs, degree)
     while True:
         pts, vals, weights = _piece_data(target, min(degree, max_degree), grid_res)
-        if center is None:
-            center = complex(np.mean(pts))
-            scale = float(np.max(np.abs(pts - center))) or 1.0
         capped = min(degree, max_degree, pts.size - 1)
-        if not use_arnoldi:
-            fn, last_cond = _fit_monomial(pts, vals, weights, center, scale, capped)
-            if last_cond > COND_LIMIT:
-                use_arnoldi = True
-        if use_arnoldi:
-            fn = _fit_arnoldi(pts, vals, weights, capped)
+        fn = _fit_arnoldi(pts, vals, weights, capped)
         errs = _verify(fn, target, capped, grid_res, 2)
         if best is None or max(e / t for e, t in zip(errs, taus)) < max(
             e / t for e, t in zip(best[1], taus)
         ):
-            best = (fn, errs, capped, last_cond)
+            best = (fn, errs, capped)
         if all(e < t for e, t in zip(errs, taus)):
             break
         if capped >= max_degree or capped >= pts.size - 1:
-            fn, errs, capped, cond = best
+            fn, errs, capped = best
             fine = _verify(fn, target, capped, grid_res, 4)
             certs = tuple(
                 PieceCertificate(e, t, f) for e, t, f in zip(errs, taus, fine)
@@ -574,8 +523,6 @@ def fit_on_compacts(
                 status=CandidateStatus.FAILED,
                 reason="NON-CONVERGED",
                 degree=capped,
-                condition=cond,
-                used_orthogonal_basis=use_arnoldi,
             )
         degree *= 2
 
@@ -590,8 +537,6 @@ def fit_on_compacts(
         status=CandidateStatus.PASS if honest else CandidateStatus.FAILED,
         reason=None if honest else "HONESTY",
         degree=capped,
-        condition=last_cond,
-        used_orthogonal_basis=use_arnoldi,
     )
 
 

@@ -110,7 +110,7 @@ WEAK_DENSITY_FLOOR = 0.01
 PROBE_STEPS = (1, 2, 3, 5, 10, 100)
 MESH_POINTS = 1000
 
-CANDIDATE_FORMAT = "freqdyn-candidate-v2"
+CANDIDATE_FORMAT = "freqdyn-candidate-v3"
 
 
 # ---------------------------------------------------------------------------
@@ -529,22 +529,14 @@ def _finish(
 # candidate serialization
 
 
-def _encode_function(fn) -> dict:
-    if isinstance(fn, ArnoldiPoly):
-        hess = np.asarray(fn.hessenberg, dtype=complex)
-        # column k of an upper Hessenberg matrix is zero below row k + 1
-        return {
-            "type": "arnoldi",
-            "norm0": float(fn.norm0),
-            "hessenberg": [
-                _complex_pairs(hess[: k + 2, k]) for k in range(hess.shape[1])
-            ],
-            "coefficients": _complex_pairs(fn.coefficients),
-        }
+def _encode_function(fn: ArnoldiPoly) -> dict:
+    hess = np.asarray(fn.hessenberg, dtype=complex)
+    # column k of an upper Hessenberg matrix is zero below row k + 1
     return {
-        "type": "polynomial",
-        "center": [complex(fn.center).real, complex(fn.center).imag],
-        "scale": float(fn.scale),
+        "norm0": float(fn.norm0),
+        "hessenberg": [
+            _complex_pairs(hess[: k + 2, k]) for k in range(hess.shape[1])
+        ],
         "coefficients": _complex_pairs(fn.coefficients),
     }
 
@@ -554,33 +546,26 @@ def _complex_pairs(values) -> list:
     return np.column_stack((values.real, values.imag)).tolist()
 
 
-def _decode_function(blob: dict):
-    kind = blob.get("type")
-    if kind == "arnoldi":
-        columns = blob["hessenberg"]
-        degree = len(columns)
-        hess = np.zeros((degree + 1, degree), dtype=complex)
-        for k, col in enumerate(columns):
-            if len(col) != k + 2:
-                raise ValueError(
-                    f"Hessenberg column {k} holds {len(col)} entries, expected {k + 2}"
-                )
-            hess[: k + 2, k] = [complex(re, im) for re, im in col]
-        coeffs = np.array(
-            [complex(re, im) for re, im in blob["coefficients"]], dtype=complex
-        )
-        if coeffs.size != degree + 1:
+def _decode_function(blob: dict) -> ArnoldiPoly:
+    columns = blob["hessenberg"]
+    degree = len(columns)
+    hess = np.zeros((degree + 1, degree), dtype=complex)
+    for k, col in enumerate(columns):
+        if len(col) != k + 2:
             raise ValueError(
-                f"{coeffs.size} coefficients for {degree} Hessenberg columns"
+                f"Hessenberg column {k} holds {len(col)} entries, expected {k + 2}"
             )
-        return ArnoldiPoly(
-            hessenberg=hess, norm0=float(blob["norm0"]), coefficients=coeffs
+        hess[: k + 2, k] = [complex(re, im) for re, im in col]
+    coeffs = np.array(
+        [complex(re, im) for re, im in blob["coefficients"]], dtype=complex
+    )
+    if coeffs.size != degree + 1:
+        raise ValueError(
+            f"{coeffs.size} coefficients for {degree} Hessenberg columns"
         )
-    if kind == "polynomial":
-        coeffs = tuple(complex(re, im) for re, im in blob["coefficients"])
-        center = complex(blob["center"][0], blob["center"][1])
-        return Polynomial(coeffs, center, float(blob["scale"]))
-    raise ValueError(f"unknown function encoding {kind!r}")
+    return ArnoldiPoly(
+        hessenberg=hess, norm0=float(blob["norm0"]), coefficients=coeffs
+    )
 
 
 def _encode_candidate(
@@ -593,8 +578,6 @@ def _encode_candidate(
         "status": cand.status,
         "reason": cand.reason,
         "degree": int(cand.degree),
-        "condition": _unbounded_as_null(cand.condition),
-        "orthogonal_basis": bool(cand.used_orthogonal_basis),
         "certificates": [
             {
                 "achieved": _unbounded_as_null(c.achieved),
@@ -623,7 +606,12 @@ def load_candidate(path: str):
     encoded = blob.get("function")
     if encoded is None:
         raise ValueError(f"candidate file carries no function: {path}")
-    return _decode_function(encoded), blob
+    try:
+        return _decode_function(encoded), blob
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"malformed function in candidate file {path}: {exc!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1418,7 +1406,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = apply_overrides(load_config(args.config), args.override)
         result = _COMMANDS[args.command](cfg)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in result.lines:

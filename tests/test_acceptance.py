@@ -337,6 +337,12 @@ def test_criterion_07_dense_members():
         checks.append(
             (f"member {mu} grid error {direct:.3e} < {1.0 / mu:.3e}", direct < 1.0 / mu)
         )
+        if mu == 1:
+            # member 1's targets are the constant 1 and zeros: fit to rounding
+            worst = max(max(c.achieved, c.fine_grid) for c in cand.certificates)
+            checks.append(
+                (f"member 1 fits to rounding ({worst:.3e} <= 1e-12)", worst <= 1e-12)
+            )
     _report("criterion 07 dense members", 60.0, started, checks)
 
 
@@ -412,7 +418,7 @@ def test_criterion_10_numerical_bedrock():
     circle = np.exp(1j * theta)
     for deg in (0, 1, 7, 50, 200):
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        p = Polynomial.from_standard(coeffs)
+        p = Polynomial(coeffs)
         quad = math.sqrt(float(np.mean(np.abs(p.evaluate(circle)) ** 2)))
         worst_parseval = max(worst_parseval, abs(l2_circle_norm(p) - quad))
     checks.append(

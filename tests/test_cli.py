@@ -301,33 +301,38 @@ def test_arnoldi_encoding_round_trip_is_banded_and_bitwise():
 
 
 def test_load_candidate_rejects_v1_format(tmp_path, capsys):
-    path = tmp_path / "old.json"
-    path.write_text(
-        json.dumps(
-            {
-                "format": "freqdyn-candidate-v1",
-                "kind": "existence",
-                "function": {"type": "arnoldi", "norm0": 1.0,
-                             "hessenberg": [], "coefficients": [[1.0, 0.0]]},
-            }
+    ini = tmp_path / "scan.ini"
+    for old_format in ("freqdyn-candidate-v1", "freqdyn-candidate-v2"):
+        path = tmp_path / f"{old_format}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": old_format,
+                    "kind": "existence",
+                    "function": {"type": "arnoldi", "norm0": 1.0,
+                                 "hessenberg": [], "coefficients": [[1.0, 0.0]]},
+                }
+            )
         )
+        ini.write_text(f"[scan]\ncandidate = {path}\n")
+        assert main(["scan", str(ini)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert cli.CANDIDATE_FORMAT in err[0] and "rebuild" in err[0]
+
+
+@pytest.mark.parametrize("function", [{}, {"norm0": 1.0}, [1.0]])
+def test_load_candidate_rejects_malformed_function(tmp_path, capsys, function):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"format": cli.CANDIDATE_FORMAT, "kind": "existence",
+                    "function": function})
     )
     ini = tmp_path / "scan.ini"
     ini.write_text(f"[scan]\ncandidate = {path}\n")
     assert main(["scan", str(ini)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert cli.CANDIDATE_FORMAT in err[0] and "rebuild" in err[0]
-
-
-def test_polynomial_encoding_round_trip():
-    from freqdyn.approx import Polynomial
-
-    p = Polynomial((1.25 - 0.5j, 0.0j, 3.0 + 1e-17j), center=2.0 - 1.0j, scale=0.125)
-    q = cli._decode_function(cli._encode_function(p))
-    assert np.array_equal(q.coefficients, p.coefficients)
-    assert q.center == p.center
-    assert q.scale == p.scale
+    assert len(err) == 1 and "malformed function" in err[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +390,25 @@ def test_cmd_example1_scan_matches_stored_candidate_scan(outdir):
     example_csv = (outdir / "example1" / "scan.csv").read_bytes()
     assert len(example_csv.splitlines()) == 145
     assert (outdir / "scan" / "scan.csv").read_bytes() == example_csv
+
+
+@pytest.mark.parametrize(
+    "command, config, expected",
+    [
+        (cmd_build_fhc, "existence.ini",
+         ["PASS: candidate fit PASS at degree 16 (worst error ratio 0.533)"]),
+        (cmd_example1, "example1.ini",
+         ["PASS: island fit PASS at degree 8 (worst error ratio 0.49)"]),
+        (cmd_build_fhc, "spaceable.ini",
+         [f"PASS: member {mu} fit PASS at degree {d}"
+          for mu, d in ((1, 32), (2, 32), (3, 64))]),
+    ],
+)
+def test_shipped_configs_fit_lines(outdir, command, config, expected):
+    res = command(_shipped(config))
+    assert not res.failed
+    fits = [line for line in res.lines if " fit " in line]
+    assert fits == expected
 
 
 def test_cmd_build_mixed_members_and_basis(outdir):
@@ -465,9 +489,8 @@ def test_cmd_scan_rejects_wrong_kind(outdir, tmp_path):
                 "format": cli.CANDIDATE_FORMAT,
                 "kind": "spaceable",
                 "function": {
-                    "type": "polynomial",
-                    "center": [0.0, 0.0],
-                    "scale": 1.0,
+                    "norm0": 1.0,
+                    "hessenberg": [],
                     "coefficients": [[1.0, 0.0]],
                 },
             }
@@ -571,6 +594,32 @@ def test_main_runtime_error_exits_2_without_traceback(tmp_path, monkeypatch, cap
     path = os.path.join(CONFIGS, "sepfamily.ini")
     argv = ["sepfamily", path, "--override", "horizons.n_max=27",
             "--override", "family.pairs=8"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, config, overrides",
+    [
+        ("example3", "example3.ini", ["maps.gamma=1000000"]),
+        ("example2", "example2.ini", ["maps.beta=1000000"]),
+        ("example4", "example4.ini", ["maps.b_power=1000000"]),
+        ("example4", "example4.ini", ["maps.omega_power=1000000"]),
+        ("runaway", "runaway_strong.ini",
+         ["maps.family=half_plane_shift", "domain.kind=right_half_plane",
+          "maps.gamma=1000000"]),
+    ],
+)
+def test_main_overflow_exits_2_without_traceback(
+    tmp_path, monkeypatch, capsys, command, config, overrides
+):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    argv = [command, os.path.join(CONFIGS, config)]
+    for item in overrides:
+        argv += ["--override", item]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -89,20 +89,20 @@ def spaceable_setup():
 
 
 def test_orbit_distance_zero_for_matching_target():
-    p = Polynomial.from_standard([1.0, 2.0, -0.5j])
+    p = Polynomial([1.0, 2.0, -0.5j])
     d = orbit_distance(p, Identity(EXH.domain), ClosedDisc(0.0, 1.0), p)
     assert d == 0.0
 
 
 def test_orbit_distance_scales_linearly():
-    p = Polynomial.from_standard([0.3, 1.0])
-    targ = Polynomial.from_standard([1.0])
+    p = Polynomial([0.3, 1.0])
+    targ = Polynomial([1.0])
     k = ClosedDisc(0.0, 1.0)
     m = Similarity(1.0, 2.0)
     base = orbit_distance(p, m, k, targ)
     scaled = orbit_distance(
-        Polynomial.from_standard(5.0 * p.standard_coefficients()),
-        m, k, Polynomial.from_standard([5.0]),
+        Polynomial(5.0 * p.coefficients),
+        m, k, Polynomial([5.0]),
     )
     assert scaled == pytest.approx(5.0 * base, rel=1e-12)
 
@@ -111,8 +111,8 @@ def test_orbit_distance_matches_brute_force():
     from freqdyn.geometry import sample_grid
     from freqdyn.maps import apply
 
-    f = Polynomial.from_standard([0.0, 0.0, 1.0])
-    targ = Polynomial.from_standard([2.0, 1.0])
+    f = Polynomial([0.0, 0.0, 1.0])
+    targ = Polynomial([2.0, 1.0])
     k = ClosedDisc(0.5, 0.7)
     m = Similarity(0.5j, 1.0)
     grid = sample_grid(k, 3)
