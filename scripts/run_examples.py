@@ -3,11 +3,13 @@
 
 Each run writes under its own output root so repeated builds never
 overwrite one another; the stored-candidate scan is pointed at the
-existence build it consumes.  Two runs patch a shipped config: example1
-at a radius constant large enough for its orbit scan to run, and the
-spaceable config built as a mixed basis.  The weak runaway example is
-expected to fail by construction, so its nonzero exit counts as success
-here.
+existence build it consumes.  Four runs patch a shipped config: example1
+at a radius constant large enough for its orbit scan to run, the
+spaceable config built as a mixed basis, and two runs expected to fail
+with a witness: example4 with cubic frequencies (pairwise witness) and
+strong runaway on the powers-of-two schedule (P2 disc witness).  The
+weak runaway example is expected to fail by construction.  A run that
+exits with its expected code counts as success here.
 
 To compare two versions of the package with ``diff -r``, give both runs
 the same ``--out`` path and move the first tree aside before the second
@@ -29,11 +31,19 @@ RUNS = (
     ("sepfamily", "sepfamily", "sepfamily.ini", (), 0),
     ("runaway-strong", "runaway", "runaway_strong.ini", (), 0),
     ("runaway-weak", "runaway", "runaway_weak.ini", (), 1),
+    (
+        "runaway-p2",
+        "runaway",
+        "runaway_strong.ini",
+        ("maps.schedule=powers_of_two",),
+        1,
+    ),
     ("example1", "example1", "example1.ini", (), 0),
     ("example1-scan", "example1", "example1.ini", ("maps.c=1.0",), 0),
     ("example2", "example2", "example2.ini", (), 0),
     ("example3", "example3", "example3.ini", (), 0),
     ("example4", "example4", "example4.ini", (), 0),
+    ("example4-pairwise", "example4", "example4.ini", ("maps.omega_power=3",), 1),
     ("example5", "example5", "example5.ini", (), 0),
     ("existence", "build_fhc", "existence.ini", (), 0),
     (

@@ -462,9 +462,12 @@ def _verdict(ok: bool, text: str) -> str:
     return ("PASS: " if ok else "FAIL: ") + text
 
 
+def _output_dir(cfg: ExperimentConfig, name: str) -> str:
+    return os.path.join(os.environ.get(ENV_OUTPUT, "") or cfg.out_dir, name)
+
+
 def _artifact_dir(cfg: ExperimentConfig, name: str) -> str:
-    root = os.environ.get(ENV_OUTPUT, "") or cfg.out_dir
-    path = os.path.join(root, name)
+    path = _output_dir(cfg, name)
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -616,43 +619,6 @@ def load_candidate(path: str):
 
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
-
-
-def _image_disc_separation(islands):
-    """Minimal gap between certified image discs over all island pairs.
-
-    Returns (gap, pairs checked, witness); the gap is positive exactly
-    when every pair of discs is disjoint.  Blocks keep the pairwise
-    distance matrix small enough to hold in memory.
-    """
-    m = len(islands)
-    if m < 2:
-        return math.inf, 0, None
-    centers = np.array([isl.image_bound.center for isl in islands], dtype=complex)
-    radii = np.array([isl.image_bound.radius for isl in islands], dtype=float)
-    best = math.inf
-    best_pair = (0, 0)
-    checked = 0
-    step = 512
-    cols = np.arange(m)[None, :]
-    for s in range(0, m, step):
-        e = min(s + step, m)
-        gap = np.abs(centers[s:e, None] - centers[None, :]) - (
-            radii[s:e, None] + radii[None, :]
-        )
-        mask = cols > np.arange(s, e)[:, None]
-        checked += int(np.count_nonzero(mask))
-        gap = np.where(mask, gap, np.inf)
-        k = int(np.argmin(gap))
-        val = float(gap.ravel()[k])
-        if val < best:
-            best = val
-            best_pair = (s + k // m, k % m)
-    witness = None
-    if best <= 0.0:
-        a, b = islands[best_pair[0]], islands[best_pair[1]]
-        witness = ((int(a.n), int(a.nu)), (int(b.n), int(b.nu)))
-    return best, checked, witness
 
 
 def _splits(kind: str, fam, cfg: ExperimentConfig) -> dict:
@@ -859,16 +825,16 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
     rep = runaway.check_strong_runaway(rcfg)
     verdicts, notes = _runaway_lines(rep)
     lines.extend(verdicts + notes)
-    gap, checked, gap_witness = _image_disc_separation(rep.islands)
+    gap = rep.disc_gap
     lines.append(
         _verdict(
             gap > 0.0,
-            f"image discs pairwise separated over {checked} pairs"
-            f" (minimal gap {gap:.6g})",
+            f"image discs pairwise separated over {rep.disc_pairs_checked}"
+            f" pairs (minimal gap {gap:.6g})",
         )
     )
-    if gap_witness is not None:
-        lines.append(f"NOTE: closest disc pair {gap_witness}")
+    if gap <= 0.0:
+        lines.append(f"NOTE: closest disc pair {rep.disc_gap_pair}")
 
     payload = {
         "config": config_hash(cfg),
@@ -878,7 +844,7 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
         "p3_ok": rep.p3_ok,
         "islands": len(rep.islands),
         "disc_gap": _unbounded_as_null(gap),
-        "disc_pairs_checked": checked,
+        "disc_pairs_checked": rep.disc_pairs_checked,
     }
     artifacts = []
     if rep.p1_ok and rep.p2_ok and rep.p3_ok:
@@ -1003,6 +969,10 @@ def cmd_example4(cfg: ExperimentConfig) -> CommandResult:
         _verdict(sim.passed, "similarity coefficients satisfy the criterion"),
         f"NOTE: growth check {'ok' if sim.growth_ok else 'violated'},"
         f" pairwise check {'ok' if sim.pairwise_ok else 'violated'}",
+    ]
+    if sim.witness is not None:
+        lines.append(f"NOTE: pairwise witness {sim.witness}")
+    lines += [
         _verdict(sep.passed, "translation steps separate all difference classes"),
         f"NOTE: {'slow' if sep.slow_growth else 'fast'} separation growth over"
         f" k <= {sep.k_max}",
@@ -1370,6 +1340,54 @@ def cmd_runaway(cfg: ExperimentConfig) -> CommandResult:
 # entry point
 
 
+# The [maps] keys each map family raises its index n to.
+_FAMILY_EXPONENTS = {
+    "root_shift": ("alpha", "beta"),
+    "half_plane_shift": ("gamma",),
+    "parabolic_disc": ("gamma",),
+}
+
+# Commands that build their maps from maps.family and the schedule.
+_SCHEDULE_COMMANDS = ("example1", "build_fhc", "scan", "runaway")
+
+
+def _check_exponents(command: str, cfg: ExperimentConfig) -> None:
+    """Refuse an exponent key whose power of the largest mapped index overflows.
+
+    example2 and example3 map the indices in PROBE_STEPS; example4 and
+    the schedule commands map indices up to n_max, except that the
+    powers-of-two schedule only iterates the map at n = 1.
+    """
+    if command == "example2":
+        keys, horizon = _FAMILY_EXPONENTS["root_shift"], max(PROBE_STEPS)
+    elif command == "example3":
+        keys, horizon = _FAMILY_EXPONENTS["parabolic_disc"], max(PROBE_STEPS)
+    elif command == "example4":
+        keys, horizon = ("b_power", "omega_power"), cfg.n_max
+    elif command in _SCHEDULE_COMMANDS and cfg.schedule != "powers_of_two":
+        keys, horizon = _FAMILY_EXPONENTS.get(cfg.map_family, ()), cfg.n_max
+    else:
+        return
+    if horizon < 2:
+        return  # 1 ** p never overflows; the command refuses a smaller horizon
+    for key in keys:
+        value = getattr(cfg, _KEY_TABLE[("maps", key)][0])
+        try:
+            float(horizon) ** value
+        except OverflowError:
+            raise ValueError(
+                f"maps.{key}={_canonical(value)} overflows at horizon {horizon}"
+            ) from None
+
+
+def _remove_if_empty(path: str) -> None:
+    """Drop an output directory a failed run left empty; never touch files."""
+    try:
+        os.rmdir(path)
+    except OSError:
+        pass  # missing, or holds artifacts of this or an earlier run
+
+
 _COMMANDS = {
     "sigma": _cli_sigma,
     "example1": cmd_example1,
@@ -1403,11 +1421,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    cfg = None
     try:
         cfg = apply_overrides(load_config(args.config), args.override)
+        _check_exponents(args.command, cfg)
         result = _COMMANDS[args.command](cfg)
     except (OSError, ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if cfg is not None:
+            _remove_if_empty(_output_dir(cfg, args.command))
         return 2
     for line in result.lines:
         print(line)

@@ -434,6 +434,10 @@ def check_similarity_criterion(a_seq, b_seq, omega_seq, horizon: int) -> Similar
     horizon) and (ii) |b_m - b_n| >= omega_{m-n} (|a_m| + |a_n|) for all
     m > n up to the horizon.  Sequences may be callables of n >= 1 or
     array-likes.  a_n = 0 anywhere and non-monotone omega are rejected.
+
+    The pairwise check streams over the gap k = m - n, so it needs
+    O(horizon) memory.  The witness is the lexicographically least
+    violating (m, n), both 1-based.
     """
     a = _seq_values(a_seq, horizon).astype(complex)
     b = _seq_values(b_seq, horizon).astype(complex)
@@ -451,20 +455,22 @@ def check_similarity_criterion(a_seq, b_seq, omega_seq, horizon: int) -> Similar
         crossings.append((t, last))
         if last >= horizon:
             growth_ok = False
-    # pairwise separation, vectorized over the strict upper triangle
+    # pairwise separation, one diagonal m - n = k of the upper triangle at
+    # a time; a hit at gap k has m >= k + 1, so once k reaches the best m
+    # found no later gap can give a smaller witness
     absa = np.abs(a)
-    diff = np.abs(b[None, :] - b[:, None])
-    need = np.zeros_like(diff)
-    m_idx, n_idx = np.meshgrid(np.arange(horizon), np.arange(horizon), indexing="ij")
-    gap = m_idx - n_idx
-    upper = gap > 0
-    need[upper] = omega[gap[upper] - 1] * (absa[m_idx[upper]] + absa[n_idx[upper]])
-    bad = upper & (diff < need - 1e-9)
     witness = None
-    pairwise_ok = not bad.any()
-    if not pairwise_ok:
-        i, j = np.argwhere(bad)[0]
-        witness = (int(i) + 1, int(j) + 1)
+    for k in range(1, horizon):
+        if witness is not None and k >= witness[0]:
+            break
+        diff = np.abs(b[:-k] - b[k:])
+        need = omega[k - 1] * (absa[k:] + absa[:-k])
+        hits = np.flatnonzero(diff < need - 1e-9)
+        if hits.size:
+            n = int(hits[0]) + 1
+            if witness is None or (n + k, n) < witness:
+                witness = (n + k, n)
+    pairwise_ok = witness is None
     return SimilarityCriterionReport(
         passed=growth_ok and pairwise_ok,
         growth_ok=growth_ok,

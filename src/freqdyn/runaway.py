@@ -12,6 +12,7 @@ for the images.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -192,6 +193,9 @@ class StrongRunawayReport:
     p1_witness: Optional[int]
     p2_index_witness: Optional[tuple]  # (nu, mu, shared index)
     p2_disc_witness: Optional[tuple]  # ((n, nu), (m, mu))
+    disc_gap: float  # least |c_i - c_j| - (r_i + r_j); inf below two islands
+    disc_gap_pair: Optional[tuple]  # ((n, nu), (m, mu)) attaining disc_gap
+    disc_pairs_checked: int
     probes: tuple  # of (mu, offender count, largest offending n)
     p3_witness: Optional[int]
     islands: tuple
@@ -201,8 +205,42 @@ class StrongRunawayReport:
         return self.p1_ok and self.p2_ok and self.p3_ok
 
 
+def _disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
+    """The disc test over all pairs i < j, one upper-triangle row at a time.
+
+    Returns (first_bad, gap, closest, checked).  first_bad is the first
+    pair in row-major order whose discs meet, |c_i - c_j| <= r_i + r_j,
+    or None.  gap is the least |c_i - c_j| - (r_i + r_j), and closest the
+    first pair in row-major order attaining it; below two discs gap is
+    inf and closest None.  checked counts the pairs.  Memory is
+    O(islands).
+    """
+    m = centers.size
+    first_bad = None
+    best = math.inf
+    closest = None
+    for i in range(m - 1):
+        sep = np.abs(centers[i] - centers[i + 1:])
+        need = radii[i] + radii[i + 1:]
+        if first_bad is None:
+            bad = np.flatnonzero(sep <= need)
+            if bad.size:
+                first_bad = (i, i + 1 + int(bad[0]))
+        gap = sep - need
+        j = int(np.argmin(gap))
+        if gap[j] < best:
+            best = float(gap[j])
+            closest = (i, i + 1 + j)
+    return first_bad, best, closest, m * (m - 1) // 2
+
+
 def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
     """Finite-horizon verdicts for (P1), (P2), (P3) with witnesses.
+
+    (P2) compares the certified image discs of every island pair in one
+    streamed pass (`_disc_pairs`), so its memory is O(islands); the disc
+    witness is the first meeting pair in island order, and the report
+    also carries the least disc gap and its pair.
 
     (P3) is a proxy: per probe compact K_mu the offending islands are
     counted and the check passes only when some inspected island lies
@@ -232,20 +270,17 @@ def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
             break
 
     islands = collect_islands(cfg)
-    p2_disc_witness = None
-    if len(islands) >= 2:
-        centers = np.array([i.image_bound.center for i in islands], dtype=complex)
-        radii = np.array([i.image_bound.radius for i in islands])
-        # image bounds are discs, so the pairwise test is the exact
-        # disc rule |c1 - c2| > r1 + r2, vectorized over all pairs
-        sep = np.abs(centers[:, None] - centers[None, :])
-        need = radii[:, None] + radii[None, :]
-        iu = np.triu_indices(len(islands), k=1)
-        bad = (sep <= need)[iu]
-        if bad.any():
-            first = int(np.argmax(bad))
-            a, b = islands[int(iu[0][first])], islands[int(iu[1][first])]
-            p2_disc_witness = ((a.n, a.nu), (b.n, b.nu))
+    centers = np.array([i.image_bound.center for i in islands], dtype=complex)
+    radii = np.array([i.image_bound.radius for i in islands], dtype=float)
+    first_bad, disc_gap, closest, checked = _disc_pairs(centers, radii)
+
+    def labels(pair):
+        if pair is None:
+            return None
+        a, b = islands[pair[0]], islands[pair[1]]
+        return ((a.n, a.nu), (b.n, b.nu))
+
+    p2_disc_witness = labels(first_bad)
     p2_ok = p2_index_witness is None and p2_disc_witness is None
 
     probes = []
@@ -274,6 +309,9 @@ def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
         p1_witness=p1_witness,
         p2_index_witness=p2_index_witness,
         p2_disc_witness=p2_disc_witness,
+        disc_gap=disc_gap,
+        disc_gap_pair=labels(closest),
+        disc_pairs_checked=checked,
         probes=tuple(probes),
         p3_witness=p3_witness,
         islands=islands,

@@ -11,6 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqdyn.cli as cli
+from freqdyn import runaway
+from freqdyn.density import IndexSet
+from freqdyn.geometry import Domain, whole_plane_exhaustion
+from freqdyn.maps import Similarity
 from freqdyn.cli import (
     ExperimentConfig,
     apply_overrides,
@@ -440,6 +444,14 @@ def test_cmd_example4_criteria(outdir):
     assert not res.failed
 
 
+def test_cmd_example4_notes_pairwise_witness(outdir):
+    res = cmd_example4(_cfg(n_max=500, omega_power=3.0))
+    assert res.failed
+    assert "NOTE: pairwise witness (3, 1)" in res.lines
+    summary = (outdir / "example4" / "summary.txt").read_text().splitlines()
+    assert "NOTE: pairwise witness (3, 1)" in summary
+
+
 def test_cmd_example5_contraction(outdir):
     res = cmd_example5(_cfg(map_family="parabolic_disc", iterates=200))
     assert not res.failed
@@ -625,6 +637,27 @@ def test_main_overflow_exits_2_without_traceback(
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    key = overrides[-1].partition("=")[0]
+    assert f"{key}=" in lines[0] and "overflows at horizon" in lines[0]
+    assert not (tmp_path / "out" / command).exists()
+
+
+def test_main_exit_2_removes_only_an_empty_output_dir(tmp_path, monkeypatch):
+    root = tmp_path / "out"
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(root))
+    argv = ["example3", os.path.join(CONFIGS, "example3.ini"),
+            "--override", "maps.gamma=1000000"]
+    assert main(argv) == 2
+    assert not (root / "example3").exists()
+    # scan makes its directory before it finds no candidate named
+    scan = ["scan", os.path.join(CONFIGS, "scan.ini"),
+            "--override", "scan.candidate="]
+    assert main(scan) == 2
+    assert root.is_dir() and not (root / "scan").exists()
+    (root / "scan").mkdir()
+    (root / "scan" / "summary.txt").write_text("earlier run\n")
+    assert main(scan) == 2
+    assert (root / "scan" / "summary.txt").read_text() == "earlier run\n"
 
 
 def test_write_json_rejects_nan(tmp_path):
@@ -666,7 +699,17 @@ def test_cmd_example1_wide_gap_report_is_strict_json(outdir):
 
 
 def test_unbounded_values_are_written_as_null(tmp_path):
-    assert cli._image_disc_separation([])[0] == math.inf
+    lone = runaway.RunawayConfig(
+        domain=Domain.whole_plane(),
+        maps=lambda n: Similarity(1.0, float(n)),
+        exhaustion=whole_plane_exhaustion(),
+        family=lambda nu: IndexSet.from_elements([8], 100),
+        n_max=100,
+        nu_max=1,
+    )
+    rep = runaway.check_strong_runaway(lone)
+    assert len(rep.islands) == 1
+    assert rep.disc_gap == math.inf and rep.disc_pairs_checked == 0
     path = tmp_path / "r.json"
     cli._write_json(
         str(path),

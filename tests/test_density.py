@@ -1,5 +1,7 @@
 """Tests for index sets, splitting, and separated families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,60 @@ def test_similarity_criterion_accepts_arrays():
     n = np.arange(1, 201, dtype=float)
     rep = check_similarity_criterion(np.ones(200), n ** 2, np.sqrt(n), horizon=200)
     assert rep.passed
+
+
+def _dense_pairwise_witness(a, b, omega):
+    """Reference: the pairwise check over the full n x n meshgrid."""
+    horizon = b.size
+    absa = np.abs(a)
+    diff = np.abs(b[None, :] - b[:, None])
+    need = np.zeros_like(diff)
+    m_idx, n_idx = np.meshgrid(np.arange(horizon), np.arange(horizon), indexing="ij")
+    gap = m_idx - n_idx
+    upper = gap > 0
+    need[upper] = omega[gap[upper] - 1] * (absa[m_idx[upper]] + absa[n_idx[upper]])
+    bad = upper & (diff < need - 1e-9)
+    if not bad.any():
+        return None
+    i, j = np.argwhere(bad)[0]
+    return int(i) + 1, int(j) + 1
+
+
+def test_similarity_pairwise_check_matches_dense_reference():
+    rng = np.random.default_rng(20170501)
+    violating = 0
+    for _ in range(240):
+        horizon = int(rng.integers(2, 40))
+        a = rng.uniform(0.5, 1.5, horizon) * np.exp(2j * np.pi * rng.random(horizon))
+        b = np.cumsum(rng.uniform(0.0, 3.0, horizon)) * np.exp(0.2j * rng.random(horizon))
+        omega = np.cumsum(rng.uniform(0.0, rng.uniform(0.2, 0.7), horizon))
+        if rng.random() < 0.2:
+            # integer data: exact ties at the separation bound
+            a = np.ones(horizon, dtype=complex)
+            b = np.arange(1.0, horizon + 1.0) * rng.integers(1, 4)
+            omega = np.full(horizon, 0.5 * rng.integers(1, 5))
+        expected = _dense_pairwise_witness(
+            a.astype(complex), b.astype(complex), omega.astype(float)
+        )
+        rep = check_similarity_criterion(a, b, omega, horizon)
+        assert rep.witness == expected
+        assert rep.pairwise_ok == (expected is None)
+        violating += expected is not None
+    assert 80 <= violating <= 160
+
+
+def test_similarity_criterion_memory_is_linear_in_horizon():
+    # the dense n x n check held about 60 B x horizon^2, over 500 MB here
+    tracemalloc.start()
+    try:
+        rep = check_similarity_criterion(
+            lambda n: 1.0, lambda n: float(n) ** 2, lambda k: float(k), horizon=3000
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 8e6
 
 
 def test_translation_separation_quadratic():

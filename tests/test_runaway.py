@@ -1,5 +1,7 @@
 """Tests for runaway checkers and finite truncations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from freqdyn.geometry import (
 from freqdyn.maps import Identity, Iterated, ParabolicDisc, Similarity, apply
 from freqdyn.runaway import (
     HorizonExhausted,
+    _disc_pairs,
     RunawayConfig,
     build_carleman_truncation,
     check_strong_runaway,
@@ -125,6 +128,58 @@ def test_strong_runaway_island_discs_brute_force():
                 np.abs(clouds[i][:, None] - clouds[j][None, :])
             )
             assert gap > 0.0
+
+
+def _dense_disc_pairs(centers, radii):
+    """Reference: the disc test over the full m x m matrices."""
+    sep = np.abs(centers[:, None] - centers[None, :])
+    need = radii[:, None] + radii[None, :]
+    iu = np.triu_indices(centers.size, k=1)
+    bad = (sep <= need)[iu]
+    gap = (sep - need)[iu]
+    first_bad = closest = None
+    best = np.inf
+    if bad.any():
+        k = int(np.argmax(bad))
+        first_bad = (int(iu[0][k]), int(iu[1][k]))
+    if gap.size:
+        k = int(np.argmin(gap))
+        best = float(gap[k])
+        closest = (int(iu[0][k]), int(iu[1][k]))
+    return first_bad, best, closest, int(gap.size)
+
+
+def test_disc_pairs_match_dense_reference():
+    rng = np.random.default_rng(20170502)
+    meeting = 0
+    for _ in range(240):
+        m = int(rng.integers(0, 30))
+        if rng.random() < 0.3:
+            # translation-like islands on an integer line: exact gap ties
+            centers = rng.choice(200, m, replace=False).astype(complex)
+            radii = rng.integers(1, 4, m) * 0.5
+        else:
+            centers = rng.uniform(0, 100, m) + 1j * rng.uniform(0, 100, m)
+            radii = rng.uniform(0.0, 4.0, m)
+        expected = _dense_disc_pairs(centers, radii)
+        assert _disc_pairs(centers, radii) == expected
+        meeting += expected[0] is not None
+    assert 80 <= meeting <= 160
+
+
+def test_strong_runaway_disc_memory_is_linear_in_islands():
+    cfg = _family_config(16000)
+    tracemalloc.start()
+    try:
+        rep = check_strong_runaway(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = len(rep.islands)
+    assert m >= 1500 and rep.passed
+    assert rep.disc_pairs_checked == m * (m - 1) // 2
+    # the m x m complex center differences alone take m^2 x 16 B (> 36 MB)
+    assert peak < 4e6
 
 
 def test_strong_runaway_identity_fails_p2_and_stays_failed():
