@@ -121,17 +121,16 @@ class DensityReport:
             raise ValueError("density estimates must satisfy 0 <= lower <= upper <= 1")
 
 
-def _prefix_ratios(a: IndexSet, horizon: int, burn_in: int):
-    ns = np.arange(burn_in, horizon + 1, dtype=np.int64)
-    counts = a.count_up_to(ns)
-    return ns, counts / ns
-
-
 def lower_density_estimate(a: IndexSet, horizon: int, burn_in: Optional[int] = None) -> DensityReport:
     """Minimum (and maximum) prefix ratio beyond the burn-in.
 
     burn_in defaults to horizon // 5.  The horizon may not exceed the
     set's stated n_max, since membership beyond it is unknown.
+
+    The count is constant between consecutive elements, so on each such
+    run count / n is extremal at the run's ends: the ratios are taken
+    only at burn_in, at e - 1 and e for each element e in the window,
+    and at the horizon, in memory linear in the set's size.
     """
     if horizon < 1 or horizon > a.n_max:
         raise ValueError(f"horizon must lie in [1, {a.n_max}]")
@@ -139,7 +138,9 @@ def lower_density_estimate(a: IndexSet, horizon: int, burn_in: Optional[int] = N
         burn_in = _default_burn_in(horizon)
     if not (1 <= burn_in <= horizon):
         raise ValueError("burn_in must lie in [1, horizon]")
-    ns, ratios = _prefix_ratios(a, horizon, burn_in)
+    els = a.elements[(a.elements > burn_in) & (a.elements <= horizon)]
+    ns = np.concatenate(([burn_in], els - 1, els, [horizon])).astype(np.int64)
+    ratios = a.count_up_to(ns) / ns
     empty = a.count_up_to(horizon) == 0
     marks = np.unique(
         np.clip(
@@ -149,7 +150,7 @@ def lower_density_estimate(a: IndexSet, horizon: int, burn_in: Optional[int] = N
         ).astype(np.int64)
     )
     checkpoints = tuple(
-        (int(n), float(ratios[n - burn_in])) for n in marks
+        (int(n), float(r)) for n, r in zip(marks, a.count_up_to(marks) / marks)
     )
     return DensityReport(
         lower_estimate=float(ratios.min()),

@@ -26,11 +26,13 @@ from .geometry import (
     Domain,
     Exhaustion,
     disjointness,
+    enclosing_disc,
     sample_grid,
 )
 from .maps import (
     HoloMap,
     Identity,
+    _linear_coeffs,
     apply,
     image_enclosing_disc,
     iterate,
@@ -39,6 +41,7 @@ from .maps import (
 )
 
 __all__ = [
+    "AffineSchedule",
     "CarlemanTruncation",
     "HorizonExhausted",
     "Island",
@@ -60,6 +63,15 @@ MAX_ISLANDS = 6
 # construction grid.
 VERIFY_REFINE = 4
 
+# check_weak_runaway decides this many indices per array step; the
+# step's arrays bound its working memory.
+WEAK_BLOCK = 8192
+
+# An array disc gap within this fraction of the magnitudes it was formed
+# from is left to the per-index path: numpy and scalar complex
+# arithmetic may round differently, and only the per-index verdict counts.
+GAP_BAND = 1e-9
+
 
 class HorizonExhausted(RuntimeError):
     """No admissible truncation level exists within the inspected horizon.
@@ -70,22 +82,59 @@ class HorizonExhausted(RuntimeError):
     """
 
 
-def powers_of_two_schedule(base: HoloMap) -> Callable[[int], HoloMap]:
+class powers_of_two_schedule:
     """The classical negative control: iterates at n = 2^k, identity elsewhere.
 
     The escape times of this schedule are contained in the powers of
     two, a set of zero density, so no density-based runaway property
     can hold even though the orbit escapes along the subsequence.
     """
-    dom = map_domain(base)
-    ident = Identity(dom)
 
-    def schedule(n: int) -> HoloMap:
+    def __init__(self, base: HoloMap):
+        self.base = base
+        self.ident = Identity(map_domain(base))
+
+    def __call__(self, n: int) -> HoloMap:
         if n >= 2 and (n & (n - 1)) == 0:
-            return iterate(base, n.bit_length() - 1)
-        return ident
+            return iterate(self.base, n.bit_length() - 1)
+        return self.ident
 
-    return schedule
+    def affine(self, ns: np.ndarray) -> tuple:
+        """Coefficients (a_n, b_n) over ns: (1, 0) off the powers of two.
+
+        At a power of two they are the per-index ones, or NaN when the
+        iterate is not affine; NaN sends the index to the per-index path.
+        """
+        a = np.ones(ns.size, dtype=complex)
+        b = np.zeros(ns.size, dtype=complex)
+        for i in np.flatnonzero((ns >= 2) & ((ns & (ns - 1)) == 0)):
+            try:
+                lin = _linear_coeffs(self(int(ns[i])))
+            except OverflowError:
+                lin = None  # the per-index path raises it in index order
+            a[i], b[i] = lin if lin is not None else (math.nan, math.nan)
+        return a, b
+
+
+@dataclass(frozen=True)
+class AffineSchedule:
+    """A schedule of affine maps phi_n(z) = a_n z + b_n.
+
+    Called with one index it gives the map, as any schedule does;
+    ``affine(ns)`` gives the coefficient arrays (a_n, b_n) over an index
+    array.  coeffs must agree with ``maps._linear_coeffs(maps(n))`` up to
+    rounding for every n, and the map class must accept maps(n) for
+    every n once it accepts maps(1).
+    """
+
+    maps: Callable[[int], HoloMap]
+    coeffs: Callable[[np.ndarray], tuple]
+
+    def __call__(self, n: int) -> HoloMap:
+        return self.maps(n)
+
+    def affine(self, ns: np.ndarray) -> tuple:
+        return self.coeffs(ns)
 
 
 @dataclass(frozen=True)
@@ -94,12 +143,25 @@ class WeakRunawayReport:
     density: DensityReport
     horizon: int
 
-    @property
-    def positive_density(self) -> bool:
-        # a nonempty escape set always has a positive finite-horizon
-        # estimate; callers judging a schedule should read the estimate
-        # itself, not just this flag
-        return self.density.lower_estimate > 0.0
+
+def _affine_verdicts(a, b, enc: ClosedDisc) -> tuple:
+    """(escaped, undecided) masks of the disc test for phi_n(z) = a_n z + b_n.
+
+    phi_n maps the disc D(c, r) onto D(a_n c + b_n, |a_n| r), which
+    escapes D(c, r) when |a_n c + b_n - c| > |a_n| r + r; the operations
+    are those of image_enclosing_disc and disjointness, in their order.
+    A gap that is not finite, or within GAP_BAND of zero, is undecided.
+    """
+    c, r = enc.center, enc.radius
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    abs_a = np.abs(a)
+    sep = np.abs(a * c + b - c)
+    need = abs_a * r + r
+    gap = sep - need
+    band = GAP_BAND * (abs_a * abs(c) + np.abs(b) + abs(c) + need)
+    decided = np.isfinite(gap) & (np.abs(gap) > band)
+    return decided & (gap > 0.0), ~decided
 
 
 def check_weak_runaway(
@@ -113,15 +175,35 @@ def check_weak_runaway(
     Disjointness is decided between K and the certified enclosing disc
     of phi_n(K); an Unknown verdict counts as not disjoint, so the
     reported escape set is an under-approximation.
+
+    A schedule with an ``affine(ns)`` method (AffineSchedule,
+    powers_of_two_schedule) is decided WEAK_BLOCK indices at a time
+    against K's enclosing disc (`_affine_verdicts`).  That disc test is
+    the whole disc-against-disc verdict of `disjointness`, and for any
+    other K its only route to DISJOINT.  Undecided indices, and every
+    index of a schedule without the method, are decided one at a time
+    through image_enclosing_disc and disjointness, so the escape set
+    and any error raised are those of the per-index path.
     """
-    escapes = []
-    for n in range(1, horizon + 1):
-        bound = image_enclosing_disc(maps_schedule(n), k, resolution=resolution)
-        if disjointness(bound, k, resolution) is Disjointness.DISJOINT:
-            escapes.append(n)
-    escape_set = IndexSet(
-        np.asarray(escapes, dtype=np.int64), horizon, "escape-times"
-    )
+    enc = enclosing_disc(k)
+    affine = getattr(maps_schedule, "affine", None)
+    parts = [np.empty(0, dtype=np.int64)]
+    for start in range(1, horizon + 1, WEAK_BLOCK):
+        ns = np.arange(start, min(start + WEAK_BLOCK, horizon + 1), dtype=np.int64)
+        with np.errstate(all="ignore"):
+            coeffs = None if affine is None else affine(ns)
+            if coeffs is None:
+                escaped = np.zeros(ns.size, dtype=bool)
+                undecided = np.ones(ns.size, dtype=bool)
+            else:
+                escaped, undecided = _affine_verdicts(*coeffs, enc)
+        for i in np.flatnonzero(undecided):
+            bound = image_enclosing_disc(
+                maps_schedule(int(ns[i])), k, resolution=resolution
+            )
+            escaped[i] = disjointness(bound, k, resolution) is Disjointness.DISJOINT
+        parts.append(ns[escaped])
+    escape_set = IndexSet(np.concatenate(parts), horizon, "escape-times")
     return WeakRunawayReport(
         escape_set=escape_set,
         density=lower_density_estimate(escape_set, horizon),

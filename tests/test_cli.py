@@ -478,6 +478,26 @@ def test_cmd_runaway_strong_powers_of_two_fails_p2(outdir):
     assert any(line.startswith("FAIL: P2") for line in res.lines)
 
 
+@pytest.mark.parametrize(
+    "domain, family",
+    [("unit_disc", "translation"), ("whole_plane", "half_plane_shift")],
+)
+def test_main_weak_runaway_refuses_maps_off_the_domain(outdir, capsys, domain, family):
+    code = main([
+        "runaway", os.path.join(CONFIGS, "runaway_weak.ini"),
+        "--override", f"domain.kind={domain}",
+        "--override", f"maps.family={family}",
+        "--override", "maps.schedule=direct",
+        "--override", "horizons.n_max=2000",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert family in err[0] and domain in err[0]
+    assert "PASS" not in captured.out
+
+
 def test_cmd_runaway_rejects_unknown_mode(outdir):
     with pytest.raises(ValueError, match="runaway mode"):
         cmd_runaway(_cfg(runaway_mode="sideways"))

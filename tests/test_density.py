@@ -101,6 +101,33 @@ def test_checkpoints_are_consistent():
         assert ratio == pytest.approx(int(ap.count_up_to(n)) / n)
 
 
+def _dense_density_reference(a, horizon, burn_in):
+    """Every prefix ratio from burn_in to horizon, as one array."""
+    ns = np.arange(burn_in, horizon + 1, dtype=np.int64)
+    ratios = a.count_up_to(ns) / ns
+    return ns, ratios
+
+
+def test_density_estimate_matches_dense_prefix_ratios():
+    rng = np.random.default_rng(20261018)
+    for trial in range(40):
+        n_max = int(rng.integers(1, 5000))
+        p = rng.choice([0.0, 0.001, 0.05, 0.5, 0.97, 1.0])
+        els = np.flatnonzero(rng.random(n_max) < p) + 1
+        s = IndexSet(els, n_max)
+        horizon = int(rng.integers(1, n_max + 1))
+        burn_in = None if trial % 2 else int(rng.integers(1, horizon + 1))
+        rep = lower_density_estimate(s, horizon, burn_in)
+        ns, ratios = _dense_density_reference(s, horizon, rep.burn_in)
+        assert rep.lower_estimate == float(ratios.min())
+        assert rep.upper_estimate == float(ratios.max())
+        assert rep.checkpoints == tuple(
+            (n, float(ratios[n - rep.burn_in])) for n, _ in rep.checkpoints
+        )
+        assert rep.checkpoints[0][0] == rep.burn_in
+        assert rep.checkpoints[-1][0] == horizon
+
+
 def test_density_rejects_bad_windows():
     s = naturals(100)
     with pytest.raises(ValueError):

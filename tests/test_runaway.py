@@ -1,12 +1,17 @@
 """Tests for runaway checkers and finite truncations."""
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from freqdyn import runaway
+from freqdyn.cli import ExperimentConfig, build_schedule
 from freqdyn.density import IndexSet, arithmetic_progression, build_separated_family
 from freqdyn.geometry import (
+    AnnularSector,
     ClosedDisc,
     Disjointness,
     Domain,
@@ -15,8 +20,18 @@ from freqdyn.geometry import (
     sample_grid,
     whole_plane_exhaustion,
 )
-from freqdyn.maps import Identity, Iterated, ParabolicDisc, Similarity, apply
+from freqdyn.maps import (
+    HalfPlaneShift,
+    Identity,
+    Iterated,
+    ParabolicDisc,
+    RootShift,
+    Similarity,
+    apply,
+    image_enclosing_disc,
+)
 from freqdyn.runaway import (
+    AffineSchedule,
     HorizonExhausted,
     _disc_pairs,
     RunawayConfig,
@@ -47,7 +62,6 @@ def test_weak_runaway_translations():
     assert list(rep.escape_set)[:3] == [3, 4, 5]
     assert len(rep.escape_set) == 998
     assert rep.density.lower_estimate >= 0.99
-    assert rep.positive_density
 
 
 def test_weak_runaway_identity_is_exactly_zero():
@@ -57,7 +71,6 @@ def test_weak_runaway_identity_is_exactly_zero():
     assert len(rep.escape_set) == 0
     assert rep.density.lower_estimate == 0.0
     assert rep.density.upper_estimate == 0.0
-    assert not rep.positive_density
 
 
 def test_weak_runaway_negative_control_powers_of_two():
@@ -76,6 +89,145 @@ def test_powers_of_two_schedule_structure():
     assert schedule(2) == Iterated(base, 1)
     assert schedule(8) == Iterated(base, 3)
     assert isinstance(schedule(12), Identity)
+
+
+def _per_index_escapes(schedule, k, horizon, resolution=3):
+    """Reference: the escape set decided one index at a time."""
+    return np.array(
+        [
+            n
+            for n in range(1, horizon + 1)
+            if disjointness(
+                image_enclosing_disc(schedule(n), k, resolution=resolution),
+                k,
+                resolution,
+            )
+            is Disjointness.DISJOINT
+        ],
+        dtype=np.int64,
+    )
+
+
+def _direct_schedules(rng):
+    """build_schedule for every affine direct family, random parameters."""
+    alpha = float(rng.uniform(-0.5, 0.5))
+    cfgs = [
+        dict(map_family="translation"),
+        dict(map_family="identity", domain_kind="whole_plane"),
+        dict(map_family="half_plane_shift", a_param=float(rng.uniform(0.01, 2.0)),
+             gamma=float(rng.uniform(1.0, 1.5))),
+        dict(map_family="root_shift", root_n=1, alpha=alpha,
+             beta=1.0 + alpha + float(rng.uniform(0.0, 0.5))),
+    ]
+    out = []
+    for kw in cfgs:
+        schedule = build_schedule(dataclasses.replace(ExperimentConfig(), **kw))
+        assert isinstance(schedule, AffineSchedule)
+        out.append(schedule)
+    return out
+
+
+def _powers_of_two_schedules(rng):
+    a = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+    return [
+        powers_of_two_schedule(Similarity(1.0, complex(rng.uniform(0.1, 3.0)))),
+        powers_of_two_schedule(Similarity(a, complex(rng.normal(), rng.normal()))),
+        powers_of_two_schedule(HalfPlaneShift(float(rng.uniform(0.1, 3.0)), 1.0, 1)),
+        powers_of_two_schedule(RootShift(0.0, 1.0, 1, 1)),
+    ]
+
+
+def test_weak_runaway_array_path_matches_per_index(monkeypatch):
+    # small blocks, so the horizon spans many of them
+    monkeypatch.setattr(runaway, "WEAK_BLOCK", 37)
+    rng = np.random.default_rng(61)
+    horizon = 500
+    for trial in range(2):
+        sector = AnnularSector(float(rng.uniform(0.05, 0.3)),
+                               float(rng.uniform(0.4, 100.0)),
+                               float(rng.uniform(0.1, 3.0)))
+        compacts = [
+            ClosedDisc(complex(rng.normal(0, 50), rng.normal(0, 50)),
+                       float(rng.uniform(0.5, 200.0))),
+            ClosedDisc(0.0, float(rng.integers(1, 200))),  # ties at n = 2r
+            ClosedDisc(complex(rng.normal(), rng.normal()), float(rng.uniform(0.2, 2.0))),
+            sector,
+        ]
+        schedules = _direct_schedules(rng) + _powers_of_two_schedules(rng)
+        # square-root iterates are not affine, and need K off the slit
+        roots = powers_of_two_schedule(RootShift(0.0, 1.0, 2, 1))
+        for k in compacts:
+            for schedule in schedules + ([roots] if k is sector else []):
+                want = _per_index_escapes(schedule, k, horizon)
+                got = check_weak_runaway(schedule, k, horizon).escape_set.elements
+                assert np.array_equal(got, want), (trial, k, schedule)
+            # a plain lambda has no array method and takes the per-index path
+            plain = lambda n: schedules[0](n)
+            assert np.array_equal(
+                check_weak_runaway(plain, k, horizon).escape_set.elements,
+                _per_index_escapes(plain, k, horizon),
+            )
+
+
+def _count_image_discs(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return image_enclosing_disc(*args, **kwargs)
+
+    monkeypatch.setattr(runaway, "image_enclosing_disc", counted)
+    return calls
+
+
+def test_weak_runaway_touching_discs_do_not_escape(monkeypatch):
+    calls = _count_image_discs(monkeypatch)
+    shift = AffineSchedule(
+        lambda n: Similarity(1.0, 2.0),
+        lambda ns: (np.ones(ns.size, dtype=complex), np.full(ns.size, 2.0 + 0.0j)),
+    )
+    rep = check_weak_runaway(shift, ClosedDisc(0.0, 1.0), horizon=50)
+    assert len(rep.escape_set) == 0
+    # a zero gap is never decided by the array test
+    assert len(calls) == 50
+
+
+def test_weak_runaway_non_finite_coefficients_raise_as_per_index():
+    def translate(n):
+        return Similarity(1.0, complex(math.inf) if n == 30 else complex(n))
+
+    def coeffs(ns):
+        b = ns.astype(complex)
+        b[ns == 30] = math.inf
+        return np.ones(ns.size, dtype=complex), b
+
+    k = ClosedDisc(0.0, 1.0)
+    for schedule in (translate, AffineSchedule(translate, coeffs)):
+        with pytest.raises(ValueError, match="center must be finite"):
+            check_weak_runaway(schedule, k, horizon=100)
+    # overflowing powers: float ** raises per index, numpy gives inf
+    cfg = dataclasses.replace(
+        ExperimentConfig(), map_family="half_plane_shift", gamma=200.0
+    )
+    affine = build_schedule(cfg)
+    for schedule in (affine, affine.maps):
+        with pytest.raises(OverflowError):
+            check_weak_runaway(schedule, k, horizon=100)
+    # a^2 overflows at n = 4; with a huge K the disc at n = 2 fails first
+    huge = powers_of_two_schedule(Similarity(1e200, 0.0))
+    for schedule in (huge, lambda n: huge(n)):
+        with pytest.raises(OverflowError):
+            check_weak_runaway(schedule, k, horizon=100)
+        with pytest.raises(ValueError, match="radius must be finite"):
+            check_weak_runaway(schedule, ClosedDisc(0.0, 1e200), horizon=100)
+
+
+def test_weak_runaway_powers_of_two_decides_in_blocks(monkeypatch):
+    calls = _count_image_discs(monkeypatch)
+    schedule = powers_of_two_schedule(Similarity(1.0, 1.0))
+    rep = check_weak_runaway(schedule, ClosedDisc(0.0, 1.0), horizon=100_000)
+    assert list(rep.escape_set) == [2 ** j for j in range(3, 17)]
+    assert len(calls) <= 64
 
 
 # ---------------------------------------------------------------------------
