@@ -3,10 +3,9 @@
 
 Each run writes under its own output root so repeated builds never
 overwrite one another; the stored-candidate scan is pointed at the
-existence build it consumes.  Five runs patch a shipped config: example1
+existence build it consumes.  Four runs patch a shipped config: example1
 at a radius constant large enough for its orbit scan to run, the
-spaceable config built as a mixed basis, weak runaway on the direct
-translation schedule (expected to pass), and two runs expected to fail
+spaceable config built as a mixed basis, and two runs expected to fail
 with a witness: example4 with cubic frequencies (pairwise witness) and
 strong runaway on the powers-of-two schedule (P2 disc witness).  The
 weak runaway example is expected to fail by construction.  A run that
@@ -32,13 +31,6 @@ RUNS = (
     ("sepfamily", "sepfamily", "sepfamily.ini", (), 0),
     ("runaway-strong", "runaway", "runaway_strong.ini", (), 0),
     ("runaway-weak", "runaway", "runaway_weak.ini", (), 1),
-    (
-        "runaway-weak-direct",
-        "runaway",
-        "runaway_weak.ini",
-        ("maps.schedule=direct",),
-        0,
-    ),
     (
         "runaway-p2",
         "runaway",

@@ -65,7 +65,7 @@ from .maps import (
     Similarity,
     Conjugated,
     apply,
-    map_domain,
+    maps_into,
 )
 
 __all__ = [
@@ -404,45 +404,25 @@ def build_exhaustion(cfg: ExperimentConfig) -> Exhaustion:
 
 
 def build_schedule(cfg: ExperimentConfig) -> Callable[[int], HoloMap]:
-    """The configured map schedule n -> phi_n.
-
-    Direct schedules of affine families are AffineSchedules, whose
-    coefficient arrays repeat the per-map formulas of `maps._linear_coeffs`.
-    """
     fam = cfg.map_family
-    coeffs = None
     if fam == "translation":
         base = lambda n: Similarity(1.0, complex(n))
-        coeffs = lambda ns: (np.ones(ns.size, dtype=complex), ns.astype(complex))
     elif fam == "root_shift":
         base = lambda n: RootShift(cfg.alpha, cfg.beta, cfg.root_n, n)
-        if cfg.root_n == 1:
-            coeffs = lambda ns: (
-                ns.astype(float) ** cfg.alpha + 0j,
-                ns.astype(float) ** cfg.beta + 0j,
-            )
     elif fam == "half_plane_shift":
         base = lambda n: HalfPlaneShift(cfg.a_param, cfg.gamma, n)
-        coeffs = lambda ns: (
-            np.ones(ns.size, dtype=complex),
-            1j * (cfg.a_param * ns.astype(float) ** cfg.gamma),
-        )
     elif fam == "parabolic_disc":
         base = lambda n: ParabolicDisc(cfg.a_param, cfg.gamma, n)
     elif fam == "identity":
         dom = build_domain(cfg)
         base = lambda n: Identity(dom)
-        coeffs = lambda ns: (
-            np.ones(ns.size, dtype=complex),
-            np.zeros(ns.size, dtype=complex),
-        )
     else:
         raise ValueError(f"unknown map family {cfg.map_family!r}")
     if cfg.schedule == "powers_of_two":
         return runaway.powers_of_two_schedule(base(1))
     if cfg.schedule != "direct":
         raise ValueError(f"unknown schedule {cfg.schedule!r}")
-    return base if coeffs is None else runaway.AffineSchedule(base, coeffs)
+    return base
 
 
 def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
@@ -1336,16 +1316,15 @@ def cmd_runaway(cfg: ExperimentConfig) -> CommandResult:
         raise ValueError(f"unknown runaway mode {cfg.runaway_mode!r}")
     schedule = build_schedule(cfg)
     domain = build_domain(cfg)
-    acts_on = map_domain(schedule(1))
-    if acts_on != domain:
-        raise ValueError(
-            f"maps.family={cfg.map_family} acts on {acts_on.kind.value},"
-            f" not on the configured domain {domain.kind.value}"
-        )
-    exh = build_exhaustion(cfg)
-    rep = runaway.check_weak_runaway(
-        schedule, exh.member(1), cfg.n_max, cfg.grid_res
-    )
+    k = build_exhaustion(cfg).member(1)
+    # strong mode's test, at n = 2 too: powers of two map n = 1 to the identity
+    for n in range(1, min(2, cfg.n_max) + 1):
+        if not maps_into(schedule(n), domain, k, cfg.grid_res):
+            raise ValueError(
+                f"maps.family={cfg.map_family} at index {n} does not send"
+                f" level 1 into the configured domain {domain.kind.value}"
+            )
+    rep = runaway.check_weak_runaway(schedule, k, cfg.n_max, cfg.grid_res)
     est = rep.density.lower_estimate
     lines = [
         f"NOTE: {rep.escape_set.elements.size} escape times up to {cfg.n_max}",

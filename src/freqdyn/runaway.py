@@ -41,7 +41,6 @@ from .maps import (
 )
 
 __all__ = [
-    "AffineSchedule",
     "CarlemanTruncation",
     "HorizonExhausted",
     "Island",
@@ -117,27 +116,6 @@ class powers_of_two_schedule:
 
 
 @dataclass(frozen=True)
-class AffineSchedule:
-    """A schedule of affine maps phi_n(z) = a_n z + b_n.
-
-    Called with one index it gives the map, as any schedule does;
-    ``affine(ns)`` gives the coefficient arrays (a_n, b_n) over an index
-    array.  coeffs must agree with ``maps._linear_coeffs(maps(n))`` up to
-    rounding for every n, and the map class must accept maps(n) for
-    every n once it accepts maps(1).
-    """
-
-    maps: Callable[[int], HoloMap]
-    coeffs: Callable[[np.ndarray], tuple]
-
-    def __call__(self, n: int) -> HoloMap:
-        return self.maps(n)
-
-    def affine(self, ns: np.ndarray) -> tuple:
-        return self.coeffs(ns)
-
-
-@dataclass(frozen=True)
 class WeakRunawayReport:
     escape_set: IndexSet
     density: DensityReport
@@ -176,8 +154,9 @@ def check_weak_runaway(
     of phi_n(K); an Unknown verdict counts as not disjoint, so the
     reported escape set is an under-approximation.
 
-    A schedule with an ``affine(ns)`` method (AffineSchedule,
-    powers_of_two_schedule) is decided WEAK_BLOCK indices at a time
+    A schedule with an ``affine(ns) -> (a, b)`` method giving the
+    coefficient arrays of phi_n(z) = a_n z + b_n over an index array
+    (powers_of_two_schedule has one) is decided WEAK_BLOCK indices at a time
     against K's enclosing disc (`_affine_verdicts`).  That disc test is
     the whole disc-against-disc verdict of `disjointness`, and for any
     other K its only route to DISJOINT.  Undecided indices, and every

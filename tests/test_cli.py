@@ -479,15 +479,22 @@ def test_cmd_runaway_strong_powers_of_two_fails_p2(outdir):
 
 
 @pytest.mark.parametrize(
-    "domain, family",
-    [("unit_disc", "translation"), ("whole_plane", "half_plane_shift")],
+    "domain, family, schedule",
+    [
+        ("unit_disc", "translation", "direct"),
+        ("whole_plane", "half_plane_shift", "direct"),
+        # the identity at n = 1 maps into any domain; n = 2 does not
+        ("unit_disc", "translation", "powers_of_two"),
+    ],
 )
-def test_main_weak_runaway_refuses_maps_off_the_domain(outdir, capsys, domain, family):
+def test_main_weak_runaway_refuses_maps_off_the_domain(
+    outdir, capsys, domain, family, schedule
+):
     code = main([
         "runaway", os.path.join(CONFIGS, "runaway_weak.ini"),
         "--override", f"domain.kind={domain}",
         "--override", f"maps.family={family}",
-        "--override", "maps.schedule=direct",
+        "--override", f"maps.schedule={schedule}",
         "--override", "horizons.n_max=2000",
     ])
     assert code == 2
@@ -496,6 +503,19 @@ def test_main_weak_runaway_refuses_maps_off_the_domain(outdir, capsys, domain, f
     assert len(err) == 1 and err[0].startswith("error: ")
     assert family in err[0] and domain in err[0]
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+def test_main_runaway_accepts_maps_into_a_larger_domain(outdir, mode):
+    # z + n acts on the whole plane and sends the right half-plane into itself
+    code = main([
+        "runaway", os.path.join(CONFIGS, f"runaway_{mode}.ini"),
+        "--override", "domain.kind=right_half_plane",
+        "--override", "maps.family=translation",
+        "--override", "maps.schedule=direct",
+        "--override", "horizons.n_max=2000",
+    ])
+    assert code == 0
 
 
 def test_cmd_runaway_rejects_unknown_mode(outdir):
