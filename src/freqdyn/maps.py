@@ -290,12 +290,15 @@ def map_domain(m: HoloMap) -> Domain:
     raise TypeError(f"not a holomorphic map variant: {m!r}")
 
 
-def _check_in_domain(dom: Domain, z: np.ndarray) -> None:
+def _outside(dom: Domain, z: np.ndarray) -> np.ndarray:
+    """Mask, shaped like z, of the points a map on dom refuses as input."""
     if dom.kind is DomainKind.SLIT_PLANE:
-        bad = distance_to_slit(z) < SLIT_GUARD
-    else:
-        bad = ~np.atleast_1d(dom.contains(z, slack=_EVAL_SLACK))
-    bad = np.atleast_1d(bad)
+        return np.atleast_1d(distance_to_slit(z) < SLIT_GUARD)
+    return ~np.atleast_1d(dom.contains(z, slack=_EVAL_SLACK))
+
+
+def _check_in_domain(dom: Domain, z: np.ndarray) -> None:
+    bad = _outside(dom, z)
     if np.any(bad):
         offender = np.atleast_1d(z)[bad][0]
         raise DomainError(f"point {offender} rejected for domain {dom.kind.value}")

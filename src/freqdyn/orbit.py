@@ -24,11 +24,12 @@ from .geometry import (
     eps_to_boundary,
     sample_grid,
 )
-from .maps import ConformalPair, HoloMap, apply
+from .maps import HoloMap, _eval, _outside, apply, map_domain
 
 __all__ = [
     "GRID_SLACK",
     "IterateReport",
+    "MONOTONE_TOL",
     "OrbitScanReport",
     "PairScan",
     "combination_scan",
@@ -41,6 +42,14 @@ __all__ = [
 # Grid sup-norms understate true sup-norms; measured errors are
 # multiplied by this before any pass/fail comparison.
 GRID_SLACK = 1.1
+
+# iterate_convergence checks the domain and evaluates the observable on
+# blocks of about this many iterated grid points; the block bounds its
+# working memory.
+ITERATE_BLOCK = 8192
+
+# Steps smaller than this do not break a monotone tail.
+MONOTONE_TOL = 1e-12
 
 _EVAL_CHUNK = 1 << 16
 
@@ -329,50 +338,63 @@ def iterate_convergence(
     k: CompactSet,
     limit: complex,
     n_steps: int,
-    pair: Optional[ConformalPair] = None,
     grid_res: int = 3,
 ) -> IterateReport:
     """e_n = sup over the grid of K of |Q(phi^n(z)) - Q(limit)|, n = 1..N.
 
-    When a conformal pair is supplied the observable is Q composed with
-    the pair's backward map, so bounded observables are available on
-    unbounded domains.  If some iterate leaves the map's domain the
-    error list is truncated and flagged; the caller judges decrease and
-    eventual monotonicity from the returned values.
+    If some iterate leaves the map's domain the error list is truncated
+    and flagged; the caller judges decrease and eventual monotonicity
+    from the returned values.
+
+    Only the recurrence runs step by step: the iterates fill a block of
+    rows, and the domain check of every input row and the observable run
+    once per block.  The escape step n is the first at which iterate
+    n - 1 fails the map's domain check or the map's own evaluation
+    refuses it, as for step-by-step `apply`, and the errors hold
+    e_1 .. e_{n-1}.
     """
     if n_steps < 1:
         raise ValueError("need at least one iterate")
-
-    def observe(z):
-        if pair is not None:
-            return q.evaluate(pair.backward(z))
-        return q.evaluate(z)
-
-    limit_value = complex(observe(limit))
+    limit_value = complex(q.evaluate(limit))
     grid = sample_grid(k, grid_res)
     if grid.size == 0:
         raise ValueError("cannot iterate over an empty compact")
-    current = grid.astype(complex)
-    errors = []
-    escaped = False
+    dom = map_domain(m)
+    rows = max(1, ITERATE_BLOCK // grid.size)
+    block = np.empty((rows + 1, grid.size), dtype=complex)
+    block[0] = grid
+    errors = np.empty(n_steps)
+    done = 0
     escaped_at = None
-    for n in range(1, n_steps + 1):
-        try:
-            current = apply(m, current)
-        except DomainError:
-            escaped = True
-            escaped_at = n
-            break
-        errors.append(float(np.max(np.abs(observe(current) - limit_value))))
+    # rows after an escape may be evaluated, but are never used
+    with np.errstate(all="ignore"):
+        while done < n_steps:
+            count = min(rows, n_steps - done)
+            evaluated = count
+            for j in range(count):
+                try:
+                    block[j + 1] = _eval(m, block[j])
+                except DomainError:
+                    evaluated = j
+                    break
+            bad = np.flatnonzero(_outside(dom, block[:evaluated]).any(axis=1))
+            valid = int(bad[0]) if bad.size else evaluated
+            vals = q.evaluate(block[1 : valid + 1])
+            errors[done : done + valid] = np.max(np.abs(vals - limit_value), axis=1)
+            done += valid
+            if valid < count:
+                escaped_at = done + 1
+                break
+            block[0] = block[count]
     return IterateReport(
-        errors=np.asarray(errors),
-        escaped=escaped,
+        errors=errors[:done],
+        escaped=escaped_at is not None,
         escaped_at=escaped_at,
         limit_value=limit_value,
     )
 
 
-def first_monotone_tail(errors: np.ndarray, tol: float = 1e-12) -> int:
+def first_monotone_tail(errors: np.ndarray, tol: float = MONOTONE_TOL) -> int:
     """Least index from which the sequence is non-increasing within tol.
 
     Always defined: the final element alone forms a monotone tail, so
@@ -382,10 +404,6 @@ def first_monotone_tail(errors: np.ndarray, tol: float = 1e-12) -> int:
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
         raise ValueError("empty error sequence")
-    idx = errors.size - 1
-    for i in range(errors.size - 2, -1, -1):
-        if errors[i + 1] <= errors[i] + tol:
-            idx = i
-        else:
-            break
-    return int(idx)
+    # written as a negated <= so that a NaN step also ends the tail
+    rises = np.flatnonzero(~(errors[1:] <= errors[:-1] + tol))
+    return int(rises[-1]) + 1 if rises.size else 0

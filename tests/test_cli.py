@@ -460,6 +460,17 @@ def test_cmd_example5_contraction(outdir):
     assert len(rows) == 201
 
 
+def test_main_example5_constant_errors_do_not_decrease(outdir):
+    # at a = 1e-300 the map is the identity in floating point: every error is 1.5
+    code = main([
+        "example5", os.path.join(CONFIGS, "example5.ini"),
+        "--override", "maps.a=1e-300",
+    ])
+    assert code == 1
+    summary = (outdir / "example5" / "summary.txt").read_text().splitlines()
+    assert "FAIL: errors decrease monotonically from step 1" in summary
+
+
 def test_cmd_runaway_weak_direct_passes(outdir):
     res = cmd_runaway(_cfg(runaway_mode="weak", n_max=2000))
     assert not res.failed

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from freqdyn import orbit
 from freqdyn.approx import (
     BasisKind,
     Polynomial,
@@ -14,8 +15,8 @@ from freqdyn.approx import (
     fit_on_compacts,
 )
 from freqdyn.density import arithmetic_progression, build_separated_family, split
-from freqdyn.geometry import ClosedDisc, whole_plane_exhaustion
-from freqdyn.maps import Identity, ParabolicDisc, Similarity
+from freqdyn.geometry import ClosedDisc, DomainError, sample_grid, whole_plane_exhaustion
+from freqdyn.maps import Identity, ParabolicDisc, Similarity, apply, iterate
 from freqdyn.orbit import (
     GRID_SLACK,
     _Combination,
@@ -350,6 +351,88 @@ def test_iterate_convergence_validation():
             Identity(EXH.domain), Polynomial.monomial(1),
             ClosedDisc(0.0, 0.5), 0.0 + 0.0j, 0,
         )
+
+
+def _per_step_iterates(m, q, k, limit, n_steps):
+    """The step-by-step apply loop that iterate_convergence blocks up."""
+    limit_value = complex(q.evaluate(limit))
+    current = sample_grid(k, 3).astype(complex)
+    errors = []
+    with np.errstate(all="ignore"):
+        for n in range(1, n_steps + 1):
+            try:
+                current = apply(m, current)
+            except DomainError:
+                return np.asarray(errors), n
+            errors.append(float(np.max(np.abs(q.evaluate(current) - limit_value))))
+    return np.asarray(errors), None
+
+
+_PARABOLIC = ParabolicDisc(a=1.0, gamma=1.0, n=1)
+_DOUBLING = Similarity(2.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "m, k, n_steps, rows, escape",
+    [
+        # 1000 steps are not a whole number of 7-row blocks
+        (_PARABOLIC, ClosedDisc(0.0, 0.5), 1000, 7, None),
+        (_PARABOLIC, ClosedDisc(0.0, 0.5), 200, 1, None),
+        (Identity(EXH.domain), ClosedDisc(0.0, 0.5), 50, 7, None),
+        # the compact pokes outside the disc, so step 1 refuses
+        (_PARABOLIC, ClosedDisc(0.5, 0.7), 10, 7, 1),
+        # doubling overflows: iterate 1025 is infinite and fails the check
+        (_DOUBLING, ClosedDisc(0.0, 0.5), 1100, 7, 1026),
+        # 1025 = 25 * 41: the refused input opens a block
+        (_DOUBLING, ClosedDisc(0.0, 0.5), 1100, 41, 1026),
+        # 1026 = 38 * 27: the refused input is the last row of a block
+        (_DOUBLING, ClosedDisc(0.0, 0.5), 1100, 27, 1026),
+        # the run ends on a block boundary, infinite error and no escape
+        (_DOUBLING, ClosedDisc(0.0, 0.5), 1025, 41, None),
+        # the threefold map refuses its own overflowing intermediate
+        (iterate(_DOUBLING, 3), ClosedDisc(0.0, 0.5), 400, 7, 342),
+    ],
+)
+def test_iterate_blocks_match_per_step_apply(monkeypatch, m, k, n_steps, rows, escape):
+    # rows of 98 grid points; one row is a block of 37 points
+    points = 37 if rows == 1 else rows * sample_grid(k, 3).size
+    monkeypatch.setattr(orbit, "ITERATE_BLOCK", points)
+    q = Polynomial(np.array([0.25, 1.0, -0.5j]))
+    want, want_at = _per_step_iterates(m, q, k, 1.0 + 0.0j, n_steps)
+    assert want_at == escape
+    rep = iterate_convergence(m, q, k, 1.0 + 0.0j, n_steps)
+    assert np.array_equal(rep.errors, want, equal_nan=True)
+    assert rep.escaped_at == want_at
+    assert rep.escaped == (want_at is not None)
+
+
+def _monotone_tail_per_step(errors, tol):
+    """The backward scan that first_monotone_tail vectorises."""
+    idx = errors.size - 1
+    for i in range(errors.size - 2, -1, -1):
+        if errors[i + 1] <= errors[i] + tol:
+            idx = i
+        else:
+            break
+    return idx
+
+
+def test_first_monotone_tail_matches_backward_scan():
+    rng = np.random.default_rng(7)
+    tol = 1e-12
+    for trial in range(300):
+        seq = [float(rng.uniform(0.0, 2.0))]
+        for _ in range(int(rng.integers(0, 40))):
+            up = seq[-1] + tol
+            # steps exactly at +tol and -tol, just past +tol, and large ones
+            seq.append(
+                (up, np.nextafter(up, np.inf), seq[-1] - tol, seq[-1] - 0.25,
+                 seq[-1] + 0.25)[rng.integers(5)]
+            )
+        seq = np.array(seq)
+        if trial % 10 == 0:
+            seq[rng.integers(seq.size)] = np.nan
+        assert first_monotone_tail(seq, tol) == _monotone_tail_per_step(seq, tol)
 
 
 def test_first_monotone_tail_positions():
