@@ -37,6 +37,9 @@ __all__ = [
 
 # Thresholds used by the finite growth criteria.
 GROWTH_THRESHOLDS = (1.0, 10.0, 100.0)
+# Most points build_separated_family enumerates in one period of a class;
+# the first, largest class holds 3^(ceil(P/2) - 1) of them for P pairs.
+MAX_PERIOD_POINTS = 1 << 20
 
 
 def _default_burn_in(horizon: int) -> int:
@@ -309,14 +312,21 @@ def build_separated_family(num_pairs: int, horizon: int, m_multiplier: int) -> S
     The p-th label (l, nu) in diagonal order receives a residue class of
     step m 3^d; elements of lower-indexed classes within distance
     nu(p) + nu(q) of a later class are pruned, as are elements below nu.
-    The construction is rejected when the exact post-pruning density of
-    any class vanishes, and the result is always run through
+    The construction is rejected when one period of the first class holds
+    more than MAX_PERIOD_POINTS points or when the exact post-pruning density
+    of any class vanishes, and the result is always run through
     verify_separated_family before being returned.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be at least 1")
     if m_multiplier < 1:
         raise ValueError("m_multiplier must be at least 1")
+    depth = (num_pairs + 1) // 2 - 1
+    if 3 ** min(depth, MAX_PERIOD_POINTS.bit_length()) > MAX_PERIOD_POINTS:
+        raise ValueError(
+            f"family.pairs: {num_pairs} pairs enumerate 3^{depth} points in one"
+            f" period of the first class, more than {MAX_PERIOD_POINTS}"
+        )
     labels = diagonal_pairs(num_pairs)
     nus = [nu for (_, nu) in labels]
     for p in range(1, num_pairs + 1):

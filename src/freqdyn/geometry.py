@@ -14,14 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
 __all__ = [
-    "BOUNDARY_SAMPLES",
-    "RAY_SAMPLES",
     "AnnularSector",
     "ClosedDisc",
     "CompactSet",
@@ -46,12 +43,6 @@ __all__ = [
     "whole_plane_exhaustion",
 ]
 
-# Samples used for one-dimensional boundary pieces (circle, imaginary axis).
-BOUNDARY_SAMPLES = 4096
-# Logarithmically spaced samples on an unbounded ray such as (-inf, 0].
-RAY_SAMPLES = 10_000
-# Half-width in decades of the logarithmic sampling window for rays.
-_LOG_DECADES = 9.0
 # Slack below which a point counts as sitting on the slit (-inf, 0].
 SLIT_GUARD = 1e-9
 
@@ -138,58 +129,12 @@ class Domain:
             )
         return bool(ok) if ok.ndim == 0 else ok
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.kind is DomainKind.UNIT_DISC
 
-    @property
-    def boundary_contains_infinity(self) -> bool:
-        return self.kind is not DomainKind.UNIT_DISC
-
-    def describe_boundary(self) -> str:
-        return {
-            DomainKind.WHOLE_PLANE: "the single point at infinity",
-            DomainKind.UNIT_DISC: "the unit circle |z| = 1",
-            DomainKind.RIGHT_HALF_PLANE: "the imaginary axis plus infinity",
-            DomainKind.SLIT_PLANE: "the ray (-inf, 0] plus infinity",
-        }[self.kind]
-
-
-@lru_cache(maxsize=8)
-def _boundary_points(kind: DomainKind) -> np.ndarray:
-    """Finite boundary samples for one domain kind (infinity handled apart)."""
-    if kind is DomainKind.WHOLE_PLANE:
-        return np.empty(0, dtype=complex)
-    if kind is DomainKind.UNIT_DISC:
-        theta = 2.0 * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
-        return np.exp(1j * theta)
-    if kind is DomainKind.RIGHT_HALF_PLANE:
-        half = BOUNDARY_SAMPLES // 2
-        mags = np.logspace(-_LOG_DECADES, _LOG_DECADES, half)
-        return np.concatenate([1j * mags, -1j * mags, [0.0 + 0.0j]])
-    mags = np.logspace(-_LOG_DECADES, _LOG_DECADES, RAY_SAMPLES)
-    return np.concatenate([-mags.astype(complex), [0.0 + 0.0j]])
-
-
-def _min_chordal_to(z: np.ndarray, boundary: np.ndarray, with_inf: bool) -> np.ndarray:
-    az2 = np.abs(z) ** 2
-    best = np.full(z.shape, np.inf)
-    if boundary.size:
-        ab2 = np.abs(boundary) ** 2
-        # Chunked to keep the pairwise distance matrix small.
-        flat = z.ravel()
-        res = np.empty(flat.shape)
-        step = 512
-        for i in range(0, flat.size, step):
-            blk = flat[i : i + step, None]
-            d = 2.0 * np.abs(blk - boundary[None, :]) / np.sqrt(
-                (1.0 + np.abs(blk) ** 2) * (1.0 + ab2[None, :])
-            )
-            res[i : i + step] = d.min(axis=1)
-        best = res.reshape(z.shape)
-    if with_inf:
-        best = np.minimum(best, 2.0 / np.sqrt(1.0 + az2))
-    return best
+def _chord_to_great_circle(p):
+    """Chordal distance from a point of the unit sphere to the great circle
+    {P_k = 0}, given p = P_k: sqrt(2 - 2 sqrt(1 - p^2)), written so that
+    small p loses no digits to cancellation."""
+    return np.abs(p) * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - p * p)))
 
 
 def eps_to_boundary(domain: Domain, z):
@@ -197,10 +142,16 @@ def eps_to_boundary(domain: Domain, z):
 
     This is the error envelope used by the approximation pipeline: it is
     positive on the domain and tends to zero along any sequence leaving
-    every compact subset.  Closed forms are used for the whole plane
-    (distance to infinity alone) and for the disc (radial projection onto
-    the circle); the half plane and the slit plane fall back on dense
-    boundary sampling together with the infinity term.
+    every compact subset.  Every domain has a closed form.  The whole
+    plane measures the distance to infinity alone and the disc projects
+    radially onto the circle.  The other two lift z = x + iy to the unit
+    sphere, P = (2x, 2y, |z|^2 - 1) / (1 + |z|^2), where the chordal
+    distance to the great circle {P_k = 0} is sqrt(2 - 2 sqrt(1 - P_k^2)).
+    The boundary iR + inf of the half plane is the circle P_1 = 0.  The
+    boundary (-inf, 0] + inf of the slit plane is the half of the circle
+    P_2 = 0 with P_1 <= 0: for Re z <= 0 the projection of P lands on that
+    half, and for Re z > 0 the nearest boundary point is an endpoint, so
+    the distance is min(chi(z, 0), chi(z, inf)).
 
     Raises DomainError when z lies outside the domain.
     """
@@ -210,13 +161,19 @@ def eps_to_boundary(domain: Domain, z):
     if not np.all(inside):
         bad = z[~np.atleast_1d(inside)][0]
         raise DomainError(f"point {bad} is not in {domain.kind.value}")
+    r = np.abs(z)
     if domain.kind is DomainKind.WHOLE_PLANE:
-        out = 2.0 / np.sqrt(1.0 + np.abs(z) ** 2)
+        out = 2.0 / np.sqrt(1.0 + r**2)
     elif domain.kind is DomainKind.UNIT_DISC:
-        r = np.abs(z)
         out = 2.0 * (1.0 - r) / np.sqrt(2.0 * (1.0 + r * r))
+    elif domain.kind is DomainKind.RIGHT_HALF_PLANE:
+        out = _chord_to_great_circle(2.0 * z.real / (1.0 + r**2))
     else:
-        out = _min_chordal_to(z, _boundary_points(domain.kind), with_inf=True)
+        out = np.where(
+            z.real <= 0.0,
+            _chord_to_great_circle(2.0 * z.imag / (1.0 + r**2)),
+            2.0 * np.minimum(r, 1.0) / np.sqrt(1.0 + r**2),
+        )
     return float(out[0]) if scalar else out
 
 

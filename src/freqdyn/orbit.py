@@ -98,15 +98,6 @@ class PairScan:
         els = self.designed.elements
         return els[els <= horizon]
 
-    @property
-    def designed_errors(self) -> np.ndarray:
-        return self.errors[self.designed_elements - 1]
-
-    @property
-    def max_error_designed(self) -> float:
-        errs = self.designed_errors
-        return float(np.max(errs)) if errs.size else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class OrbitScanReport:

@@ -1,6 +1,8 @@
 """Config handling, sigma golden values, command artifacts, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -664,6 +666,19 @@ def test_main_runtime_error_exits_2_without_traceback(tmp_path, monkeypatch, cap
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_main_refuses_pair_counts_past_the_enumeration_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    argv = ["sepfamily", os.path.join(CONFIGS, "sepfamily.ini"),
+            "--override", "family.pairs=60"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "family.pairs" in lines[0]
+    assert not (tmp_path / "out" / "sepfamily").exists()
+
+
 @pytest.mark.parametrize(
     "command, config, overrides",
     [
@@ -790,3 +805,103 @@ def test_main_override_changes_result(tmp_path, monkeypatch):
 def test_main_rejects_unknown_command(tmp_path):
     with pytest.raises(SystemExit):
         main(["warp", str(tmp_path / "x.ini")])
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the entry point
+
+_COMMAND_CONFIGS = {
+    "sigma": "sigma.ini",
+    "example1": "example1.ini",
+    "example2": "example2.ini",
+    "example3": "example3.ini",
+    "example4": "example4.ini",
+    "example5": "example5.ini",
+    "build_fhc": "existence.ini",
+    "scan": "scan.ini",
+    "density": "density.ini",
+    "split": "split.ini",
+    "sepfamily": "sepfamily.ini",
+    "runaway": "runaway_strong.ini",
+}
+
+# valid choices of each string key; "bogus" is added as the invalid one
+_STRING_CHOICES = {
+    ("domain", "kind"): sorted(cli._DOMAIN_KINDS),
+    ("maps", "family"): [
+        "translation", "root_shift", "half_plane_shift", "parabolic_disc", "identity",
+    ],
+    ("maps", "schedule"): ["direct", "powers_of_two"],
+    ("set", "kind"): ["naturals", "progression"],
+    ("build", "kind"): sorted(cli._BUILD_KINDS),
+    ("runaway", "mode"): ["strong", "weak"],
+    ("scan", "candidate"): ["{candidate}", ""],
+    ("output", "dir"): ["out"],
+}
+
+# (low, high) of each integer key; every run draws the first four, and
+# family.pairs also takes two counts past density.MAX_PERIOD_POINTS
+_INT_BOUNDS = {
+    ("horizons", "n_max"): (-2, 2000),
+    ("horizons", "iterates"): (-2, 500),
+    ("tolerances", "max_degree"): (-2, 32),
+    ("family", "pairs"): (-2, 12),
+    ("family", "multiplier"): (-2, 30),
+    ("tolerances", "grid_res"): (-2, 5),
+    ("set", "first"): (-3, 50),
+    ("set", "step"): (-3, 50),
+}
+_ALWAYS = tuple(_INT_BOUNDS)[:4]
+
+
+def _override_value(section, key, kind):
+    if kind is str:
+        return st.sampled_from(_STRING_CHOICES[(section, key)] + ["bogus"])
+    if kind is int:
+        low, high = _INT_BOUNDS.get((section, key), (-2, 6))
+        values = st.integers(low, high)
+        if (section, key) == ("family", "pairs"):
+            values = st.one_of(values, st.sampled_from([27, 60]))
+        return values.map(str)
+    return st.one_of(
+        st.sampled_from([0.0, -1.0, 0.25, 1.0, 2.0, 1e6]),
+        st.floats(-10.0, 10.0, allow_nan=False),
+    ).map(repr)
+
+
+@st.composite
+def _main_runs(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_CONFIGS)))
+    free = [(s, k, kind) for s, k, _, kind in cli._FIELDS if (s, k) not in _ALWAYS]
+    picked = draw(st.lists(st.sampled_from(free), max_size=4, unique=True))
+    overrides = [
+        f"{s}.{k}={draw(_override_value(s, k, kind))}"
+        for s, k, kind in [(s, k, cli._KEY_TABLE[s, k][1]) for s, k in _ALWAYS] + picked
+    ]
+    return command, overrides
+
+
+@given(run=_main_runs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_main_fuzzed_overrides_exit_cleanly(run, existence_artifacts, tmp_path_factory):
+    command, overrides = run
+    _, _, candidate = existence_artifacts
+    argv = [command, os.path.join(CONFIGS, _COMMAND_CONFIGS[command])]
+    for item in overrides:
+        argv += ["--override", item.format(candidate=candidate)]
+    out, err = io.StringIO(), io.StringIO()
+    old = os.environ.get(cli.ENV_OUTPUT)
+    os.environ[cli.ENV_OUTPUT] = str(tmp_path_factory.mktemp("fuzz"))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        if old is None:
+            os.environ.pop(cli.ENV_OUTPUT)
+        else:
+            os.environ[cli.ENV_OUTPUT] = old
+    text = out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in text, argv
+    if code == 2:
+        assert len([ln for ln in text.splitlines() if ln.startswith("error:")]) == 1, argv

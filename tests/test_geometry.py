@@ -142,6 +142,69 @@ def test_eps_right_half_plane_matches_brute_force():
         assert eps_to_boundary(dom, z) == pytest.approx(brute, rel=1e-3)
 
 
+def _envelope_reference(z: complex, rays) -> float:
+    """Chordal distance from z to the rays {d t : t >= 0} plus infinity,
+    found without any closed form: the best point of a log grid over t on
+    each ray, refined by bounded Brent on the bracket of its neighbours,
+    then the minimum with the tip t = 0 and the infinity term."""
+    from scipy.optimize import minimize_scalar
+
+    ts = np.logspace(-12.0, 12.0, 24 * 400 + 1)
+    best = min(chordal_oracle(z, 0j), chordal_oracle(z, INF))
+    for d in rays:
+        i = int(np.argmin(chordal_distance(z, d * ts)))
+        c = ts[i]
+        lo, hi = ts[max(i - 1, 0)] - c, ts[min(i + 1, ts.size - 1)] - c
+        best = min(best, chordal_oracle(z, d * c))
+        # Brent's tolerance grows with the offset it returns, so each pass
+        # re-centres on the last minimiser and shrinks the bracket 10^6-fold.
+        for _ in range(3):
+            res = minimize_scalar(
+                lambda s: chordal_oracle(z, d * (c + s)),
+                bounds=(lo, hi),
+                method="bounded",
+                options={"xatol": 1e-13 * (hi - lo)},
+            )
+            best = min(best, float(res.fun))
+            c += res.x
+            lo, hi = -1e-6 * (hi - lo), 1e-6 * (hi - lo)
+    return best
+
+
+_SLIT_RAYS = (-1.0 + 0j,)
+_AXIS_RAYS = (1j, -1j)
+
+
+def _envelope_cases():
+    rng = np.random.default_rng(20260)
+    slit = [-1 + 1e-2j, -1 + 1e-4j, -1 + 1e-6j, -37.3 + 1e-3j]
+    axis = [1e-2 + 1j, 1e-6 + 3.7j, 1e-3 + 250j]
+    for _ in range(40):
+        sign = rng.choice([-1.0, 1.0])
+        # Re z <= 0 near the slit, and Re z <= 0 near iR, in the slit plane
+        slit.append(complex(-(10 ** rng.uniform(-3, 3)), sign * 10 ** rng.uniform(-8, -1)))
+        slit.append(complex(-(10 ** rng.uniform(-8, -1)), sign * 10 ** rng.uniform(-3, 3)))
+        # Re z > 0 anywhere in the slit plane, and near iR in the half plane
+        slit.append(complex(10 ** rng.uniform(-3, 3), sign * 10 ** rng.uniform(-8, 3)))
+        axis.append(complex(10 ** rng.uniform(-8, -1), sign * 10 ** rng.uniform(-3, 3)))
+    slit += [0.0 + 0.5j, 0.0 - 3.0j]
+    return [(Domain.slit_plane(), z, _SLIT_RAYS) for z in slit] + [
+        (Domain.right_half_plane(), z, _AXIS_RAYS) for z in axis
+    ]
+
+
+def test_eps_matches_refined_reference_near_the_boundary():
+    cases = _envelope_cases()
+    for dom, z, rays in cases:
+        want = _envelope_reference(z, rays)
+        got = eps_to_boundary(dom, z)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0), (dom.kind, z)
+    for dom in (Domain.slit_plane(), Domain.right_half_plane()):
+        zs = np.array([z for d, z, _ in cases if d == dom])
+        want = [eps_to_boundary(dom, z) for z in zs]
+        assert np.array_equal(eps_to_boundary(dom, zs), want)
+
+
 def test_eps_rejects_outside_points():
     with pytest.raises(DomainError):
         eps_to_boundary(Domain.unit_disc(), 2.0 + 0.0j)
@@ -159,8 +222,6 @@ def test_domain_membership():
     assert not Domain.unit_disc().contains(1.0 + 0.0j)
     assert Domain.unit_disc().contains(1.0 + 0.0j, slack=1e-9)
     assert Domain.right_half_plane().contains(1e-12 + 5j)
-    for d in (Domain.whole_plane(), Domain.unit_disc(), Domain.right_half_plane(), Domain.slit_plane()):
-        assert d.describe_boundary()
 
 
 # ---------------------------------------------------------------------------
