@@ -96,6 +96,12 @@ DEFAULT_T_MAX = 1.0e6
 # Interior minima of the growth ratio are bracketed on a log-spaced
 # probe grid before golden-section refinement.
 SIGMA_GRID_POINTS = 4096
+SIGMA_XTOL = 1e-12
+# scipy's rounded golden-ratio conjugate, kept so that sigma matches its
+# golden search bit for bit
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+GOLDEN_MAXITER = 5000
 RICHARDSON_FACTOR = 10.0
 
 # Conformal conjugation identities must close to this residual; it sits
@@ -144,11 +150,40 @@ def _growth_ratio(alpha: float, beta: float) -> Callable:
     return value
 
 
-def _interior_minimum(ratio: Callable, t_max: float) -> tuple:
-    # imported here, not at module level: loading scipy.optimize is a large
-    # share of start-up and only the sigma computation needs it
-    from scipy import optimize
+def _golden_section(f: Callable, xa: float, xb: float, xc: float, xtol: float) -> tuple:
+    """Golden-section search (Kiefer 1953) in the bracket xa < xb < xc.
 
+    Returns (x, f(x)) for the better of the two final interior points.
+    The arithmetic repeats scipy.optimize.minimize_scalar(method="golden")
+    with a three-point bracket step for step, constants included, so both
+    give equal results under ==.  Raises ValueError unless f(xb) lies
+    below f(xa) and f(xc); after GOLDEN_MAXITER steps it returns the best
+    point found.
+    """
+    fa, fb, fc = f(xa), f(xb), f(xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError("golden-section bracket needs f(xb) below f(xa) and f(xc)")
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(GOLDEN_MAXITER):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f1 = f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
+def _interior_minimum(ratio: Callable, t_max: float) -> tuple:
     lo = math.log1p(1e-8)
     hi = math.log(t_max)
     us = np.linspace(lo, hi, SIGMA_GRID_POINTS)
@@ -157,15 +192,14 @@ def _interior_minimum(ratio: Callable, t_max: float) -> tuple:
     t_best = float(np.exp(us[i]))
     v_best = float(vals[i])
     if 0 < i < us.size - 1 and vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-        res = optimize.minimize_scalar(
+        x, fx = _golden_section(
             lambda u: float(ratio(math.exp(u))),
-            bracket=(us[i - 1], us[i], us[i + 1]),
-            method="golden",
-            options={"xtol": 1e-12},
+            float(us[i - 1]), float(us[i]), float(us[i + 1]),
+            SIGMA_XTOL,
         )
-        if float(res.fun) < v_best:
-            t_best = math.exp(float(res.x))
-            v_best = float(res.fun)
+        if fx < v_best:
+            t_best = math.exp(x)
+            v_best = fx
     return t_best, v_best
 
 
@@ -1435,8 +1469,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = apply_overrides(load_config(args.config), args.override)
         _check_exponents(args.command, cfg)
         result = _COMMANDS[args.command](cfg)
-    except (OSError, ValueError, RuntimeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, OverflowError, MemoryError) as exc:
+        # a bare MemoryError carries no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         if cfg is not None:
             _remove_if_empty(_output_dir(cfg, args.command))
         return 2

@@ -479,7 +479,11 @@ def image_enclosing_disc(
 
 def maps_into(m: HoloMap, d: Domain, c: CompactSet, resolution: int = 3) -> bool:
     """True iff every mapped sample point of c lies in d."""
-    pts = sample_grid(c, resolution)
+    return _maps_points_into(m, d, sample_grid(c, resolution))
+
+
+def _maps_points_into(m: HoloMap, d: Domain, pts: np.ndarray) -> bool:
+    """True iff m is defined at every point of pts and sends each into d."""
     if pts.size == 0:
         return True
     try:

@@ -33,11 +33,11 @@ from .maps import (
     HoloMap,
     Identity,
     _linear_coeffs,
+    _maps_points_into,
     apply,
     image_enclosing_disc,
     iterate,
     map_domain,
-    maps_into,
 )
 
 __all__ = [
@@ -230,11 +230,12 @@ def collect_islands(cfg: RunawayConfig) -> tuple:
     islands = []
     for nu in range(1, cfg.nu_max + 1):
         source = cfg.exhaustion.member(nu)
+        pts = sample_grid(source, cfg.resolution)
         for n in cfg.family(nu):
             if n > cfg.n_max:
                 break
             m = cfg.maps(n)
-            if not maps_into(m, cfg.domain, source, cfg.resolution):
+            if not _maps_points_into(m, cfg.domain, pts):
                 raise ValueError(
                     f"map at index {n} does not send level {nu} into the domain"
                 )

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqdyn.cli as cli
-from freqdyn import runaway
+from freqdyn import density, runaway
 from freqdyn.density import IndexSet
 from freqdyn.geometry import Domain, whole_plane_exhaustion
 from freqdyn.maps import Similarity
@@ -184,6 +186,84 @@ def test_sigma_validation():
         cmd_sigma(0.5, 1.0)
     with pytest.raises(ValueError, match="t_max"):
         cmd_sigma(0.0, 1.0, t_max=5.0)
+
+
+def _scipy_golden(f, xa, xb, xc, xtol):
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(f, bracket=(xa, xb, xc), method="golden",
+                           options={"xtol": xtol})
+
+
+def test_golden_section_matches_scipy_on_sigma_brackets(monkeypatch):
+    brackets = []
+    real = cli._golden_section
+
+    def recording(f, xa, xb, xc, xtol):
+        brackets.append((f, xa, xb, xc, xtol))
+        return real(f, xa, xb, xc, xtol)
+
+    monkeypatch.setattr(cli, "_golden_section", recording)
+    rng = np.random.default_rng(20240917)
+    while len(brackets) < 40:
+        alpha, beta = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 6.0)
+        if beta >= 1.0 + alpha:
+            cli._interior_minimum(cli._growth_ratio(alpha, beta),
+                                  float(rng.choice([1e6, 1e7])))
+    for f, xa, xb, xc, xtol in brackets:
+        res = _scipy_golden(f, xa, xb, xc, xtol)
+        assert real(f, xa, xb, xc, xtol) == (res.x, res.fun)
+
+
+@pytest.mark.parametrize(
+    "bracket, xtol, steps",
+    [
+        # xtol = 0 is never met: both searches stop at the iteration cap
+        ((0.5, 0.8, 2.0), 0.0, cli.GOLDEN_MAXITER),
+        ((0.0, 1.2, 1.5), 0.0, cli.GOLDEN_MAXITER),
+        # |x3 - x0| equals xtol (|x1| + |x2|) before the first step
+        ((0.5, 0.8, 2.0), 0.7287357771448106, 0),
+    ],
+)
+def test_golden_section_takes_scipy_steps(bracket, xtol, steps):
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return math.cos(3.0 * u) + 0.1 * u
+
+    res = _scipy_golden(f, *bracket, xtol)
+    assert res.nit == steps
+    calls.clear()
+    assert cli._golden_section(f, *bracket, xtol) == (res.x, res.fun)
+    assert len(calls) == res.nfev
+
+
+@pytest.mark.parametrize(
+    "f", [lambda u: 1.0, lambda u: (u - 1.5) ** 2, lambda u: math.nan],
+)
+def test_golden_section_refuses_a_non_bracket_like_scipy(f):
+    with pytest.raises(ValueError):
+        _scipy_golden(f, 0.0, 1.0, 2.0, 1e-12)
+    with pytest.raises(ValueError, match="bracket"):
+        cli._golden_section(f, 0.0, 1.0, 2.0, 1e-12)
+
+
+def test_sigma_and_example1_run_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, FREQDYN_OUT=str(tmp_path), PYTHONPATH=src)
+    script = (
+        "import sys\n"
+        "from freqdyn.cli import main\n"
+        f"assert main(['sigma', {os.path.join(CONFIGS, 'sigma.ini')!r}]) == 0\n"
+        f"assert main(['example1', {os.path.join(CONFIGS, 'example1.ini')!r}]) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "sigma" / "report.json").is_file()
 
 
 @settings(max_examples=25, deadline=None)
@@ -664,6 +744,31 @@ def test_main_runtime_error_exits_2_without_traceback(tmp_path, monkeypatch, cap
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 74.5 GiB"), "error: Unable to allocate 74.5 GiB"),
+        (MemoryError(), "error: MemoryError"),
+    ],
+)
+def test_main_memory_error_exits_2_without_traceback(
+    tmp_path, monkeypatch, capsys, exc, line
+):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(density, "build_separated_family", exhausted)
+    argv = ["sepfamily", os.path.join(CONFIGS, "sepfamily.ini")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert lines == [line]
+    assert not (tmp_path / "out" / "sepfamily").exists()
 
 
 def test_main_refuses_pair_counts_past_the_enumeration_cap(tmp_path, monkeypatch, capsys):

@@ -401,6 +401,24 @@ def test_membership_guard_rejects_escaping_maps():
         collect_islands(cfg)
 
 
+def test_collect_islands_samples_each_level_once(monkeypatch):
+    from freqdyn import maps
+
+    calls = []
+
+    def counting(c, resolution):
+        calls.append(c)
+        return sample_grid(c, resolution)
+
+    # translations have exact image discs, so every sample is a domain check
+    monkeypatch.setattr(runaway, "sample_grid", counting)
+    monkeypatch.setattr(maps, "sample_grid", counting)
+    cfg = _family_config(2000, nu_max=3)
+    islands = collect_islands(cfg)
+    assert len(islands) > 10 * cfg.nu_max
+    assert len(calls) <= cfg.nu_max
+
+
 def test_config_domain_mismatch_rejected():
     with pytest.raises(ValueError, match="domain"):
         RunawayConfig(
