@@ -74,6 +74,11 @@ CIRCLE_QUADRATURE_POINTS = 2048
 
 _EPS_RESOLUTION = 3
 
+# Columns of the Hessenberg recurrence per matrix product in
+# ArnoldiPoly.basis, and points per basis matrix in ArnoldiPoly.evaluate.
+BASIS_BLOCK = 32
+EVAL_CHUNK = 512
+
 
 # ---------------------------------------------------------------------------
 # Polynomial representations
@@ -141,21 +146,33 @@ class ArnoldiPoly:
         return int(self.coefficients.size - 1)
 
     def basis(self, z: np.ndarray) -> np.ndarray:
-        """Basis values q_k(z) as the rows of a (degree + 1, len(z)) array."""
+        """Basis values q_k(z) as the rows of a (degree + 1, len(z)) array.
+
+        The recurrence runs in blocks of BASIS_BLOCK columns of H: the
+        terms from the rows before a block enter through one matrix
+        product, and only the rows inside the block take the per-k step.
+        """
         z = np.asarray(z, dtype=complex).ravel()
         d = self.degree
+        h = self.hessenberg
         q = np.empty((d + 1, z.size), dtype=complex)
         q[0] = 1.0 / self.norm0
-        for k in range(d):
-            v = z * q[k] - self.hessenberg[: k + 1, k] @ q[: k + 1]
-            q[k + 1] = v / self.hessenberg[k + 1, k]
+        for k0 in range(0, d, BASIS_BLOCK):
+            k1 = min(k0 + BASIS_BLOCK, d)
+            # rows j < k0 are final: their share of every column k in the
+            # block, sum_j H[j,k] q_j, lands in q[k+1] before the block runs
+            # (zeros for the first block)
+            np.matmul(h[:k0, k0:k1].T, q[:k0], out=q[k0 + 1 : k1 + 1])
+            for k in range(k0, k1):
+                v = z * q[k] - h[k0 : k + 1, k] @ q[k0 : k + 1] - q[k + 1]
+                q[k + 1] = v / h[k + 1, k]
         return q
 
     def evaluate(self, z):
         w = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         # blockwise so the basis matrix stays small on large grids
         out = np.empty(w.size, dtype=complex)
-        step = 8192
+        step = EVAL_CHUNK
         for s in range(0, w.size, step):
             out[s : s + step] = self.coefficients @ self.basis(w[s : s + step])
         if np.ndim(z) == 0:
@@ -168,10 +185,6 @@ PolyLike = Union[Polynomial, ArnoldiPoly]
 
 # ---------------------------------------------------------------------------
 # Dense enumeration of polynomials with Gaussian-rational coefficients
-
-
-def _cantor_pair(a: int, b: int) -> int:
-    return (a + b) * (a + b + 1) // 2 + b
 
 
 def _cantor_unpair(n: int) -> tuple:
@@ -471,13 +484,37 @@ def _fit_arnoldi(pts, vals, weights, degree):
     return ArnoldiPoly(h, norm0, coeffs)
 
 
-def _verify(fn: PolyLike, target: PiecewiseTarget, degree: int, grid_res: int, refine: int) -> list:
-    errs = []
-    for piece in target.pieces:
+def _verify(
+    fn: PolyLike,
+    target: PiecewiseTarget,
+    degree: int,
+    grid_res: int,
+    refine: int,
+    checked: Optional[list] = None,
+) -> tuple:
+    """Sup error of every piece on its refine grid.
+
+    Returns the errors and, per piece, the grid with its pointwise
+    errors.  Given those pairs from an earlier pass of the same fn as
+    checked, points found there (by exact equality) keep their error
+    and only the rest of the grid is evaluated.
+    """
+    errs, pairs = [], []
+    for idx, piece in enumerate(target.pieces):
         grid = _piece_grid(piece.region, degree, grid_res, refine)
-        err = float(np.max(np.abs(fn.evaluate(grid) - piece.spec.values(grid))))
-        errs.append(err)
-    return errs
+        pointwise = np.empty(grid.size)
+        new = np.ones(grid.size, dtype=bool)
+        if checked is not None:
+            # both grids come sorted from np.unique
+            old_grid, old_err = checked[idx]
+            at = np.minimum(np.searchsorted(old_grid, grid), old_grid.size - 1)
+            new = old_grid[at] != grid
+            pointwise[~new] = old_err[at[~new]]
+        z = grid[new]
+        pointwise[new] = np.abs(fn.evaluate(z) - piece.spec.values(z))
+        errs.append(float(np.max(pointwise)))
+        pairs.append((grid, pointwise))
+    return errs, pairs
 
 
 def fit_on_compacts(
@@ -499,21 +536,21 @@ def fit_on_compacts(
         raise ValueError(f"max_degree must be at least {START_DEGREE}")
     taus = [p.tau for p in target.pieces]
     degree = START_DEGREE
-    best = None  # (fn, errs, degree)
+    best = None  # (fn, errs, degree, checked points)
     while True:
         pts, vals, weights = _piece_data(target, min(degree, max_degree), grid_res)
         capped = min(degree, max_degree, pts.size - 1)
         fn = _fit_arnoldi(pts, vals, weights, capped)
-        errs = _verify(fn, target, capped, grid_res, 2)
+        errs, checked = _verify(fn, target, capped, grid_res, 2)
         if best is None or max(e / t for e, t in zip(errs, taus)) < max(
             e / t for e, t in zip(best[1], taus)
         ):
-            best = (fn, errs, capped)
+            best = (fn, errs, capped, checked)
         if all(e < t for e, t in zip(errs, taus)):
             break
         if capped >= max_degree or capped >= pts.size - 1:
-            fn, errs, capped = best
-            fine = _verify(fn, target, capped, grid_res, 4)
+            fn, errs, capped, checked = best
+            fine, _ = _verify(fn, target, capped, grid_res, 4, checked)
             certs = tuple(
                 PieceCertificate(e, t, f) for e, t, f in zip(errs, taus, fine)
             )
@@ -526,7 +563,7 @@ def fit_on_compacts(
             )
         degree *= 2
 
-    fine = _verify(fn, target, capped, grid_res, 4)
+    fine, _ = _verify(fn, target, capped, grid_res, 4, checked)
     certs = tuple(PieceCertificate(e, t, f) for e, t, f in zip(errs, taus, fine))
     honest = all(
         f < t and (f < 2.0 * e or f < 1e-12) for e, t, f in zip(errs, taus, fine)

@@ -537,8 +537,13 @@ def _sigma_payload(rep: SigmaReport) -> dict:
 
 
 def _write_json(path: str, payload) -> None:
+    # compact separators keep json on its C encoder; indent would not
     text = json.dumps(
-        payload, default=_json_default, indent=2, sort_keys=True, allow_nan=False
+        payload,
+        default=_json_default,
+        separators=(",", ":"),
+        sort_keys=True,
+        allow_nan=False,
     )
     _atomic_write(path, text + "\n")
 

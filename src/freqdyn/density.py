@@ -419,13 +419,20 @@ def verify_separated_family(family: SeparatedFamily, burn_in: Optional[int] = No
 # Finite growth criteria
 
 
-def _seq_values(seq, count: int) -> np.ndarray:
+def _seq_values(seq, count: int, dtype) -> np.ndarray:
+    """The first count values of seq as a dtype array.
+
+    A callable is asked for seq(1), ..., seq(count) only after the whole
+    output is allocated, so a horizon too large to hold fails at once.
+    """
     if callable(seq):
-        return np.asarray([seq(n) for n in range(1, count + 1)])
+        return np.fromiter(
+            (seq(n) for n in range(1, count + 1)), dtype=dtype, count=count
+        )
     arr = np.asarray(seq)
     if arr.size < count:
         raise ValueError(f"sequence shorter than the horizon ({arr.size} < {count})")
-    return arr[:count]
+    return arr[:count].astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -450,9 +457,9 @@ def check_similarity_criterion(a_seq, b_seq, omega_seq, horizon: int) -> Similar
     O(horizon) memory.  The witness is the lexicographically least
     violating (m, n), both 1-based.
     """
-    a = _seq_values(a_seq, horizon).astype(complex)
-    b = _seq_values(b_seq, horizon).astype(complex)
-    omega = _seq_values(omega_seq, horizon).astype(float)
+    a = _seq_values(a_seq, horizon, complex)
+    b = _seq_values(b_seq, horizon, complex)
+    omega = _seq_values(omega_seq, horizon, float)
     if np.any(np.abs(a) == 0.0):
         raise ValueError("a_n must be nonzero for every n")
     if np.any(np.diff(omega) < 0.0):
@@ -513,7 +520,7 @@ def check_translation_separation(b_seq, horizon: int, k_max: Optional[int] = Non
         k_max = min(200, horizon // 2)
     if k_max < 1 or k_max >= horizon:
         raise ValueError("need 1 <= k_max < horizon")
-    b = _seq_values(b_seq, horizon).astype(complex)
+    b = _seq_values(b_seq, horizon, complex)
     infima = np.empty(k_max)
     for k in range(1, k_max + 1):
         infima[k - 1] = np.min(np.abs(b[k:] - b[:-k]))

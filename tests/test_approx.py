@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqdyn.approx import (
+    BASIS_BLOCK,
     ArnoldiPoly,
     BasisKind,
     CandidateStatus,
@@ -15,11 +16,11 @@ from freqdyn.approx import (
     Polynomial,
     TargetPiece,
     Zero,
-    _cantor_pair,
     _cantor_unpair,
     _fit_arnoldi,
     _gaussian_rational,
     _piece_data,
+    _piece_grid,
     _signed_rational,
     build_span_basis,
     double_split,
@@ -33,6 +34,7 @@ from freqdyn.approx import (
 )
 from freqdyn.density import arithmetic_progression, naturals
 from freqdyn.geometry import (
+    AnnularSector,
     ClosedDisc,
     Domain,
     DomainKind,
@@ -102,11 +104,8 @@ def test_arnoldi_saturates_on_few_distinct_points():
     assert np.max(np.abs(fn.evaluate(pts) - vals)) < 1e-12
 
 
-@pytest.mark.parametrize("offset", [0.0, 100.0])
-def test_arnoldi_basis_orthonormal_on_dense_shaped_grid(offset):
-    # the seven discs and budgets of the third dense member at degree 256;
-    # moved away from the origin, a single Gram-Schmidt pass loses
-    # orthogonality completely, so this pins the reorthogonalization
+def _dense_shaped_fit(offset):
+    # the seven discs and budgets of the third dense member at degree 256
     discs = ((0.0, 4.0), (8.0, 1.0), (16.0, 1.0), (24.0, 2.0), (32.0, 1.0),
              (40.0, 1.0), (48.0, 1.0))
     taus = (0.162, 0.0736, 0.0391, 0.0256, 0.0202, 0.0163, 0.0136)
@@ -117,11 +116,39 @@ def test_arnoldi_basis_orthonormal_on_dense_shaped_grid(offset):
         )
     )
     pts, _, weights = _piece_data(target, 256, 3)
-    fn = _fit_arnoldi(pts, np.exp(-pts / 30.0), weights, 256)
+    return _fit_arnoldi(pts, np.exp(-pts / 30.0), weights, 256), pts, weights
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0])
+def test_arnoldi_basis_orthonormal_on_dense_shaped_grid(offset):
+    # moved away from the origin, a single Gram-Schmidt pass loses
+    # orthogonality completely, so this pins the reorthogonalization
+    fn, pts, weights = _dense_shaped_fit(offset)
     assert fn.degree == 256
     q = fn.basis(pts) * weights
     gram = np.conj(q) @ q.T
     assert np.max(np.abs(gram - np.eye(257))) < 1e-10
+
+
+def _per_column_basis(fn, z):
+    """The Hessenberg recurrence one column at a time, for reference."""
+    q = np.empty((fn.degree + 1, z.size), dtype=complex)
+    q[0] = 1.0 / fn.norm0
+    for k in range(fn.degree):
+        v = z * q[k] - fn.hessenberg[: k + 1, k] @ q[: k + 1]
+        q[k + 1] = v / fn.hessenberg[k + 1, k]
+    return q
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0])
+def test_arnoldi_blocked_basis_matches_per_column_recurrence(offset):
+    fn, pts, _ = _dense_shaped_fit(offset)
+    assert fn.degree > 4 * BASIS_BLOCK
+    got, want = fn.basis(pts), _per_column_basis(fn, pts)
+    # the first block has no earlier rows to gather: bit for bit
+    assert np.array_equal(got[: BASIS_BLOCK + 1], want[: BASIS_BLOCK + 1])
+    scale = np.max(np.abs(want), axis=1)
+    assert np.max(np.max(np.abs(got - want), axis=1) / scale) <= 1e-12
 
 
 def test_arnoldi_chunked_evaluation_consistent():
@@ -132,20 +159,34 @@ def test_arnoldi_chunked_evaluation_consistent():
     assert isinstance(fn.evaluate(1.0 + 0.0j), complex)
 
 
+def test_arnoldi_chunked_evaluation_consistent_at_degree_256():
+    # matrix products round differently on chunks of different widths,
+    # so at high degree only agreement to rounding is promised
+    fn, pts, _ = _dense_shaped_fit(0.0)
+    whole = fn.evaluate(pts)
+    small = np.concatenate([fn.evaluate(pts[s : s + 100]) for s in range(0, pts.size, 100)])
+    assert np.max(np.abs(small - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
 # ---------------------------------------------------------------------------
 # Enumeration of polynomials with Gaussian-rational coefficients
 
 
 def test_pairing_round_trip():
-    for n in range(500):
-        a, b = _cantor_unpair(n)
-        assert _cantor_pair(a, b) == n
+    # the first 31 * 32 / 2 indices fill the diagonals a + b < 31, each
+    # pair once, b counting up along a diagonal
+    pairs = [_cantor_unpair(n) for n in range(496)]
+    assert set(pairs) == {(w - b, b) for w in range(31) for b in range(w + 1)}
+    assert len(set(pairs)) == len(pairs)
+    assert pairs[:6] == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 @given(st.integers(0, 10**9))
 def test_pairing_round_trip_hypothesis(n):
     a, b = _cantor_unpair(n)
-    assert _cantor_pair(a, b) == n
+    w = a + b
+    assert a >= 0 and b >= 0
+    assert w * (w + 1) // 2 + b == n
 
 
 def test_signed_rationals_enumerate_without_repeats():
@@ -344,6 +385,63 @@ def test_fit_arnoldi_fallback_on_far_separated_discs():
         pieces.append(TargetPiece(ClosedDisc(c, 1.0), Zero(), 1e-3))
     cand = fit_on_compacts(PiecewiseTarget(tuple(pieces)))
     assert cand.status == CandidateStatus.PASS
+
+
+def _three_disc_target():
+    # z^2, 0 and z on separated discs: the degree-128 fit leaves errors
+    # near 1e-4, far above rounding
+    pieces = (
+        (ClosedDisc(0.0, 1.0), Monomial(2)),
+        (ClosedDisc(4.0, 1.0), Zero()),
+        (ClosedDisc(8.0, 1.0), Monomial(1)),
+    )
+    return PiecewiseTarget(tuple(TargetPiece(r, f, 1e-3) for r, f in pieces))
+
+
+def _sector_and_disc_target(tau):
+    # a slit-plane base compact, whose radial edges do not nest between
+    # refinements, next to a disc
+    return PiecewiseTarget(
+        (
+            TargetPiece(AnnularSector(0.5, 2.0, 2.5), Monomial(3), tau),
+            TargetPiece(ClosedDisc(6.0, 1.0), Zero(), tau),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "target, max_degree",
+    [
+        (_three_disc_target(), 256),
+        (_sector_and_disc_target(1e-3), 256),
+        # NON-CONVERGED: the fine pass reuses the best step's points
+        (_sector_and_disc_target(1e-12), 16),
+    ],
+    ids=["discs", "sector", "sector-capped"],
+)
+def test_fine_verification_evaluates_each_point_once(monkeypatch, target, max_degree):
+    sizes = []
+    evaluate = ArnoldiPoly.evaluate
+
+    def counting(self, z):
+        sizes.append(np.size(z))
+        return evaluate(self, z)
+
+    monkeypatch.setattr(ArnoldiPoly, "evaluate", counting)
+    cand = fit_on_compacts(target, max_degree=max_degree)
+    monkeypatch.undo()
+    fine_sizes = sizes[-len(target.pieces):]
+    for piece, cert, size in zip(target.pieces, cand.certificates, fine_sizes):
+        grid2 = _piece_grid(piece.region, cand.degree, 3, 2)
+        grid4 = _piece_grid(piece.region, cand.degree, 3, 4)
+        assert size == np.setdiff1d(grid4, grid2).size < grid4.size
+        if isinstance(piece.region, AnnularSector):
+            assert np.setdiff1d(grid2, grid4).size > 0
+        # a point rounds differently in another chunk of points; where the
+        # fit cancels to a small error, that shows on the scale of the budget
+        for grid, value in ((grid2, cert.achieved), (grid4, cert.fine_grid)):
+            full = np.max(np.abs(cand.evaluate(grid) - piece.spec.values(grid)))
+            assert value == pytest.approx(full, rel=1e-12, abs=1e-12 * piece.tau)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from freqdyn.density import (
     GROWTH_THRESHOLDS,
     IndexSet,
+    _seq_values,
     arithmetic_progression,
     build_separated_family,
     check_similarity_criterion,
@@ -429,6 +430,33 @@ def test_similarity_criterion_memory_is_linear_in_horizon():
         tracemalloc.stop()
     assert rep.passed
     assert peak < 8e6
+
+
+def test_callable_sequences_fail_at_one_allocation():
+    # an impossible horizon is refused by numpy before the sequence is
+    # called once, not after a list of 2**62 values has started to grow
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        if len(calls) > 1000:  # a regression fails here, not out of memory
+            raise RuntimeError("sequence called before the allocation")
+        return n
+
+    with pytest.raises(ValueError, match="too big"):
+        check_translation_separation(counting, horizon=2**62)
+    with pytest.raises(ValueError, match="too big"):
+        check_similarity_criterion(counting, counting, counting, horizon=2**62)
+    assert calls == []
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_callable_sequence_values_match_a_list_of_calls(dtype):
+    for seq in (lambda n: n * n, lambda n: 1.0 / n, lambda n: 0.5 * n**1.5):
+        want = np.asarray([seq(n) for n in range(1, 301)]).astype(dtype)
+        got = _seq_values(seq, 300, dtype)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(_seq_values(np.arange(5), 3, dtype), np.arange(3).astype(dtype))
 
 
 def test_translation_separation_quadratic():
