@@ -59,6 +59,7 @@ __all__ = [
     "enumerate_dense_polynomial",
     "fit_on_compacts",
     "gram_independence",
+    "island_label",
     "l2_circle_norm",
     "l2_distance_on_circle",
     "min_envelope",
@@ -594,14 +595,16 @@ def double_split(a: IndexSet, l_max: int, p_max: int, horizon: int) -> dict:
     return out
 
 
-def _label_lookup(splits: dict) -> Callable[[int, int], Optional[tuple]]:
-    def lookup(n: int, nu: int):
-        for key, index_set in splits.get(nu, {}).items():
-            if n in index_set:
-                return key
-        return None
+def island_label(splits: dict, n: int, nu: int) -> Optional[tuple]:
+    """Key (l, p) of the piece of level nu that holds index n, or None.
 
-    return lookup
+    splits maps nu -> dict[(l, p) -> IndexSet], as double_split builds
+    each level; the pieces of one level are disjoint.
+    """
+    for key, index_set in splits.get(nu, {}).items():
+        if n in index_set:
+            return key
+    return None
 
 
 def _island_piece(
@@ -619,29 +622,22 @@ def _island_piece(
 def assemble_existence_target(
     tr: CarlemanTruncation,
     splits: dict,
-    l_max: int,
     resolution: int = _EPS_RESOLUTION,
 ) -> PiecewiseTarget:
     """One piece per island: the l-th enumerated polynomial composed with
     the island's inverse map, at tolerance min over the island of the
     boundary envelope.
 
-    splits maps nu -> list of IndexSets (the per-level label split);
-    islands whose index falls outside every labelled set with l <= l_max
+    splits maps nu -> dict[(l, 1) -> IndexSet], a double_split with one
+    p-block; islands whose index falls outside every labelled set
     receive the zero target.
     """
     if tr.bases:
         raise ValueError("the existence build uses a truncation without bases")
     pieces = []
     for island in tr.islands:
-        label = None
-        for l_idx, index_set in enumerate(splits.get(island.nu, []), start=1):
-            if l_idx > l_max:
-                break
-            if island.n in index_set:
-                label = l_idx
-                break
-        poly = enumerate_dense_polynomial(label) if label is not None else None
+        label = island_label(splits, island.n, island.nu)
+        poly = enumerate_dense_polynomial(label[0]) if label is not None else None
         pieces.append(
             _island_piece(tr.domain, island, poly, lambda e: e, resolution)
         )
@@ -663,9 +659,8 @@ def _member_target(
     tau = lambda e: scale * min(1.0, e)
     eps_base = min_envelope(tr.domain, base, resolution)
     pieces = [TargetPiece(base, base_spec, tau(eps_base))]
-    lookup = _label_lookup(splits)
     for island in tr.islands:
-        key = lookup(island.n, island.nu)
+        key = island_label(splits, island.n, island.nu)
         poly = None
         if key is not None and key[1] == block:
             poly = enumerate_dense_polynomial(key[0])

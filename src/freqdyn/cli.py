@@ -67,6 +67,7 @@ from .maps import (
     apply,
     maps_into,
 )
+from .sigma import DEFAULT_T_MAX, SigmaReport, cmd_sigma
 
 __all__ = [
     "ExperimentConfig",
@@ -91,18 +92,6 @@ __all__ = [
 ]
 
 ENV_OUTPUT = "FREQDYN_OUT"
-DEFAULT_T_MAX = 1.0e6
-
-# Interior minima of the growth ratio are bracketed on a log-spaced
-# probe grid before golden-section refinement.
-SIGMA_GRID_POINTS = 4096
-SIGMA_XTOL = 1e-12
-# scipy's rounded golden-ratio conjugate, kept so that sigma matches its
-# golden search bit for bit
-_GOLDEN_R = 0.61803399
-_GOLDEN_C = 1.0 - _GOLDEN_R
-GOLDEN_MAXITER = 5000
-RICHARDSON_FACTOR = 10.0
 
 # Conformal conjugation identities must close to this residual; it sits
 # far above double-precision round-off and far below any model error.
@@ -115,217 +104,71 @@ WEAK_DENSITY_FLOOR = 0.01
 
 # Map indices probed when checking conjugation formulas pointwise.
 PROBE_STEPS = (1, 2, 3, 5, 10, 100)
+# Points and outer radius of the disc mesh those checks run on.
 MESH_POINTS = 1000
+MESH_RADIUS = 0.95
 
 CANDIDATE_FORMAT = "freqdyn-candidate-v3"
-
-
-# ---------------------------------------------------------------------------
-# growth exponent
-
-
-@dataclass(frozen=True)
-class SigmaReport:
-    """Infimum of the island separation ratio and the radius constant."""
-
-    alpha: float
-    beta: float
-    t_max: float
-    sigma: float
-    c_const: float
-    interior_min: float
-    t_at_min: float
-    limit_at_one: float
-    limit_at_inf: float
-    richardson: float
-
-
-def _growth_ratio(alpha: float, beta: float) -> Callable:
-    gap = beta - alpha
-    def value(t):
-        t = np.asarray(t, dtype=float)
-        return (np.power(t, beta) - 1.0) / (
-            np.power(t, alpha) * np.power(t - 1.0, gap)
-        )
-    return value
-
-
-def _golden_section(f: Callable, xa: float, xb: float, xc: float, xtol: float) -> tuple:
-    """Golden-section search (Kiefer 1953) in the bracket xa < xb < xc.
-
-    Returns (x, f(x)) for the better of the two final interior points.
-    The arithmetic repeats scipy.optimize.minimize_scalar(method="golden")
-    with a three-point bracket step for step, constants included, so both
-    give equal results under ==.  Raises ValueError unless f(xb) lies
-    below f(xa) and f(xc); after GOLDEN_MAXITER steps it returns the best
-    point found.
-    """
-    fa, fb, fc = f(xa), f(xb), f(xc)
-    if not (fb < fa and fb < fc):
-        raise ValueError("golden-section bracket needs f(xb) below f(xa) and f(xc)")
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
-    else:
-        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_MAXITER):
-        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
-            break
-        if f2 < f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
-            f2 = f(x2)
-        else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
-            f1 = f(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
-
-
-def _interior_minimum(ratio: Callable, t_max: float) -> tuple:
-    lo = math.log1p(1e-8)
-    hi = math.log(t_max)
-    us = np.linspace(lo, hi, SIGMA_GRID_POINTS)
-    vals = np.asarray(ratio(np.exp(us)), dtype=float)
-    i = int(np.argmin(vals))
-    t_best = float(np.exp(us[i]))
-    v_best = float(vals[i])
-    if 0 < i < us.size - 1 and vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-        x, fx = _golden_section(
-            lambda u: float(ratio(math.exp(u))),
-            float(us[i - 1]), float(us[i]), float(us[i + 1]),
-            SIGMA_XTOL,
-        )
-        if fx < v_best:
-            t_best = math.exp(x)
-            v_best = fx
-    return t_best, v_best
-
-
-def cmd_sigma(alpha: float, beta: float, t_max: float = DEFAULT_T_MAX) -> SigmaReport:
-    """Minimise (t^beta - 1) / (t^alpha (t-1)^(beta-alpha)) over t > 1.
-
-    The infimum over the open half-line is the least of the interior
-    grid-plus-golden minimum and the two analytic endpoint values: the
-    ratio tends to 1 as t grows without bound, and as t decreases to 1
-    it tends to beta when the exponent gap is exactly one and diverges
-    otherwise.  The reported Richardson value extrapolates the interior
-    minimum from t_max and 10 t_max and serves as a consistency check.
-    """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if beta < 1.0 + alpha:
-        raise ValueError("the exponent gap beta - alpha must be at least one")
-    if t_max <= 10.0:
-        raise ValueError("t_max must exceed 10")
-    ratio = _growth_ratio(alpha, beta)
-    gap = beta - alpha
-    limit_inf = 1.0
-    limit_one = beta if abs(gap - 1.0) <= 1e-12 else math.inf
-    t_at, interior = _interior_minimum(ratio, t_max)
-    _, interior_far = _interior_minimum(ratio, RICHARDSON_FACTOR * t_max)
-    richardson = (RICHARDSON_FACTOR * interior_far - interior) / (
-        RICHARDSON_FACTOR - 1.0
-    )
-    sigma = min(interior, limit_inf, limit_one)
-    return SigmaReport(
-        alpha=float(alpha),
-        beta=float(beta),
-        t_max=float(t_max),
-        sigma=float(sigma),
-        c_const=float(min(0.5, sigma / 4.0)),
-        interior_min=float(interior),
-        t_at_min=float(t_at),
-        limit_at_one=float(limit_one),
-        limit_at_inf=float(limit_inf),
-        richardson=float(richardson),
-    )
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
 
+def _entry(key: str, default):
+    """A config field read from the INI entry key = "section.key"."""
+    return dataclasses.field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat view of one INI experiment description.
 
-    Unused entries are harmless; each subcommand reads only the fields
-    its pipeline needs.
+    Each field names its ``section.key`` entry; the type of its default
+    is the type the entry parses to.  Unused entries are harmless; each
+    subcommand reads only the fields its pipeline needs.
     """
 
-    domain_kind: str = "whole_plane"
-    map_family: str = "translation"
-    schedule: str = "direct"
-    alpha: float = 0.0
-    beta: float = 1.0
-    root_n: int = 1
-    a_param: float = 1.0
-    gamma: float = 1.0
-    c_const: float = 0.25
-    b_power: float = 2.0
-    omega_power: float = 1.0
-    pairs: int = 3
-    multiplier: int = 8
-    n_max: int = 10000
-    nu_max: int = 2
-    l_max: int = 2
-    mu_max: int = 3
-    iterates: int = 200
-    delta: float = 0.0
-    grid_res: int = 3
-    max_degree: int = 256
-    sigma_t_max: float = DEFAULT_T_MAX
-    split_parts: int = 4
-    set_kind: str = "naturals"
-    set_first: int = 1
-    set_step: int = 1
-    build_kind: str = "existence"
-    bases: int = 0
-    max_islands: int = 4
-    runaway_mode: str = "strong"
-    candidate_path: str = ""
-    out_dir: str = "out"
+    domain_kind: str = _entry("domain.kind", "whole_plane")
+    map_family: str = _entry("maps.family", "translation")
+    schedule: str = _entry("maps.schedule", "direct")
+    alpha: float = _entry("maps.alpha", 0.0)
+    beta: float = _entry("maps.beta", 1.0)
+    root_n: int = _entry("maps.root_n", 1)
+    a_param: float = _entry("maps.a", 1.0)
+    gamma: float = _entry("maps.gamma", 1.0)
+    c_const: float = _entry("maps.c", 0.25)
+    b_power: float = _entry("maps.b_power", 2.0)
+    omega_power: float = _entry("maps.omega_power", 1.0)
+    pairs: int = _entry("family.pairs", 3)
+    multiplier: int = _entry("family.multiplier", 8)
+    n_max: int = _entry("horizons.n_max", 10000)
+    nu_max: int = _entry("horizons.nu_max", 2)
+    l_max: int = _entry("horizons.l_max", 2)
+    mu_max: int = _entry("horizons.mu_max", 3)
+    iterates: int = _entry("horizons.iterates", 200)
+    delta: float = _entry("tolerances.delta", 0.0)
+    grid_res: int = _entry("tolerances.grid_res", 3)
+    max_degree: int = _entry("tolerances.max_degree", 256)
+    sigma_t_max: float = _entry("tolerances.sigma_t_max", DEFAULT_T_MAX)
+    split_parts: int = _entry("split.parts", 4)
+    set_kind: str = _entry("set.kind", "naturals")
+    set_first: int = _entry("set.first", 1)
+    set_step: int = _entry("set.step", 1)
+    build_kind: str = _entry("build.kind", "existence")
+    bases: int = _entry("build.bases", 0)
+    max_islands: int = _entry("build.max_islands", 4)
+    runaway_mode: str = _entry("runaway.mode", "strong")
+    candidate_path: str = _entry("scan.candidate", "")
+    out_dir: str = _entry("output.dir", "out")
 
 
-# (section, key, attribute, type); the single source of truth for
-# parsing, overrides and the configuration hash.
-_FIELDS = (
-    ("domain", "kind", "domain_kind", str),
-    ("maps", "family", "map_family", str),
-    ("maps", "schedule", "schedule", str),
-    ("maps", "alpha", "alpha", float),
-    ("maps", "beta", "beta", float),
-    ("maps", "root_n", "root_n", int),
-    ("maps", "a", "a_param", float),
-    ("maps", "gamma", "gamma", float),
-    ("maps", "c", "c_const", float),
-    ("maps", "b_power", "b_power", float),
-    ("maps", "omega_power", "omega_power", float),
-    ("family", "pairs", "pairs", int),
-    ("family", "multiplier", "multiplier", int),
-    ("horizons", "n_max", "n_max", int),
-    ("horizons", "nu_max", "nu_max", int),
-    ("horizons", "l_max", "l_max", int),
-    ("horizons", "mu_max", "mu_max", int),
-    ("horizons", "iterates", "iterates", int),
-    ("tolerances", "delta", "delta", float),
-    ("tolerances", "grid_res", "grid_res", int),
-    ("tolerances", "max_degree", "max_degree", int),
-    ("tolerances", "sigma_t_max", "sigma_t_max", float),
-    ("split", "parts", "split_parts", int),
-    ("set", "kind", "set_kind", str),
-    ("set", "first", "set_first", int),
-    ("set", "step", "set_step", int),
-    ("build", "kind", "build_kind", str),
-    ("build", "bases", "bases", int),
-    ("build", "max_islands", "max_islands", int),
-    ("runaway", "mode", "runaway_mode", str),
-    ("scan", "candidate", "candidate_path", str),
-    ("output", "dir", "out_dir", str),
+# (section, key, attribute, type) of every field; the one table that
+# parsing, overrides and the configuration hash read.
+_FIELDS = tuple(
+    (*f.metadata["key"].split("."), f.name, type(f.default))
+    for f in dataclasses.fields(ExperimentConfig)
 )
-
 _KEY_TABLE = {(s, k): (attr, kind) for s, k, attr, kind in _FIELDS}
 
 
@@ -353,7 +196,11 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse an INI file; unknown sections or keys are hard errors."""
     parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            # configparser spreads its messages over several lines
+            raise ValueError(f"malformed config file: {' '.join(str(exc).split())}") from None
     if parser.defaults():
         raise ValueError("the DEFAULT section is not supported, use explicit sections")
     updates = {}
@@ -409,32 +256,23 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # builders
 
 
+# domain.kind -> the exhaustion of that domain, whose domain every
+# command takes as the configured one
 _DOMAIN_KINDS = {
-    "whole_plane": DomainKind.WHOLE_PLANE,
-    "unit_disc": DomainKind.UNIT_DISC,
-    "right_half_plane": DomainKind.RIGHT_HALF_PLANE,
-    "slit_plane": DomainKind.SLIT_PLANE,
+    "whole_plane": lambda cfg: whole_plane_exhaustion(),
+    "unit_disc": lambda cfg: unit_disc_exhaustion(),
+    "right_half_plane": lambda cfg: right_half_plane_exhaustion(),
+    "slit_plane": lambda cfg: sector_exhaustion(
+        cfg.c_const, cfg.alpha, cfg.beta, cfg.root_n
+    ),
 }
 
 
-def build_domain(cfg: ExperimentConfig) -> Domain:
-    kind = _DOMAIN_KINDS.get(cfg.domain_kind)
-    if kind is None:
-        raise ValueError(f"unknown domain kind {cfg.domain_kind!r}")
-    return Domain(kind)
-
-
 def build_exhaustion(cfg: ExperimentConfig) -> Exhaustion:
-    kind = cfg.domain_kind
-    if kind == "whole_plane":
-        return whole_plane_exhaustion()
-    if kind == "unit_disc":
-        return unit_disc_exhaustion()
-    if kind == "right_half_plane":
-        return right_half_plane_exhaustion()
-    if kind == "slit_plane":
-        return sector_exhaustion(cfg.c_const, cfg.alpha, cfg.beta, cfg.root_n)
-    raise ValueError(f"unknown domain kind {kind!r}")
+    build = _DOMAIN_KINDS.get(cfg.domain_kind)
+    if build is None:
+        raise ValueError(f"unknown domain kind {cfg.domain_kind!r}")
+    return build(cfg)
 
 
 def build_schedule(cfg: ExperimentConfig) -> Callable[[int], HoloMap]:
@@ -448,7 +286,7 @@ def build_schedule(cfg: ExperimentConfig) -> Callable[[int], HoloMap]:
     elif fam == "parabolic_disc":
         base = lambda n: ParabolicDisc(cfg.a_param, cfg.gamma, n)
     elif fam == "identity":
-        dom = build_domain(cfg)
+        dom = build_exhaustion(cfg).domain
         base = lambda n: Identity(dom)
     else:
         raise ValueError(f"unknown map family {cfg.map_family!r}")
@@ -467,7 +305,7 @@ def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
     exh = build_exhaustion(cfg)
     schedule = build_schedule(cfg)
     rcfg = runaway.RunawayConfig(
-        domain=build_domain(cfg),
+        domain=exh.domain,
         maps=schedule,
         exhaustion=exh,
         family=fam.a_of_nu,
@@ -637,8 +475,26 @@ def _encode_candidate(
     return payload
 
 
+def _check_metadata(blob: dict, path: str) -> None:
+    """Refuse islands other than [n, nu] pairs of positive integers and
+    certificates without a finite positive envelope."""
+    islands, certs = blob.get("islands", []), blob.get("certificates", [])
+    # type(), not isinstance(): JSON true and false load as bool
+    if not isinstance(islands, list) or not all(
+        isinstance(i, list) and len(i) == 2 and all(type(v) is int and v > 0 for v in i)
+        for i in islands
+    ):
+        raise ValueError(f"candidate file {path}: islands must be [n, nu] positive integers")
+    if not isinstance(certs, list) or not all(
+        isinstance(c, dict) and type(c.get("envelope")) in (int, float)
+        and 0.0 < c["envelope"] < math.inf for c in certs
+    ):
+        raise ValueError(f"candidate file {path}: certificates need finite positive envelopes")
+
+
 def load_candidate(path: str):
-    """Read back a stored candidate; returns (function, metadata)."""
+    """Read back a stored candidate; returns (function, metadata) with the
+    islands and certificate envelopes checked."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("format") != CANDIDATE_FORMAT:
@@ -646,6 +502,7 @@ def load_candidate(path: str):
             f"not a candidate file of format {CANDIDATE_FORMAT}: {path};"
             " rebuild it with build_fhc"
         )
+    _check_metadata(blob, path)
     encoded = blob.get("function")
     if encoded is None:
         raise ValueError(f"candidate file carries no function: {path}")
@@ -664,22 +521,19 @@ def load_candidate(path: str):
 def _splits(kind: str, fam, cfg: ExperimentConfig) -> dict:
     """Per-level index splits that label the island targets of a build.
 
-    An existence candidate splits each family set into l_max labels;
-    member builds split it again into member blocks (one block more than
-    members for dense, whose block mu + 1 feeds member mu), and mixed
-    members subdivide the first part of a split in two.
+    Each family set splits into p-blocks and each block into l_max
+    labels, keyed (l, p): an existence candidate takes one block, dense
+    one block more than members (block mu + 1 feeds member mu), the
+    other builds one block per member; mixed members subdivide the first
+    part of a split in two.
     """
+    blocks = {"existence": 1, "dense": cfg.mu_max + 1}.get(kind, cfg.mu_max)
     out = {}
     for nu in sorted({int(nu) for nu in fam.nu_values() if int(nu) <= cfg.nu_max}):
         a = fam.a_of_nu(nu)
-        if kind == "existence":
-            out[nu] = density.split(a, cfg.l_max, cfg.n_max)
-        elif kind == "dense":
-            out[nu] = approx.double_split(a, cfg.l_max, cfg.mu_max + 1, cfg.n_max)
-        else:
-            if kind == "mixed":
-                a = density.split(a, 2, cfg.n_max)[0]
-            out[nu] = approx.double_split(a, cfg.l_max, cfg.mu_max, cfg.n_max)
+        if kind == "mixed":
+            a = density.split(a, 2, cfg.n_max)[0]
+        out[nu] = approx.double_split(a, cfg.l_max, blocks, cfg.n_max)
     return out
 
 
@@ -706,7 +560,7 @@ def _runaway_lines(rep) -> tuple:
 def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
     """Fit one candidate on the islands of a base-free truncation and
     write candidate.json; returns (candidate, verdict line, path)."""
-    target = approx.assemble_existence_target(tr, splits, cfg.l_max, cfg.grid_res)
+    target = approx.assemble_existence_target(tr, splits, cfg.grid_res)
     cand = approx.fit_on_compacts(target, cfg.max_degree, cfg.grid_res)
     line = _verdict(
         cand.status == "PASS",
@@ -719,19 +573,13 @@ def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
 
 
 def _island_pairs(islands, splits, horizon: int):
-    """Designed index sets of the (n, nu) islands, grouped by block; every
-    island index must be at most horizon."""
-    member = {}
-    for nu, pieces in splits.items():
-        for l_idx, piece in enumerate(pieces, start=1):
-            for n in piece.elements:
-                member[(int(n), int(nu))] = l_idx
+    """Designed index sets of the labelled (n, nu) islands, grouped by
+    (nu, l); every island index must be at most horizon."""
     blocks = {}
     for n, nu in islands:
-        l_idx = member.get((int(n), int(nu)))
-        if l_idx is None:
-            continue
-        blocks.setdefault((int(nu), l_idx), []).append(int(n))
+        label = approx.island_label(splits, n, nu)
+        if label is not None:
+            blocks.setdefault((int(nu), label[0]), []).append(int(n))
     out = []
     for (nu, l_idx), ns in sorted(blocks.items()):
         els = np.array(sorted(ns), dtype=np.int64)
@@ -811,10 +659,10 @@ def _scan_rows(report):
     return rows
 
 
-def _disc_mesh(count: int = MESH_POINTS, radius: float = 0.95) -> np.ndarray:
+def _disc_mesh() -> np.ndarray:
     per_ring = 40
-    rings = max(1, count // per_ring)
-    r = radius * (np.arange(1, rings + 1) / rings)
+    rings = max(1, MESH_POINTS // per_ring)
+    r = MESH_RADIUS * (np.arange(1, rings + 1) / rings)
     th = 2.0 * np.pi * np.arange(per_ring) / per_ring
     return (r[:, None] * np.exp(1j * th)[None, :]).ravel()
 
@@ -1356,8 +1204,8 @@ def cmd_runaway(cfg: ExperimentConfig) -> CommandResult:
     if cfg.runaway_mode != "weak":
         raise ValueError(f"unknown runaway mode {cfg.runaway_mode!r}")
     schedule = build_schedule(cfg)
-    domain = build_domain(cfg)
-    k = build_exhaustion(cfg).member(1)
+    exh = build_exhaustion(cfg)
+    domain, k = exh.domain, exh.member(1)
     # strong mode's test, at n = 2 too: powers of two map n = 1 to the identity
     for n in range(1, min(2, cfg.n_max) + 1):
         if not maps_into(schedule(n), domain, k, cfg.grid_res):

@@ -55,7 +55,7 @@ __all__ = [
 ROUND_TRIP_TOL = 1e-8
 # Membership slack used when validating map inputs.
 _EVAL_SLACK = 1e-9
-# Default inflation factor for sampled image bounds.
+# Inflation factor for sampled image bounds.
 IMAGE_MARGIN = 1.05
 
 
@@ -446,7 +446,6 @@ def _linear_coeffs(m: HoloMap) -> Optional[tuple]:
 def image_enclosing_disc(
     m: HoloMap,
     c: CompactSet,
-    margin: float = IMAGE_MARGIN,
     resolution: int = 3,
 ) -> ClosedDisc:
     """A closed disc certified (or analytically known) to contain m(c).
@@ -455,7 +454,7 @@ def image_enclosing_disc(
     shift the bound is the analytic one: a compact inside |z| <= R maps
     into the disc of radius n^alpha R^(1/N) about n^beta.  All other
     variants map a sample grid and return the smallest centred disc over
-    the mapped points inflated by the margin factor.
+    the mapped points inflated by the factor IMAGE_MARGIN.
     """
     enc = enclosing_disc(c)
     lin = _linear_coeffs(m)
@@ -474,7 +473,7 @@ def image_enclosing_disc(
     mapped = apply(m, pts)
     centre = complex(np.mean(mapped))
     radius = float(np.max(np.abs(mapped - centre)))
-    return ClosedDisc(centre, margin * radius)
+    return ClosedDisc(centre, IMAGE_MARGIN * radius)
 
 
 def maps_into(m: HoloMap, d: Domain, c: CompactSet, resolution: int = 3) -> bool:

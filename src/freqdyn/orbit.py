@@ -51,17 +51,6 @@ ITERATE_BLOCK = 8192
 # Steps smaller than this do not break a monotone tail.
 MONOTONE_TOL = 1e-12
 
-_EVAL_CHUNK = 1 << 16
-
-
-def _eval_chunked(f, pts: np.ndarray) -> np.ndarray:
-    flat = pts.ravel()
-    out = np.empty(flat.size, dtype=complex)
-    for s in range(0, flat.size, _EVAL_CHUNK):
-        out[s : s + _EVAL_CHUNK] = f.evaluate(flat[s : s + _EVAL_CHUNK])
-    return out.reshape(pts.shape)
-
-
 def orbit_distance(
     f: PolyLike,
     m: HoloMap,
@@ -74,7 +63,7 @@ def orbit_distance(
     if grid.size == 0:
         raise ValueError("cannot scan over an empty compact")
     mapped = apply(m, grid)
-    return float(np.max(np.abs(_eval_chunked(f, mapped) - p.evaluate(grid))))
+    return float(np.max(np.abs(f.evaluate(mapped) - p.evaluate(grid))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +160,8 @@ def scan(
     pairs: Sequence,
     grid_res: int = 3,
     envelope_constant: float = 1.0,
-    grid_slack: float = GRID_SLACK,
 ) -> OrbitScanReport:
-    """Measure hit sets {n : slack * error_n < delta} for each (nu, l) pair.
+    """Measure hit sets {n : GRID_SLACK * error_n < delta} for each (nu, l) pair.
 
     pairs is a sequence of (nu, l, designed IndexSet).  For each tested
     level nu the burn-in is the last index at which the sup of the
@@ -201,7 +189,7 @@ def scan(
         mapped = np.empty((horizon, grid.size), dtype=complex)
         for n in range(1, horizon + 1):
             mapped[n - 1] = apply(maps_schedule(n), grid)
-        vals = _eval_chunked(f, mapped)
+        vals = f.evaluate(mapped)
         eps_sup = np.max(
             eps_to_boundary(exhaustion.domain, mapped.ravel()).reshape(mapped.shape),
             axis=1,
@@ -213,7 +201,7 @@ def scan(
             errors = np.max(np.abs(vals - targ[None, :]), axis=1)
             entries.append(
                 _pair_scan(
-                    nu, l, designed, errors, eps_sup, errors * grid_slack < delta,
+                    nu, l, designed, errors, eps_sup, errors * GRID_SLACK < delta,
                     burn_in, horizon,
                 )
             )
@@ -248,7 +236,6 @@ def combination_scan(
     pairs: Sequence,
     grid_res: int = 3,
     envelope_constant: Optional[float] = None,
-    grid_slack: float = GRID_SLACK,
     phi: Optional[PolyLike] = None,
 ) -> OrbitScanReport:
     """Scan a span combination, leading coefficient normalized to one.
@@ -281,11 +268,11 @@ def combination_scan(
         half = delta / 2.0
         rep_phi = scan(
             phi, maps_schedule, exhaustion, dense_seq, half, horizon, pairs,
-            grid_res, envelope_constant, grid_slack,
+            grid_res, envelope_constant,
         )
         rep_h = scan(
             comb, maps_schedule, exhaustion, lambda l: Polynomial.zero(), half,
-            horizon, pairs, grid_res, envelope_constant, grid_slack,
+            horizon, pairs, grid_res, envelope_constant,
         )
         entries = tuple(
             _pair_scan(
@@ -294,7 +281,7 @@ def combination_scan(
                 e_phi.designed,
                 e_phi.errors + e_h.errors,
                 e_phi.eps_sup,
-                (e_phi.errors * grid_slack < half) & (e_h.errors * grid_slack < half),
+                (e_phi.errors * GRID_SLACK < half) & (e_h.errors * GRID_SLACK < half),
                 max(e_phi.burn_in, e_h.burn_in),
                 horizon,
             )
@@ -303,7 +290,7 @@ def combination_scan(
     else:
         entries = scan(
             comb, maps_schedule, exhaustion, dense_seq, delta, horizon, pairs,
-            grid_res, envelope_constant, grid_slack,
+            grid_res, envelope_constant,
         ).entries
     return OrbitScanReport(
         entries=entries,

@@ -174,8 +174,8 @@ def test_criterion_05_existence_pipeline():
         resolution=3,
     )
     tr = build_carleman_truncation(cfg, bases=0, max_islands=4)
-    splits = {nu: split(fam.a_of_nu(nu), 2, horizon) for nu in (1, 2)}
-    target = assemble_existence_target(tr, splits, 2)
+    splits = {nu: double_split(fam.a_of_nu(nu), 2, 1, horizon) for nu in (1, 2)}
+    target = assemble_existence_target(tr, splits)
     cand = fit_on_compacts(target)
     checks = [
         (f"{len(tr.islands)} islands kept (cap 4)", len(tr.islands) <= 4),
@@ -191,10 +191,10 @@ def test_criterion_05_existence_pipeline():
     delta = 2.0 * max(p.tau for p in target.pieces)
     scan_horizon = max(int(i.n) for i in tr.islands)
     pairs = [
-        (nu, l, splits[nu][l - 1])
+        (nu, l, splits[nu][(l, 1)])
         for nu in (1, 2)
         for l in (1, 2)
-        if np.any(splits[nu][l - 1].elements <= scan_horizon)
+        if np.any(splits[nu][(l, 1)].elements <= scan_horizon)
     ]
     rep = orbit.scan(
         cand.fn,

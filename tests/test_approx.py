@@ -27,12 +27,13 @@ from freqdyn.approx import (
     enumerate_dense_polynomial,
     fit_on_compacts,
     gram_independence,
+    island_label,
     l2_circle_norm,
     l2_distance_on_circle,
     min_envelope,
     verify_basis_perturbation,
 )
-from freqdyn.density import arithmetic_progression, naturals
+from freqdyn.density import arithmetic_progression, naturals, split
 from freqdyn.geometry import (
     AnnularSector,
     ClosedDisc,
@@ -456,6 +457,34 @@ def test_double_split_partitions_the_set():
     assert np.array_equal(merged, a.elements)
 
 
+@pytest.mark.parametrize(
+    "a, l_max, horizon",
+    [
+        (arithmetic_progression(5, 5, 3000), 2, 3000),
+        (arithmetic_progression(5, 5, 3000), 3, 1000),
+        (naturals(2**12), 1, 2**12),
+    ],
+)
+def test_double_split_with_one_block_matches_split(a, l_max, horizon):
+    # the existence build labels its islands from this one-block split
+    blocks = double_split(a, l_max=l_max, p_max=1, horizon=horizon)
+    assert list(blocks) == [(l, 1) for l in range(1, l_max + 1)]
+    merged = np.sort(np.concatenate([b.elements for b in blocks.values()]))
+    assert np.array_equal(merged, a.elements[a.elements <= horizon])
+    for l, piece in enumerate(split(a, l_max, horizon), start=1):
+        assert np.array_equal(blocks[(l, 1)].elements, piece.elements)
+
+
+def test_island_label_finds_the_piece_holding_an_index():
+    a = arithmetic_progression(5, 5, 3000)
+    splits = {2: double_split(a, l_max=2, p_max=3, horizon=3000)}
+    for key, piece in splits[2].items():
+        for n in piece.elements[:20]:
+            assert island_label(splits, int(n), 2) == key
+    assert island_label(splits, 7, 2) is None  # not in a
+    assert island_label(splits, 5, 1) is None  # no split at that level
+
+
 def test_double_split_block_densities():
     a = naturals(2**14)
     blocks = double_split(a, l_max=2, p_max=2, horizon=2**14)
@@ -545,14 +574,13 @@ def translation_setup():
 
 
 def test_assemble_existence_certifies(translation_setup):
-    from freqdyn.density import split
     from freqdyn.runaway import build_carleman_truncation
     from freqdyn.approx import assemble_existence_target
 
     fam, cfg = translation_setup
     tr = build_carleman_truncation(cfg, bases=0, max_islands=4)
-    splits = {nu: split(fam.a_of_nu(nu), 2, HORIZON) for nu in (1, 2)}
-    cand = fit_on_compacts(assemble_existence_target(tr, splits, 2))
+    splits = {nu: double_split(fam.a_of_nu(nu), 2, 1, HORIZON) for nu in (1, 2)}
+    cand = fit_on_compacts(assemble_existence_target(tr, splits))
     assert cand.status == CandidateStatus.PASS
     assert len(cand.certificates) == len(tr.islands)
     for cert in cand.certificates:
@@ -566,7 +594,7 @@ def test_assemble_existence_rejects_truncation_with_bases(translation_setup):
     fam, cfg = translation_setup
     tr = build_carleman_truncation(cfg, bases=1, max_islands=2)
     with pytest.raises(ValueError, match="without bases"):
-        assemble_existence_target(tr, {}, 2)
+        assemble_existence_target(tr, {})
 
 
 def test_assemble_spaceable_members_and_basis(translation_setup):

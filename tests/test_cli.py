@@ -1,6 +1,8 @@
 """Config handling, sigma golden values, command artifacts, exit codes."""
 
+import ast
 import contextlib
+import importlib
 import dataclasses
 import io
 import json
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqdyn.cli as cli
+import freqdyn.sigma as sigma
 from freqdyn import density, runaway
 from freqdyn.density import IndexSet
 from freqdyn.geometry import Domain, whole_plane_exhaustion
@@ -197,19 +200,19 @@ def _scipy_golden(f, xa, xb, xc, xtol):
 
 def test_golden_section_matches_scipy_on_sigma_brackets(monkeypatch):
     brackets = []
-    real = cli._golden_section
+    real = sigma._golden_section
 
     def recording(f, xa, xb, xc, xtol):
         brackets.append((f, xa, xb, xc, xtol))
         return real(f, xa, xb, xc, xtol)
 
-    monkeypatch.setattr(cli, "_golden_section", recording)
+    monkeypatch.setattr(sigma, "_golden_section", recording)
     rng = np.random.default_rng(20240917)
     while len(brackets) < 40:
         alpha, beta = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 6.0)
         if beta >= 1.0 + alpha:
-            cli._interior_minimum(cli._growth_ratio(alpha, beta),
-                                  float(rng.choice([1e6, 1e7])))
+            sigma._interior_minimum(sigma._growth_ratio(alpha, beta),
+                                    float(rng.choice([1e6, 1e7])))
     for f, xa, xb, xc, xtol in brackets:
         res = _scipy_golden(f, xa, xb, xc, xtol)
         assert real(f, xa, xb, xc, xtol) == (res.x, res.fun)
@@ -219,8 +222,8 @@ def test_golden_section_matches_scipy_on_sigma_brackets(monkeypatch):
     "bracket, xtol, steps",
     [
         # xtol = 0 is never met: both searches stop at the iteration cap
-        ((0.5, 0.8, 2.0), 0.0, cli.GOLDEN_MAXITER),
-        ((0.0, 1.2, 1.5), 0.0, cli.GOLDEN_MAXITER),
+        ((0.5, 0.8, 2.0), 0.0, sigma.GOLDEN_MAXITER),
+        ((0.0, 1.2, 1.5), 0.0, sigma.GOLDEN_MAXITER),
         # |x3 - x0| equals xtol (|x1| + |x2|) before the first step
         ((0.5, 0.8, 2.0), 0.7287357771448106, 0),
     ],
@@ -235,7 +238,7 @@ def test_golden_section_takes_scipy_steps(bracket, xtol, steps):
     res = _scipy_golden(f, *bracket, xtol)
     assert res.nit == steps
     calls.clear()
-    assert cli._golden_section(f, *bracket, xtol) == (res.x, res.fun)
+    assert sigma._golden_section(f, *bracket, xtol) == (res.x, res.fun)
     assert len(calls) == res.nfev
 
 
@@ -246,7 +249,7 @@ def test_golden_section_refuses_a_non_bracket_like_scipy(f):
     with pytest.raises(ValueError):
         _scipy_golden(f, 0.0, 1.0, 2.0, 1e-12)
     with pytest.raises(ValueError, match="bracket"):
-        cli._golden_section(f, 0.0, 1.0, 2.0, 1e-12)
+        sigma._golden_section(f, 0.0, 1.0, 2.0, 1e-12)
 
 
 def test_sigma_and_example1_run_without_scipy(tmp_path):
@@ -352,11 +355,11 @@ def test_candidate_matches_in_memory_function(existence_artifacts):
     )
     tr = runaway.build_carleman_truncation(rcfg, bases=0, max_islands=cfg.max_islands)
     splits = {
-        nu: density.split(fam.a_of_nu(nu), cfg.l_max, cfg.n_max)
+        nu: approx.double_split(fam.a_of_nu(nu), cfg.l_max, 1, cfg.n_max)
         for nu in sorted({int(v) for v in fam.nu_values() if v <= cfg.nu_max})
     }
     cand = approx.fit_on_compacts(
-        approx.assemble_existence_target(tr, splits, cfg.l_max, cfg.grid_res),
+        approx.assemble_existence_target(tr, splits, cfg.grid_res),
         cfg.max_degree,
         cfg.grid_res,
     )
@@ -707,6 +710,55 @@ def test_main_config_error_exits_2(tmp_path, capsys):
     assert main(["split", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[maps]\nalpha = 0\nalpha = 1\n",
+        "[maps]\nalpha = 0\n[maps]\nbeta = 1\n",
+        "alpha = 0\n[maps]\nbeta = 1\n",
+        "[maps]\nalpha = 0\nnot an entry\n",
+    ],
+    ids=["duplicate-option", "duplicate-section", "no-section-header", "unparsable-line"],
+)
+def test_main_malformed_ini_exits_2(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["sigma", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed config file")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("certificates", [{}]),
+        ("certificates", [{"envelope": None}]),
+        ("certificates", "x"),
+        ("islands", [5, 6]),
+    ],
+    ids=["no-envelope", "null-envelope", "certificates-string", "flat-islands"],
+)
+def test_scan_rejects_malformed_candidate_metadata(
+    existence_artifacts, tmp_path, monkeypatch, capsys, field, value
+):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    _, _, candidate = existence_artifacts
+    blob = json.loads(candidate.read_text())
+    blob[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    ini = tmp_path / "scan.ini"
+    ini.write_text(f"[horizons]\nn_max = 2000\n[scan]\ncandidate = {path}\n")
+    assert main(["scan", str(ini)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
 def test_main_rejects_non_finite_values(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
@@ -910,6 +962,29 @@ def test_main_override_changes_result(tmp_path, monkeypatch):
 def test_main_rejects_unknown_command(tmp_path):
     with pytest.raises(SystemExit):
         main(["warp", str(tmp_path / "x.ini")])
+
+
+# ---------------------------------------------------------------------------
+# benchmark spans
+
+
+def test_benchmark_span_targets_resolve():
+    # the traced benchmark wraps these names; a move or a deletion would
+    # leave it without a span.  The file is parsed, not imported.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "spans.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    assert targets
+    for module, name in targets:
+        assert callable(getattr(importlib.import_module(module), name, None)), (
+            module, name,
+        )
 
 
 # ---------------------------------------------------------------------------

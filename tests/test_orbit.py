@@ -14,7 +14,7 @@ from freqdyn.approx import (
     enumerate_dense_polynomial,
     fit_on_compacts,
 )
-from freqdyn.density import arithmetic_progression, build_separated_family, split
+from freqdyn.density import arithmetic_progression, build_separated_family
 from freqdyn.geometry import ClosedDisc, DomainError, sample_grid, whole_plane_exhaustion
 from freqdyn.maps import Identity, ParabolicDisc, Similarity, apply, iterate
 from freqdyn.orbit import (
@@ -45,16 +45,16 @@ def existence_setup():
         family=fam.a_of_nu, n_max=HORIZON, nu_max=2,
     )
     tr = build_carleman_truncation(cfg, bases=0, max_islands=4)
-    splits = {nu: split(fam.a_of_nu(nu), 2, HORIZON) for nu in (1, 2)}
-    target = assemble_existence_target(tr, splits, 2)
+    splits = {nu: double_split(fam.a_of_nu(nu), 2, 1, HORIZON) for nu in (1, 2)}
+    target = assemble_existence_target(tr, splits)
     cand = fit_on_compacts(target)
     delta = 2.0 * max(p.tau for p in target.pieces)
     horizon_scan = max(i.n for i in tr.islands)
     pairs = [
-        (nu, l, splits[nu][l - 1])
+        (nu, l, splits[nu][(l, 1)])
         for nu in (1, 2)
         for l in (1, 2)
-        if np.any(splits[nu][l - 1].elements <= horizon_scan)
+        if np.any(splits[nu][(l, 1)].elements <= horizon_scan)
     ]
     return cand, delta, horizon_scan, pairs
 
