@@ -69,10 +69,6 @@ __all__ = [
 # Escalation schedule: degrees double from here until max_degree.
 START_DEGREE = 8
 
-# Quadrature points for circle norms; exact (up to rounding) for
-# polynomial integrands of degree below half this count.
-CIRCLE_QUADRATURE_POINTS = 2048
-
 _EPS_RESOLUTION = 3
 
 # Columns of the Hessenberg recurrence per matrix product in
@@ -254,33 +250,56 @@ def enumerate_dense_polynomial(l: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Circle norms
+# Local Taylor coefficients and circle norms
 
 
-def _circle_points(n: int = CIRCLE_QUADRATURE_POINTS) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(n) / n
-    return np.exp(1j * theta)
+def _local_taylor(fn: PolyLike, center: complex, radius: float) -> Polynomial:
+    """Coefficients of u -> fn(center + radius u) in powers of u.
+
+    fn is evaluated once, at its degree + 1 equispaced nodes on the
+    circle |z - center| = radius, and the discrete Fourier transform of
+    those values is the coefficient vector exactly: with no more
+    coefficients than nodes nothing aliases (interpolation at roots of
+    unity, Trefethen, Approximation Theory and Approximation Practice,
+    ch. 3).  Every coefficient is at most the largest node value in
+    modulus.
+    """
+    n0 = fn.degree + 1
+    nodes = center + radius * np.exp(2j * np.pi * np.arange(n0) / n0)
+    return Polynomial(np.fft.fft(fn.evaluate(nodes)) / n0)
+
+
+def _circle_coefficients(polys) -> np.ndarray:
+    """Monomial coefficients of each polynomial as zero-padded rows.
+
+    By Parseval, products of rows are the inner products in L2 of the
+    unit circle with normalized arclength measure.
+    """
+    coeffs = [
+        (p if isinstance(p, Polynomial) else _local_taylor(p, 0.0, 1.0)).coefficients
+        for p in polys
+    ]
+    rows = np.zeros((len(coeffs), max(c.size for c in coeffs)), dtype=complex)
+    for row, c in zip(rows, coeffs):
+        row[: c.size] = c
+    return rows
+
+
+def _l2(coefficients: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(np.abs(coefficients) ** 2)))
 
 
 def l2_circle_norm(p: PolyLike) -> float:
-    """Norm in L2 of the unit circle with normalized arclength measure.
-
-    For a plain polynomial this is the square root of the sum of squared
-    moduli of its coefficients, exactly (Parseval); the orthogonal
-    sample-basis representation is integrated by midpoint quadrature,
-    which is alias-free for the degrees handled here.
-    """
-    if isinstance(p, Polynomial):
-        return float(np.sqrt(np.sum(np.abs(p.coefficients) ** 2)))
-    vals = p.evaluate(_circle_points())
-    return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+    """Norm in L2 of the unit circle with normalized arclength measure:
+    the square root of the sum of squared moduli of the monomial
+    coefficients, exactly (Parseval)."""
+    return _l2(_circle_coefficients([p])[0])
 
 
 def l2_distance_on_circle(f: PolyLike, g: PolyLike) -> float:
-    """||f - g|| in L2 of the circle, by midpoint quadrature."""
-    zs = _circle_points()
-    vals = f.evaluate(zs) - g.evaluate(zs)
-    return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+    """||f - g|| in L2 of the circle, from coefficients by Parseval."""
+    rows = _circle_coefficients([f, g])
+    return _l2(rows[0] - rows[1])
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +444,19 @@ def _piece_grid(
 ) -> np.ndarray:
     """Fit or verification grid for one piece, scaled to the degree.
 
-    The ring density tracks the polynomial degree so oscillation between
-    samples cannot hide; refine = 2 interleaves every fit angle with a
-    midpoint, refine = 4 twice over.  The interior lattice stays coarse:
-    the sup error of a holomorphic target sits on the boundary ring.
+    refine = 1 is the fit grid: max(32, degree + 1) ring points, as many
+    as fix a polynomial of the degree on a disc, and the grid_res
+    lattice.  refine = 2 and 4 are the verification grids: refine *
+    max(32, 4 (degree + 1)) ring points, so the refine-4 ring interleaves
+    every refine-2 angle with a midpoint, and a lattice twice as fine.
+    The interior lattice stays coarse: the sup error of a holomorphic
+    target sits on the boundary ring.
     """
-    m = refine * max(32, 4 * (degree + 1))
-    lattice = sample_grid(region, grid_res if refine == 1 else 2 * grid_res)
+    if refine == 1:
+        m, res = max(32, degree + 1), grid_res
+    else:
+        m, res = refine * max(32, 4 * (degree + 1)), 2 * grid_res
+    lattice = sample_grid(region, res)
     return np.unique(np.concatenate([lattice, _boundary_ring(region, m)]))
 
 
@@ -499,6 +524,13 @@ def _verify(
     errors.  Given those pairs from an earlier pass of the same fn as
     checked, points found there (by exact equality) keep their error
     and only the rest of the grid is evaluated.
+
+    On a disc of positive radius, fn is evaluated only at degree + 1
+    nodes of the boundary circle; every grid point then takes Horner's
+    rule on the local Taylor coefficients in u = (z - c) / r, |u| <= 1,
+    at O(degree) cost instead of the O(degree^2) Arnoldi recurrence.
+    The coefficients are bounded by max |fn| on the circle, so rounding
+    adds at most about 2 (degree + 1)^2 eps max |fn| to each error.
     """
     errs, pairs = [], []
     for idx, piece in enumerate(target.pieces):
@@ -512,7 +544,13 @@ def _verify(
             new = old_grid[at] != grid
             pointwise[~new] = old_err[at[~new]]
         z = grid[new]
-        pointwise[new] = np.abs(fn.evaluate(z) - piece.spec.values(z))
+        region = piece.region
+        if isinstance(region, ClosedDisc) and region.radius > 0.0:
+            local = _local_taylor(fn, region.center, region.radius)
+            values = local.evaluate((z - region.center) / region.radius)
+        else:
+            values = fn.evaluate(z)
+        pointwise[new] = np.abs(values - piece.spec.values(z))
         errs.append(float(np.max(pointwise)))
         pairs.append((grid, pointwise))
     return errs, pairs
@@ -526,12 +564,13 @@ def fit_on_compacts(
     """Weighted least-squares fit with degree escalation and certification.
 
     The degree doubles from START_DEGREE, the sample grids growing with
-    it, until every piece's sup error on the verification grid (boundary
-    rings at twice the fit density) drops below its tolerance budget.
-    Every step fits in the Arnoldi basis of its own sample grid.  A
-    candidate only PASSes when the errors re-measured at four times the
-    fit density stay below every budget and within a factor 2 of the
-    certified values.
+    it, until every piece's sup error on the refine-2 verification grid
+    drops below its tolerance budget.  Every step fits in the Arnoldi
+    basis of its own sample grid, whose rings hold max(32, degree + 1)
+    points; the refine-2 and refine-4 rings hold 2 and 4 times
+    max(32, 4 (degree + 1)) (_piece_grid).  A candidate only PASSes when
+    the errors re-measured on the refine-4 grid stay below every budget
+    and within a factor 2 of the certified values.
     """
     if max_degree < START_DEGREE:
         raise ValueError(f"max_degree must be at least {START_DEGREE}")
@@ -761,16 +800,16 @@ def verify_basis_perturbation(members, indices) -> float:
 def gram_independence(members) -> tuple:
     """Smallest Gram eigenvalue on the circle and the bound H = 1/lambda.
 
-    The Gram matrix is formed from quadrature values on the circle; a
-    positive smallest eigenvalue certifies numerical linear independence
-    of the members, and its inverse bounds the squared coefficient sums
-    of any normalized combination drawn from the span.
+    The Gram matrix is formed from the members' monomial coefficients,
+    by Parseval; a positive smallest eigenvalue certifies numerical
+    linear independence of the members, and its inverse bounds the
+    squared coefficient sums of any normalized combination drawn from
+    the span.
     """
     if not members:
         raise ValueError("need at least one member")
-    zs = _circle_points()
-    v = np.stack([m.fn.evaluate(zs) for m in members])
-    gram = (v @ np.conj(v.T)) / zs.size
+    rows = _circle_coefficients([m.fn for m in members])
+    gram = rows @ np.conj(rows.T)
     lam = float(np.min(np.linalg.eigvalsh(gram)))
     h = float("inf") if lam <= 0.0 else 1.0 / lam
     return lam, h

@@ -243,10 +243,14 @@ def _canonical(value) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Short digest of the effective configuration, defaults included."""
+    """Short digest of the effective configuration, defaults included.
+
+    The output root is left out: where a run writes changes none of it.
+    """
     lines = sorted(
         f"{section}.{key}={_canonical(getattr(cfg, attr))}"
         for section, key, attr, _ in _FIELDS
+        if attr != "out_dir"
     )
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return digest[:12]

@@ -17,11 +17,15 @@ from freqdyn.approx import (
     TargetPiece,
     Zero,
     _cantor_unpair,
+    _boundary_ring,
     _fit_arnoldi,
     _gaussian_rational,
+    _local_taylor,
     _piece_data,
     _piece_grid,
     _signed_rational,
+    _verify,
+    assemble_dense_target,
     build_span_basis,
     double_split,
     enumerate_dense_polynomial,
@@ -421,28 +425,155 @@ def _sector_and_disc_target(tau):
     ids=["discs", "sector", "sector-capped"],
 )
 def test_fine_verification_evaluates_each_point_once(monkeypatch, target, max_degree):
-    sizes = []
+    # a disc piece evaluates the Arnoldi basis only at the degree + 1 nodes
+    # of its local Taylor expansion, in every pass; a sector piece
+    # evaluates exactly the fine points the refine-2 pass did not check
+    calls = []
     evaluate = ArnoldiPoly.evaluate
 
     def counting(self, z):
-        sizes.append(np.size(z))
+        calls.append((self.degree, np.size(z)))
         return evaluate(self, z)
 
     monkeypatch.setattr(ArnoldiPoly, "evaluate", counting)
     cand = fit_on_compacts(target, max_degree=max_degree)
     monkeypatch.undo()
-    fine_sizes = sizes[-len(target.pieces):]
-    for piece, cert, size in zip(target.pieces, cand.certificates, fine_sizes):
+    # one call per piece in every refine-2 pass and in the final fine pass
+    passes = np.array(calls).reshape(-1, len(target.pieces), 2)
+    assert passes.shape[0] >= 2
+    scale = max(
+        np.max(np.abs(cand.evaluate(_piece_grid(piece.region, cand.degree, 3, 4))))
+        for piece in target.pieces
+    )
+    for idx, (piece, cert) in enumerate(zip(target.pieces, cand.certificates)):
         grid2 = _piece_grid(piece.region, cand.degree, 3, 2)
         grid4 = _piece_grid(piece.region, cand.degree, 3, 4)
-        assert size == np.setdiff1d(grid4, grid2).size < grid4.size
-        if isinstance(piece.region, AnnularSector):
+        degrees, sizes = passes[:, idx, 0], passes[:, idx, 1]
+        if isinstance(piece.region, ClosedDisc):
+            assert np.array_equal(sizes, degrees + 1)
+            assert degrees[-1] == cand.fn.degree
+        else:
+            assert sizes[-1] == np.setdiff1d(grid4, grid2).size < grid4.size
             assert np.setdiff1d(grid2, grid4).size > 0
-        # a point rounds differently in another chunk of points; where the
-        # fit cancels to a small error, that shows on the scale of the budget
+        # a point rounds differently in another chunk of points or on the
+        # local Taylor path, on the scale of the fit's largest value
         for grid, value in ((grid2, cert.achieved), (grid4, cert.fine_grid)):
             full = np.max(np.abs(cand.evaluate(grid) - piece.spec.values(grid)))
-            assert value == pytest.approx(full, rel=1e-12, abs=1e-12 * piece.tau)
+            assert value == pytest.approx(full, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.fixture(scope="module")
+def dense_member3():
+    """The third member of configs/dense.ini: target and degree-256 fit."""
+    from freqdyn.density import build_separated_family
+    from freqdyn.geometry import whole_plane_exhaustion
+    from freqdyn.maps import Similarity
+    from freqdyn.runaway import RunawayConfig, build_carleman_truncation
+
+    horizon = 10_000
+    fam = build_separated_family(10, horizon, 8)
+    exh = whole_plane_exhaustion()
+    cfg = RunawayConfig(
+        domain=exh.domain,
+        maps=lambda n: Similarity(1.0, float(n)),
+        exhaustion=exh,
+        family=fam.a_of_nu,
+        n_max=horizon,
+        nu_max=4,
+        resolution=3,
+    )
+    tr = build_carleman_truncation(cfg, bases=4, max_islands=6)
+    splits = {nu: double_split(fam.a_of_nu(nu), 2, 4, horizon) for nu in (1, 2, 3, 4)}
+    target = assemble_dense_target(3, tr, splits)
+    return target, fit_on_compacts(target)
+
+
+def _far_small_disc_fit():
+    # a disc of radius 1e-3 far from the origin, fitted at degree 256
+    # together with a unit disc
+    target = PiecewiseTarget(
+        (
+            TargetPiece(ClosedDisc(0.0, 1.0), Monomial(3), 1e-3),
+            TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), Monomial(1), 1e-3),
+        )
+    )
+    pts, vals, weights = _piece_data(target, 256, 3)
+    return target, _fit_arnoldi(pts, vals, weights, 256)
+
+
+def test_local_taylor_agrees_with_arnoldi_evaluation(dense_member3):
+    target, cand = dense_member3
+    assert cand.degree == cand.fn.degree == 256
+    far_target, far_fn = _far_small_disc_fit()
+    for tgt, fn in ((target, cand.fn), (far_target, far_fn)):
+        direct, taylor = [], []
+        for piece in tgt.pieces:
+            disc = piece.region
+            assert isinstance(disc, ClosedDisc) and disc.radius > 0.0
+            local = _local_taylor(fn, disc.center, disc.radius)
+            for refine in (2, 4):
+                grid = _piece_grid(disc, fn.degree, 3, refine)
+                direct.append(fn.evaluate(grid))
+                taylor.append(local.evaluate((grid - disc.center) / disc.radius))
+        # rounding of either path is on the scale of the fit's largest value
+        scale = max(np.max(np.abs(d)) for d in direct)
+        for d, t in zip(direct, taylor):
+            assert np.max(np.abs(t - d)) <= 1e-12 * scale
+
+
+def test_dense_member3_fit_grid_is_thin(dense_member3):
+    target, cand = dense_member3
+    # seven discs; rings of 4 (d + 1) points made 7854
+    pts, _, _ = _piece_data(target, 256, 3)
+    assert pts.size == 2478
+    assert cand.status == CandidateStatus.PASS
+
+
+def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
+    target = PiecewiseTarget(
+        (
+            TargetPiece(ClosedDisc(0.0, 1.0), Monomial(2), 1e-3),
+            TargetPiece(ClosedDisc(3.0 + 1.0j, 0.0), Monomial(1), 1e-3),
+        )
+    )
+    pts, vals, weights = _piece_data(target, 16, 3)
+    fn = _fit_arnoldi(pts, vals, weights, 16)
+    centers = []
+    taylor = _local_taylor
+
+    def recording(f, center, radius):
+        centers.append((center, radius))
+        return taylor(f, center, radius)
+
+    monkeypatch.setattr("freqdyn.approx._local_taylor", recording)
+    errs, pairs = _verify(fn, target, 16, 3, 2)
+    assert centers == [(0.0, 1.0)]
+    grid, pointwise = pairs[1]
+    assert grid.size == 1
+    assert pointwise[0] == abs(fn.evaluate(grid)[0] - grid[0])
+    assert errs[1] == pointwise[0]
+
+
+def _parent_grid(region, degree, grid_res, refine):
+    """Reference verification grids, spelled out apart from _piece_grid."""
+    m = refine * max(32, 4 * (degree + 1))
+    lattice = sample_grid(region, 2 * grid_res)
+    return np.unique(np.concatenate([lattice, _boundary_ring(region, m)]))
+
+
+@pytest.mark.parametrize(
+    "region", [ClosedDisc(2.0 - 1.0j, 0.5), AnnularSector(0.5, 2.0, 2.5)],
+    ids=["disc", "sector"],
+)
+@pytest.mark.parametrize("degree", [4, 8, 256])
+def test_piece_grid_point_sets(region, degree):
+    ring = max(32, degree + 1)
+    fit = _piece_grid(region, degree, 3)
+    want = np.unique(np.concatenate([sample_grid(region, 3), _boundary_ring(region, ring)]))
+    assert np.array_equal(fit, want)
+    for refine in (2, 4):
+        grid = _piece_grid(region, degree, 3, refine)
+        assert np.array_equal(grid, _parent_grid(region, degree, 3, refine))
 
 
 # ---------------------------------------------------------------------------
