@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -109,6 +109,10 @@ MESH_POINTS = 1000
 MESH_RADIUS = 0.95
 
 CANDIDATE_FORMAT = "freqdyn-candidate-v3"
+
+# example5 refuses, before any work, a horizons.iterates whose arrays
+# would exceed this many bytes.
+MEMORY_BUDGET = 2 * 1024**3
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +260,12 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return digest[:12]
 
 
+def _candidate_hash(cfg: ExperimentConfig) -> str:
+    """config_hash without scan.candidate, which a build config leaves
+    empty: the hash a candidate stores and a scan of it compares."""
+    return config_hash(dataclasses.replace(cfg, candidate_path=""))
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -349,11 +359,24 @@ def _artifact_dir(cfg: ExperimentConfig, name: str) -> str:
     return path
 
 
-def _atomic_write(path: str, data: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file written as path.tmp and renamed to path once the block
+    completes; a block that raises removes it and leaves path as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
+
+
+def _atomic_write(path: str, data: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def _json_default(value):
@@ -391,12 +414,11 @@ def _write_json(path: str, payload) -> None:
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
+    # rows stream to the file, so the whole text is never held in memory
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _finish(
@@ -458,7 +480,7 @@ def _encode_candidate(
 ) -> dict:
     payload = {
         "format": CANDIDATE_FORMAT,
-        "config": config_hash(cfg),
+        "config": _candidate_hash(cfg),
         "kind": kind,
         "status": cand.status,
         "reason": cand.reason,
@@ -888,6 +910,14 @@ def cmd_example4(cfg: ExperimentConfig) -> CommandResult:
 
 def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
     """Orbit contraction of a parabolic disc map toward its fixed point."""
+    # the errors and at most two arrays of their size that the
+    # monotone-tail test derives from them; the CSV rows stream to disk
+    need = 24 * cfg.iterates
+    if need > MEMORY_BUDGET:
+        raise ValueError(
+            f"horizons.iterates={cfg.iterates} needs about {need / 2**30:.1f} GiB,"
+            f" over the {MEMORY_BUDGET / 2**30:.0f} GiB memory budget"
+        )
     out = _artifact_dir(cfg, "example5")
     m = ParabolicDisc(cfg.a_param, cfg.gamma, 1)
     observable = Polynomial.monomial(1)
@@ -934,7 +964,9 @@ def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
     _write_csv(
         path,
         ("n", "error"),
-        ((i + 1, f"{e:.10e}") for i, e in enumerate(rep.errors)),
+        # a memoryview yields Python floats, which format faster than
+        # numpy scalars and need no list copy of the errors
+        ((n, f"{e:.10e}") for n, e in enumerate(memoryview(rep.errors), 1)),
     )
     return _finish(cfg, "example5", out, lines, [path])
 
@@ -1059,7 +1091,7 @@ def cmd_scan(cfg: ExperimentConfig) -> CommandResult:
     if meta.get("kind") != "existence":
         raise ValueError("orbit scans expect an existence candidate")
     lines = []
-    if meta.get("config") != config_hash(cfg):
+    if meta.get("config") != _candidate_hash(cfg):
         lines.append(
             "NOTE: candidate was built under a different configuration,"
             f" hash {meta.get('config')}"

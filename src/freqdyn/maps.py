@@ -341,6 +341,42 @@ def _eval(m: HoloMap, z: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a holomorphic map variant: {m!r}")
 
 
+def _stepper(m: HoloMap, width: int):
+    """step(z, out), which writes _eval(m, z) into out bit for bit.
+
+    z and out are distinct complex rows of the given width.  A parabolic
+    map runs the ufuncs of its _eval branch on constant and scratch rows
+    prepared once, so a step allocates nothing.  Only a NaN may differ,
+    in sign, where the shift has overflowed to infinity.  Every other map
+    evaluates through _eval, which may raise DomainError as before.
+    """
+    if not isinstance(m, ParabolicDisc):
+
+        def step(z, out):
+            out[...] = _eval(m, z)
+
+        return step
+
+    one = np.full(width, 1.0 + 0.0j)
+    two = np.full(width, 2.0 + 0.0j)
+    shift = np.full(width, 1j * m.shift)
+    t = np.empty(width, dtype=complex)
+    den = np.empty(width, dtype=complex)
+    sub, mul, div, add = np.subtract, np.multiply, np.divide, np.add
+
+    def step(z, out):
+        # the ParabolicDisc branch of _eval, operand for operand:
+        # 1.0 + 2.0 * t / (2.0 - 1j * m.shift * t) with t = z - 1.0
+        sub(z, one, out=t)
+        mul(shift, t, out=den)
+        sub(two, den, out=den)
+        mul(two, t, out=t)
+        div(t, den, out=t)
+        add(one, t, out=out)
+
+    return step
+
+
 def inverse_apply(m: HoloMap, w):
     """Evaluate the inverse map at w.
 

@@ -24,7 +24,7 @@ from .geometry import (
     eps_to_boundary,
     sample_grid,
 )
-from .maps import HoloMap, _eval, _outside, apply, map_domain
+from .maps import HoloMap, _outside, _stepper, apply, map_domain
 
 __all__ = [
     "GRID_SLACK",
@@ -326,10 +326,12 @@ def iterate_convergence(
 
     Only the recurrence runs step by step: the iterates fill a block of
     rows, and the domain check of every input row and the observable run
-    once per block.  The escape step n is the first at which iterate
-    n - 1 fails the map's domain check or the map's own evaluation
-    refuses it, as for step-by-step `apply`, and the errors hold
-    e_1 .. e_{n-1}.
+    once per block.  Each step is the map's prepared `maps._stepper`,
+    built once per call, which writes the next row in place with the
+    values `apply` would give.  The escape step n is the first at which
+    iterate n - 1 fails the map's domain check or the map's own
+    evaluation refuses it, as for step-by-step `apply`, and the errors
+    hold e_1 .. e_{n-1}.
     """
     if n_steps < 1:
         raise ValueError("need at least one iterate")
@@ -341,6 +343,8 @@ def iterate_convergence(
     rows = max(1, ITERATE_BLOCK // grid.size)
     block = np.empty((rows + 1, grid.size), dtype=complex)
     block[0] = grid
+    row_view = list(block)
+    step = _stepper(m, grid.size)
     errors = np.empty(n_steps)
     done = 0
     escaped_at = None
@@ -351,7 +355,7 @@ def iterate_convergence(
             evaluated = count
             for j in range(count):
                 try:
-                    block[j + 1] = _eval(m, block[j])
+                    step(row_view[j], row_view[j + 1])
                 except DomainError:
                     evaluated = j
                     break

@@ -20,8 +20,9 @@ import freqdyn.cli as cli
 import freqdyn.sigma as sigma
 from freqdyn import density, runaway
 from freqdyn.density import IndexSet
-from freqdyn.geometry import Domain, whole_plane_exhaustion
-from freqdyn.maps import Similarity
+from freqdyn.approx import Polynomial
+from freqdyn.geometry import ClosedDisc, Domain, sample_grid, whole_plane_exhaustion
+from freqdyn.maps import ParabolicDisc, Similarity, apply
 from freqdyn.cli import (
     ExperimentConfig,
     apply_overrides,
@@ -318,6 +319,20 @@ def test_no_temp_files_left(outdir):
     assert leftovers == []
 
 
+def test_csv_whose_rows_raise_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("earlier\n")
+
+    def rows():
+        yield (1, "a")
+        raise RuntimeError("row failed")
+
+    with pytest.raises(RuntimeError, match="row failed"):
+        cli._write_csv(str(path), ("n", "x"), rows())
+    assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
 def test_summary_carries_config_hash(outdir):
     cfg = _cfg(n_max=1000)
     cmd_density(cfg)
@@ -550,6 +565,38 @@ def test_cmd_example5_contraction(outdir):
     assert len(rows) == 201
 
 
+def test_cmd_example5_errors_match_per_step_apply(outdir):
+    cfg = _cfg(map_family="parabolic_disc", iterates=5000)
+    assert not cmd_example5(cfg).failed
+    m = ParabolicDisc(cfg.a_param, cfg.gamma, 1)
+    q = Polynomial.monomial(1)
+    limit = complex(q.evaluate(1.0 + 0.0j))
+    current = sample_grid(ClosedDisc(0.0, 0.5), cfg.grid_res).astype(complex)
+    want = ["n,error"]
+    for n in range(1, cfg.iterates + 1):
+        current = apply(m, current)
+        error = float(np.max(np.abs(q.evaluate(current) - limit)))
+        want.append(f"{n},{error:.10e}")
+    assert (outdir / "example5" / "errors.csv").read_text().splitlines() == want
+
+
+def test_main_example5_refuses_iterates_over_the_memory_budget(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    # 1000 iterates need 24000 bytes, 200 need 4800
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 10_000)
+    argv = ["example5", os.path.join(CONFIGS, "example5.ini")]
+    assert main(argv + ["--override", "horizons.iterates=1000"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: horizons.iterates=1000 ")
+    assert "memory budget" in lines[0]
+    assert not (tmp_path / "out" / "example5").exists()
+    assert main(argv + ["--override", "horizons.iterates=200"]) == 0
+
+
 def test_main_example5_constant_errors_do_not_decrease(outdir):
     # at a = 1e-300 the map is the identity in floating point: every error is 1.5
     code = main([
@@ -672,6 +719,23 @@ def test_cmd_scan_of_candidate_built_under_another_output_root(tmp_path, monkeyp
     res = cmd_scan(dataclasses.replace(cfg, out_dir=str(tmp_path / "scanned")))
     assert not res.failed
     assert not [line for line in res.lines if "different configuration" in line]
+
+
+def test_scan_of_the_shipped_existence_candidate_notes_no_other_configuration(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    assert main(["build_fhc", os.path.join(CONFIGS, "existence.ini")]) == 0
+    candidate = tmp_path / "out" / "build_fhc" / "candidate.json"
+    scan = ["scan", os.path.join(CONFIGS, "scan.ini"),
+            "--override", f"scan.candidate={candidate}"]
+    assert main(scan) == 0
+    summary = (tmp_path / "out" / "scan" / "summary.txt").read_text()
+    assert "different configuration" not in summary
+    # another horizon is a real difference, and still noted
+    assert main(scan + ["--override", "horizons.n_max=3000"]) == 0
+    summary = (tmp_path / "out" / "scan" / "summary.txt").read_text()
+    assert "NOTE: candidate was built under a different configuration" in summary
 
 
 def test_cmd_sepfamily_classes(outdir):

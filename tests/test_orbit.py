@@ -370,6 +370,13 @@ def _per_step_iterates(m, q, k, limit, n_steps):
 
 _PARABOLIC = ParabolicDisc(a=1.0, gamma=1.0, n=1)
 _DOUBLING = Similarity(2.0, 0.0)
+# shift 0.25 * 3**1.5 = 1.299; not the shipped a = gamma = 1
+_PARABOLIC_3 = ParabolicDisc(a=0.25, gamma=1.5, n=3)
+# w = (1 + z)/(1 - z) = -1e-9 - 40i: 1.2e-12 outside the circle, inside
+# the domain check's 1e-9 slack.  The map moves w by i * 1.299, so
+# iterate 31, at w = -1e-9 + 0.27i, lies 1.9e-9 outside and step 32
+# refuses it
+_JUST_OUTSIDE = ClosedDisc(0.9987507807632715 - 0.04996876951911302j, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -391,6 +398,9 @@ _DOUBLING = Similarity(2.0, 0.0)
         (_DOUBLING, ClosedDisc(0.0, 0.5), 1025, 41, None),
         # the threefold map refuses its own overflowing intermediate
         (iterate(_DOUBLING, 3), ClosedDisc(0.0, 0.5), 400, 7, 342),
+        (_PARABOLIC_3, ClosedDisc(0.0, 0.5), 1000, 7, None),
+        # one grid point, blocks of 7 rows: iterate 31 is row 3 of a block
+        (_PARABOLIC_3, _JUST_OUTSIDE, 100, 7, 32),
     ],
 )
 def test_iterate_blocks_match_per_step_apply(monkeypatch, m, k, n_steps, rows, escape):
