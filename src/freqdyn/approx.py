@@ -25,17 +25,18 @@ import numpy as np
 
 from .density import IndexSet, split
 from .geometry import (
-    AnnularSector,
     ClosedDisc,
     CompactSet,
     Disjointness,
     Domain,
+    DomainKind,
     disjointness,
+    enclosing_disc,
     eps_to_boundary,
     sample_grid,
 )
-from .maps import HoloMap, raw_inverse
-from .runaway import CarlemanTruncation, Island
+from .maps import HoloMap, inverse_degree, raw_inverse
+from .runaway import CarlemanTruncation
 
 __all__ = [
     "ArnoldiPoly",
@@ -75,6 +76,7 @@ _EPS_RESOLUTION = 3
 # ArnoldiPoly.basis, and points per basis matrix in ArnoldiPoly.evaluate.
 BASIS_BLOCK = 32
 EVAL_CHUNK = 512
+_U = np.finfo(float).eps / 2  # unit roundoff
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,42 @@ class ArnoldiPoly:
             return complex(out[0])
         return out.reshape(np.shape(z))
 
+    def evaluate_with_rounding(self, z: np.ndarray) -> tuple:
+        """Values at the points z and a running error bound for each, of
+        first order in the unit roundoff u (Higham, Accuracy and Stability
+        of Numerical Algorithms, sec. 3.3).
+
+        Step k of basis errs locally by at most rho_{k+1} = (2 (k + 4) u
+        (|z q_k| + sum_{j<=k} |H[j,k] q_j|) + 4 u H[k+1,k] |q_{k+1}|) / H[k+1,k],
+        rho_0 = u |q_0|, and the final sum by 2 (d + 3) u sum_k |c_k q_k|.
+        Each rho_k reaches the value weighted by s_k = dp/dq_k: s_d = c_d,
+        s_j = c_j + z t_j - sum_{k>=j} H[j,k] t_k, t_k = s_{k+1} / H[k+1,k].
+        The bound doubles the sum, a margin for the rounding of s.  The
+        recurrence on magnitudes, with no adjoint, ignores all cancellation
+        and overshoots by about 1e166 on the shipped degree-256 fit.
+        """
+        z = np.asarray(z, dtype=complex).ravel()
+        d, h, c = self.degree, self.hessenberg, self.coefficients
+        q = self.basis(z)
+        values = c @ q
+        q = np.abs(q)
+        sub = np.abs(np.diagonal(h, -1))
+        t = np.empty((d, z.size), dtype=complex)
+        s = np.full(z.size, c[d])
+        total = 2.0 * (d + 3) * _U * (np.abs(c) @ q)
+        for j1 in range(d, 0, -BASIS_BLOCK):
+            j0 = max(j1 - BASIS_BLOCK, 0)
+            tail = h[j0:j1, j1:d] @ t[j1:d]  # the columns k >= j1, all final
+            for j in range(j1 - 1, j0 - 1, -1):
+                t[j] = s / sub[j]
+                s = c[j] + z * t[j] - h[j, j:j1] @ t[j:j1] - tail[j - j0]
+            # H[k+1,k] rho_{k+1} on the rows k of the block, weighed by |t_k|
+            local = np.triu(np.abs(h[:j1, j0:j1]), -j0).T @ q[:j1] + np.abs(z) * q[j0:j1]
+            local *= (2.0 * (np.arange(j0, j1) + 4) * _U)[:, None]
+            local += 4.0 * _U * sub[j0:j1, None] * q[j0 + 1 : j1 + 1]
+            total += np.sum(local * np.abs(t[j0:j1]), axis=0)
+        return values, 2.0 * (total + np.abs(s) * _U * q[0])
+
 
 PolyLike = Union[Polynomial, ArnoldiPoly]
 
@@ -253,20 +291,22 @@ def enumerate_dense_polynomial(l: int) -> Polynomial:
 # Local Taylor coefficients and circle norms
 
 
-def _local_taylor(fn: PolyLike, center: complex, radius: float) -> Polynomial:
-    """Coefficients of u -> fn(center + radius u) in powers of u.
+def _circle(center: complex, radius: float, n: int) -> np.ndarray:
+    """n equispaced points on the circle |z - center| = radius, the first
+    at angle 0."""
+    return center + radius * np.exp(2j * np.pi * np.arange(n) / n)
 
-    fn is evaluated once, at its degree + 1 equispaced nodes on the
-    circle |z - center| = radius, and the discrete Fourier transform of
-    those values is the coefficient vector exactly: with no more
-    coefficients than nodes nothing aliases (interpolation at roots of
-    unity, Trefethen, Approximation Theory and Approximation Practice,
-    ch. 3).  Every coefficient is at most the largest node value in
-    modulus.
+
+def _local_taylor(values: np.ndarray) -> Polynomial:
+    """Coefficients of u -> p(c + r u) in powers of u, from the values of
+    p at the n = len(values) points _circle(c, r, n), deg p < n.
+
+    The DFT of the values, divided by n, is the coefficient vector exactly:
+    with no more coefficients than nodes nothing aliases (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 3).  Every
+    coefficient is at most the largest value in modulus.
     """
-    n0 = fn.degree + 1
-    nodes = center + radius * np.exp(2j * np.pi * np.arange(n0) / n0)
-    return Polynomial(np.fft.fft(fn.evaluate(nodes)) / n0)
+    return Polynomial(np.fft.fft(values) / values.size)
 
 
 def _circle_coefficients(polys) -> np.ndarray:
@@ -276,7 +316,8 @@ def _circle_coefficients(polys) -> np.ndarray:
     unit circle with normalized arclength measure.
     """
     coeffs = [
-        (p if isinstance(p, Polynomial) else _local_taylor(p, 0.0, 1.0)).coefficients
+        (p if isinstance(p, Polynomial)
+         else _local_taylor(p.evaluate(_circle(0.0, 1.0, p.degree + 1)))).coefficients
         for p in polys
     ]
     rows = np.zeros((len(coeffs), max(c.size for c in coeffs)), dtype=complex)
@@ -309,6 +350,7 @@ def l2_distance_on_circle(f: PolyLike, g: PolyLike) -> float:
 @dataclass(frozen=True)
 class Monomial:
     mu: int
+    degree = property(lambda self: self.mu)
 
     def values(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=complex) ** self.mu
@@ -317,6 +359,7 @@ class Monomial:
 @dataclass(frozen=True, eq=False)
 class FixedPoly:
     poly: Polynomial
+    degree = property(lambda self: self.poly.degree)
 
     def values(self, z: np.ndarray) -> np.ndarray:
         return self.poly.evaluate(z)
@@ -331,12 +374,20 @@ class ComposedInverse:
     poly: Polynomial
     map: HoloMap
 
+    @property
+    def degree(self) -> Optional[int]:
+        """deg P times that of the inverse formula, None if that is none."""
+        k = inverse_degree(self.map)
+        return None if k is None else self.poly.degree * k
+
     def values(self, z: np.ndarray) -> np.ndarray:
         return self.poly.evaluate(raw_inverse(self.map, z))
 
 
 @dataclass(frozen=True)
 class Zero:
+    degree = 0
+
     def values(self, z: np.ndarray) -> np.ndarray:
         return np.zeros(np.shape(z), dtype=complex)
 
@@ -346,11 +397,13 @@ PieceSpec = Union[Monomial, FixedPoly, ComposedInverse, Zero]
 
 @dataclass(frozen=True, eq=False)
 class TargetPiece:
-    region: CompactSet
+    region: ClosedDisc
     spec: PieceSpec
     tau: float
 
     def __post_init__(self):
+        if not isinstance(self.region, ClosedDisc):
+            raise ValueError(f"a target piece is a disc, not a {type(self.region).__name__}")
         if not (self.tau > 0.0):
             raise ValueError("tolerance budget must be positive")
 
@@ -371,15 +424,24 @@ class PiecewiseTarget:
 
 
 def min_envelope(domain: Domain, region: CompactSet, resolution: int = _EPS_RESOLUTION) -> float:
-    """Minimum sampled chordal boundary distance over the region.
+    """Minimum chordal boundary distance over the region.
 
     Using the per-region minimum instead of the pointwise envelope makes
-    every certificate a strictly stronger statement.
+    every certificate a strictly stronger statement.  The minimum over
+    sample_grid(region, resolution) can exceed the true one between grid
+    points.  On the whole plane and the unit disc, where the distance
+    falls as |z| grows, a disc takes the closed form at |c| + r instead,
+    unless a grid point rounded just outside the disc undercuts it.
     """
     pts = sample_grid(region, resolution)
     if pts.size == 0:
         raise ValueError("cannot sample an empty region for the envelope")
-    return float(np.min(eps_to_boundary(domain, pts)))
+    sampled = float(np.min(eps_to_boundary(domain, pts)))
+    radial = (DomainKind.WHOLE_PLANE, DomainKind.UNIT_DISC)
+    if isinstance(region, ClosedDisc) and domain.kind in radial:
+        far = abs(complex(region.center)) + region.radius
+        return min(sampled, eps_to_boundary(domain, far))
+    return sampled
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +450,10 @@ def min_envelope(domain: Domain, region: CompactSet, resolution: int = _EPS_RESO
 
 @dataclass(frozen=True)
 class PieceCertificate:
+    """achieved bounds sup |f - target| on the piece (_verify); envelope is its budget tau."""
+
     achieved: float
     envelope: float
-    fine_grid: float
-
-    @property
-    def ok(self) -> bool:
-        return self.achieved < self.envelope and self.fine_grid < self.envelope
 
 
 class CandidateStatus:
@@ -419,53 +478,18 @@ class FhcCandidate:
         return max(c.achieved / c.envelope for c in self.certificates)
 
 
-def _boundary_ring(region: CompactSet, m: int) -> np.ndarray:
-    """Dense boundary samples; sup errors of holomorphic targets live here."""
-    if isinstance(region, ClosedDisc):
-        ang = np.exp(2j * np.pi * np.arange(m) / m)
-        return region.center + region.radius * ang
-    if isinstance(region, AnnularSector):
-        if region.is_empty:
-            return np.empty(0, dtype=complex)
-        t = region.half_angle * (2.0 * np.arange(m + 1) / m - 1.0)
-        parts = [region.rmax * np.exp(1j * t)]
-        if region.rmin > 0.0:
-            parts.append(region.rmin * np.exp(1j * t))
-        if region.half_angle < np.pi:
-            rr = np.linspace(region.rmin, region.rmax, m // 4 + 2)
-            parts.append(rr * np.exp(1j * region.half_angle))
-            parts.append(rr * np.exp(-1j * region.half_angle))
-        return np.concatenate(parts)
-    return np.asarray(region.boundary_points, dtype=complex)
-
-
-def _piece_grid(
-    region: CompactSet, degree: int, grid_res: int, refine: int = 1
-) -> np.ndarray:
-    """Fit or verification grid for one piece, scaled to the degree.
-
-    refine = 1 is the fit grid: max(32, degree + 1) ring points, as many
-    as fix a polynomial of the degree on a disc, and the grid_res
-    lattice.  refine = 2 and 4 are the verification grids: refine *
-    max(32, 4 (degree + 1)) ring points, so the refine-4 ring interleaves
-    every refine-2 angle with a midpoint, and a lattice twice as fine.
-    The interior lattice stays coarse: the sup error of a holomorphic
-    target sits on the boundary ring.
-    """
-    if refine == 1:
-        m, res = max(32, degree + 1), grid_res
-    else:
-        m, res = refine * max(32, 4 * (degree + 1)), 2 * grid_res
-    lattice = sample_grid(region, res)
-    return np.unique(np.concatenate([lattice, _boundary_ring(region, m)]))
+def _piece_grid(region: ClosedDisc, degree: int, grid_res: int) -> np.ndarray:
+    """Fit grid of one piece: the grid_res lattice of the disc and
+    max(32, degree + 1) points on its boundary circle, as many as fix a
+    polynomial of the degree on the disc."""
+    ring = _circle(region.center, region.radius, max(32, degree + 1))
+    return np.unique(np.concatenate([sample_grid(region, grid_res), ring]))
 
 
 def _piece_data(target: PiecewiseTarget, degree: int, grid_res: int):
     pts, vals, weights = [], [], []
-    for idx, piece in enumerate(target.pieces):
+    for piece in target.pieces:
         grid = _piece_grid(piece.region, degree, grid_res)
-        if grid.size == 0:
-            raise ValueError(f"piece {idx} has an empty sample grid")
         pts.append(grid)
         vals.append(piece.spec.values(grid))
         weights.append(np.full(grid.size, 1.0 / piece.tau))
@@ -510,50 +534,38 @@ def _fit_arnoldi(pts, vals, weights, degree):
     return ArnoldiPoly(h, norm0, coeffs)
 
 
-def _verify(
-    fn: PolyLike,
-    target: PiecewiseTarget,
-    degree: int,
-    grid_res: int,
-    refine: int,
-    checked: Optional[list] = None,
-) -> tuple:
-    """Sup error of every piece on its refine grid.
+def _verify(fn: ArnoldiPoly, target: PiecewiseTarget) -> list:
+    """A bound on sup |fn - target| over every piece, rounding included.
 
-    Returns the errors and, per piece, the grid with its pointwise
-    errors.  Given those pairs from an earlier pass of the same fn as
-    checked, points found there (by exact equality) keep their error
-    and only the rest of the grid is evaluated.
-
-    On a disc of positive radius, fn is evaluated only at degree + 1
-    nodes of the boundary circle; every grid point then takes Horner's
-    rule on the local Taylor coefficients in u = (z - c) / r, |u| <= 1,
-    at O(degree) cost instead of the O(degree^2) Arnoldi recurrence.
-    The coefficients are bounded by max |fn| on the circle, so rounding
-    adds at most about 2 (degree + 1)^2 eps max |fn| to each error.
+    On a disc of centre c and radius r > 0, e(c + r u) is a polynomial in
+    u of degree D = max(d, target degree), d = fn.degree, whose sup sits
+    on |u| = 1.  With m = 16 (d + 1) equispaced ring points, Bernstein's
+    inequality gives ||e|| <= max_ring |e| / (1 - pi D / m), at most 1.25
+    max_ring |e| when D = d, no bound (inf) when m <= pi D.  fn is
+    evaluated at its d + 1 nodes only; Horner's rule on the local Taylor
+    coefficients gives the ring.  max_ring |e| gains the 2-norm of the
+    node error bounds (by Parseval, the most they move a ring value) and
+    4 (d + 1)^2 eps max |node value| for the FFT and Horner's rule, each
+    2 (d + 1) eps per coefficient.  A disc of radius 0 is one point:
+    its error plus its rounding.  Target values are taken as computed.
     """
-    errs, pairs = [], []
-    for idx, piece in enumerate(target.pieces):
-        grid = _piece_grid(piece.region, degree, grid_res, refine)
-        pointwise = np.empty(grid.size)
-        new = np.ones(grid.size, dtype=bool)
-        if checked is not None:
-            # both grids come sorted from np.unique
-            old_grid, old_err = checked[idx]
-            at = np.minimum(np.searchsorted(old_grid, grid), old_grid.size - 1)
-            new = old_grid[at] != grid
-            pointwise[~new] = old_err[at[~new]]
-        z = grid[new]
-        region = piece.region
-        if isinstance(region, ClosedDisc) and region.radius > 0.0:
-            local = _local_taylor(fn, region.center, region.radius)
-            values = local.evaluate((z - region.center) / region.radius)
-        else:
-            values = fn.evaluate(z)
-        pointwise[new] = np.abs(values - piece.spec.values(z))
-        errs.append(float(np.max(pointwise)))
-        pairs.append((grid, pointwise))
-    return errs, pairs
+    d = fn.degree
+    m = 16 * (d + 1)
+    ring = _circle(0.0, 1.0, m)
+    bounds = []
+    for piece in target.pieces:
+        c, r = piece.region.center, piece.region.radius
+        if r == 0.0:
+            value, rounding = fn.evaluate_with_rounding(c)
+            bounds.append(float(abs(value[0] - piece.spec.values(c)) + rounding[0]))
+            continue
+        values, rounding = fn.evaluate_with_rounding(_circle(c, r, d + 1))
+        errors = _local_taylor(values).evaluate(ring) - piece.spec.values(_circle(c, r, m))
+        ring_max = np.max(np.abs(errors)) + np.linalg.norm(rounding)
+        ring_max += 8.0 * (d + 1) ** 2 * _U * np.max(np.abs(values))
+        factor = 1.0 - math.pi * max(d, piece.spec.degree) / m
+        bounds.append(float(ring_max / factor) if factor > 0.0 else math.inf)
+    return bounds
 
 
 def fit_on_compacts(
@@ -563,56 +575,41 @@ def fit_on_compacts(
 ) -> FhcCandidate:
     """Weighted least-squares fit with degree escalation and certification.
 
-    The degree doubles from START_DEGREE, the sample grids growing with
-    it, until every piece's sup error on the refine-2 verification grid
-    drops below its tolerance budget.  Every step fits in the Arnoldi
-    basis of its own sample grid, whose rings hold max(32, degree + 1)
-    points; the refine-2 and refine-4 rings hold 2 and 4 times
-    max(32, 4 (degree + 1)) (_piece_grid).  A candidate only PASSes when
-    the errors re-measured on the refine-4 grid stay below every budget
-    and within a factor 2 of the certified values.
+    The degree doubles from START_DEGREE, the fit grids (_piece_grid)
+    growing with it, until the bound of _verify drops below every
+    piece's budget: the candidate PASSes, certified by those bounds.  At
+    the degree cap, or once the grid admits no higher degree, the step of
+    least worst bound-to-budget ratio FAILs as NON-CONVERGED.  Every
+    piece's target must be a polynomial.
     """
     if max_degree < START_DEGREE:
         raise ValueError(f"max_degree must be at least {START_DEGREE}")
+    for idx, piece in enumerate(target.pieces):
+        if piece.spec.degree is None:
+            name = type(piece.spec.map).__name__
+            raise ValueError(f"piece {idx}: the target through {name} is no polynomial")
     taus = [p.tau for p in target.pieces]
+    ratio = lambda bounds: max(b / t for b, t in zip(bounds, taus))
     degree = START_DEGREE
-    best = None  # (fn, errs, degree, checked points)
+    best = None  # (fn, bounds, degree)
     while True:
         pts, vals, weights = _piece_data(target, min(degree, max_degree), grid_res)
         capped = min(degree, max_degree, pts.size - 1)
         fn = _fit_arnoldi(pts, vals, weights, capped)
-        errs, checked = _verify(fn, target, capped, grid_res, 2)
-        if best is None or max(e / t for e, t in zip(errs, taus)) < max(
-            e / t for e, t in zip(best[1], taus)
-        ):
-            best = (fn, errs, capped, checked)
-        if all(e < t for e, t in zip(errs, taus)):
+        bounds = _verify(fn, target)
+        passed = all(b < t for b, t in zip(bounds, taus))
+        if best is None or ratio(bounds) < ratio(best[1]):
+            best = (fn, bounds, capped)
+        if passed or capped >= max_degree or capped >= pts.size - 1:
             break
-        if capped >= max_degree or capped >= pts.size - 1:
-            fn, errs, capped, checked = best
-            fine, _ = _verify(fn, target, capped, grid_res, 4, checked)
-            certs = tuple(
-                PieceCertificate(e, t, f) for e, t, f in zip(errs, taus, fine)
-            )
-            return FhcCandidate(
-                fn=fn,
-                certificates=certs,
-                status=CandidateStatus.FAILED,
-                reason="NON-CONVERGED",
-                degree=capped,
-            )
         degree *= 2
-
-    fine, _ = _verify(fn, target, capped, grid_res, 4, checked)
-    certs = tuple(PieceCertificate(e, t, f) for e, t, f in zip(errs, taus, fine))
-    honest = all(
-        f < t and (f < 2.0 * e or f < 1e-12) for e, t, f in zip(errs, taus, fine)
-    )
+    if not passed:
+        fn, bounds, capped = best
     return FhcCandidate(
         fn=fn,
-        certificates=certs,
-        status=CandidateStatus.PASS if honest else CandidateStatus.FAILED,
-        reason=None if honest else "HONESTY",
+        certificates=tuple(PieceCertificate(b, t) for b, t in zip(bounds, taus)),
+        status=CandidateStatus.PASS if passed else CandidateStatus.FAILED,
+        reason=None if passed else "NON-CONVERGED",
         degree=capped,
     )
 
@@ -646,16 +643,24 @@ def island_label(splits: dict, n: int, nu: int) -> Optional[tuple]:
     return None
 
 
-def _island_piece(
-    domain: Domain,
-    island: Island,
-    poly: Optional[Polynomial],
-    tau_scale: Callable[[float], float],
+def _island_pieces(
+    tr: CarlemanTruncation,
+    splits: dict,
+    block: int,
+    tau: Callable[[float], float],
     resolution: int,
-) -> TargetPiece:
-    eps_min = min_envelope(domain, island.image_bound, resolution)
-    spec = ComposedInverse(poly, island.map) if poly is not None else Zero()
-    return TargetPiece(island.image_bound, spec, tau_scale(eps_min))
+) -> list:
+    """The labelled polynomial composed with the inverse map on islands
+    whose p-block is block, zero on the rest, at tolerance tau(envelope)."""
+    pieces = []
+    for island in tr.islands:
+        key = island_label(splits, island.n, island.nu)
+        spec = Zero()
+        if key is not None and key[1] == block:
+            spec = ComposedInverse(enumerate_dense_polynomial(key[0]), island.map)
+        eps_min = min_envelope(tr.domain, island.image_bound, resolution)
+        pieces.append(TargetPiece(island.image_bound, spec, tau(eps_min)))
+    return pieces
 
 
 def assemble_existence_target(
@@ -673,14 +678,7 @@ def assemble_existence_target(
     """
     if tr.bases:
         raise ValueError("the existence build uses a truncation without bases")
-    pieces = []
-    for island in tr.islands:
-        label = island_label(splits, island.n, island.nu)
-        poly = enumerate_dense_polynomial(label[0]) if label is not None else None
-        pieces.append(
-            _island_piece(tr.domain, island, poly, lambda e: e, resolution)
-        )
-    return PiecewiseTarget(tuple(pieces))
+    return PiecewiseTarget(tuple(_island_pieces(tr, splits, 1, lambda e: e, resolution)))
 
 
 def _member_target(
@@ -697,14 +695,10 @@ def _member_target(
     tolerance is scale * min(1, envelope)."""
     tau = lambda e: scale * min(1.0, e)
     eps_base = min_envelope(tr.domain, base, resolution)
-    pieces = [TargetPiece(base, base_spec, tau(eps_base))]
-    for island in tr.islands:
-        key = island_label(splits, island.n, island.nu)
-        poly = None
-        if key is not None and key[1] == block:
-            poly = enumerate_dense_polynomial(key[0])
-        pieces.append(_island_piece(tr.domain, island, poly, tau, resolution))
-    return PiecewiseTarget(tuple(pieces))
+    # a sector base is fitted on its enclosing disc at the sector's budget: base
+    # targets are entire, and islands clear a sector only through that disc
+    base_piece = TargetPiece(enclosing_disc(base), base_spec, tau(eps_base))
+    return PiecewiseTarget((base_piece, *_island_pieces(tr, splits, block, tau, resolution)))
 
 
 def assemble_spaceable_target(

@@ -489,7 +489,6 @@ def _encode_candidate(
             {
                 "achieved": _unbounded_as_null(c.achieved),
                 "envelope": float(c.envelope),
-                "fine_grid": _unbounded_as_null(c.fine_grid),
             }
             for c in cand.certificates
         ],
@@ -1127,7 +1126,7 @@ def cmd_density(cfg: ExperimentConfig) -> CommandResult:
     else:
         raise ValueError(f"unknown set kind {cfg.set_kind!r}")
     rep = density.lower_density_estimate(a, cfg.n_max)
-    upper = density.upper_density_estimate(a, cfg.n_max)
+    upper = rep.upper_estimate
     lines = [
         f"NOTE: lower {rep.lower_estimate:.6f}, upper {upper:.6f}"
         f" at horizon {cfg.n_max}",
@@ -1163,8 +1162,8 @@ def cmd_split(cfg: ExperimentConfig) -> CommandResult:
     targets.append(2.0 ** (-(parts - 1)))
     rows = []
     for j, (piece, want) in enumerate(zip(pieces, targets), start=1):
-        lo = density.lower_density_estimate(piece, cfg.n_max).lower_estimate
-        up = density.upper_density_estimate(piece, cfg.n_max)
+        rep = density.lower_density_estimate(piece, cfg.n_max)
+        lo, up = rep.lower_estimate, rep.upper_estimate
         lines.append(
             _verdict(
                 abs(lo - want) <= 0.01,

@@ -31,7 +31,6 @@ __all__ = [
     "naturals",
     "split",
     "split_assignment",
-    "upper_density_estimate",
     "verify_separated_family",
 ]
 
@@ -164,11 +163,6 @@ def lower_density_estimate(a: IndexSet, horizon: int, burn_in: Optional[int] = N
         closed_form=a.closed_form_density,
         checkpoints=checkpoints,
     )
-
-
-def upper_density_estimate(a: IndexSet, horizon: int, burn_in: Optional[int] = None) -> float:
-    """Maximum prefix ratio beyond the burn-in."""
-    return lower_density_estimate(a, horizon, burn_in).upper_estimate
 
 
 # ---------------------------------------------------------------------------

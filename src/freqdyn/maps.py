@@ -46,6 +46,7 @@ __all__ = [
     "conjugate",
     "image_enclosing_disc",
     "inverse_apply",
+    "inverse_degree",
     "iterate",
     "map_domain",
     "maps_into",
@@ -477,6 +478,16 @@ def _linear_coeffs(m: HoloMap) -> Optional[tuple]:
             return (a, b * p)
         return (a ** p, b * (a ** p - 1.0) / (a - 1.0))
     return None
+
+
+def inverse_degree(m: HoloMap) -> Optional[int]:
+    """Degree of the inverse formula as a polynomial, None if it is none."""
+    if _linear_coeffs(m) is not None:
+        return 1
+    if isinstance(m, Iterated):
+        base = inverse_degree(m.base)
+        return None if base is None else base ** m.power
+    return m.root_n if isinstance(m, RootShift) else None
 
 
 def image_enclosing_disc(

@@ -1,5 +1,7 @@
 """Tests for polynomial representations, enumeration, and compact fitting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from freqdyn.approx import (
     BASIS_BLOCK,
     ArnoldiPoly,
     BasisKind,
+    START_DEGREE,
     CandidateStatus,
+    ComposedInverse,
     FixedPoly,
     Monomial,
     PiecewiseTarget,
@@ -17,7 +21,7 @@ from freqdyn.approx import (
     TargetPiece,
     Zero,
     _cantor_unpair,
-    _boundary_ring,
+    _circle,
     _fit_arnoldi,
     _gaussian_rational,
     _local_taylor,
@@ -26,6 +30,7 @@ from freqdyn.approx import (
     _signed_rational,
     _verify,
     assemble_dense_target,
+    assemble_spaceable_target,
     build_span_basis,
     double_split,
     enumerate_dense_polynomial,
@@ -43,9 +48,12 @@ from freqdyn.geometry import (
     ClosedDisc,
     Domain,
     DomainKind,
+    enclosing_disc,
     eps_to_boundary,
     sample_grid,
+    sector_exhaustion,
 )
+from freqdyn.maps import Iterated, ParabolicDisc, RootShift, Similarity
 
 PARSEVAL_TOL = 1e-10
 EVAL_TOL = 1e-9
@@ -310,6 +318,29 @@ def test_min_envelope_whole_plane_disc():
     assert got == pytest.approx(2.0 / np.sqrt(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "domain, disc",
+    [
+        (WHOLE_PLANE, ClosedDisc(5.0 * np.exp(0.3j), 2.0)),
+        (Domain(DomainKind.UNIT_DISC), ClosedDisc(0.5 * np.exp(0.3j), 0.3)),
+    ],
+    ids=["whole-plane", "unit-disc"],
+)
+def test_min_envelope_of_an_off_axis_disc_is_the_true_minimum(domain, disc):
+    # the farthest point c (1 + r/|c|) lies between the angles of the
+    # sample grid, whose minimum overshot the true one (0.2828840 against
+    # 0.2828427 on the plane, 0.2210289 against 0.2208631 in the disc)
+    far = abs(disc.center) + disc.radius
+    got = min_envelope(domain, disc)
+    assert got == eps_to_boundary(domain, far)
+    assert got <= float(np.min(eps_to_boundary(domain, _circle(disc.center, disc.radius, 4096))))
+
+
+def test_target_piece_is_a_disc():
+    with pytest.raises(ValueError, match="disc, not a AnnularSector"):
+        TargetPiece(AnnularSector(0.5, 2.0, 2.5), Monomial(3), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Fitting
 
@@ -329,7 +360,6 @@ def test_fit_two_disc_polynomial_targets():
     assert cand.status == CandidateStatus.PASS
     for cert in cand.certificates:
         assert cert.achieved < cert.envelope
-        assert cert.fine_grid < cert.envelope
 
 
 def test_fit_is_deterministic():
@@ -403,63 +433,137 @@ def _three_disc_target():
     return PiecewiseTarget(tuple(TargetPiece(r, f, 1e-3) for r, f in pieces))
 
 
-def _sector_and_disc_target(tau):
-    # a slit-plane base compact, whose radial edges do not nest between
-    # refinements, next to a disc
-    return PiecewiseTarget(
-        (
-            TargetPiece(AnnularSector(0.5, 2.0, 2.5), Monomial(3), tau),
-            TargetPiece(ClosedDisc(6.0, 1.0), Zero(), tau),
-        )
-    )
-
-
-@pytest.mark.parametrize(
-    "target, max_degree",
-    [
-        (_three_disc_target(), 256),
-        (_sector_and_disc_target(1e-3), 256),
-        # NON-CONVERGED: the fine pass reuses the best step's points
-        (_sector_and_disc_target(1e-12), 16),
-    ],
-    ids=["discs", "sector", "sector-capped"],
-)
-def test_fine_verification_evaluates_each_point_once(monkeypatch, target, max_degree):
-    # a disc piece evaluates the Arnoldi basis only at the degree + 1 nodes
-    # of its local Taylor expansion, in every pass; a sector piece
-    # evaluates exactly the fine points the refine-2 pass did not check
+def test_each_fit_step_verifies_once(monkeypatch):
+    # every degree step evaluates the Arnoldi basis once per disc, at the
+    # degree + 1 nodes of its local Taylor expansion, and the accepted
+    # step is not checked again
+    target = _three_disc_target()
     calls = []
-    evaluate = ArnoldiPoly.evaluate
+    basis = ArnoldiPoly.basis
 
     def counting(self, z):
         calls.append((self.degree, np.size(z)))
-        return evaluate(self, z)
+        return basis(self, z)
 
-    monkeypatch.setattr(ArnoldiPoly, "evaluate", counting)
-    cand = fit_on_compacts(target, max_degree=max_degree)
+    monkeypatch.setattr(ArnoldiPoly, "basis", counting)
+    cand = fit_on_compacts(target)
     monkeypatch.undo()
-    # one call per piece in every refine-2 pass and in the final fine pass
-    passes = np.array(calls).reshape(-1, len(target.pieces), 2)
-    assert passes.shape[0] >= 2
-    scale = max(
-        np.max(np.abs(cand.evaluate(_piece_grid(piece.region, cand.degree, 3, 4))))
-        for piece in target.pieces
+    steps = np.array(calls).reshape(-1, len(target.pieces), 2)
+    degrees = START_DEGREE * 2 ** np.arange(steps.shape[0])
+    assert degrees[-1] == cand.degree == cand.fn.degree
+    assert np.array_equal(steps[:, :, 0], np.repeat(degrees[:, None], 3, axis=1))
+    assert np.array_equal(steps[:, :, 1], steps[:, :, 0] + 1)
+    assert [c.achieved for c in cand.certificates] == _verify(cand.fn, target)
+
+
+def _local_target(coefficients, disc):
+    """The polynomial with these coefficients in u = (z - c) / r."""
+    return ComposedInverse(Polynomial(coefficients), Similarity(disc.radius, disc.center))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0),
+    st.floats(0.01, 5.0),
+    st.integers(1, 40),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_certificate_bounds_the_error_on_a_finer_ring(cx, cy, radius, d, share, seed):
+    # fn of degree d against a target of degree up to 5 (d + 1), so that
+    # D = max(d, target degree) < m / pi for the m = 16 (d + 1) ring
+    rng = np.random.default_rng(seed)
+    disc = ClosedDisc(complex(cx, cy), radius)
+    normal = lambda n: rng.normal(size=n) + 1j * rng.normal(size=n)
+    grid = _piece_grid(disc, d, 3)
+    fitted = _local_target(normal(d + 1), disc).values(grid)
+    fn = _fit_arnoldi(grid, fitted, np.ones(grid.size), d)
+    spec = _local_target(normal(int(share * 5 * (d + 1)) + 1), disc)
+    target = PiecewiseTarget((TargetPiece(disc, spec, 1.0),))
+    [bound] = _verify(fn, target)
+    fine = _circle(disc.center, disc.radius, 64 * 16 * (fn.degree + 1))
+    assert bound >= np.max(np.abs(fn.evaluate(fine) - spec.values(fine)))
+
+
+def test_certificate_is_not_fooled_by_an_error_vanishing_on_the_ring():
+    # e = eps u^200 (1 - u^480) vanishes, to rounding, on the 480-point
+    # ring of a degree-29 fit, on every ring point of the sampled check it
+    # replaced and on that check's lattice, yet |e| reaches 2 eps
+    # half way between ring points; degree 680 > 480 / pi leaves no
+    # norming bound
+    eps, d, m = 1e-3, 29, 480
+    disc = ClosedDisc(0.0, 1.0)
+    coefficients = np.zeros(201 + m, dtype=complex)
+    coefficients[200], coefficients[200 + m] = eps, -eps
+    spec = FixedPoly(Polynomial(coefficients))
+    grid = _piece_grid(disc, d, 3)
+    fn = _fit_arnoldi(grid, np.zeros(grid.size), np.ones(grid.size), d)
+    ring = _circle(0.0, 1.0, m)
+    assert np.max(np.abs(spec.values(ring))) < 1e-12 * eps
+    assert abs(spec.values(np.exp(1j * np.pi / m))) == pytest.approx(2.0 * eps)
+    assert _verify(fn, PiecewiseTarget((TargetPiece(disc, spec, eps),))) == [math.inf]
+
+
+def test_fit_without_a_norming_bound_fails():
+    # z^60 against m = 16 (8 + 1) = 144 <= 60 pi ring points: the budget
+    # is loose, but no step may certify it
+    target = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(60), 1e3),))
+    cand = fit_on_compacts(target, max_degree=8)
+    assert cand.certificates[0].achieved == math.inf
+    assert cand.status == CandidateStatus.FAILED and cand.reason == "NON-CONVERGED"
+
+
+def test_target_degrees():
+    p = Polynomial([1.0, 0.0, 2.0])
+    assert Zero().degree == 0 and Monomial(4).degree == 4 and FixedPoly(p).degree == 2
+    assert ComposedInverse(p, Similarity(2.0, 1.0)).degree == 2
+    assert ComposedInverse(p, RootShift(0.0, 1.0, 3, 5)).degree == 6
+    assert ComposedInverse(p, Iterated(RootShift(0.0, 1.0, 2, 1), 3)).degree == 16
+    assert ComposedInverse(p, ParabolicDisc(1.0, 1.0, 2)).degree is None
+
+
+def test_fit_refuses_a_target_through_a_non_polynomial_inverse():
+    spec = ComposedInverse(Polynomial([0.0, 1.0]), ParabolicDisc(1.0, 1.0, 2))
+    target = PiecewiseTarget(
+        (
+            TargetPiece(ClosedDisc(-0.5, 0.1), Zero(), 1e-3),
+            TargetPiece(ClosedDisc(0.5, 0.1), spec, 1e-3),
+        )
     )
-    for idx, (piece, cert) in enumerate(zip(target.pieces, cand.certificates)):
-        grid2 = _piece_grid(piece.region, cand.degree, 3, 2)
-        grid4 = _piece_grid(piece.region, cand.degree, 3, 4)
-        degrees, sizes = passes[:, idx, 0], passes[:, idx, 1]
-        if isinstance(piece.region, ClosedDisc):
-            assert np.array_equal(sizes, degrees + 1)
-            assert degrees[-1] == cand.fn.degree
-        else:
-            assert sizes[-1] == np.setdiff1d(grid4, grid2).size < grid4.size
-            assert np.setdiff1d(grid2, grid4).size > 0
-        # a point rounds differently in another chunk of points or on the
-        # local Taylor path, on the scale of the fit's largest value
-        for grid, value in ((grid2, cert.achieved), (grid4, cert.fine_grid)):
-            full = np.max(np.abs(cand.evaluate(grid) - piece.spec.values(grid)))
-            assert value == pytest.approx(full, rel=1e-12, abs=1e-12 * scale)
+    with pytest.raises(ValueError, match="piece 1: .* ParabolicDisc is no polynomial"):
+        fit_on_compacts(target)
+
+
+def test_slit_plane_spaceable_base_is_the_sector_enclosing_disc():
+    from freqdyn.density import build_separated_family
+    from freqdyn.runaway import RunawayConfig, build_carleman_truncation
+
+    fam = build_separated_family(6, 10_000, 8)
+    exh = sector_exhaustion(1.0, 0.0, 1.0, 1)
+    cfg = RunawayConfig(
+        domain=exh.domain,
+        maps=lambda n: RootShift(0.0, 1.0, 1, n),
+        exhaustion=exh,
+        family=fam.a_of_nu,
+        n_max=10_000,
+        nu_max=3,
+    )
+    tr = build_carleman_truncation(cfg, bases=1, max_islands=4)
+    sector = tr.bases[0]
+    assert isinstance(sector, AnnularSector)
+    splits = {nu: double_split(fam.a_of_nu(nu), 2, 2, 10_000) for nu in (1, 2, 3)}
+    members = []
+    for mu in (1, 2):
+        target = assemble_spaceable_target(mu, tr, splits)
+        base = target.pieces[0]
+        assert base.region == enclosing_disc(sector) == ClosedDisc(0.0, sector.rmax)
+        eps = min_envelope(exh.domain, sector)
+        assert base.tau == 3.0 ** (-mu) * min(1.0, eps)
+        members.append(fit_on_compacts(target))
+        assert members[-1].status == CandidateStatus.PASS
+    # fitted on the whole disc, the members stay close to z^mu on |z| = 1
+    assert build_span_basis(members, (1, 2), BasisKind.SPACEABLE).perturbation_sum < 0.5
 
 
 @pytest.fixture(scope="module")
@@ -510,11 +614,11 @@ def test_local_taylor_agrees_with_arnoldi_evaluation(dense_member3):
         for piece in tgt.pieces:
             disc = piece.region
             assert isinstance(disc, ClosedDisc) and disc.radius > 0.0
-            local = _local_taylor(fn, disc.center, disc.radius)
-            for refine in (2, 4):
-                grid = _piece_grid(disc, fn.degree, 3, refine)
-                direct.append(fn.evaluate(grid))
-                taylor.append(local.evaluate((grid - disc.center) / disc.radius))
+            local = _local_taylor(fn.evaluate(_circle(disc.center, disc.radius, fn.degree + 1)))
+            # the verification ring of _verify
+            ring = _circle(0.0, 1.0, 16 * (fn.degree + 1))
+            direct.append(fn.evaluate(disc.center + disc.radius * ring))
+            taylor.append(local.evaluate(ring))
         # rounding of either path is on the scale of the fit's largest value
         scale = max(np.max(np.abs(d)) for d in direct)
         for d, t in zip(direct, taylor):
@@ -538,42 +642,33 @@ def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
     )
     pts, vals, weights = _piece_data(target, 16, 3)
     fn = _fit_arnoldi(pts, vals, weights, 16)
-    centers = []
-    taylor = _local_taylor
+    sizes = []
+    evaluate = ArnoldiPoly.evaluate_with_rounding
 
-    def recording(f, center, radius):
-        centers.append((center, radius))
-        return taylor(f, center, radius)
+    def recording(self, z):
+        sizes.append(np.size(z))
+        return evaluate(self, z)
 
-    monkeypatch.setattr("freqdyn.approx._local_taylor", recording)
-    errs, pairs = _verify(fn, target, 16, 3, 2)
-    assert centers == [(0.0, 1.0)]
-    grid, pointwise = pairs[1]
-    assert grid.size == 1
-    assert pointwise[0] == abs(fn.evaluate(grid)[0] - grid[0])
-    assert errs[1] == pointwise[0]
-
-
-def _parent_grid(region, degree, grid_res, refine):
-    """Reference verification grids, spelled out apart from _piece_grid."""
-    m = refine * max(32, 4 * (degree + 1))
-    lattice = sample_grid(region, 2 * grid_res)
-    return np.unique(np.concatenate([lattice, _boundary_ring(region, m)]))
+    monkeypatch.setattr(ArnoldiPoly, "evaluate_with_rounding", recording)
+    bounds = _verify(fn, target)
+    monkeypatch.undo()
+    # d + 1 circle nodes on the unit disc, the one point of the other
+    assert sizes == [17, 1]
+    z = np.array([3.0 + 1.0j])
+    value, rounding = fn.evaluate_with_rounding(z)
+    assert value[0] == fn.evaluate(z[0])
+    assert 0.0 < rounding[0] < 1e-12
+    assert bounds[1] == abs(value[0] - z[0]) + rounding[0]
 
 
-@pytest.mark.parametrize(
-    "region", [ClosedDisc(2.0 - 1.0j, 0.5), AnnularSector(0.5, 2.0, 2.5)],
-    ids=["disc", "sector"],
-)
+@pytest.mark.parametrize("region", [ClosedDisc(2.0 - 1.0j, 0.5)], ids=["disc"])
 @pytest.mark.parametrize("degree", [4, 8, 256])
 def test_piece_grid_point_sets(region, degree):
-    ring = max(32, degree + 1)
-    fit = _piece_grid(region, degree, 3)
-    want = np.unique(np.concatenate([sample_grid(region, 3), _boundary_ring(region, ring)]))
-    assert np.array_equal(fit, want)
-    for refine in (2, 4):
-        grid = _piece_grid(region, degree, 3, refine)
-        assert np.array_equal(grid, _parent_grid(region, degree, 3, refine))
+    # the grid_res lattice and max(32, degree + 1) boundary points
+    m = max(32, degree + 1)
+    ring = region.center + region.radius * np.exp(2j * np.pi * np.arange(m) / m)
+    want = np.unique(np.concatenate([sample_grid(region, 3), ring]))
+    assert np.array_equal(_piece_grid(region, degree, 3), want)
 
 
 # ---------------------------------------------------------------------------

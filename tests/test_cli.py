@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import freqdyn.cli as cli
 import freqdyn.sigma as sigma
-from freqdyn import density, runaway
+from freqdyn import approx, density, runaway
 from freqdyn.density import IndexSet
 from freqdyn.approx import Polynomial
 from freqdyn.geometry import ClosedDisc, Domain, sample_grid, whole_plane_exhaustion
@@ -505,12 +505,17 @@ def test_cmd_example1_scan_matches_stored_candidate_scan(outdir):
     "command, config, expected",
     [
         (cmd_build_fhc, "existence.ini",
-         ["PASS: candidate fit PASS at degree 16 (worst error ratio 0.522)"]),
+         ["PASS: candidate fit PASS at degree 16 (worst error ratio 0.641)"]),
         (cmd_example1, "example1.ini",
-         ["PASS: island fit PASS at degree 8 (worst error ratio 0.486)"]),
+         ["PASS: island fit PASS at degree 8 (worst error ratio 0.589)"]),
         (cmd_build_fhc, "spaceable.ini",
          [f"PASS: member {mu} fit PASS at degree {d}"
           for mu, d in ((1, 32), (2, 32), (3, 64))]),
+        (cmd_build_fhc, "dense.ini",
+         [f"PASS: member {mu} fit PASS at degree {d} (base error {e} vs {b})"
+          for mu, d, e, b in ((1, 8, "0.000e+00", "1.000e+00"),
+                              (2, 32, "2.043e-01", "5.000e-01"),
+                              (3, 256, "3.115e-02", "3.333e-01"))]),
     ],
 )
 def test_shipped_configs_fit_lines(outdir, command, config, expected):
@@ -518,6 +523,43 @@ def test_shipped_configs_fit_lines(outdir, command, config, expected):
     assert not res.failed
     fits = [line for line in res.lines if " fit " in line]
     assert fits == expected
+
+
+@pytest.mark.parametrize(
+    "command, config, overrides, fits",
+    [
+        (cmd_build_fhc, "existence.ini", (), 1),
+        (cmd_example1, "example1.ini", (), 1),
+        (cmd_build_fhc, "dense.ini", (), 3),
+        (cmd_build_fhc, "spaceable.ini", (), 3),
+        (cmd_build_fhc, "spaceable.ini", ("build.kind=mixed",), 3),
+    ],
+    ids=["existence", "example1", "dense", "spaceable", "mixed"],
+)
+def test_shipped_fit_certificates_bound_a_denser_ring(
+    outdir, monkeypatch, command, config, overrides, fits
+):
+    # every certificate is at least the error on a ring four times denser
+    # than the 16 (d + 1) points it was computed from, evaluated directly
+    # through the Arnoldi recurrence
+    captured = []
+    fit = approx.fit_on_compacts
+
+    def capture(target, *args):
+        cand = fit(target, *args)
+        captured.append((target, cand))
+        return cand
+
+    monkeypatch.setattr(approx, "fit_on_compacts", capture)
+    assert not command(_shipped(config, *overrides)).failed
+    assert len(captured) == fits
+    for target, cand in captured:
+        assert cand.status == "PASS"
+        for piece, cert in zip(target.pieces, cand.certificates):
+            disc = piece.region
+            m = 64 * (cand.fn.degree + 1) if disc.radius > 0.0 else 1
+            z = disc.center + disc.radius * np.exp(2j * np.pi * np.arange(m) / m)
+            assert cert.achieved >= np.max(np.abs(cand.fn.evaluate(z) - piece.spec.values(z)))
 
 
 def test_cmd_build_mixed_members_and_basis(outdir):

@@ -20,7 +20,6 @@ from freqdyn.density import (
     naturals,
     split,
     split_assignment,
-    upper_density_estimate,
     verify_separated_family,
 )
 
@@ -148,7 +147,6 @@ def test_density_invariants(elements, burn_in):
     s = IndexSet.from_elements(elements, n_max=400)
     rep = lower_density_estimate(s, 400, burn_in=burn_in)
     assert 0.0 <= rep.lower_estimate <= rep.upper_estimate <= 1.0
-    assert upper_density_estimate(s, 400, burn_in=burn_in) == rep.upper_estimate
     if not elements:
         assert rep.empty
 
