@@ -30,6 +30,7 @@ from .geometry import (
     Disjointness,
     Domain,
     DomainKind,
+    _sorted_unique,
     disjointness,
     enclosing_disc,
     eps_to_boundary,
@@ -483,7 +484,7 @@ def _piece_grid(region: ClosedDisc, degree: int, grid_res: int) -> np.ndarray:
     max(32, degree + 1) points on its boundary circle, as many as fix a
     polynomial of the degree on the disc."""
     ring = _circle(region.center, region.radius, max(32, degree + 1))
-    return np.unique(np.concatenate([sample_grid(region, grid_res), ring]))
+    return _sorted_unique(np.concatenate([sample_grid(region, grid_res), ring]))
 
 
 def _piece_data(target: PiecewiseTarget, degree: int, grid_res: int):
@@ -507,6 +508,11 @@ def _fit_arnoldi(pts, vals, weights, degree):
     loses on the ill-conditioned Krylov spaces of widely separated
     compacts.  Both passes conjugate the vector instead of the basis,
     since conj(b) would copy the whole basis at every step.
+
+    Returns the fit and rho, the largest weighted residual
+    max |w (vals - fit)| over the sample points, from the same rows:
+    with w = 1 / tau on each piece, the worst sampled error-to-budget
+    ratio.
     """
     w = weights.astype(float)
     b = np.empty((degree + 1, pts.size), dtype=complex)
@@ -530,8 +536,10 @@ def _fit_arnoldi(pts, vals, weights, degree):
             break
         h[k + 1, k] = nrm
         b[k + 1] = v / nrm
-    coeffs = np.conj(b @ np.conj(w * vals))
-    return ArnoldiPoly(h, norm0, coeffs)
+    wvals = w * vals
+    coeffs = np.conj(b @ np.conj(wvals))
+    rho = float(np.max(np.abs(wvals - coeffs @ b)))
+    return ArnoldiPoly(h, norm0, coeffs), rho
 
 
 def _verify(fn: ArnoldiPoly, target: PiecewiseTarget) -> list:
@@ -581,6 +589,11 @@ def fit_on_compacts(
     the degree cap, or once the grid admits no higher degree, the step of
     least worst bound-to-budget ratio FAILs as NON-CONVERGED.  Every
     piece's target must be a polynomial.
+
+    A step whose fit residual rho (_fit_arnoldi) reaches 1 is not
+    verified: some fit point, which lies in its piece's closed disc,
+    already misses its budget, so the bound on that disc cannot pass.
+    Such steps are verified only if no step passes, to pick the best.
     """
     if max_degree < START_DEGREE:
         raise ValueError(f"max_degree must be at least {START_DEGREE}")
@@ -589,22 +602,22 @@ def fit_on_compacts(
             name = type(piece.spec.map).__name__
             raise ValueError(f"piece {idx}: the target through {name} is no polynomial")
     taus = [p.tau for p in target.pieces]
-    ratio = lambda bounds: max(b / t for b, t in zip(bounds, taus))
     degree = START_DEGREE
-    best = None  # (fn, bounds, degree)
+    steps = []  # (fn, bounds or None if screened out, degree), in order
     while True:
         pts, vals, weights = _piece_data(target, min(degree, max_degree), grid_res)
         capped = min(degree, max_degree, pts.size - 1)
-        fn = _fit_arnoldi(pts, vals, weights, capped)
-        bounds = _verify(fn, target)
-        passed = all(b < t for b, t in zip(bounds, taus))
-        if best is None or ratio(bounds) < ratio(best[1]):
-            best = (fn, bounds, capped)
+        fn, rho = _fit_arnoldi(pts, vals, weights, capped)
+        bounds = _verify(fn, target) if rho < 1.0 else None
+        steps.append((fn, bounds, capped))
+        passed = bounds is not None and all(b < t for b, t in zip(bounds, taus))
         if passed or capped >= max_degree or capped >= pts.size - 1:
             break
         degree *= 2
     if not passed:
-        fn, bounds, capped = best
+        steps = [(f, _verify(f, target) if b is None else b, d) for f, b, d in steps]
+        # the first step of least worst ratio
+        fn, bounds, capped = min(steps, key=lambda s: max(b / t for b, t in zip(s[1], taus)))
     return FhcCandidate(
         fn=fn,
         certificates=tuple(PieceCertificate(b, t) for b, t in zip(bounds, taus)),

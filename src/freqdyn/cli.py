@@ -110,8 +110,8 @@ MESH_RADIUS = 0.95
 
 CANDIDATE_FORMAT = "freqdyn-candidate-v3"
 
-# example5 refuses, before any work, a horizons.iterates whose arrays
-# would exceed this many bytes.
+# example5, density, split and sepfamily refuse, before any work, a
+# horizon whose arrays would exceed this many bytes (_within_budget).
 MEMORY_BUDGET = 2 * 1024**3
 
 
@@ -343,6 +343,16 @@ class CommandResult:
     @property
     def failed(self) -> bool:
         return any(line.startswith("FAIL:") for line in self.lines)
+
+
+def _within_budget(key: str, value: int, need: int) -> None:
+    """Refuse a config whose key sets arrays of about need bytes, more
+    than MEMORY_BUDGET, before the command allocates any of them."""
+    if need > MEMORY_BUDGET:
+        raise ValueError(
+            f"{key}={value} needs about {need / 2**30:.1f} GiB,"
+            f" over the {MEMORY_BUDGET / 2**30:.0f} GiB memory budget"
+        )
 
 
 def _verdict(ok: bool, text: str) -> str:
@@ -911,12 +921,7 @@ def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
     """Orbit contraction of a parabolic disc map toward its fixed point."""
     # the errors and at most two arrays of their size that the
     # monotone-tail test derives from them; the CSV rows stream to disk
-    need = 24 * cfg.iterates
-    if need > MEMORY_BUDGET:
-        raise ValueError(
-            f"horizons.iterates={cfg.iterates} needs about {need / 2**30:.1f} GiB,"
-            f" over the {MEMORY_BUDGET / 2**30:.0f} GiB memory budget"
-        )
+    _within_budget("horizons.iterates", cfg.iterates, 24 * cfg.iterates)
     out = _artifact_dir(cfg, "example5")
     m = ParabolicDisc(cfg.a_param, cfg.gamma, 1)
     observable = Polynomial.monomial(1)
@@ -1118,13 +1123,18 @@ def cmd_scan(cfg: ExperimentConfig) -> CommandResult:
 
 def cmd_density(cfg: ExperimentConfig) -> CommandResult:
     """Density estimates of one index set with checkpoint trace."""
+    if cfg.set_kind not in ("naturals", "progression"):
+        raise ValueError(f"unknown set kind {cfg.set_kind!r}")
+    # the set and, in lower_density_estimate, its window, the 2 n + 2
+    # prefix lengths with their counts and ratios, and the masks: at most
+    # 56 bytes per element (53 measured)
+    step = max(cfg.set_step, 1) if cfg.set_kind == "progression" else 1
+    _within_budget("horizons.n_max", cfg.n_max, 56 * (cfg.n_max // step + 1))
     out = _artifact_dir(cfg, "density")
     if cfg.set_kind == "naturals":
         a = density.naturals(cfg.n_max)
-    elif cfg.set_kind == "progression":
-        a = density.arithmetic_progression(cfg.set_first, cfg.set_step, cfg.n_max)
     else:
-        raise ValueError(f"unknown set kind {cfg.set_kind!r}")
+        a = density.arithmetic_progression(cfg.set_first, cfg.set_step, cfg.n_max)
     rep = density.lower_density_estimate(a, cfg.n_max)
     upper = rep.upper_estimate
     lines = [
@@ -1150,6 +1160,10 @@ def cmd_density(cfg: ExperimentConfig) -> CommandResult:
 
 def cmd_split(cfg: ExperimentConfig) -> CommandResult:
     """Split the naturals into geometric-density parts and verify."""
+    # the naturals, their rank assignments, the parts and their merge,
+    # and the density estimate of the largest part: at most 64 bytes
+    # per index (61 measured, with one part)
+    _within_budget("horizons.n_max", cfg.n_max, 64 * cfg.n_max)
     out = _artifact_dir(cfg, "split")
     parts = cfg.split_parts
     pieces = density.split(density.naturals(cfg.n_max), parts, cfg.n_max)
@@ -1178,6 +1192,13 @@ def cmd_split(cfg: ExperimentConfig) -> CommandResult:
 
 def cmd_sepfamily(cfg: ExperimentConfig) -> CommandResult:
     """Build the separated family and report per-class densities."""
+    # the classes hold at most n_max / multiplier indices together, the
+    # first n_max / (3 multiplier); with the pruning and density
+    # temporaries of the largest, at most 32 bytes per n_max / multiplier
+    # (28 measured)
+    _within_budget(
+        "horizons.n_max", cfg.n_max, 32 * cfg.n_max // max(cfg.multiplier, 1)
+    )
     out = _artifact_dir(cfg, "sepfamily")
     fam = density.build_separated_family(cfg.pairs, cfg.n_max, cfg.multiplier)
     rep = density.verify_separated_family(fam)

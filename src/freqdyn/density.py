@@ -15,6 +15,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .geometry import _sorted_unique
+
 __all__ = [
     "DensityReport",
     "FamilyReport",
@@ -84,7 +86,7 @@ class IndexSet:
     @staticmethod
     def from_elements(elements, n_max: Optional[int] = None, descriptor: Optional[str] = None,
                       closed_form_density: Optional[float] = None) -> "IndexSet":
-        els = np.unique(np.asarray(list(elements), dtype=np.int64))
+        els = _sorted_unique(np.asarray(list(elements), dtype=np.int64))
         if n_max is None:
             n_max = int(els[-1]) if els.size else 1
         return IndexSet(els, n_max, descriptor, closed_form_density)
@@ -144,7 +146,7 @@ def lower_density_estimate(a: IndexSet, horizon: int, burn_in: Optional[int] = N
     ns = np.concatenate(([burn_in], els - 1, els, [horizon])).astype(np.int64)
     ratios = a.count_up_to(ns) / ns
     empty = a.count_up_to(horizon) == 0
-    marks = np.unique(
+    marks = _sorted_unique(
         np.clip(
             np.round(np.logspace(math.log10(burn_in), math.log10(horizon), 33)),
             burn_in,
@@ -271,7 +273,7 @@ class SeparatedFamily:
         if not parts:
             return IndexSet(np.empty(0, dtype=np.int64), self.horizon, f"A({nu})")
         return IndexSet(
-            np.unique(np.concatenate(parts)), self.horizon, f"A(nu={nu})"
+            _sorted_unique(np.concatenate(parts)), self.horizon, f"A(nu={nu})"
         )
 
 

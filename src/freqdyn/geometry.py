@@ -291,6 +291,21 @@ def interior_margin(c: CompactSet, z: complex) -> float:
     return d.radius - abs(z - d.center)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a NaN-free array: its distinct values in ascending
+    order, each as it first occurs (the sign of a zero included).
+
+    A stable sort keeps equal values in input order, so the first of each
+    run is that first occurrence.  np.unique would import numpy.ma, about
+    15 ms, on its first call in a process.
+    """
+    a = np.sort(np.ravel(values), kind="stable")
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def sample_grid(c: CompactSet, resolution: int) -> np.ndarray:
     """Deterministic point set covering boundary and interior of c.
 
@@ -308,7 +323,7 @@ def sample_grid(c: CompactSet, resolution: int) -> np.ndarray:
             ang = np.exp(2j * np.pi * np.arange(m) / m)
             for j in range(1, k + 1):
                 pts.extend(c.center + (c.radius * j / k) * ang)
-        return np.unique(np.array(pts, dtype=complex))
+        return _sorted_unique(np.array(pts, dtype=complex))
     if isinstance(c, AnnularSector):
         if c.is_empty:
             return np.empty(0, dtype=complex)
@@ -318,7 +333,7 @@ def sample_grid(c: CompactSet, resolution: int) -> np.ndarray:
             m = 4 * k
             angles = c.half_angle * np.arange(-m, m + 1) / m
             pts.extend((radii[:, None] * np.exp(1j * angles[None, :])).ravel())
-        return np.unique(np.array(pts, dtype=complex))
+        return _sorted_unique(np.array(pts, dtype=complex))
     return np.asarray(c.boundary_points, dtype=complex)
 
 

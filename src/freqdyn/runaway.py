@@ -324,7 +324,7 @@ def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
     p2_index_witness = None
     for nu in range(1, cfg.nu_max + 1):
         for mu in range(nu + 1, cfg.nu_max + 1):
-            common = np.intersect1d(sets[nu].elements, sets[mu].elements)
+            common = np.intersect1d(sets[nu].elements, sets[mu].elements, assume_unique=True)
             if common.size:
                 p2_index_witness = (nu, mu, int(common[0]))
                 break

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqdyn import approx
 from freqdyn.approx import (
     BASIS_BLOCK,
     ArnoldiPoly,
@@ -95,7 +96,8 @@ def _simple_arnoldi(target_coeffs, npts=120, degree=10):
     pts = rng.normal(size=npts) + 1j * rng.normal(size=npts)
     p = Polynomial(target_coeffs)
     vals = p.evaluate(pts)
-    return _fit_arnoldi(pts, vals, np.ones(npts), degree), p
+    fn, _ = _fit_arnoldi(pts, vals, np.ones(npts), degree)
+    return fn, p
 
 
 def test_arnoldi_reproduces_polynomial_targets():
@@ -111,7 +113,7 @@ def test_arnoldi_saturates_on_few_distinct_points():
     distinct = 0.3 + 1.5 * np.exp(2j * np.pi * np.arange(5) / 5)
     pts = np.tile(distinct, 3)
     vals = np.cos(pts)
-    fn = _fit_arnoldi(pts, vals, np.linspace(1.0, 2.0, pts.size), 10)
+    fn, _ = _fit_arnoldi(pts, vals, np.linspace(1.0, 2.0, pts.size), 10)
     assert fn.degree == 4
     assert fn.hessenberg.shape == (5, 4)
     assert np.max(np.abs(fn.evaluate(pts) - vals)) < 1e-12
@@ -129,7 +131,8 @@ def _dense_shaped_fit(offset):
         )
     )
     pts, _, weights = _piece_data(target, 256, 3)
-    return _fit_arnoldi(pts, np.exp(-pts / 30.0), weights, 256), pts, weights
+    fn, _ = _fit_arnoldi(pts, np.exp(-pts / 30.0), weights, 256)
+    return fn, pts, weights
 
 
 @pytest.mark.parametrize("offset", [0.0, 100.0])
@@ -422,7 +425,7 @@ def test_fit_arnoldi_fallback_on_far_separated_discs():
     assert cand.status == CandidateStatus.PASS
 
 
-def _three_disc_target():
+def _three_disc_target(tau=1e-3):
     # z^2, 0 and z on separated discs: the degree-128 fit leaves errors
     # near 1e-4, far above rounding
     pieces = (
@@ -430,30 +433,112 @@ def _three_disc_target():
         (ClosedDisc(4.0, 1.0), Zero()),
         (ClosedDisc(8.0, 1.0), Monomial(1)),
     )
-    return PiecewiseTarget(tuple(TargetPiece(r, f, 1e-3) for r, f in pieces))
+    return PiecewiseTarget(tuple(TargetPiece(r, f, tau) for r, f in pieces))
 
 
-def test_each_fit_step_verifies_once(monkeypatch):
-    # every degree step evaluates the Arnoldi basis once per disc, at the
-    # degree + 1 nodes of its local Taylor expansion, and the accepted
-    # step is not checked again
-    target = _three_disc_target()
-    calls = []
-    basis = ArnoldiPoly.basis
+def _record_fit_steps(monkeypatch):
+    """Each fit of fit_on_compacts as [degree, rho, basis evaluations
+    (degree, number of points) made before the next fit]."""
+    steps = []
+    fit, basis = approx._fit_arnoldi, ArnoldiPoly.basis
 
-    def counting(self, z):
-        calls.append((self.degree, np.size(z)))
+    def fitting(*args):
+        fn, rho = fit(*args)
+        steps.append([fn.degree, rho, []])
+        return fn, rho
+
+    def evaluating(self, z):
+        steps[-1][2].append((self.degree, np.size(z)))
         return basis(self, z)
 
-    monkeypatch.setattr(ArnoldiPoly, "basis", counting)
+    monkeypatch.setattr(approx, "_fit_arnoldi", fitting)
+    monkeypatch.setattr(ArnoldiPoly, "basis", evaluating)
+    return steps
+
+
+def test_only_a_fit_step_within_budget_is_verified(monkeypatch):
+    # steps whose own fit misses a budget (rho >= 1) evaluate no basis;
+    # the accepted step evaluates each disc once, at the degree + 1 nodes
+    # of its local Taylor expansion, and is not checked again
+    target = _three_disc_target()
+    steps = _record_fit_steps(monkeypatch)
     cand = fit_on_compacts(target)
     monkeypatch.undo()
-    steps = np.array(calls).reshape(-1, len(target.pieces), 2)
-    degrees = START_DEGREE * 2 ** np.arange(steps.shape[0])
-    assert degrees[-1] == cand.degree == cand.fn.degree
-    assert np.array_equal(steps[:, :, 0], np.repeat(degrees[:, None], 3, axis=1))
-    assert np.array_equal(steps[:, :, 1], steps[:, :, 0] + 1)
+    assert [d for d, _, _ in steps] == [8, 16, 32, 64, 128] and cand.degree == 128
+    for _, rho, evaluations in steps[:-1]:
+        assert rho >= 1.0 and evaluations == []
+    _, rho, evaluations = steps[-1]
+    assert rho < 1.0 and evaluations == [(128, 129)] * 3
     assert [c.achieved for c in cand.certificates] == _verify(cand.fn, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+            st.integers(0, 24),
+            st.floats(-6.0, 0.0),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from([0.0, 10.0, 99.5 + 0.5j]),
+    st.sampled_from([8, 16]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_residual_at_the_budget_leaves_a_bound_at_the_budget(discs, offset, degree, seed):
+    # rho >= 1 screens a step out unverified; the certificate of that step
+    # must then miss some budget too
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for j, (radius, target_degree, log_tau) in enumerate(discs):
+        coefficients = rng.normal(size=target_degree + 1) + 1j * rng.normal(size=target_degree + 1)
+        disc = ClosedDisc(complex(offset) + 3.0 * j, radius)
+        pieces.append(TargetPiece(disc, FixedPoly(Polynomial(coefficients)), 10.0 ** log_tau))
+    target = PiecewiseTarget(tuple(pieces))
+    pts, vals, weights = _piece_data(target, degree, 3)
+    fn, rho = _fit_arnoldi(pts, vals, weights, min(degree, pts.size - 1))
+    if rho >= 1.0:
+        assert any(b >= p.tau for b, p in zip(_verify(fn, target), pieces))
+
+
+@pytest.mark.parametrize(
+    "target, max_degree, verified",
+    [
+        (_three_disc_target(), 32, []),
+        # rho = 0.90 at degree 128, whose bound is 1.12 times the budget
+        (_three_disc_target(1.755e-4), 128, [128]),
+        # z^200 leaves every step of degree d < 200 pi / 16 - 1 without a
+        # norming bound: all ratios are inf, and the first step is kept
+        (PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(200), 1e-3),)), 32, []),
+    ],
+    ids=["all-screened", "last-verified", "all-unbounded"],
+)
+def test_non_converged_fit_matches_verifying_every_step(monkeypatch, target, max_degree, verified):
+    # the best of the steps verified after the loop is the one a loop that
+    # verifies every step picks: the first of least worst ratio
+    steps = _record_fit_steps(monkeypatch)
+    cand = fit_on_compacts(target, max_degree=max_degree)
+    monkeypatch.undo()
+    assert [d for d, rho, _ in steps if rho < 1.0] == verified
+    assert cand.status == CandidateStatus.FAILED and cand.reason == "NON-CONVERGED"
+    taus = [p.tau for p in target.pieces]
+    best, degree = None, START_DEGREE
+    while degree <= max_degree:
+        pts, vals, weights = _piece_data(target, degree, 3)
+        fn, _ = _fit_arnoldi(pts, vals, weights, degree)
+        bounds = _verify(fn, target)
+        ratio = max(b / t for b, t in zip(bounds, taus))
+        if best is None or ratio < best[0]:
+            best = (ratio, fn, bounds)
+        degree *= 2
+    _, fn, bounds = best
+    assert cand.degree == fn.degree
+    assert np.array_equal(cand.fn.coefficients, fn.coefficients)
+    assert np.array_equal(cand.fn.hessenberg, fn.hessenberg)
+    assert cand.fn.norm0 == fn.norm0
+    assert [c.achieved for c in cand.certificates] == bounds
 
 
 def _local_target(coefficients, disc):
@@ -478,7 +563,7 @@ def test_certificate_bounds_the_error_on_a_finer_ring(cx, cy, radius, d, share, 
     normal = lambda n: rng.normal(size=n) + 1j * rng.normal(size=n)
     grid = _piece_grid(disc, d, 3)
     fitted = _local_target(normal(d + 1), disc).values(grid)
-    fn = _fit_arnoldi(grid, fitted, np.ones(grid.size), d)
+    fn, _ = _fit_arnoldi(grid, fitted, np.ones(grid.size), d)
     spec = _local_target(normal(int(share * 5 * (d + 1)) + 1), disc)
     target = PiecewiseTarget((TargetPiece(disc, spec, 1.0),))
     [bound] = _verify(fn, target)
@@ -498,7 +583,7 @@ def test_certificate_is_not_fooled_by_an_error_vanishing_on_the_ring():
     coefficients[200], coefficients[200 + m] = eps, -eps
     spec = FixedPoly(Polynomial(coefficients))
     grid = _piece_grid(disc, d, 3)
-    fn = _fit_arnoldi(grid, np.zeros(grid.size), np.ones(grid.size), d)
+    fn, _ = _fit_arnoldi(grid, np.zeros(grid.size), np.ones(grid.size), d)
     ring = _circle(0.0, 1.0, m)
     assert np.max(np.abs(spec.values(ring))) < 1e-12 * eps
     assert abs(spec.values(np.exp(1j * np.pi / m))) == pytest.approx(2.0 * eps)
@@ -602,7 +687,8 @@ def _far_small_disc_fit():
         )
     )
     pts, vals, weights = _piece_data(target, 256, 3)
-    return target, _fit_arnoldi(pts, vals, weights, 256)
+    fn, _ = _fit_arnoldi(pts, vals, weights, 256)
+    return target, fn
 
 
 def test_local_taylor_agrees_with_arnoldi_evaluation(dense_member3):
@@ -641,7 +727,7 @@ def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
         )
     )
     pts, vals, weights = _piece_data(target, 16, 3)
-    fn = _fit_arnoldi(pts, vals, weights, 16)
+    fn, _ = _fit_arnoldi(pts, vals, weights, 16)
     sizes = []
     evaluate = ArnoldiPoly.evaluate_with_rounding
 

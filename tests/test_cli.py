@@ -259,20 +259,22 @@ def test_golden_section_refuses_a_non_bracket_like_scipy(f):
 
 
 def test_sigma_and_example1_run_without_scipy(tmp_path):
+    # split and the existence build called np.unique, whose first call
+    # imports numpy.ma (about 15 ms per process)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, FREQDYN_OUT=str(tmp_path), PYTHONPATH=src)
-    script = (
-        "import sys\n"
-        "from freqdyn.cli import main\n"
-        f"assert main(['sigma', {os.path.join(CONFIGS, 'sigma.ini')!r}]) == 0\n"
-        f"assert main(['example1', {os.path.join(CONFIGS, 'example1.ini')!r}]) == 0\n"
-        "print('scipy' in sys.modules)\n"
-    )
+    runs = (("sigma", "sigma.ini"), ("example1", "example1.ini"),
+            ("split", "split.ini"), ("build_fhc", "existence.ini"))
+    script = "import sys\nfrom freqdyn.cli import main\n" + "".join(
+        f"assert main([{command!r}, {os.path.join(CONFIGS, config)!r}]) == 0\n"
+        for command, config in runs
+    ) + "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "False False"
     assert (tmp_path / "sigma" / "report.json").is_file()
+    assert (tmp_path / "build_fhc" / "candidate.json").is_file()
 
 
 @settings(max_examples=25, deadline=None)
@@ -400,7 +402,7 @@ def test_arnoldi_encoding_round_trip_is_banded_and_bitwise():
 
     rng = np.random.default_rng(7)
     pts = rng.normal(size=200) + 1j * rng.normal(size=200)
-    fn = _fit_arnoldi(pts, np.exp(pts), np.full(pts.size, 3.0), 24)
+    fn, _ = _fit_arnoldi(pts, np.exp(pts), np.full(pts.size, 3.0), 24)
     blob = json.loads(json.dumps(cli._encode_function(fn)))
     assert [len(col) for col in blob["hessenberg"]] == [k + 2 for k in range(24)]
     again = cli._decode_function(blob)
@@ -637,6 +639,33 @@ def test_main_example5_refuses_iterates_over_the_memory_budget(
     assert "memory budget" in lines[0]
     assert not (tmp_path / "out" / "example5").exists()
     assert main(argv + ["--override", "horizons.iterates=200"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, config, refused, accepted",
+    [
+        # 64 bytes per index: 64000 and 9600
+        ("split", "split.ini", 1000, 150),
+        # 56 bytes per element of the step-7 progression: 16016 and 8008
+        ("density", "density.ini", 2000, 1000),
+        # 32 bytes per n_max / multiplier at multiplier 8: 40000 and 8000
+        ("sepfamily", "sepfamily.ini", 10000, 2000),
+    ],
+)
+def test_main_refuses_a_horizon_over_the_memory_budget(
+    tmp_path, monkeypatch, capsys, command, config, refused, accepted
+):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 10_000)
+    argv = [command, os.path.join(CONFIGS, config), "--override"]
+    assert main(argv + [f"horizons.n_max={refused}"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: horizons.n_max={refused} ")
+    assert "memory budget" in lines[0]
+    assert not (tmp_path / "out" / command).exists()
+    # a split of 1..150 misses its density targets (exit 1), but it runs
+    assert main(argv + [f"horizons.n_max={accepted}"]) in (0, 1)
+    assert (tmp_path / "out" / command / "summary.txt").is_file()
 
 
 def test_main_example5_constant_errors_do_not_decrease(outdir):

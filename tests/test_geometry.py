@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqdyn.geometry import (
@@ -15,6 +15,7 @@ from freqdyn.geometry import (
     DomainError,
     Exhaustion,
     SampledCompact,
+    _sorted_unique,
     chordal_distance,
     disjointness,
     distance_to_slit,
@@ -384,3 +385,42 @@ def test_sector_exhaustion_small_members_empty():
 def test_exhaustion_rejects_bad_index():
     with pytest.raises(ValueError):
         whole_plane_exhaustion().member(0)
+
+
+# ---------------------------------------------------------------------------
+# Sorted unique values
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and want.tobytes() == got.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1)), max_size=60))
+def test_sorted_unique_matches_numpy_on_integers(values):
+    a = np.array(values, dtype=np.int64)
+    assert _same_bits(_sorted_unique(a), np.unique(a))
+
+
+_SIGNED_ZEROS = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+# long enough that an unstable sort reorders equal values
+_MANY_ZEROS = [_SIGNED_ZEROS[i] for i in np.random.default_rng(0).integers(0, 4, 1000)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(_MANY_ZEROS)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_SIGNED_ZEROS + [1.0 + 1.0j, -2.0j, 1.0 - 0.0j]),
+            st.complex_numbers(allow_nan=False),
+        ),
+        max_size=60,
+    )
+)
+def test_sorted_unique_matches_numpy_on_complex_values(values):
+    # equal values that differ in the sign of a zero keep their first
+    # occurrence, bit for bit, as np.unique keeps it
+    a = np.array(values, dtype=complex)
+    assert _same_bits(_sorted_unique(a), np.unique(a))
