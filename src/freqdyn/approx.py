@@ -30,7 +30,6 @@ from .geometry import (
     Disjointness,
     Domain,
     DomainKind,
-    _sorted_unique,
     disjointness,
     enclosing_disc,
     eps_to_boundary,
@@ -68,13 +67,11 @@ __all__ = [
     "verify_basis_perturbation",
 ]
 
-# Escalation schedule: degrees double from here until max_degree.
-START_DEGREE = 8
-
 _EPS_RESOLUTION = 3
 
 # Columns of the Hessenberg recurrence per matrix product in
-# ArnoldiPoly.basis, and points per basis matrix in ArnoldiPoly.evaluate.
+# ArnoldiPoly.basis, rows first allocated by _fit_arnoldi, and points per
+# basis matrix in ArnoldiPoly.evaluate.
 BASIS_BLOCK = 32
 EVAL_CHUNK = 512
 _U = np.finfo(float).eps / 2  # unit roundoff
@@ -468,7 +465,10 @@ class FhcCandidate:
     certificates: tuple
     status: str
     reason: Optional[str]
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return self.fn.degree
 
     def evaluate(self, z):
         return self.fn.evaluate(z)
@@ -479,26 +479,26 @@ class FhcCandidate:
         return max(c.achieved / c.envelope for c in self.certificates)
 
 
-def _piece_grid(region: ClosedDisc, degree: int, grid_res: int) -> np.ndarray:
-    """Fit grid of one piece: the grid_res lattice of the disc and
-    max(32, degree + 1) points on its boundary circle, as many as fix a
-    polynomial of the degree on the disc."""
-    ring = _circle(region.center, region.radius, max(32, degree + 1))
-    return _sorted_unique(np.concatenate([sample_grid(region, grid_res), ring]))
+def _piece_data(target: PiecewiseTarget, max_degree: int):
+    """Fit points, target values and weights 1 / tau of all pieces.
 
-
-def _piece_data(target: PiecewiseTarget, degree: int, grid_res: int):
+    Each disc contributes max(32, max_degree + 1) equispaced points on its
+    boundary circle, as many as fix a polynomial of the degree cap on the
+    disc; a disc of radius 0 contributes its centre.
+    """
     pts, vals, weights = [], [], []
     for piece in target.pieces:
-        grid = _piece_grid(piece.region, degree, grid_res)
+        c, r = piece.region.center, piece.region.radius
+        grid = _circle(c, r, max(32, max_degree + 1)) if r > 0.0 else np.array([complex(c)])
         pts.append(grid)
         vals.append(piece.spec.values(grid))
         weights.append(np.full(grid.size, 1.0 / piece.tau))
     return np.concatenate(pts), np.concatenate(vals), np.concatenate(weights)
 
 
-def _fit_arnoldi(pts, vals, weights, degree):
-    """Weighted least squares in the Arnoldi basis of the sample points.
+def _fit_arnoldi(pts, vals, weights, max_degree):
+    """Weighted least squares in the Arnoldi basis of the sample points,
+    one degree at a time.
 
     Row k of b holds the weighted basis vector w * q_k(pts), so plain
     Euclidean products of rows are the weighted inner products of the
@@ -509,37 +509,64 @@ def _fit_arnoldi(pts, vals, weights, degree):
     compacts.  Both passes conjugate the vector instead of the basis,
     since conj(b) would copy the whole basis at every step.
 
-    Returns the fit and rho, the largest weighted residual
-    max |w (vals - fit)| over the sample points, from the same rows:
-    with w = 1 / tau on each piece, the worst sampled error-to-budget
-    ratio.
+    The basis is nested and orthonormal, so its first k + 1 coefficients
+    are the degree-k fit.  For k = 0, 1, ... the generator yields
+    (rho, last, fit): rho = max |w (vals - fit_k)| over the sample points,
+    from the weighted residual r <- r - c_k b_k (with w = 1 / tau on each
+    piece, the worst sampled error-to-budget ratio); last, true at
+    max_degree or once the points admit no higher degree; and fit(),
+    which returns the degree-k ArnoldiPoly while the generator waits.
+    The rows of b live in blocks, the first BASIS_BLOCK rows long and
+    each later one as long as all before it, and H grows with them: memory
+    follows the degree reached, not max_degree, and no row is copied.
     """
     w = weights.astype(float)
-    b = np.empty((degree + 1, pts.size), dtype=complex)
-    h = np.zeros((degree + 1, degree), dtype=complex)
     norm0 = float(np.sqrt(np.sum(w * w)))
-    b[0] = w / norm0
-    for k in range(degree):
-        basis = b[: k + 1]
-        v = pts * b[k]
-        c = np.conj(basis @ np.conj(v))
-        v -= c @ basis
-        c2 = np.conj(basis @ np.conj(v))
-        v -= c2 @ basis
-        h[: k + 1, k] = c + c2
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-14 * norm0:
-            # basis saturated: the sample set cannot distinguish higher
-            # degrees; stop extending
-            b = b[: k + 1]
-            h = h[: k + 1, :k]
-            break
-        h[k + 1, k] = nrm
-        b[k + 1] = v / nrm
-    wvals = w * vals
-    coeffs = np.conj(b @ np.conj(wvals))
-    rho = float(np.max(np.abs(wvals - coeffs @ b)))
-    return ArnoldiPoly(h, norm0, coeffs), rho
+    rows = min(BASIS_BLOCK, max_degree + 1)
+    blocks = [np.empty((rows, pts.size), dtype=complex)]
+    h = np.zeros((rows, rows), dtype=complex)
+    start = 0  # the row index of the first row of the last block
+    coeffs = np.empty(max_degree + 1, dtype=complex)
+    blocks[0][0] = w / norm0
+    r = w * np.asarray(vals, dtype=complex)
+    for k in range(max_degree + 1):
+        bk = blocks[-1][k - start]
+        coeffs[k] = np.vdot(bk, r)
+        r -= coeffs[k] * bk
+        rho = float(np.max(np.abs(r)))
+        last = k == max_degree
+        if not last:
+            basis = blocks[:-1] + [blocks[-1][: k + 1 - start]]
+            v = pts * bk
+            c = _project_out(basis, v)
+            h[: k + 1, k] = c + _project_out(basis, v)
+            nrm = float(np.linalg.norm(v))
+            # a saturated basis: the points cannot distinguish higher degrees
+            last = nrm < 1e-14 * norm0
+            if not last:
+                if k + 1 - start == blocks[-1].shape[0]:
+                    start = k + 1
+                    rows = min(start, max_degree + 1 - start)
+                    blocks.append(np.empty((rows, pts.size), dtype=complex))
+                    h = np.pad(h, (0, rows))
+                h[k + 1, k] = nrm
+                blocks[-1][k + 1 - start] = v / nrm
+        yield rho, last, lambda k=k, h=h: ArnoldiPoly(
+            h[: k + 1, :k].copy(), norm0, coeffs[: k + 1].copy()
+        )
+        if last:
+            return
+
+
+def _project_out(basis: list, v: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass against the rows of the blocks in
+    basis: the coefficients c_j = <v, b_j>, all taken before v loses
+    sum_j c_j b_j in place."""
+    cv = np.conj(v)
+    c = [np.conj(block @ cv) for block in basis]
+    for cb, block in zip(c, basis):
+        v -= cb @ block
+    return np.concatenate(c)
 
 
 def _verify(fn: ArnoldiPoly, target: PiecewiseTarget) -> list:
@@ -576,54 +603,49 @@ def _verify(fn: ArnoldiPoly, target: PiecewiseTarget) -> list:
     return bounds
 
 
-def fit_on_compacts(
-    target: PiecewiseTarget,
-    max_degree: int = 256,
-    grid_res: int = 3,
-) -> FhcCandidate:
-    """Weighted least-squares fit with degree escalation and certification.
+def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandidate:
+    """Weighted least-squares fit in one Arnoldi pass, certified by _verify.
 
-    The degree doubles from START_DEGREE, the fit grids (_piece_grid)
-    growing with it, until the bound of _verify drops below every
-    piece's budget: the candidate PASSes, certified by those bounds.  At
-    the degree cap, or once the grid admits no higher degree, the step of
-    least worst bound-to-budget ratio FAILs as NON-CONVERGED.  Every
-    piece's target must be a polynomial.
-
-    A step whose fit residual rho (_fit_arnoldi) reaches 1 is not
-    verified: some fit point, which lies in its piece's closed disc,
-    already misses its budget, so the bound on that disc cannot pass.
-    Such steps are verified only if no step passes, to pick the best.
+    One recurrence on one grid (_piece_data) gives the degree-k fit and
+    its weighted residual rho_k, the worst sampled error-to-budget ratio,
+    at every degree k up to max_degree.  The bound of _verify is a ring
+    maximum times a Bernstein factor of up to 1 / (1 - pi / 16), which
+    1.25 rounds up, so the degree-k fit is verified only when 1.25 rho_k
+    is below a limit: at first 1, after each FAIL that step's rho, and
+    the last degree always.  The first verified step whose bound is below
+    every piece's budget PASSes, certified by those bounds; the schedule
+    only skips steps, so a PASS is always a bound.  If none passes, the
+    verified step of least worst bound-to-budget ratio, the first on a
+    tie, FAILs as NON-CONVERGED.  Every piece's target must be a
+    polynomial.
     """
-    if max_degree < START_DEGREE:
-        raise ValueError(f"max_degree must be at least {START_DEGREE}")
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     for idx, piece in enumerate(target.pieces):
         if piece.spec.degree is None:
             name = type(piece.spec.map).__name__
             raise ValueError(f"piece {idx}: the target through {name} is no polynomial")
     taus = [p.tau for p in target.pieces]
-    degree = START_DEGREE
-    steps = []  # (fn, bounds or None if screened out, degree), in order
-    while True:
-        pts, vals, weights = _piece_data(target, min(degree, max_degree), grid_res)
-        capped = min(degree, max_degree, pts.size - 1)
-        fn, rho = _fit_arnoldi(pts, vals, weights, capped)
-        bounds = _verify(fn, target) if rho < 1.0 else None
-        steps.append((fn, bounds, capped))
-        passed = bounds is not None and all(b < t for b, t in zip(bounds, taus))
-        if passed or capped >= max_degree or capped >= pts.size - 1:
+    pts, vals, weights = _piece_data(target, max_degree)
+    limit, best = 1.0, None
+    for rho, last, fit in _fit_arnoldi(pts, vals, weights, min(max_degree, pts.size - 1)):
+        if not (last or 1.25 * rho < limit):
+            continue
+        fn = fit()
+        bounds = _verify(fn, target)
+        ratio = max(b / t for b, t in zip(bounds, taus))
+        if best is None or ratio < best[0]:
+            best = (ratio, fn, bounds)
+        passed = all(b < t for b, t in zip(bounds, taus))
+        if passed:
             break
-        degree *= 2
-    if not passed:
-        steps = [(f, _verify(f, target) if b is None else b, d) for f, b, d in steps]
-        # the first step of least worst ratio
-        fn, bounds, capped = min(steps, key=lambda s: max(b / t for b, t in zip(s[1], taus)))
+        limit = rho
+    _, fn, bounds = best
     return FhcCandidate(
         fn=fn,
         certificates=tuple(PieceCertificate(b, t) for b, t in zip(bounds, taus)),
         status=CandidateStatus.PASS if passed else CandidateStatus.FAILED,
         reason=None if passed else "NON-CONVERGED",
-        degree=capped,
     )
 
 
@@ -743,15 +765,17 @@ def assemble_dense_target(
     splits: dict,
     resolution: int = _EPS_RESOLUTION,
 ) -> PiecewiseTarget:
-    """The mu-th enumerated polynomial on the base at level mu + 1, at
-    tolerance scaled by 1/mu; islands in p-block mu + 1 carry their
-    labelled polynomial, the rest zero.  The smaller bases are nested
-    inside K_{mu+1}, so fitting there covers them automatically."""
+    """The (mu + 1)-th enumerated polynomial on the base at level mu + 1,
+    at tolerance scaled by 1/mu; islands in p-block mu + 1 carry their
+    labelled polynomial, the rest zero.  The enumeration is taken from
+    index 2, the constant 1, since index 1 is the zero polynomial, which
+    is not frequently hypercyclic.  The smaller bases are nested inside
+    K_{mu+1}, so fitting there covers them automatically."""
     if mu < 1:
         raise ValueError("member index must be at least 1")
     if len(tr.bases) < mu + 1:
         raise ValueError("the dense build needs base compacts up to level mu + 1")
-    base_spec = FixedPoly(enumerate_dense_polynomial(mu))
+    base_spec = FixedPoly(enumerate_dense_polynomial(mu + 1))
     return _member_target(
         tr, splits, tr.bases[mu], base_spec, mu + 1, 1.0 / mu, resolution
     )

@@ -596,7 +596,7 @@ def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
     """Fit one candidate on the islands of a base-free truncation and
     write candidate.json; returns (candidate, verdict line, path)."""
     target = approx.assemble_existence_target(tr, splits, cfg.grid_res)
-    cand = approx.fit_on_compacts(target, cfg.max_degree, cfg.grid_res)
+    cand = approx.fit_on_compacts(target, cfg.max_degree)
     line = _verdict(
         cand.status == "PASS",
         f"{label} {cand.status} at degree {cand.degree}"
@@ -1031,7 +1031,7 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
     artifacts = []
     for mu in range(1, cfg.mu_max + 1):
         target = assemble(mu, tr, splits, cfg.grid_res)
-        cand = approx.fit_on_compacts(target, cfg.max_degree, cfg.grid_res)
+        cand = approx.fit_on_compacts(target, cfg.max_degree)
         members.append(cand)
         text = f"member {mu} fit {cand.status} at degree {cand.degree}"
         if span_kind is None:

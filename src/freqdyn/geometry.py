@@ -27,19 +27,16 @@ __all__ = [
     "DomainError",
     "DomainKind",
     "Exhaustion",
-    "SampledCompact",
     "chordal_distance",
     "disjointness",
     "distance_to_slit",
     "enclosing_disc",
     "eps_to_boundary",
-    "interior_margin",
     "point_in_compact",
     "right_half_plane_exhaustion",
     "sample_grid",
     "sector_exhaustion",
     "unit_disc_exhaustion",
-    "verify_nesting",
     "whole_plane_exhaustion",
 ]
 
@@ -222,36 +219,18 @@ class AnnularSector:
         return self.rmax < self.rmin
 
 
-@dataclass(frozen=True)
-class SampledCompact:
-    """A compact known only through boundary samples and a disc bound."""
-
-    boundary_points: tuple
-    enclosing: ClosedDisc
-
-    def __post_init__(self):
-        if len(self.boundary_points) == 0:
-            raise ValueError("a sampled compact needs at least one point")
-        pts = np.asarray(self.boundary_points, dtype=complex)
-        gap = np.abs(pts - self.enclosing.center) - self.enclosing.radius
-        if np.max(gap) > 1e-9 * (1.0 + self.enclosing.radius):
-            raise ValueError("boundary point outside the stated enclosing disc")
-
-
-CompactSet = Union[ClosedDisc, AnnularSector, SampledCompact]
+CompactSet = Union[ClosedDisc, AnnularSector]
 
 
 def enclosing_disc(c: CompactSet) -> ClosedDisc:
     """A closed disc containing the compact set."""
     if isinstance(c, ClosedDisc):
         return c
-    if isinstance(c, AnnularSector):
-        return ClosedDisc(0.0 + 0.0j, c.rmax)
-    return c.enclosing
+    return ClosedDisc(0.0 + 0.0j, c.rmax)
 
 
-def point_in_compact(c: CompactSet, z: complex):
-    """Membership where decidable; None for sampled compacts.
+def point_in_compact(c: CompactSet, z: complex) -> bool:
+    """Membership of z in the closed set c.
 
     Boundary comparisons carry a relative 1e-12 slack so that points
     produced by floating arithmetic on the boundary still count as
@@ -259,36 +238,13 @@ def point_in_compact(c: CompactSet, z: complex):
     """
     if isinstance(c, ClosedDisc):
         return abs(z - c.center) <= c.radius + 1e-12 * (1.0 + c.radius)
-    if isinstance(c, AnnularSector):
-        if c.is_empty:
-            return False
-        tol = 1e-12 * (1.0 + c.rmax)
-        r = abs(z)
-        if not (c.rmin - tol <= r <= c.rmax + tol):
-            return False
-        return abs(np.angle(complex(z))) <= c.half_angle + 1e-12
-    return None
-
-
-def interior_margin(c: CompactSet, z: complex) -> float:
-    """Positive when z is strictly interior to c, measured in plane units.
-
-    For a sampled compact only the enclosing disc is available, so the
-    value is an upper bound rather than an exact margin.
-    """
-    if isinstance(c, ClosedDisc):
-        return c.radius - abs(z - c.center)
-    if isinstance(c, AnnularSector):
-        if c.is_empty:
-            return -math.inf
-        r = abs(z)
-        ang = abs(np.angle(complex(z)))
-        margin = min(r - c.rmin, c.rmax - r)
-        if c.half_angle < math.pi:
-            margin = min(margin, r * (c.half_angle - ang))
-        return margin
-    d = c.enclosing
-    return d.radius - abs(z - d.center)
+    if c.is_empty:
+        return False
+    tol = 1e-12 * (1.0 + c.rmax)
+    r = abs(z)
+    if not (c.rmin - tol <= r <= c.rmax + tol):
+        return False
+    return abs(np.angle(complex(z))) <= c.half_angle + 1e-12
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -324,17 +280,15 @@ def sample_grid(c: CompactSet, resolution: int) -> np.ndarray:
             for j in range(1, k + 1):
                 pts.extend(c.center + (c.radius * j / k) * ang)
         return _sorted_unique(np.array(pts, dtype=complex))
-    if isinstance(c, AnnularSector):
-        if c.is_empty:
-            return np.empty(0, dtype=complex)
-        pts = []
-        for k in range(1, resolution + 1):
-            radii = c.rmin + (c.rmax - c.rmin) * np.arange(k + 1) / k
-            m = 4 * k
-            angles = c.half_angle * np.arange(-m, m + 1) / m
-            pts.extend((radii[:, None] * np.exp(1j * angles[None, :])).ravel())
-        return _sorted_unique(np.array(pts, dtype=complex))
-    return np.asarray(c.boundary_points, dtype=complex)
+    if c.is_empty:
+        return np.empty(0, dtype=complex)
+    pts = []
+    for k in range(1, resolution + 1):
+        radii = c.rmin + (c.rmax - c.rmin) * np.arange(k + 1) / k
+        m = 4 * k
+        angles = c.half_angle * np.arange(-m, m + 1) / m
+        pts.extend((radii[:, None] * np.exp(1j * angles[None, :])).ravel())
+    return _sorted_unique(np.array(pts, dtype=complex))
 
 
 class Disjointness(Enum):
@@ -446,20 +400,3 @@ def sector_exhaustion(c_const: float, alpha: float, beta: float, root_n: int) ->
         )
 
     return Exhaustion(Domain.slit_plane(), "annular sectors", member)
-
-
-def verify_nesting(exh: Exhaustion, nu_max: int, resolution: int = 2):
-    """Check that sampled K_nu sits strictly inside K_{nu+1} for nu <= nu_max.
-
-    Returns (ok, worst_margin, witness); empty members pass vacuously.
-    """
-    worst = math.inf
-    witness = None
-    for nu in range(1, nu_max + 1):
-        inner, outer = exh.member(nu), exh.member(nu + 1)
-        for z in sample_grid(inner, resolution):
-            m = interior_margin(outer, complex(z))
-            if m < worst:
-                worst, witness = m, (nu, complex(z))
-    ok = witness is None or worst > 0.0
-    return ok, worst, witness

@@ -35,7 +35,6 @@ __all__ = [
     "combination_scan",
     "first_monotone_tail",
     "iterate_convergence",
-    "orbit_distance",
     "scan",
 ]
 
@@ -50,20 +49,6 @@ ITERATE_BLOCK = 8192
 
 # Steps smaller than this do not break a monotone tail.
 MONOTONE_TOL = 1e-12
-
-def orbit_distance(
-    f: PolyLike,
-    m: HoloMap,
-    k: CompactSet,
-    p: Polynomial,
-    grid_res: int = 3,
-) -> float:
-    """sup over the grid of K of |f(phi(z)) - P(z)|."""
-    grid = sample_grid(k, grid_res)
-    if grid.size == 0:
-        raise ValueError("cannot scan over an empty compact")
-    mapped = apply(m, grid)
-    return float(np.max(np.abs(f.evaluate(mapped) - p.evaluate(grid))))
 
 
 @dataclass(frozen=True, eq=False)

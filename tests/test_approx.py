@@ -1,6 +1,7 @@
 """Tests for polynomial representations, enumeration, and compact fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from freqdyn.approx import (
     BASIS_BLOCK,
     ArnoldiPoly,
     BasisKind,
-    START_DEGREE,
     CandidateStatus,
     ComposedInverse,
     FixedPoly,
@@ -27,7 +27,6 @@ from freqdyn.approx import (
     _gaussian_rational,
     _local_taylor,
     _piece_data,
-    _piece_grid,
     _signed_rational,
     _verify,
     assemble_dense_target,
@@ -91,12 +90,20 @@ def test_monomial_and_zero_constructors():
         Polynomial.monomial(-1)
 
 
+def _fit_to(pts, vals, weights, degree):
+    """The last fit of the Arnoldi pass to degree, lower only if the points
+    saturate the basis, and its weighted residual rho."""
+    for rho, _, fit in _fit_arnoldi(pts, vals, weights, degree):
+        pass
+    return fit(), rho
+
+
 def _simple_arnoldi(target_coeffs, npts=120, degree=10):
     rng = np.random.default_rng(3)
     pts = rng.normal(size=npts) + 1j * rng.normal(size=npts)
     p = Polynomial(target_coeffs)
     vals = p.evaluate(pts)
-    fn, _ = _fit_arnoldi(pts, vals, np.ones(npts), degree)
+    fn, _ = _fit_to(pts, vals, np.ones(npts), degree)
     return fn, p
 
 
@@ -113,7 +120,7 @@ def test_arnoldi_saturates_on_few_distinct_points():
     distinct = 0.3 + 1.5 * np.exp(2j * np.pi * np.arange(5) / 5)
     pts = np.tile(distinct, 3)
     vals = np.cos(pts)
-    fn, _ = _fit_arnoldi(pts, vals, np.linspace(1.0, 2.0, pts.size), 10)
+    fn, _ = _fit_to(pts, vals, np.linspace(1.0, 2.0, pts.size), 10)
     assert fn.degree == 4
     assert fn.hessenberg.shape == (5, 4)
     assert np.max(np.abs(fn.evaluate(pts) - vals)) < 1e-12
@@ -130,8 +137,8 @@ def _dense_shaped_fit(offset):
             for (c, r), tau in zip(discs, taus)
         )
     )
-    pts, _, weights = _piece_data(target, 256, 3)
-    fn, _ = _fit_arnoldi(pts, np.exp(-pts / 30.0), weights, 256)
+    pts, _, weights = _piece_data(target, 256)
+    fn, _ = _fit_to(pts, np.exp(-pts / 30.0), weights, 256)
     return fn, pts, weights
 
 
@@ -358,11 +365,14 @@ def _two_disc_target(tau=1e-8):
 
 
 def test_fit_two_disc_polynomial_targets():
-    # both targets are polynomials, so some finite degree nails them
-    cand = fit_on_compacts(_two_disc_target())
+    # both targets are polynomials, so some finite degree nails them; the
+    # certificates are the bounds of _verify on the candidate, bit for bit
+    target = _two_disc_target()
+    cand = fit_on_compacts(target)
     assert cand.status == CandidateStatus.PASS
     for cert in cand.certificates:
         assert cert.achieved < cert.envelope
+    assert [c.achieved for c in cand.certificates] == _verify(cand.fn, target)
 
 
 def test_fit_is_deterministic():
@@ -384,8 +394,10 @@ def test_fit_reports_nonconvergence_at_degree_cap():
 
 
 def test_fit_rejects_small_degree_cap():
-    with pytest.raises(ValueError):
-        fit_on_compacts(_two_disc_target(), max_degree=4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit_on_compacts(_two_disc_target(), max_degree=-1)
+    # the least cap fits a constant
+    assert fit_on_compacts(_two_disc_target(), max_degree=0).degree == 0
 
 
 def test_fit_linear_in_target_values():
@@ -436,40 +448,92 @@ def _three_disc_target(tau=1e-3):
     return PiecewiseTarget(tuple(TargetPiece(r, f, tau) for r, f in pieces))
 
 
+def _one_disc_target(coefficients, tau):
+    return PiecewiseTarget(
+        (TargetPiece(ClosedDisc(0.0, 1.0), FixedPoly(Polynomial(coefficients)), tau),)
+    )
+
+
 def _record_fit_steps(monkeypatch):
-    """Each fit of fit_on_compacts as [degree, rho, basis evaluations
-    (degree, number of points) made before the next fit]."""
-    steps = []
-    fit, basis = approx._fit_arnoldi, ArnoldiPoly.basis
+    """rho at each degree the pass reaches, and (fn, bounds) of each step
+    verified, in order."""
+    rhos, verified = [], []
+    fit, verify = approx._fit_arnoldi, approx._verify
 
     def fitting(*args):
-        fn, rho = fit(*args)
-        steps.append([fn.degree, rho, []])
-        return fn, rho
+        for rho, last, build in fit(*args):
+            rhos.append(rho)
+            yield rho, last, build
 
-    def evaluating(self, z):
-        steps[-1][2].append((self.degree, np.size(z)))
-        return basis(self, z)
+    def verifying(fn, target):
+        bounds = verify(fn, target)
+        verified.append((fn, bounds))
+        return bounds
 
     monkeypatch.setattr(approx, "_fit_arnoldi", fitting)
-    monkeypatch.setattr(ArnoldiPoly, "basis", evaluating)
-    return steps
+    monkeypatch.setattr(approx, "_verify", verifying)
+    return rhos, verified
+
+
+def _scheduled(rhos):
+    """Degrees the verification schedule names in a pass that stopped
+    after len(rhos) steps: the first with 1.25 rho < 1, then each whose
+    rho is below the last verified one's by another factor 1.25, and the
+    last step."""
+    degrees, limit = [], 1.0
+    for k, rho in enumerate(rhos):
+        if 1.25 * rho < limit or k == len(rhos) - 1:
+            degrees.append(k)
+            limit = rho
+    return degrees
 
 
 def test_only_a_fit_step_within_budget_is_verified(monkeypatch):
-    # steps whose own fit misses a budget (rho >= 1) evaluate no basis;
-    # the accepted step evaluates each disc once, at the degree + 1 nodes
-    # of its local Taylor expansion, and is not checked again
-    target = _three_disc_target()
-    steps = _record_fit_steps(monkeypatch)
-    cand = fit_on_compacts(target)
-    monkeypatch.undo()
-    assert [d for d, _, _ in steps] == [8, 16, 32, 64, 128] and cand.degree == 128
-    for _, rho, evaluations in steps[:-1]:
-        assert rho >= 1.0 and evaluations == []
-    _, rho, evaluations = steps[-1]
-    assert rho < 1.0 and evaluations == [(128, 129)] * 3
-    assert [c.achieved for c in cand.certificates] == _verify(cand.fn, target)
+    # the three-disc fit verifies degree 104 alone, the first with
+    # 1.25 rho < 1, and passes there.  z^20 at budget 2 has rho = 0.5 up
+    # to degree 19: degree 0 is verified and fails, with no norming bound
+    # (20 >= 16 / pi), and the next step verified is degree 20, where rho
+    # falls to rounding and the bound passes
+    z20 = _one_disc_target([0.0] * 20 + [1.0], 2.0)
+    for target, want in ((_three_disc_target(), [104]), (z20, [0, 20])):
+        rhos, verified = _record_fit_steps(monkeypatch)
+        cand = fit_on_compacts(target)
+        monkeypatch.undo()
+        assert [fn.degree for fn, _ in verified] == _scheduled(rhos) == want
+        assert cand.status == CandidateStatus.PASS and cand.fn is verified[-1][0]
+        assert [c.achieved for c in cand.certificates] == _verify(cand.fn, target)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [_three_disc_target(), _one_disc_target([0.0] * 20 + [1.0], 2.0)],
+    ids=["three-disc", "one-disc"],
+)
+def test_fit_residual_is_the_residual_of_each_truncation(target):
+    # rho_k, kept as r <- r - c_k b_k, is max |w (vals - fn_k(pts))| with
+    # fn_k the degree-k truncation evaluated through its own recurrence,
+    # up to rounding on the scale of the weighted data: under 1e-9 here
+    pts, vals, weights = _piece_data(target, 128)
+    scale = float(np.max(np.abs(weights * vals)))
+    for k, (rho, _, fit) in enumerate(_fit_arnoldi(pts, vals, weights, 128)):
+        fn = fit()
+        assert fn.degree == k and fn.hessenberg.shape == (k + 1, k)
+        direct = float(np.max(np.abs(weights * (vals - fn.evaluate(pts)))))
+        assert abs(rho - direct) <= 1e-13 * scale
+
+
+def test_fit_memory_follows_the_degree_reached():
+    # a cap of 4096 rings the disc with 4097 points, and the fit passes at
+    # degree 3: basis rows and H sized for the cap would take 540 MB
+    target = _one_disc_target([0.0, 0.0, 0.0, 1.0], 1e-3)
+    tracemalloc.start()
+    try:
+        cand = fit_on_compacts(target, max_degree=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cand.status == CandidateStatus.PASS and cand.degree == 3
+    assert peak < 8 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
@@ -488,7 +552,7 @@ def test_only_a_fit_step_within_budget_is_verified(monkeypatch):
     st.integers(0, 2**32 - 1),
 )
 def test_fit_residual_at_the_budget_leaves_a_bound_at_the_budget(discs, offset, degree, seed):
-    # rho >= 1 screens a step out unverified; the certificate of that step
+    # rho >= 1 leaves a step unverified; the certificate of that step
     # must then miss some budget too
     rng = np.random.default_rng(seed)
     pieces = []
@@ -497,48 +561,44 @@ def test_fit_residual_at_the_budget_leaves_a_bound_at_the_budget(discs, offset, 
         disc = ClosedDisc(complex(offset) + 3.0 * j, radius)
         pieces.append(TargetPiece(disc, FixedPoly(Polynomial(coefficients)), 10.0 ** log_tau))
     target = PiecewiseTarget(tuple(pieces))
-    pts, vals, weights = _piece_data(target, degree, 3)
-    fn, rho = _fit_arnoldi(pts, vals, weights, min(degree, pts.size - 1))
+    pts, vals, weights = _piece_data(target, degree)
+    fn, rho = _fit_to(pts, vals, weights, min(degree, pts.size - 1))
     if rho >= 1.0:
         assert any(b >= p.tau for b, p in zip(_verify(fn, target), pieces))
 
 
 @pytest.mark.parametrize(
-    "target, max_degree, verified",
+    "target, max_degree, verified_degrees",
     [
-        (_three_disc_target(), 32, []),
-        # rho = 0.90 at degree 128, whose bound is 1.12 times the budget
-        (_three_disc_target(1.755e-4), 128, [128]),
+        (_three_disc_target(), 32, [32]),
+        # z + z^12 at budget 1.3: rho = 1 / 1.3 from degree 1 to 11, so
+        # degree 1 is verified, with no norming bound (12 >= 32 / pi); the
+        # cap 8 bounds the error |z^12| = 1 by 1 / (1 - 12 pi / 144) > 1.3
+        (_one_disc_target([0.0, 1.0] + [0.0] * 10 + [1.0], 1.3), 8, [1, 8]),
         # z^200 leaves every step of degree d < 200 pi / 16 - 1 without a
-        # norming bound: all ratios are inf, and the first step is kept
-        (PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(200), 1e-3),)), 32, []),
+        # norming bound, so all ratios are inf and the first verified step
+        # is kept: degree 2, where z^200 = z^2 on the 33 ring points
+        (_one_disc_target([0.0] * 200 + [1.0], 1e-3), 32, None),
     ],
     ids=["all-screened", "last-verified", "all-unbounded"],
 )
-def test_non_converged_fit_matches_verifying_every_step(monkeypatch, target, max_degree, verified):
-    # the best of the steps verified after the loop is the one a loop that
-    # verifies every step picks: the first of least worst ratio
-    steps = _record_fit_steps(monkeypatch)
+def test_non_converged_fit_matches_verifying_every_step(monkeypatch, target, max_degree, verified_degrees):
+    # the steps the schedule names are each verified once, the cap among
+    # them, and the candidate is the first of least worst ratio
+    rhos, verified = _record_fit_steps(monkeypatch)
     cand = fit_on_compacts(target, max_degree=max_degree)
     monkeypatch.undo()
-    assert [d for d, rho, _ in steps if rho < 1.0] == verified
     assert cand.status == CandidateStatus.FAILED and cand.reason == "NON-CONVERGED"
+    degrees = [fn.degree for fn, _ in verified]
+    assert degrees == _scheduled(rhos) and degrees[-1] == max_degree
+    if verified_degrees is not None:
+        assert degrees == verified_degrees
     taus = [p.tau for p in target.pieces]
-    best, degree = None, START_DEGREE
-    while degree <= max_degree:
-        pts, vals, weights = _piece_data(target, degree, 3)
-        fn, _ = _fit_arnoldi(pts, vals, weights, degree)
-        bounds = _verify(fn, target)
-        ratio = max(b / t for b, t in zip(bounds, taus))
-        if best is None or ratio < best[0]:
-            best = (ratio, fn, bounds)
-        degree *= 2
-    _, fn, bounds = best
-    assert cand.degree == fn.degree
-    assert np.array_equal(cand.fn.coefficients, fn.coefficients)
-    assert np.array_equal(cand.fn.hessenberg, fn.hessenberg)
-    assert cand.fn.norm0 == fn.norm0
-    assert [c.achieved for c in cand.certificates] == bounds
+    ratios = [max(b / t for b, t in zip(bounds, taus)) for _, bounds in verified]
+    fn, bounds = verified[ratios.index(min(ratios))]
+    assert cand.fn is fn and [c.achieved for c in cand.certificates] == bounds
+    if verified_degrees is None:
+        assert min(ratios) == math.inf and cand.degree == degrees[0] == 2
 
 
 def _local_target(coefficients, disc):
@@ -561,9 +621,9 @@ def test_certificate_bounds_the_error_on_a_finer_ring(cx, cy, radius, d, share, 
     rng = np.random.default_rng(seed)
     disc = ClosedDisc(complex(cx, cy), radius)
     normal = lambda n: rng.normal(size=n) + 1j * rng.normal(size=n)
-    grid = _piece_grid(disc, d, 3)
+    grid = _circle(disc.center, disc.radius, max(32, d + 1))
     fitted = _local_target(normal(d + 1), disc).values(grid)
-    fn, _ = _fit_arnoldi(grid, fitted, np.ones(grid.size), d)
+    fn, _ = _fit_to(grid, fitted, np.ones(grid.size), d)
     spec = _local_target(normal(int(share * 5 * (d + 1)) + 1), disc)
     target = PiecewiseTarget((TargetPiece(disc, spec, 1.0),))
     [bound] = _verify(fn, target)
@@ -582,8 +642,8 @@ def test_certificate_is_not_fooled_by_an_error_vanishing_on_the_ring():
     coefficients = np.zeros(201 + m, dtype=complex)
     coefficients[200], coefficients[200 + m] = eps, -eps
     spec = FixedPoly(Polynomial(coefficients))
-    grid = _piece_grid(disc, d, 3)
-    fn, _ = _fit_arnoldi(grid, np.zeros(grid.size), np.ones(grid.size), d)
+    grid = _circle(disc.center, disc.radius, max(32, d + 1))
+    fn, _ = _fit_to(grid, np.zeros(grid.size), np.ones(grid.size), d)
     ring = _circle(0.0, 1.0, m)
     assert np.max(np.abs(spec.values(ring))) < 1e-12 * eps
     assert abs(spec.values(np.exp(1j * np.pi / m))) == pytest.approx(2.0 * eps)
@@ -653,7 +713,7 @@ def test_slit_plane_spaceable_base_is_the_sector_enclosing_disc():
 
 @pytest.fixture(scope="module")
 def dense_member3():
-    """The third member of configs/dense.ini: target and degree-256 fit."""
+    """The third member of configs/dense.ini: target and fit."""
     from freqdyn.density import build_separated_family
     from freqdyn.geometry import whole_plane_exhaustion
     from freqdyn.maps import Similarity
@@ -686,16 +746,18 @@ def _far_small_disc_fit():
             TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), Monomial(1), 1e-3),
         )
     )
-    pts, vals, weights = _piece_data(target, 256, 3)
-    fn, _ = _fit_arnoldi(pts, vals, weights, 256)
+    pts, vals, weights = _piece_data(target, 256)
+    fn, _ = _fit_to(pts, vals, weights, 256)
     return target, fn
 
 
 def test_local_taylor_agrees_with_arnoldi_evaluation(dense_member3):
-    target, cand = dense_member3
-    assert cand.degree == cand.fn.degree == 256
+    # the member's fit carried on to the degree cap 256
+    target, _ = dense_member3
+    fn, _ = _fit_to(*_piece_data(target, 256), 256)
+    assert fn.degree == 256
     far_target, far_fn = _far_small_disc_fit()
-    for tgt, fn in ((target, cand.fn), (far_target, far_fn)):
+    for tgt, fn in ((target, fn), (far_target, far_fn)):
         direct, taylor = [], []
         for piece in tgt.pieces:
             disc = piece.region
@@ -713,9 +775,10 @@ def test_local_taylor_agrees_with_arnoldi_evaluation(dense_member3):
 
 def test_dense_member3_fit_grid_is_thin(dense_member3):
     target, cand = dense_member3
-    # seven discs; rings of 4 (d + 1) points made 7854
-    pts, _, _ = _piece_data(target, 256, 3)
-    assert pts.size == 2478
+    # seven discs at the cap 256; rings of 4 (d + 1) points made 7854, and
+    # rings of d + 1 points with interior lattices 2478
+    pts, _, _ = _piece_data(target, 256)
+    assert pts.size == 7 * 257
     assert cand.status == CandidateStatus.PASS
 
 
@@ -726,8 +789,8 @@ def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
             TargetPiece(ClosedDisc(3.0 + 1.0j, 0.0), Monomial(1), 1e-3),
         )
     )
-    pts, vals, weights = _piece_data(target, 16, 3)
-    fn, _ = _fit_arnoldi(pts, vals, weights, 16)
+    pts, vals, weights = _piece_data(target, 16)
+    fn, _ = _fit_to(pts, vals, weights, 16)
     sizes = []
     evaluate = ArnoldiPoly.evaluate_with_rounding
 
@@ -747,14 +810,19 @@ def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
     assert bounds[1] == abs(value[0] - z[0]) + rounding[0]
 
 
-@pytest.mark.parametrize("region", [ClosedDisc(2.0 - 1.0j, 0.5)], ids=["disc"])
+@pytest.mark.parametrize(
+    "region", [ClosedDisc(2.0 - 1.0j, 0.5), ClosedDisc(2.0 - 1.0j, 0.0)], ids=["disc", "point"]
+)
 @pytest.mark.parametrize("degree", [4, 8, 256])
 def test_piece_grid_point_sets(region, degree):
-    # the grid_res lattice and max(32, degree + 1) boundary points
-    m = max(32, degree + 1)
-    ring = region.center + region.radius * np.exp(2j * np.pi * np.arange(m) / m)
-    want = np.unique(np.concatenate([sample_grid(region, 3), ring]))
-    assert np.array_equal(_piece_grid(region, degree, 3), want)
+    # max(32, degree + 1) boundary points of a disc, no interior lattice;
+    # the centre alone for a disc of radius 0
+    m = max(32, degree + 1) if region.radius > 0.0 else 1
+    want = region.center + region.radius * np.exp(2j * np.pi * np.arange(m) / m)
+    target = PiecewiseTarget((TargetPiece(region, Monomial(2), 0.5),))
+    pts, vals, weights = _piece_data(target, degree)
+    assert np.array_equal(pts, want)
+    assert np.array_equal(vals, want**2) and np.array_equal(weights, np.full(m, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -966,8 +1034,10 @@ def test_assemble_dense_member_tracks_its_target(translation_setup):
     }
     cand = fit_on_compacts(assemble_dense_target(1, tr, splits))
     assert cand.status == CandidateStatus.PASS
-    # criterion: within 1/mu of the enumerated target on K_{mu+1}
+    # criterion: within 1/mu of the (mu + 1)-th enumerated polynomial, the
+    # constant 1 for mu = 1, on K_{mu+1}
     grid = sample_grid(tr.bases[1], 6)
-    p1 = enumerate_dense_polynomial(1)
-    err = float(np.max(np.abs(cand.evaluate(grid) - p1.evaluate(grid))))
+    p2 = enumerate_dense_polynomial(2)
+    assert p2.coefficients.tolist() == [1.0]
+    err = float(np.max(np.abs(cand.evaluate(grid) - p2.evaluate(grid))))
     assert err < 1.0

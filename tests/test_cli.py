@@ -2,7 +2,7 @@
 
 import ast
 import contextlib
-import importlib
+import importlib.util
 import dataclasses
 import io
 import json
@@ -381,9 +381,7 @@ def test_candidate_matches_in_memory_function(existence_artifacts):
         for nu in sorted({int(v) for v in fam.nu_values() if v <= cfg.nu_max})
     }
     cand = approx.fit_on_compacts(
-        approx.assemble_existence_target(tr, splits, cfg.grid_res),
-        cfg.max_degree,
-        cfg.grid_res,
+        approx.assemble_existence_target(tr, splits, cfg.grid_res), cfg.max_degree
     )
     stored, _ = load_candidate(str(path))
     z = np.linspace(-3, 35, 101) + 0.17j
@@ -402,7 +400,9 @@ def test_arnoldi_encoding_round_trip_is_banded_and_bitwise():
 
     rng = np.random.default_rng(7)
     pts = rng.normal(size=200) + 1j * rng.normal(size=200)
-    fn, _ = _fit_arnoldi(pts, np.exp(pts), np.full(pts.size, 3.0), 24)
+    for _, _, fit in _fit_arnoldi(pts, np.exp(pts), np.full(pts.size, 3.0), 24):
+        pass
+    fn = fit()
     blob = json.loads(json.dumps(cli._encode_function(fn)))
     assert [len(col) for col in blob["hessenberg"]] == [k + 2 for k in range(24)]
     again = cli._decode_function(blob)
@@ -507,17 +507,17 @@ def test_cmd_example1_scan_matches_stored_candidate_scan(outdir):
     "command, config, expected",
     [
         (cmd_build_fhc, "existence.ini",
-         ["PASS: candidate fit PASS at degree 16 (worst error ratio 0.641)"]),
+         ["PASS: candidate fit PASS at degree 12 (worst error ratio 0.856)"]),
         (cmd_example1, "example1.ini",
-         ["PASS: island fit PASS at degree 8 (worst error ratio 0.589)"]),
+         ["PASS: island fit PASS at degree 7 (worst error ratio 0.954)"]),
         (cmd_build_fhc, "spaceable.ini",
          [f"PASS: member {mu} fit PASS at degree {d}"
-          for mu, d in ((1, 32), (2, 32), (3, 64))]),
+          for mu, d in ((1, 22), (2, 26), (3, 38))]),
         (cmd_build_fhc, "dense.ini",
          [f"PASS: member {mu} fit PASS at degree {d} (base error {e} vs {b})"
-          for mu, d, e, b in ((1, 8, "0.000e+00", "1.000e+00"),
-                              (2, 32, "2.043e-01", "5.000e-01"),
-                              (3, 256, "3.115e-02", "3.333e-01"))]),
+          for mu, d, e, b in ((1, 4, "7.536e-01", "1.000e+00"),
+                              (2, 61, "2.834e-01", "5.000e-01"),
+                              (3, 77, "1.561e-01", "3.333e-01"))]),
     ],
 )
 def test_shipped_configs_fit_lines(outdir, command, config, expected):
@@ -570,12 +570,44 @@ def test_cmd_build_mixed_members_and_basis(outdir):
     members = [line for line in res.lines if line.startswith("PASS: member")]
     assert members == [
         f"PASS: member {mu} fit PASS at degree {d}"
-        for mu, d in ((1, 16), (2, 32), (3, 64))
+        for mu, d in ((1, 12), (2, 26), (3, 38))
     ]
     basis = json.loads((outdir / "build_fhc" / "basis.json").read_text())
     assert basis["kind"] == "mixed"
     assert basis["indices"] == [1, 2, 3]
-    assert f"{basis['perturbation_sum']:.6f}" == "0.105258"
+    assert f"{basis['perturbation_sum']:.6f}" == "0.226837"
+
+
+def test_shipped_dense_members_are_nonzero(outdir, monkeypatch):
+    # index 1 of the enumeration is the zero polynomial; the dense base
+    # targets start at index 2, so no member is the zero function
+    bases = []
+    assemble = approx.assemble_dense_target
+
+    def capture(mu, *args):
+        target = assemble(mu, *args)
+        bases.append(target.pieces[0].spec.poly)
+        return target
+
+    monkeypatch.setattr(approx, "assemble_dense_target", capture)
+    assert not cmd_build_fhc(_shipped("dense.ini")).failed
+    assert len(bases) == 3 and all(np.any(p.coefficients) for p in bases)
+    for mu in (1, 2, 3):
+        stored, _ = load_candidate(str(outdir / "build_fhc" / f"member{mu}.json"))
+        assert np.any(stored.coefficients)
+
+
+def test_run_examples_script_runs_every_shipped_example(tmp_path, monkeypatch, capsys):
+    # the script sets and finally unsets FREQDYN_OUT; monkeypatch restores it
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "unused"))
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_examples.py")
+    spec = importlib.util.spec_from_file_location("run_examples", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--out", str(tmp_path / "examples"), "--configs", CONFIGS]) == 0
+    out = capsys.readouterr().out
+    assert f"all {len(script.RUNS)} example runs behaved as expected" in out
+    assert len(script.RUNS) == 19
 
 
 def test_cmd_example2_residuals(outdir):
@@ -1014,6 +1046,18 @@ def test_main_overflow_exits_2_without_traceback(
     key = overrides[-1].partition("=")[0]
     assert f"{key}=" in lines[0] and "overflows at horizon" in lines[0]
     assert not (tmp_path / "out" / command).exists()
+
+
+@pytest.mark.parametrize("config", ["existence.ini", "spaceable.ini"])
+def test_main_negative_degree_cap_exits_2(tmp_path, monkeypatch, capsys, config):
+    # both fit sites: the existence candidate and the member loop
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    argv = ["build_fhc", os.path.join(CONFIGS, config),
+            "--override", "tolerances.max_degree=-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["error: max_degree must be nonnegative, got -1"]
+    assert not (tmp_path / "out" / "build_fhc").exists()
 
 
 def test_main_exit_2_removes_only_an_empty_output_dir(tmp_path, monkeypatch):

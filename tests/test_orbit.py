@@ -23,7 +23,6 @@ from freqdyn.orbit import (
     combination_scan,
     first_monotone_tail,
     iterate_convergence,
-    orbit_distance,
     scan,
 )
 from freqdyn.runaway import RunawayConfig, build_carleman_truncation
@@ -83,42 +82,6 @@ def spaceable_setup():
         if np.any(splits[nu][(l, 1)].elements <= horizon_scan)
     ]
     return basis, 2.0 * max_tau, horizon_scan, pairs
-
-
-# ---------------------------------------------------------------------------
-# orbit_distance
-
-
-def test_orbit_distance_zero_for_matching_target():
-    p = Polynomial([1.0, 2.0, -0.5j])
-    d = orbit_distance(p, Identity(EXH.domain), ClosedDisc(0.0, 1.0), p)
-    assert d == 0.0
-
-
-def test_orbit_distance_scales_linearly():
-    p = Polynomial([0.3, 1.0])
-    targ = Polynomial([1.0])
-    k = ClosedDisc(0.0, 1.0)
-    m = Similarity(1.0, 2.0)
-    base = orbit_distance(p, m, k, targ)
-    scaled = orbit_distance(
-        Polynomial(5.0 * p.coefficients),
-        m, k, Polynomial([5.0]),
-    )
-    assert scaled == pytest.approx(5.0 * base, rel=1e-12)
-
-
-def test_orbit_distance_matches_brute_force():
-    from freqdyn.geometry import sample_grid
-    from freqdyn.maps import apply
-
-    f = Polynomial([0.0, 0.0, 1.0])
-    targ = Polynomial([2.0, 1.0])
-    k = ClosedDisc(0.5, 0.7)
-    m = Similarity(0.5j, 1.0)
-    grid = sample_grid(k, 3)
-    want = max(abs(f.evaluate(apply(m, z)) - targ.evaluate(z)) for z in grid)
-    assert orbit_distance(f, m, k, targ) == pytest.approx(want)
 
 
 # ---------------------------------------------------------------------------
