@@ -27,10 +27,9 @@ from .density import IndexSet, split
 from .geometry import (
     ClosedDisc,
     CompactSet,
-    Disjointness,
     Domain,
     DomainKind,
-    disjointness,
+    disc_pairs,
     enclosing_disc,
     eps_to_boundary,
     sample_grid,
@@ -411,14 +410,14 @@ class PiecewiseTarget:
     pieces: tuple
 
     def __post_init__(self):
-        for i, a in enumerate(self.pieces):
-            for b in self.pieces[i + 1:]:
-                verdict = disjointness(a.region, b.region)
-                if verdict is not Disjointness.DISJOINT:
-                    raise ValueError(
-                        f"target regions {i} and {self.pieces.index(b)} "
-                        f"are not certified disjoint ({verdict.name})"
-                    )
+        regions = [piece.region for piece in self.pieces]
+        first_bad = disc_pairs(
+            np.array([r.center for r in regions], dtype=complex),
+            np.array([r.radius for r in regions], dtype=float),
+        )[0]
+        if first_bad is not None:
+            i, j = first_bad
+            raise ValueError(f"target regions {i} and {j} are not disjoint")
 
 
 def min_envelope(domain: Domain, region: CompactSet, resolution: int = _EPS_RESOLUTION) -> float:

@@ -594,17 +594,28 @@ def _runaway_lines(rep) -> tuple:
 
 def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
     """Fit one candidate on the islands of a base-free truncation and
-    write candidate.json; returns (candidate, verdict line, path)."""
+    write candidate.json; returns (candidate, summary lines, path).
+
+    A fit to the zero function fails: it is not frequently hypercyclic.
+    """
     target = approx.assemble_existence_target(tr, splits, cfg.grid_res)
     cand = approx.fit_on_compacts(target, cfg.max_degree)
-    line = _verdict(
-        cand.status == "PASS",
-        f"{label} {cand.status} at degree {cand.degree}"
-        f" (worst error ratio {cand.max_ratio:.3g})",
-    )
+    zero = not np.any(cand.fn.coefficients)
+    lines = [
+        _verdict(
+            cand.status == "PASS" and not zero,
+            f"{label} {cand.status} at degree {cand.degree}"
+            f" (worst error ratio {cand.max_ratio:.3g})",
+        )
+    ]
+    if zero:
+        lines.append(
+            "NOTE: the candidate is the zero function, which is not frequently"
+            " hypercyclic"
+        )
     path = os.path.join(out, "candidate.json")
     _write_json(path, _encode_candidate(cand, cfg, "existence", tr.islands))
-    return cand, line, path
+    return cand, lines, path
 
 
 def _island_pairs(islands, splits, horizon: int):
@@ -775,8 +786,8 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
             rcfg, bases=0, report=rep, max_islands=cfg.max_islands
         )
         splits = _splits("existence", fam, cfg)
-        cand, line, cpath = _fit_existence(cfg, tr, splits, out, "island fit")
-        lines.append(line)
+        cand, fit_lines, cpath = _fit_existence(cfg, tr, splits, out, "island fit")
+        lines.extend(fit_lines)
         artifacts.append(cpath)
         payload["fit_status"] = cand.status
         payload["fit_degree"] = int(cand.degree)
@@ -1023,8 +1034,8 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
     )
     splits = _splits(kind, fam, cfg)
     if kind == "existence":
-        _, line, path = _fit_existence(cfg, tr, splits, out, "candidate fit")
-        return _finish(cfg, "build_fhc", out, lines + [line], [path])
+        _, fit_lines, path = _fit_existence(cfg, tr, splits, out, "candidate fit")
+        return _finish(cfg, "build_fhc", out, lines + fit_lines, [path])
 
     assemble = getattr(approx, assembler)
     members = []

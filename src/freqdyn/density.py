@@ -277,6 +277,17 @@ class SeparatedFamily:
         )
 
 
+def _survivors(xs: np.ndarray, p: int, nus: Sequence[int], m: int) -> np.ndarray:
+    """Mask of the elements xs of class p that lie at modular distance at
+    least nu(p) + nu(q) from every later class q > p."""
+    alive = np.ones(xs.shape, dtype=bool)
+    for q in range(p + 1, len(nus) + 1):
+        sq, gq = _residue_class(q, m)
+        r = (xs - sq) % gq
+        alive &= np.minimum(r, gq - r) >= nus[p - 1] + nus[q - 1]
+    return alive
+
+
 def _surviving_density(p: int, nus: Sequence[int], m: int) -> float:
     """Exact asymptotic density of class p after pruning against q > p.
 
@@ -293,13 +304,7 @@ def _surviving_density(p: int, nus: Sequence[int], m: int) -> float:
         # caller rejects the configuration.
         return 0.0
     xs = np.arange(start, start + period, gap, dtype=np.int64)
-    alive = np.ones(xs.shape, dtype=bool)
-    for q in range(p + 1, P + 1):
-        sq, gq = _residue_class(q, m)
-        r = (xs - sq) % gq
-        dist = np.minimum(r, gq - r)
-        alive &= dist >= nus[p - 1] + nus[q - 1]
-    return float(alive.sum()) / period
+    return float(_survivors(xs, p, nus, m).sum()) / period
 
 
 def build_separated_family(num_pairs: int, horizon: int, m_multiplier: int) -> SeparatedFamily:
@@ -334,13 +339,7 @@ def build_separated_family(num_pairs: int, horizon: int, m_multiplier: int) -> S
     for p, (l, nu) in enumerate(labels, start=1):
         start, gap = _residue_class(p, m_multiplier)
         els = np.arange(start, horizon + 1, gap, dtype=np.int64)
-        alive = np.ones(els.shape, dtype=bool)
-        for q in range(p + 1, num_pairs + 1):
-            sq, gq = _residue_class(q, m_multiplier)
-            r = (els - sq) % gq
-            dist = np.minimum(r, gq - r)
-            alive &= dist >= nu + nus[q - 1]
-        els = els[alive & (els >= nu)]
+        els = els[_survivors(els, p, nus, m_multiplier) & (els >= nu)]
         members.append(
             ((l, nu), IndexSet(els, horizon, f"A(l={l},nu={nu})"))
         )

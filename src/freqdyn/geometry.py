@@ -11,6 +11,7 @@ with chi(z, inf) = 2 / sqrt(1 + |z|^2).  Values lie in [0, 2].
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,17 +23,16 @@ __all__ = [
     "AnnularSector",
     "ClosedDisc",
     "CompactSet",
-    "Disjointness",
     "Domain",
     "DomainError",
     "DomainKind",
     "Exhaustion",
     "chordal_distance",
+    "disc_pairs",
     "disjointness",
     "distance_to_slit",
     "enclosing_disc",
     "eps_to_boundary",
-    "point_in_compact",
     "right_half_plane_exhaustion",
     "sample_grid",
     "sector_exhaustion",
@@ -46,10 +46,6 @@ SLIT_GUARD = 1e-9
 
 class DomainError(ValueError):
     """A point fell outside the domain where it was required to lie."""
-
-
-def _is_inf(z: complex) -> bool:
-    return math.isinf(z.real) or math.isinf(z.imag)
 
 
 def chordal_distance(z, w):
@@ -188,7 +184,7 @@ class ClosedDisc:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius >= 0.0):
             raise ValueError("disc radius must be finite and nonnegative")
-        if _is_inf(complex(self.center)):
+        if not cmath.isfinite(complex(self.center)):
             raise ValueError("disc center must be finite")
 
 
@@ -227,24 +223,6 @@ def enclosing_disc(c: CompactSet) -> ClosedDisc:
     if isinstance(c, ClosedDisc):
         return c
     return ClosedDisc(0.0 + 0.0j, c.rmax)
-
-
-def point_in_compact(c: CompactSet, z: complex) -> bool:
-    """Membership of z in the closed set c.
-
-    Boundary comparisons carry a relative 1e-12 slack so that points
-    produced by floating arithmetic on the boundary still count as
-    members of the closed set.
-    """
-    if isinstance(c, ClosedDisc):
-        return abs(z - c.center) <= c.radius + 1e-12 * (1.0 + c.radius)
-    if c.is_empty:
-        return False
-    tol = 1e-12 * (1.0 + c.rmax)
-    r = abs(z)
-    if not (c.rmin - tol <= r <= c.rmax + tol):
-        return False
-    return abs(np.angle(complex(z))) <= c.half_angle + 1e-12
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -291,37 +269,46 @@ def sample_grid(c: CompactSet, resolution: int) -> np.ndarray:
     return _sorted_unique(np.array(pts, dtype=complex))
 
 
-class Disjointness(Enum):
-    """Three-valued disjointness verdict with one-sided certainty."""
+def disjointness(a: CompactSet, b: CompactSet) -> bool:
+    """Whether the enclosing discs of a and b are disjoint.
 
-    DISJOINT = "disjoint"
-    INTERSECTING = "intersecting"
-    UNKNOWN = "unknown"
-
-
-def disjointness(a: CompactSet, b: CompactSet, resolution: int = 3) -> Disjointness:
-    """Tri-state disjointness certificate for two compact sets.
-
-    Disc against disc is decided exactly: the closed discs are disjoint
-    if and only if |c1 - c2| > r1 + r2.  Otherwise the enclosing discs
-    are tried first (their disjointness certifies DISJOINT), then sample
-    points of one set are tested for membership in the other (a hit
-    certifies INTERSECTING).  When neither test settles the question the
-    verdict is UNKNOWN; callers must treat UNKNOWN as failure of
-    whichever property they are verifying.
+    The closed discs D(c1, r1) and D(c2, r2) are disjoint if and only if
+    |c1 - c2| > r1 + r2, so True certifies that a and b are disjoint.
+    For two discs the test is exact; a sector stands in for its
+    enclosing disc, so False only says that the discs meet.
     """
-    if isinstance(a, ClosedDisc) and isinstance(b, ClosedDisc):
-        if abs(a.center - b.center) > a.radius + b.radius:
-            return Disjointness.DISJOINT
-        return Disjointness.INTERSECTING
     ea, eb = enclosing_disc(a), enclosing_disc(b)
-    if abs(ea.center - eb.center) > ea.radius + eb.radius:
-        return Disjointness.DISJOINT
-    for first, second in ((a, b), (b, a)):
-        for z in sample_grid(first, resolution):
-            if point_in_compact(second, complex(z)):
-                return Disjointness.INTERSECTING
-    return Disjointness.UNKNOWN
+    return bool(abs(ea.center - eb.center) > ea.radius + eb.radius)
+
+
+def disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
+    """The test of `disjointness` over all pairs of discs i < j, one
+    upper-triangle row at a time.
+
+    Returns (first_bad, gap, closest, checked).  first_bad is the first
+    pair in row-major order whose discs meet, |c_i - c_j| <= r_i + r_j,
+    or None.  gap is the least |c_i - c_j| - (r_i + r_j), and closest the
+    first pair in row-major order attaining it; below two discs gap is
+    inf and closest None.  checked counts the pairs.  Memory is
+    O(discs).
+    """
+    m = centers.size
+    first_bad = None
+    best = math.inf
+    closest = None
+    for i in range(m - 1):
+        sep = np.abs(centers[i] - centers[i + 1:])
+        need = radii[i] + radii[i + 1:]
+        if first_bad is None:
+            bad = np.flatnonzero(sep <= need)
+            if bad.size:
+                first_bad = (i, i + 1 + int(bad[0]))
+        gap = sep - need
+        j = int(np.argmin(gap))
+        if gap[j] < best:
+            best = float(gap[j])
+            closest = (i, i + 1 + j)
+    return first_bad, best, closest, m * (m - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from .density import DensityReport, IndexSet, lower_density_estimate
 from .geometry import (
     ClosedDisc,
     CompactSet,
-    Disjointness,
     Domain,
     Exhaustion,
+    disc_pairs,
     disjointness,
     enclosing_disc,
     sample_grid,
@@ -58,8 +58,8 @@ __all__ = [
 # than this are slow without adding evidence.
 MAX_ISLANDS = 6
 
-# Post-construction re-verification samples this much finer than the
-# construction grid.
+# The truncation rechecks each kept image disc on a grid this much finer
+# than the one it was sampled from.
 VERIFY_REFINE = 4
 
 # check_weak_runaway decides this many indices per array step; the
@@ -150,16 +150,15 @@ def check_weak_runaway(
 ) -> WeakRunawayReport:
     """Density report of {n <= horizon : K and phi_n(K) certified disjoint}.
 
-    Disjointness is decided between K and the certified enclosing disc
-    of phi_n(K); an Unknown verdict counts as not disjoint, so the
+    Disjointness is decided between the enclosing discs of K and of
+    phi_n(K), so an index whose discs meet counts as not escaped and the
     reported escape set is an under-approximation.
 
     A schedule with an ``affine(ns) -> (a, b)`` method giving the
     coefficient arrays of phi_n(z) = a_n z + b_n over an index array
     (powers_of_two_schedule has one) is decided WEAK_BLOCK indices at a time
-    against K's enclosing disc (`_affine_verdicts`).  That disc test is
-    the whole disc-against-disc verdict of `disjointness`, and for any
-    other K its only route to DISJOINT.  Undecided indices, and every
+    against K's enclosing disc (`_affine_verdicts`), the test of
+    `disjointness` in array form.  Undecided indices, and every
     index of a schedule without the method, are decided one at a time
     through image_enclosing_disc and disjointness, so the escape set
     and any error raised are those of the per-index path.
@@ -180,7 +179,7 @@ def check_weak_runaway(
             bound = image_enclosing_disc(
                 maps_schedule(int(ns[i])), k, resolution=resolution
             )
-            escaped[i] = disjointness(bound, k, resolution) is Disjointness.DISJOINT
+            escaped[i] = disjointness(bound, k)
         parts.append(ns[escaped])
     escape_set = IndexSet(np.concatenate(parts), horizon, "escape-times")
     return WeakRunawayReport(
@@ -267,40 +266,11 @@ class StrongRunawayReport:
         return self.p1_ok and self.p2_ok and self.p3_ok
 
 
-def _disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
-    """The disc test over all pairs i < j, one upper-triangle row at a time.
-
-    Returns (first_bad, gap, closest, checked).  first_bad is the first
-    pair in row-major order whose discs meet, |c_i - c_j| <= r_i + r_j,
-    or None.  gap is the least |c_i - c_j| - (r_i + r_j), and closest the
-    first pair in row-major order attaining it; below two discs gap is
-    inf and closest None.  checked counts the pairs.  Memory is
-    O(islands).
-    """
-    m = centers.size
-    first_bad = None
-    best = math.inf
-    closest = None
-    for i in range(m - 1):
-        sep = np.abs(centers[i] - centers[i + 1:])
-        need = radii[i] + radii[i + 1:]
-        if first_bad is None:
-            bad = np.flatnonzero(sep <= need)
-            if bad.size:
-                first_bad = (i, i + 1 + int(bad[0]))
-        gap = sep - need
-        j = int(np.argmin(gap))
-        if gap[j] < best:
-            best = float(gap[j])
-            closest = (i, i + 1 + j)
-    return first_bad, best, closest, m * (m - 1) // 2
-
-
 def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
     """Finite-horizon verdicts for (P1), (P2), (P3) with witnesses.
 
     (P2) compares the certified image discs of every island pair in one
-    streamed pass (`_disc_pairs`), so its memory is O(islands); the disc
+    streamed pass (`disc_pairs`), so its memory is O(islands); the disc
     witness is the first meeting pair in island order, and the report
     also carries the least disc gap and its pair.
 
@@ -334,7 +304,7 @@ def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
     islands = collect_islands(cfg)
     centers = np.array([i.image_bound.center for i in islands], dtype=complex)
     radii = np.array([i.image_bound.radius for i in islands], dtype=float)
-    first_bad, disc_gap, closest, checked = _disc_pairs(centers, radii)
+    first_bad, disc_gap, closest, checked = disc_pairs(centers, radii)
 
     def labels(pair):
         if pair is None:
@@ -351,10 +321,7 @@ def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
     for mu in range(1, cfg.nu_max + 1):
         probe = cfg.exhaustion.member(mu)
         offenders = [
-            isl.n
-            for isl in islands
-            if disjointness(isl.image_bound, probe, cfg.resolution)
-            is not Disjointness.DISJOINT
+            isl.n for isl in islands if not disjointness(isl.image_bound, probe)
         ]
         last = max(offenders, default=0)
         probes.append((mu, len(offenders), last))
@@ -407,8 +374,10 @@ def build_carleman_truncation(
     k_base is the least level such that every inspected island at that
     level or above clears all base compacts; it is computed, never
     supplied.  Islands are then taken in increasing schedule order up
-    to max_islands, and the disjointness of everything retained is
-    re-verified on grids VERIFY_REFINE times finer than construction.
+    to max_islands.  Their image discs are pairwise disjoint by P2 and
+    clear the bases by the choice of k_base; each kept disc is rechecked
+    against the images of a grid VERIFY_REFINE times finer than the one
+    it was sampled from.
     """
     if bases < 0 or bases > cfg.nu_max:
         raise ValueError("bases must lie in [0, nu_max]")
@@ -428,10 +397,7 @@ def build_carleman_truncation(
     fine = cfg.resolution * VERIFY_REFINE
 
     clears = [
-        all(
-            disjointness(isl.image_bound, b, cfg.resolution) is Disjointness.DISJOINT
-            for b in base_sets
-        )
+        all(disjointness(isl.image_bound, b) for b in base_sets)
         for isl in report.islands
     ]
     k_base = None
@@ -460,17 +426,6 @@ def build_carleman_truncation(
             if overflow > 1e-9 * max(1.0, isl.image_bound.radius):
                 raise RuntimeError(
                     f"island ({isl.n}, {isl.nu}) image bound fails fine-grid recheck"
-                )
-    for i, a in enumerate(chosen):
-        for b in chosen[i + 1:]:
-            if disjointness(a.image_bound, b.image_bound, fine) is not Disjointness.DISJOINT:
-                raise RuntimeError(
-                    f"islands ({a.n},{a.nu}) / ({b.n},{b.nu}) fail fine-grid disjointness"
-                )
-        for base_c in base_sets:
-            if disjointness(a.image_bound, base_c, fine) is not Disjointness.DISJOINT:
-                raise RuntimeError(
-                    f"island ({a.n},{a.nu}) meets a base compact at fine resolution"
                 )
 
     return CarlemanTruncation(

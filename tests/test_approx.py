@@ -311,6 +311,12 @@ def test_piecewise_target_rejects_overlap():
                 TargetPiece(ClosedDisc(1.5, 1.0), Zero(), 1.0),
             )
         )
+    # the first meeting pair in row-major order is named; touching discs meet
+    discs = (ClosedDisc(0.0, 1.0), ClosedDisc(5.0, 1.0), ClosedDisc(7.0, 1.0),
+             ClosedDisc(0.5, 1.0))
+    for regions, pair in ((discs, "0 and 3"), (discs[:3], "1 and 2")):
+        with pytest.raises(ValueError, match=f"target regions {pair} are not disjoint"):
+            PiecewiseTarget(tuple(TargetPiece(d, Zero(), 1.0) for d in regions))
 
 
 def test_target_piece_rejects_nonpositive_budget():

@@ -1,6 +1,5 @@
 """Config handling, sigma golden values, command artifacts, exit codes."""
 
-import ast
 import contextlib
 import importlib.util
 import dataclasses
@@ -597,6 +596,23 @@ def test_shipped_dense_members_are_nonzero(outdir, monkeypatch):
         assert np.any(stored.coefficients)
 
 
+def test_zero_existence_candidate_fails(tmp_path, monkeypatch):
+    # one island takes label 1, the zero polynomial: the fit meets its
+    # budget, but the zero function is not frequently hypercyclic
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    argv = ["build_fhc", os.path.join(CONFIGS, "existence.ini"),
+            "--override", "build.max_islands=1"]
+    assert main(argv) == 1
+    summary = (tmp_path / "out" / "build_fhc" / "summary.txt").read_text()
+    assert summary.splitlines()[-2:] == [
+        "FAIL: candidate fit PASS at degree 0 (worst error ratio 0)",
+        "NOTE: the candidate is the zero function, which is not frequently"
+        " hypercyclic",
+    ]
+    stored, _ = load_candidate(str(tmp_path / "out" / "build_fhc" / "candidate.json"))
+    assert not np.any(stored.coefficients)
+
+
 def test_run_examples_script_runs_every_shipped_example(tmp_path, monkeypatch, capsys):
     # the script sets and finally unsets FREQDYN_OUT; monkeypatch restores it
     monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "unused"))
@@ -1109,7 +1125,8 @@ def test_cmd_example1_wide_gap_report_is_strict_json(outdir):
         pairs=1,
         n_max=50,
         nu_max=1,
-        max_islands=1,
+        # one island would carry only the zero target, whose fit fails
+        max_islands=2,
     )
     assert not cmd_example1(cfg).failed
     report = _strict_json(outdir / "example1" / "report.json")
@@ -1164,22 +1181,26 @@ def test_main_rejects_unknown_command(tmp_path):
 
 
 def test_benchmark_span_targets_resolve():
-    # the traced benchmark wraps these names; a move or a deletion would
-    # leave it without a span.  The file is parsed, not imported.
+    # the traced benchmark wraps these names and looks each one up at
+    # install time; a move or a deletion would make the traced run fail.
+    # The file is loaded by path: it imports no freqdyn module itself.
     path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "spans.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    targets = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and getattr(node.targets[0], "id", None) == "TARGETS"
-    )
-    assert targets
-    for module, name in targets:
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, name in spans.TARGETS:
+        assert module.startswith("freqdyn.")
         assert callable(getattr(importlib.import_module(module), name, None)), (
             module, name,
         )
+    traced = {f"{module.rsplit('.', 1)[-1]}.{name}" for module, name in spans.TARGETS}
+    assert set(spans.RESULT_HOOKS) <= traced
+    # disjointness answers with a bool, so the UNKNOWN counter stays at 0
+    rec = spans.Recorder()
+    for verdict in (True, False):
+        spans.RESULT_HOOKS["geometry.disjointness"](rec, verdict)
+    assert rec.counts == {"geometry.disjointness.unknown": 0}
 
 
 # ---------------------------------------------------------------------------

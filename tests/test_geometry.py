@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from freqdyn.geometry import (
     AnnularSector,
     ClosedDisc,
-    Disjointness,
     Domain,
     DomainError,
     Exhaustion,
@@ -20,7 +19,6 @@ from freqdyn.geometry import (
     distance_to_slit,
     enclosing_disc,
     eps_to_boundary,
-    point_in_compact,
     right_half_plane_exhaustion,
     sample_grid,
     sector_exhaustion,
@@ -229,10 +227,10 @@ def test_domain_membership():
 
 def test_disc_disc_disjointness_exact():
     a = ClosedDisc(0.0 + 0.0j, 1.0)
-    assert disjointness(a, ClosedDisc(3.0 + 0.0j, 1.0)) is Disjointness.DISJOINT
-    assert disjointness(a, ClosedDisc(2.0 + 0.0j, 1.0)) is Disjointness.INTERSECTING
-    # touching counts as intersecting for closed discs
-    assert disjointness(a, ClosedDisc(1.9999 + 0.0j, 1.0)) is Disjointness.INTERSECTING
+    assert disjointness(a, ClosedDisc(3.0 + 0.0j, 1.0)) is True
+    # touching counts as meeting for closed discs
+    assert disjointness(a, ClosedDisc(2.0 + 0.0j, 1.0)) is False
+    assert disjointness(a, ClosedDisc(1.9999 + 0.0j, 1.0)) is False
 
 
 def test_sector_k1_vs_far_disc():
@@ -242,25 +240,24 @@ def test_sector_k1_vs_far_disc():
     k1 = exh.member(1)
     assert isinstance(k1, AnnularSector)
     assert enclosing_disc(k1).radius == pytest.approx(0.25)
-    assert disjointness(k1, ClosedDisc(10.0 + 0.0j, 0.25)) is Disjointness.DISJOINT
+    assert disjointness(k1, ClosedDisc(10.0 + 0.0j, 0.25)) is True
 
 
 def test_sector_disc_overlap_detected():
     sec = AnnularSector(rmin=1.0, rmax=2.0, half_angle=math.pi / 2)
-    hit = disjointness(sec, ClosedDisc(1.5 + 0.0j, 0.3))
-    assert hit is Disjointness.INTERSECTING
+    assert disjointness(sec, ClosedDisc(1.5 + 0.0j, 0.3)) is False
 
 
 def test_disjointness_symmetry_and_shared_point_rule():
     sec = AnnularSector(rmin=0.5, rmax=1.5, half_angle=math.pi)
     disc = ClosedDisc(1.0 + 0.0j, 0.25)
     assert disjointness(sec, disc) == disjointness(disc, sec)
-    # a shared sample point forbids a DISJOINT verdict
+    # a shared sample point forbids a disjoint verdict
     for a, b in [(sec, disc), (disc, sec)]:
         ga = set(np.round(sample_grid(a, 2), 12))
         gb = set(np.round(sample_grid(b, 2), 12))
         if ga & gb:
-            assert disjointness(a, b) is not Disjointness.DISJOINT
+            assert not disjointness(a, b)
 
 
 def test_sample_grid_refinement_supersets():
@@ -287,7 +284,8 @@ def test_sample_grid_disc_coarsest_contains_centre_and_boundary():
 def test_sample_grid_stays_inside():
     sec = AnnularSector(rmin=0.5, rmax=2.0, half_angle=1.0)
     for z in sample_grid(sec, 3):
-        assert point_in_compact(sec, complex(z))
+        assert sec.rmin - 1e-12 <= abs(z) <= sec.rmax + 1e-12
+        assert abs(np.angle(z)) <= sec.half_angle + 1e-12
     disc = ClosedDisc(2.0 - 1.0j, 0.7)
     for z in sample_grid(disc, 3):
         assert abs(z - disc.center) <= disc.radius + 1e-12
@@ -297,7 +295,6 @@ def test_empty_sector():
     empty = AnnularSector(rmin=1.0, rmax=0.25, half_angle=0.0)
     assert empty.is_empty
     assert sample_grid(empty, 3).size == 0
-    assert point_in_compact(empty, 0.5 + 0.0j) is False
 
 
 def test_annular_sector_validation():
@@ -309,6 +306,16 @@ def test_annular_sector_validation():
         ClosedDisc(0.0 + 0.0j, -1.0)
 
 
+@pytest.mark.parametrize(
+    "center",
+    [complex("nan"), complex(math.nan, 0.0), complex(0.0, math.nan), INF,
+     complex(0.0, -math.inf), np.complex128(complex("nan"))],
+)
+def test_closed_disc_rejects_non_finite_center(center):
+    with pytest.raises(ValueError, match="center must be finite"):
+        ClosedDisc(center, 1.0)
+
+
 @given(
     st.floats(-5, 5), st.floats(-5, 5), st.floats(0.01, 3),
     st.floats(-5, 5), st.floats(-5, 5), st.floats(0.01, 3),
@@ -317,11 +324,29 @@ def test_annular_sector_validation():
 def test_disc_disjointness_agrees_with_geometry(x1, y1, r1, x2, y2, r2):
     a = ClosedDisc(complex(x1, y1), r1)
     b = ClosedDisc(complex(x2, y2), r2)
-    verdict = disjointness(a, b)
-    if abs(a.center - b.center) > r1 + r2:
-        assert verdict is Disjointness.DISJOINT
-    else:
-        assert verdict is Disjointness.INTERSECTING
+    assert disjointness(a, b) is (abs(a.center - b.center) > r1 + r2)
+
+
+discs = st.builds(
+    ClosedDisc,
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 5.0),
+)
+sectors = st.builds(
+    AnnularSector,
+    st.floats(0.01, 5.0),
+    st.floats(0.01, 5.0),
+    st.floats(0.0, math.pi),
+)
+
+
+@given(st.one_of(discs, sectors), st.one_of(discs, sectors))
+@settings(max_examples=200)
+def test_disjointness_is_the_symmetric_enclosing_disc_test(a, b):
+    ea, eb = enclosing_disc(a), enclosing_disc(b)
+    expected = abs(ea.center - eb.center) > ea.radius + eb.radius
+    assert disjointness(a, b) is expected
+    assert disjointness(b, a) is expected
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from freqdyn.density import IndexSet, arithmetic_progression, build_separated_fa
 from freqdyn.geometry import (
     AnnularSector,
     ClosedDisc,
-    Disjointness,
     Domain,
+    disc_pairs,
     disjointness,
     right_half_plane_exhaustion,
     sample_grid,
@@ -30,7 +30,6 @@ from freqdyn.maps import (
 )
 from freqdyn.runaway import (
     HorizonExhausted,
-    _disc_pairs,
     RunawayConfig,
     build_carleman_truncation,
     check_strong_runaway,
@@ -95,11 +94,8 @@ def _per_index_escapes(schedule, k, horizon, resolution=3):
             n
             for n in range(1, horizon + 1)
             if disjointness(
-                image_enclosing_disc(schedule(n), k, resolution=resolution),
-                k,
-                resolution,
+                image_enclosing_disc(schedule(n), k, resolution=resolution), k
             )
-            is Disjointness.DISJOINT
         ],
         dtype=np.int64,
     )
@@ -307,7 +303,7 @@ def test_disc_pairs_match_dense_reference():
             centers = rng.uniform(0, 100, m) + 1j * rng.uniform(0, 100, m)
             radii = rng.uniform(0.0, 4.0, m)
         expected = _dense_disc_pairs(centers, radii)
-        assert _disc_pairs(centers, radii) == expected
+        assert disc_pairs(centers, radii) == expected
         meeting += expected[0] is not None
     assert 80 <= meeting <= 160
 
@@ -465,12 +461,9 @@ def test_truncation_translations():
     for i, a in enumerate(tr.islands):
         assert a.nu >= tr.k_base
         for b in tr.islands[i + 1:]:
-            assert (
-                disjointness(a.image_bound, b.image_bound)
-                is Disjointness.DISJOINT
-            )
+            assert disjointness(a.image_bound, b.image_bound)
         for base in tr.bases:
-            assert disjointness(a.image_bound, base) is Disjointness.DISJOINT
+            assert disjointness(a.image_bound, base)
     assert all(count == 0 for _, count in tr.probe_counts)
 
 
