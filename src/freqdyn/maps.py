@@ -1,16 +1,15 @@
 """Holomorphic self-map families of the four supported domains.
 
-Every map variant is a frozen dataclass with a declared domain; module
+Every map variant is a frozen dataclass with a declared domain, and
+`Conjugated` transports one by a conformal equivalence; module
 functions provide evaluation, inversion with a round-trip check,
-conjugation by conformal equivalences, iteration, and certified disc
-bounds for images of compact sets.  Evaluation near the slit (-inf, 0]
-is refused within a guard distance because the principal branch is
-unstable there.
+iteration, and certified disc bounds for images of compact sets.
+Evaluation near the slit (-inf, 0] is refused within a guard distance
+because the principal branch is unstable there.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -43,7 +42,6 @@ __all__ = [
     "RootShift",
     "Similarity",
     "apply",
-    "conjugate",
     "image_enclosing_disc",
     "inverse_apply",
     "inverse_degree",
@@ -436,16 +434,6 @@ def raw_inverse(m: HoloMap, w):
     ww = np.asarray(w, dtype=complex)
     out = _inv(m, np.atleast_1d(ww))
     return complex(out[0]) if np.isscalar(w) else out.reshape(ww.shape)
-
-
-def conjugate(pair: ConformalPair, m: HoloMap) -> Conjugated:
-    """Transport m to pair.target, giving pair.forward o m o pair.backward."""
-    if map_domain(m) != pair.source:
-        raise ValueError(
-            f"map acts on {map_domain(m).kind.value}, pair source is "
-            f"{pair.source.kind.value}"
-        )
-    return Conjugated(pair, m)
 
 
 def iterate(m: HoloMap, power: int) -> Iterated:

@@ -12,7 +12,6 @@ for the images.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,19 +19,18 @@ import numpy as np
 
 from .density import DensityReport, IndexSet, lower_density_estimate
 from .geometry import (
+    AnnularSector,
     ClosedDisc,
     CompactSet,
     Domain,
     Exhaustion,
     disc_pairs,
     disjointness,
-    enclosing_disc,
     sample_grid,
 )
 from .maps import (
     HoloMap,
     Identity,
-    _linear_coeffs,
     _maps_points_into,
     apply,
     image_enclosing_disc,
@@ -54,22 +52,9 @@ __all__ = [
     "powers_of_two_schedule",
 ]
 
-# Desk-scale cap on truncation islands; fits certified on more pieces
-# than this are slow without adding evidence.
-MAX_ISLANDS = 6
-
 # The truncation rechecks each kept image disc on a grid this much finer
 # than the one it was sampled from.
 VERIFY_REFINE = 4
-
-# check_weak_runaway decides this many indices per array step; the
-# step's arrays bound its working memory.
-WEAK_BLOCK = 8192
-
-# An array disc gap within this fraction of the magnitudes it was formed
-# from is left to the per-index path: numpy and scalar complex
-# arithmetic may round differently, and only the per-index verdict counts.
-GAP_BAND = 1e-9
 
 
 class HorizonExhausted(RuntimeError):
@@ -87,6 +72,8 @@ class powers_of_two_schedule:
     The escape times of this schedule are contained in the powers of
     two, a set of zero density, so no density-based runaway property
     can hold even though the orbit escapes along the subsequence.
+    `moving` lists those powers of two, the only indices at which
+    check_weak_runaway has anything to decide.
     """
 
     def __init__(self, base: HoloMap):
@@ -98,21 +85,10 @@ class powers_of_two_schedule:
             return iterate(self.base, n.bit_length() - 1)
         return self.ident
 
-    def affine(self, ns: np.ndarray) -> tuple:
-        """Coefficients (a_n, b_n) over ns: (1, 0) off the powers of two.
-
-        At a power of two they are the per-index ones, or NaN when the
-        iterate is not affine; NaN sends the index to the per-index path.
-        """
-        a = np.ones(ns.size, dtype=complex)
-        b = np.zeros(ns.size, dtype=complex)
-        for i in np.flatnonzero((ns >= 2) & ((ns & (ns - 1)) == 0)):
-            try:
-                lin = _linear_coeffs(self(int(ns[i])))
-            except OverflowError:
-                lin = None  # the per-index path raises it in index order
-            a[i], b[i] = lin if lin is not None else (math.nan, math.nan)
-        return a, b
+    def moving(self, horizon: int) -> np.ndarray:
+        """The indices n <= horizon where the schedule is not the identity:
+        2, 4, 8, ... as int64, empty when horizon is 1."""
+        return 2 ** np.arange(1, int(horizon).bit_length(), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -120,26 +96,6 @@ class WeakRunawayReport:
     escape_set: IndexSet
     density: DensityReport
     horizon: int
-
-
-def _affine_verdicts(a, b, enc: ClosedDisc) -> tuple:
-    """(escaped, undecided) masks of the disc test for phi_n(z) = a_n z + b_n.
-
-    phi_n maps the disc D(c, r) onto D(a_n c + b_n, |a_n| r), which
-    escapes D(c, r) when |a_n c + b_n - c| > |a_n| r + r; the operations
-    are those of image_enclosing_disc and disjointness, in their order.
-    A gap that is not finite, or within GAP_BAND of zero, is undecided.
-    """
-    c, r = enc.center, enc.radius
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    abs_a = np.abs(a)
-    sep = np.abs(a * c + b - c)
-    need = abs_a * r + r
-    gap = sep - need
-    band = GAP_BAND * (abs_a * abs(c) + np.abs(b) + abs(c) + need)
-    decided = np.isfinite(gap) & (np.abs(gap) > band)
-    return decided & (gap > 0.0), ~decided
 
 
 def check_weak_runaway(
@@ -152,36 +108,35 @@ def check_weak_runaway(
 
     Disjointness is decided between the enclosing discs of K and of
     phi_n(K), so an index whose discs meet counts as not escaped and the
-    reported escape set is an under-approximation.
+    reported escape set is an under-approximation.  An empty K is
+    refused: its enclosing disc would stand in for a set with nothing
+    in it.
 
-    A schedule with an ``affine(ns) -> (a, b)`` method giving the
-    coefficient arrays of phi_n(z) = a_n z + b_n over an index array
-    (powers_of_two_schedule has one) is decided WEAK_BLOCK indices at a time
-    against K's enclosing disc (`_affine_verdicts`), the test of
-    `disjointness` in array form.  Undecided indices, and every
-    index of a schedule without the method, are decided one at a time
-    through image_enclosing_disc and disjointness, so the escape set
-    and any error raised are those of the per-index path.
+    A schedule with a ``moving(horizon)`` method, the increasing indices
+    n <= horizon at which phi_n is not the identity (powers_of_two_schedule
+    has one), is decided at those indices only: the identity's image disc
+    is K's own enclosing disc, which meets itself, so no other index
+    escapes.  A schedule without the method is decided at every index.
+    Either way each index is decided through image_enclosing_disc and
+    disjointness in increasing order, so an error is raised at the
+    first index that raises one.
     """
-    enc = enclosing_disc(k)
-    affine = getattr(maps_schedule, "affine", None)
-    parts = [np.empty(0, dtype=np.int64)]
-    for start in range(1, horizon + 1, WEAK_BLOCK):
-        ns = np.arange(start, min(start + WEAK_BLOCK, horizon + 1), dtype=np.int64)
-        with np.errstate(all="ignore"):
-            coeffs = None if affine is None else affine(ns)
-            if coeffs is None:
-                escaped = np.zeros(ns.size, dtype=bool)
-                undecided = np.ones(ns.size, dtype=bool)
-            else:
-                escaped, undecided = _affine_verdicts(*coeffs, enc)
-        for i in np.flatnonzero(undecided):
-            bound = image_enclosing_disc(
-                maps_schedule(int(ns[i])), k, resolution=resolution
+    if isinstance(k, AnnularSector) and k.is_empty:
+        raise ValueError(f"weak runaway needs a nonempty compact; {k} is empty")
+    moving = getattr(maps_schedule, "moving", None)
+    indices = range(1, horizon + 1) if moving is None else moving(horizon)
+    escapes = np.fromiter(
+        (
+            n
+            for n in indices
+            if disjointness(
+                image_enclosing_disc(maps_schedule(int(n)), k, resolution=resolution),
+                k,
             )
-            escaped[i] = disjointness(bound, k)
-        parts.append(ns[escaped])
-    escape_set = IndexSet(np.concatenate(parts), horizon, "escape-times")
+        ),
+        dtype=np.int64,
+    )
+    escape_set = IndexSet(escapes, horizon, "escape-times")
     return WeakRunawayReport(
         escape_set=escape_set,
         density=lower_density_estimate(escape_set, horizon),
@@ -366,8 +321,8 @@ class CarlemanTruncation:
 def build_carleman_truncation(
     cfg: RunawayConfig,
     bases: int,
+    max_islands: int,
     report: Optional[StrongRunawayReport] = None,
-    max_islands: int = MAX_ISLANDS,
 ) -> CarlemanTruncation:
     """Base compacts K_1..K_bases plus islands from levels >= k_base.
 

@@ -772,6 +772,24 @@ def test_main_weak_runaway_refuses_maps_off_the_domain(
     assert "PASS" not in captured.out
 
 
+def test_main_weak_runaway_refuses_an_empty_compact(outdir, capsys):
+    # level 1 of the slit-plane exhaustion is empty at the default maps.c
+    code = main([
+        "runaway", os.path.join(CONFIGS, "runaway_weak.ini"),
+        "--override", "domain.kind=slit_plane",
+        "--override", "maps.family=root_shift",
+        "--override", "maps.schedule=direct",
+        "--override", "horizons.n_max=2000",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "is empty" in err[0]
+    assert "PASS" not in captured.out
+    assert not (outdir / "runaway").exists()
+
+
 @pytest.mark.parametrize("mode", ["weak", "strong"])
 def test_main_runaway_accepts_maps_into_a_larger_domain(outdir, mode):
     # z + n acts on the whole plane and sends the right half-plane into itself

@@ -101,27 +101,11 @@ def _per_index_escapes(schedule, k, horizon, resolution=3):
     )
 
 
-class _Affine:
-    """A schedule with the array method that check_weak_runaway uses."""
-
-    def __init__(self, maps, coeffs):
-        self.maps, self.coeffs = maps, coeffs
-
-    def __call__(self, n):
-        return self.maps(n)
-
-    def affine(self, ns):
-        return self.coeffs(ns)
-
-
 def _similarities(rng):
     """phi_n(z) = a z + n b with random a near the unit circle and random b."""
     a = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
     b = complex(rng.normal(), rng.normal())
-    return _Affine(
-        lambda n: Similarity(a, b * n),
-        lambda ns: (np.full(ns.size, a), b * ns),
-    )
+    return lambda n: Similarity(a, b * n)
 
 
 def _powers_of_two_schedules(rng):
@@ -134,11 +118,9 @@ def _powers_of_two_schedules(rng):
     ]
 
 
-def test_weak_runaway_array_path_matches_per_index(monkeypatch):
-    # small blocks, so the horizon spans many of them
-    monkeypatch.setattr(runaway, "WEAK_BLOCK", 37)
+def test_weak_runaway_moving_indices_match_per_index():
     rng = np.random.default_rng(61)
-    horizon = 500
+    cases = []
     for trial in range(2):
         sector = AnnularSector(float(rng.uniform(0.05, 0.3)),
                                float(rng.uniform(0.4, 100.0)),
@@ -150,20 +132,38 @@ def test_weak_runaway_array_path_matches_per_index(monkeypatch):
             ClosedDisc(complex(rng.normal(), rng.normal()), float(rng.uniform(0.2, 2.0))),
             sector,
         ]
+        # the similarities are plain callables, decided at every index
         schedules = [_similarities(rng)] + _powers_of_two_schedules(rng)
-        # square-root iterates are not affine, and need K off the slit
+        # square-root iterates need K off the slit
         roots = powers_of_two_schedule(RootShift(0.0, 1.0, 2, 1))
         for k in compacts:
             for schedule in schedules + ([roots] if k is sector else []):
-                want = _per_index_escapes(schedule, k, horizon)
-                got = check_weak_runaway(schedule, k, horizon).escape_set.elements
-                assert np.array_equal(got, want), (trial, k, schedule)
-            # a plain lambda has no array method and takes the per-index path
-            plain = lambda n: schedules[0](n)
-            assert np.array_equal(
-                check_weak_runaway(plain, k, horizon).escape_set.elements,
-                _per_index_escapes(plain, k, horizon),
-            )
+                cases.append((k, schedule))
+    # parabolic iterates act on the unit disc and have sampled image discs
+    for k in (ClosedDisc(0.0, 0.5), ClosedDisc(0.3 - 0.4j, 0.2)):
+        for shift in (1.0, 3.0):
+            cases.append((k, powers_of_two_schedule(ParabolicDisc(shift, 1.0, 1))))
+    for k, schedule in cases:
+        for horizon in (1, 2, 3, 500):
+            want = _per_index_escapes(schedule, k, horizon)
+            got = check_weak_runaway(schedule, k, horizon).escape_set.elements
+            assert np.array_equal(got, want), (k, schedule, horizon)
+
+
+def test_powers_of_two_moving_indices_brute_force():
+    schedule = powers_of_two_schedule(ParabolicDisc(1.0, 1.0, 1))
+    moving = [n for n in range(1, 1101) if not isinstance(schedule(n), Identity)]
+    for horizon in range(1, 1101):
+        got = schedule.moving(horizon)
+        assert got.dtype == np.int64
+        assert got.tolist() == [n for n in moving if n <= horizon], horizon
+
+
+def test_weak_runaway_refuses_an_empty_compact():
+    empty = AnnularSector(1.0, 0.25, 0.0)
+    for schedule in (_translations, powers_of_two_schedule(Similarity(1.0, 1.0))):
+        with pytest.raises(ValueError, match="is empty"):
+            check_weak_runaway(schedule, empty, horizon=100)
 
 
 def _count_image_discs(monkeypatch):
@@ -179,13 +179,11 @@ def _count_image_discs(monkeypatch):
 
 def test_weak_runaway_touching_discs_do_not_escape(monkeypatch):
     calls = _count_image_discs(monkeypatch)
-    shift = _Affine(
-        lambda n: Similarity(1.0, 2.0),
-        lambda ns: (np.ones(ns.size, dtype=complex), np.full(ns.size, 2.0 + 0.0j)),
+    rep = check_weak_runaway(
+        lambda n: Similarity(1.0, 2.0), ClosedDisc(0.0, 1.0), horizon=50
     )
-    rep = check_weak_runaway(shift, ClosedDisc(0.0, 1.0), horizon=50)
     assert len(rep.escape_set) == 0
-    # a zero gap is never decided by the array test
+    # a schedule without a moving method is decided at every index
     assert len(calls) == 50
 
 
@@ -193,15 +191,9 @@ def test_weak_runaway_non_finite_coefficients_raise_as_per_index():
     def translate(n):
         return Similarity(1.0, complex(math.inf) if n == 30 else complex(n))
 
-    def coeffs(ns):
-        b = ns.astype(complex)
-        b[ns == 30] = math.inf
-        return np.ones(ns.size, dtype=complex), b
-
     k = ClosedDisc(0.0, 1.0)
-    for schedule in (translate, _Affine(translate, coeffs)):
-        with pytest.raises(ValueError, match="center must be finite"):
-            check_weak_runaway(schedule, k, horizon=100)
+    with pytest.raises(ValueError, match="center must be finite"):
+        check_weak_runaway(translate, k, horizon=100)
     # a^2 overflows at n = 4; with a huge K the disc at n = 2 fails first
     huge = powers_of_two_schedule(Similarity(1e200, 0.0))
     for schedule in (huge, lambda n: huge(n)):
@@ -211,12 +203,13 @@ def test_weak_runaway_non_finite_coefficients_raise_as_per_index():
             check_weak_runaway(schedule, ClosedDisc(0.0, 1e200), horizon=100)
 
 
-def test_weak_runaway_powers_of_two_decides_in_blocks(monkeypatch):
+def test_weak_runaway_powers_of_two_decides_moving_indices_only(monkeypatch):
     calls = _count_image_discs(monkeypatch)
     schedule = powers_of_two_schedule(Similarity(1.0, 1.0))
     rep = check_weak_runaway(schedule, ClosedDisc(0.0, 1.0), horizon=100_000)
     assert list(rep.escape_set) == [2 ** j for j in range(3, 17)]
-    assert len(calls) <= 64
+    # one image disc per power of two up to the horizon, 2 .. 2^16
+    assert len(calls) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +478,7 @@ def test_truncation_skips_offending_level():
         n_max=500,
         nu_max=2,
     )
-    tr = build_carleman_truncation(cfg, bases=1)
+    tr = build_carleman_truncation(cfg, bases=1, max_islands=6)
     assert tr.k_base == 2
     assert tr.islands and all(isl.nu == 2 for isl in tr.islands)
 
@@ -501,13 +494,13 @@ def test_truncation_horizon_exhaustion():
     )
     assert check_strong_runaway(cfg).passed
     with pytest.raises(HorizonExhausted):
-        build_carleman_truncation(cfg, bases=1)
+        build_carleman_truncation(cfg, bases=1, max_islands=6)
 
 
 def test_truncation_requires_strong_pass():
     cfg = _family_config(600, maps=lambda n: Identity(WP))
     with pytest.raises(ValueError, match="P2"):
-        build_carleman_truncation(cfg, bases=1)
+        build_carleman_truncation(cfg, bases=1, max_islands=6)
 
 
 def test_truncation_bases_zero():
@@ -521,6 +514,6 @@ def test_truncation_bases_zero():
 def test_truncation_rejects_bad_arguments():
     cfg = _family_config(600)
     with pytest.raises(ValueError):
-        build_carleman_truncation(cfg, bases=5)
+        build_carleman_truncation(cfg, bases=5, max_islands=4)
     with pytest.raises(ValueError):
         build_carleman_truncation(cfg, bases=0, max_islands=0)
