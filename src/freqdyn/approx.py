@@ -17,12 +17,12 @@ enumeration, span monomials) are plain monomial coefficient vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
 
+from ._record import record
 from .density import IndexSet, split
 from .geometry import (
     ClosedDisc,
@@ -80,7 +80,7 @@ _U = np.finfo(float).eps / 2  # unit roundoff
 # Polynomial representations
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Polynomial:
     """Coefficients in the monomial basis z^j, ascending."""
 
@@ -122,7 +122,7 @@ class Polynomial:
         return Polynomial(np.zeros(1, dtype=complex))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ArnoldiPoly:
     """Polynomial in an orthogonalized sample basis.
 
@@ -344,7 +344,7 @@ def l2_distance_on_circle(f: PolyLike, g: PolyLike) -> float:
 # Piecewise targets
 
 
-@dataclass(frozen=True)
+@record
 class Monomial:
     mu: int
     degree = property(lambda self: self.mu)
@@ -353,7 +353,7 @@ class Monomial:
         return np.asarray(z, dtype=complex) ** self.mu
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FixedPoly:
     poly: Polynomial
     degree = property(lambda self: self.poly.degree)
@@ -362,7 +362,7 @@ class FixedPoly:
         return self.poly.evaluate(z)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ComposedInverse:
     """Target P(phi^{-1}(z)) on an island; the inverse formula is applied
     without an image-membership check because the certified disc bound
@@ -381,7 +381,7 @@ class ComposedInverse:
         return self.poly.evaluate(raw_inverse(self.map, z))
 
 
-@dataclass(frozen=True)
+@record
 class Zero:
     degree = 0
 
@@ -392,7 +392,7 @@ class Zero:
 PieceSpec = Union[Monomial, FixedPoly, ComposedInverse, Zero]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TargetPiece:
     region: ClosedDisc
     spec: PieceSpec
@@ -405,7 +405,7 @@ class TargetPiece:
             raise ValueError("tolerance budget must be positive")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PiecewiseTarget:
     pieces: tuple
 
@@ -445,7 +445,7 @@ def min_envelope(domain: Domain, region: CompactSet, resolution: int = _EPS_RESO
 # Fitting
 
 
-@dataclass(frozen=True)
+@record
 class PieceCertificate:
     """achieved bounds sup |f - target| on the piece (_verify); envelope is its budget tau."""
 
@@ -458,7 +458,7 @@ class CandidateStatus:
     FAILED = "FAILED"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FhcCandidate:
     fn: ArnoldiPoly
     certificates: tuple
@@ -806,7 +806,7 @@ class BasisKind:
     MIXED = "mixed"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SpanBasis:
     members: tuple  # of FhcCandidate
     indices: tuple  # member index mu per candidate

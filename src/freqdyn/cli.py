@@ -35,6 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import approx, density, orbit, runaway
+from ._record import record
 from .approx import (
     ArnoldiPoly,
     BasisKind,
@@ -334,7 +335,7 @@ def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
 # artifacts
 
 
-@dataclass(frozen=True)
+@record
 class CommandResult:
     name: str
     lines: tuple
@@ -406,7 +407,7 @@ def _unbounded_as_null(value: float):
 
 
 def _sigma_payload(rep: SigmaReport) -> dict:
-    payload = dataclasses.asdict(rep)
+    payload = {name: getattr(rep, name) for name in rep._fields}
     payload["limit_at_one"] = _unbounded_as_null(rep.limit_at_one)
     return payload
 

@@ -10,11 +10,11 @@ presented as limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._record import record
 from .geometry import _sorted_unique
 
 __all__ = [
@@ -47,7 +47,7 @@ def _default_burn_in(horizon: int) -> int:
     return max(1, horizon // 5)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class IndexSet:
     """A strictly increasing set of positive integers known up to n_max."""
 
@@ -104,7 +104,7 @@ def arithmetic_progression(first: int, step: int, n_max: int) -> IndexSet:
     return IndexSet(els, n_max, f"ap({first},{step})", 1.0 / step)
 
 
-@dataclass(frozen=True)
+@record
 class DensityReport:
     """Finite-horizon density estimates for one index set.
 
@@ -118,7 +118,7 @@ class DensityReport:
     horizon: int
     empty: bool
     closed_form: Optional[float] = None
-    checkpoints: tuple = field(default_factory=tuple)
+    checkpoints: tuple = ()
 
     def __post_init__(self):
         if not (0.0 <= self.lower_estimate <= self.upper_estimate <= 1.0 + 1e-12):
@@ -247,7 +247,7 @@ def _residue_class(p: int, m: int):
     return m * r * 3 ** (d - 1), m * 3 ** d
 
 
-@dataclass(frozen=True)
+@record
 class SeparatedFamily:
     """Disjoint index sets A(l, nu) with |n - m| >= nu + mu across sets."""
 
@@ -353,7 +353,7 @@ def build_separated_family(num_pairs: int, horizon: int, m_multiplier: int) -> S
     return family
 
 
-@dataclass(frozen=True)
+@record
 class FamilyReport:
     passed: bool
     violations: tuple
@@ -430,7 +430,7 @@ def _seq_values(seq, count: int, dtype) -> np.ndarray:
     return arr[:count].astype(dtype)
 
 
-@dataclass(frozen=True)
+@record
 class SimilarityCriterionReport:
     passed: bool
     growth_ok: bool
@@ -493,7 +493,7 @@ def check_similarity_criterion(a_seq, b_seq, omega_seq, horizon: int) -> Similar
     )
 
 
-@dataclass(frozen=True)
+@record
 class TranslationSeparationReport:
     passed: bool
     slow_growth: bool

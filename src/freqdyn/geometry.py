@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "AnnularSector",
@@ -28,6 +29,7 @@ __all__ = [
     "DomainKind",
     "Exhaustion",
     "chordal_distance",
+    "clear_of",
     "disc_pairs",
     "disjointness",
     "distance_to_slit",
@@ -84,7 +86,7 @@ class DomainKind(Enum):
     SLIT_PLANE = "slit_plane"
 
 
-@dataclass(frozen=True)
+@record
 class Domain:
     """A simply connected plane domain with a decidable membership test."""
 
@@ -174,7 +176,7 @@ def eps_to_boundary(domain: Domain, z):
 # Compact sets
 
 
-@dataclass(frozen=True)
+@record
 class ClosedDisc:
     """Closed disc {|z - center| <= radius}."""
 
@@ -188,7 +190,7 @@ class ClosedDisc:
             raise ValueError("disc center must be finite")
 
 
-@dataclass(frozen=True)
+@record
 class AnnularSector:
     """Sector {r e^{i t} : rmin <= r <= rmax, |t| <= half_angle}.
 
@@ -281,9 +283,28 @@ def disjointness(a: CompactSet, b: CompactSet) -> bool:
     return bool(abs(ea.center - eb.center) > ea.radius + eb.radius)
 
 
+def clear_of(centers: np.ndarray, radii: np.ndarray, c: CompactSet) -> np.ndarray:
+    """disjointness(ClosedDisc(centers[i], radii[i]), c) for every i, as
+    one bool array.
+
+    |d| comes from np.hypot of the real and imaginary parts, the C
+    hypot that Python's complex abs calls, so every entry is the verdict
+    of disjointness; np.abs of a complex array can differ from that abs
+    in the last bit.
+    """
+    e = enclosing_disc(c)
+    d = centers - e.center
+    return np.hypot(d.real, d.imag) > radii + e.radius
+
+
 def disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
-    """The test of `disjointness` over all pairs of discs i < j, one
-    upper-triangle row at a time.
+    """The inequality of `disjointness` over all pairs of discs i < j,
+    one upper-triangle row at a time.
+
+    |c_i - c_j| comes from np.abs of a complex row, which can differ in
+    the last bit from the scalar abs of `disjointness` (np.hypot agrees
+    with it but costs several times as much per row), so a pair
+    whose gap lies within an ulp of zero may get the other verdict.
 
     Returns (first_bad, gap, closest, checked).  first_bad is the first
     pair in row-major order whose discs meet, |c_i - c_j| <= r_i + r_j,
@@ -315,7 +336,7 @@ def disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
 # Exhaustions
 
 
-@dataclass(frozen=True)
+@record
 class Exhaustion:
     """A closed-form sequence of compacts K_1 <= K_2 <= ... filling a domain.
 

@@ -1,6 +1,6 @@
 """Holomorphic self-map families of the four supported domains.
 
-Every map variant is a frozen dataclass with a declared domain, and
+Every map variant is a frozen value class with a declared domain, and
 `Conjugated` transports one by a conformal equivalence; module
 functions provide evaluation, inversion with a round-trip check,
 iteration, and certified disc bounds for images of compact sets.
@@ -11,12 +11,12 @@ because the principal branch is unstable there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
 
+from ._record import record
 from .geometry import (
     SLIT_GUARD,
     ClosedDisc,
@@ -58,14 +58,14 @@ _EVAL_SLACK = 1e-9
 IMAGE_MARGIN = 1.05
 
 
-@dataclass(frozen=True)
+@record
 class Identity:
     """The identity map on a declared domain."""
 
     domain: Domain = Domain.whole_plane()
 
 
-@dataclass(frozen=True)
+@record
 class Similarity:
     """z -> a z + b on the whole plane, a != 0."""
 
@@ -77,7 +77,7 @@ class Similarity:
             raise ValueError("similarity coefficient a must be nonzero")
 
 
-@dataclass(frozen=True)
+@record
 class DiscAutomorphism:
     """z -> k (z - a) / (1 - conj(a) z) with |k| = 1 and |a| < 1."""
 
@@ -91,7 +91,7 @@ class DiscAutomorphism:
             raise ValueError("automorphism parameter a must satisfy |a| < 1")
 
 
-@dataclass(frozen=True)
+@record
 class ParabolicDisc:
     """Parabolic disc self-map with boundary fixed point 1.
 
@@ -115,7 +115,7 @@ class ParabolicDisc:
         return self.a * float(self.n) ** self.gamma
 
 
-@dataclass(frozen=True)
+@record
 class RootShift:
     """phi_n(z) = n^alpha z^(1/N) + n^beta on the slit plane.
 
@@ -139,7 +139,7 @@ class RootShift:
             raise ValueError("index n must be a positive integer")
 
 
-@dataclass(frozen=True)
+@record
 class HalfPlaneShift:
     """phi_n(z) = z + i a n^gamma on the right half plane."""
 
@@ -165,7 +165,7 @@ class PairKind(Enum):
     SLIT_TO_DISC = "slit_to_disc"
 
 
-@dataclass(frozen=True)
+@record
 class ConformalPair:
     """A conformal equivalence f : source -> target with explicit inverse.
 
@@ -198,7 +198,7 @@ class ConformalPair:
         return Domain.unit_disc()
 
     def reversed(self) -> "ConformalPair":
-        return replace(self, flipped=not self.flipped)
+        return ConformalPair(self.kind, not self.flipped)
 
     def _fwd_raw(self, z):
         if np.isscalar(z) and _scalar_is_inf(z):
@@ -229,7 +229,7 @@ class ConformalPair:
         return self._fwd_raw(z) if self.flipped else self._bwd_raw(z)
 
 
-@dataclass(frozen=True)
+@record
 class Conjugated:
     """pair.forward o inner o pair.backward, acting on pair.target."""
 
@@ -241,7 +241,7 @@ class Conjugated:
             raise ValueError("inner map domain must equal the pair's source")
 
 
-@dataclass(frozen=True)
+@record
 class Iterated:
     """The power-fold composition of a base self-map."""
 

@@ -10,11 +10,11 @@ factor, and burn-in indices are reported rather than silently skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._record import record
 from .approx import PolyLike, Polynomial, SpanBasis
 from .density import DensityReport, IndexSet, lower_density_estimate
 from .geometry import (
@@ -51,7 +51,7 @@ ITERATE_BLOCK = 8192
 MONOTONE_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PairScan:
     """Scan outcome for one (nu, l) pair."""
 
@@ -73,7 +73,7 @@ class PairScan:
         return els[els <= horizon]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class OrbitScanReport:
     entries: tuple
     delta: float
@@ -287,7 +287,7 @@ def combination_scan(
     )
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class IterateReport:
     errors: np.ndarray
     escaped: bool

@@ -12,11 +12,11 @@ for the images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._record import record
 from .density import DensityReport, IndexSet, lower_density_estimate
 from .geometry import (
     AnnularSector,
@@ -24,6 +24,7 @@ from .geometry import (
     CompactSet,
     Domain,
     Exhaustion,
+    clear_of,
     disc_pairs,
     disjointness,
     sample_grid,
@@ -91,7 +92,7 @@ class powers_of_two_schedule:
         return 2 ** np.arange(1, int(horizon).bit_length(), dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@record
 class WeakRunawayReport:
     escape_set: IndexSet
     density: DensityReport
@@ -144,7 +145,7 @@ def check_weak_runaway(
     )
 
 
-@dataclass(frozen=True)
+@record
 class RunawayConfig:
     """One strong-runaway experiment: maps, exhaustion, index family, horizons."""
 
@@ -163,7 +164,7 @@ class RunawayConfig:
             raise ValueError("exhaustion does not live on the configured domain")
 
 
-@dataclass(frozen=True)
+@record
 class Island:
     """One image set phi_n(K_nu) together with its certified disc bound."""
 
@@ -200,7 +201,14 @@ def collect_islands(cfg: RunawayConfig) -> tuple:
     return tuple(islands)
 
 
-@dataclass(frozen=True)
+def _island_discs(islands) -> tuple:
+    """The centres and radii of the islands' image discs, as arrays."""
+    centers = np.array([i.image_bound.center for i in islands], dtype=complex)
+    radii = np.array([i.image_bound.radius for i in islands], dtype=float)
+    return centers, radii
+
+
+@record
 class StrongRunawayReport:
     p1_ok: bool
     p2_ok: bool
@@ -257,8 +265,7 @@ def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
             break
 
     islands = collect_islands(cfg)
-    centers = np.array([i.image_bound.center for i in islands], dtype=complex)
-    radii = np.array([i.image_bound.radius for i in islands], dtype=float)
+    centers, radii = _island_discs(islands)
     first_bad, disc_gap, closest, checked = disc_pairs(centers, radii)
 
     def labels(pair):
@@ -270,17 +277,15 @@ def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
     p2_disc_witness = labels(first_bad)
     p2_ok = p2_index_witness is None and p2_disc_witness is None
 
+    ns = np.array([isl.n for isl in islands], dtype=np.int64)
     probes = []
     p3_ok = True
     p3_witness = None
     for mu in range(1, cfg.nu_max + 1):
-        probe = cfg.exhaustion.member(mu)
-        offenders = [
-            isl.n for isl in islands if not disjointness(isl.image_bound, probe)
-        ]
-        last = max(offenders, default=0)
-        probes.append((mu, len(offenders), last))
-        if offenders and not any(isl.n > last for isl in islands):
+        offenders = ns[~clear_of(centers, radii, cfg.exhaustion.member(mu))]
+        last = int(offenders.max(initial=0))
+        probes.append((mu, int(offenders.size), last))
+        if offenders.size and not np.any(ns > last):
             p3_ok = False
             if p3_witness is None:
                 p3_witness = mu
@@ -302,7 +307,7 @@ def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CarlemanTruncation:
     """Finite stand-in for the union of base compacts and escaped islands."""
 
@@ -351,10 +356,10 @@ def build_carleman_truncation(
     base_sets = tuple(cfg.exhaustion.member(mu) for mu in range(1, bases + 1))
     fine = cfg.resolution * VERIFY_REFINE
 
-    clears = [
-        all(disjointness(isl.image_bound, b) for b in base_sets)
-        for isl in report.islands
-    ]
+    centers, radii = _island_discs(report.islands)
+    clears = np.ones(centers.size, dtype=bool)
+    for b in base_sets:
+        clears &= clear_of(centers, radii, b)
     k_base = None
     for k in range(1, cfg.nu_max + 1):
         if all(ok for ok, isl in zip(clears, report.islands) if isl.nu >= k):

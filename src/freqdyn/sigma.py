@@ -9,10 +9,11 @@ slit-plane root shifts apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from ._record import record
 
 __all__ = ["DEFAULT_T_MAX", "SigmaReport", "cmd_sigma"]
 
@@ -30,7 +31,7 @@ GOLDEN_MAXITER = 5000
 RICHARDSON_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
+@record
 class SigmaReport:
     """Infimum of the island separation ratio and the radius constant."""
 

@@ -1219,6 +1219,26 @@ def test_benchmark_span_targets_resolve():
     for verdict in (True, False):
         spans.RESULT_HOOKS["geometry.disjointness"](rec, verdict)
     assert rec.counts == {"geometry.disjointness.unknown": 0}
+    # The traced child imports freqdyn.cli alone and then looks every
+    # target module up in sys.modules, so that import must load them all.
+    # Value classes are records, not dataclasses: dataclass compiles its
+    # methods in every process that defines one.
+    targets = sorted({module for module, _ in spans.TARGETS})
+    script = (
+        "import dataclasses, inspect, sys\n"
+        "import freqdyn.cli\n"
+        f"print([m for m in {targets!r} if m not in sys.modules])\n"
+        "print(sorted(n for m, mod in list(sys.modules.items())\n"
+        "             if m.startswith('freqdyn')\n"
+        "             for n, o in vars(mod).items()\n"
+        "             if inspect.isclass(o) and o.__module__ == m\n"
+        "             and dataclasses.is_dataclass(o)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "['ExperimentConfig']"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from freqdyn.geometry import (
     Exhaustion,
     _sorted_unique,
     chordal_distance,
+    clear_of,
     disjointness,
     distance_to_slit,
     enclosing_disc,
@@ -347,6 +348,44 @@ def test_disjointness_is_the_symmetric_enclosing_disc_test(a, b):
     expected = abs(ea.center - eb.center) > ea.radius + eb.radius
     assert disjointness(a, b) is expected
     assert disjointness(b, a) is expected
+
+
+def _clear_of_reference(centers, radii, probe):
+    return [disjointness(ClosedDisc(c, r), probe) for c, r in zip(centers, radii)]
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [ClosedDisc(0.3 - 0.7j, 1.5), ClosedDisc(0.0j, 0.0), AnnularSector(0.5, 2.0, 1.0),
+     AnnularSector(1.0, 0.25, 0.5)],
+)
+def test_clear_of_matches_disjointness_on_random_discs(probe):
+    rng = np.random.default_rng(7)
+    centers = (rng.normal(size=2000) + 1j * rng.normal(size=2000)) * rng.exponential(4.0, 2000)
+    radii = rng.exponential(1.0, 2000)
+    got = clear_of(centers, radii, probe)
+    assert got.dtype == bool
+    assert got.tolist() == _clear_of_reference(centers, radii, probe)
+
+
+def test_clear_of_matches_disjointness_on_touching_discs():
+    # radius |c - p| exactly: the discs share one boundary point, and a
+    # last-bit difference in |c - p| would call them disjoint
+    rng = np.random.default_rng(11)
+    p = 0.25 + 0.5j
+    centers = p + rng.normal(size=5000) * 1e3 + 1j * rng.normal(size=5000)
+    radii = np.array([abs(c - p) for c in centers])
+    probe = ClosedDisc(p, 0.0)
+    got = clear_of(centers, radii, probe)
+    assert not got.any()
+    assert got.tolist() == _clear_of_reference(centers, radii, probe)
+    touching = clear_of(np.array([3.0 + 4.0j, 3.0 + 4.0j]), np.array([3.0, 2.5]),
+                        ClosedDisc(0.0j, 2.0))
+    assert touching.tolist() == [False, True]
+
+
+def test_clear_of_without_discs():
+    assert clear_of(np.empty(0, complex), np.empty(0), ClosedDisc(0.0j, 1.0)).size == 0
 
 
 # ---------------------------------------------------------------------------
