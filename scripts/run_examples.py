@@ -3,13 +3,15 @@
 
 Each run writes under its own output root so repeated builds never
 overwrite one another; the stored-candidate scan is pointed at the
-existence build it consumes.  Four runs patch a shipped config: example1
+existence build it consumes.  Five runs patch a shipped config: example1
 at a radius constant large enough for its orbit scan to run, the
-spaceable config built as a mixed basis, and two runs expected to fail
-with a witness: example4 with cubic frequencies (pairwise witness) and
-strong runaway on the powers-of-two schedule (P2 disc witness).  The
-weak runaway example is expected to fail by construction.  A run that
-exits with its expected code counts as success here.
+spaceable config built as a mixed basis, strong runaway of parabolic
+maps on the unit disc (islands bounded by Moebius image discs), and two
+runs expected to fail with a witness: example4 with cubic frequencies
+(pairwise witness) and strong runaway on the powers-of-two schedule (P2
+disc witness).  The weak runaway example is expected to fail by
+construction.  A run that exits with its expected code counts as
+success here.
 
 To compare two versions of the package with ``diff -r``, give both runs
 the same ``--out`` path and move the first tree aside before the second
@@ -37,6 +39,13 @@ RUNS = (
         "runaway_strong.ini",
         ("maps.schedule=powers_of_two",),
         1,
+    ),
+    (
+        "runaway-disc",
+        "runaway",
+        "runaway_strong.ini",
+        ("domain.kind=unit_disc", "maps.family=parabolic_disc"),
+        0,
     ),
     ("example1", "example1", "example1.ini", (), 0),
     ("example1-scan", "example1", "example1.ini", ("maps.c=1.0",), 0),

@@ -1281,7 +1281,7 @@ def cmd_runaway(cfg: ExperimentConfig) -> CommandResult:
                 f"maps.family={cfg.map_family} at index {n} does not send"
                 f" level 1 into the configured domain {domain.kind.value}"
             )
-    rep = runaway.check_weak_runaway(schedule, k, cfg.n_max, cfg.grid_res)
+    rep = runaway.check_weak_runaway(schedule, k, cfg.n_max)
     est = rep.density.lower_estimate
     lines = [
         f"NOTE: {rep.escape_set.elements.size} escape times up to {cfg.n_max}",

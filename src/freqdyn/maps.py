@@ -2,8 +2,10 @@
 
 Every map variant is a frozen value class with a declared domain, and
 `Conjugated` transports one by a conformal equivalence; module
-functions provide evaluation, inversion with a round-trip check,
-iteration, and certified disc bounds for images of compact sets.
+functions provide evaluation, the inverse formulas, iteration, and
+closed-form disc bounds for images of compact sets: every affine,
+disc-automorphism and parabolic map is a Moebius map, which sends a
+disc onto a disc.
 Evaluation near the slit (-inf, 0] is refused within a guard distance
 because the principal branch is unstable there.
 """
@@ -43,19 +45,16 @@ __all__ = [
     "Similarity",
     "apply",
     "image_enclosing_disc",
-    "inverse_apply",
     "inverse_degree",
     "iterate",
     "map_domain",
     "maps_into",
 ]
 
-# Relative round-trip tolerance accepted by inverse_apply.
-ROUND_TRIP_TOL = 1e-8
 # Membership slack used when validating map inputs.
 _EVAL_SLACK = 1e-9
-# Inflation factor for sampled image bounds.
-IMAGE_MARGIN = 1.05
+# The unit roundoff u of a float.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @record
@@ -376,28 +375,6 @@ def _stepper(m: HoloMap, width: int):
     return step
 
 
-def inverse_apply(m: HoloMap, w):
-    """Evaluate the inverse map at w.
-
-    The closed-form inverse is applied, the preimage is checked to lie in
-    the domain, and a round trip through apply must reproduce w within a
-    relative tolerance; otherwise w is not in the image and a DomainError
-    is raised.
-    """
-    scalar = np.isscalar(w)
-    ww = np.atleast_1d(np.asarray(w, dtype=complex))
-    _check_in_domain(map_domain(m), ww)
-    zz = _inv(m, ww)
-    _check_in_domain(map_domain(m), zz)
-    back = _eval(m, zz)
-    err = np.abs(back - ww)
-    tol = ROUND_TRIP_TOL * (1.0 + np.abs(ww))
-    if np.any(err > tol):
-        offender = ww[err > tol][0]
-        raise DomainError(f"{offender} is not in the image of {type(m).__name__}")
-    return complex(zz[0]) if scalar else zz
-
-
 def _inv(m: HoloMap, w: np.ndarray) -> np.ndarray:
     if isinstance(m, Identity):
         return w
@@ -443,72 +420,94 @@ def iterate(m: HoloMap, power: int) -> Iterated:
     return Iterated(m, power)
 
 
-def _linear_coeffs(m: HoloMap) -> Optional[tuple]:
-    """(a, b) with m(z) = a z + b where that form is exact, else None."""
+def _mobius(m: HoloMap) -> Optional[tuple]:
+    """(a, b, c, d) with m(z) = (a z + b) / (c z + d) exactly, else None;
+    c = 0 (with d = 1) marks an affine map, iterates of which stay so."""
     if isinstance(m, Identity):
-        return (1.0 + 0.0j, 0.0 + 0.0j)
+        return (1.0 + 0.0j, 0.0 + 0.0j, 0.0, 1.0)
     if isinstance(m, Similarity):
-        return (complex(m.a), complex(m.b))
+        return (complex(m.a), complex(m.b), 0.0, 1.0)
     if isinstance(m, HalfPlaneShift):
-        return (1.0 + 0.0j, 1j * m.shift)
+        return (1.0 + 0.0j, 1j * m.shift, 0.0, 1.0)
     if isinstance(m, RootShift) and m.root_n == 1:
-        return (
-            complex(float(m.n) ** m.alpha),
-            complex(float(m.n) ** m.beta),
-        )
-    if isinstance(m, Iterated):
-        base = _linear_coeffs(m.base)
-        if base is None:
-            return None
-        a, b = base
-        p = m.power
-        if a == 1.0:
-            return (a, b * p)
-        return (a ** p, b * (a ** p - 1.0) / (a - 1.0))
-    return None
+        n = float(m.n)
+        return (complex(n ** m.alpha), complex(n ** m.beta), 0.0, 1.0)
+    if isinstance(m, DiscAutomorphism):
+        k, a = complex(m.k), complex(m.a)
+        return (k, -k * a, -a.conjugate(), 1.0)
+    if isinstance(m, ParabolicDisc):
+        s = m.shift  # ad - bc = 4
+        return (2.0 - 1j * s, 1j * s, -1j * s, 2.0 + 1j * s)
+    base = _mobius(m.base) if isinstance(m, Iterated) else None
+    if base is None or base[2] != 0:
+        return None
+    a, b, p = base[0], base[1], m.power
+    if a == 1.0:
+        return (a, b * p, 0.0, 1.0)
+    return (a ** p, b * (a ** p - 1.0) / (a - 1.0), 0.0, 1.0)
 
 
 def inverse_degree(m: HoloMap) -> Optional[int]:
     """Degree of the inverse formula as a polynomial, None if it is none."""
-    if _linear_coeffs(m) is not None:
-        return 1
+    mob = _mobius(m)
+    if mob is not None:
+        return 1 if mob[2] == 0 else None
     if isinstance(m, Iterated):
         base = inverse_degree(m.base)
         return None if base is None else base ** m.power
     return m.root_n if isinstance(m, RootShift) else None
 
 
-def image_enclosing_disc(
-    m: HoloMap,
-    c: CompactSet,
-    resolution: int = 3,
-) -> ClosedDisc:
-    """A closed disc certified (or analytically known) to contain m(c).
+def image_enclosing_disc(m: HoloMap, c: CompactSet) -> ClosedDisc:
+    """A closed disc containing m(c): the image of c's enclosing disc
+    |z - z0| <= r under one closed-form rule.
 
-    Affine maps give the exact image of the enclosing disc.  For a root
-    shift the bound is the analytic one: a compact inside |z| <= R maps
-    into the disc of radius n^alpha R^(1/N) about n^beta.  All other
-    variants map a sample grid and return the smallest centred disc over
-    the mapped points inflated by the factor IMAGE_MARGIN.
+    A Moebius map (_mobius) sends it onto a disc (Needham, Visual Complex
+    Analysis, ch. 3), a z0 + b and |a| r when c = 0.  Otherwise, with
+    q = c z0 + d and D = |q|^2 - |c|^2 r^2, the centre is
+    ((a z0 + b) conj(q) - a conj(c) r^2) / D and the radius |ad - bc| r / D
+    plus the pad 16 u (M_w M_q + |a c| r^2 + (|a d| + |b c|) r
+    + (|centre| + radius) (M_q^2 + |c|^2 r^2)) / D, with M_w = |a z0| + |b|,
+    M_q = |c z0| + |d| and u the unit roundoff: to first order in u a bound
+    on the rounding of centre and radius.  D <= 0 puts the pole on the
+    disc and raises ValueError.  A root shift with root_n = N > 1 maps
+    |z| <= R into the disc of radius n^alpha R^(1/N) about n^beta.  An
+    iterate of a non-affine map applies its base's rule power times.  Any
+    other map, Conjugated among them, raises ValueError.
     """
-    enc = enclosing_disc(c)
-    lin = _linear_coeffs(m)
-    if lin is not None:
-        a, b = lin
-        return ClosedDisc(a * enc.center + b, abs(a) * enc.radius)
-    if isinstance(m, RootShift):
-        big_r = abs(enc.center) + enc.radius
-        return ClosedDisc(
-            complex(float(m.n) ** m.beta),
-            float(m.n) ** m.alpha * big_r ** (1.0 / m.root_n),
-        )
-    pts = sample_grid(c, resolution)
-    if pts.size == 0:
-        pts = sample_grid(enc, resolution)
-    mapped = apply(m, pts)
-    centre = complex(np.mean(mapped))
-    radius = float(np.max(np.abs(mapped - centre)))
-    return ClosedDisc(centre, IMAGE_MARGIN * radius)
+    return _image_disc(m, enclosing_disc(c))
+
+
+def _image_disc(m: HoloMap, enc: ClosedDisc) -> ClosedDisc:
+    # iterates recurse here, so image_enclosing_disc runs once per disc
+    mob = _mobius(m)
+    if mob is None:
+        if isinstance(m, RootShift):
+            big_r = abs(enc.center) + enc.radius
+            n = float(m.n)
+            return ClosedDisc(complex(n ** m.beta), n ** m.alpha * big_r ** (1.0 / m.root_n))
+        if isinstance(m, Iterated):
+            for _ in range(m.power):
+                enc = _image_disc(m.base, enc)
+            return enc
+        raise ValueError(f"no closed-form image disc for {type(m).__name__}")
+    z0, r = enc.center, enc.radius
+    if mob[2] == 0:
+        return ClosedDisc(mob[0] * z0 + mob[1], abs(mob[0]) * r)
+    # scaling by a power of two is exact and keeps |q|^2 finite
+    scale = math.ldexp(1.0, -math.frexp(max(map(abs, mob)))[1])
+    a, b, c, d = (scale * x for x in mob)
+    q, rr = c * z0 + d, r * r
+    den = abs(q) ** 2 - abs(c) ** 2 * rr
+    if not den > 0.0:
+        raise ValueError(f"the pole {-d / c} of the map lies on the disc {enc}")
+    centre = ((a * z0 + b) * q.conjugate() - a * c.conjugate() * rr) / den
+    radius = abs(a * d - b * c) * r / den
+    m_q = abs(c) * abs(z0) + abs(d)
+    slack = ((abs(a) * abs(z0) + abs(b)) * m_q + abs(a) * abs(c) * rr
+             + (abs(a) * abs(d) + abs(b) * abs(c)) * r
+             + (abs(centre) + radius) * (m_q * m_q + abs(c) ** 2 * rr))
+    return ClosedDisc(centre, radius + 16.0 * _UNIT_ROUNDOFF * slack / den)
 
 
 def maps_into(m: HoloMap, d: Domain, c: CompactSet, resolution: int = 3) -> bool:

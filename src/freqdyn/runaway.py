@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 # The truncation rechecks each kept image disc on a grid this much finer
-# than the one it was sampled from.
+# than the one collect_islands checks domain membership on.
 VERIFY_REFINE = 4
 
 
@@ -103,7 +103,6 @@ def check_weak_runaway(
     maps_schedule: Callable[[int], HoloMap],
     k: CompactSet,
     horizon: int,
-    resolution: int = 3,
 ) -> WeakRunawayReport:
     """Density report of {n <= horizon : K and phi_n(K) certified disjoint}.
 
@@ -118,9 +117,10 @@ def check_weak_runaway(
     has one), is decided at those indices only: the identity's image disc
     is K's own enclosing disc, which meets itself, so no other index
     escapes.  A schedule without the method is decided at every index.
-    Either way each index is decided through image_enclosing_disc and
-    disjointness in increasing order, so an error is raised at the
-    first index that raises one.
+    Either way each index is decided through image_enclosing_disc, a
+    closed-form disc, and disjointness in increasing order, so an error
+    is raised at the first index that raises one; a map with no
+    closed-form image disc raises ValueError there.
     """
     if isinstance(k, AnnularSector) and k.is_empty:
         raise ValueError(f"weak runaway needs a nonempty compact; {k} is empty")
@@ -130,10 +130,7 @@ def check_weak_runaway(
         (
             n
             for n in indices
-            if disjointness(
-                image_enclosing_disc(maps_schedule(int(n)), k, resolution=resolution),
-                k,
-            )
+            if disjointness(image_enclosing_disc(maps_schedule(int(n)), k), k)
         ),
         dtype=np.int64,
     )
@@ -176,11 +173,12 @@ class Island:
 
 
 def collect_islands(cfg: RunawayConfig) -> tuple:
-    """All islands (n in A(nu), nu <= nu_max) with certified image bounds.
+    """All islands (n in A(nu), nu <= nu_max) with closed-form image discs.
 
-    Rejects the configuration when some phi_n fails to send the sampled
-    K_nu into the domain, since every later certificate would be about
-    a map outside the declared class.
+    Each image bound is maps.image_enclosing_disc of K_nu.  Rejects the
+    configuration when some phi_n fails to send the sample grid of K_nu
+    at cfg.resolution into the domain, since every later certificate
+    would be about a map outside the declared class.
     """
     islands = []
     for nu in range(1, cfg.nu_max + 1):
@@ -195,8 +193,7 @@ def collect_islands(cfg: RunawayConfig) -> tuple:
                     f"map at index {n} does not send level {nu} into the domain"
                 )
             islands.append(
-                Island(n, nu, m, source,
-                       image_enclosing_disc(m, source, resolution=cfg.resolution))
+                Island(n, nu, m, source, image_enclosing_disc(m, source))
             )
     return tuple(islands)
 
@@ -335,9 +332,10 @@ def build_carleman_truncation(
     level or above clears all base compacts; it is computed, never
     supplied.  Islands are then taken in increasing schedule order up
     to max_islands.  Their image discs are pairwise disjoint by P2 and
-    clear the bases by the choice of k_base; each kept disc is rechecked
-    against the images of a grid VERIFY_REFINE times finer than the one
-    it was sampled from.
+    clear the bases by the choice of k_base; each kept disc is rechecked,
+    as a safety check on the closed-form bound, against the images of a
+    grid VERIFY_REFINE times finer than the cfg.resolution grid that
+    collect_islands checks domain membership on.
     """
     if bases < 0 or bases > cfg.nu_max:
         raise ValueError("bases must lie in [0, nu_max]")

@@ -623,7 +623,7 @@ def test_run_examples_script_runs_every_shipped_example(tmp_path, monkeypatch, c
     assert script.main(["--out", str(tmp_path / "examples"), "--configs", CONFIGS]) == 0
     out = capsys.readouterr().out
     assert f"all {len(script.RUNS)} example runs behaved as expected" in out
-    assert len(script.RUNS) == 19
+    assert len(script.RUNS) == 20
 
 
 def test_cmd_example2_residuals(outdir):

@@ -14,6 +14,7 @@ from freqdyn.geometry import (
     DomainError,
     sample_grid,
     sector_exhaustion,
+    unit_disc_exhaustion,
 )
 from freqdyn.maps import (
     ConformalPair,
@@ -27,13 +28,15 @@ from freqdyn.maps import (
     RootShift,
     Similarity,
     _eval,
+    _mobius,
     _stepper,
     apply,
     image_enclosing_disc,
-    inverse_apply,
+    inverse_degree,
     iterate,
     map_domain,
     maps_into,
+    raw_inverse,
 )
 
 disc_points = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
@@ -77,20 +80,14 @@ def test_apply_rejects_slit_points():
 
 def test_similarity_inverse_known_value():
     m = Similarity(a=2.0 + 0.0j, b=1.0 + 0.0j)
-    assert inverse_apply(m, 5.0 + 0.0j) == pytest.approx(2.0 + 0.0j)
+    assert raw_inverse(m, 5.0 + 0.0j) == pytest.approx(2.0 + 0.0j)
+    assert apply(m, raw_inverse(m, 5.0 + 0.0j)) == pytest.approx(5.0 + 0.0j)
 
 
 def test_root_shift_inverse_known_value():
     m = RootShift(alpha=0.0, beta=1.0, root_n=2, n=3)
-    assert inverse_apply(m, 4.0 + 0.0j) == pytest.approx(1.0 + 0.0j)
-
-
-def test_root_shift_inverse_rejects_outside_image():
-    # The image of the square-root shift is a sector of half-angle pi/2
-    # about n^beta; points behind the vertex are not attained.
-    m = RootShift(alpha=0.0, beta=1.0, root_n=2, n=3)
-    with pytest.raises(DomainError):
-        inverse_apply(m, 1.0 + 0.0j)
+    assert raw_inverse(m, 4.0 + 0.0j) == pytest.approx(1.0 + 0.0j)
+    assert apply(m, raw_inverse(m, 4.0 + 0.0j)) == pytest.approx(4.0 + 0.0j)
 
 
 @given(disc_points)
@@ -99,14 +96,14 @@ def test_disc_automorphism_round_trip(z):
     m = DiscAutomorphism(k=np.exp(0.7j), a=0.3 - 0.2j)
     w = apply(m, z)
     assert abs(w) < 1.0 + 1e-12
-    assert inverse_apply(m, w) == pytest.approx(z, abs=1e-10)
+    assert raw_inverse(m, w) == pytest.approx(z, abs=1e-10)
 
 
 @given(disc_points)
 @settings(max_examples=100)
 def test_parabolic_round_trip(z):
     m = ParabolicDisc(a=0.5, gamma=2.0, n=3)
-    assert inverse_apply(m, apply(m, z)) == pytest.approx(z, abs=1e-10)
+    assert raw_inverse(m, apply(m, z)) == pytest.approx(z, abs=1e-10)
 
 
 @given(slit_points())
@@ -114,13 +111,13 @@ def test_parabolic_round_trip(z):
 def test_root_shift_round_trip(z):
     m = RootShift(alpha=0.5, beta=1.5, root_n=3, n=4)
     w = apply(m, z)
-    assert inverse_apply(m, w) == pytest.approx(z, rel=1e-8, abs=1e-8)
+    assert raw_inverse(m, w) == pytest.approx(z, rel=1e-8, abs=1e-8)
 
 
 def test_half_plane_shift_round_trip():
     m = HalfPlaneShift(a=2.0, gamma=1.0, n=6)
     for z in (1.0 + 0.0j, 0.01 + 40.0j, 9.0 - 3.0j):
-        assert inverse_apply(m, apply(m, z)) == pytest.approx(z, abs=1e-12)
+        assert raw_inverse(m, apply(m, z)) == pytest.approx(z, abs=1e-12)
 
 
 def test_validation_errors():
@@ -178,7 +175,7 @@ def test_conjugated_round_trip():
     shift = HalfPlaneShift(a=1.0, gamma=1.0, n=3)
     conj = Conjugated(ConformalPair(PairKind.CAYLEY_DISC_TO_HALF_PLANE).reversed(), shift)
     for z in (0.0 + 0.0j, 0.4 - 0.3j, -0.7 + 0.1j):
-        assert inverse_apply(conj, apply(conj, z)) == pytest.approx(z, abs=1e-10)
+        assert raw_inverse(conj, apply(conj, z)) == pytest.approx(z, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +200,10 @@ def test_root_shift_image_disc_analytic():
         assert bound.radius == pytest.approx(nu / 4.0)
 
 
-def test_sampled_image_disc_contains_finer_grid():
+def test_automorphism_image_disc_contains_finer_grid():
     m = DiscAutomorphism(k=np.exp(0.3j), a=0.4 + 0.1j)
     src = ClosedDisc(0.1 + 0.2j, 0.5)
-    bound = image_enclosing_disc(m, src, resolution=3)
+    bound = image_enclosing_disc(m, src)
     fine = apply(m, sample_grid(src, 12))
     assert np.max(np.abs(fine - bound.center)) <= bound.radius
 
@@ -214,9 +211,132 @@ def test_sampled_image_disc_contains_finer_grid():
 def test_parabolic_image_disc_contains_finer_grid():
     m = ParabolicDisc(a=1.0, gamma=1.0, n=4)
     src = ClosedDisc(0.0 + 0.0j, 0.5)
-    bound = image_enclosing_disc(m, src, resolution=3)
+    bound = image_enclosing_disc(m, src)
     fine = apply(m, sample_grid(src, 12))
     assert np.max(np.abs(fine - bound.center)) <= bound.radius
+
+
+# Unit roundoff of a float.
+_U = 2.0 ** -53
+
+
+def _boundary_inside(disc, count):
+    """count points of the disc's boundary circle, pulled in by a few ulps
+    so that each lies in the disc: 0.8 e^{it} alone rounds to moduli up
+    to 0.8000000000000003, and an image may then leave the exact image
+    disc legitimately."""
+    theta = 2.0 * np.pi * np.arange(count) / count
+    pts = disc.center + disc.radius * (1.0 - 8.0 * _U) * np.exp(1j * theta)
+    assert np.all(np.abs(pts - disc.center) <= disc.radius)
+    return pts
+
+
+def _reach(m, disc, count):
+    """The largest distance from the image disc's centre to the image of
+    the boundary of disc, as a fraction of its radius; a Moebius map with
+    its pole off the disc takes its largest value there."""
+    bound = image_enclosing_disc(m, disc)
+    images = apply(m, _boundary_inside(disc, count))
+    return float(np.max(np.abs(images - bound.center))) / bound.radius
+
+
+def test_mobius_table_matches_eval():
+    z = sample_grid(ClosedDisc(0.1 - 0.2j, 0.6), 3)
+    maps = [
+        Identity(Domain.unit_disc()),
+        Similarity(2.0 - 1.0j, 0.5j),
+        HalfPlaneShift(1.5, 1.0, 3),
+        RootShift(0.5, 1.5, 1, 4),
+        DiscAutomorphism(np.exp(0.4j), 0.3 - 0.5j),
+        ParabolicDisc(2.0, 1.5, 7),
+        Iterated(Similarity(0.5 + 0.5j, 1.0), 5),
+        Iterated(Similarity(1.0, 2.0j), 3),
+    ]
+    for m in maps:
+        a, b, c, d = _mobius(m)
+        assert np.allclose((a * z + b) / (c * z + d), _eval(m, z), rtol=1e-13, atol=1e-13)
+        assert inverse_degree(m) == (1 if c == 0 else None)
+    a, b, c, d = _mobius(ParabolicDisc(0.5, 2.0, 3))
+    assert a * d - b * c == 4.0
+    # a root, the conjugated maps and a non-affine iterate have no 4-tuple
+    assert _mobius(RootShift(0.5, 1.5, 2, 4)) is None
+    assert _mobius(Iterated(ParabolicDisc(1.0, 1.0, 1), 2)) is None
+    pair = ConformalPair(PairKind.CAYLEY_DISC_TO_HALF_PLANE).reversed()
+    assert _mobius(Conjugated(pair, HalfPlaneShift(1.0, 1.0, 1))) is None
+
+
+def test_parabolic_image_disc_worst_sampled_case():
+    # the worst miss of the sampled hull this rule replaces: 1.135 radii
+    disc = unit_disc_exhaustion().member(5)
+    assert _reach(ParabolicDisc(2.0, 1.0, 8), disc, 200_000) <= 1.0
+
+
+def test_parabolic_image_discs_contain_boundary_images():
+    exh = unit_disc_exhaustion()
+    worst = 0.0
+    for nu in range(1, 6):
+        for n in (1, 2, 3, 5, 8, 13, 21, 50, 100, 1000):
+            for a in (0.5, 1.0, 2.0):
+                for gamma in (1.0, 1.5, 2.0):
+                    m = ParabolicDisc(a, gamma, n)
+                    worst = max(worst, _reach(m, exh.member(nu), 20_000))
+    assert worst <= 1.0
+
+
+def test_parabolic_image_disc_at_shift_two_million():
+    # s = 2e6: a radius near 1.2e-12 about a centre near 1, so the pad
+    # must scale with the centre, and it must not swamp the radius
+    disc = unit_disc_exhaustion().member(2)
+    m = ParabolicDisc(2.0, 2.0, 1000)
+    s, r = m.shift, disc.radius
+    exact = 4.0 * r / (4.0 + s * s * (1.0 - r * r))
+    bound = image_enclosing_disc(m, disc)
+    assert exact <= bound.radius <= 1.05 * exact
+    assert _reach(m, disc, 20_000) <= 1.0
+
+
+def test_parabolic_image_disc_when_the_squared_shift_overflows():
+    # s^2 = 1e400 is no float; the rule rescales the 4-tuple exactly
+    disc = unit_disc_exhaustion().member(2)
+    m = ParabolicDisc(1e200, 1.0, 1)
+    bound = image_enclosing_disc(m, disc)
+    assert bound.radius < 1e-13
+    assert _reach(m, disc, 2_000) <= 1.0
+
+
+def test_iterated_parabolic_image_discs_contain_boundary_images():
+    # the powers-of-two schedule maps n = 2^p to the p-th iterate
+    discs = (ClosedDisc(0.0, 0.5), ClosedDisc(0.3 - 0.4j, 0.2), unit_disc_exhaustion().member(5))
+    for k in discs:
+        for a in (0.5, 1.0, 2.0):
+            for p in range(1, 12):
+                assert _reach(Iterated(ParabolicDisc(a, 1.0, 1), p), k, 4_000) <= 1.0
+
+
+def test_iterated_image_disc_is_one_call(monkeypatch):
+    from freqdyn import maps
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return image_enclosing_disc(*args)
+
+    monkeypatch.setattr(maps, "image_enclosing_disc", counted)
+    m = Iterated(ParabolicDisc(1.0, 1.0, 1), 6)
+    maps.image_enclosing_disc(m, ClosedDisc(0.0, 0.5))
+    assert len(calls) == 1
+
+
+def test_image_disc_refuses_maps_without_closed_form():
+    conj = Conjugated(ConformalPair(PairKind.SLIT_TO_DISC), RootShift(0.5, 1.5, 2, 4))
+    with pytest.raises(ValueError, match="no closed-form image disc for Conjugated"):
+        image_enclosing_disc(conj, ClosedDisc(0.0, 0.5))
+    with pytest.raises(ValueError, match="no closed-form image disc"):
+        image_enclosing_disc(Iterated(conj, 2), ClosedDisc(0.0, 0.5))
+    # the pole 1/conj(a) = 2 lies on the disc |z| <= 3
+    with pytest.raises(ValueError, match="pole"):
+        image_enclosing_disc(DiscAutomorphism(1.0, 0.5), ClosedDisc(0.0, 3.0))
 
 
 def test_maps_into():

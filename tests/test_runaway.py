@@ -87,15 +87,13 @@ def test_powers_of_two_schedule_structure():
     assert isinstance(schedule(12), Identity)
 
 
-def _per_index_escapes(schedule, k, horizon, resolution=3):
+def _per_index_escapes(schedule, k, horizon):
     """Reference: the escape set decided one index at a time."""
     return np.array(
         [
             n
             for n in range(1, horizon + 1)
-            if disjointness(
-                image_enclosing_disc(schedule(n), k, resolution=resolution), k
-            )
+            if disjointness(image_enclosing_disc(schedule(n), k), k)
         ],
         dtype=np.int64,
     )
@@ -139,7 +137,8 @@ def test_weak_runaway_moving_indices_match_per_index():
         for k in compacts:
             for schedule in schedules + ([roots] if k is sector else []):
                 cases.append((k, schedule))
-    # parabolic iterates act on the unit disc and have sampled image discs
+    # parabolic iterates act on the unit disc; each image disc applies the
+    # Moebius disc rule of the base map once per iterate
     for k in (ClosedDisc(0.0, 0.5), ClosedDisc(0.3 - 0.4j, 0.2)):
         for shift in (1.0, 3.0):
             cases.append((k, powers_of_two_schedule(ParabolicDisc(shift, 1.0, 1))))
