@@ -44,6 +44,8 @@ __all__ = [
 
 # Slack below which a point counts as sitting on the slit (-inf, 0].
 SLIT_GUARD = 1e-9
+# Disc pairs that disc_pairs evaluates at a time.
+PAIR_CHUNK = 1 << 14
 
 
 class DomainError(ValueError):
@@ -253,13 +255,13 @@ def sample_grid(c: CompactSet, resolution: int) -> np.ndarray:
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     if isinstance(c, ClosedDisc):
-        pts = [complex(c.center)]
+        pts = [np.array([complex(c.center)])]
         for k in range(1, resolution + 1):
             m = 8 * k
             ang = np.exp(2j * np.pi * np.arange(m) / m)
-            for j in range(1, k + 1):
-                pts.extend(c.center + (c.radius * j / k) * ang)
-        return _sorted_unique(np.array(pts, dtype=complex))
+            scales = c.radius * np.arange(1, k + 1) / k
+            pts.append((c.center + scales[:, None] * ang).ravel())
+        return _sorted_unique(np.concatenate(pts, dtype=complex))
     if c.is_empty:
         return np.empty(0, dtype=complex)
     pts = []
@@ -267,8 +269,8 @@ def sample_grid(c: CompactSet, resolution: int) -> np.ndarray:
         radii = c.rmin + (c.rmax - c.rmin) * np.arange(k + 1) / k
         m = 4 * k
         angles = c.half_angle * np.arange(-m, m + 1) / m
-        pts.extend((radii[:, None] * np.exp(1j * angles[None, :])).ravel())
-    return _sorted_unique(np.array(pts, dtype=complex))
+        pts.append((radii[:, None] * np.exp(1j * angles[None, :])).ravel())
+    return _sorted_unique(np.concatenate(pts, dtype=complex))
 
 
 def disjointness(a: CompactSet, b: CompactSet) -> bool:
@@ -297,39 +299,75 @@ def clear_of(centers: np.ndarray, radii: np.ndarray, c: CompactSet) -> np.ndarra
     return np.hypot(d.real, d.imag) > radii + e.radius
 
 
+def _pair_gaps(centers: np.ndarray, radii: np.ndarray, i, j) -> tuple:
+    """(meets, gap) for the disc pairs (i[k], j[k]): |c_i - c_j| <= r_i + r_j
+    and |c_i - c_j| - (r_i + r_j), with the np.hypot of `clear_of`."""
+    d = centers[i] - centers[j]
+    sep = np.hypot(d.real, d.imag)
+    need = radii[i] + radii[j]
+    return sep <= need, sep - need
+
+
 def disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
-    """The inequality of `disjointness` over all pairs of discs i < j,
-    one upper-triangle row at a time.
+    """The inequality of `disjointness` over all pairs of finite discs
+    i < j, decided by a sweep along the real axis (Shamos and Hoey,
+    Geometric intersection problems, FOCS 1976).
 
-    |c_i - c_j| comes from np.abs of a complex row, which can differ in
-    the last bit from the scalar abs of `disjointness` (np.hypot agrees
-    with it but costs several times as much per row), so a pair
-    whose gap lies within an ulp of zero may get the other verdict.
+    Returns (first_bad, gap, closest, checked), what the test of every
+    pair gives.  first_bad is the first pair in row-major order whose
+    discs meet, |c_i - c_j| <= r_i + r_j, or None.  gap is the least
+    |c_i - c_j| - (r_i + r_j), and closest the first pair in row-major
+    order attaining it; below two discs gap is inf and closest None.
+    checked counts the pairs decided, m (m - 1) / 2.  |c_i - c_j| comes
+    from np.hypot, as in `disjointness` and `clear_of`.
 
-    Returns (first_bad, gap, closest, checked).  first_bad is the first
-    pair in row-major order whose discs meet, |c_i - c_j| <= r_i + r_j,
-    or None.  gap is the least |c_i - c_j| - (r_i + r_j), and closest the
-    first pair in row-major order attaining it; below two discs gap is
-    inf and closest None.  checked counts the pairs.  Memory is
-    O(discs).
+    The discs are sorted by lo = Re c - r, and the gaps of neighbours in
+    that order bound the least gap by some G.  A pair whose real extents
+    lie more than T = max(G, 0) apart has a gap above T, so it neither
+    meets nor attains the least gap.  Only the pairs with lo_j <= hi_i + T
+    (hi = Re c + r), widened by a rounding margin of 2^-40 times the
+    coordinates' scale, are evaluated, PAIR_CHUNK at a time.  Memory is
+    O(discs); time is O(m log m) plus the evaluated pairs, which are all
+    pairs only when every real extent meets every other.
     """
     m = centers.size
-    first_bad = None
+    checked = m * (m - 1) // 2
+    if m < 2:
+        return None, math.inf, None, checked
+    lo = centers.real - radii
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    hi = centers.real[order] + radii[order]
+    least = float(np.min(_pair_gaps(centers, radii, order[:-1], order[1:])[1]))
+    scale = (np.max(np.abs(centers.real)) + np.max(np.abs(centers.imag))
+             + 2.0 * np.max(radii) + abs(least))
+    slack = max(least, 0.0) + math.ldexp(float(scale), -40)
+    if not math.isfinite(slack):
+        slack = math.inf
+    # position k meets the positions k + 1 .. ends[k] - 1 in the sweep
+    ends = np.searchsorted(lo, hi + slack, side="right")
+    counts = ends - np.arange(1, m + 1)
+    stops = np.cumsum(counts)
+    first_bad = closest = None
     best = math.inf
-    closest = None
-    for i in range(m - 1):
-        sep = np.abs(centers[i] - centers[i + 1:])
-        need = radii[i] + radii[i + 1:]
-        if first_bad is None:
-            bad = np.flatnonzero(sep <= need)
-            if bad.size:
-                first_bad = (i, i + 1 + int(bad[0]))
-        gap = sep - need
-        j = int(np.argmin(gap))
-        if gap[j] < best:
-            best = float(gap[j])
-            closest = (i, i + 1 + j)
-    return first_bad, best, closest, m * (m - 1) // 2
+    for t0 in range(0, int(stops[-1]), PAIR_CHUNK):
+        t = np.arange(t0, min(t0 + PAIR_CHUNK, int(stops[-1])))
+        k = np.searchsorted(stops, t, side="right")
+        a, b = order[k], order[k + 1 + t - (stops[k] - counts[k])]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        meets, gap = _pair_gaps(centers, radii, i, j)
+        key = i * m + j
+        if meets.any():
+            bad = int(key[meets].min())
+            first_bad = bad if first_bad is None else min(first_bad, bad)
+        low = float(gap.min())
+        if low < best:
+            best, closest = low, int(key[gap == low].min())
+        elif low == best and closest is not None:
+            closest = min(closest, int(key[gap == low].min()))
+    first_bad = None if first_bad is None else divmod(first_bad, m)
+    closest = None if closest is None else divmod(closest, m)
+    return first_bad, best, closest, checked
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ __all__ = [
 _EVAL_SLACK = 1e-9
 # The unit roundoff u of a float.
 _UNIT_ROUNDOFF = 2.0 ** -53
+# Complex entries (256 kB) per block of mapped sample points.
+ARRAY_BLOCK = 1 << 14
 
 
 @record
@@ -269,18 +271,23 @@ def _scalar_is_inf(z) -> bool:
     return math.isinf(z.real) or math.isinf(z.imag)
 
 
+# The declared domain of each map variant whose domain is fixed.
+_FIXED_DOMAINS = {
+    Similarity: Domain.whole_plane(),
+    DiscAutomorphism: Domain.unit_disc(),
+    ParabolicDisc: Domain.unit_disc(),
+    RootShift: Domain.slit_plane(),
+    HalfPlaneShift: Domain.right_half_plane(),
+}
+
+
 def map_domain(m: HoloMap) -> Domain:
     """The declared domain on which the map acts as a self-map."""
+    fixed = _FIXED_DOMAINS.get(type(m))
+    if fixed is not None:
+        return fixed
     if isinstance(m, Identity):
         return m.domain
-    if isinstance(m, Similarity):
-        return Domain.whole_plane()
-    if isinstance(m, (DiscAutomorphism, ParabolicDisc)):
-        return Domain.unit_disc()
-    if isinstance(m, RootShift):
-        return Domain.slit_plane()
-    if isinstance(m, HalfPlaneShift):
-        return Domain.right_half_plane()
     if isinstance(m, Conjugated):
         return m.pair.target
     if isinstance(m, Iterated):
@@ -508,6 +515,66 @@ def _image_disc(m: HoloMap, enc: ClosedDisc) -> ClosedDisc:
              + (abs(a) * abs(d) + abs(b) * abs(c)) * r
              + (abs(centre) + radius) * (m_q * m_q + abs(c) ** 2 * rr))
     return ClosedDisc(centre, radius + 16.0 * _UNIT_ROUNDOFF * slack / den)
+
+
+def _affine_image_discs(ms, enc: ClosedDisc) -> tuple:
+    """The image discs of enc under the affine maps among ms, as arrays.
+
+    Returns (rows, a, b, centers, radii): rows are the positions in ms of
+    the maps whose _mobius has c = 0, a and b their coefficients, and
+    centers and radii the c = 0 rule of _image_disc, a z0 + b and |a| r.
+    The centre is formed from real and imaginary parts in the order of
+    Python's complex product and sum, and |a| by np.hypot as Python's
+    complex abs, so each disc is bit for bit the scalar one; a disc that
+    is not finite is returned as computed.  A map whose coefficients
+    overflow (a long iterate) is left out, for the scalar rule to raise.
+    """
+    rows, a, b = [], [], []
+    for i, m in enumerate(ms):
+        try:
+            mob = _mobius(m)
+        except OverflowError:
+            continue
+        if mob is not None and mob[2] == 0:
+            rows.append(i)
+            a.append(mob[0])
+            b.append(mob[1])
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    z0 = complex(enc.center)
+    centers = np.empty(a.size, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers.real = a.real * z0.real - a.imag * z0.imag + b.real
+        centers.imag = a.real * z0.imag + a.imag * z0.real + b.imag
+        radii = np.hypot(a.real, a.imag) * enc.radius
+    return np.array(rows, dtype=np.intp), a, b, centers, radii
+
+
+def _affine_points_into(ms, a: np.ndarray, b: np.ndarray, d: Domain,
+                        pts: np.ndarray) -> np.ndarray:
+    """_maps_points_into(ms[k], d, pts) for maps ms[k](z) = a[k] z + b[k],
+    as one bool array.
+
+    Each map's input domain is tested on pts once per distinct domain;
+    the images a z + b are formed and tested against d with the slack of
+    _maps_points_into in blocks of ARRAY_BLOCK points.  An iterate is
+    evaluated through its closed-form coefficients, not step by step.
+    """
+    ok = np.ones(a.size, dtype=bool)
+    if pts.size == 0:
+        return ok
+    accepts = {}
+    for k, m in enumerate(ms):
+        dom = map_domain(m)
+        if dom.kind not in accepts:
+            accepts[dom.kind] = not np.any(_outside(dom, pts))
+        ok[k] = accepts[dom.kind]
+    step = max(1, ARRAY_BLOCK // pts.size)
+    for s in range(0, a.size, step):
+        images = a[s:s + step, None] * pts
+        images += b[s:s + step, None]
+        ok[s:s + step] &= np.all(d.contains(images, slack=1e-12), axis=1)
+    return ok
 
 
 def maps_into(m: HoloMap, d: Domain, c: CompactSet, resolution: int = 3) -> bool:

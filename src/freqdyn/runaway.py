@@ -27,11 +27,14 @@ from .geometry import (
     clear_of,
     disc_pairs,
     disjointness,
+    enclosing_disc,
     sample_grid,
 )
 from .maps import (
     HoloMap,
     Identity,
+    _affine_image_discs,
+    _affine_points_into,
     _maps_points_into,
     apply,
     image_enclosing_disc,
@@ -43,6 +46,7 @@ __all__ = [
     "CarlemanTruncation",
     "HorizonExhausted",
     "Island",
+    "Islands",
     "RunawayConfig",
     "StrongRunawayReport",
     "WeakRunawayReport",
@@ -53,6 +57,8 @@ __all__ = [
     "powers_of_two_schedule",
 ]
 
+# Indices per block in which weak runaway and collect_islands build maps.
+INDEX_BLOCK = 1024
 # The truncation rechecks each kept image disc on a grid this much finer
 # than the one collect_islands checks domain membership on.
 VERIFY_REFINE = 4
@@ -117,29 +123,43 @@ def check_weak_runaway(
     has one), is decided at those indices only: the identity's image disc
     is K's own enclosing disc, which meets itself, so no other index
     escapes.  A schedule without the method is decided at every index.
-    Either way each index is decided through image_enclosing_disc, a
-    closed-form disc, and disjointness in increasing order, so an error
-    is raised at the first index that raises one; a map with no
-    closed-form image disc raises ValueError there.
+    The indices are taken INDEX_BLOCK at a time.  The affine maps of a
+    block get their image discs by one array rule and are tested against
+    K as clear_of does; each other map, and each affine map whose disc is
+    not finite, is decided through image_enclosing_disc and disjointness
+    in increasing order.  The escape set is the one those two functions
+    give index by index, and an error is raised at the first index of a
+    block that raises one (a map with no closed-form image disc raises
+    ValueError); the maps of a block are built before any is decided.
     """
     if isinstance(k, AnnularSector) and k.is_empty:
         raise ValueError(f"weak runaway needs a nonempty compact; {k} is empty")
-    moving = getattr(maps_schedule, "moving", None)
-    indices = range(1, horizon + 1) if moving is None else moving(horizon)
-    escapes = np.fromiter(
-        (
-            n
-            for n in indices
-            if disjointness(image_enclosing_disc(maps_schedule(int(n)), k), k)
-        ),
-        dtype=np.int64,
-    )
-    escape_set = IndexSet(escapes, horizon, "escape-times")
+    escape_set = IndexSet(_escape_times(maps_schedule, horizon, k), horizon, "escape-times")
     return WeakRunawayReport(
         escape_set=escape_set,
         density=lower_density_estimate(escape_set, horizon),
         horizon=horizon,
     )
+
+
+def _escape_times(maps_schedule, horizon: int, k: CompactSet) -> np.ndarray:
+    """The indices n <= horizon whose image disc of K clears K, decided
+    as check_weak_runaway describes."""
+    moving = getattr(maps_schedule, "moving", None)
+    indices = np.arange(1, horizon + 1, dtype=np.int64) if moving is None else moving(horizon)
+    enc = enclosing_disc(k)
+    escaped = np.zeros(indices.size, dtype=bool)
+    for s in range(0, indices.size, INDEX_BLOCK):
+        ms = [maps_schedule(n) for n in indices[s:s + INDEX_BLOCK].tolist()]
+        rows, _, _, centers, radii = _affine_image_discs(ms, enc)
+        sure = np.isfinite(centers) & np.isfinite(radii)
+        block = escaped[s:s + len(ms)]
+        block[rows[sure]] = clear_of(centers[sure], radii[sure], k)
+        scalar = np.ones(len(ms), dtype=bool)
+        scalar[rows[sure]] = False
+        for i in np.flatnonzero(scalar):
+            block[i] = disjointness(image_enclosing_disc(ms[i], k), k)
+    return indices[escaped]
 
 
 @record
@@ -172,37 +192,93 @@ class Island:
     image_bound: ClosedDisc
 
 
-def collect_islands(cfg: RunawayConfig) -> tuple:
+@record(eq=False)
+class Islands:
+    """The islands of collect_islands as arrays, in collection order.
+
+    Entry i is the island (n[i], nu[i]) with image disc of centre
+    centers[i] and radius radii[i].  len() counts the islands; indexing
+    and iteration build Island records on demand from the schedule and
+    the exhaustion.
+    """
+
+    n: np.ndarray  # int64
+    nu: np.ndarray  # int64
+    centers: np.ndarray  # complex
+    radii: np.ndarray  # float
+    maps: Callable[[int], HoloMap]
+    exhaustion: Exhaustion
+
+    def __len__(self) -> int:
+        return int(self.n.size)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        n, nu = int(self.n[i]), int(self.nu[i])
+        disc = ClosedDisc(complex(self.centers[i]), float(self.radii[i]))
+        return Island(n, nu, self.maps(n), self.exhaustion.member(nu), disc)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def label(self, i: int) -> tuple:
+        return (int(self.n[i]), int(self.nu[i]))
+
+
+def collect_islands(cfg: RunawayConfig) -> Islands:
     """All islands (n in A(nu), nu <= nu_max) with closed-form image discs.
 
     Each image bound is maps.image_enclosing_disc of K_nu.  Rejects the
     configuration when some phi_n fails to send the sample grid of K_nu
     at cfg.resolution into the domain, since every later certificate
     would be about a map outside the declared class.
+
+    A level is taken INDEX_BLOCK indices at a time.  The affine maps of a
+    block get their discs by one array rule and their domain check on the
+    (maps x grid) array; each other map, and each affine map whose disc is
+    not finite or whose check fails, gets the scalar check and disc in
+    increasing order, so the first island that fails raises, as when
+    every island is decided on its own.
     """
-    islands = []
+    ns, nus = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    centers, radii = [np.empty(0, dtype=complex)], [np.empty(0, dtype=float)]
     for nu in range(1, cfg.nu_max + 1):
         source = cfg.exhaustion.member(nu)
         pts = sample_grid(source, cfg.resolution)
-        for n in cfg.family(nu):
-            if n > cfg.n_max:
-                break
-            m = cfg.maps(n)
-            if not _maps_points_into(m, cfg.domain, pts):
-                raise ValueError(
-                    f"map at index {n} does not send level {nu} into the domain"
-                )
-            islands.append(
-                Island(n, nu, m, source, image_enclosing_disc(m, source))
-            )
-    return tuple(islands)
-
-
-def _island_discs(islands) -> tuple:
-    """The centres and radii of the islands' image discs, as arrays."""
-    centers = np.array([i.image_bound.center for i in islands], dtype=complex)
-    radii = np.array([i.image_bound.radius for i in islands], dtype=float)
-    return centers, radii
+        enc = enclosing_disc(source)
+        level = cfg.family(nu).elements
+        level = level[: np.searchsorted(level, cfg.n_max, side="right")]
+        for s in range(0, level.size, INDEX_BLOCK):
+            block = level[s:s + INDEX_BLOCK]
+            ms = [cfg.maps(n) for n in block.tolist()]
+            rows, a, b, c_aff, r_aff = _affine_image_discs(ms, enc)
+            sure = _affine_points_into([ms[i] for i in rows], a, b, cfg.domain, pts)
+            sure &= np.isfinite(c_aff) & np.isfinite(r_aff)
+            c = np.empty(block.size, dtype=complex)
+            r = np.empty(block.size, dtype=float)
+            c[rows], r[rows] = c_aff, r_aff
+            scalar = np.ones(block.size, dtype=bool)
+            scalar[rows[sure]] = False
+            for i in np.flatnonzero(scalar):
+                if not _maps_points_into(ms[i], cfg.domain, pts):
+                    raise ValueError(
+                        f"map at index {int(block[i])} does not send level {nu} into the domain"
+                    )
+                disc = image_enclosing_disc(ms[i], source)
+                c[i], r[i] = disc.center, disc.radius
+            ns.append(block)
+            nus.append(np.full(block.size, nu, dtype=np.int64))
+            centers.append(c)
+            radii.append(r)
+    return Islands(
+        n=np.concatenate(ns),
+        nu=np.concatenate(nus),
+        centers=np.concatenate(centers),
+        radii=np.concatenate(radii),
+        maps=cfg.maps,
+        exhaustion=cfg.exhaustion,
+    )
 
 
 @record
@@ -219,7 +295,7 @@ class StrongRunawayReport:
     disc_pairs_checked: int
     probes: tuple  # of (mu, offender count, largest offending n)
     p3_witness: Optional[int]
-    islands: tuple
+    islands: Islands
 
     @property
     def passed(self) -> bool:
@@ -229,10 +305,10 @@ class StrongRunawayReport:
 def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
     """Finite-horizon verdicts for (P1), (P2), (P3) with witnesses.
 
-    (P2) compares the certified image discs of every island pair in one
-    streamed pass (`disc_pairs`), so its memory is O(islands); the disc
-    witness is the first meeting pair in island order, and the report
-    also carries the least disc gap and its pair.
+    (P2) decides the certified image discs of every island pair by the
+    sweep of `disc_pairs`, in memory O(islands); the disc witness is the
+    first meeting pair in island order, and the report also carries the
+    least disc gap and its pair.
 
     (P3) is a proxy: per probe compact K_mu the offending islands are
     counted and the check passes only when some inspected island lies
@@ -262,19 +338,16 @@ def check_strong_runaway(cfg: RunawayConfig) -> StrongRunawayReport:
             break
 
     islands = collect_islands(cfg)
-    centers, radii = _island_discs(islands)
+    centers, radii = islands.centers, islands.radii
     first_bad, disc_gap, closest, checked = disc_pairs(centers, radii)
 
     def labels(pair):
-        if pair is None:
-            return None
-        a, b = islands[pair[0]], islands[pair[1]]
-        return ((a.n, a.nu), (b.n, b.nu))
+        return None if pair is None else tuple(map(islands.label, pair))
 
     p2_disc_witness = labels(first_bad)
     p2_ok = p2_index_witness is None and p2_disc_witness is None
 
-    ns = np.array([isl.n for isl in islands], dtype=np.int64)
+    ns = islands.n
     probes = []
     p3_ok = True
     p3_witness = None
@@ -354,26 +427,20 @@ def build_carleman_truncation(
     base_sets = tuple(cfg.exhaustion.member(mu) for mu in range(1, bases + 1))
     fine = cfg.resolution * VERIFY_REFINE
 
-    centers, radii = _island_discs(report.islands)
-    clears = np.ones(centers.size, dtype=bool)
+    islands = report.islands
+    clears = np.ones(len(islands), dtype=bool)
     for b in base_sets:
-        clears &= clear_of(centers, radii, b)
-    k_base = None
-    for k in range(1, cfg.nu_max + 1):
-        if all(ok for ok, isl in zip(clears, report.islands) if isl.nu >= k):
-            k_base = k
-            break
-    if k_base is None:
+        clears &= clear_of(islands.centers, islands.radii, b)
+    k_base = int(islands.nu[~clears].max(initial=0)) + 1
+    if k_base > cfg.nu_max:
         raise HorizonExhausted(
             "every inspected level keeps an island meeting a base compact; "
             "enlarge nu_max or the horizon"
         )
 
-    eligible = sorted(
-        (isl for isl in report.islands if isl.nu >= k_base),
-        key=lambda i: (i.n, i.nu),
-    )
-    chosen = tuple(eligible[:max_islands])
+    eligible = np.flatnonzero(islands.nu >= k_base)
+    order = np.lexsort((islands.nu[eligible], islands.n[eligible]))
+    chosen = tuple(islands[int(i)] for i in eligible[order[:max_islands]])
 
     for isl in chosen:
         pts = sample_grid(isl.source, fine)

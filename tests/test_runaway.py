@@ -1,12 +1,15 @@
 """Tests for runaway checkers and finite truncations."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freqdyn import runaway
+from freqdyn import cli, runaway
 from freqdyn.density import IndexSet, arithmetic_progression, build_separated_family
 from freqdyn.geometry import (
     AnnularSector,
@@ -16,17 +19,21 @@ from freqdyn.geometry import (
     disjointness,
     right_half_plane_exhaustion,
     sample_grid,
+    unit_disc_exhaustion,
     whole_plane_exhaustion,
 )
 from freqdyn.maps import (
+    DiscAutomorphism,
     HalfPlaneShift,
     Identity,
     Iterated,
     ParabolicDisc,
     RootShift,
     Similarity,
+    _maps_points_into,
     apply,
     image_enclosing_disc,
+    iterate,
 )
 from freqdyn.runaway import (
     HorizonExhausted,
@@ -149,6 +156,27 @@ def test_weak_runaway_moving_indices_match_per_index():
             assert np.array_equal(got, want), (k, schedule, horizon)
 
 
+def test_weak_runaway_direct_schedules_match_per_index():
+    # plain callables are decided at every index, in blocks of
+    # INDEX_BLOCK maps; 2500 indices span three blocks
+    horizon = 2 * runaway.INDEX_BLOCK + 452
+    half = Domain.right_half_plane()
+    cases = [
+        (ClosedDisc(0.0, 40.0), lambda n: Similarity(1.0, complex(n))),
+        (ClosedDisc(3.0 - 2.0j, 7.5), lambda n: Similarity(0.999 + 0.01j, 0.01 * n)),
+        (ClosedDisc(5.0, 2.0), lambda n: HalfPlaneShift(0.002, 1.0, n)),
+        (AnnularSector(0.1, 900.0, 2.0), lambda n: RootShift(0.0, 1.0, 1, n)),
+        (ClosedDisc(0.0, 3.0), lambda n: iterate(Similarity(1.0, 0.5), n % 7 + 1)),
+        (ClosedDisc(2.0, 1.0), lambda n: Identity(half) if n % 5 else HalfPlaneShift(1.0, 1.0, n)),
+        # parabolic maps take the scalar rule, interleaved with affine ones
+        (ClosedDisc(0.1, 0.4), lambda n: ParabolicDisc(1.0, 1.0, n) if n % 2 else Identity(Domain.unit_disc())),
+        (AnnularSector(0.5, 4.0, 1.0), lambda n: RootShift(0.0, 1.0, 1 + n % 2, n)),
+    ]
+    for k, schedule in cases:
+        got = check_weak_runaway(schedule, k, horizon).escape_set.elements
+        assert np.array_equal(got, _per_index_escapes(schedule, k, horizon)), k
+
+
 def test_powers_of_two_moving_indices_brute_force():
     schedule = powers_of_two_schedule(ParabolicDisc(1.0, 1.0, 1))
     moving = [n for n in range(1, 1101) if not isinstance(schedule(n), Identity)]
@@ -165,25 +193,28 @@ def test_weak_runaway_refuses_an_empty_compact():
             check_weak_runaway(schedule, empty, horizon=100)
 
 
-def _count_image_discs(monkeypatch):
-    calls = []
+class _CountedSchedule:
+    """A schedule that records the indices its maps are built at; a
+    ``moving`` method of the wrapped schedule shows through."""
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return image_enclosing_disc(*args, **kwargs)
+    def __init__(self, schedule):
+        self.schedule = schedule
+        self.calls = []
 
-    monkeypatch.setattr(runaway, "image_enclosing_disc", counted)
-    return calls
+    def __call__(self, n):
+        self.calls.append(n)
+        return self.schedule(n)
+
+    def __getattr__(self, name):
+        return getattr(self.schedule, name)
 
 
-def test_weak_runaway_touching_discs_do_not_escape(monkeypatch):
-    calls = _count_image_discs(monkeypatch)
-    rep = check_weak_runaway(
-        lambda n: Similarity(1.0, 2.0), ClosedDisc(0.0, 1.0), horizon=50
-    )
+def test_weak_runaway_touching_discs_do_not_escape():
+    schedule = _CountedSchedule(lambda n: Similarity(1.0, 2.0))
+    rep = check_weak_runaway(schedule, ClosedDisc(0.0, 1.0), horizon=50)
     assert len(rep.escape_set) == 0
     # a schedule without a moving method is decided at every index
-    assert len(calls) == 50
+    assert schedule.calls == list(range(1, 51))
 
 
 def test_weak_runaway_non_finite_coefficients_raise_as_per_index():
@@ -202,13 +233,12 @@ def test_weak_runaway_non_finite_coefficients_raise_as_per_index():
             check_weak_runaway(schedule, ClosedDisc(0.0, 1e200), horizon=100)
 
 
-def test_weak_runaway_powers_of_two_decides_moving_indices_only(monkeypatch):
-    calls = _count_image_discs(monkeypatch)
-    schedule = powers_of_two_schedule(Similarity(1.0, 1.0))
+def test_weak_runaway_powers_of_two_decides_moving_indices_only():
+    schedule = _CountedSchedule(powers_of_two_schedule(Similarity(1.0, 1.0)))
     rep = check_weak_runaway(schedule, ClosedDisc(0.0, 1.0), horizon=100_000)
     assert list(rep.escape_set) == [2 ** j for j in range(3, 17)]
-    # one image disc per power of two up to the horizon, 2 .. 2^16
-    assert len(calls) == 16
+    # one map per power of two up to the horizon, 2 .. 2^16
+    assert schedule.calls == [2 ** j for j in range(1, 17)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +295,8 @@ def test_strong_runaway_island_discs_brute_force():
 
 def _dense_disc_pairs(centers, radii):
     """Reference: the disc test over the full m x m matrices."""
-    sep = np.abs(centers[:, None] - centers[None, :])
+    diff = centers[:, None] - centers[None, :]
+    sep = np.hypot(diff.real, diff.imag)
     need = radii[:, None] + radii[None, :]
     iu = np.triu_indices(centers.size, k=1)
     bad = (sep <= need)[iu]
@@ -280,6 +311,84 @@ def _dense_disc_pairs(centers, radii):
         best = float(gap[k])
         closest = (int(iu[0][k]), int(iu[1][k]))
     return first_bad, best, closest, int(gap.size)
+
+
+def _row_disc_pairs(centers, radii):
+    """Reference: the disc test one upper-triangle row at a time, with
+    the np.hypot of disjointness."""
+    m = centers.size
+    first_bad = closest = None
+    best = math.inf
+    for i in range(m - 1):
+        d = centers[i] - centers[i + 1:]
+        sep = np.hypot(d.real, d.imag)
+        need = radii[i] + radii[i + 1:]
+        if first_bad is None:
+            bad = np.flatnonzero(sep <= need)
+            if bad.size:
+                first_bad = (i, i + 1 + int(bad[0]))
+        gap = sep - need
+        j = int(np.argmin(gap))
+        if gap[j] < best:
+            best = float(gap[j])
+            closest = (i, i + 1 + j)
+    return first_bad, best, closest, m * (m - 1) // 2
+
+
+_halves = st.integers(0, 8).map(lambda k: 0.5 * k)
+_ints = st.integers(-30, 30)
+
+
+@st.composite
+def _disc_sets(draw):
+    """Discs whose pairs tie, touch, share centres or sit off the axis."""
+    m = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["line", "pool", "plane"]))
+    if kind == "line":
+        # translation-like islands on an integer line: exact gap ties and
+        # touching discs
+        centers = [complex(x) for x in draw(st.lists(_ints, min_size=m, max_size=m))]
+        radii = draw(st.lists(_halves, min_size=m, max_size=m))
+    elif kind == "pool":
+        # duplicated off-axis centres on the integer lattice, where
+        # hypot(3, 4) = 5 makes touching pairs
+        pool = draw(st.lists(st.tuples(_ints, _ints), min_size=1, max_size=5))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        centers = [complex(x, y) for x, y in picks]
+        radii = draw(st.lists(_halves, min_size=m, max_size=m))
+    else:
+        coord = st.floats(-100.0, 100.0)
+        centers = [complex(x, y) for x, y in draw(
+            st.lists(st.tuples(coord, coord), min_size=m, max_size=m))]
+        radii = draw(st.lists(st.floats(0.0, 12.0), min_size=m, max_size=m))
+    return np.array(centers, dtype=complex), np.array(radii, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_disc_sets())
+def test_disc_pairs_sweep_matches_all_pairs_hypothesis(discs):
+    centers, radii = discs
+    got = disc_pairs(centers, radii)
+    assert got == _dense_disc_pairs(centers, radii)
+    assert got == _row_disc_pairs(centers, radii)
+
+
+def test_disc_pairs_heavy_overlap_in_linear_memory():
+    rng = np.random.default_rng(3000)
+    identical = (np.zeros(3000, dtype=complex), np.ones(3000))
+    crowded = (rng.uniform(0, 1, 3000) + 1j * rng.uniform(0, 1, 3000),
+               rng.uniform(0.0, 0.05, 3000))
+    for centers, radii in (identical, crowded):
+        tracemalloc.start()
+        try:
+            got = disc_pairs(centers, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == _row_disc_pairs(centers, radii)
+        # the bound of test_strong_runaway_disc_memory_is_linear_in_islands
+        assert peak < 4e6
+    assert disc_pairs(*identical) == ((0, 1), -2.0, (0, 1), 3000 * 2999 // 2)
 
 
 def test_disc_pairs_match_dense_reference():
@@ -385,8 +494,155 @@ def test_membership_guard_rejects_escaping_maps():
         n_max=500,
         nu_max=1,
     )
-    with pytest.raises(ValueError, match="does not send"):
+    # K_1 is the point 1; z - n leaves the half plane from the first n on
+    with pytest.raises(ValueError, match="map at index 8 does not send level 1"):
         collect_islands(cfg)
+
+
+def _scalar_islands(cfg):
+    """Reference: the islands decided one at a time, each by the domain
+    check and image_enclosing_disc: (n, nu, centre, radius) per island."""
+    out = []
+    for nu in range(1, cfg.nu_max + 1):
+        source = cfg.exhaustion.member(nu)
+        pts = sample_grid(source, cfg.resolution)
+        for n in cfg.family(nu):
+            if n > cfg.n_max:
+                break
+            m = cfg.maps(n)
+            if not _maps_points_into(m, cfg.domain, pts):
+                raise ValueError(
+                    f"map at index {n} does not send level {nu} into the domain"
+                )
+            disc = image_enclosing_disc(m, source)
+            out.append((n, nu, disc.center, disc.radius))
+    return out
+
+
+def _error_of(fn, cfg):
+    try:
+        fn(cfg)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_collect_islands_raises_where_the_scalar_loop_raises():
+    def shifts(n):  # affine: leave the unit disc once 0.5 + 0.02 n >= 1
+        return Similarity(1.0, 0.02 * n)
+
+    def with_root(n):  # a root shift refuses the centre of K_1 at n = 20
+        return RootShift(0.0, 1.0, 2, n) if n == 20 else shifts(n)
+
+    def with_automorphisms(n):  # scalar maps between the affine ones
+        return DiscAutomorphism(1.0, 0.1) if n % 3 == 0 else shifts(n)
+
+    def overflowing(n):  # the closed form of the iterate at 40 overflows
+        return iterate(Similarity(1.5, 0.0), 1 if n < 40 else 2000)
+
+    def unbounded(n):
+        return Similarity(1.0, complex(math.inf) if n == 11 else 0.0)
+
+    schedules = (
+        (shifts, "index 26 does not send"),
+        (with_root, "index 20 does not send"),
+        (with_automorphisms, "index 26 does not send"),
+        (overflowing, "index 40 does not send"),
+        (unbounded, "index 11 does not send"),
+    )
+    for maps, message in schedules:
+        cfg = RunawayConfig(
+            domain=Domain.unit_disc(),
+            maps=maps,
+            exhaustion=unit_disc_exhaustion(),
+            family=lambda nu: arithmetic_progression(1, 1, 2 * runaway.INDEX_BLOCK),
+            n_max=2 * runaway.INDEX_BLOCK,
+            nu_max=1,
+        )
+        with np.errstate(over="ignore"):
+            want = _error_of(_scalar_islands, cfg)
+            assert want is not None and message in want[1]
+            assert _error_of(collect_islands, cfg) == want
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# The shipped runs that certify strong runaway (scripts/run_examples.py):
+# runaway-strong, runaway-p2 (iterates), runaway-disc (parabolic),
+# example1, example1-scan and dense.
+SHIPPED_RUNAWAY = (
+    ("runaway_strong.ini", ()),
+    ("runaway_strong.ini", ("maps.schedule=powers_of_two",)),
+    ("runaway_strong.ini", ("domain.kind=unit_disc", "maps.family=parabolic_disc")),
+    ("example1.ini", ()),
+    ("example1.ini", ("maps.c=1.0",)),
+    ("dense.ini", ()),
+)
+
+
+def _shipped_runaway_config(config, overrides):
+    cfg = cli.apply_overrides(cli.load_config(os.path.join(CONFIGS, config)), overrides)
+    return cli._prepare_runaway(cfg)[-1]
+
+
+@pytest.mark.parametrize("config, overrides", SHIPPED_RUNAWAY)
+def test_array_islands_are_the_scalar_islands_bit_for_bit(config, overrides):
+    cfg = _shipped_runaway_config(config, overrides)
+    islands = collect_islands(cfg)
+    want = _scalar_islands(cfg)
+    assert len(islands) == len(want) > 0
+    assert islands.n.tolist() == [n for n, _, _, _ in want]
+    assert islands.nu.tolist() == [nu for _, nu, _, _ in want]
+    centers = np.array([c for _, _, c, _ in want], dtype=complex)
+    radii = np.array([r for _, _, _, r in want], dtype=float)
+    assert islands.centers.tobytes() == centers.tobytes()
+    assert islands.radii.tobytes() == radii.tobytes()
+    isl = islands[-1]
+    assert (isl.n, isl.nu) == want[-1][:2]
+    assert isl.image_bound == image_enclosing_disc(isl.map, isl.source)
+
+
+@pytest.mark.parametrize("config, overrides", SHIPPED_RUNAWAY)
+def test_shipped_runaway_p2_p3_fields_match_the_oracle(config, overrides):
+    """The regression gate for P2 and P3: every disc field of the report
+    against the scalar islands, the row-by-row pair test and the scalar
+    disjointness test."""
+    cfg = _shipped_runaway_config(config, overrides)
+    rep = check_strong_runaway(cfg)
+    islands = _scalar_islands(cfg)
+    labels = [(n, nu) for n, nu, _, _ in islands]
+    first_bad, gap, closest, checked = _row_disc_pairs(
+        np.array([c for _, _, c, _ in islands], dtype=complex),
+        np.array([r for _, _, _, r in islands], dtype=float),
+    )
+    pair = lambda p: None if p is None else (labels[p[0]], labels[p[1]])
+    assert rep.p2_disc_witness == pair(first_bad)
+    assert rep.disc_gap_pair == pair(closest)
+    assert math.copysign(1.0, rep.disc_gap) == math.copysign(1.0, gap)
+    assert rep.disc_gap == gap
+    assert rep.disc_pairs_checked == checked == len(islands) * (len(islands) - 1) // 2
+
+    index_witness = None
+    for nu in range(1, cfg.nu_max + 1):
+        for mu in range(nu + 1, cfg.nu_max + 1):
+            common = sorted(set(cfg.family(nu)) & set(cfg.family(mu)))
+            if common and index_witness is None:
+                index_witness = (nu, mu, common[0])
+    assert rep.p2_index_witness == index_witness
+
+    probes, p3_witness = [], None
+    for mu in range(1, cfg.nu_max + 1):
+        probe = cfg.exhaustion.member(mu)
+        offenders = [
+            n for n, _, c, r in islands if not disjointness(ClosedDisc(c, r), probe)
+        ]
+        last = max(offenders, default=0)
+        probes.append((mu, len(offenders), last))
+        if offenders and not any(n > last for n, _, _, _ in islands) and p3_witness is None:
+            p3_witness = mu
+    assert rep.probes == tuple(probes)
+    assert rep.p3_witness == p3_witness
+    assert rep.p3_ok == (p3_witness is None)
 
 
 def test_collect_islands_samples_each_level_once(monkeypatch):
