@@ -23,7 +23,6 @@ import configparser
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -33,6 +32,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+# SHA-256 from the interpreter's built-in module, as `random` takes
+# SHA-512: hashlib would load OpenSSL's libcrypto, about 3.6 MB resident,
+# for one digest of the config text.  The digest is the same.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # built without builtin hashes
+        from hashlib import sha256
 
 from . import approx, density, orbit, runaway
 from ._record import record
@@ -114,6 +124,10 @@ CANDIDATE_FORMAT = "freqdyn-candidate-v3"
 # example5, density, split and sepfamily refuse, before any work, a
 # horizon whose arrays would exceed this many bytes (_within_budget).
 MEMORY_BUDGET = 2 * 1024**3
+# lower_density_estimate's temporaries for one block of elements, which
+# density, split and sepfamily add to their estimates (48 bytes per
+# element of the block measured)
+DENSITY_BLOCK_BYTES = 64 * density.DENSITY_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +271,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
         for section, key, attr, _ in _FIELDS
         if attr != "out_dir"
     )
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    digest = sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return digest[:12]
 
 
@@ -1137,11 +1151,14 @@ def cmd_density(cfg: ExperimentConfig) -> CommandResult:
     """Density estimates of one index set with checkpoint trace."""
     if cfg.set_kind not in ("naturals", "progression"):
         raise ValueError(f"unknown set kind {cfg.set_kind!r}")
-    # the set and, in lower_density_estimate, its window, the 2 n + 2
-    # prefix lengths with their counts and ratios, and the masks: at most
-    # 56 bytes per element (53 measured)
+    # the set and the one-byte check of its order: 10 bytes per element
+    # (9 measured), and one density block
     step = max(cfg.set_step, 1) if cfg.set_kind == "progression" else 1
-    _within_budget("horizons.n_max", cfg.n_max, 56 * (cfg.n_max // step + 1))
+    _within_budget(
+        "horizons.n_max",
+        cfg.n_max,
+        10 * (cfg.n_max // step + 1) + DENSITY_BLOCK_BYTES,
+    )
     out = _artifact_dir(cfg, "density")
     if cfg.set_kind == "naturals":
         a = density.naturals(cfg.n_max)
@@ -1170,19 +1187,32 @@ def cmd_density(cfg: ExperimentConfig) -> CommandResult:
     return _finish(cfg, "density", out, lines, [path])
 
 
+def _partitions(pieces: Sequence[IndexSet], n: int) -> bool:
+    """Whether the pieces partition 1..n exactly: their sizes sum to n,
+    and a one-byte marker per index is hit at every index, so each index
+    is hit once."""
+    if sum(p.elements.size for p in pieces) != n:
+        return False
+    hit = np.zeros(n + 1, dtype=bool)
+    for p in pieces:
+        if p.elements.size and p.elements[-1] > n:
+            return False
+        hit[p.elements] = True
+    return bool(hit[1:].all())
+
+
 def cmd_split(cfg: ExperimentConfig) -> CommandResult:
     """Split the naturals into geometric-density parts and verify."""
-    # the naturals, their rank assignments, the parts and their merge,
-    # and the density estimate of the largest part: at most 64 bytes
-    # per index (61 measured, with one part)
-    _within_budget("horizons.n_max", cfg.n_max, 64 * cfg.n_max)
+    # the naturals, whose parts are strided views of them, and the
+    # partition check's one-byte marker: 10 bytes per index (9 measured),
+    # and one density block
+    _within_budget(
+        "horizons.n_max", cfg.n_max, 10 * cfg.n_max + DENSITY_BLOCK_BYTES
+    )
     out = _artifact_dir(cfg, "split")
     parts = cfg.split_parts
     pieces = density.split(density.naturals(cfg.n_max), parts, cfg.n_max)
-    merged = np.sort(np.concatenate([p.elements for p in pieces]))
-    exact = merged.size == cfg.n_max and bool(
-        np.array_equal(merged, np.arange(1, cfg.n_max + 1))
-    )
+    exact = _partitions(pieces, cfg.n_max)
     lines = [_verdict(exact, f"{parts} parts partition 1..{cfg.n_max} exactly")]
     targets = [2.0 ** (-(j + 1)) for j in range(parts - 1)]
     targets.append(2.0 ** (-(parts - 1)))
@@ -1205,11 +1235,13 @@ def cmd_split(cfg: ExperimentConfig) -> CommandResult:
 def cmd_sepfamily(cfg: ExperimentConfig) -> CommandResult:
     """Build the separated family and report per-class densities."""
     # the classes hold at most n_max / multiplier indices together, the
-    # first n_max / (3 multiplier); with the pruning and density
-    # temporaries of the largest, at most 32 bytes per n_max / multiplier
-    # (28 measured)
+    # first n_max / (3 multiplier); with the pruning temporaries of the
+    # largest, 24 bytes per n_max / multiplier (under 20 measured), and
+    # one density block
     _within_budget(
-        "horizons.n_max", cfg.n_max, 32 * cfg.n_max // max(cfg.multiplier, 1)
+        "horizons.n_max",
+        cfg.n_max,
+        24 * cfg.n_max // max(cfg.multiplier, 1) + DENSITY_BLOCK_BYTES,
     )
     out = _artifact_dir(cfg, "sepfamily")
     fam = density.build_separated_family(cfg.pairs, cfg.n_max, cfg.multiplier)

@@ -41,6 +41,9 @@ GROWTH_THRESHOLDS = (1.0, 10.0, 100.0)
 # Most points build_separated_family enumerates in one period of a class;
 # the first, largest class holds 3^(ceil(P/2) - 1) of them for P pairs.
 MAX_PERIOD_POINTS = 1 << 20
+# lower_density_estimate takes the window's ratios this many elements at a
+# time, so its temporaries are a few arrays of this length.
+DENSITY_BLOCK = 1 << 14
 
 
 def _default_burn_in(horizon: int) -> int:
@@ -62,7 +65,7 @@ class IndexSet:
         if els.size:
             if els[0] < 1:
                 raise ValueError("index sets contain positive integers only")
-            if np.any(np.diff(els) <= 0):
+            if np.any(els[1:] <= els[:-1]):
                 raise ValueError("elements must be strictly increasing")
             if els[-1] > self.n_max:
                 raise ValueError("element beyond the stated horizon n_max")
@@ -134,7 +137,9 @@ def lower_density_estimate(a: IndexSet, horizon: int, burn_in: Optional[int] = N
     The count is constant between consecutive elements, so on each such
     run count / n is extremal at the run's ends: the ratios are taken
     only at burn_in, at e - 1 and e for each element e in the window,
-    and at the horizon, in memory linear in the set's size.
+    and at the horizon.  An element of rank r has count r - 1 at e - 1
+    and r at e, so the window's ratios come from the ranks alone, one
+    DENSITY_BLOCK of elements at a time.
     """
     if horizon < 1 or horizon > a.n_max:
         raise ValueError(f"horizon must lie in [1, {a.n_max}]")
@@ -142,10 +147,16 @@ def lower_density_estimate(a: IndexSet, horizon: int, burn_in: Optional[int] = N
         burn_in = _default_burn_in(horizon)
     if not (1 <= burn_in <= horizon):
         raise ValueError("burn_in must lie in [1, horizon]")
-    els = a.elements[(a.elements > burn_in) & (a.elements <= horizon)]
-    ns = np.concatenate(([burn_in], els - 1, els, [horizon])).astype(np.int64)
-    ratios = a.count_up_to(ns) / ns
-    empty = a.count_up_to(horizon) == 0
+    els = a.elements
+    first, last = (int(i) for i in a.count_up_to([burn_in, horizon]))
+    lower = min(first / burn_in, last / horizon)
+    upper = max(first / burn_in, last / horizon)
+    for start in range(first, last, DENSITY_BLOCK):
+        block = els[start : min(start + DENSITY_BLOCK, last)]
+        below = np.arange(start, start + block.size, dtype=np.int64)
+        for ratios in (below / (block - 1), (below + 1) / block):
+            lower = min(lower, float(ratios.min()))
+            upper = max(upper, float(ratios.max()))
     marks = _sorted_unique(
         np.clip(
             np.round(np.logspace(math.log10(burn_in), math.log10(horizon), 33)),
@@ -157,11 +168,11 @@ def lower_density_estimate(a: IndexSet, horizon: int, burn_in: Optional[int] = N
         (int(n), float(r)) for n, r in zip(marks, a.count_up_to(marks) / marks)
     )
     return DensityReport(
-        lower_estimate=float(ratios.min()),
-        upper_estimate=float(ratios.max()),
+        lower_estimate=lower,
+        upper_estimate=upper,
         burn_in=burn_in,
         horizon=horizon,
-        empty=bool(empty),
+        empty=last == 0,
         closed_form=a.closed_form_density,
         checkpoints=checkpoints,
     )
@@ -184,33 +195,27 @@ def split_assignment(k: int) -> int:
     return (k & -k).bit_length()
 
 
-def _assignments(count: int) -> np.ndarray:
-    k = np.arange(1, count + 1, dtype=np.int64)
-    return np.log2(k & -k).astype(np.int64) + 1
-
-
 def split(a: IndexSet, parts: int, horizon: int) -> list:
     """Split a into parts by rank; the last part absorbs higher indices.
 
-    Part j < parts holds the elements whose rank assignment equals j;
-    part `parts` takes every rank whose assignment is >= parts.  The
-    parts partition a up to the horizon.
+    Part j < parts holds the elements whose rank assignment equals j,
+    the ranks 2^(j-1) (2m + 1); part `parts` takes every rank whose
+    assignment is >= parts, the multiples of 2^(parts-1).  Each part is
+    a strided slice of a's elements up to the horizon, and the parts
+    partition a up to the horizon.
     """
     if parts < 1:
         raise ValueError("parts must be at least 1")
-    els = a.elements[a.elements <= horizon]
-    assign = np.minimum(_assignments(els.size), parts)
-    out = []
+    els = a.elements[: np.searchsorted(a.elements, horizon, side="right")]
     base = a.descriptor or "set"
-    for j in range(1, parts + 1):
-        out.append(
-            IndexSet(
-                els[assign == j],
-                min(horizon, a.n_max),
-                f"{base}|part{j}of{parts}",
-            )
+    return [
+        IndexSet(
+            els[(1 << (j - 1)) - 1 :: 1 << min(j, parts - 1)],
+            min(horizon, a.n_max),
+            f"{base}|part{j}of{parts}",
         )
-    return out
+        for j in range(1, parts + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,62 @@ def test_sigma_and_example1_run_without_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "False False"
     assert (tmp_path / "sigma" / "report.json").is_file()
     assert (tmp_path / "build_fhc" / "candidate.json").is_file()
+
+
+def _builtin_sha256() -> bool:
+    return any(importlib.util.find_spec(m) is not None for m in ("_sha2", "_sha256"))
+
+
+@pytest.mark.skipif(not _builtin_sha256(), reason="no built-in SHA-256 module")
+def test_a_run_loads_no_openssl(tmp_path):
+    # hashlib's OpenSSL backend, _hashlib, costs about 3.6 MB resident
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, FREQDYN_OUT=str(tmp_path), PYTHONPATH=src)
+    script = (
+        "import sys\nfrom freqdyn.cli import main\n"
+        f"assert main(['split', {os.path.join(CONFIGS, 'split.ini')!r}]) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def _hashlib_config_hashes(cfgs) -> list:
+    import hashlib
+
+    out = []
+    for cfg in cfgs:
+        lines = sorted(
+            f"{section}.{key}={cli._canonical(getattr(cfg, attr))}"
+            for section, key, attr, _ in cli._FIELDS
+            if attr != "out_dir"
+        )
+        out.append(hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12])
+    return out
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_text():
+    names = sorted(os.listdir(CONFIGS))
+    assert len(names) == 15
+    cfgs = [load_config(os.path.join(CONFIGS, name)) for name in names]
+    assert [config_hash(cfg) for cfg in cfgs] == _hashlib_config_hashes(cfgs)
+
+
+def test_config_hash_falls_back_to_hashlib():
+    # an interpreter built without builtin hashes has neither module
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from freqdyn.cli import config_hash, load_config\n"
+        f"print(config_hash(load_config({os.path.join(CONFIGS, 'split.ini')!r})))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    want = config_hash(load_config(os.path.join(CONFIGS, "split.ini")))
+    assert done.stdout.splitlines() == [want]
 
 
 @settings(max_examples=25, deadline=None)
@@ -692,11 +749,11 @@ def test_main_example5_refuses_iterates_over_the_memory_budget(
 @pytest.mark.parametrize(
     "command, config, refused, accepted",
     [
-        # 64 bytes per index: 64000 and 9600
+        # 10 bytes per index: 10000 and 1500
         ("split", "split.ini", 1000, 150),
-        # 56 bytes per element of the step-7 progression: 16016 and 8008
-        ("density", "density.ini", 2000, 1000),
-        # 32 bytes per n_max / multiplier at multiplier 8: 40000 and 8000
+        # 10 bytes per element of the step-7 progression: 20010 and 8580
+        ("density", "density.ini", 14000, 6000),
+        # 24 bytes per n_max / multiplier at multiplier 8: 30000 and 6000
         ("sepfamily", "sepfamily.ini", 10000, 2000),
     ],
 )
@@ -704,7 +761,8 @@ def test_main_refuses_a_horizon_over_the_memory_budget(
     tmp_path, monkeypatch, capsys, command, config, refused, accepted
 ):
     monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
-    monkeypatch.setattr(cli, "MEMORY_BUDGET", 10_000)
+    # each estimate adds one density block to the bytes above
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.DENSITY_BLOCK_BYTES + 9_000)
     argv = [command, os.path.join(CONFIGS, config), "--override"]
     assert main(argv + [f"horizons.n_max={refused}"]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
@@ -714,6 +772,71 @@ def test_main_refuses_a_horizon_over_the_memory_budget(
     # a split of 1..150 misses its density targets (exit 1), but it runs
     assert main(argv + [f"horizons.n_max={accepted}"]) in (0, 1)
     assert (tmp_path / "out" / command / "summary.txt").is_file()
+
+
+@pytest.mark.parametrize(
+    "command, config, overrides",
+    [
+        ("split", "split.ini", ["split.parts=1"]),
+        ("split", "split.ini", []),
+        ("density", "density.ini", ["set.kind=naturals"]),
+        ("density", "density.ini", []),
+        ("sepfamily", "sepfamily.ini", []),
+        ("sepfamily", "sepfamily.ini", ["family.pairs=8"]),
+    ],
+)
+def test_commands_peak_below_their_memory_estimates(
+    outdir, monkeypatch, command, config, overrides
+):
+    # the estimate _within_budget compares with MEMORY_BUDGET, against
+    # the peak tracemalloc sees while the command runs
+    needs = []
+    monkeypatch.setattr(cli, "_within_budget", lambda key, value, need: needs.append(need))
+    cfg = apply_overrides(
+        load_config(os.path.join(CONFIGS, config)),
+        ["horizons.n_max=1000000"] + overrides,
+    )
+    tracemalloc.start()
+    try:
+        result = getattr(cli, f"cmd_{command}")(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.failed
+    assert len(needs) == 1 and peak < needs[0]
+
+
+def _broken_split(change):
+    """density.split with its first two parts changed so that they no
+    longer partition the set."""
+    real = density.split
+
+    def split(a, parts, horizon):
+        pieces = real(a, parts, horizon)
+        first, second = pieces[0], pieces[1]
+        if change in ("drop", "move"):
+            # drops 1 from the first part
+            pieces[0] = IndexSet(first.elements[1:], first.n_max, first.descriptor)
+        if change in ("duplicate", "move"):
+            # adds 1, or 3, of the first part to the second
+            extra = first.elements[0 if change == "duplicate" else 1]
+            pieces[1] = IndexSet.from_elements(
+                np.append(second.elements, extra), second.n_max, second.descriptor
+            )
+        return pieces
+
+    return split
+
+
+@pytest.mark.parametrize("change", ["drop", "duplicate", "move"])
+def test_main_split_fails_parts_that_do_not_partition(
+    outdir, monkeypatch, capsys, change
+):
+    # "move" keeps the sizes' sum at n_max: only the marker catches it
+    monkeypatch.setattr(density, "split", _broken_split(change))
+    assert main(["split", os.path.join(CONFIGS, "split.ini")]) == 1
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "FAIL: 4 parts partition 1..100000 exactly"
 
 
 def test_main_example5_constant_errors_do_not_decrease(outdir):

@@ -1,5 +1,6 @@
 """Tests for index sets, splitting, and separated families."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqdyn import density
 from freqdyn.density import (
     GROWTH_THRESHOLDS,
     IndexSet,
@@ -151,6 +153,99 @@ def test_density_invariants(elements, burn_in):
         assert rep.empty
 
 
+def _concatenating_density_estimate(a, horizon, burn_in=None):
+    """lower_density_estimate as it was before the blocks: every ratio of
+    the window in one array of 2 n + 2 prefix lengths."""
+    if burn_in is None:
+        burn_in = max(1, horizon // 5)
+    els = a.elements[(a.elements > burn_in) & (a.elements <= horizon)]
+    ns = np.concatenate(([burn_in], els - 1, els, [horizon])).astype(np.int64)
+    ratios = a.count_up_to(ns) / ns
+    marks = np.unique(
+        np.clip(
+            np.round(np.logspace(math.log10(burn_in), math.log10(horizon), 33)),
+            burn_in,
+            horizon,
+        ).astype(np.int64)
+    )
+    checkpoints = tuple(
+        (int(n), float(r)) for n, r in zip(marks, a.count_up_to(marks) / marks)
+    )
+    return (
+        float(ratios.min()),
+        float(ratios.max()),
+        bool(a.count_up_to(horizon) == 0),
+        checkpoints,
+    )
+
+
+def _assert_matches_concatenating_estimate(a, horizon, burn_in):
+    rep = lower_density_estimate(a, horizon, burn_in)
+    lower, upper, empty, checkpoints = _concatenating_density_estimate(
+        a, horizon, burn_in
+    )
+    # bit for bit, not approximately
+    assert rep.lower_estimate == lower
+    assert rep.upper_estimate == upper
+    assert rep.empty is empty
+    assert rep.checkpoints == checkpoints
+
+
+@given(
+    st.sets(st.integers(min_value=1, max_value=300), max_size=120),
+    st.integers(min_value=1, max_value=300),
+    st.data(),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_density_estimate_matches_the_concatenating_oracle(elements, n_max, data, block):
+    # blocks of a few elements, so that windows cross block boundaries
+    s = IndexSet.from_elements(sorted(x for x in elements if x <= n_max), n_max=n_max)
+    horizon = data.draw(st.integers(min_value=1, max_value=n_max))
+    burn_in = data.draw(st.none() | st.integers(min_value=1, max_value=horizon))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "DENSITY_BLOCK", block)
+        _assert_matches_concatenating_estimate(s, horizon, burn_in)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 16384])
+@pytest.mark.parametrize(
+    "elements, n_max, horizon, burn_in",
+    [
+        # an empty window: no element in (burn_in, horizon]
+        ([1, 2, 3, 90], 100, 80, 10),
+        ([], 50, 50, None),
+        # burn_in == horizon, on an element and between elements
+        ([4, 9, 16, 25], 30, 16, 16),
+        ([4, 9, 16, 25], 30, 20, 20),
+        # elements past the horizon
+        ([3, 6, 9, 12, 15, 18, 21], 21, 10, 2),
+        # the window holds exactly one block, and one element more
+        ([2, 3, 5, 7, 11, 13], 13, 13, 1),
+        (list(range(1, 200, 2)), 200, 199, 1),
+    ],
+)
+def test_density_estimate_matches_the_oracle_at_the_window_edges(
+    monkeypatch, block, elements, n_max, horizon, burn_in
+):
+    monkeypatch.setattr(density, "DENSITY_BLOCK", block)
+    s = IndexSet.from_elements(elements, n_max=n_max)
+    _assert_matches_concatenating_estimate(s, horizon, burn_in)
+
+
+def test_density_estimate_memory_does_not_grow_with_the_window():
+    s = naturals(4_000_000)
+    tracemalloc.start()
+    try:
+        rep = lower_density_estimate(s, s.n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.lower_estimate == rep.upper_estimate == 1.0
+    # 4 * 10^6 elements in the window, under 64 bytes per element of one block
+    assert peak < 64 * density.DENSITY_BLOCK
+
+
 # ---------------------------------------------------------------------------
 # Rank splitting
 
@@ -218,6 +313,48 @@ def test_split_is_a_partition(elements, parts):
     merged = np.concatenate([p.elements for p in pieces])
     assert np.array_equal(np.sort(merged), s.elements)
     assert merged.size == s.elements.size
+
+
+def _split_by_assignment(a, parts, horizon):
+    """split as it was before the strided slices: the rank assignment of
+    every element up to the horizon, then one mask per part."""
+    els = a.elements[a.elements <= horizon]
+    k = np.arange(1, els.size + 1, dtype=np.int64)
+    assign = np.minimum(np.log2(k & -k).astype(np.int64) + 1, parts)
+    base = a.descriptor or "set"
+    return [
+        IndexSet(els[assign == j], min(horizon, a.n_max), f"{base}|part{j}of{parts}")
+        for j in range(1, parts + 1)
+    ]
+
+
+@given(
+    st.sets(st.integers(min_value=1, max_value=300), max_size=150),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=9),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_split_matches_the_assignment_oracle(elements, n_max, parts, data):
+    s = IndexSet.from_elements(
+        sorted(x for x in elements if x <= n_max), n_max=n_max, descriptor="s"
+    )
+    horizon = data.draw(st.integers(min_value=1, max_value=n_max))
+    got = split(s, parts, horizon)
+    want = _split_by_assignment(s, parts, horizon)
+    assert len(got) == len(want) == parts
+    for g, w in zip(got, want):
+        assert np.array_equal(g.elements, w.elements)
+        assert (g.n_max, g.descriptor) == (w.n_max, w.descriptor)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 5])
+@pytest.mark.parametrize("horizon", [1, 37, 500])
+def test_split_matches_the_oracle_below_n_max(parts, horizon):
+    s = arithmetic_progression(2, 3, 500)
+    for g, w in zip(split(s, parts, horizon), _split_by_assignment(s, parts, horizon)):
+        assert np.array_equal(g.elements, w.elements)
+        assert g.n_max == w.n_max == horizon
 
 
 # ---------------------------------------------------------------------------
