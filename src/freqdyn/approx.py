@@ -34,7 +34,7 @@ from .geometry import (
     eps_to_boundary,
     sample_grid,
 )
-from .maps import HoloMap, inverse_degree, raw_inverse
+from .maps import HoloMap, Mobius, inverse_degree, raw_inverse
 from .runaway import CarlemanTruncation
 
 __all__ = [
@@ -622,7 +622,8 @@ def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandid
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     for idx, piece in enumerate(target.pieces):
         if piece.spec.degree is None:
-            name = type(piece.spec.map).__name__
+            m = piece.spec.map
+            name = "a non-affine Moebius map" if isinstance(m, Mobius) else type(m).__name__
             raise ValueError(f"piece {idx}: the target through {name} is no polynomial")
     taus = [p.tau for p in target.pieces]
     pts, vals, weights = _piece_data(target, max_degree)

@@ -330,7 +330,7 @@ def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
     fam = density.build_separated_family(
         pairs if pairs else cfg.pairs, cfg.n_max, cfg.multiplier
     )
-    fam_report = density.verify_separated_family(fam)
+    fam_report = fam.report
     exh = build_exhaustion(cfg)
     schedule = build_schedule(cfg)
     rcfg = runaway.RunawayConfig(
@@ -876,12 +876,9 @@ def cmd_example3(cfg: ExperimentConfig) -> CommandResult:
         conj = Conjugated(pair, HalfPlaneShift(cfg.a_param, cfg.gamma, n))
         vals = apply(direct, mesh)
         resid = float(np.max(np.abs(vals - apply(conj, mesh))))
-        # the closed form is defined on the closed disc, so the boundary
-        # fixed point can be evaluated directly
-        s_par = cfg.a_param * float(n) ** cfg.gamma
-        z = 1.0 + 0.0j
-        fixed = 1.0 + 2.0 * (z - 1.0) / (2.0 - 1j * s_par * (z - 1.0))
-        fp_err = abs(fixed - 1.0)
+        # the map is defined on the closed disc, so the boundary fixed
+        # point can be evaluated directly
+        fp_err = abs(apply(direct, 1.0 + 0.0j) - 1.0)
         mod = float(np.max(np.abs(vals)))
         worst_resid = max(worst_resid, resid)
         worst_fp = max(worst_fp, fp_err)
@@ -1245,14 +1242,14 @@ def cmd_sepfamily(cfg: ExperimentConfig) -> CommandResult:
     )
     out = _artifact_dir(cfg, "sepfamily")
     fam = density.build_separated_family(cfg.pairs, cfg.n_max, cfg.multiplier)
-    rep = density.verify_separated_family(fam)
+    rep = fam.report
     lines = [_verdict(rep.passed, "separated family verifies")]
     for violation in rep.violations:
         lines.append(f"NOTE: violation {violation}")
     rows = []
-    for label in fam.labels():
+    for label, density_rep in rep.densities:
         piece = fam.set_for(*label)
-        lo = density.lower_density_estimate(piece, cfg.n_max).lower_estimate
+        lo = density_rep.lower_estimate
         head = ",".join(str(int(v)) for v in piece.elements[:5])
         rows.append(
             (

@@ -259,6 +259,7 @@ class SeparatedFamily:
     pairs: tuple  # of ((l, nu), IndexSet)
     horizon: int
     m_multiplier: int
+    report: Optional["FamilyReport"] = None  # verify_separated_family's, from the build
 
     def labels(self) -> list:
         return [label for label, _ in self.pairs]
@@ -321,7 +322,7 @@ def build_separated_family(num_pairs: int, horizon: int, m_multiplier: int) -> S
     The construction is rejected when one period of the first class holds
     more than MAX_PERIOD_POINTS points or when the exact post-pruning density
     of any class vanishes, and the result is always run through
-    verify_separated_family before being returned.
+    verify_separated_family, whose report it carries.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be at least 1")
@@ -355,7 +356,7 @@ def build_separated_family(num_pairs: int, horizon: int, m_multiplier: int) -> S
             "separated-family construction failed its own verifier: "
             + "; ".join(report.violations)
         )
-    return family
+    return SeparatedFamily(family.pairs, horizon, m_multiplier, report)
 
 
 @record

@@ -1,19 +1,21 @@
 """Holomorphic self-map families of the four supported domains.
 
-Every map variant is a frozen value class with a declared domain, and
-`Conjugated` transports one by a conformal equivalence; module
-functions provide evaluation, the inverse formulas, iteration, and
-closed-form disc bounds for images of compact sets: every affine,
-disc-automorphism and parabolic map is a Moebius map, which sends a
-disc onto a disc.
+Every Moebius map z -> (a z + b)/(c z + d) is one `Mobius` record with a
+declared domain, built by the family constructors; a root shift of
+higher order, a conformal conjugate and their iterates keep records of
+their own.  Module functions provide evaluation, inverses, iteration (a
+matrix power for a Moebius map) and closed-form disc bounds for images
+of compact sets, one rule on coefficient arrays for every Moebius map.
 Evaluation near the slit (-inf, 0] is refused within a guard distance
 because the principal branch is unstable there.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
@@ -39,8 +41,10 @@ __all__ = [
     "HoloMap",
     "Identity",
     "Iterated",
+    "Mobius",
     "PairKind",
     "ParabolicDisc",
+    "RootMap",
     "RootShift",
     "Similarity",
     "apply",
@@ -58,107 +62,118 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # Complex entries (256 kB) per block of mapped sample points.
 ARRAY_BLOCK = 1 << 14
 
-
-@record
-class Identity:
-    """The identity map on a declared domain."""
-
-    domain: Domain = Domain.whole_plane()
+_WHOLE_PLANE = Domain.whole_plane()
+_UNIT_DISC = Domain.unit_disc()
+_RIGHT_HALF_PLANE = Domain.right_half_plane()
+_SLIT_PLANE = Domain.slit_plane()
 
 
 @record
-class Similarity:
-    """z -> a z + b on the whole plane, a != 0."""
+class Mobius:
+    """z -> (a z + b) / (c z + d) on a declared domain, ad - bc != 0.
+
+    c = 0 marks an affine map z -> a z + b, and then d = 1.
+    """
 
     a: complex
     b: complex
+    c: complex
+    d: complex
+    domain: Domain
 
     def __post_init__(self):
-        if self.a == 0:
-            raise ValueError("similarity coefficient a must be nonzero")
+        if self.c == 0 and self.d != 1:
+            raise ValueError("an affine Moebius record (c = 0) needs d = 1")
+        if (self.a == 0) if self.c == 0 else _det_vanishes(self.a, self.b, self.c, self.d):
+            raise ValueError("a Moebius map needs ad - bc != 0")
 
 
-@record
-class DiscAutomorphism:
+def _det_vanishes(a, b, c, d) -> bool:
+    """ad - bc = 0 exactly for c != 0: in floats when the float
+    determinant exceeds a bound on its rounding, else by exact products.
+    Entries not all finite (an overflowed matrix power) pass."""
+    if (abs(a * d - b * c) > 8.0 * _UNIT_ROUNDOFF * (abs(a) * abs(d) + abs(b) * abs(c)) + 2.0 ** -1000
+            or not all(map(cmath.isfinite, (a, b, c, d)))):
+        return False
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = (
+        map(Fraction, (complex(x).real, complex(x).imag)) for x in (a, b, c, d))
+    return ar * dr - ai * di == br * cr - bi * ci and ar * di + ai * dr == br * ci + bi * cr
+
+
+def Identity(domain: Domain = _WHOLE_PLANE) -> Mobius:
+    """The identity map on a declared domain."""
+    return Mobius(1.0 + 0.0j, 0.0j, 0.0, 1.0, domain)
+
+
+def Similarity(a: complex, b: complex) -> Mobius:
+    """z -> a z + b on the whole plane, a != 0."""
+    if a == 0:
+        raise ValueError("similarity coefficient a must be nonzero")
+    return Mobius(complex(a), complex(b), 0.0, 1.0, _WHOLE_PLANE)
+
+
+def DiscAutomorphism(k: complex, a: complex) -> Mobius:
     """z -> k (z - a) / (1 - conj(a) z) with |k| = 1 and |a| < 1."""
-
-    k: complex
-    a: complex
-
-    def __post_init__(self):
-        if abs(abs(complex(self.k)) - 1.0) > 1e-12:
-            raise ValueError("rotation factor k must be unimodular")
-        if abs(complex(self.a)) >= 1.0:
-            raise ValueError("automorphism parameter a must satisfy |a| < 1")
+    k, a = complex(k), complex(a)
+    if abs(abs(k) - 1.0) > 1e-12:
+        raise ValueError("rotation factor k must be unimodular")
+    if abs(a) >= 1.0:
+        raise ValueError("automorphism parameter a must satisfy |a| < 1")
+    return Mobius(k, -k * a, -a.conjugate(), 1.0, _UNIT_DISC)
 
 
-@record
-class ParabolicDisc:
-    """Parabolic disc self-map with boundary fixed point 1.
+def _shift(a: float, gamma: float, n: int) -> float:
+    """The shift a n^gamma of a parabolic map, a > 0, gamma >= 1, n >= 1."""
+    if a <= 0.0:
+        raise ValueError("parameter a must be positive")
+    if gamma < 1.0:
+        raise ValueError("exponent gamma must be at least 1")
+    if n < 1:
+        raise ValueError("index n must be a positive integer")
+    return a * float(n) ** gamma
 
-    Phi_n(z) = 1 + 2 (z - 1) / (2 - i a n^gamma (z - 1)), a > 0, gamma >= 1.
-    """
 
-    a: float
-    gamma: float
-    n: int
+def ParabolicDisc(a: float, gamma: float, n: int) -> Mobius:
+    """Phi_n(z) = 1 + 2 (z - 1) / (2 - i s (z - 1)) with shift s = a n^gamma,
+    a > 0, gamma >= 1, boundary fixed point 1: (2 - i s, i s, -i s, 2 + i s)."""
+    s = _shift(a, gamma, n)
+    return Mobius(2.0 - 1j * s, 1j * s, -1j * s, 2.0 + 1j * s, _UNIT_DISC)
 
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("parameter a must be positive")
-        if self.gamma < 1.0:
-            raise ValueError("exponent gamma must be at least 1")
-        if self.n < 1:
-            raise ValueError("index n must be a positive integer")
 
-    @property
-    def shift(self) -> float:
-        return self.a * float(self.n) ** self.gamma
+def HalfPlaneShift(a: float, gamma: float, n: int) -> Mobius:
+    """phi_n(z) = z + i a n^gamma on the right half plane."""
+    return Mobius(1.0 + 0.0j, 1j * _shift(a, gamma, n), 0.0, 1.0, _RIGHT_HALF_PLANE)
 
 
 @record
-class RootShift:
-    """phi_n(z) = n^alpha z^(1/N) + n^beta on the slit plane.
-
-    Requires beta > 0 and beta >= 1 + alpha; the root is the principal
-    branch.
-    """
+class RootMap:
+    """phi_n(z) = n^alpha z^(1/N) + n^beta with N = root_n > 1 on the slit
+    plane, as RootShift validates and builds it."""
 
     alpha: float
     beta: float
     root_n: int
     n: int
 
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        if self.beta < 1.0 + self.alpha:
-            raise ValueError("beta must be at least 1 + alpha")
-        if self.root_n < 1:
-            raise ValueError("root order must be a positive integer")
-        if self.n < 1:
-            raise ValueError("index n must be a positive integer")
 
+def RootShift(alpha: float, beta: float, root_n: int, n: int) -> Union[Mobius, RootMap]:
+    """phi_n(z) = n^alpha z^(1/N) + n^beta on the slit plane, N = root_n.
 
-@record
-class HalfPlaneShift:
-    """phi_n(z) = z + i a n^gamma on the right half plane."""
-
-    a: float
-    gamma: float
-    n: int
-
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("parameter a must be positive")
-        if self.gamma < 1.0:
-            raise ValueError("exponent gamma must be at least 1")
-        if self.n < 1:
-            raise ValueError("index n must be a positive integer")
-
-    @property
-    def shift(self) -> float:
-        return self.a * float(self.n) ** self.gamma
+    Requires beta > 0 and beta >= 1 + alpha; the root is the principal
+    branch.  N = 1 gives the affine record (n^alpha, n^beta, 0, 1).
+    """
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    if beta < 1.0 + alpha:
+        raise ValueError("beta must be at least 1 + alpha")
+    if root_n < 1:
+        raise ValueError("root order must be a positive integer")
+    if n < 1:
+        raise ValueError("index n must be a positive integer")
+    if root_n > 1:
+        return RootMap(alpha, beta, root_n, n)
+    x = float(n)
+    return Mobius(complex(x ** alpha), complex(x ** beta), 0.0, 1.0, _SLIT_PLANE)
 
 
 class PairKind(Enum):
@@ -244,7 +259,8 @@ class Conjugated:
 
 @record
 class Iterated:
-    """The power-fold composition of a base self-map."""
+    """The power-fold composition of a base self-map that is no Mobius
+    record; a Mobius record's iterate is its matrix power (iterate)."""
 
     base: "HoloMap"
     power: int
@@ -252,18 +268,11 @@ class Iterated:
     def __post_init__(self):
         if self.power < 1:
             raise ValueError("iteration power must be a positive integer")
+        if isinstance(self.base, Mobius):
+            raise ValueError("the iterate of a Moebius map is its matrix power; use iterate")
 
 
-HoloMap = Union[
-    Identity,
-    Similarity,
-    DiscAutomorphism,
-    ParabolicDisc,
-    RootShift,
-    HalfPlaneShift,
-    Conjugated,
-    Iterated,
-]
+HoloMap = Union[Mobius, RootMap, Conjugated, Iterated]
 
 
 def _scalar_is_inf(z) -> bool:
@@ -271,23 +280,12 @@ def _scalar_is_inf(z) -> bool:
     return math.isinf(z.real) or math.isinf(z.imag)
 
 
-# The declared domain of each map variant whose domain is fixed.
-_FIXED_DOMAINS = {
-    Similarity: Domain.whole_plane(),
-    DiscAutomorphism: Domain.unit_disc(),
-    ParabolicDisc: Domain.unit_disc(),
-    RootShift: Domain.slit_plane(),
-    HalfPlaneShift: Domain.right_half_plane(),
-}
-
-
 def map_domain(m: HoloMap) -> Domain:
     """The declared domain on which the map acts as a self-map."""
-    fixed = _FIXED_DOMAINS.get(type(m))
-    if fixed is not None:
-        return fixed
-    if isinstance(m, Identity):
+    if isinstance(m, Mobius):
         return m.domain
+    if isinstance(m, RootMap):
+        return _SLIT_PLANE
     if isinstance(m, Conjugated):
         return m.pair.target
     if isinstance(m, Iterated):
@@ -319,20 +317,12 @@ def apply(m: HoloMap, z):
 
 
 def _eval(m: HoloMap, z: np.ndarray) -> np.ndarray:
-    if isinstance(m, Identity):
-        return z
-    if isinstance(m, Similarity):
-        return m.a * z + m.b
-    if isinstance(m, DiscAutomorphism):
-        return m.k * (z - m.a) / (1.0 - np.conj(m.a) * z)
-    if isinstance(m, ParabolicDisc):
-        t = z - 1.0
-        return 1.0 + 2.0 * t / (2.0 - 1j * m.shift * t)
-    if isinstance(m, RootShift):
-        root = z if m.root_n == 1 else z ** (1.0 / m.root_n)
-        return float(m.n) ** m.alpha * root + float(m.n) ** m.beta
-    if isinstance(m, HalfPlaneShift):
-        return z + 1j * m.shift
+    if isinstance(m, Mobius):
+        if m.c == 0:
+            return m.a * z + m.b
+        return (m.a * z + m.b) / (m.c * z + m.d)
+    if isinstance(m, RootMap):
+        return float(m.n) ** m.alpha * z ** (1.0 / m.root_n) + float(m.n) ** m.beta
     if isinstance(m, Conjugated):
         inner_in = m.pair.backward(z)
         _check_in_domain(map_domain(m.inner), inner_in)
@@ -347,56 +337,43 @@ def _eval(m: HoloMap, z: np.ndarray) -> np.ndarray:
 
 
 def _stepper(m: HoloMap, width: int):
-    """step(z, out), which writes _eval(m, z) into out bit for bit.
-
-    z and out are distinct complex rows of the given width.  A parabolic
-    map runs the ufuncs of its _eval branch on constant and scratch rows
-    prepared once, so a step allocates nothing.  Only a NaN may differ,
-    in sign, where the shift has overflowed to infinity.  Every other map
-    evaluates through _eval, which may raise DomainError as before.
+    """step(z, out), which writes _eval(m, z) into out, a distinct row of
+    the given width.  A Mobius record runs the ufuncs of _eval on
+    coefficient and scratch rows prepared once, so a step allocates
+    nothing, and only a NaN may differ, in sign, where a coefficient is
+    infinite.  Any other map evaluates through _eval, which may raise
+    DomainError.
     """
-    if not isinstance(m, ParabolicDisc):
+    if not isinstance(m, Mobius):
 
         def step(z, out):
             out[...] = _eval(m, z)
 
         return step
 
-    one = np.full(width, 1.0 + 0.0j)
-    two = np.full(width, 2.0 + 0.0j)
-    shift = np.full(width, 1j * m.shift)
-    t = np.empty(width, dtype=complex)
+    a, b, c, d = (np.full(width, x, dtype=complex) for x in (m.a, m.b, m.c, m.d))
     den = np.empty(width, dtype=complex)
-    sub, mul, div, add = np.subtract, np.multiply, np.divide, np.add
+    mul, add, div = np.multiply, np.add, np.divide
 
     def step(z, out):
-        # the ParabolicDisc branch of _eval, operand for operand:
-        # 1.0 + 2.0 * t / (2.0 - 1j * m.shift * t) with t = z - 1.0
-        sub(z, one, out=t)
-        mul(shift, t, out=den)
-        sub(two, den, out=den)
-        mul(two, t, out=t)
-        div(t, den, out=t)
-        add(one, t, out=out)
+        # _eval operand for operand: a z + b, over c z + d when c != 0
+        mul(a, z, out=out)
+        add(out, b, out=out)
+        if m.c != 0:
+            mul(c, z, out=den)
+            add(den, d, out=den)
+            div(out, den, out=out)
 
     return step
 
 
 def _inv(m: HoloMap, w: np.ndarray) -> np.ndarray:
-    if isinstance(m, Identity):
-        return w
-    if isinstance(m, Similarity):
-        return (w - m.b) / m.a
-    if isinstance(m, DiscAutomorphism):
-        return (w + m.k * m.a) / (m.k + np.conj(m.a) * w)
-    if isinstance(m, ParabolicDisc):
-        t = w - 1.0
-        return 1.0 + 2.0 * t / (2.0 + 1j * m.shift * t)
-    if isinstance(m, RootShift):
-        u = (w - float(m.n) ** m.beta) / float(m.n) ** m.alpha
-        return u if m.root_n == 1 else u ** m.root_n
-    if isinstance(m, HalfPlaneShift):
-        return w - 1j * m.shift
+    if isinstance(m, Mobius):
+        if m.c == 0:
+            return (w - m.b) / m.a
+        return (m.d * w - m.b) / (m.a - m.c * w)
+    if isinstance(m, RootMap):
+        return ((w - float(m.n) ** m.beta) / float(m.n) ** m.alpha) ** m.root_n
     if isinstance(m, Conjugated):
         inner_w = m.pair.backward(w)
         return m.pair.forward(_inv(m.inner, inner_w))
@@ -420,161 +397,168 @@ def raw_inverse(m: HoloMap, w):
     return complex(out[0]) if np.isscalar(w) else out.reshape(ww.shape)
 
 
-def iterate(m: HoloMap, power: int) -> Iterated:
-    """The power-fold composition; nested iterates are flattened."""
+def iterate(m: HoloMap, power: int) -> HoloMap:
+    """The power-fold composition: a Mobius record's matrix power by
+    repeated squaring, exact for integer translations, and an Iterated
+    for any other map, nested iterates flattened.  A power may overflow
+    to non-finite entries; its image disc then raises OverflowError.
+    """
     if isinstance(m, Iterated):
         return Iterated(m.base, m.power * power)
-    return Iterated(m, power)
+    if not isinstance(m, Mobius):
+        return Iterated(m, power)
+    if power < 1:
+        raise ValueError("iteration power must be a positive integer")
+    if power == 1:
+        return m
+    half = iterate(m, power // 2)
+    square = _compose(half, half)
+    return _compose(square, m) if power % 2 else square
 
 
-def _mobius(m: HoloMap) -> Optional[tuple]:
-    """(a, b, c, d) with m(z) = (a z + b) / (c z + d) exactly, else None;
-    c = 0 (with d = 1) marks an affine map, iterates of which stay so."""
-    if isinstance(m, Identity):
-        return (1.0 + 0.0j, 0.0 + 0.0j, 0.0, 1.0)
-    if isinstance(m, Similarity):
-        return (complex(m.a), complex(m.b), 0.0, 1.0)
-    if isinstance(m, HalfPlaneShift):
-        return (1.0 + 0.0j, 1j * m.shift, 0.0, 1.0)
-    if isinstance(m, RootShift) and m.root_n == 1:
-        n = float(m.n)
-        return (complex(n ** m.alpha), complex(n ** m.beta), 0.0, 1.0)
-    if isinstance(m, DiscAutomorphism):
-        k, a = complex(m.k), complex(m.a)
-        return (k, -k * a, -a.conjugate(), 1.0)
-    if isinstance(m, ParabolicDisc):
-        s = m.shift  # ad - bc = 4
-        return (2.0 - 1j * s, 1j * s, -1j * s, 2.0 + 1j * s)
-    base = _mobius(m.base) if isinstance(m, Iterated) else None
-    if base is None or base[2] != 0:
-        return None
-    a, b, p = base[0], base[1], m.power
-    if a == 1.0:
-        return (a, b * p, 0.0, 1.0)
-    return (a ** p, b * (a ** p - 1.0) / (a - 1.0), 0.0, 1.0)
+def _compose(f: Mobius, g: Mobius) -> Mobius:
+    """f o g for two records on one domain: the product of their matrices,
+    (a a', a b' + b) for affine ones, else rescaled by a power of two,
+    which changes no value."""
+    if f.c == 0 and g.c == 0:
+        return Mobius(f.a * g.a, f.a * g.b + f.b, 0.0, 1.0, g.domain)
+    a, b = f.a * g.a + f.b * g.c, f.a * g.b + f.b * g.d
+    c, d = f.c * g.a + f.d * g.c, f.c * g.b + f.d * g.d
+    if c == 0:
+        return Mobius(a / d, b / d, 0.0, 1.0, g.domain)
+    scale = math.ldexp(1.0, -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1])
+    return Mobius(scale * a, scale * b, scale * c, scale * d, g.domain)
 
 
 def inverse_degree(m: HoloMap) -> Optional[int]:
     """Degree of the inverse formula as a polynomial, None if it is none."""
-    mob = _mobius(m)
-    if mob is not None:
-        return 1 if mob[2] == 0 else None
+    if isinstance(m, Mobius):
+        return 1 if m.c == 0 else None
+    if isinstance(m, RootMap):
+        return m.root_n
     if isinstance(m, Iterated):
         base = inverse_degree(m.base)
         return None if base is None else base ** m.power
-    return m.root_n if isinstance(m, RootShift) else None
+    return None
 
 
 def image_enclosing_disc(m: HoloMap, c: CompactSet) -> ClosedDisc:
     """A closed disc containing m(c): the image of c's enclosing disc
     |z - z0| <= r under one closed-form rule.
 
-    A Moebius map (_mobius) sends it onto a disc (Needham, Visual Complex
-    Analysis, ch. 3), a z0 + b and |a| r when c = 0.  Otherwise, with
-    q = c z0 + d and D = |q|^2 - |c|^2 r^2, the centre is
-    ((a z0 + b) conj(q) - a conj(c) r^2) / D and the radius |ad - bc| r / D
-    plus the pad 16 u (M_w M_q + |a c| r^2 + (|a d| + |b c|) r
-    + (|centre| + radius) (M_q^2 + |c|^2 r^2)) / D, with M_w = |a z0| + |b|,
-    M_q = |c z0| + |d| and u the unit roundoff: to first order in u a bound
-    on the rounding of centre and radius.  D <= 0 puts the pole on the
-    disc and raises ValueError.  A root shift with root_n = N > 1 maps
-    |z| <= R into the disc of radius n^alpha R^(1/N) about n^beta.  An
-    iterate of a non-affine map applies its base's rule power times.  Any
-    other map, Conjugated among them, raises ValueError.
+    A Mobius record takes the rule of _image_discs at size 1, and a row
+    that is not finite raises: OverflowError when a, c or d is not finite
+    (an overflowed matrix power), ValueError naming the pole when it lies
+    on the disc, ClosedDisc's ValueError otherwise.  A root shift with
+    root_n = N > 1 maps |z| <= R into the disc of radius n^alpha R^(1/N)
+    about n^beta, and an iterate of one applies that rule power times.
+    Any other map, Conjugated among them, raises ValueError.
     """
     return _image_disc(m, enclosing_disc(c))
 
 
 def _image_disc(m: HoloMap, enc: ClosedDisc) -> ClosedDisc:
     # iterates recurse here, so image_enclosing_disc runs once per disc
-    mob = _mobius(m)
-    if mob is None:
-        if isinstance(m, RootShift):
-            big_r = abs(enc.center) + enc.radius
-            n = float(m.n)
-            return ClosedDisc(complex(n ** m.beta), n ** m.alpha * big_r ** (1.0 / m.root_n))
-        if isinstance(m, Iterated):
-            for _ in range(m.power):
-                enc = _image_disc(m.base, enc)
-            return enc
-        raise ValueError(f"no closed-form image disc for {type(m).__name__}")
-    z0, r = enc.center, enc.radius
-    if mob[2] == 0:
-        return ClosedDisc(mob[0] * z0 + mob[1], abs(mob[0]) * r)
-    # scaling by a power of two is exact and keeps |q|^2 finite
-    scale = math.ldexp(1.0, -math.frexp(max(map(abs, mob)))[1])
-    a, b, c, d = (scale * x for x in mob)
-    q, rr = c * z0 + d, r * r
-    den = abs(q) ** 2 - abs(c) ** 2 * rr
-    if not den > 0.0:
-        raise ValueError(f"the pole {-d / c} of the map lies on the disc {enc}")
-    centre = ((a * z0 + b) * q.conjugate() - a * c.conjugate() * rr) / den
-    radius = abs(a * d - b * c) * r / den
-    m_q = abs(c) * abs(z0) + abs(d)
-    slack = ((abs(a) * abs(z0) + abs(b)) * m_q + abs(a) * abs(c) * rr
-             + (abs(a) * abs(d) + abs(b) * abs(c)) * r
-             + (abs(centre) + radius) * (m_q * m_q + abs(c) ** 2 * rr))
-    return ClosedDisc(centre, radius + 16.0 * _UNIT_ROUNDOFF * slack / den)
+    if isinstance(m, Mobius):
+        if not all(map(cmath.isfinite, (m.a, m.c, m.d))):
+            raise OverflowError(f"the coefficients of {m} are not finite")
+        (centre,), (radius,) = _image_discs(*np.array([[m.a], [m.b], [m.c], [m.d]], dtype=complex), enc)
+        if m.c != 0 and not (cmath.isfinite(centre) and math.isfinite(radius)):
+            raise ValueError(f"the pole {-m.d / m.c} of the map lies on the disc {enc}")
+        return ClosedDisc(complex(centre), float(radius))
+    if isinstance(m, RootMap):
+        big_r = abs(enc.center) + enc.radius
+        n = float(m.n)
+        return ClosedDisc(complex(n ** m.beta), n ** m.alpha * big_r ** (1.0 / m.root_n))
+    if isinstance(m, Iterated):
+        for _ in range(m.power):
+            enc = _image_disc(m.base, enc)
+        return enc
+    raise ValueError(f"no closed-form image disc for {type(m).__name__}")
 
 
-def _affine_image_discs(ms, enc: ClosedDisc) -> tuple:
-    """The image discs of enc under the affine maps among ms, as arrays.
+def _mul(x, y):
+    """x y for complex values held as (real, imag) pairs of floats or
+    arrays, formed as Python's complex product forms it."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
-    Returns (rows, a, b, centers, radii): rows are the positions in ms of
-    the maps whose _mobius has c = 0, a and b their coefficients, and
-    centers and radii the c = 0 rule of _image_disc, a z0 + b and |a| r.
-    The centre is formed from real and imaginary parts in the order of
-    Python's complex product and sum, and |a| by np.hypot as Python's
-    complex abs, so each disc is bit for bit the scalar one; a disc that
-    is not finite is returned as computed.  A map whose coefficients
-    overflow (a long iterate) is left out, for the scalar rule to raise.
+
+def _add(x, y, sign=1.0):
+    return x[0] + sign * y[0], x[1] + sign * y[1]
+
+
+def _image_discs(a, b, c, d, enc: ClosedDisc) -> tuple:
+    """(centers, radii): row k bounds the image of enc, |z - z0| <= r,
+    under z -> (a z + b) / (c z + d) with the coefficients of row k.
+
+    A Moebius map sends a disc onto a disc (Needham, Visual Complex
+    Analysis, ch. 3).  An affine row (c = 0) has centre a z0 + b and
+    radius |a| r.  Any other row is scaled by a power of two, exact and
+    keeping |q|^2 finite; with q = c z0 + d and D = |q|^2 - |c|^2 r^2 its
+    centre is ((a z0 + b) conj(q) - a conj(c) r^2) / D and its radius
+    |ad - bc| r / D plus the pad 16 u (M_w M_q + |a c| r^2 + (|a d|
+    + |b c|) r + (|centre| + radius) (M_q^2 + |c|^2 r^2)) / D, with
+    M_w = |a z0| + |b|, M_q = |c z0| + |d| and u the unit roundoff: to
+    first order in u a bound on the rounding of centre and radius.  D <= 0
+    puts the pole on the disc and the row is NaN.  Complex arithmetic runs
+    on real and imaginary parts in Python's order and moduli are np.hypot,
+    Python's abs, so a row is the scalar formula bit for bit, but that a
+    square is a product where Python's ** 2 may round the other way.
     """
-    rows, a, b = [], [], []
-    for i, m in enumerate(ms):
-        try:
-            mob = _mobius(m)
-        except OverflowError:
-            continue
-        if mob is not None and mob[2] == 0:
-            rows.append(i)
-            a.append(mob[0])
-            b.append(mob[1])
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    z0 = complex(enc.center)
+    z0, r = complex(enc.center), enc.radius
+    z, rr = (z0.real, z0.imag), r * r
     centers = np.empty(a.size, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centers.real = a.real * z0.real - a.imag * z0.imag + b.real
-        centers.imag = a.real * z0.imag + a.imag * z0.real + b.imag
-        radii = np.hypot(a.real, a.imag) * enc.radius
-    return np.array(rows, dtype=np.intp), a, b, centers, radii
+    rest = c != 0
+    with np.errstate(all="ignore"):
+        centers.real, centers.imag = _add(_mul((a.real, a.imag), z), (b.real, b.imag))
+        radii = np.hypot(a.real, a.imag) * r
+        if not rest.any():
+            return centers, radii
+        rows = [(x[rest].real, x[rest].imag) for x in (a, b, c, d)]
+        big = np.maximum.reduce([np.hypot(*x) for x in rows])
+        a, b, c, d = (_mul((np.ldexp(1.0, -np.frexp(big)[1]), 0.0), x) for x in rows)
+        q = _add(_mul(c, z), d)
+        abs_a, abs_b, abs_c, abs_d, abs_q = (np.hypot(*x) for x in (a, b, c, d, q))
+        den = abs_q * abs_q - abs_c * abs_c * rr
+        num = _add(_mul(_add(_mul(a, z), b), (q[0], -q[1])),
+                   _mul(_mul(a, (c[0], -c[1])), (rr, 0.0)), -1.0)
+        # Python's complex quotient by (den, 0): ratio 0.0, denominator den
+        centre = ((num[0] + num[1] * 0.0) / den, (num[1] - num[0] * 0.0) / den)
+        radius = np.hypot(*_add(_mul(a, d), _mul(b, c), -1.0)) * r / den
+        m_q = abs_c * abs(z0) + abs_d
+        slack = ((abs_a * abs(z0) + abs_b) * m_q + abs_a * abs_c * rr
+                 + (abs_a * abs_d + abs_b * abs_c) * r
+                 + (np.hypot(*centre) + radius) * (m_q * m_q + abs_c * abs_c * rr))
+        pole = ~(den > 0.0)
+        centers.real[rest] = np.where(pole, np.nan, centre[0])
+        centers.imag[rest] = np.where(pole, np.nan, centre[1])
+        radii[rest] = np.where(pole, np.nan, radius + 16.0 * _UNIT_ROUNDOFF * slack / den)
+    return centers, radii
 
 
-def _affine_points_into(ms, a: np.ndarray, b: np.ndarray, d: Domain,
-                        pts: np.ndarray) -> np.ndarray:
-    """_maps_points_into(ms[k], d, pts) for maps ms[k](z) = a[k] z + b[k],
-    as one bool array.
+def _mobius_points_into(domains, a, b, c, d, domain: Domain, pts: np.ndarray) -> bool:
+    """_maps_points_into(m, domain, pts) for every Mobius record m with
+    coefficient rows a, b, c, d and its own domain among domains.
 
-    Each map's input domain is tested on pts once per distinct domain;
-    the images a z + b are formed and tested against d with the slack of
-    _maps_points_into in blocks of ARRAY_BLOCK points.  An iterate is
-    evaluated through its closed-form coefficients, not step by step.
+    pts is tested once per domain; the images a z + b, divided by c z + d
+    where c != 0, are formed as _eval forms them and tested against
+    domain with the slack of _maps_points_into, ARRAY_BLOCK at a time.
     """
-    ok = np.ones(a.size, dtype=bool)
     if pts.size == 0:
-        return ok
-    accepts = {}
-    for k, m in enumerate(ms):
-        dom = map_domain(m)
-        if dom.kind not in accepts:
-            accepts[dom.kind] = not np.any(_outside(dom, pts))
-        ok[k] = accepts[dom.kind]
+        return True
+    if any(np.any(_outside(dom, pts)) for dom in domains):
+        return False
     step = max(1, ARRAY_BLOCK // pts.size)
     for s in range(0, a.size, step):
-        images = a[s:s + step, None] * pts
-        images += b[s:s + step, None]
-        ok[s:s + step] &= np.all(d.contains(images, slack=1e-12), axis=1)
-    return ok
+        rows = slice(s, s + step)
+        images = a[rows, None] * pts
+        images += b[rows, None]
+        frac = c[rows] != 0
+        if frac.any():
+            images[frac] /= c[rows][frac, None] * pts + d[rows][frac, None]
+        if not np.all(domain.contains(images, slack=1e-12)):
+            return False
+    return True
 
 
 def maps_into(m: HoloMap, d: Domain, c: CompactSet, resolution: int = 3) -> bool:

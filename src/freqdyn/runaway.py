@@ -26,16 +26,16 @@ from .geometry import (
     Exhaustion,
     clear_of,
     disc_pairs,
-    disjointness,
     enclosing_disc,
     sample_grid,
 )
 from .maps import (
     HoloMap,
     Identity,
-    _affine_image_discs,
-    _affine_points_into,
+    Mobius,
+    _image_discs,
     _maps_points_into,
+    _mobius_points_into,
     apply,
     image_enclosing_disc,
     iterate,
@@ -123,14 +123,12 @@ def check_weak_runaway(
     has one), is decided at those indices only: the identity's image disc
     is K's own enclosing disc, which meets itself, so no other index
     escapes.  A schedule without the method is decided at every index.
-    The indices are taken INDEX_BLOCK at a time.  The affine maps of a
-    block get their image discs by one array rule and are tested against
-    K as clear_of does; each other map, and each affine map whose disc is
-    not finite, is decided through image_enclosing_disc and disjointness
-    in increasing order.  The escape set is the one those two functions
-    give index by index, and an error is raised at the first index of a
-    block that raises one (a map with no closed-form image disc raises
-    ValueError); the maps of a block are built before any is decided.
+    The indices are taken INDEX_BLOCK at a time, their image discs by
+    _block_discs, and tested against K by clear_of, which gives the
+    verdict of disjointness.  So the escape set is the one
+    image_enclosing_disc and disjointness give index by index, and an
+    error is raised at the first index that raises one (a map with no
+    closed-form image disc raises ValueError).
     """
     if isinstance(k, AnnularSector) and k.is_empty:
         raise ValueError(f"weak runaway needs a nonempty compact; {k} is empty")
@@ -147,19 +145,42 @@ def _escape_times(maps_schedule, horizon: int, k: CompactSet) -> np.ndarray:
     as check_weak_runaway describes."""
     moving = getattr(maps_schedule, "moving", None)
     indices = np.arange(1, horizon + 1, dtype=np.int64) if moving is None else moving(horizon)
-    enc = enclosing_disc(k)
     escaped = np.zeros(indices.size, dtype=bool)
     for s in range(0, indices.size, INDEX_BLOCK):
-        ms = [maps_schedule(n) for n in indices[s:s + INDEX_BLOCK].tolist()]
-        rows, _, _, centers, radii = _affine_image_discs(ms, enc)
-        sure = np.isfinite(centers) & np.isfinite(radii)
-        block = escaped[s:s + len(ms)]
-        block[rows[sure]] = clear_of(centers[sure], radii[sure], k)
-        scalar = np.ones(len(ms), dtype=bool)
-        scalar[rows[sure]] = False
-        for i in np.flatnonzero(scalar):
-            block[i] = disjointness(image_enclosing_disc(ms[i], k), k)
+        ns = indices[s:s + INDEX_BLOCK].tolist()
+        escaped[s:s + len(ns)] = clear_of(*_block_discs(maps_schedule, ns, k), k)
     return indices[escaped]
+
+
+def _block_discs(maps_schedule, ns: list, source: CompactSet, domain: Optional[Domain] = None,
+                 pts: Optional[np.ndarray] = None, level: int = 0) -> tuple:
+    """(centers, radii) of the image discs of source under the maps at
+    the indices ns.
+
+    The maps are built first.  A block of Mobius records takes the array
+    rule of maps._image_discs when every disc is finite and, given a
+    domain, every map sends every point of pts into it.  Any other block
+    is decided map by map in index order: the domain check, which raises
+    ValueError naming the index and level, then image_enclosing_disc.  So
+    an error is raised at the first index whose check or disc raises one.
+    """
+    ms = [maps_schedule(n) for n in ns]
+    if all(isinstance(m, Mobius) for m in ms):
+        a, b, c, d = np.array([(m.a, m.b, m.c, m.d) for m in ms], dtype=complex).T
+        centers, radii = _image_discs(a, b, c, d, enclosing_disc(source))
+        # the maps' distinct domains are told apart by identity: hashing
+        # a Domain record per map would cost more than the array rule
+        if np.isfinite(centers).all() and np.isfinite(radii).all() and (
+                domain is None or _mobius_points_into(
+                    {id(m.domain): m.domain for m in ms}.values(), a, b, c, d, domain, pts)):
+            return centers, radii
+    centers, radii = np.empty(len(ns), dtype=complex), np.empty(len(ns))
+    for i, (n, m) in enumerate(zip(ns, ms)):
+        if domain is not None and not _maps_points_into(m, domain, pts):
+            raise ValueError(f"map at index {n} does not send level {level} into the domain")
+        disc = image_enclosing_disc(m, source)
+        centers[i], radii[i] = disc.center, disc.radius
+    return centers, radii
 
 
 @record
@@ -234,11 +255,8 @@ def collect_islands(cfg: RunawayConfig) -> Islands:
     at cfg.resolution into the domain, since every later certificate
     would be about a map outside the declared class.
 
-    A level is taken INDEX_BLOCK indices at a time.  The affine maps of a
-    block get their discs by one array rule and their domain check on the
-    (maps x grid) array; each other map, and each affine map whose disc is
-    not finite or whose check fails, gets the scalar check and disc in
-    increasing order, so the first island that fails raises, as when
+    A level is taken INDEX_BLOCK indices at a time, its domain checks and
+    discs by _block_discs, so the first island that fails raises, as when
     every island is decided on its own.
     """
     ns, nus = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -246,27 +264,11 @@ def collect_islands(cfg: RunawayConfig) -> Islands:
     for nu in range(1, cfg.nu_max + 1):
         source = cfg.exhaustion.member(nu)
         pts = sample_grid(source, cfg.resolution)
-        enc = enclosing_disc(source)
         level = cfg.family(nu).elements
         level = level[: np.searchsorted(level, cfg.n_max, side="right")]
         for s in range(0, level.size, INDEX_BLOCK):
             block = level[s:s + INDEX_BLOCK]
-            ms = [cfg.maps(n) for n in block.tolist()]
-            rows, a, b, c_aff, r_aff = _affine_image_discs(ms, enc)
-            sure = _affine_points_into([ms[i] for i in rows], a, b, cfg.domain, pts)
-            sure &= np.isfinite(c_aff) & np.isfinite(r_aff)
-            c = np.empty(block.size, dtype=complex)
-            r = np.empty(block.size, dtype=float)
-            c[rows], r[rows] = c_aff, r_aff
-            scalar = np.ones(block.size, dtype=bool)
-            scalar[rows[sure]] = False
-            for i in np.flatnonzero(scalar):
-                if not _maps_points_into(ms[i], cfg.domain, pts):
-                    raise ValueError(
-                        f"map at index {int(block[i])} does not send level {nu} into the domain"
-                    )
-                disc = image_enclosing_disc(ms[i], source)
-                c[i], r[i] = disc.center, disc.radius
+            c, r = _block_discs(cfg.maps, block.tolist(), source, cfg.domain, pts, nu)
             ns.append(block)
             nus.append(np.full(block.size, nu, dtype=np.int64))
             centers.append(c)

@@ -682,7 +682,7 @@ def test_fit_refuses_a_target_through_a_non_polynomial_inverse():
             TargetPiece(ClosedDisc(0.5, 0.1), spec, 1e-3),
         )
     )
-    with pytest.raises(ValueError, match="piece 1: .* ParabolicDisc is no polynomial"):
+    with pytest.raises(ValueError, match="piece 1: .* non-affine Moebius map is no polynomial"):
         fit_on_compacts(target)
 
 

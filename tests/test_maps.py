@@ -23,12 +23,14 @@ from freqdyn.maps import (
     HalfPlaneShift,
     Identity,
     Iterated,
+    Mobius,
     PairKind,
     ParabolicDisc,
+    RootMap,
     RootShift,
     Similarity,
     _eval,
-    _mobius,
+    _inv,
     _stepper,
     apply,
     image_enclosing_disc,
@@ -242,27 +244,31 @@ def _reach(m, disc, count):
 
 def test_mobius_table_matches_eval():
     z = sample_grid(ClosedDisc(0.1 - 0.2j, 0.6), 3)
-    maps = [
-        Identity(Domain.unit_disc()),
-        Similarity(2.0 - 1.0j, 0.5j),
-        HalfPlaneShift(1.5, 1.0, 3),
-        RootShift(0.5, 1.5, 1, 4),
-        DiscAutomorphism(np.exp(0.4j), 0.3 - 0.5j),
-        ParabolicDisc(2.0, 1.5, 7),
-        Iterated(Similarity(0.5 + 0.5j, 1.0), 5),
-        Iterated(Similarity(1.0, 2.0j), 3),
+    families = [
+        ("Identity", (Domain.unit_disc(),)),
+        ("Similarity", (2.0 - 1.0j, 0.5j)),
+        ("HalfPlaneShift", (1.5, 1.0, 3)),
+        ("RootShift", (0.5, 1.5, 1, 4)),
+        ("DiscAutomorphism", (np.exp(0.4j), 0.3 - 0.5j)),
+        ("ParabolicDisc", (2.0, 1.5, 7)),
     ]
-    for m in maps:
-        a, b, c, d = _mobius(m)
-        assert np.allclose((a * z + b) / (c * z + d), _eval(m, z), rtol=1e-13, atol=1e-13)
-        assert inverse_degree(m) == (1 if c == 0 else None)
-    a, b, c, d = _mobius(ParabolicDisc(0.5, 2.0, 3))
-    assert a * d - b * c == 4.0
-    # a root, the conjugated maps and a non-affine iterate have no 4-tuple
-    assert _mobius(RootShift(0.5, 1.5, 2, 4)) is None
-    assert _mobius(Iterated(ParabolicDisc(1.0, 1.0, 1), 2)) is None
+    for name, params in families:
+        m = _CONSTRUCTORS[name](*params)
+        # the record holds the frozen table's 4-tuple
+        assert (m.a, m.b, m.c, m.d) == oracle_mobius(name, params)
+        assert np.allclose(oracle_eval(name, params, z), _eval(m, z), rtol=1e-13, atol=1e-13)
+        assert inverse_degree(m) == (1 if m.c == 0 else None)
+    m = ParabolicDisc(0.5, 2.0, 3)
+    assert m.a * m.d - m.b * m.c == 4.0
+    # a root and the conjugated maps are no records; a parabolic iterate
+    # is the record of the summed shift, up to a power of two
+    assert isinstance(RootShift(0.5, 1.5, 2, 4), RootMap)
     pair = ConformalPair(PairKind.CAYLEY_DISC_TO_HALF_PLANE).reversed()
-    assert _mobius(Conjugated(pair, HalfPlaneShift(1.0, 1.0, 1))) is None
+    assert not isinstance(Conjugated(pair, HalfPlaneShift(1.0, 1.0, 1)), Mobius)
+    square, twice = iterate(ParabolicDisc(1.0, 1.0, 1), 2), ParabolicDisc(1.0, 1.0, 2)
+    ratios = {x / y for x, y in zip((square.a, square.b, square.c, square.d),
+                                    (twice.a, twice.b, twice.c, twice.d))}
+    assert ratios == {0.25}
 
 
 def test_parabolic_image_disc_worst_sampled_case():
@@ -288,7 +294,7 @@ def test_parabolic_image_disc_at_shift_two_million():
     # must scale with the centre, and it must not swamp the radius
     disc = unit_disc_exhaustion().member(2)
     m = ParabolicDisc(2.0, 2.0, 1000)
-    s, r = m.shift, disc.radius
+    s, r = 2.0 * 1000.0 ** 2, disc.radius
     exact = 4.0 * r / (4.0 + s * s * (1.0 - r * r))
     bound = image_enclosing_disc(m, disc)
     assert exact <= bound.radius <= 1.05 * exact
@@ -305,12 +311,13 @@ def test_parabolic_image_disc_when_the_squared_shift_overflows():
 
 
 def test_iterated_parabolic_image_discs_contain_boundary_images():
-    # the powers-of-two schedule maps n = 2^p to the p-th iterate
+    # the powers-of-two schedule maps n = 2^p to the p-th iterate, one
+    # matrix power and one disc
     discs = (ClosedDisc(0.0, 0.5), ClosedDisc(0.3 - 0.4j, 0.2), unit_disc_exhaustion().member(5))
     for k in discs:
         for a in (0.5, 1.0, 2.0):
             for p in range(1, 12):
-                assert _reach(Iterated(ParabolicDisc(a, 1.0, 1), p), k, 4_000) <= 1.0
+                assert _reach(iterate(ParabolicDisc(a, 1.0, 1), p), k, 4_000) <= 1.0
 
 
 def test_iterated_image_disc_is_one_call(monkeypatch):
@@ -323,8 +330,8 @@ def test_iterated_image_disc_is_one_call(monkeypatch):
         return image_enclosing_disc(*args)
 
     monkeypatch.setattr(maps, "image_enclosing_disc", counted)
-    m = Iterated(ParabolicDisc(1.0, 1.0, 1), 6)
-    maps.image_enclosing_disc(m, ClosedDisc(0.0, 0.5))
+    m = Iterated(RootShift(0.0, 1.0, 2, 1), 6)
+    maps.image_enclosing_disc(m, AnnularSector(0.5, 2.0, 1.0))
     assert len(calls) == 1
 
 
@@ -369,9 +376,11 @@ def test_iterate_power_one_pointwise_equal():
 
 
 def test_iterate_flattens_and_matches_loop():
+    root = RootShift(0.0, 1.0, 2, 3)
+    assert iterate(iterate(root, 2), 3) == Iterated(root, 6)
     m = Similarity(a=0.5 + 0.5j, b=1.0 + 0.0j)
     it = iterate(iterate(m, 2), 3)
-    assert isinstance(it, Iterated) and it.power == 6
+    assert isinstance(it, Mobius) and it == iterate(m, 6)
     z = 0.3 - 0.8j
     expected = z
     for _ in range(6):
@@ -418,11 +427,228 @@ def _same_bits(x, y):
 @example(a=1.7e308, gamma=1.0, n=1, z=[0.5j, -0.0 + 1.0j])
 @example(a=1e306, gamma=3.0, n=10**6, z=[0.5j, complex("nan+1j")])
 def test_parabolic_stepper_matches_eval_bitwise(a, gamma, n, z):
-    m = ParabolicDisc(a, gamma, n)
-    # every row also holds the computed pole
-    row = np.array(z + [1.0 - 2.0j / m.shift], dtype=complex)
-    out = np.empty_like(row)
-    with np.errstate(all="ignore"):
-        want = _eval(m, row)
-        _stepper(m, row.size)(row, out)
-    assert _same_bits(out, want)
+    # every row also holds the computed pole of the parabolic map
+    row = np.array(z + [1.0 - 2.0j / (a * float(n) ** gamma)], dtype=complex)
+    records = (
+        ParabolicDisc(a, gamma, n),
+        Similarity(2.0 - 1.0j, 0.5j),
+        DiscAutomorphism(np.exp(0.4j), 0.3 - 0.5j),
+        Identity(Domain.unit_disc()),
+    )
+    for m in records:
+        out = np.empty_like(row)
+        with np.errstate(all="ignore"):
+            want = _eval(m, row)
+            _stepper(m, row.size)(row, out)
+        assert _same_bits(out, want), m
+
+
+# ---------------------------------------------------------------------------
+# Oracles: each family's evaluation and inverse formulas, its 4-tuple and
+# the scalar image-disc rule, frozen as they stood before every Moebius
+# map became one Mobius record.  A family is named by its constructor and
+# given by that constructor's parameters.
+
+_CONSTRUCTORS = {
+    "Identity": Identity,
+    "Similarity": Similarity,
+    "DiscAutomorphism": DiscAutomorphism,
+    "ParabolicDisc": ParabolicDisc,
+    "HalfPlaneShift": HalfPlaneShift,
+    "RootShift": RootShift,
+}
+
+
+def _oracle_shift(a, gamma, n):
+    return a * float(n) ** gamma
+
+
+def oracle_eval(name, params, z):
+    """The former per-class evaluation formula."""
+    if name == "Identity":
+        return z
+    if name == "Similarity":
+        a, b = params
+        return a * z + b
+    if name == "DiscAutomorphism":
+        k, a = params
+        return k * (z - a) / (1.0 - np.conj(a) * z)
+    if name == "ParabolicDisc":
+        t = z - 1.0
+        return 1.0 + 2.0 * t / (2.0 - 1j * _oracle_shift(*params) * t)
+    if name == "HalfPlaneShift":
+        return z + 1j * _oracle_shift(*params)
+    alpha, beta, _, n = params  # RootShift with root_n = 1
+    return float(n) ** alpha * z + float(n) ** beta
+
+
+def oracle_inverse(name, params, w):
+    """The former per-class inverse formula."""
+    if name == "Identity":
+        return w
+    if name == "Similarity":
+        a, b = params
+        return (w - b) / a
+    if name == "DiscAutomorphism":
+        k, a = params
+        return (w + k * a) / (k + np.conj(a) * w)
+    if name == "ParabolicDisc":
+        t = w - 1.0
+        return 1.0 + 2.0 * t / (2.0 + 1j * _oracle_shift(*params) * t)
+    if name == "HalfPlaneShift":
+        return w - 1j * _oracle_shift(*params)
+    alpha, beta, _, n = params
+    return (w - float(n) ** beta) / float(n) ** alpha
+
+
+def oracle_mobius(name, params):
+    """The former 4-tuple table: (a, b, c, d), c = 0 for an affine map."""
+    if name == "Identity":
+        return (1.0 + 0.0j, 0.0 + 0.0j, 0.0, 1.0)
+    if name == "Similarity":
+        return (complex(params[0]), complex(params[1]), 0.0, 1.0)
+    if name == "HalfPlaneShift":
+        return (1.0 + 0.0j, 1j * _oracle_shift(*params), 0.0, 1.0)
+    if name == "RootShift":
+        alpha, beta, _, n = params
+        return (complex(float(n) ** alpha), complex(float(n) ** beta), 0.0, 1.0)
+    if name == "DiscAutomorphism":
+        k, a = complex(params[0]), complex(params[1])
+        return (k, -k * a, -a.conjugate(), 1.0)
+    s = _oracle_shift(*params)
+    return (2.0 - 1j * s, 1j * s, -1j * s, 2.0 + 1j * s)
+
+
+def oracle_image_disc(mob, enc):
+    """The former scalar image-disc rule for a 4-tuple (a, b, c, d)."""
+    z0, r = enc.center, enc.radius
+    if mob[2] == 0:
+        return ClosedDisc(mob[0] * z0 + mob[1], abs(mob[0]) * r)
+    scale = math.ldexp(1.0, -math.frexp(max(map(abs, mob)))[1])
+    a, b, c, d = (scale * x for x in mob)
+    q, rr = c * z0 + d, r * r
+    den = abs(q) ** 2 - abs(c) ** 2 * rr
+    if not den > 0.0:
+        raise ValueError(f"the pole {-d / c} of the map lies on the disc {enc}")
+    centre = ((a * z0 + b) * q.conjugate() - a * c.conjugate() * rr) / den
+    radius = abs(a * d - b * c) * r / den
+    m_q = abs(c) * abs(z0) + abs(d)
+    slack = ((abs(a) * abs(z0) + abs(b)) * m_q + abs(a) * abs(c) * rr
+             + (abs(a) * abs(d) + abs(b) * abs(c)) * r
+             + (abs(centre) + radius) * (m_q * m_q + abs(c) ** 2 * rr))
+    return ClosedDisc(centre, radius + 16.0 * _U * slack / den)
+
+
+_moderate = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_shift_params = st.tuples(st.floats(1e-3, 10.0), st.floats(1.0, 2.0), st.integers(1, 30))
+# parameters per family: affine maps on points of their domain of any
+# moderate size, non-affine maps on the disc |z| <= 0.9 with their poles
+# at least 0.1 beyond it (|a| <= 0.9; shifts up to 9000)
+_FAMILIES = st.one_of(
+    st.tuples(st.just("Identity"), st.just((Domain.whole_plane(),))),
+    st.tuples(st.just("Similarity"), st.tuples(_moderate.filter(lambda a: abs(a) > 1e-3), _moderate)),
+    st.tuples(st.just("HalfPlaneShift"), _shift_params),
+    st.tuples(st.just("RootShift"), st.tuples(st.floats(-2.0, 1.0), st.just(2.0), st.just(1),
+                                              st.integers(1, 1000))),
+    st.tuples(st.just("DiscAutomorphism"), st.tuples(
+        st.floats(-math.pi, math.pi).map(lambda t: complex(np.exp(1j * t))),
+        st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False))),
+    st.tuples(st.just("ParabolicDisc"), _shift_params),
+)
+
+
+def _points(name, zs):
+    """zs moved into the family's domain: Re z >= 1 for a half-plane or
+    root shift, the disc |z| <= 0.9 for a non-affine map."""
+    z = np.array(zs, dtype=complex)
+    if name in ("HalfPlaneShift", "RootShift"):
+        return 1.0 + np.abs(z.real) + 1j * z.imag
+    if name in ("DiscAutomorphism", "ParabolicDisc"):
+        return 0.9 * z / (1.0 + np.abs(z))
+    return z
+
+
+# Non-affine records round z -> (a z + b)/(c z + d) where the former
+# formulas rounded 1 + 2t/(2 - i s t) or k (z - a)/(1 - conj(a) z); on
+# |z| <= 0.9 with the pole 0.1 away the two differ by a few units of
+# u (1 + s) relative to 1 + |value|, s the shift (0 for an automorphism).
+# The parabolic inverse has derivative of order s^2 near the fixed point
+# 1, so there the two inverse formulas differ by a few u (1 + s)^2.
+_NON_AFFINE_TOL = 64 * _U
+
+
+def _scale(name, params):
+    return 1.0 + (_oracle_shift(*params) if name == "ParabolicDisc" else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=_FAMILIES, zs=st.lists(_moderate, min_size=1, max_size=8))
+def test_every_constructor_matches_its_oracle(family, zs):
+    name, params = family
+    m = _CONSTRUCTORS[name](*params)
+    assert (m.a, m.b, m.c, m.d) == oracle_mobius(name, params)
+    z = _points(name, zs)
+    got, want = _eval(m, z), oracle_eval(name, params, z)
+    inv, inv_want = _inv(m, want), oracle_inverse(name, params, want)
+    enc = ClosedDisc(complex(z[0]) / 2.0, 0.4 if m.c != 0 else 3.0)
+    disc, disc_want = image_enclosing_disc(m, enc), oracle_image_disc(oracle_mobius(name, params), enc)
+    if m.c == 0:
+        # equal as numbers: the identity's a z + b may flip a zero's sign
+        assert np.array_equal(got, want)
+        assert np.array_equal(inv, inv_want)
+        assert disc == disc_want
+        return
+    tol = _NON_AFFINE_TOL * _scale(name, params)
+    assert np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want)))
+    assert np.all(np.abs(inv - inv_want) <= tol * _scale(name, params) * (1.0 + np.abs(inv_want)))
+    # the disc rules differ only where a square is a product rather than
+    # Python's ** 2, by an ulp of |q|^2 or |c|^2
+    size = abs(disc_want.center) + disc_want.radius
+    assert abs(disc.center - disc_want.center) <= 64 * _U * size
+    assert abs(disc.radius - disc_want.radius) <= 64 * _U * size
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=_FAMILIES, p=st.integers(1, 12), zs=st.lists(_moderate, min_size=1, max_size=4))
+def test_matrix_power_matches_repeated_apply(family, p, zs):
+    name, params = family
+    if name == "Similarity":  # keep |a|^p moderate
+        a, b = params
+        params = (a / abs(a) * min(max(abs(a), 0.5), 1.5), b)
+    m = _CONSTRUCTORS[name](*params)
+    z = _points(name, zs)
+    want = z
+    for _ in range(p):
+        want = apply(m, want)
+    got = apply(iterate(m, p), z)
+    tol = 4 * p * _NON_AFFINE_TOL * _scale(name, params)
+    assert np.all(np.abs(got - want) <= tol * (1.0 + np.abs(z) + np.abs(want)))
+
+
+@given(b=st.integers(-1000, 1000).filter(bool), p=st.integers(1, 2 ** 20))
+def test_matrix_power_of_an_integer_translation_is_exact(b, p):
+    assert iterate(Similarity(1.0, b), p) == Similarity(1.0, p * b)
+
+
+def test_overflowed_power_has_no_disc():
+    # (1.5)^2000 overflows: the record's values leave every domain, and
+    # its disc raises OverflowError, as the former closed form a ** p did
+    m = iterate(Similarity(1.5, 0.0), 2000)
+    assert not maps_into(m, Domain.whole_plane(), ClosedDisc(0.0, 0.5))
+    with pytest.raises(OverflowError):
+        image_enclosing_disc(m, ClosedDisc(0.0, 0.5))
+
+
+def test_mobius_record_validation():
+    with pytest.raises(ValueError, match="ad - bc"):
+        Mobius(1.0, 2.0, 2.0, 4.0, Domain.whole_plane())
+    with pytest.raises(ValueError, match="ad - bc"):
+        Mobius(0.0, 1.0, 0.0, 1.0, Domain.whole_plane())
+    with pytest.raises(ValueError, match="needs d = 1"):
+        Mobius(1.0, 0.0, 0.0, 2.0, Domain.whole_plane())
+    with pytest.raises(ValueError, match="matrix power"):
+        Iterated(Similarity(1.0, 1.0), 2)
+    # ad - bc = 4 cancels to 0 in floats at shift 1e9, and to NaN at 1e200
+    for s in (1e9, 1e200):
+        m = ParabolicDisc(s, 1.0, 1)
+        assert m.a * m.d - m.b * m.c != 4.0

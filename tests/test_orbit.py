@@ -359,8 +359,9 @@ _JUST_OUTSIDE = ClosedDisc(0.9987507807632715 - 0.04996876951911302j, 0.0)
         (_DOUBLING, ClosedDisc(0.0, 0.5), 1100, 27, 1026),
         # the run ends on a block boundary, infinite error and no escape
         (_DOUBLING, ClosedDisc(0.0, 0.5), 1025, 41, None),
-        # the threefold map refuses its own overflowing intermediate
-        (iterate(_DOUBLING, 3), ClosedDisc(0.0, 0.5), 400, 7, 342),
+        # the threefold map is z -> 8 z: iterate 342 reaches 2^1025, which
+        # is infinite, and step 343 refuses it
+        (iterate(_DOUBLING, 3), ClosedDisc(0.0, 0.5), 400, 7, 343),
         (_PARABOLIC_3, ClosedDisc(0.0, 0.5), 1000, 7, None),
         # one grid point, blocks of 7 rows: iterate 31 is row 3 of a block
         (_PARABOLIC_3, _JUST_OUTSIDE, 100, 7, 32),

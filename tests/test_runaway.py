@@ -17,6 +17,7 @@ from freqdyn.geometry import (
     Domain,
     disc_pairs,
     disjointness,
+    enclosing_disc,
     right_half_plane_exhaustion,
     sample_grid,
     unit_disc_exhaustion,
@@ -26,7 +27,7 @@ from freqdyn.maps import (
     DiscAutomorphism,
     HalfPlaneShift,
     Identity,
-    Iterated,
+    Mobius,
     ParabolicDisc,
     RootShift,
     Similarity,
@@ -44,6 +45,7 @@ from freqdyn.runaway import (
     collect_islands,
     powers_of_two_schedule,
 )
+from test_maps import oracle_image_disc
 
 WP = Domain.whole_plane()
 
@@ -88,10 +90,10 @@ def test_weak_runaway_negative_control_powers_of_two():
 def test_powers_of_two_schedule_structure():
     base = ParabolicDisc(1.0, 1.0, 1)
     schedule = powers_of_two_schedule(base)
-    assert isinstance(schedule(1), Identity)
-    assert schedule(2) == Iterated(base, 1)
-    assert schedule(8) == Iterated(base, 3)
-    assert isinstance(schedule(12), Identity)
+    assert schedule(1) == Identity(Domain.unit_disc())
+    assert schedule(2) == base
+    assert schedule(8) == iterate(base, 3)
+    assert schedule(12) == Identity(Domain.unit_disc())
 
 
 def _per_index_escapes(schedule, k, horizon):
@@ -144,8 +146,8 @@ def test_weak_runaway_moving_indices_match_per_index():
         for k in compacts:
             for schedule in schedules + ([roots] if k is sector else []):
                 cases.append((k, schedule))
-    # parabolic iterates act on the unit disc; each image disc applies the
-    # Moebius disc rule of the base map once per iterate
+    # parabolic iterates act on the unit disc; each image disc is the
+    # Moebius disc rule of the matrix power
     for k in (ClosedDisc(0.0, 0.5), ClosedDisc(0.3 - 0.4j, 0.2)):
         for shift in (1.0, 3.0):
             cases.append((k, powers_of_two_schedule(ParabolicDisc(shift, 1.0, 1))))
@@ -168,7 +170,7 @@ def test_weak_runaway_direct_schedules_match_per_index():
         (AnnularSector(0.1, 900.0, 2.0), lambda n: RootShift(0.0, 1.0, 1, n)),
         (ClosedDisc(0.0, 3.0), lambda n: iterate(Similarity(1.0, 0.5), n % 7 + 1)),
         (ClosedDisc(2.0, 1.0), lambda n: Identity(half) if n % 5 else HalfPlaneShift(1.0, 1.0, n)),
-        # parabolic maps take the scalar rule, interleaved with affine ones
+        # parabolic records share their blocks with affine ones
         (ClosedDisc(0.1, 0.4), lambda n: ParabolicDisc(1.0, 1.0, n) if n % 2 else Identity(Domain.unit_disc())),
         (AnnularSector(0.5, 4.0, 1.0), lambda n: RootShift(0.0, 1.0, 1 + n % 2, n)),
     ]
@@ -179,7 +181,7 @@ def test_weak_runaway_direct_schedules_match_per_index():
 
 def test_powers_of_two_moving_indices_brute_force():
     schedule = powers_of_two_schedule(ParabolicDisc(1.0, 1.0, 1))
-    moving = [n for n in range(1, 1101) if not isinstance(schedule(n), Identity)]
+    moving = [n for n in range(1, 1101) if schedule(n) != Identity(Domain.unit_disc())]
     for horizon in range(1, 1101):
         got = schedule.moving(horizon)
         assert got.dtype == np.int64
@@ -501,7 +503,9 @@ def test_membership_guard_rejects_escaping_maps():
 
 def _scalar_islands(cfg):
     """Reference: the islands decided one at a time, each by the domain
-    check and image_enclosing_disc: (n, nu, centre, radius) per island."""
+    check and a scalar disc rule, the frozen oracle_image_disc for a
+    Mobius record and image_enclosing_disc otherwise: (n, nu, centre,
+    radius) per island."""
     out = []
     for nu in range(1, cfg.nu_max + 1):
         source = cfg.exhaustion.member(nu)
@@ -514,7 +518,10 @@ def _scalar_islands(cfg):
                 raise ValueError(
                     f"map at index {n} does not send level {nu} into the domain"
                 )
-            disc = image_enclosing_disc(m, source)
+            if isinstance(m, Mobius):
+                disc = oracle_image_disc((m.a, m.b, m.c, m.d), enclosing_disc(source))
+            else:
+                disc = image_enclosing_disc(m, source)
             out.append((n, nu, disc.center, disc.radius))
     return out
 
