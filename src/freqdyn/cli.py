@@ -19,6 +19,7 @@ clock timings go to stdout only.
 from __future__ import annotations
 
 import argparse
+import base64
 import configparser
 import contextlib
 import csv
@@ -119,7 +120,7 @@ PROBE_STEPS = (1, 2, 3, 5, 10, 100)
 MESH_POINTS = 1000
 MESH_RADIUS = 0.95
 
-CANDIDATE_FORMAT = "freqdyn-candidate-v3"
+CANDIDATE_FORMAT = "freqdyn-candidate-v4"
 
 # example5, density, split and sepfamily refuse, before any work, a
 # horizon whose arrays would exceed this many bytes (_within_budget).
@@ -461,43 +462,66 @@ def _finish(
 # candidate serialization
 
 
+# Packed arrays are little-endian complex128, 16 bytes per entry, so a
+# file decodes to the same bits on any host.
+_PACKED = np.dtype("<c16")
+
+
+def _band(degree: int) -> np.ndarray:
+    """Mask of the stored entries of H.T, H being (degree + 1) x degree:
+    column k of an upper Hessenberg matrix is zero below row k + 1, so
+    row k of H.T keeps its first k + 2 entries, degree (degree + 3) / 2
+    in all."""
+    return np.tri(degree, degree + 1, 1, dtype=bool)
+
+
+def _pack(values) -> str:
+    values = np.asarray(values, dtype=_PACKED)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("a candidate function holds a non-finite entry")
+    return base64.b64encode(values.tobytes()).decode("ascii")
+
+
+def _unpack(text, name: str) -> np.ndarray:
+    try:
+        # validate=True refuses characters outside the alphabet and bad
+        # padding; a value that is no string raises TypeError
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{name} is no valid base64: {exc}") from None
+    # frombuffer raises ValueError on a byte count of no whole entries
+    values = np.frombuffer(raw, dtype=_PACKED).astype(complex)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} holds a non-finite entry")
+    return values
+
+
 def _encode_function(fn: ArnoldiPoly) -> dict:
     hess = np.asarray(fn.hessenberg, dtype=complex)
-    # column k of an upper Hessenberg matrix is zero below row k + 1
     return {
         "norm0": float(fn.norm0),
-        "hessenberg": [
-            _complex_pairs(hess[: k + 2, k]) for k in range(hess.shape[1])
-        ],
-        "coefficients": _complex_pairs(fn.coefficients),
+        "hessenberg": _pack(hess.T[_band(hess.shape[1])]),
+        "coefficients": _pack(fn.coefficients),
     }
 
 
-def _complex_pairs(values) -> list:
-    values = np.asarray(values, dtype=complex)
-    return np.column_stack((values.real, values.imag)).tolist()
-
-
 def _decode_function(blob: dict) -> ArnoldiPoly:
-    columns = blob["hessenberg"]
-    degree = len(columns)
-    hess = np.zeros((degree + 1, degree), dtype=complex)
-    for k, col in enumerate(columns):
-        if len(col) != k + 2:
-            raise ValueError(
-                f"Hessenberg column {k} holds {len(col)} entries, expected {k + 2}"
-            )
-        hess[: k + 2, k] = [complex(re, im) for re, im in col]
-    coeffs = np.array(
-        [complex(re, im) for re, im in blob["coefficients"]], dtype=complex
-    )
-    if coeffs.size != degree + 1:
+    coeffs = _unpack(blob["coefficients"], "coefficients")
+    entries = _unpack(blob["hessenberg"], "hessenberg")
+    degree = coeffs.size - 1
+    if degree < 0:
+        raise ValueError("no coefficients")
+    if entries.size != degree * (degree + 3) // 2:
         raise ValueError(
-            f"{coeffs.size} coefficients for {degree} Hessenberg columns"
+            f"{entries.size} Hessenberg entries for degree {degree},"
+            f" expected {degree * (degree + 3) // 2}"
         )
-    return ArnoldiPoly(
-        hessenberg=hess, norm0=float(blob["norm0"]), coefficients=coeffs
-    )
+    norm0 = float(blob["norm0"])
+    if not math.isfinite(norm0):
+        raise ValueError(f"norm0 {norm0} is not finite")
+    hess = np.zeros((degree + 1, degree), dtype=complex)
+    hess.T[_band(degree)] = entries
+    return ArnoldiPoly(hessenberg=hess, norm0=norm0, coefficients=coeffs)
 
 
 def _encode_candidate(
@@ -558,7 +582,7 @@ def load_candidate(path: str):
         raise ValueError(f"candidate file carries no function: {path}")
     try:
         return _decode_function(encoded), blob
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"malformed function in candidate file {path}: {exc!r}"
         ) from None

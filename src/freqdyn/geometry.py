@@ -308,10 +308,29 @@ def _pair_gaps(centers: np.ndarray, radii: np.ndarray, i, j) -> tuple:
     return sep <= need, sep - need
 
 
+def _sweep(coord: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+           scale: float) -> tuple:
+    """(order, counts) of a sweep along one axis, coord being Re c or Im c:
+    order sorts the discs by lo = coord - r, and position k of that order
+    is paired with the counts[k] positions after it."""
+    m = centers.size
+    lo = coord - radii
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    hi = coord[order] + radii[order]
+    least = float(np.min(_pair_gaps(centers, radii, order[:-1], order[1:])[1]))
+    slack = max(least, 0.0) + math.ldexp(float(scale + abs(least)), -40)
+    if not math.isfinite(slack):
+        slack = math.inf
+    # position k meets the positions k + 1 .. ends[k] - 1 in the sweep
+    ends = np.searchsorted(lo, hi + slack, side="right")
+    return order, ends - np.arange(1, m + 1)
+
+
 def disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
     """The inequality of `disjointness` over all pairs of finite discs
-    i < j, decided by a sweep along the real axis (Shamos and Hoey,
-    Geometric intersection problems, FOCS 1976).
+    i < j, decided by a sweep along the real or the imaginary axis
+    (Shamos and Hoey, Geometric intersection problems, FOCS 1976).
 
     Returns (first_bad, gap, closest, checked), what the test of every
     pair gives.  first_bad is the first pair in row-major order whose
@@ -321,32 +340,29 @@ def disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
     checked counts the pairs decided, m (m - 1) / 2.  |c_i - c_j| comes
     from np.hypot, as in `disjointness` and `clear_of`.
 
-    The discs are sorted by lo = Re c - r, and the gaps of neighbours in
-    that order bound the least gap by some G.  A pair whose real extents
-    lie more than T = max(G, 0) apart has a gap above T, so it neither
-    meets nor attains the least gap.  Only the pairs with lo_j <= hi_i + T
-    (hi = Re c + r), widened by a rounding margin of 2^-40 times the
-    coordinates' scale, are evaluated, PAIR_CHUNK at a time.  Memory is
-    O(discs); time is O(m log m) plus the evaluated pairs, which are all
-    pairs only when every real extent meets every other.
+    Along an axis, the discs are sorted by lo = x - r, x being the centre's
+    coordinate on it, and the gaps of neighbours in that order bound the
+    least gap by some G.  A pair whose extents on the axis lie more than
+    T = max(G, 0) apart has a gap above T, so it neither meets nor attains
+    the least gap.  Only the pairs with lo_j <= hi_i + T (hi = x + r),
+    widened by a rounding margin of 2^-40 times the coordinates' scale,
+    are candidates.  Both axes count their candidates, and the one with
+    fewer is evaluated, PAIR_CHUNK pairs at a time; a tie keeps the real
+    axis.  Either axis gives the same result, since every pair is decided
+    by the same np.hypot of both coordinates.  Memory is O(discs); time is
+    O(m log m) plus the evaluated pairs, which are all pairs only when
+    every extent meets every other on both axes, as on a diagonal.
     """
     m = centers.size
     checked = m * (m - 1) // 2
     if m < 2:
         return None, math.inf, None, checked
-    lo = centers.real - radii
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    hi = centers.real[order] + radii[order]
-    least = float(np.min(_pair_gaps(centers, radii, order[:-1], order[1:])[1]))
     scale = (np.max(np.abs(centers.real)) + np.max(np.abs(centers.imag))
-             + 2.0 * np.max(radii) + abs(least))
-    slack = max(least, 0.0) + math.ldexp(float(scale), -40)
-    if not math.isfinite(slack):
-        slack = math.inf
-    # position k meets the positions k + 1 .. ends[k] - 1 in the sweep
-    ends = np.searchsorted(lo, hi + slack, side="right")
-    counts = ends - np.arange(1, m + 1)
+             + 2.0 * np.max(radii))
+    order, counts = _sweep(centers.real, centers, radii, scale)
+    im_order, im_counts = _sweep(centers.imag, centers, radii, scale)
+    if int(im_counts.sum()) < int(counts.sum()):
+        order, counts = im_order, im_counts
     stops = np.cumsum(counts)
     first_bad = closest = None
     best = math.inf

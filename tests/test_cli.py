@@ -1,5 +1,6 @@
 """Config handling, sigma golden values, command artifacts, exit codes."""
 
+import base64
 import contextlib
 import importlib.util
 import dataclasses
@@ -20,7 +21,7 @@ import freqdyn.cli as cli
 import freqdyn.sigma as sigma
 from freqdyn import approx, density, runaway
 from freqdyn.density import IndexSet
-from freqdyn.approx import Polynomial
+from freqdyn.approx import ArnoldiPoly, Polynomial
 from freqdyn.geometry import ClosedDisc, Domain, sample_grid, whole_plane_exhaustion
 from freqdyn.maps import ParabolicDisc, Similarity, apply
 from freqdyn.cli import (
@@ -460,7 +461,8 @@ def test_arnoldi_encoding_round_trip_is_banded_and_bitwise():
         pass
     fn = fit()
     blob = json.loads(json.dumps(cli._encode_function(fn)))
-    assert [len(col) for col in blob["hessenberg"]] == [k + 2 for k in range(24)]
+    # only the band is stored: column k holds k + 2 entries, 16 bytes each
+    assert len(base64.b64decode(blob["hessenberg"])) == 16 * 24 * 27 // 2
     again = cli._decode_function(blob)
     assert np.array_equal(again.hessenberg, fn.hessenberg)
     z = np.linspace(-2.0, 2.0, 301) + 0.4j
@@ -469,7 +471,9 @@ def test_arnoldi_encoding_round_trip_is_banded_and_bitwise():
 
 def test_load_candidate_rejects_v1_format(tmp_path, capsys):
     ini = tmp_path / "scan.ini"
-    for old_format in ("freqdyn-candidate-v1", "freqdyn-candidate-v2"):
+    for old_format in (
+        "freqdyn-candidate-v1", "freqdyn-candidate-v2", "freqdyn-candidate-v3"
+    ):
         path = tmp_path / f"{old_format}.json"
         path.write_text(
             json.dumps(
@@ -488,7 +492,83 @@ def test_load_candidate_rejects_v1_format(tmp_path, capsys):
         assert cli.CANDIDATE_FORMAT in err[0] and "rebuild" in err[0]
 
 
-@pytest.mark.parametrize("function", [{}, {"norm0": 1.0}, [1.0]])
+def _packed(values) -> str:
+    """The v4 encoding of complex values, written independently of cli."""
+    return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode()
+
+
+def _degree_one(**fields) -> dict:
+    function = {"norm0": 1.0, "hessenberg": _packed([0.5, 2.0]),
+                "coefficients": _packed([1.0, -1.0j])}
+    function.update(fields)
+    return function
+
+
+def test_function_codec_accepts_the_degree_one_fixture():
+    fn = cli._decode_function(_degree_one())
+    assert fn.hessenberg.tolist() == [[0.5], [2.0]]
+    assert fn.coefficients.tolist() == [1.0, -1.0j]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 24])
+def test_function_codec_round_trip_is_bitwise(degree):
+    rng = np.random.default_rng(degree)
+    band = np.tri(degree, degree + 1, 1, dtype=bool)
+    entries = rng.normal(size=(band.sum(), 2)) @ np.array([1.0, 1.0j])
+    coeffs = rng.normal(size=(degree + 1, 2)) @ np.array([1.0, 1.0j])
+    # signed zeros and subnormals must survive: no decimal round trip
+    edge = [complex(-0.0, 5e-324), complex(-5e-324, -0.0), complex(2.2e-308, -1e-310)]
+    entries[: len(edge)] = edge[: entries.size]
+    coeffs[: len(edge)] = edge[: coeffs.size]
+    hess = np.zeros((degree + 1, degree), dtype=complex)
+    hess.T[band] = entries
+    fn = ArnoldiPoly(hessenberg=hess, norm0=0.75, coefficients=coeffs)
+    blob = json.loads(json.dumps(cli._encode_function(fn)))
+    assert blob["hessenberg"] == _packed(entries)
+    assert blob["coefficients"] == _packed(coeffs)
+    again = cli._decode_function(blob)
+    assert again.hessenberg.tobytes() == hess.tobytes()
+    assert again.coefficients.tobytes() == coeffs.tobytes()
+    assert again.norm0 == 0.75
+
+
+@pytest.mark.parametrize("where", ["hessenberg", "coefficients"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_function_encoding_refuses_non_finite_entries(where, bad):
+    hess = np.array([[0.5], [2.0]], dtype=complex)
+    coeffs = np.array([1.0, -1.0j])
+    (hess if where == "hessenberg" else coeffs)[-1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._encode_function(ArnoldiPoly(hessenberg=hess, norm0=1.0, coefficients=coeffs))
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        {},
+        {"norm0": 1.0},
+        [1.0],
+        # a character outside the base64 alphabet, which a lenient
+        # decoder would skip
+        _degree_one(hessenberg=_packed([0.5, 2.0])[:8] + "!" + _packed([0.5, 2.0])[8:]),
+        _degree_one(coefficients=_packed([1.0, -1.0j])[:8] + "\n" + _packed([1.0, -1.0j])[8:]),
+        # bad padding
+        _degree_one(hessenberg=_packed([0.5, 2.0]).rstrip("=")),
+        # one Hessenberg entry short, one coefficient over
+        _degree_one(hessenberg=_packed([0.5])),
+        _degree_one(coefficients=_packed([1.0, -1.0j, 3.0])),
+        # no coefficients at all, and a byte count of no whole entries
+        _degree_one(hessenberg="", coefficients=""),
+        _degree_one(coefficients=base64.b64encode(bytes(40)).decode()),
+        # a NaN or an infinity in the packed bytes
+        _degree_one(hessenberg=_packed([0.5, complex(2.0, math.nan)])),
+        _degree_one(coefficients=_packed([1.0, math.inf])),
+        _degree_one(norm0=math.nan),
+        # a list (the v3 layout) or a number in place of a string
+        _degree_one(hessenberg=[[0.5, 0.0], [2.0, 0.0]]),
+        _degree_one(coefficients=7),
+    ],
+)
 def test_load_candidate_rejects_malformed_function(tmp_path, capsys, function):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -950,8 +1030,8 @@ def test_cmd_scan_rejects_wrong_kind(outdir, tmp_path):
                 "kind": "spaceable",
                 "function": {
                     "norm0": 1.0,
-                    "hessenberg": [],
-                    "coefficients": [[1.0, 0.0]],
+                    "hessenberg": "",
+                    "coefficients": _packed([1.0]),
                 },
             }
         )

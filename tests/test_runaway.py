@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqdyn import cli, runaway
+from freqdyn import cli, geometry, runaway
 from freqdyn.density import IndexSet, arithmetic_progression, build_separated_family
 from freqdyn.geometry import (
     AnnularSector,
@@ -343,10 +343,33 @@ _ints = st.integers(-30, 30)
 
 @st.composite
 def _disc_sets(draw):
-    """Discs whose pairs tie, touch, share centres or sit off the axis."""
+    """Discs whose pairs tie, touch, share centres or sit off the axis,
+    crowd on one vertical line or a diagonal, or tie in both sweep axes."""
     m = draw(st.integers(0, 40))
-    kind = draw(st.sampled_from(["line", "pool", "plane"]))
-    if kind == "line":
+    kind = draw(st.sampled_from(
+        ["line", "pool", "plane", "vertical", "diagonal", "mirror"]))
+    if kind == "vertical":
+        # equal real parts: every real extent meets every other, so the
+        # sweep runs along Im
+        x = draw(st.sampled_from([0.0, -3.5, 1e-3]))
+        centers = [complex(x, y) for y in draw(st.lists(_ints, min_size=m, max_size=m))]
+        radii = draw(st.lists(_halves, min_size=m, max_size=m))
+    elif kind == "diagonal":
+        # Re and Im extents coincide or mirror each other, so neither
+        # axis prunes pairs that the other keeps
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        centers = [complex(t, sign * t)
+                   for t in draw(st.lists(_ints, min_size=m, max_size=m))]
+        radii = draw(st.lists(_halves, min_size=m, max_size=m))
+    elif kind == "mirror":
+        # closed under (x, y) -> (y, x), distinct coordinates, one radius:
+        # the two sweeps mirror each other and tie in their pair counts
+        vals = draw(st.lists(_ints, min_size=m // 2 * 2, max_size=m // 2 * 2,
+                             unique=True))
+        pts = list(zip(vals[: m // 2], vals[m // 2 :]))
+        centers = [complex(x, y) for x, y in pts] + [complex(y, x) for x, y in pts]
+        radii = [draw(_halves)] * len(centers)
+    elif kind == "line":
         # translation-like islands on an integer line: exact gap ties and
         # touching discs
         centers = [complex(x) for x in draw(st.lists(_ints, min_size=m, max_size=m))]
@@ -373,6 +396,30 @@ def test_disc_pairs_sweep_matches_all_pairs_hypothesis(discs):
     got = disc_pairs(centers, radii)
     assert got == _dense_disc_pairs(centers, radii)
     assert got == _row_disc_pairs(centers, radii)
+
+
+def test_disc_pairs_sweeps_the_axis_with_fewer_pairs(monkeypatch):
+    evaluated = []
+    pair_gaps = geometry._pair_gaps
+
+    def counting(centers, radii, i, j):
+        evaluated.append(len(i))
+        return pair_gaps(centers, radii, i, j)
+
+    monkeypatch.setattr(geometry, "_pair_gaps", counting)
+    m = 2000
+    # a vertical column of unit discs 3 apart: every real extent meets
+    # every other, while along Im only neighbours are candidates; then the
+    # column in reverse index order, and the column turned onto the real
+    # axis, where the real sweep is the cheaper one
+    column = 1j * 3.0 * np.arange(m)
+    for centers in (column, column.real + 1j * column.imag[::-1], 1j * column):
+        evaluated.clear()
+        got = disc_pairs(centers, np.ones(m))
+        assert got == _row_disc_pairs(centers, np.ones(m))
+        assert got[1] == 1.0 and got[0] is None
+        # two sweeps' neighbour bounds plus the evaluated candidates
+        assert sum(evaluated) <= 3 * m
 
 
 def test_disc_pairs_heavy_overlap_in_linear_memory():
