@@ -55,6 +55,7 @@ RUNS = (
     ("example4-pairwise", "example4", "example4.ini", ("maps.omega_power=3",), 1),
     ("example5", "example5", "example5.ini", (), 0),
     ("existence", "build_fhc", "existence.ini", (), 0),
+    ("islands", "build_fhc", "islands.ini", (), 0),
     (
         "scan",
         "scan",

@@ -481,14 +481,23 @@ class FhcCandidate:
 def _piece_data(target: PiecewiseTarget, max_degree: int):
     """Fit points, target values and weights 1 / tau of all pieces.
 
-    Each disc contributes max(32, max_degree + 1) equispaced points on its
-    boundary circle, as many as fix a polynomial of the degree cap on the
-    disc; a disc of radius 0 contributes its centre.
+    The rings share one arclength spacing: a disc of radius r > 0 carries
+    max(32, D + 1, ceil((max_degree + 1) r / r_max)) equispaced points on
+    its boundary circle, r_max the largest radius of the target and D the
+    degree of the piece's target.  So the largest disc holds as many
+    points as fix a polynomial of the degree cap, the discrete inner
+    product approximates arclength on the union of circles, and no ring
+    aliases its own target.  A disc of radius 0 contributes its centre.
     """
+    r_max = max(piece.region.radius for piece in target.pieces)
     pts, vals, weights = [], [], []
     for piece in target.pieces:
         c, r = piece.region.center, piece.region.radius
-        grid = _circle(c, r, max(32, max_degree + 1)) if r > 0.0 else np.array([complex(c)])
+        if r > 0.0:
+            share = math.ceil((max_degree + 1) * (r / r_max))
+            grid = _circle(c, r, max(32, piece.spec.degree + 1, share))
+        else:
+            grid = np.array([complex(c)])
         pts.append(grid)
         vals.append(piece.spec.values(grid))
         weights.append(np.full(grid.size, 1.0 / piece.tau))
@@ -582,6 +591,7 @@ def _verify(fn: ArnoldiPoly, target: PiecewiseTarget) -> list:
     4 (d + 1)^2 eps max |node value| for the FFT and Horner's rule, each
     2 (d + 1) eps per coefficient.  A disc of radius 0 is one point:
     its error plus its rounding.  Target values are taken as computed.
+    A bound that is not finite, as where fn overflows on a disc, is inf.
     """
     d = fn.degree
     m = 16 * (d + 1)
@@ -591,15 +601,15 @@ def _verify(fn: ArnoldiPoly, target: PiecewiseTarget) -> list:
         c, r = piece.region.center, piece.region.radius
         if r == 0.0:
             value, rounding = fn.evaluate_with_rounding(c)
-            bounds.append(float(abs(value[0] - piece.spec.values(c)) + rounding[0]))
+            bounds.append(abs(value[0] - piece.spec.values(c)) + rounding[0])
             continue
         values, rounding = fn.evaluate_with_rounding(_circle(c, r, d + 1))
         errors = _local_taylor(values).evaluate(ring) - piece.spec.values(_circle(c, r, m))
         ring_max = np.max(np.abs(errors)) + np.linalg.norm(rounding)
         ring_max += 8.0 * (d + 1) ** 2 * _U * np.max(np.abs(values))
         factor = 1.0 - math.pi * max(d, piece.spec.degree) / m
-        bounds.append(float(ring_max / factor) if factor > 0.0 else math.inf)
-    return bounds
+        bounds.append(ring_max / factor if factor > 0.0 else math.inf)
+    return [float(b) if math.isfinite(b) else math.inf for b in bounds]
 
 
 def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandidate:
@@ -615,8 +625,9 @@ def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandid
     every piece's budget PASSes, certified by those bounds; the schedule
     only skips steps, so a PASS is always a bound.  If none passes, the
     verified step of least worst bound-to-budget ratio, the first on a
-    tie, FAILs as NON-CONVERGED.  Every piece's target must be a
-    polynomial.
+    tie, FAILs as NON-CONVERGED; a bound that is not finite makes its
+    step's ratio inf, so such a step is never kept over a finite one.
+    Every piece's target must be a polynomial.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
@@ -633,7 +644,7 @@ def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandid
             continue
         fn = fit()
         bounds = _verify(fn, target)
-        ratio = max(b / t for b, t in zip(bounds, taus))
+        ratio = max(b / t if math.isfinite(b) else math.inf for b, t in zip(bounds, taus))
         if best is None or ratio < best[0]:
             best = (ratio, fn, bounds)
         passed = all(b < t for b, t in zip(bounds, taus))

@@ -574,21 +574,24 @@ def test_fit_residual_at_the_budget_leaves_a_bound_at_the_budget(discs, offset, 
 
 
 @pytest.mark.parametrize(
-    "target, max_degree, verified_degrees",
+    "target, max_degree, verified_degrees, unbounded",
     [
-        (_three_disc_target(), 32, [32]),
+        (_three_disc_target(), 32, [32], False),
         # z + z^12 at budget 1.3: rho = 1 / 1.3 from degree 1 to 11, so
         # degree 1 is verified, with no norming bound (12 >= 32 / pi); the
         # cap 8 bounds the error |z^12| = 1 by 1 / (1 - 12 pi / 144) > 1.3
-        (_one_disc_target([0.0, 1.0] + [0.0] * 10 + [1.0], 1.3), 8, [1, 8]),
+        (_one_disc_target([0.0, 1.0] + [0.0] * 10 + [1.0], 1.3), 8, [1, 8], False),
         # z^200 leaves every step of degree d < 200 pi / 16 - 1 without a
-        # norming bound, so all ratios are inf and the first verified step
-        # is kept: degree 2, where z^200 = z^2 on the 33 ring points
-        (_one_disc_target([0.0] * 200 + [1.0], 1e-3), 32, None),
+        # norming bound.  Its ring holds 201 points, on which z^200 is
+        # orthogonal to every lower degree, so rho stays 1e3 and the cap
+        # alone is verified, at ratio inf
+        (_one_disc_target([0.0] * 200 + [1.0], 1e-3), 32, [32], True),
     ],
     ids=["all-screened", "last-verified", "all-unbounded"],
 )
-def test_non_converged_fit_matches_verifying_every_step(monkeypatch, target, max_degree, verified_degrees):
+def test_non_converged_fit_matches_verifying_every_step(
+    monkeypatch, target, max_degree, verified_degrees, unbounded
+):
     # the steps the schedule names are each verified once, the cap among
     # them, and the candidate is the first of least worst ratio
     rhos, verified = _record_fit_steps(monkeypatch)
@@ -597,14 +600,12 @@ def test_non_converged_fit_matches_verifying_every_step(monkeypatch, target, max
     assert cand.status == CandidateStatus.FAILED and cand.reason == "NON-CONVERGED"
     degrees = [fn.degree for fn, _ in verified]
     assert degrees == _scheduled(rhos) and degrees[-1] == max_degree
-    if verified_degrees is not None:
-        assert degrees == verified_degrees
+    assert degrees == verified_degrees
     taus = [p.tau for p in target.pieces]
     ratios = [max(b / t for b, t in zip(bounds, taus)) for _, bounds in verified]
     fn, bounds = verified[ratios.index(min(ratios))]
     assert cand.fn is fn and [c.achieved for c in cand.certificates] == bounds
-    if verified_degrees is None:
-        assert min(ratios) == math.inf and cand.degree == degrees[0] == 2
+    assert (min(ratios) == math.inf) == unbounded
 
 
 def _local_target(coefficients, disc):
@@ -743,6 +744,16 @@ def dense_member3():
     return target, fit_on_compacts(target)
 
 
+def _ring_fit(target, degree):
+    """The degree fit on rings of degree + 1 points on every disc, weighted
+    by 1 / tau: every ring as large as the largest of _piece_data's."""
+    rings = [_circle(p.region.center, p.region.radius, degree + 1) for p in target.pieces]
+    vals = [p.spec.values(ring) for p, ring in zip(target.pieces, rings)]
+    weights = [np.full(degree + 1, 1.0 / p.tau) for p in target.pieces]
+    fn, _ = _fit_to(np.concatenate(rings), np.concatenate(vals), np.concatenate(weights), degree)
+    return fn
+
+
 def _far_small_disc_fit():
     # a disc of radius 1e-3 far from the origin, fitted at degree 256
     # together with a unit disc
@@ -752,15 +763,13 @@ def _far_small_disc_fit():
             TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), Monomial(1), 1e-3),
         )
     )
-    pts, vals, weights = _piece_data(target, 256)
-    fn, _ = _fit_to(pts, vals, weights, 256)
-    return target, fn
+    return target, _ring_fit(target, 256)
 
 
 def test_local_taylor_agrees_with_arnoldi_evaluation(dense_member3):
     # the member's fit carried on to the degree cap 256
     target, _ = dense_member3
-    fn, _ = _fit_to(*_piece_data(target, 256), 256)
+    fn = _ring_fit(target, 256)
     assert fn.degree == 256
     far_target, far_fn = _far_small_disc_fit()
     for tgt, fn in ((target, fn), (far_target, far_fn)):
@@ -781,10 +790,14 @@ def test_local_taylor_agrees_with_arnoldi_evaluation(dense_member3):
 
 def test_dense_member3_fit_grid_is_thin(dense_member3):
     target, cand = dense_member3
-    # seven discs at the cap 256; rings of 4 (d + 1) points made 7854, and
-    # rings of d + 1 points with interior lattices 2478
+    # seven discs at the cap 256; rings of 4 (d + 1) points made 7854,
+    # rings of d + 1 points with interior lattices 2478, and rings of
+    # d + 1 points on every disc 1799.  At one arclength spacing the
+    # radius-4 base keeps 257 points, the radius-2 island 129 and the
+    # five radius-1 islands 65 each
+    assert sorted(p.region.radius for p in target.pieces) == [1.0] * 5 + [2.0, 4.0]
     pts, _, _ = _piece_data(target, 256)
-    assert pts.size == 7 * 257
+    assert pts.size == 257 + 129 + 5 * 65
     assert cand.status == CandidateStatus.PASS
 
 
@@ -821,14 +834,111 @@ def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
 )
 @pytest.mark.parametrize("degree", [4, 8, 256])
 def test_piece_grid_point_sets(region, degree):
-    # max(32, degree + 1) boundary points of a disc, no interior lattice;
-    # the centre alone for a disc of radius 0
-    m = max(32, degree + 1) if region.radius > 0.0 else 1
-    want = region.center + region.radius * np.exp(2j * np.pi * np.arange(m) / m)
-    target = PiecewiseTarget((TargetPiece(region, Monomial(2), 0.5),))
-    pts, vals, weights = _piece_data(target, degree)
-    assert np.array_equal(pts, want)
-    assert np.array_equal(vals, want**2) and np.array_equal(weights, np.full(m, 2.0))
+    # boundary points only, no interior lattice.  Beside a disc of radius
+    # 2, which holds max(32, degree + 1) points, a disc of radius 0.5
+    # holds a quarter as many, but never fewer than 32 or power + 1; a
+    # disc of radius 0 holds its centre alone
+    base = ClosedDisc(-2.0, 2.0)
+    ring = lambda disc, k: disc.center + disc.radius * np.exp(2j * np.pi * np.arange(k) / k)
+    n = max(32, degree + 1)
+    for power in (2, 40):
+        m = max(32, power + 1, math.ceil((degree + 1) / 4)) if region.radius > 0.0 else 1
+        target = PiecewiseTarget(
+            (TargetPiece(base, Monomial(1), 0.25), TargetPiece(region, Monomial(power), 0.5))
+        )
+        pts, vals, weights = _piece_data(target, degree)
+        assert np.array_equal(pts, np.concatenate([ring(base, n), ring(region, m)]))
+        assert np.array_equal(vals, np.concatenate([ring(base, n), ring(region, m) ** power]))
+        assert np.array_equal(weights, np.concatenate([np.full(n, 4.0), np.full(m, 2.0)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+            st.integers(0, 24),
+            st.floats(-6.0, 0.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(8, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_ring_sizes_follow_the_radius_and_every_pass_is_a_bound(discs, cap, seed):
+    # random polynomial targets of degree D on discs 10 apart
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for j, (radius, target_degree, log_tau) in enumerate(discs):
+        coefficients = rng.normal(size=target_degree + 1) + 1j * rng.normal(size=target_degree + 1)
+        disc = ClosedDisc(10.0 * j, radius)
+        pieces.append(TargetPiece(disc, FixedPoly(Polynomial(coefficients)), 10.0 ** log_tau))
+    target = PiecewiseTarget(tuple(pieces))
+    pts, _, _ = _piece_data(target, cap)
+    centres = np.array([p.region.center for p in pieces])
+    counts = np.bincount(np.argmin(np.abs(pts[:, None] - centres), axis=1), minlength=len(pieces))
+    radii = np.array([p.region.radius for p in pieces])
+    rings = radii > 0.0
+    assert np.all(counts[~rings] == 1)
+    if np.any(rings):
+        assert np.max(counts[rings]) == max(32, cap + 1)
+        floors = np.array([max(32, p.spec.degree + 1) for p in pieces])
+        assert np.all(counts[rings] >= floors[rings])
+        # above its floor a ring is spaced as the largest one: at most one
+        # point beyond its share of the arclength
+        share = (cap + 1) * radii / np.max(radii)
+        assert np.all(counts[rings] <= np.maximum(floors, share + 1)[rings])
+        # D + 1 <= 25 < 32 here, so the counts order as the radii do
+        order = np.argsort(radii[rings], kind="stable")
+        assert np.all(np.diff(counts[rings][order]) >= 0)
+    cand = fit_on_compacts(target, cap)
+    if cand.status == CandidateStatus.PASS:
+        for piece, cert in zip(pieces, cand.certificates):
+            disc = piece.region
+            m = 4 * 16 * (cand.degree + 1) if disc.radius > 0.0 else 1
+            z = _circle(disc.center, disc.radius, m) if disc.radius > 0.0 else np.array([disc.center])
+            error = np.max(np.abs(cand.fn.evaluate(z) - piece.spec.values(z)))
+            assert cert.achieved >= error
+
+
+def _overflow_at_the_cap_target():
+    # z^3 on the unit disc and z on a disc of radius 1e-3 far off: at the
+    # cap 256 the small disc's 32 ring points leave the fit overflowing
+    # on its verification nodes
+    return PiecewiseTarget(
+        (
+            TargetPiece(ClosedDisc(0.0, 1.0), Monomial(3), 1e-9),
+            TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), Monomial(1), 1e-12),
+        )
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_step_is_unbounded_and_never_kept(monkeypatch):
+    # the cap's bound on the small disc is inf, not NaN, so its ratio
+    # cannot rank below the finite ratios of the earlier steps
+    target = _overflow_at_the_cap_target()
+    _, verified = _record_fit_steps(monkeypatch)
+    cand = fit_on_compacts(target, 256)
+    monkeypatch.undo()
+    assert verified[-1][0].degree == 256 and verified[-1][1][1] == math.inf
+    assert not any(math.isnan(b) for _, bounds in verified for b in bounds)
+    assert cand.status == CandidateStatus.FAILED and cand.reason == "NON-CONVERGED"
+    assert cand.degree < 256 and all(math.isfinite(c.achieved) for c in cand.certificates)
+
+
+def test_a_nan_bound_never_outranks_a_finite_one(monkeypatch):
+    # z + z^12 at budget 1.3 and cap 8 verifies degrees 1 and 8, both
+    # failing; a NaN bound at degree 1 leaves degree 8 the candidate
+    target = _one_disc_target([0.0, 1.0] + [0.0] * 10 + [1.0], 1.3)
+    verify = approx._verify
+    monkeypatch.setattr(
+        approx, "_verify", lambda fn, t: [math.nan] if fn.degree == 1 else verify(fn, t)
+    )
+    cand = fit_on_compacts(target, 8)
+    assert cand.status == CandidateStatus.FAILED and cand.degree == 8
+    assert math.isfinite(cand.certificates[0].achieved)
 
 
 # ---------------------------------------------------------------------------
