@@ -57,6 +57,7 @@ __all__ = [
     "build_span_basis",
     "double_split",
     "enumerate_dense_polynomial",
+    "fit_bytes",
     "fit_on_compacts",
     "gram_independence",
     "island_label",
@@ -478,8 +479,8 @@ class FhcCandidate:
         return max(c.achieved / c.envelope for c in self.certificates)
 
 
-def _piece_data(target: PiecewiseTarget, max_degree: int):
-    """Fit points, target values and weights 1 / tau of all pieces.
+def _ring_sizes(target: PiecewiseTarget, max_degree: int) -> list:
+    """The number of fit points on each piece.
 
     The rings share one arclength spacing: a disc of radius r > 0 carries
     max(32, D + 1, ceil((max_degree + 1) r / r_max)) equispaced points on
@@ -488,16 +489,43 @@ def _piece_data(target: PiecewiseTarget, max_degree: int):
     points as fix a polynomial of the degree cap, the discrete inner
     product approximates arclength on the union of circles, and no ring
     aliases its own target.  A disc of radius 0 contributes its centre.
+    Every piece's target must be a polynomial.
     """
     r_max = max(piece.region.radius for piece in target.pieces)
-    pts, vals, weights = [], [], []
-    for piece in target.pieces:
-        c, r = piece.region.center, piece.region.radius
+    sizes = []
+    for idx, piece in enumerate(target.pieces):
+        if piece.spec.degree is None:
+            m = piece.spec.map
+            name = "a non-affine Moebius map" if isinstance(m, Mobius) else type(m).__name__
+            raise ValueError(f"piece {idx}: the target through {name} is no polynomial")
+        r = piece.region.radius
         if r > 0.0:
             share = math.ceil((max_degree + 1) * (r / r_max))
-            grid = _circle(c, r, max(32, piece.spec.degree + 1, share))
+            sizes.append(max(32, piece.spec.degree + 1, share))
         else:
-            grid = np.array([complex(c)])
+            sizes.append(1)
+    return sizes
+
+
+def fit_bytes(target: PiecewiseTarget, max_degree: int) -> int:
+    """A bound on the memory fit_on_compacts takes on target when the fit
+    runs to its degree cap: the cap + 1 rows of the Arnoldi basis, 16
+    bytes per fit point each, and five complex arrays of H's (cap + 1)^2
+    entries.  Those are H and, while the last step is verified, the fit's
+    copy of H, the kept best fit's copy, and the basis values and adjoint
+    of _verify at the fit's nodes; tracemalloc measures about four."""
+    points = sum(_ring_sizes(target, max_degree))
+    rows = min(max_degree, points - 1) + 1
+    return 16 * rows * (points + 5 * rows)
+
+
+def _piece_data(target: PiecewiseTarget, max_degree: int):
+    """Fit points (_ring_sizes), target values and weights 1 / tau of all
+    pieces."""
+    pts, vals, weights = [], [], []
+    for piece, n in zip(target.pieces, _ring_sizes(target, max_degree)):
+        c, r = piece.region.center, piece.region.radius
+        grid = _circle(c, r, n) if r > 0.0 else np.array([complex(c)])
         pts.append(grid)
         vals.append(piece.spec.values(grid))
         weights.append(np.full(grid.size, 1.0 / piece.tau))
@@ -546,11 +574,14 @@ def _fit_arnoldi(pts, vals, weights, max_degree):
         if not last:
             basis = blocks[:-1] + [blocks[-1][: k + 1 - start]]
             v = pts * bk
+            scale = float(np.linalg.norm(v))
             c = _project_out(basis, v)
             h[: k + 1, k] = c + _project_out(basis, v)
             nrm = float(np.linalg.norm(v))
-            # a saturated basis: the points cannot distinguish higher degrees
-            last = nrm < 1e-14 * norm0
+            # a saturated basis: the points cannot distinguish higher
+            # degrees.  scale, |pts * b_k| before projection, is on the
+            # scale of the points, as nrm is; norm0 = |w| grows as 1 / tau
+            last = nrm <= 1e-14 * scale
             if not last:
                 if k + 1 - start == blocks[-1].shape[0]:
                     start = k + 1
@@ -631,11 +662,6 @@ def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandid
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    for idx, piece in enumerate(target.pieces):
-        if piece.spec.degree is None:
-            m = piece.spec.map
-            name = "a non-affine Moebius map" if isinstance(m, Mobius) else type(m).__name__
-            raise ValueError(f"piece {idx}: the target through {name} is no polynomial")
     taus = [p.tau for p in target.pieces]
     pts, vals, weights = _piece_data(target, max_degree)
     limit, best = 1.0, None

@@ -386,12 +386,13 @@ def _artifact_dir(cfg: ExperimentConfig, name: str) -> str:
 
 
 @contextlib.contextmanager
-def _atomic_file(path: str):
-    """A text file written as path.tmp and renamed to path once the block
-    completes; a block that raises removes it and leaves path as it was."""
+def _atomic_file(path: str, mode: str = "w"):
+    """A file written as path.tmp and renamed to path once the block
+    completes; a block that raises removes it and leaves path as it was.
+    mode "w" opens it as UTF-8 text, "wb" as binary."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -631,6 +632,13 @@ def _runaway_lines(rep) -> tuple:
     return verdicts, notes
 
 
+def _within_fit_budget(cfg: ExperimentConfig, targets) -> None:
+    """Refuse a degree cap whose Arnoldi basis (approx.fit_bytes) on the
+    largest of targets would pass MEMORY_BUDGET, before any fit runs."""
+    need = max(approx.fit_bytes(target, cfg.max_degree) for target in targets)
+    _within_budget("tolerances.max_degree", cfg.max_degree, need)
+
+
 def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
     """Fit one candidate on the islands of a base-free truncation and
     write candidate.json; returns (candidate, summary lines, path).
@@ -638,6 +646,7 @@ def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
     A fit to the zero function fails: it is not frequently hypercyclic.
     """
     target = approx.assemble_existence_target(tr, splits, cfg.grid_res)
+    _within_fit_budget(cfg, [target])
     cand = approx.fit_on_compacts(target, cfg.max_degree)
     zero = not np.any(cand.fn.coefficients)
     lines = [
@@ -967,7 +976,8 @@ def cmd_example4(cfg: ExperimentConfig) -> CommandResult:
 def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
     """Orbit contraction of a parabolic disc map toward its fixed point."""
     # the errors and at most two arrays of their size that the
-    # monotone-tail test derives from them; the CSV rows stream to disk
+    # monotone-tail test derives from them; errors.npy is written from
+    # the errors themselves
     _within_budget("horizons.iterates", cfg.iterates, 24 * cfg.iterates)
     out = _artifact_dir(cfg, "example5")
     m = ParabolicDisc(cfg.a_param, cfg.gamma, 1)
@@ -1011,14 +1021,14 @@ def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
             "identity control shows no decrease",
         )
     )
-    path = os.path.join(out, "errors.csv")
-    _write_csv(
-        path,
-        ("n", "error"),
-        # a memoryview yields Python floats, which format faster than
-        # numpy scalars and need no list copy of the errors
-        ((n, f"{e:.10e}") for n, e in enumerate(memoryview(rep.errors), 1)),
-    )
+    path = os.path.join(out, "errors.npy")
+    with _atomic_file(path, "wb") as fh:
+        # entry i is e_{i+1}, bit for bit; the pinned version and byte
+        # order give the same bytes on every host, and on a file object
+        # the array goes out through tofile, without a copy
+        np.lib.format.write_array(
+            fh, rep.errors.astype("<f8", copy=False), version=(1, 0), allow_pickle=False
+        )
     return _finish(cfg, "example5", out, lines, [path])
 
 
@@ -1074,10 +1084,11 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
         return _finish(cfg, "build_fhc", out, lines + fit_lines, [path])
 
     assemble = getattr(approx, assembler)
+    targets = [assemble(mu, tr, splits, cfg.grid_res) for mu in range(1, cfg.mu_max + 1)]
+    _within_fit_budget(cfg, targets)
     members = []
     artifacts = []
-    for mu in range(1, cfg.mu_max + 1):
-        target = assemble(mu, tr, splits, cfg.grid_res)
+    for mu, target in enumerate(targets, 1):
         cand = approx.fit_on_compacts(target, cfg.max_degree)
         members.append(cand)
         text = f"member {mu} fit {cand.status} at degree {cand.degree}"

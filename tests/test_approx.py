@@ -126,6 +126,15 @@ def test_arnoldi_saturates_on_few_distinct_points():
     assert np.max(np.abs(fn.evaluate(pts) - vals)) < 1e-12
 
 
+def test_fit_small_budget_does_not_saturate_the_basis():
+    # the weights 1 / tau scale the basis norm, not the points: a budget
+    # of 1e-13 must not stop the pass before z^3 is reached
+    target = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(3), 1e-13),))
+    cand = fit_on_compacts(target, max_degree=256)
+    assert cand.status == CandidateStatus.PASS
+    assert cand.degree == 3
+
+
 def _dense_shaped_fit(offset):
     # the seven discs and budgets of the third dense member at degree 256
     discs = ((0.0, 4.0), (8.0, 1.0), (16.0, 1.0), (24.0, 2.0), (32.0, 1.0),
@@ -540,6 +549,30 @@ def test_fit_memory_follows_the_degree_reached():
         tracemalloc.stop()
     assert cand.status == CandidateStatus.PASS and cand.degree == 3
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "discs, mu, cap",
+    [
+        # about as many fit points as degrees: H weighs as much as the basis
+        (((0.0, 1.0),), 300, 256),
+        # three rings, about 3.5 fit points per degree
+        (((0.0, 0.5), (1.0, 0.25), (-1.0, 0.125)), 600, 512),
+    ],
+)
+def test_fit_at_its_degree_cap_peaks_below_fit_bytes(discs, mu, cap):
+    # z^mu is out of reach below the cap, so the fit runs to it
+    target = PiecewiseTarget(
+        tuple(TargetPiece(ClosedDisc(c, r), Monomial(mu), 1e-12) for c, r in discs)
+    )
+    tracemalloc.start()
+    try:
+        cand = fit_on_compacts(target, max_degree=cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cand.degree == cap
+    assert peak < approx.fit_bytes(target, cap)
 
 
 @settings(max_examples=60, deadline=None)

@@ -392,6 +392,15 @@ def test_csv_whose_rows_raise_keeps_the_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
+def test_binary_write_that_raises_leaves_no_file(tmp_path):
+    path = tmp_path / "errors.npy"
+    with pytest.raises(RuntimeError, match="write failed"):
+        with cli._atomic_file(str(path), "wb") as fh:
+            fh.write(b"\x93NUMPY")
+            raise RuntimeError("write failed")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_summary_carries_config_hash(outdir):
     cfg = _cfg(n_max=1000)
     cmd_density(cfg)
@@ -810,9 +819,48 @@ def test_cmd_example4_notes_pairwise_witness(outdir):
 def test_cmd_example5_contraction(outdir):
     res = cmd_example5(_cfg(map_family="parabolic_disc", iterates=200))
     assert not res.failed
-    rows = (outdir / "example5" / "errors.csv").read_text().splitlines()
-    assert rows[0] == "n,error"
-    assert len(rows) == 201
+    errors = np.load(outdir / "example5" / "errors.npy", allow_pickle=False)
+    assert errors.dtype == np.dtype("<f8")
+    assert errors.shape == (200,)
+
+
+def test_cmd_example5_errors_are_byte_identical_across_runs(tmp_path, monkeypatch):
+    cfg = _cfg(map_family="parabolic_disc", iterates=200)
+    blobs = []
+    for sub in ("a", "b"):
+        monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / sub))
+        cmd_example5(cfg)
+        blobs.append((tmp_path / sub / "example5" / "errors.npy").read_bytes())
+    assert blobs[0] == blobs[1]
+    # a version 1.0 header of 128 bytes, then 8 bytes per iterate
+    assert len(blobs[0]) == 128 + 8 * 200
+
+
+def test_cmd_example5_writes_errors_without_a_copy(outdir, monkeypatch):
+    # the peak inside each atomic write, above what was held before it:
+    # the peak of the whole command sits in the monotone-tail test, so
+    # a copy of the errors at write time stays below it
+    real = cli._atomic_file
+    extra = {}
+
+    @contextlib.contextmanager
+    def measured(path, mode="w"):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        with real(path, mode) as fh:
+            yield fh
+        extra[os.path.basename(path)] = tracemalloc.get_traced_memory()[1] - held
+
+    monkeypatch.setattr(cli, "_atomic_file", measured)
+    iterates = 50_000
+    tracemalloc.start()
+    try:
+        result = cmd_example5(_cfg(map_family="parabolic_disc", iterates=iterates))
+    finally:
+        tracemalloc.stop()
+    assert not result.failed
+    # a copy would take 8 bytes per iterate
+    assert extra["errors.npy"] < iterates
 
 
 def test_cmd_example5_errors_match_per_step_apply(outdir):
@@ -822,12 +870,13 @@ def test_cmd_example5_errors_match_per_step_apply(outdir):
     q = Polynomial.monomial(1)
     limit = complex(q.evaluate(1.0 + 0.0j))
     current = sample_grid(ClosedDisc(0.0, 0.5), cfg.grid_res).astype(complex)
-    want = ["n,error"]
-    for n in range(1, cfg.iterates + 1):
+    want = np.empty(cfg.iterates)
+    for n in range(cfg.iterates):
         current = apply(m, current)
-        error = float(np.max(np.abs(q.evaluate(current) - limit)))
-        want.append(f"{n},{error:.10e}")
-    assert (outdir / "example5" / "errors.csv").read_text().splitlines() == want
+        want[n] = np.max(np.abs(q.evaluate(current) - limit))
+    got = np.load(outdir / "example5" / "errors.npy", allow_pickle=False)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
 
 
 def test_main_example5_refuses_iterates_over_the_memory_budget(
@@ -884,6 +933,9 @@ def test_main_refuses_a_horizon_over_the_memory_budget(
         ("density", "density.ini", []),
         ("sepfamily", "sepfamily.ini", []),
         ("sepfamily", "sepfamily.ini", ["family.pairs=8"]),
+        # 17 bytes per iterate and about 0.6 MB of block scratch, which
+        # the 24 bytes per iterate cover from about 84000 iterates on
+        ("example5", "example5.ini", ["horizons.iterates=200000"]),
     ],
 )
 def test_commands_peak_below_their_memory_estimates(
@@ -905,6 +957,37 @@ def test_commands_peak_below_their_memory_estimates(
         tracemalloc.stop()
     assert not result.failed
     assert len(needs) == 1 and peak < needs[0]
+
+
+def test_build_fhc_peaks_below_its_fit_estimate(outdir, monkeypatch):
+    # the fit's estimate at the degree cap (approx.fit_bytes), against the
+    # peak of the whole build, runaway check and truncation included
+    needs = []
+    monkeypatch.setattr(cli, "_within_budget", lambda key, value, need: needs.append(need))
+    cfg = load_config(os.path.join(CONFIGS, "existence.ini"))
+    tracemalloc.start()
+    try:
+        result = cmd_build_fhc(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.failed
+    assert len(needs) == 1 and peak < needs[0]
+
+
+def test_main_build_fhc_refuses_a_degree_cap_over_the_memory_budget(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    # the largest dense member needs about 10 MB at the cap of 256
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 1_000_000)
+    assert main(["build_fhc", os.path.join(CONFIGS, "dense.ini")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: tolerances.max_degree=256 ")
+    assert "memory budget" in lines[0]
+    assert list((tmp_path / "out").rglob("member*.json")) == []
 
 
 def _broken_split(change):
