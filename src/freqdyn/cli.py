@@ -61,7 +61,6 @@ from .geometry import (
     DomainKind,
     Exhaustion,
     right_half_plane_exhaustion,
-    sample_grid,
     sector_exhaustion,
     unit_disc_exhaustion,
     whole_plane_exhaustion,
@@ -690,7 +689,7 @@ def _scan_candidate(
     """Scan an existence candidate over the designed blocks of its (n, nu)
     islands, up to the largest island index, and write scan.csv.
 
-    Blocks whose compact has an empty grid are dropped; returns None when
+    Blocks whose compact is empty are dropped; returns None when
     none is left, else (report, path).  A zero configured delta means
     twice the largest certificate envelope.
     """
@@ -698,7 +697,7 @@ def _scan_candidate(
     pairs = [
         (nu, l, d)
         for nu, l, d in _island_pairs(islands, splits, horizon)
-        if sample_grid(exh.member(nu), cfg.grid_res).size > 0
+        if not exh.member(nu).is_empty
     ]
     if not pairs:
         return None

@@ -121,9 +121,7 @@ class Domain:
         elif self.kind is DomainKind.RIGHT_HALF_PLANE:
             ok = finite & (z.real > -slack)
         else:
-            ok = finite & (distance_to_slit(z) > -slack) & ~(
-                (z.imag == 0.0) & (z.real <= slack)
-            )
+            ok = finite & ~((z.imag == 0.0) & (z.real <= slack))
         return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -181,6 +179,9 @@ def eps_to_boundary(domain: Domain, z):
 @record
 class ClosedDisc:
     """Closed disc {|z - center| <= radius}."""
+
+    # a class attribute, not a field: a disc always holds its centre
+    is_empty = False
 
     center: complex
     radius: float

@@ -3,9 +3,11 @@
 A scan measures, for a fixed candidate f and a schedule of maps, the
 sup distance of f composed with each map to a target polynomial over a
 compact, and compares the resulting hit set with the index set the
-candidate was designed for.  Every sup here is a grid sup, which
-understates the true value; pass thresholds therefore carry a slack
-factor, and burn-in indices are reported rather than silently skipped.
+candidate was designed for: a pair passes when every designed index
+past the burn-in is a hit and the hit rate past the burn-in is
+positive.  Every sup here is a grid sup, which understates the true
+value; pass thresholds therefore carry a slack factor, and burn-in
+indices are reported rather than silently skipped.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from ._record import record
 from .approx import PolyLike, Polynomial, SpanBasis
-from .density import DensityReport, IndexSet, lower_density_estimate
+from .density import IndexSet
 from .geometry import (
     CompactSet,
     DomainError,
@@ -62,7 +64,6 @@ class PairScan:
     burn_in: int
     errors: np.ndarray  # measured error at every n in [1, horizon]
     eps_sup: np.ndarray  # sup over the grid of the boundary envelope at phi_n
-    density: DensityReport
     hit_rate: float  # fraction of post-burn-in indices that are hits
     passed: bool
 
@@ -78,7 +79,6 @@ class OrbitScanReport:
     entries: tuple
     delta: float
     horizon: int
-    grid_res: int
     coefficients: Optional[tuple] = None
     coeff_square_sum: Optional[float] = None
 
@@ -103,21 +103,16 @@ def _pair_scan(
     burn_in: int,
     horizon: int,
 ) -> PairScan:
-    """Hit set, density, coverage and verdict of one pair from the mask of
-    indices it hits and its burn-in."""
+    """Hit set, coverage, hit rate and verdict of one pair from the mask
+    of indices it hits and its burn-in."""
     hits = IndexSet(
         np.nonzero(hit_mask)[0].astype(np.int64) + 1,
         horizon,
         f"hits(nu={nu},l={l})",
     )
-    density = lower_density_estimate(
-        hits, horizon, burn_in=min(max(burn_in, horizon // 5, 1), horizon)
-    )
     els = designed.elements[designed.elements <= horizon]
     tail = els[els > burn_in]
     covered = bool(np.all(hit_mask[tail - 1])) if tail.size else True
-    # the prefix-minimum lower estimate punishes the empty range before
-    # the first covered index, so the verdict uses the post-burn-in rate
     window = horizon - burn_in
     hit_rate = float(np.count_nonzero(hit_mask[burn_in:]) / window) if window > 0 else 0.0
     passed = covered and hit_rate > 0.0
@@ -129,7 +124,6 @@ def _pair_scan(
         burn_in=burn_in,
         errors=errors,
         eps_sup=eps_sup,
-        density=density,
         hit_rate=hit_rate,
         passed=passed,
     )
@@ -152,8 +146,8 @@ def scan(
     level nu the burn-in is the last index at which the sup of the
     boundary envelope over the mapped grid still reaches
     delta / envelope_constant; a pair passes when every designed index
-    beyond the burn-in is a hit and the hit set keeps a positive
-    lower-density estimate.
+    beyond the burn-in is a hit and the hit rate over the indices after
+    the burn-in is positive.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -190,9 +184,7 @@ def scan(
                     burn_in, horizon,
                 )
             )
-    return OrbitScanReport(
-        entries=tuple(entries), delta=delta, horizon=horizon, grid_res=grid_res
-    )
+    return OrbitScanReport(entries=tuple(entries), delta=delta, horizon=horizon)
 
 
 class _Combination:
@@ -281,7 +273,6 @@ def combination_scan(
         entries=entries,
         delta=delta,
         horizon=horizon,
-        grid_res=grid_res,
         coefficients=tuple(alphas.tolist()),
         coeff_square_sum=1.0 + tail_sq,
     )
@@ -292,7 +283,6 @@ class IterateReport:
     errors: np.ndarray
     escaped: bool
     escaped_at: Optional[int]
-    limit_value: complex
 
 
 def iterate_convergence(
@@ -357,7 +347,6 @@ def iterate_convergence(
         errors=errors[:done],
         escaped=escaped_at is not None,
         escaped_at=escaped_at,
-        limit_value=limit_value,
     )
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from ._record import record
 from .density import DensityReport, IndexSet, lower_density_estimate
 from .geometry import (
-    AnnularSector,
     ClosedDisc,
     CompactSet,
     Domain,
@@ -36,7 +35,6 @@ from .maps import (
     _image_discs,
     _maps_points_into,
     _mobius_points_into,
-    apply,
     image_enclosing_disc,
     iterate,
     map_domain,
@@ -59,9 +57,6 @@ __all__ = [
 
 # Indices per block in which weak runaway and collect_islands build maps.
 INDEX_BLOCK = 1024
-# The truncation rechecks each kept image disc on a grid this much finer
-# than the one collect_islands checks domain membership on.
-VERIFY_REFINE = 4
 
 
 class HorizonExhausted(RuntimeError):
@@ -102,7 +97,6 @@ class powers_of_two_schedule:
 class WeakRunawayReport:
     escape_set: IndexSet
     density: DensityReport
-    horizon: int
 
 
 def check_weak_runaway(
@@ -130,13 +124,12 @@ def check_weak_runaway(
     error is raised at the first index that raises one (a map with no
     closed-form image disc raises ValueError).
     """
-    if isinstance(k, AnnularSector) and k.is_empty:
+    if k.is_empty:
         raise ValueError(f"weak runaway needs a nonempty compact; {k} is empty")
     escape_set = IndexSet(_escape_times(maps_schedule, horizon, k), horizon, "escape-times")
     return WeakRunawayReport(
         escape_set=escape_set,
         density=lower_density_estimate(escape_set, horizon),
-        horizon=horizon,
     )
 
 
@@ -387,7 +380,6 @@ class CarlemanTruncation:
     islands: tuple  # of Island
     k_base: int
     domain: Domain
-    probe_counts: tuple  # of (mu, offending island count)
 
     def __post_init__(self):
         for isl in self.islands:
@@ -406,11 +398,8 @@ def build_carleman_truncation(
     k_base is the least level such that every inspected island at that
     level or above clears all base compacts; it is computed, never
     supplied.  Islands are then taken in increasing schedule order up
-    to max_islands.  Their image discs are pairwise disjoint by P2 and
-    clear the bases by the choice of k_base; each kept disc is rechecked,
-    as a safety check on the closed-form bound, against the images of a
-    grid VERIFY_REFINE times finer than the cfg.resolution grid that
-    collect_islands checks domain membership on.
+    to max_islands.  Their image discs are kept as computed: pairwise
+    disjoint by P2 and clear of the bases by the choice of k_base.
     """
     if bases < 0 or bases > cfg.nu_max:
         raise ValueError("bases must lie in [0, nu_max]")
@@ -427,7 +416,6 @@ def build_carleman_truncation(
         raise ValueError(f"strong-runaway precondition failed: {', '.join(failed)}")
 
     base_sets = tuple(cfg.exhaustion.member(mu) for mu in range(1, bases + 1))
-    fine = cfg.resolution * VERIFY_REFINE
 
     islands = report.islands
     clears = np.ones(len(islands), dtype=bool)
@@ -444,21 +432,9 @@ def build_carleman_truncation(
     order = np.lexsort((islands.nu[eligible], islands.n[eligible]))
     chosen = tuple(islands[int(i)] for i in eligible[order[:max_islands]])
 
-    for isl in chosen:
-        pts = sample_grid(isl.source, fine)
-        if pts.size:
-            overflow = float(
-                np.max(np.abs(apply(isl.map, pts) - isl.image_bound.center))
-            ) - isl.image_bound.radius
-            if overflow > 1e-9 * max(1.0, isl.image_bound.radius):
-                raise RuntimeError(
-                    f"island ({isl.n}, {isl.nu}) image bound fails fine-grid recheck"
-                )
-
     return CarlemanTruncation(
         bases=base_sets,
         islands=chosen,
         k_base=k_base,
         domain=cfg.domain,
-        probe_counts=tuple((mu, count) for mu, count, _ in report.probes),
     )

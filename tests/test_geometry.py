@@ -216,6 +216,11 @@ def test_domain_membership():
     assert Domain.slit_plane().contains(1j)
     assert not Domain.slit_plane().contains(-2.0 + 0.0j)
     assert not Domain.slit_plane().contains(0.0 + 0.0j)
+    # z = 0, a slit point with imaginary part -0.0, and a point 1e-300
+    # above the slit, at every slack the package passes
+    zs = np.array([0.0, complex(-2.0, -0.0), complex(-2.0, 1e-300)])
+    for slack in (0.0, 1e-12, 1e-9):
+        assert Domain.slit_plane().contains(zs, slack=slack).tolist() == [False, False, True]
     assert Domain.unit_disc().contains(0.5)
     assert not Domain.unit_disc().contains(1.0 + 0.0j)
     assert Domain.unit_disc().contains(1.0 + 0.0j, slack=1e-9)

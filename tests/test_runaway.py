@@ -766,16 +766,29 @@ def test_truncation_translations():
             assert disjointness(a.image_bound, b.image_bound)
         for base in tr.bases:
             assert disjointness(a.image_bound, base)
-    assert all(count == 0 for _, count in tr.probe_counts)
+    assert all(count == 0 for _, count, _ in check_strong_runaway(cfg).probes)
 
 
-def test_truncation_island_bounds_hold_on_fine_grids():
-    cfg = _family_config(2000)
-    tr = build_carleman_truncation(cfg, bases=1, max_islands=4)
+@pytest.mark.parametrize(
+    "make_cfg",
+    (
+        lambda: _family_config(2000),
+        # parabolic Moebius maps of the unit disc, and slit-plane
+        # translations of annular sectors, as the shipped runs set them up
+        lambda: _shipped_runaway_config(
+            "runaway_strong.ini", ("domain.kind=unit_disc", "maps.family=parabolic_disc")
+        ),
+        lambda: _shipped_runaway_config("example1.ini", ("maps.c=1.0",)),
+    ),
+    ids=("translations", "parabolic-disc", "slit-sectors"),
+)
+def test_truncation_island_bounds_hold_on_fine_grids(make_cfg):
+    tr = build_carleman_truncation(make_cfg(), bases=1, max_islands=4)
+    assert tr.islands
     for isl in tr.islands:
         pts = sample_grid(isl.source, 12)
         reach = np.max(np.abs(apply(isl.map, pts) - isl.image_bound.center))
-        assert reach <= isl.image_bound.radius + 1e-9
+        assert reach <= isl.image_bound.radius * (1.0 + 1e-12)
 
 
 def test_truncation_skips_offending_level():
