@@ -3,15 +3,14 @@
 A candidate holomorphic function is represented by a single polynomial
 fitted simultaneously on finitely many pairwise disjoint compact
 regions, each carrying its own target values and tolerance budget.
-The fit is weighted least squares in an orthogonalized sample basis
-built by the Arnoldi recurrence, which spans the polynomials of the
-fitted degree with well conditioned columns however far apart the
-compacts lie.  The recurrence follows "Vandermonde with Arnoldi"
-(Brubeck, Nakatsukasa and Trefethen, SIAM Review 63(2), 2021): each
-step orthogonalizes the new column against the whole basis by block
-classical Gram-Schmidt with one reorthogonalization, each pass two
-matrix-vector products.  Fixed polynomials (targets, the dense
-enumeration, span monomials) are plain monomial coefficient vectors.
+The fit interpolates the targets in Newton form at weighted discrete
+Leja points of rings around the compacts (Leja, Ann. Polon. Math. 4,
+1957; Reichel, "Newton interpolation at Leja points", BIT 30, 1990):
+each degree adds one node, one scale and one coefficient, the
+interpolants are nested and well conditioned however far apart the
+compacts lie, and the pass keeps two arrays on the points.  Fixed
+polynomials (targets, the dense enumeration, span monomials) are plain
+monomial coefficient vectors.
 """
 
 from __future__ import annotations
@@ -38,12 +37,12 @@ from .maps import HoloMap, Mobius, inverse_degree, raw_inverse
 from .runaway import CarlemanTruncation
 
 __all__ = [
-    "ArnoldiPoly",
     "CandidateStatus",
     "ComposedInverse",
     "FhcCandidate",
     "FixedPoly",
     "Monomial",
+    "NewtonPoly",
     "PieceCertificate",
     "PiecewiseTarget",
     "Polynomial",
@@ -69,11 +68,6 @@ __all__ = [
 
 _EPS_RESOLUTION = 3
 
-# Columns of the Hessenberg recurrence per matrix product in
-# ArnoldiPoly.basis, rows first allocated by _fit_arnoldi, and points per
-# basis matrix in ArnoldiPoly.evaluate.
-BASIS_BLOCK = 32
-EVAL_CHUNK = 512
 _U = np.finfo(float).eps / 2  # unit roundoff
 
 
@@ -124,96 +118,58 @@ class Polynomial:
 
 
 @record(eq=False)
-class ArnoldiPoly:
-    """Polynomial in an orthogonalized sample basis.
-
-    The basis functions q_0, q_1, ... are defined by q_0 = 1/norm0 and
-    the stored Hessenberg recurrence
-    q_{k+1}(z) = (z q_k(z) - sum_j H[j,k] q_j(z)) / H[k+1,k];
-    they are orthonormal with respect to the weighted discrete inner
-    product of the fit grid, which is what keeps evaluation stable.
+class NewtonPoly:
+    """Polynomial in the Newton form of its interpolation nodes x_k:
+    p(z) = sum_k c_k prod_{j<k} (z - x_j) / s_j, with d nodes and scales
+    and d + 1 coefficients.  Every scale s_j is a power of two, so
+    dividing by it rounds nothing.
     """
 
-    hessenberg: np.ndarray
-    norm0: float
+    nodes: np.ndarray
+    scales: np.ndarray
     coefficients: np.ndarray
 
     @property
     def degree(self) -> int:
         return int(self.coefficients.size - 1)
 
-    def basis(self, z: np.ndarray) -> np.ndarray:
-        """Basis values q_k(z) as the rows of a (degree + 1, len(z)) array.
-
-        The recurrence runs in blocks of BASIS_BLOCK columns of H: the
-        terms from the rows before a block enter through one matrix
-        product, and only the rows inside the block take the per-k step.
-        """
-        z = np.asarray(z, dtype=complex).ravel()
-        d = self.degree
-        h = self.hessenberg
-        q = np.empty((d + 1, z.size), dtype=complex)
-        q[0] = 1.0 / self.norm0
-        for k0 in range(0, d, BASIS_BLOCK):
-            k1 = min(k0 + BASIS_BLOCK, d)
-            # rows j < k0 are final: their share of every column k in the
-            # block, sum_j H[j,k] q_j, lands in q[k+1] before the block runs
-            # (zeros for the first block)
-            np.matmul(h[:k0, k0:k1].T, q[:k0], out=q[k0 + 1 : k1 + 1])
-            for k in range(k0, k1):
-                v = z * q[k] - h[k0 : k + 1, k] @ q[k0 : k + 1] - q[k + 1]
-                q[k + 1] = v / h[k + 1, k]
-        return q
-
     def evaluate(self, z):
+        """Newton-Horner: y <- c_k + ((z - x_k) / s_k) y, from y = c_d."""
         w = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-        # blockwise so the basis matrix stays small on large grids
-        out = np.empty(w.size, dtype=complex)
-        step = EVAL_CHUNK
-        for s in range(0, w.size, step):
-            out[s : s + step] = self.coefficients @ self.basis(w[s : s + step])
+        c, x, s = self.coefficients, self.nodes, self.scales
+        y = np.full(w.shape, c[-1])
+        for k in range(self.degree - 1, -1, -1):
+            y = c[k] + (w - x[k]) / s[k] * y
         if np.ndim(z) == 0:
-            return complex(out[0])
-        return out.reshape(np.shape(z))
+            return complex(y[0])
+        return y.reshape(np.shape(z))
 
     def evaluate_with_rounding(self, z: np.ndarray) -> tuple:
         """Values at the points z and a running error bound for each, of
         first order in the unit roundoff u (Higham, Accuracy and Stability
-        of Numerical Algorithms, sec. 3.3).
+        of Numerical Algorithms, secs. 3.1 and 5.1).
 
-        Step k of basis errs locally by at most rho_{k+1} = (2 (k + 4) u
-        (|z q_k| + sum_{j<=k} |H[j,k] q_j|) + 4 u H[k+1,k] |q_{k+1}|) / H[k+1,k],
-        rho_0 = u |q_0|, and the final sum by 2 (d + 3) u sum_k |c_k q_k|.
-        Each rho_k reaches the value weighted by s_k = dp/dq_k: s_d = c_d,
-        s_j = c_j + z t_j - sum_{k>=j} H[j,k] t_k, t_k = s_{k+1} / H[k+1,k].
-        The bound doubles the sum, a margin for the rounding of s.  The
-        recurrence on magnitudes, with no adjoint, ignores all cancellation
-        and overshoots by about 1e166 on the shipped degree-256 fit.
+        With t = (z - x_k) / s_k, the step y_k = c_k + t y_{k+1} errs by
+        at most u |t| |y_{k+1}| in the difference, 2 sqrt(2) u |t|
+        |y_{k+1}| in the complex product and u |y_k| in the sum; the error
+        carried from y_{k+1} is multiplied by |t|.  The bound doubles the
+        total, a margin for the terms of second order.
         """
         z = np.asarray(z, dtype=complex).ravel()
-        d, h, c = self.degree, self.hessenberg, self.coefficients
-        q = self.basis(z)
-        values = c @ q
-        q = np.abs(q)
-        sub = np.abs(np.diagonal(h, -1))
-        t = np.empty((d, z.size), dtype=complex)
-        s = np.full(z.size, c[d])
-        total = 2.0 * (d + 3) * _U * (np.abs(c) @ q)
-        for j1 in range(d, 0, -BASIS_BLOCK):
-            j0 = max(j1 - BASIS_BLOCK, 0)
-            tail = h[j0:j1, j1:d] @ t[j1:d]  # the columns k >= j1, all final
-            for j in range(j1 - 1, j0 - 1, -1):
-                t[j] = s / sub[j]
-                s = c[j] + z * t[j] - h[j, j:j1] @ t[j:j1] - tail[j - j0]
-            # H[k+1,k] rho_{k+1} on the rows k of the block, weighed by |t_k|
-            local = np.triu(np.abs(h[:j1, j0:j1]), -j0).T @ q[:j1] + np.abs(z) * q[j0:j1]
-            local *= (2.0 * (np.arange(j0, j1) + 4) * _U)[:, None]
-            local += 4.0 * _U * sub[j0:j1, None] * q[j0 + 1 : j1 + 1]
-            total += np.sum(local * np.abs(t[j0:j1]), axis=0)
-        return values, 2.0 * (total + np.abs(s) * _U * q[0])
+        c, x, s = self.coefficients, self.nodes, self.scales
+        y = np.full(z.shape, c[-1])
+        error = np.zeros(z.shape)
+        for k in range(self.degree - 1, -1, -1):
+            t = (z - x[k]) / s[k]
+            size = np.abs(t)
+            error *= size
+            error += (1.0 + 2.0 * math.sqrt(2.0)) * _U * size * np.abs(y)
+            y = c[k] + t * y
+            error += _U * np.abs(y)
+        return y, 2.0 * error
 
 
-PolyLike = Union[Polynomial, ArnoldiPoly]
+PolyLike = Union[Polynomial, NewtonPoly]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +417,7 @@ class CandidateStatus:
 
 @record(eq=False)
 class FhcCandidate:
-    fn: ArnoldiPoly
+    fn: NewtonPoly
     certificates: tuple
     status: str
     reason: Optional[str]
@@ -509,14 +465,15 @@ def _ring_sizes(target: PiecewiseTarget, max_degree: int) -> list:
 
 def fit_bytes(target: PiecewiseTarget, max_degree: int) -> int:
     """A bound on the memory fit_on_compacts takes on target when the fit
-    runs to its degree cap: the cap + 1 rows of the Arnoldi basis, 16
-    bytes per fit point each, and five complex arrays of H's (cap + 1)^2
-    entries.  Those are H and, while the last step is verified, the fit's
-    copy of H, the kept best fit's copy, and the basis values and adjoint
-    of _verify at the fit's nodes; tracemalloc measures about four."""
+    runs to its degree cap: eight complex arrays on the fit points
+    (_piece_data's points, values and weights, the residual and node
+    polynomial of _fit_leja, and their temporaries) and eight on the ring
+    of 16 (cap + 1) points that _verify takes through one piece (the ring,
+    its values, the target's and their temporaries); tracemalloc measures
+    up to about seven and a half of each."""
     points = sum(_ring_sizes(target, max_degree))
-    rows = min(max_degree, points - 1) + 1
-    return 16 * rows * (points + 5 * rows)
+    ring = 16 * (min(max_degree, points - 1) + 1)
+    return 128 * (points + ring)
 
 
 def _piece_data(target: PiecewiseTarget, max_degree: int):
@@ -532,83 +489,55 @@ def _piece_data(target: PiecewiseTarget, max_degree: int):
     return np.concatenate(pts), np.concatenate(vals), np.concatenate(weights)
 
 
-def _fit_arnoldi(pts, vals, weights, max_degree):
-    """Weighted least squares in the Arnoldi basis of the sample points,
-    one degree at a time.
+def _fit_leja(pts, vals, weights, max_degree):
+    """Newton interpolation at weighted discrete Leja points of pts, one
+    degree at a time (Reichel, BIT 30, 1990; Bos, De Marchi, Sommariva
+    and Vianello, SIAM J. Numer. Anal. 48, 2010).
 
-    Row k of b holds the weighted basis vector w * q_k(pts), so plain
-    Euclidean products of rows are the weighted inner products of the
-    basis.  Each new vector pts * q_k is orthogonalized against all
-    previous rows at once by block classical Gram-Schmidt, applied
-    twice: the second pass restores the orthogonality a single pass
-    loses on the ill-conditioned Krylov spaces of widely separated
-    compacts.  Both passes conjugate the vector instead of the basis,
-    since conj(b) would copy the whole basis at every step.
-
-    The basis is nested and orthonormal, so its first k + 1 coefficients
-    are the degree-k fit.  For k = 0, 1, ... the generator yields
-    (rho, last, fit): rho = max |w (vals - fit_k)| over the sample points,
-    from the weighted residual r <- r - c_k b_k (with w = 1 / tau on each
-    piece, the worst sampled error-to-budget ratio); last, true at
-    max_degree or once the points admit no higher degree; and fit(),
-    which returns the degree-k ArnoldiPoly while the generator waits.
-    The rows of b live in blocks, the first BASIS_BLOCK rows long and
-    each later one as long as all before it, and H grows with them: memory
-    follows the degree reached, not max_degree, and no row is copied.
+    Two arrays live on the points: the residual r = vals - p_{k-1} and
+    the node polynomial omega_k = prod_{j<k} (z - x_j) / s_j.  The first
+    node x_0 is the first point of largest weight; step k takes
+    c_k = r(x_k) / omega_k(x_k) and r <- r - c_k omega_k, then
+    omega_{k+1} = omega_k (z - x_k) / s_k, s_k the power of two nearest
+    max w |omega_k (z - x_k)|, and x_{k+1} the first point where
+    w |omega_{k+1}| is largest.  Nodes, scales and coefficients are
+    nested, so their first entries are the lower-degree fits.  For
+    k = 0, 1, ... the generator yields (rho, last, fit): rho = max |w r|
+    over the points (with w = 1 / tau on each piece, the worst sampled
+    error-to-budget ratio); last, true at max_degree or once w |omega|
+    has no positive finite maximum, which happens when every distinct
+    point is a node; and fit(), which returns the degree-k NewtonPoly
+    while the generator waits.
     """
-    w = weights.astype(float)
-    norm0 = float(np.sqrt(np.sum(w * w)))
-    rows = min(BASIS_BLOCK, max_degree + 1)
-    blocks = [np.empty((rows, pts.size), dtype=complex)]
-    h = np.zeros((rows, rows), dtype=complex)
-    start = 0  # the row index of the first row of the last block
+    w = np.asarray(weights, dtype=float)
+    r = np.array(vals, dtype=complex)
+    omega = np.ones(pts.size, dtype=complex)
+    nodes = np.empty(max_degree, dtype=complex)
+    scales = np.empty(max_degree)
     coeffs = np.empty(max_degree + 1, dtype=complex)
-    blocks[0][0] = w / norm0
-    r = w * np.asarray(vals, dtype=complex)
+    j = int(np.argmax(w))
     for k in range(max_degree + 1):
-        bk = blocks[-1][k - start]
-        coeffs[k] = np.vdot(bk, r)
-        r -= coeffs[k] * bk
-        rho = float(np.max(np.abs(r)))
+        coeffs[k] = r[j] / omega[j]
+        r -= coeffs[k] * omega
+        rho = float(np.max(w * np.abs(r)))
         last = k == max_degree
         if not last:
-            basis = blocks[:-1] + [blocks[-1][: k + 1 - start]]
-            v = pts * bk
-            scale = float(np.linalg.norm(v))
-            c = _project_out(basis, v)
-            h[: k + 1, k] = c + _project_out(basis, v)
-            nrm = float(np.linalg.norm(v))
-            # a saturated basis: the points cannot distinguish higher
-            # degrees.  scale, |pts * b_k| before projection, is on the
-            # scale of the points, as nrm is; norm0 = |w| grows as 1 / tau
-            last = nrm <= 1e-14 * scale
+            nodes[k] = pts[j]
+            omega *= pts - nodes[k]
+            size = w * np.abs(omega)
+            j = int(np.argmax(size))
+            last = not 0.0 < size[j] < math.inf
             if not last:
-                if k + 1 - start == blocks[-1].shape[0]:
-                    start = k + 1
-                    rows = min(start, max_degree + 1 - start)
-                    blocks.append(np.empty((rows, pts.size), dtype=complex))
-                    h = np.pad(h, (0, rows))
-                h[k + 1, k] = nrm
-                blocks[-1][k + 1 - start] = v / nrm
-        yield rho, last, lambda k=k, h=h: ArnoldiPoly(
-            h[: k + 1, :k].copy(), norm0, coeffs[: k + 1].copy()
+                scales[k] = 2.0 ** round(math.log2(size[j]))
+                omega /= scales[k]
+        yield rho, last, lambda k=k: NewtonPoly(
+            nodes[:k].copy(), scales[:k].copy(), coeffs[: k + 1].copy()
         )
         if last:
             return
 
 
-def _project_out(basis: list, v: np.ndarray) -> np.ndarray:
-    """One classical Gram-Schmidt pass against the rows of the blocks in
-    basis: the coefficients c_j = <v, b_j>, all taken before v loses
-    sum_j c_j b_j in place."""
-    cv = np.conj(v)
-    c = [np.conj(block @ cv) for block in basis]
-    for cb, block in zip(c, basis):
-        v -= cb @ block
-    return np.concatenate(c)
-
-
-def _verify(fn: ArnoldiPoly, target: PiecewiseTarget) -> list:
+def _verify(fn: NewtonPoly, target: PiecewiseTarget) -> list:
     """A bound on sup |fn - target| over every piece, rounding included.
 
     On a disc of centre c and radius r > 0, e(c + r u) is a polynomial in
@@ -644,11 +573,11 @@ def _verify(fn: ArnoldiPoly, target: PiecewiseTarget) -> list:
 
 
 def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandidate:
-    """Weighted least-squares fit in one Arnoldi pass, certified by _verify.
+    """Newton interpolation at weighted Leja points, certified by _verify.
 
-    One recurrence on one grid (_piece_data) gives the degree-k fit and
-    its weighted residual rho_k, the worst sampled error-to-budget ratio,
-    at every degree k up to max_degree.  The bound of _verify is a ring
+    One pass over one grid (_piece_data, _fit_leja) gives the degree-k
+    fit and its weighted residual rho_k, the worst sampled
+    error-to-budget ratio, at every degree k up to max_degree.  The bound of _verify is a ring
     maximum times a Bernstein factor of up to 1 / (1 - pi / 16), which
     1.25 rounds up, so the degree-k fit is verified only when 1.25 rho_k
     is below a limit: at first 1, after each FAIL that step's rho, and
@@ -665,7 +594,7 @@ def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandid
     taus = [p.tau for p in target.pieces]
     pts, vals, weights = _piece_data(target, max_degree)
     limit, best = 1.0, None
-    for rho, last, fit in _fit_arnoldi(pts, vals, weights, min(max_degree, pts.size - 1)):
+    for rho, last, fit in _fit_leja(pts, vals, weights, min(max_degree, pts.size - 1)):
         if not (last or 1.25 * rho < limit):
             continue
         fn = fit()

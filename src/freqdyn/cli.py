@@ -48,9 +48,9 @@ except ImportError:
 from . import approx, density, orbit, runaway
 from ._record import record
 from .approx import (
-    ArnoldiPoly,
     BasisKind,
     FhcCandidate,
+    NewtonPoly,
     Polynomial,
     enumerate_dense_polynomial,
 )
@@ -119,10 +119,11 @@ PROBE_STEPS = (1, 2, 3, 5, 10, 100)
 MESH_POINTS = 1000
 MESH_RADIUS = 0.95
 
-CANDIDATE_FORMAT = "freqdyn-candidate-v4"
+CANDIDATE_FORMAT = "freqdyn-candidate-v5"
 
 # example5, density, split and sepfamily refuse, before any work, a
-# horizon whose arrays would exceed this many bytes (_within_budget).
+# horizon whose arrays would exceed this many bytes (_within_budget), and
+# build_fhc a degree cap whose fit would (_within_fit_budget).
 MEMORY_BUDGET = 2 * 1024**3
 # lower_density_estimate's temporaries for one block of elements, which
 # density, split and sepfamily add to their estimates (48 bytes per
@@ -462,27 +463,20 @@ def _finish(
 # candidate serialization
 
 
-# Packed arrays are little-endian complex128, 16 bytes per entry, so a
-# file decodes to the same bits on any host.
+# Packed arrays are little-endian complex128 (nodes, coefficients) or
+# float64 (scales), so a file decodes to the same bits on any host.
 _PACKED = np.dtype("<c16")
+_PACKED_REAL = np.dtype("<f8")
 
 
-def _band(degree: int) -> np.ndarray:
-    """Mask of the stored entries of H.T, H being (degree + 1) x degree:
-    column k of an upper Hessenberg matrix is zero below row k + 1, so
-    row k of H.T keeps its first k + 2 entries, degree (degree + 3) / 2
-    in all."""
-    return np.tri(degree, degree + 1, 1, dtype=bool)
-
-
-def _pack(values) -> str:
-    values = np.asarray(values, dtype=_PACKED)
+def _pack(values, dtype=_PACKED) -> str:
+    values = np.asarray(values, dtype=dtype)
     if not np.all(np.isfinite(values)):
         raise ValueError("a candidate function holds a non-finite entry")
     return base64.b64encode(values.tobytes()).decode("ascii")
 
 
-def _unpack(text, name: str) -> np.ndarray:
+def _unpack(text, name: str, dtype=_PACKED) -> np.ndarray:
     try:
         # validate=True refuses characters outside the alphabet and bad
         # padding; a value that is no string raises TypeError
@@ -490,38 +484,38 @@ def _unpack(text, name: str) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"{name} is no valid base64: {exc}") from None
     # frombuffer raises ValueError on a byte count of no whole entries
-    values = np.frombuffer(raw, dtype=_PACKED).astype(complex)
+    values = np.frombuffer(raw, dtype=dtype).astype(dtype.type)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} holds a non-finite entry")
     return values
 
 
-def _encode_function(fn: ArnoldiPoly) -> dict:
-    hess = np.asarray(fn.hessenberg, dtype=complex)
+def _encode_function(fn: NewtonPoly) -> dict:
     return {
-        "norm0": float(fn.norm0),
-        "hessenberg": _pack(hess.T[_band(hess.shape[1])]),
+        "nodes": _pack(fn.nodes),
+        "scales": _pack(fn.scales, _PACKED_REAL),
         "coefficients": _pack(fn.coefficients),
     }
 
 
-def _decode_function(blob: dict) -> ArnoldiPoly:
+def _decode_function(blob: dict) -> NewtonPoly:
+    """A NewtonPoly from its three packed arrays: d nodes, d scales, each a
+    positive power of two (the rounding bound of NewtonPoly assumes that
+    dividing by one is exact), and d + 1 coefficients."""
+    nodes = _unpack(blob["nodes"], "nodes")
+    scales = _unpack(blob["scales"], "scales", _PACKED_REAL)
     coeffs = _unpack(blob["coefficients"], "coefficients")
-    entries = _unpack(blob["hessenberg"], "hessenberg")
     degree = coeffs.size - 1
     if degree < 0:
         raise ValueError("no coefficients")
-    if entries.size != degree * (degree + 3) // 2:
+    if nodes.size != degree or scales.size != degree:
         raise ValueError(
-            f"{entries.size} Hessenberg entries for degree {degree},"
-            f" expected {degree * (degree + 3) // 2}"
+            f"{nodes.size} nodes and {scales.size} scales for degree {degree},"
+            f" expected {degree} of each"
         )
-    norm0 = float(blob["norm0"])
-    if not math.isfinite(norm0):
-        raise ValueError(f"norm0 {norm0} is not finite")
-    hess = np.zeros((degree + 1, degree), dtype=complex)
-    hess.T[_band(degree)] = entries
-    return ArnoldiPoly(hessenberg=hess, norm0=norm0, coefficients=coeffs)
+    if not np.all((scales > 0.0) & (np.frexp(scales)[0] == 0.5)):
+        raise ValueError("a scale is not a positive power of two")
+    return NewtonPoly(nodes=nodes, scales=scales, coefficients=coeffs)
 
 
 def _encode_candidate(
@@ -632,8 +626,8 @@ def _runaway_lines(rep) -> tuple:
 
 
 def _within_fit_budget(cfg: ExperimentConfig, targets) -> None:
-    """Refuse a degree cap whose Arnoldi basis (approx.fit_bytes) on the
-    largest of targets would pass MEMORY_BUDGET, before any fit runs."""
+    """Refuse a degree cap whose fit (approx.fit_bytes) on the largest of
+    targets would pass MEMORY_BUDGET, before any fit runs."""
     need = max(approx.fit_bytes(target, cfg.max_degree) for target in targets)
     _within_budget("tolerances.max_degree", cfg.max_degree, need)
 

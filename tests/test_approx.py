@@ -10,20 +10,19 @@ from hypothesis import strategies as st
 
 from freqdyn import approx
 from freqdyn.approx import (
-    BASIS_BLOCK,
-    ArnoldiPoly,
     BasisKind,
     CandidateStatus,
     ComposedInverse,
     FixedPoly,
     Monomial,
+    NewtonPoly,
     PiecewiseTarget,
     Polynomial,
     TargetPiece,
     Zero,
     _cantor_unpair,
     _circle,
-    _fit_arnoldi,
+    _fit_leja,
     _gaussian_rational,
     _local_taylor,
     _piece_data,
@@ -91,14 +90,14 @@ def test_monomial_and_zero_constructors():
 
 
 def _fit_to(pts, vals, weights, degree):
-    """The last fit of the Arnoldi pass to degree, lower only if the points
-    saturate the basis, and its weighted residual rho."""
-    for rho, _, fit in _fit_arnoldi(pts, vals, weights, degree):
+    """The last fit of the Leja pass to degree, lower only if the points
+    run out, and its weighted residual rho."""
+    for rho, _, fit in _fit_leja(pts, vals, weights, degree):
         pass
     return fit(), rho
 
 
-def _simple_arnoldi(target_coeffs, npts=120, degree=10):
+def _simple_fit(target_coeffs, npts=120, degree=10):
     rng = np.random.default_rng(3)
     pts = rng.normal(size=npts) + 1j * rng.normal(size=npts)
     p = Polynomial(target_coeffs)
@@ -107,14 +106,14 @@ def _simple_arnoldi(target_coeffs, npts=120, degree=10):
     return fn, p
 
 
-def test_arnoldi_reproduces_polynomial_targets():
-    fn, p = _simple_arnoldi(np.array([1.0, -2.0, 0.5j, 0.0, 3.0]))
+def test_newton_fit_reproduces_polynomial_targets():
+    fn, p = _simple_fit(np.array([1.0, -2.0, 0.5j, 0.0, 3.0]))
     rng = np.random.default_rng(4)
     zs = rng.normal(size=30) + 1j * rng.normal(size=30)
     assert np.max(np.abs(fn.evaluate(zs) - p.evaluate(zs))) < 1e-9
 
 
-def test_arnoldi_saturates_on_few_distinct_points():
+def test_newton_fit_saturates_on_few_distinct_points():
     # five distinct points, each sampled three times, only separate
     # polynomials up to degree 4; the fit must stop there and interpolate
     distinct = 0.3 + 1.5 * np.exp(2j * np.pi * np.arange(5) / 5)
@@ -122,13 +121,14 @@ def test_arnoldi_saturates_on_few_distinct_points():
     vals = np.cos(pts)
     fn, _ = _fit_to(pts, vals, np.linspace(1.0, 2.0, pts.size), 10)
     assert fn.degree == 4
-    assert fn.hessenberg.shape == (5, 4)
+    assert fn.nodes.shape == fn.scales.shape == (4,)
+    assert set(fn.nodes) < set(distinct)
     assert np.max(np.abs(fn.evaluate(pts) - vals)) < 1e-12
 
 
 def test_fit_small_budget_does_not_saturate_the_basis():
-    # the weights 1 / tau scale the basis norm, not the points: a budget
-    # of 1e-13 must not stop the pass before z^3 is reached
+    # the weights 1 / tau scale the node polynomial, not the points: a
+    # budget of 1e-13 must not stop the pass before z^3 is reached
     target = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(3), 1e-13),))
     cand = fit_on_compacts(target, max_degree=256)
     assert cand.status == CandidateStatus.PASS
@@ -152,52 +152,103 @@ def _dense_shaped_fit(offset):
 
 
 @pytest.mark.parametrize("offset", [0.0, 100.0])
-def test_arnoldi_basis_orthonormal_on_dense_shaped_grid(offset):
-    # moved away from the origin, a single Gram-Schmidt pass loses
-    # orthogonality completely, so this pins the reorthogonalization
-    fn, pts, weights = _dense_shaped_fit(offset)
+def test_leja_nodes_on_dense_shaped_grid_are_distinct_and_interpolate(offset):
+    # moved away from the origin the monomial basis loses every digit;
+    # the Newton form at Leja points keeps interpolating to rounding, and
+    # every scale is a power of two
+    fn, pts, _ = _dense_shaped_fit(offset)
     assert fn.degree == 256
-    q = fn.basis(pts) * weights
-    gram = np.conj(q) @ q.T
-    assert np.max(np.abs(gram - np.eye(257))) < 1e-10
-
-
-def _per_column_basis(fn, z):
-    """The Hessenberg recurrence one column at a time, for reference."""
-    q = np.empty((fn.degree + 1, z.size), dtype=complex)
-    q[0] = 1.0 / fn.norm0
-    for k in range(fn.degree):
-        v = z * q[k] - fn.hessenberg[: k + 1, k] @ q[: k + 1]
-        q[k + 1] = v / fn.hessenberg[k + 1, k]
-    return q
+    assert np.unique(fn.nodes).size == 256 and np.all(np.isin(fn.nodes, pts))
+    assert np.all(np.frexp(fn.scales)[0] == 0.5)
+    want = np.exp(-fn.nodes / 30.0)
+    assert np.max(np.abs(fn.evaluate(fn.nodes) - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("offset", [0.0, 100.0])
-def test_arnoldi_blocked_basis_matches_per_column_recurrence(offset):
+def test_newton_evaluation_matches_its_rounding_pass(offset):
     fn, pts, _ = _dense_shaped_fit(offset)
-    assert fn.degree > 4 * BASIS_BLOCK
-    got, want = fn.basis(pts), _per_column_basis(fn, pts)
-    # the first block has no earlier rows to gather: bit for bit
-    assert np.array_equal(got[: BASIS_BLOCK + 1], want[: BASIS_BLOCK + 1])
-    scale = np.max(np.abs(want), axis=1)
-    assert np.max(np.max(np.abs(got - want), axis=1) / scale) <= 1e-12
+    values, rounding = fn.evaluate_with_rounding(pts)
+    assert np.array_equal(values, fn.evaluate(pts))
+    assert np.all(np.isfinite(rounding)) and np.all(rounding > 0.0)
 
 
-def test_arnoldi_chunked_evaluation_consistent():
-    fn, _ = _simple_arnoldi(np.array([0.0, 1.0, 1.0]))
+def test_newton_evaluation_is_pointwise():
+    fn, _ = _simple_fit(np.array([0.0, 1.0, 1.0]))
     zs = np.linspace(-1, 1, 20000) + 0.25j
     small = np.concatenate([fn.evaluate(zs[s : s + 100]) for s in range(0, zs.size, 100)])
     assert np.array_equal(fn.evaluate(zs), small)
     assert isinstance(fn.evaluate(1.0 + 0.0j), complex)
+    assert fn.evaluate(zs.reshape(200, 100)).shape == (200, 100)
 
 
-def test_arnoldi_chunked_evaluation_consistent_at_degree_256():
-    # matrix products round differently on chunks of different widths,
-    # so at high degree only agreement to rounding is promised
+def test_newton_evaluation_is_pointwise_at_degree_256():
+    # no matrix products: every point takes the same operations, so chunks
+    # of any width agree bit for bit
     fn, pts, _ = _dense_shaped_fit(0.0)
     whole = fn.evaluate(pts)
     small = np.concatenate([fn.evaluate(pts[s : s + 100]) for s in range(0, pts.size, 100)])
-    assert np.max(np.abs(small - whole)) <= 1e-12 * np.max(np.abs(whole))
+    assert np.array_equal(small, whole)
+
+
+def _island_chain(count=24, tau=1e-3):
+    """count discs 8 apart, a base of radius 3 and unit islands, every
+    third target the constant 1 and the rest 0, budgets tau to 4 tau."""
+    pieces = []
+    for j in range(count):
+        spec = FixedPoly(Polynomial([1.0])) if j % 3 == 0 else Zero()
+        disc = ClosedDisc(complex(8.0 * j, 2.0 * (j % 2)), 3.0 if j == 0 else 1.0)
+        pieces.append(TargetPiece(disc, spec, tau * (1 + j % 4)))
+    return PiecewiseTarget(tuple(pieces))
+
+
+def _extended_newton_horner(fn, z):
+    """fn at z in np.clongdouble arithmetic, from the same stored nodes,
+    scales and coefficients."""
+    z = np.asarray(z, dtype=np.clongdouble)
+    c = fn.coefficients.astype(np.clongdouble)
+    x = fn.nodes.astype(np.clongdouble)
+    s = fn.scales.astype(np.longdouble)
+    y = np.full(z.shape, c[-1])
+    for k in range(fn.degree - 1, -1, -1):
+        y = c[k] + (z - x[k]) / s[k] * y
+    return y
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than float64 here",
+)
+def test_rounding_bound_covers_the_error_at_the_verify_nodes():
+    # the 24-island fit passes near degree 290; at the d + 1 nodes of
+    # _verify on every piece, the running bound is at least the error
+    # against an extended-precision Newton-Horner evaluation
+    target = _island_chain()
+    cand = fit_on_compacts(target, 512)
+    fn = cand.fn
+    assert cand.status == CandidateStatus.PASS and fn.degree > 200
+    for piece in target.pieces:
+        z = _circle(piece.region.center, piece.region.radius, fn.degree + 1)
+        values, bound = fn.evaluate_with_rounding(z)
+        error = np.abs(values.astype(np.clongdouble) - _extended_newton_horner(fn, z))
+        assert np.all(error.astype(float) <= bound)
+
+
+def test_leja_fits_are_nested_and_interpolate_within_their_bound():
+    # the degree-k fit's nodes, scales and coefficients begin the degree
+    # k + 1 fit's, and it takes the target values at x_0, ..., x_k (x_k
+    # the next fit's last node) up to its rounding bound
+    target = _island_chain()
+    pts, vals, weights = _piece_data(target, 128)
+    fits = [fit() for _, _, fit in _fit_leja(pts, vals, weights, 128)]
+    assert len(fits) == 129
+    for k, (fn, nxt) in enumerate(zip(fits, fits[1:])):
+        assert np.array_equal(fn.nodes, nxt.nodes[:k])
+        assert np.array_equal(fn.scales, nxt.scales[:k])
+        assert np.array_equal(fn.coefficients, nxt.coefficients[: k + 1])
+        nodes = nxt.nodes
+        at = [int(np.flatnonzero(pts == x)[0]) for x in nodes]
+        values, bound = fn.evaluate_with_rounding(nodes)
+        assert np.all(np.abs(values - vals[at]) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +491,9 @@ def test_fit_linear_in_target_values():
     assert np.max(np.abs(comb.evaluate(zs) - want)) < 1e-8
 
 
-def test_fit_arnoldi_fallback_on_far_separated_discs():
+def test_fit_on_far_separated_discs():
     # widely separated discs with tight budgets make the monomial
-    # Vandermonde matrix degenerate; the Arnoldi fit must still certify
+    # Vandermonde matrix degenerate; the Newton fit must still certify
     pieces = [
         TargetPiece(ClosedDisc(0.0, 1.0), Monomial(1), 1e-3),
     ]
@@ -473,7 +524,7 @@ def _record_fit_steps(monkeypatch):
     """rho at each degree the pass reaches, and (fn, bounds) of each step
     verified, in order."""
     rhos, verified = [], []
-    fit, verify = approx._fit_arnoldi, approx._verify
+    fit, verify = approx._fit_leja, approx._verify
 
     def fitting(*args):
         for rho, last, build in fit(*args):
@@ -485,7 +536,7 @@ def _record_fit_steps(monkeypatch):
         verified.append((fn, bounds))
         return bounds
 
-    monkeypatch.setattr(approx, "_fit_arnoldi", fitting)
+    monkeypatch.setattr(approx, "_fit_leja", fitting)
     monkeypatch.setattr(approx, "_verify", verifying)
     return rhos, verified
 
@@ -504,13 +555,14 @@ def _scheduled(rhos):
 
 
 def test_only_a_fit_step_within_budget_is_verified(monkeypatch):
-    # the three-disc fit verifies degree 104 alone, the first with
-    # 1.25 rho < 1, and passes there.  z^20 at budget 2 has rho = 0.5 up
-    # to degree 19: degree 0 is verified and fails, with no norming bound
-    # (20 >= 16 / pi), and the next step verified is degree 20, where rho
-    # falls to rounding and the bound passes
-    z20 = _one_disc_target([0.0] * 20 + [1.0], 2.0)
-    for target, want in ((_three_disc_target(), [104]), (z20, [0, 20])):
+    # the three-disc fit verifies degree 124 alone, the first with
+    # 1.25 rho < 1, and passes there.  z^20 at budget 2.6 interpolated at
+    # the node 1 leaves |z^20 - 1| <= 2, so rho_0 = 2 / 2.6, and rho stays
+    # above 0.77 / 1.25 up to degree 19: degree 0 is verified and fails,
+    # with no norming bound (20 >= 16 / pi), and the next step verified is
+    # degree 20, where rho falls to rounding and the bound passes
+    z20 = _one_disc_target([0.0] * 20 + [1.0], 2.6)
+    for target, want in ((_three_disc_target(), [124]), (z20, [0, 20])):
         rhos, verified = _record_fit_steps(monkeypatch)
         cand = fit_on_compacts(target)
         monkeypatch.undo()
@@ -530,9 +582,9 @@ def test_fit_residual_is_the_residual_of_each_truncation(target):
     # up to rounding on the scale of the weighted data: under 1e-9 here
     pts, vals, weights = _piece_data(target, 128)
     scale = float(np.max(np.abs(weights * vals)))
-    for k, (rho, _, fit) in enumerate(_fit_arnoldi(pts, vals, weights, 128)):
+    for k, (rho, _, fit) in enumerate(_fit_leja(pts, vals, weights, 128)):
         fn = fit()
-        assert fn.degree == k and fn.hessenberg.shape == (k + 1, k)
+        assert fn.degree == k and fn.nodes.shape == fn.scales.shape == (k,)
         direct = float(np.max(np.abs(weights * (vals - fn.evaluate(pts)))))
         assert abs(rho - direct) <= 1e-13 * scale
 
@@ -610,13 +662,14 @@ def test_fit_residual_at_the_budget_leaves_a_bound_at_the_budget(discs, offset, 
     "target, max_degree, verified_degrees, unbounded",
     [
         (_three_disc_target(), 32, [32], False),
-        # z + z^12 at budget 1.3: rho = 1 / 1.3 from degree 1 to 11, so
-        # degree 1 is verified, with no norming bound (12 >= 32 / pi); the
-        # cap 8 bounds the error |z^12| = 1 by 1 / (1 - 12 pi / 144) > 1.3
-        (_one_disc_target([0.0, 1.0] + [0.0] * 10 + [1.0], 1.3), 8, [1, 8], False),
+        # z + z^12 at budget 2.6: interpolated at the nodes 1 and -1 it
+        # leaves z^12 - 1, so rho = 2 / 2.6 from degree 1 to 7, and degree
+        # 1 is verified, with no norming bound (12 >= 32 / pi); the cap 8
+        # bounds the error by about 5.4 > 2.6
+        (_one_disc_target([0.0, 1.0] + [0.0] * 10 + [1.0], 2.6), 8, [1, 8], False),
         # z^200 leaves every step of degree d < 200 pi / 16 - 1 without a
-        # norming bound.  Its ring holds 201 points, on which z^200 is
-        # orthogonal to every lower degree, so rho stays 1e3 and the cap
+        # norming bound.  Its ring holds 201 points, on which no lower
+        # degree comes near z^200, so rho stays above 1e3 and the cap
         # alone is verified, at ratio inf
         (_one_disc_target([0.0] * 200 + [1.0], 1e-3), 32, [32], True),
     ],
@@ -799,7 +852,7 @@ def _far_small_disc_fit():
     return target, _ring_fit(target, 256)
 
 
-def test_local_taylor_agrees_with_arnoldi_evaluation(dense_member3):
+def test_local_taylor_agrees_with_newton_evaluation(dense_member3):
     # the member's fit carried on to the degree cap 256
     target, _ = dense_member3
     fn = _ring_fit(target, 256)
@@ -844,13 +897,13 @@ def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
     pts, vals, weights = _piece_data(target, 16)
     fn, _ = _fit_to(pts, vals, weights, 16)
     sizes = []
-    evaluate = ArnoldiPoly.evaluate_with_rounding
+    evaluate = NewtonPoly.evaluate_with_rounding
 
     def recording(self, z):
         sizes.append(np.size(z))
         return evaluate(self, z)
 
-    monkeypatch.setattr(ArnoldiPoly, "evaluate_with_rounding", recording)
+    monkeypatch.setattr(NewtonPoly, "evaluate_with_rounding", recording)
     bounds = _verify(fn, target)
     monkeypatch.undo()
     # d + 1 circle nodes on the unit disc, the one point of the other
@@ -962,9 +1015,9 @@ def test_an_overflowing_step_is_unbounded_and_never_kept(monkeypatch):
 
 
 def test_a_nan_bound_never_outranks_a_finite_one(monkeypatch):
-    # z + z^12 at budget 1.3 and cap 8 verifies degrees 1 and 8, both
+    # z + z^12 at budget 2.6 and cap 8 verifies degrees 1 and 8, both
     # failing; a NaN bound at degree 1 leaves degree 8 the candidate
-    target = _one_disc_target([0.0, 1.0] + [0.0] * 10 + [1.0], 1.3)
+    target = _one_disc_target([0.0, 1.0] + [0.0] * 10 + [1.0], 2.6)
     verify = approx._verify
     monkeypatch.setattr(
         approx, "_verify", lambda fn, t: [math.nan] if fn.degree == 1 else verify(fn, t)

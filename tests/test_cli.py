@@ -21,7 +21,7 @@ import freqdyn.cli as cli
 import freqdyn.sigma as sigma
 from freqdyn import approx, density, runaway
 from freqdyn.density import IndexSet
-from freqdyn.approx import ArnoldiPoly, Polynomial
+from freqdyn.approx import NewtonPoly, Polynomial
 from freqdyn.geometry import ClosedDisc, Domain, sample_grid, whole_plane_exhaustion
 from freqdyn.maps import ParabolicDisc, Similarity, apply
 from freqdyn.cli import (
@@ -461,19 +461,22 @@ def test_load_candidate_rejects_other_json(tmp_path):
         load_candidate(str(path))
 
 
-def test_arnoldi_encoding_round_trip_is_banded_and_bitwise():
-    from freqdyn.approx import _fit_arnoldi
+def test_newton_encoding_round_trip_is_packed_and_bitwise():
+    from freqdyn.approx import _fit_leja
 
     rng = np.random.default_rng(7)
     pts = rng.normal(size=200) + 1j * rng.normal(size=200)
-    for _, _, fit in _fit_arnoldi(pts, np.exp(pts), np.full(pts.size, 3.0), 24):
+    for _, _, fit in _fit_leja(pts, np.exp(pts), np.full(pts.size, 3.0), 24):
         pass
     fn = fit()
     blob = json.loads(json.dumps(cli._encode_function(fn)))
-    # only the band is stored: column k holds k + 2 entries, 16 bytes each
-    assert len(base64.b64decode(blob["hessenberg"])) == 16 * 24 * 27 // 2
+    # 24 nodes and 25 coefficients of 16 bytes, 24 scales of 8
+    assert [len(base64.b64decode(blob[k])) for k in ("nodes", "scales", "coefficients")] == [
+        16 * 24, 8 * 24, 16 * 25
+    ]
     again = cli._decode_function(blob)
-    assert np.array_equal(again.hessenberg, fn.hessenberg)
+    for name in ("nodes", "scales", "coefficients"):
+        assert getattr(again, name).tobytes() == getattr(fn, name).tobytes()
     z = np.linspace(-2.0, 2.0, 301) + 0.4j
     assert np.array_equal(again.evaluate(z), fn.evaluate(z))
 
@@ -481,7 +484,8 @@ def test_arnoldi_encoding_round_trip_is_banded_and_bitwise():
 def test_load_candidate_rejects_v1_format(tmp_path, capsys):
     ini = tmp_path / "scan.ini"
     for old_format in (
-        "freqdyn-candidate-v1", "freqdyn-candidate-v2", "freqdyn-candidate-v3"
+        "freqdyn-candidate-v1", "freqdyn-candidate-v2", "freqdyn-candidate-v3",
+        "freqdyn-candidate-v4",
     ):
         path = tmp_path / f"{old_format}.json"
         path.write_text(
@@ -501,13 +505,14 @@ def test_load_candidate_rejects_v1_format(tmp_path, capsys):
         assert cli.CANDIDATE_FORMAT in err[0] and "rebuild" in err[0]
 
 
-def _packed(values) -> str:
-    """The v4 encoding of complex values, written independently of cli."""
-    return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode()
+def _packed(values, dtype="<c16") -> str:
+    """The v5 encoding of complex values (or of real ones, as "<f8"),
+    written independently of cli."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
 
 
 def _degree_one(**fields) -> dict:
-    function = {"norm0": 1.0, "hessenberg": _packed([0.5, 2.0]),
+    function = {"nodes": _packed([0.5]), "scales": _packed([2.0], "<f8"),
                 "coefficients": _packed([1.0, -1.0j])}
     function.update(fields)
     return function
@@ -515,66 +520,82 @@ def _degree_one(**fields) -> dict:
 
 def test_function_codec_accepts_the_degree_one_fixture():
     fn = cli._decode_function(_degree_one())
-    assert fn.hessenberg.tolist() == [[0.5], [2.0]]
+    assert fn.nodes.tolist() == [0.5] and fn.scales.tolist() == [2.0]
     assert fn.coefficients.tolist() == [1.0, -1.0j]
+    # 1 - 1j (z - 0.5) / 2
+    assert fn.evaluate(2.5) == 1.0 - 1.0j
 
 
 @pytest.mark.parametrize("degree", [0, 1, 24])
 def test_function_codec_round_trip_is_bitwise(degree):
     rng = np.random.default_rng(degree)
-    band = np.tri(degree, degree + 1, 1, dtype=bool)
-    entries = rng.normal(size=(band.sum(), 2)) @ np.array([1.0, 1.0j])
+    nodes = rng.normal(size=(degree, 2)) @ np.array([1.0, 1.0j])
+    scales = np.ldexp(1.0, rng.integers(-1074, 1024, size=degree))
     coeffs = rng.normal(size=(degree + 1, 2)) @ np.array([1.0, 1.0j])
     # signed zeros and subnormals must survive: no decimal round trip
     edge = [complex(-0.0, 5e-324), complex(-5e-324, -0.0), complex(2.2e-308, -1e-310)]
-    entries[: len(edge)] = edge[: entries.size]
+    nodes[: len(edge)] = edge[: nodes.size]
     coeffs[: len(edge)] = edge[: coeffs.size]
-    hess = np.zeros((degree + 1, degree), dtype=complex)
-    hess.T[band] = entries
-    fn = ArnoldiPoly(hessenberg=hess, norm0=0.75, coefficients=coeffs)
+    scales[: 2] = [5e-324, 2.0 ** 1023][: scales.size]
+    fn = NewtonPoly(nodes=nodes, scales=scales, coefficients=coeffs)
     blob = json.loads(json.dumps(cli._encode_function(fn)))
-    assert blob["hessenberg"] == _packed(entries)
+    assert blob["nodes"] == _packed(nodes)
+    assert blob["scales"] == _packed(scales, "<f8")
     assert blob["coefficients"] == _packed(coeffs)
     again = cli._decode_function(blob)
-    assert again.hessenberg.tobytes() == hess.tobytes()
+    assert again.nodes.tobytes() == nodes.tobytes()
+    assert again.scales.tobytes() == scales.tobytes()
     assert again.coefficients.tobytes() == coeffs.tobytes()
-    assert again.norm0 == 0.75
 
 
-@pytest.mark.parametrize("where", ["hessenberg", "coefficients"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize(
+    "where, bad",
+    [(w, b) for w in ("nodes", "coefficients") for b in (math.nan, math.inf, complex(0.0, -math.inf))]
+    + [("scales", b) for b in (math.nan, math.inf, -math.inf)],
+)
 def test_function_encoding_refuses_non_finite_entries(where, bad):
-    hess = np.array([[0.5], [2.0]], dtype=complex)
-    coeffs = np.array([1.0, -1.0j])
-    (hess if where == "hessenberg" else coeffs)[-1] = bad
+    arrays = {
+        "nodes": np.array([0.5], dtype=complex),
+        "scales": np.array([2.0]),
+        "coefficients": np.array([1.0, -1.0j]),
+    }
+    arrays[where][-1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        cli._encode_function(ArnoldiPoly(hessenberg=hess, norm0=1.0, coefficients=coeffs))
+        cli._encode_function(NewtonPoly(**arrays))
 
 
 @pytest.mark.parametrize(
     "function",
     [
         {},
-        {"norm0": 1.0},
+        {"nodes": _packed([0.5])},
         [1.0],
         # a character outside the base64 alphabet, which a lenient
         # decoder would skip
-        _degree_one(hessenberg=_packed([0.5, 2.0])[:8] + "!" + _packed([0.5, 2.0])[8:]),
+        _degree_one(nodes=_packed([0.5, 2.0])[:8] + "!" + _packed([0.5, 2.0])[8:]),
         _degree_one(coefficients=_packed([1.0, -1.0j])[:8] + "\n" + _packed([1.0, -1.0j])[8:]),
         # bad padding
-        _degree_one(hessenberg=_packed([0.5, 2.0]).rstrip("=")),
-        # one Hessenberg entry short, one coefficient over
-        _degree_one(hessenberg=_packed([0.5])),
+        _degree_one(nodes=_packed([0.5]).rstrip("=")),
+        # one node short, one scale over, one coefficient over
+        _degree_one(nodes=""),
+        _degree_one(scales=_packed([2.0, 4.0], "<f8")),
         _degree_one(coefficients=_packed([1.0, -1.0j, 3.0])),
-        # no coefficients at all, and a byte count of no whole entries
-        _degree_one(hessenberg="", coefficients=""),
+        # no coefficients at all, and byte counts of no whole entries
+        _degree_one(nodes="", scales="", coefficients=""),
         _degree_one(coefficients=base64.b64encode(bytes(40)).decode()),
+        _degree_one(scales=base64.b64encode(bytes(12)).decode()),
         # a NaN or an infinity in the packed bytes
-        _degree_one(hessenberg=_packed([0.5, complex(2.0, math.nan)])),
+        _degree_one(nodes=_packed([complex(0.5, math.nan)])),
+        _degree_one(scales=_packed([math.inf], "<f8")),
         _degree_one(coefficients=_packed([1.0, math.inf])),
-        _degree_one(norm0=math.nan),
+        # a scale that is no positive power of two: dividing by it rounds
+        _degree_one(scales=_packed([3.0], "<f8")),
+        _degree_one(scales=_packed([-2.0], "<f8")),
+        _degree_one(scales=_packed([0.0], "<f8")),
+        # complex scales, 16 bytes each, read as two reals
+        _degree_one(scales=_packed([2.0])),
         # a list (the v3 layout) or a number in place of a string
-        _degree_one(hessenberg=[[0.5, 0.0], [2.0, 0.0]]),
+        _degree_one(nodes=[[0.5, 0.0]]),
         _degree_one(coefficients=7),
     ],
 )
@@ -652,17 +673,17 @@ def test_cmd_example1_scan_matches_stored_candidate_scan(outdir):
     "command, config, expected",
     [
         (cmd_build_fhc, "existence.ini",
-         ["PASS: candidate fit PASS at degree 14 (worst error ratio 0.745)"]),
+         ["PASS: candidate fit PASS at degree 19 (worst error ratio 0.924)"]),
         (cmd_example1, "example1.ini",
-         ["PASS: island fit PASS at degree 7 (worst error ratio 0.854)"]),
+         ["PASS: island fit PASS at degree 10 (worst error ratio 0.833)"]),
         (cmd_build_fhc, "spaceable.ini",
          [f"PASS: member {mu} fit PASS at degree {d}"
-          for mu, d in ((1, 21), (2, 26), (3, 38))]),
+          for mu, d in ((1, 27), (2, 31), (3, 46))]),
         (cmd_build_fhc, "dense.ini",
          [f"PASS: member {mu} fit PASS at degree {d} (base error {e} vs {b})"
-          for mu, d, e, b in ((1, 3, "8.261e-01", "1.000e+00"),
-                              (2, 55, "2.857e-01", "5.000e-01"),
-                              (3, 68, "1.279e-01", "3.333e-01"))]),
+          for mu, d, e, b in ((1, 5, "7.909e-01", "1.000e+00"),
+                              (2, 79, "3.078e-01", "5.000e-01"),
+                              (3, 99, "1.575e-01", "3.333e-01"))]),
     ],
 )
 def test_shipped_configs_fit_lines(outdir, command, config, expected):
@@ -688,7 +709,7 @@ def test_shipped_fit_certificates_bound_a_denser_ring(
 ):
     # every certificate is at least the error on a ring four times denser
     # than the 16 (d + 1) points it was computed from, evaluated directly
-    # through the Arnoldi recurrence
+    # in Newton form
     captured = []
     fit = approx.fit_on_compacts
 
@@ -715,12 +736,12 @@ def test_cmd_build_mixed_members_and_basis(outdir):
     members = [line for line in res.lines if line.startswith("PASS: member")]
     assert members == [
         f"PASS: member {mu} fit PASS at degree {d}"
-        for mu, d in ((1, 12), (2, 26), (3, 38))
+        for mu, d in ((1, 19), (2, 31), (3, 46))
     ]
     basis = json.loads((outdir / "build_fhc" / "basis.json").read_text())
     assert basis["kind"] == "mixed"
     assert basis["indices"] == [1, 2, 3]
-    assert f"{basis['perturbation_sum']:.6f}" == "0.228177"
+    assert f"{basis['perturbation_sum']:.6f}" == "0.094797"
 
 
 def test_shipped_dense_members_are_nonzero(outdir, monkeypatch):
@@ -979,8 +1000,8 @@ def test_main_build_fhc_refuses_a_degree_cap_over_the_memory_budget(
     tmp_path, monkeypatch, capsys
 ):
     monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
-    # the largest dense member needs about 10 MB at the cap of 256
-    monkeypatch.setattr(cli, "MEMORY_BUDGET", 1_000_000)
+    # the largest dense member needs about 0.67 MB at the cap of 256
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 500_000)
     assert main(["build_fhc", os.path.join(CONFIGS, "dense.ini")]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -1133,8 +1154,8 @@ def test_cmd_scan_rejects_wrong_kind(outdir, tmp_path):
                 "format": cli.CANDIDATE_FORMAT,
                 "kind": "spaceable",
                 "function": {
-                    "norm0": 1.0,
-                    "hessenberg": "",
+                    "nodes": "",
+                    "scales": "",
                     "coefficients": _packed([1.0]),
                 },
             }
