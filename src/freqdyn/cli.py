@@ -78,7 +78,7 @@ from .maps import (
     apply,
     maps_into,
 )
-from .sigma import DEFAULT_T_MAX, SigmaReport, cmd_sigma
+from .sigma import SIGMA_TOL, SigmaReport, cmd_sigma
 
 __all__ = [
     "ExperimentConfig",
@@ -170,7 +170,6 @@ class ExperimentConfig:
     delta: float = _entry("tolerances.delta", 0.0)
     grid_res: int = _entry("tolerances.grid_res", 3)
     max_degree: int = _entry("tolerances.max_degree", 256)
-    sigma_t_max: float = _entry("tolerances.sigma_t_max", DEFAULT_T_MAX)
     split_parts: int = _entry("split.parts", 4)
     set_kind: str = _entry("set.kind", "naturals")
     set_first: int = _entry("set.first", 1)
@@ -760,17 +759,16 @@ def _disc_mesh() -> np.ndarray:
 
 def _cli_sigma(cfg: ExperimentConfig) -> CommandResult:
     out = _artifact_dir(cfg, "sigma")
-    rep = cmd_sigma(cfg.alpha, cfg.beta, cfg.sigma_t_max)
+    rep = cmd_sigma(cfg.alpha, cfg.beta)
     lines = [
         f"NOTE: sigma({cfg.alpha:g}, {cfg.beta:g}) = {rep.sigma:.12g}",
         f"NOTE: radius constant C = {rep.c_const:.12g}",
-        f"NOTE: interior minimum {rep.interior_min:.12g} at t = {rep.t_at_min:.6g}",
         f"NOTE: endpoint limits {rep.limit_at_one:g} (t -> 1) and"
         f" {rep.limit_at_inf:g} (t -> infinity)",
         _verdict(rep.sigma > 0.0, "separation exponent is positive"),
         _verdict(
-            abs(rep.richardson - rep.sigma) <= max(1e-6, 0.05 * abs(rep.sigma)),
-            f"extrapolated tail value {rep.richardson:.12g} agrees with sigma",
+            rep.upper - rep.sigma <= SIGMA_TOL * rep.upper,
+            f"sigma bracket [{rep.sigma:.12g}, {rep.upper:.12g}] closes within {SIGMA_TOL:g}",
         ),
     ]
     path = os.path.join(out, "report.json")
@@ -782,12 +780,12 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
     """Root-shift maps on the slit plane: the full certification chain."""
     out = _artifact_dir(cfg, "example1")
     lines = []
-    sig = cmd_sigma(cfg.alpha, cfg.beta, cfg.sigma_t_max)
+    sig = cmd_sigma(cfg.alpha, cfg.beta)
     lines.append(
         f"NOTE: sigma = {sig.sigma:.12g}, certified radius constant"
         f" {sig.c_const:.12g}"
     )
-    if cfg.c_const > sig.c_const + 1e-12:
+    if cfg.c_const > sig.c_const:
         lines.append(
             f"NOTE: configured radius constant {cfg.c_const:g} exceeds the"
             " certified value"

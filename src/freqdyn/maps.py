@@ -571,7 +571,9 @@ def _maps_points_into(m: HoloMap, d: Domain, pts: np.ndarray) -> bool:
     if pts.size == 0:
         return True
     try:
-        mapped = apply(m, pts)
+        # an overflowed power's image is non-finite, which d refuses
+        with np.errstate(all="ignore"):
+            mapped = apply(m, pts)
     except DomainError:
         return False
     return bool(np.all(d.contains(mapped, slack=1e-12)))

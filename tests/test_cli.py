@@ -14,11 +14,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import freqdyn.cli as cli
-import freqdyn.sigma as sigma
 from freqdyn import approx, density, runaway
 from freqdyn.density import IndexSet
 from freqdyn.approx import NewtonPoly, Polynomial
@@ -171,22 +170,24 @@ def test_sigma_unit_gap_exact():
     assert abs(rep.sigma - 1.0) <= 1e-9
     assert rep.c_const == 0.25
     assert rep.limit_at_one == 1.0
+    # beta < 1: the infimum is the limit beta as t decreases to 1
+    rep = cmd_sigma(-0.5, 0.5)
+    assert rep.sigma == rep.upper == rep.limit_at_one == 0.5
+    assert rep.c_const == 0.125
 
 
 def test_sigma_wide_gap():
     rep = cmd_sigma(0.0, 2.0)
-    assert abs(rep.sigma - 1.0) <= 1e-6
+    # beta >= 1: the infimum is the tail limit 1, in closed form
+    assert rep.sigma == rep.upper == 1.0
     assert math.isinf(rep.limit_at_one)
-    # interior curve decreases toward the tail limit
-    assert rep.interior_min > 1.0
-    assert abs(rep.richardson - 1.0) <= 1e-8
 
 
 def test_sigma_shifted_exponents():
     rep = cmd_sigma(0.5, 1.5)
-    assert 0.0 < rep.sigma <= 1.0
-    assert rep.c_const == min(0.5, rep.sigma / 4.0)
-    assert abs(rep.richardson - rep.sigma) <= 0.05 * rep.sigma + 1e-9
+    assert rep.sigma == rep.upper == 1.0
+    assert rep.c_const == 0.25
+    assert rep.limit_at_one == 1.5
 
 
 def test_sigma_validation():
@@ -194,69 +195,54 @@ def test_sigma_validation():
         cmd_sigma(0.0, 0.0)
     with pytest.raises(ValueError, match="gap"):
         cmd_sigma(0.5, 1.0)
-    with pytest.raises(ValueError, match="t_max"):
-        cmd_sigma(0.0, 1.0, t_max=5.0)
 
 
-def _scipy_golden(f, xa, xb, xc, xtol):
+def _ratio_longdouble(alpha, beta, u):
+    """(t^beta - 1) / (t^alpha (t-1)^(beta-alpha)) at t = 1 + u in extended
+    precision, as (1 - t^-beta) / (1 - 1/t)^(beta-alpha), with the size of
+    the exponent of its denominator."""
+    ld = np.longdouble
+    u, gap = np.asarray(u, dtype=ld), ld(beta) - ld(alpha)
+    y = gap * np.log1p(1 / u)
+    return -np.expm1(-ld(beta) * np.log1p(u)) * np.exp(y), y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beta=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+    gap=st.floats(min_value=1.0, max_value=12.0),
+    log2_u=st.lists(st.floats(min_value=-60.0, max_value=60.0), min_size=1, max_size=8),
+)
+def test_sigma_is_a_lower_bound(beta, gap, log2_u):
+    alpha = beta - gap
+    assume(beta >= 1.0 + alpha)
+    lo = cmd_sigma(alpha, beta).sigma
+    # the random points and a fine grid over the same range
+    u = np.concatenate((np.exp2(log2_u), np.geomspace(2.0**-60, 2.0**60, 4001)))
+    f, y = _ratio_longdouble(alpha, beta, u)
+    assert np.all(lo <= f * (1 + 64 * np.finfo(np.longdouble).eps * (1 + y)))
+
+
+def test_sigma_stays_below_the_ratio_past_the_old_search_range():
+    # the grid search stopped at t = 1e6 and gave 0.9999999189, above f
+    # at t = 2.33e6
+    assert cmd_sigma(-3.0, 0.9).sigma < 0.9999998144
+
+
+@pytest.mark.parametrize("alpha, beta", [(-1.0, 0.5), (-2.0, 0.25), (-3.0, 0.9), (-50.0, 0.5)])
+def test_sigma_brackets_scipys_minimum(alpha, beta):
     from scipy.optimize import minimize_scalar
 
-    return minimize_scalar(f, bracket=(xa, xb, xc), method="golden",
-                           options={"xtol": xtol})
+    def log_ratio(v):
+        # log f at t = 1 + e^v
+        log_t = math.log1p(math.exp(v))
+        return math.log(math.expm1(beta * log_t)) - alpha * log_t - (beta - alpha) * v
 
-
-def test_golden_section_matches_scipy_on_sigma_brackets(monkeypatch):
-    brackets = []
-    real = sigma._golden_section
-
-    def recording(f, xa, xb, xc, xtol):
-        brackets.append((f, xa, xb, xc, xtol))
-        return real(f, xa, xb, xc, xtol)
-
-    monkeypatch.setattr(sigma, "_golden_section", recording)
-    rng = np.random.default_rng(20240917)
-    while len(brackets) < 40:
-        alpha, beta = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 6.0)
-        if beta >= 1.0 + alpha:
-            sigma._interior_minimum(sigma._growth_ratio(alpha, beta),
-                                    float(rng.choice([1e6, 1e7])))
-    for f, xa, xb, xc, xtol in brackets:
-        res = _scipy_golden(f, xa, xb, xc, xtol)
-        assert real(f, xa, xb, xc, xtol) == (res.x, res.fun)
-
-
-@pytest.mark.parametrize(
-    "bracket, xtol, steps",
-    [
-        # xtol = 0 is never met: both searches stop at the iteration cap
-        ((0.5, 0.8, 2.0), 0.0, sigma.GOLDEN_MAXITER),
-        ((0.0, 1.2, 1.5), 0.0, sigma.GOLDEN_MAXITER),
-        # |x3 - x0| equals xtol (|x1| + |x2|) before the first step
-        ((0.5, 0.8, 2.0), 0.7287357771448106, 0),
-    ],
-)
-def test_golden_section_takes_scipy_steps(bracket, xtol, steps):
-    calls = []
-
-    def f(u):
-        calls.append(u)
-        return math.cos(3.0 * u) + 0.1 * u
-
-    res = _scipy_golden(f, *bracket, xtol)
-    assert res.nit == steps
-    calls.clear()
-    assert sigma._golden_section(f, *bracket, xtol) == (res.x, res.fun)
-    assert len(calls) == res.nfev
-
-
-@pytest.mark.parametrize(
-    "f", [lambda u: 1.0, lambda u: (u - 1.5) ** 2, lambda u: math.nan],
-)
-def test_golden_section_refuses_a_non_bracket_like_scipy(f):
-    with pytest.raises(ValueError):
-        _scipy_golden(f, 0.0, 1.0, 2.0, 1e-12)
-    with pytest.raises(ValueError, match="bracket"):
-        sigma._golden_section(f, 0.0, 1.0, 2.0, 1e-12)
+    res = minimize_scalar(log_ratio, bounds=(-20.0, 40.0), method="bounded",
+                          options={"xatol": 1e-9})
+    rep = cmd_sigma(alpha, beta)
+    assert rep.sigma <= math.exp(res.fun) <= rep.upper * (1 + 1e-9)
+    assert rep.upper - rep.sigma <= 1e-6 * rep.upper
 
 
 def test_sigma_and_example1_run_without_scipy(tmp_path):
@@ -653,6 +639,21 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 def _shipped(name, *overrides):
     return apply_overrides(load_config(os.path.join(CONFIGS, name)), overrides)
+
+
+@pytest.mark.parametrize("c_const, noted", [(0.25, False), (math.nextafter(0.25, 1.0), True)])
+def test_cmd_example1_notes_any_radius_constant_above_the_certified_one(outdir, c_const, noted):
+    cfg = _cfg(
+        domain_kind="slit_plane",
+        map_family="root_shift",
+        c_const=c_const,
+        pairs=1,
+        n_max=50,
+        nu_max=1,
+        max_islands=2,
+    )
+    lines = cmd_example1(cfg).lines
+    assert any("exceeds the certified value" in line for line in lines) == noted
 
 
 def test_cmd_example1_scan_matches_stored_candidate_scan(outdir):
@@ -1308,7 +1309,7 @@ def test_scan_rejects_malformed_candidate_metadata(
 def test_main_rejects_non_finite_values(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
     path = tmp_path / "sigma.ini"
-    path.write_text(f"[maps]\nalpha = 0\nbeta = 1\n[tolerances]\nsigma_t_max = {raw}\n")
+    path.write_text(f"[maps]\nalpha = 0\nbeta = 1\n[tolerances]\ndelta = {raw}\n")
     assert main(["sigma", str(path)]) == 2
     path.write_text("[maps]\nalpha = 0\nbeta = 1\n")
     assert main(["sigma", str(path), "--override", f"horizons.n_max={raw}"]) == 2

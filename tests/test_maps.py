@@ -630,6 +630,7 @@ def test_matrix_power_of_an_integer_translation_is_exact(b, p):
     assert iterate(Similarity(1.0, b), p) == Similarity(1.0, p * b)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowed_power_has_no_disc():
     # (1.5)^2000 overflows: the record's values leave every domain, and
     # its disc raises OverflowError, as the former closed form a ** p did

@@ -581,6 +581,7 @@ def _error_of(fn, cfg):
     return None
 
 
+@pytest.mark.filterwarnings("error")
 def test_collect_islands_raises_where_the_scalar_loop_raises():
     def shifts(n):  # affine: leave the unit disc once 0.5 + 0.02 n >= 1
         return Similarity(1.0, 0.02 * n)
