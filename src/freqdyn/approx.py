@@ -70,6 +70,12 @@ _EPS_RESOLUTION = 3
 
 _U = np.finfo(float).eps / 2  # unit roundoff
 
+# _verify reads each disc on a ring of at least _RING_DENSITY points per
+# degree of freedom, so its Bernstein factor at D = d is below
+# _BERNSTEIN_FACTOR, which the fit's verification schedule takes.
+_RING_DENSITY = 64
+_BERNSTEIN_FACTOR = 1.0 / (1.0 - math.pi / _RING_DENSITY)
+
 
 # ---------------------------------------------------------------------------
 # Polynomial representations
@@ -103,6 +109,30 @@ class Polynomial:
         if np.ndim(z) == 0:
             return complex(out)
         return out
+
+    def evaluate_with_rounding(self, z) -> tuple:
+        """Values at the points z by Horner's rule, as evaluate takes them,
+        and a running error bound for each: the bound of
+        NewtonPoly.evaluate_with_rounding at nodes 0 and scales 1, whose
+        differences and quotients round nothing."""
+        z = np.asarray(z, dtype=complex).ravel()
+        size = np.abs(z)
+        y = np.full(z.shape, self.coefficients[-1])
+        error = np.zeros(z.shape)
+        step = np.empty(z.shape)
+        for c in self.coefficients[-2::-1]:
+            error *= size
+            np.abs(y, out=step)
+            step *= size
+            step *= 2.0 * math.sqrt(2.0) * _U
+            error += step
+            y *= z
+            y += c
+            np.abs(y, out=step)
+            step *= _U
+            error += step
+        error *= 2.0
+        return y, error
 
     @staticmethod
     def monomial(mu: int) -> "Polynomial":
@@ -263,6 +293,33 @@ def _local_taylor(values: np.ndarray) -> Polynomial:
     return Polynomial(np.fft.fft(values) / values.size)
 
 
+def _ring_points(d: int) -> int:
+    """The ring size of _verify at fit degree d: 2^ceil(log2 64 (d + 1))."""
+    return 1 << (_RING_DENSITY * (d + 1) - 1).bit_length()
+
+
+def _ring_values(coefficients: np.ndarray, m: int) -> np.ndarray:
+    """sum_k a_k u^k at the m points _circle(0, 1, m), m >= len(a): a
+    zero-padded inverse FFT, unscaled."""
+    return np.fft.ifft(coefficients, m, norm="forward")
+
+
+def _fft_error(n: int) -> float:
+    """A bound on max_j |fl(F x)_j - (F x)_j| / ||x||_1 for numpy's FFT of
+    length n.  Higham (Accuracy and Stability of Numerical Algorithms,
+    sec. 24.1) proves Thm 24.2 from a stage model of the radix-2 FFT:
+    stage k computes (A_k + dA_k) y with |dA_k| <= eta |A_k|, where
+    eta = mu + gamma_4 (sqrt 2 + mu) and mu bounds the twiddle factors'
+    error.  The moduli |A_t| ... |A_1| multiply to the all-ones matrix,
+    so every output errs by at most ((1 + eta)^t - 1) ||x||_1 <=
+    t eta / (1 - t eta) ||x||_1, with t = log2 n stages.  Here
+    t = ceil(log2 n), which assumes as much of a length that is no power
+    of two, and mu = 4 u (cos and sin each within one ulp)."""
+    t = (n - 1).bit_length()
+    eta = 4.0 * _U + 4.0 * _U / (1.0 - 4.0 * _U) * (math.sqrt(2.0) + 4.0 * _U)
+    return t * eta / (1.0 - t * eta)
+
+
 def _circle_coefficients(polys) -> np.ndarray:
     """Monomial coefficients of each polynomial as zero-padded rows.
 
@@ -309,6 +366,9 @@ class Monomial:
     def values(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=complex) ** self.mu
 
+    def values_with_rounding(self, z: np.ndarray) -> tuple:
+        return Polynomial.monomial(self.mu).evaluate_with_rounding(z)
+
 
 @record(eq=False)
 class FixedPoly:
@@ -317,6 +377,9 @@ class FixedPoly:
 
     def values(self, z: np.ndarray) -> np.ndarray:
         return self.poly.evaluate(z)
+
+    def values_with_rounding(self, z: np.ndarray) -> tuple:
+        return self.poly.evaluate_with_rounding(z)
 
 
 @record(eq=False)
@@ -337,6 +400,28 @@ class ComposedInverse:
     def values(self, z: np.ndarray) -> np.ndarray:
         return self.poly.evaluate(raw_inverse(self.map, z))
 
+    def values_with_rounding(self, z: np.ndarray) -> tuple:
+        """Values and a bound on their rounding, to first order in u.
+
+        A constant P takes no rounding.  Through an affine map z -> a z + b
+        the inverse x = (z - b) / a errs by at most u |z - b| / |a| for the
+        difference and 16 u |x| for the quotient (Smith's algorithm, which
+        numpy divides by, within about 10 u); moving x by h moves P(x) by at
+        most |h| sum_k k |p_k| (|x| + |h|)^(k - 1), beside the Horner bound
+        of P at the computed x.  Through any other map the bound is inf.
+        """
+        z = np.asarray(z, dtype=complex).ravel()
+        p, m = self.poly, self.map
+        if p.degree == 0:
+            return np.full(z.shape, p.coefficients[0]), np.zeros(z.shape)
+        x = raw_inverse(m, z)
+        values, rounding = p.evaluate_with_rounding(x)
+        if not (isinstance(m, Mobius) and m.c == 0):
+            return values, np.full(z.shape, math.inf)
+        shift = _U * (np.abs(z - m.b) / abs(m.a) + 16.0 * np.abs(x))
+        slope = Polynomial(np.abs(p.coefficients[1:]) * np.arange(1, p.degree + 1))
+        return values, rounding + shift * slope.evaluate(np.abs(x) + shift).real
+
 
 @record
 class Zero:
@@ -344,6 +429,9 @@ class Zero:
 
     def values(self, z: np.ndarray) -> np.ndarray:
         return np.zeros(np.shape(z), dtype=complex)
+
+    def values_with_rounding(self, z: np.ndarray) -> tuple:
+        return self.values(np.ravel(z)), np.zeros(np.size(z))
 
 
 PieceSpec = Union[Monomial, FixedPoly, ComposedInverse, Zero]
@@ -468,11 +556,11 @@ def fit_bytes(target: PiecewiseTarget, max_degree: int) -> int:
     runs to its degree cap: eight complex arrays on the fit points
     (_piece_data's points, values and weights, the residual and node
     polynomial of _fit_leja, and their temporaries) and eight on the ring
-    of 16 (cap + 1) points that _verify takes through one piece (the ring,
-    its values, the target's and their temporaries); tracemalloc measures
-    up to about seven and a half of each."""
+    of _ring_points(cap) points that _verify takes through one piece (the
+    unit ring, the target's points, values and bounds, the fit's values
+    and their temporaries)."""
     points = sum(_ring_sizes(target, max_degree))
-    ring = 16 * (min(max_degree, points - 1) + 1)
+    ring = _ring_points(min(max_degree, points - 1))
     return 128 * (points + ring)
 
 
@@ -528,7 +616,7 @@ def _fit_leja(pts, vals, weights, max_degree):
             j = int(np.argmax(size))
             last = not 0.0 < size[j] < math.inf
             if not last:
-                scales[k] = 2.0 ** round(math.log2(size[j]))
+                scales[k] = math.ldexp(1.0, min(max(round(math.log2(size[j])), -1022), 1023))
                 omega /= scales[k]
         yield rho, last, lambda k=k: NewtonPoly(
             nodes[:k].copy(), scales[:k].copy(), coeffs[: k + 1].copy()
@@ -537,39 +625,86 @@ def _fit_leja(pts, vals, weights, max_degree):
             return
 
 
+def _moved(degree: int, shift: float) -> float:
+    """The most a polynomial of this degree, of sup 1 on the unit disc,
+    changes when its argument moves by shift: shift times its
+    derivative's bound degree (1 + shift)^(degree - 1) on that disc grown
+    by shift (Bernstein); inf once degree shift reaches 1."""
+    if degree * shift >= 1.0:
+        return math.inf
+    return degree * shift * (1.0 + shift) ** max(degree - 1, 0)
+
+
+def _sup(ring_max: float, loss: float) -> float:
+    """sup <= ring_max + loss sup, solved: ring_max / (1 - loss), or inf."""
+    return ring_max / (1.0 - loss) if loss < 1.0 else math.inf
+
+
 def _verify(fn: NewtonPoly, target: PiecewiseTarget) -> list:
     """A bound on sup |fn - target| over every piece, rounding included.
 
     On a disc of centre c and radius r > 0, e(c + r u) is a polynomial in
     u of degree D = max(d, target degree), d = fn.degree, whose sup sits
-    on |u| = 1.  With m = 16 (d + 1) equispaced ring points, Bernstein's
-    inequality gives ||e|| <= max_ring |e| / (1 - pi D / m), at most 1.25
-    max_ring |e| when D = d, no bound (inf) when m <= pi D.  fn is
-    evaluated at its d + 1 nodes only; Horner's rule on the local Taylor
-    coefficients gives the ring.  max_ring |e| gains the 2-norm of the
-    node error bounds (by Parseval, the most they move a ring value) and
-    4 (d + 1)^2 eps max |node value| for the FFT and Horner's rule, each
-    2 (d + 1) eps per coefficient.  A disc of radius 0 is one point:
-    its error plus its rounding.  Target values are taken as computed.
-    A bound that is not finite, as where fn overflows on a disc, is inf.
+    on |u| = 1.  fn is evaluated at d + 1 nodes c + r u_j only; their FFT
+    gives its local Taylor coefficients, and a zero-padded inverse FFT
+    their values on m = _ring_points(d) ring points, where the target is
+    evaluated with its running error bound.  Bernstein's inequality gives
+    ||e|| <= max_ring |e| + (pi D / m) ||e||, below 1.052 max_ring |e|
+    when D = d (_BERNSTEIN_FACTOR), inf when m <= pi D.
+
+    max_ring |e| gains every rounding, to first order in u:
+    - the 2-norm of the node error bounds, by Parseval the most they move
+      a ring value;
+    - the FFTs (_fft_error): the forward one of length d + 1 moves each
+      Taylor coefficient by at most e_{d+1} ||values||_1 / (d + 1), and
+      so a ring value by e_{d+1} ||values||_1; dividing by d + 1 and the
+      inverse one move a ring value by (u + e_m) ||coefficients||_1;
+    - the target's rounding bound;
+    - point positions: _circle's angles 2 pi k / n round by 4 u of
+      2 pi, libm's cos and sin by an ulp, and c + r u by u (|c| + 2 r),
+      so a point lies within delta = 2 u (|c| + 16 r) of its place,
+      which moves fn's node values and the
+      target's ring values by at most _moved(degree, delta / r) times
+      their sup, each sup bounded from its own ring values; the node
+      moves reach the ring through Parseval, times sqrt(d + 1).
+    A disc of radius 0 is one point: its error plus both roundings.
+    Every bound is raised by 16 u for the difference, the moduli and the
+    sums that form it.  A bound that is not finite, as where fn
+    overflows on a disc, is inf.
     """
     d = fn.degree
-    m = 16 * (d + 1)
-    ring = _circle(0.0, 1.0, m)
-    bounds = []
-    for piece in target.pieces:
-        c, r = piece.region.center, piece.region.radius
-        if r == 0.0:
-            value, rounding = fn.evaluate_with_rounding(c)
-            bounds.append(abs(value[0] - piece.spec.values(c)) + rounding[0])
-            continue
-        values, rounding = fn.evaluate_with_rounding(_circle(c, r, d + 1))
-        errors = _local_taylor(values).evaluate(ring) - piece.spec.values(_circle(c, r, m))
-        ring_max = np.max(np.abs(errors)) + np.linalg.norm(rounding)
-        ring_max += 8.0 * (d + 1) ** 2 * _U * np.max(np.abs(values))
-        factor = 1.0 - math.pi * max(d, piece.spec.degree) / m
-        bounds.append(ring_max / factor if factor > 0.0 else math.inf)
-    return [float(b) if math.isfinite(b) else math.inf for b in bounds]
+    nodes, ring = _circle(0.0, 1.0, d + 1), _circle(0.0, 1.0, _ring_points(d))
+    bounds = [_piece_bound(fn, piece, nodes, ring) for piece in target.pieces]
+    return [float((1.0 + 16.0 * _U) * b) if math.isfinite(b) else math.inf for b in bounds]
+
+
+def _piece_bound(fn: NewtonPoly, piece: TargetPiece, nodes: np.ndarray, ring: np.ndarray) -> float:
+    """The bound of _verify on one piece, before its 16 u, from the unit
+    circles of d + 1 nodes and of m ring points."""
+    c, r, spec = piece.region.center, piece.region.radius, piece.spec
+    if r == 0.0:
+        value, rounding = fn.evaluate_with_rounding(c)
+        wanted, slack = spec.values_with_rounding(c)
+        return abs(value[0] - wanted[0]) + rounding[0] + slack[0]
+    d, m = fn.degree, ring.size
+    wanted, slack = spec.values_with_rounding(c + r * ring)
+    target_error = np.max(slack)
+    del slack
+    values, rounding = fn.evaluate_with_rounding(c + r * nodes)
+    taylor = _local_taylor(values).coefficients
+    fitted = _ring_values(taylor, m)
+    transform = _fft_error(d + 1) * np.sum(np.abs(values))
+    transform += (_U + _fft_error(m)) * np.sum(np.abs(taylor))
+    node_error = np.linalg.norm(rounding) + transform
+    shift = 2.0 * _U * (abs(c) + 16.0 * r) / r
+    moved_fn = math.sqrt(d + 1) * _moved(d, shift)
+    moved_target = _moved(spec.degree, shift)
+    fn_sup = _sup(np.max(np.abs(fitted)) + node_error, math.pi * d / m + moved_fn)
+    target_sup = _sup(np.max(np.abs(wanted)) + target_error, math.pi * spec.degree / m + moved_target)
+    fitted -= wanted
+    ring_max = np.max(np.abs(fitted)) + node_error + target_error
+    ring_max += moved_fn * fn_sup + moved_target * target_sup
+    return _sup(ring_max, math.pi * max(d, spec.degree) / m)
 
 
 def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandidate:
@@ -577,16 +712,17 @@ def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandid
 
     One pass over one grid (_piece_data, _fit_leja) gives the degree-k
     fit and its weighted residual rho_k, the worst sampled
-    error-to-budget ratio, at every degree k up to max_degree.  The bound of _verify is a ring
-    maximum times a Bernstein factor of up to 1 / (1 - pi / 16), which
-    1.25 rounds up, so the degree-k fit is verified only when 1.25 rho_k
-    is below a limit: at first 1, after each FAIL that step's rho, and
-    the last degree always.  The first verified step whose bound is below
-    every piece's budget PASSes, certified by those bounds; the schedule
-    only skips steps, so a PASS is always a bound.  If none passes, the
-    verified step of least worst bound-to-budget ratio, the first on a
-    tie, FAILs as NON-CONVERGED; a bound that is not finite makes its
-    step's ratio inf, so such a step is never kept over a finite one.
+    error-to-budget ratio, at every degree k up to max_degree.  The bound
+    of _verify is a ring maximum times a Bernstein factor of up to
+    _BERNSTEIN_FACTOR, so the degree-k fit is verified only when that
+    factor times rho_k is below a limit: at first 1, after each FAIL that
+    step's rho, and the last degree always.  The first verified step
+    whose bound is below every piece's budget PASSes, certified by those
+    bounds; the schedule only skips steps, so a PASS is always a bound.
+    If none passes, the verified step of least worst bound-to-budget
+    ratio, the first on a tie, FAILs as NON-CONVERGED; a bound that is
+    not finite makes its step's ratio inf, so such a step is never kept
+    over a finite one.
     Every piece's target must be a polynomial.
     """
     if max_degree < 0:
@@ -595,7 +731,7 @@ def fit_on_compacts(target: PiecewiseTarget, max_degree: int = 256) -> FhcCandid
     pts, vals, weights = _piece_data(target, max_degree)
     limit, best = 1.0, None
     for rho, last, fit in _fit_leja(pts, vals, weights, min(max_degree, pts.size - 1)):
-        if not (last or 1.25 * rho < limit):
+        if not (last or _BERNSTEIN_FACTOR * rho < limit):
             continue
         fn = fit()
         bounds = _verify(fn, target)

@@ -119,7 +119,7 @@ PROBE_STEPS = (1, 2, 3, 5, 10, 100)
 MESH_POINTS = 1000
 MESH_RADIUS = 0.95
 
-CANDIDATE_FORMAT = "freqdyn-candidate-v5"
+CANDIDATE_FORMAT = "freqdyn-candidate-v6"
 
 # example5, density, split and sepfamily refuse, before any work, a
 # horizon whose arrays would exceed this many bytes (_within_budget), and
@@ -463,9 +463,11 @@ def _finish(
 
 
 # Packed arrays are little-endian complex128 (nodes, coefficients) or
-# float64 (scales), so a file decodes to the same bits on any host.
+# int16 (scale exponents), so a file decodes to the same bits on any host.
 _PACKED = np.dtype("<c16")
-_PACKED_REAL = np.dtype("<f8")
+_PACKED_EXPONENT = np.dtype("<i2")
+# A scale is 2^e with e in this range, a normal float.
+_EXPONENTS = (-1022, 1023)
 
 
 def _pack(values, dtype=_PACKED) -> str:
@@ -489,32 +491,43 @@ def _unpack(text, name: str, dtype=_PACKED) -> np.ndarray:
     return values
 
 
+def _scale_exponents(scales: np.ndarray) -> np.ndarray:
+    """e with scales == 2^e, refusing a scale that is no such power."""
+    exponents = np.frexp(scales)[1] - 1
+    lo, hi = _EXPONENTS
+    if not np.all((exponents >= lo) & (exponents <= hi) & (np.ldexp(1.0, exponents) == scales)):
+        raise ValueError(f"a scale is no power of two 2^e with e in [{lo}, {hi}]")
+    return exponents
+
+
 def _encode_function(fn: NewtonPoly) -> dict:
     return {
         "nodes": _pack(fn.nodes),
-        "scales": _pack(fn.scales, _PACKED_REAL),
+        "scale_exponents": _pack(_scale_exponents(fn.scales), _PACKED_EXPONENT),
         "coefficients": _pack(fn.coefficients),
     }
 
 
 def _decode_function(blob: dict) -> NewtonPoly:
-    """A NewtonPoly from its three packed arrays: d nodes, d scales, each a
-    positive power of two (the rounding bound of NewtonPoly assumes that
-    dividing by one is exact), and d + 1 coefficients."""
+    """A NewtonPoly from its three packed arrays: d nodes, d scale
+    exponents e_k in [-1022, 1023], the scales being 2^e_k exactly (the
+    rounding bound of NewtonPoly assumes that dividing by one is exact),
+    and d + 1 coefficients."""
     nodes = _unpack(blob["nodes"], "nodes")
-    scales = _unpack(blob["scales"], "scales", _PACKED_REAL)
+    exponents = _unpack(blob["scale_exponents"], "scale_exponents", _PACKED_EXPONENT)
     coeffs = _unpack(blob["coefficients"], "coefficients")
     degree = coeffs.size - 1
     if degree < 0:
         raise ValueError("no coefficients")
-    if nodes.size != degree or scales.size != degree:
+    if nodes.size != degree or exponents.size != degree:
         raise ValueError(
-            f"{nodes.size} nodes and {scales.size} scales for degree {degree},"
-            f" expected {degree} of each"
+            f"{nodes.size} nodes and {exponents.size} scale exponents for degree"
+            f" {degree}, expected {degree} of each"
         )
-    if not np.all((scales > 0.0) & (np.frexp(scales)[0] == 0.5)):
-        raise ValueError("a scale is not a positive power of two")
-    return NewtonPoly(nodes=nodes, scales=scales, coefficients=coeffs)
+    lo, hi = _EXPONENTS
+    if not np.all((exponents >= lo) & (exponents <= hi)):
+        raise ValueError(f"a scale exponent is outside [{lo}, {hi}]")
+    return NewtonPoly(nodes=nodes, scales=np.ldexp(1.0, exponents), coefficients=coeffs)
 
 
 def _encode_candidate(

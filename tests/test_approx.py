@@ -26,6 +26,7 @@ from freqdyn.approx import (
     _gaussian_rational,
     _local_taylor,
     _piece_data,
+    _ring_values,
     _signed_rational,
     _verify,
     assemble_dense_target,
@@ -201,6 +202,12 @@ def _island_chain(count=24, tau=1e-3):
     return PiecewiseTarget(tuple(pieces))
 
 
+_NEEDS_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than float64 here",
+)
+
+
 def _extended_newton_horner(fn, z):
     """fn at z in np.clongdouble arithmetic, from the same stored nodes,
     scales and coefficients."""
@@ -214,10 +221,7 @@ def _extended_newton_horner(fn, z):
     return y
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-    reason="long double is no wider than float64 here",
-)
+@_NEEDS_LONG_DOUBLE
 def test_rounding_bound_covers_the_error_at_the_verify_nodes():
     # the 24-island fit passes near degree 290; at the d + 1 nodes of
     # _verify on every piece, the running bound is at least the error
@@ -231,6 +235,62 @@ def test_rounding_bound_covers_the_error_at_the_verify_nodes():
         values, bound = fn.evaluate_with_rounding(z)
         error = np.abs(values.astype(np.clongdouble) - _extended_newton_horner(fn, z))
         assert np.all(error.astype(float) <= bound)
+
+
+def _extended_horner(coefficients, x):
+    """The polynomial with these coefficients at x, in np.clongdouble."""
+    y = np.zeros(np.shape(x), dtype=np.clongdouble)
+    for c in np.asarray(coefficients, dtype=np.clongdouble)[::-1]:
+        y = y * x + c
+    return y
+
+
+@_NEEDS_LONG_DOUBLE
+def test_target_rounding_bound_covers_a_composed_inverse():
+    # P(phi^-1(z)) for a degree-6 P through phi(x) = a x + b: at points
+    # where |x| reaches 5, the bound is at least the error against the
+    # same formula in extended precision, and the values are those the
+    # fit takes
+    rng = np.random.default_rng(11)
+    coefficients = rng.normal(size=7) + 1j * rng.normal(size=7)
+    a, b = 0.37 + 0.21j, 5.0 - 3.0j
+    spec = ComposedInverse(Polynomial(coefficients), Similarity(a, b))
+    z = _circle(b + 2.0 * a, 3.0 * abs(a), 4096)
+    values, bound = spec.values_with_rounding(z)
+    assert np.array_equal(values, spec.values(z))
+    x = (z.astype(np.clongdouble) - np.clongdouble(b)) / np.clongdouble(a)
+    error = np.abs(values.astype(np.clongdouble) - _extended_horner(coefficients, x))
+    assert np.all(error.astype(float) <= bound)
+    assert np.max(bound) < 1e-12 * np.max(np.abs(values))
+
+
+def test_target_rounding_is_nil_on_constants_and_inf_through_a_root():
+    z = _circle(3.0, 0.5, 64)
+    root = RootShift(0.0, 1.0, 2, 3)
+    for spec in (Zero(), FixedPoly(Polynomial([1.0])), ComposedInverse(Polynomial([1.0]), root)):
+        values, bound = spec.values_with_rounding(z)
+        assert np.array_equal(values, spec.values(z)) and not np.any(bound)
+    # no rounding bound is known through a non-affine inverse
+    _, bound = ComposedInverse(Polynomial([0.0, 1.0]), root).values_with_rounding(z)
+    assert np.all(bound == math.inf)
+
+
+@_NEEDS_LONG_DOUBLE
+@pytest.mark.parametrize("n", [4, 64, 257, 369])
+def test_fft_error_bounds_both_transforms_of_verify(n):
+    # the forward FFT of n node values and the inverse FFT of n Taylor
+    # coefficients onto the _verify ring, each against extended precision
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    tau = 8 * np.arctan(np.longdouble(1.0))
+    k = np.arange(n)
+    dft = np.exp(-1j * tau * np.clongdouble((k[:, None] * k) % n) / n) @ values.astype(np.clongdouble)
+    error = np.abs(np.fft.fft(values).astype(np.clongdouble) - dft).astype(float)
+    assert np.max(error) <= approx._fft_error(n) * np.sum(np.abs(values))
+    m = approx._ring_points(n - 1)
+    ring = np.exp(1j * tau * np.clongdouble(np.arange(m)) / m)
+    error = np.abs(_ring_values(values, m).astype(np.clongdouble) - _extended_horner(values, ring))
+    assert np.max(error.astype(float)) <= approx._fft_error(m) * np.sum(np.abs(values))
 
 
 def test_leja_fits_are_nested_and_interpolate_within_their_bound():
@@ -543,26 +603,27 @@ def _record_fit_steps(monkeypatch):
 
 def _scheduled(rhos):
     """Degrees the verification schedule names in a pass that stopped
-    after len(rhos) steps: the first with 1.25 rho < 1, then each whose
-    rho is below the last verified one's by another factor 1.25, and the
-    last step."""
+    after len(rhos) steps: the first with f rho < 1, f the Bernstein
+    factor of _verify at D = d, then each whose rho is below the last
+    verified one's by another factor f, and the last step."""
     degrees, limit = [], 1.0
     for k, rho in enumerate(rhos):
-        if 1.25 * rho < limit or k == len(rhos) - 1:
+        if approx._BERNSTEIN_FACTOR * rho < limit or k == len(rhos) - 1:
             degrees.append(k)
             limit = rho
     return degrees
 
 
 def test_only_a_fit_step_within_budget_is_verified(monkeypatch):
-    # the three-disc fit verifies degree 124 alone, the first with
-    # 1.25 rho < 1, and passes there.  z^20 at budget 2.6 interpolated at
+    # the three-disc fit verifies degree 122 alone, the first with
+    # f rho < 1, and passes there.  z^20 at budget 2.6 interpolated at
     # the node 1 leaves |z^20 - 1| <= 2, so rho_0 = 2 / 2.6, and rho stays
-    # above 0.77 / 1.25 up to degree 19: degree 0 is verified and fails,
-    # with no norming bound (20 >= 16 / pi), and the next step verified is
-    # degree 20, where rho falls to rounding and the bound passes
+    # above 0.77 / f up to degree 19: degree 0 is verified and fails, its
+    # 64-point ring leaving a norming factor 1 / (1 - 20 pi / 64) near 54,
+    # and the next step verified is degree 20, where rho falls to
+    # rounding and the bound passes
     z20 = _one_disc_target([0.0] * 20 + [1.0], 2.6)
-    for target, want in ((_three_disc_target(), [124]), (z20, [0, 20])):
+    for target, want in ((_three_disc_target(), [122]), (z20, [0, 20])):
         rhos, verified = _record_fit_steps(monkeypatch)
         cand = fit_on_compacts(target)
         monkeypatch.undo()
@@ -658,20 +719,24 @@ def test_fit_residual_at_the_budget_leaves_a_bound_at_the_budget(discs, offset, 
         assert any(b >= p.tau for b, p in zip(_verify(fn, target), pieces))
 
 
+# the least target degree that leaves the ring of the cap 32 no norming bound
+_UNNORMED_AT_32 = math.ceil(approx._ring_points(32) / math.pi)
+
+
 @pytest.mark.parametrize(
     "target, max_degree, verified_degrees, unbounded",
     [
         (_three_disc_target(), 32, [32], False),
         # z + z^12 at budget 2.6: interpolated at the nodes 1 and -1 it
         # leaves z^12 - 1, so rho = 2 / 2.6 from degree 1 to 7, and degree
-        # 1 is verified, with no norming bound (12 >= 32 / pi); the cap 8
-        # bounds the error by about 5.4 > 2.6
+        # 1 is verified, its bound about 2.83 > 2.6; the cap 8 bounds the
+        # error by about 4.15
         (_one_disc_target([0.0, 1.0] + [0.0] * 10 + [1.0], 2.6), 8, [1, 8], False),
-        # z^200 leaves every step of degree d < 200 pi / 16 - 1 without a
-        # norming bound.  Its ring holds 201 points, on which no lower
-        # degree comes near z^200, so rho stays above 1e3 and the cap
-        # alone is verified, at ratio inf
-        (_one_disc_target([0.0] * 200 + [1.0], 1e-3), 32, [32], True),
+        # z^D with D = ceil(m / pi) for the ring of the cap 32 leaves every
+        # step without a norming bound.  Its fit ring holds D + 1 points,
+        # on which no lower degree comes near z^D, so rho stays above 1e3
+        # and the cap alone is verified, at ratio inf
+        (_one_disc_target([0.0] * _UNNORMED_AT_32 + [1.0], 1e-3), 32, [32], True),
     ],
     ids=["all-screened", "last-verified", "all-unbounded"],
 )
@@ -710,7 +775,7 @@ def _local_target(coefficients, disc):
 )
 def test_certificate_bounds_the_error_on_a_finer_ring(cx, cy, radius, d, share, seed):
     # fn of degree d against a target of degree up to 5 (d + 1), so that
-    # D = max(d, target degree) < m / pi for the m = 16 (d + 1) ring
+    # D = max(d, target degree) < m / pi for the m >= 64 (d + 1) ring
     rng = np.random.default_rng(seed)
     disc = ClosedDisc(complex(cx, cy), radius)
     normal = lambda n: rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -720,17 +785,16 @@ def test_certificate_bounds_the_error_on_a_finer_ring(cx, cy, radius, d, share, 
     spec = _local_target(normal(int(share * 5 * (d + 1)) + 1), disc)
     target = PiecewiseTarget((TargetPiece(disc, spec, 1.0),))
     [bound] = _verify(fn, target)
-    fine = _circle(disc.center, disc.radius, 64 * 16 * (fn.degree + 1))
+    fine = _circle(disc.center, disc.radius, 8 * approx._ring_points(fn.degree))
     assert bound >= np.max(np.abs(fn.evaluate(fine) - spec.values(fine)))
 
 
 def test_certificate_is_not_fooled_by_an_error_vanishing_on_the_ring():
-    # e = eps u^200 (1 - u^480) vanishes, to rounding, on the 480-point
-    # ring of a degree-29 fit, on every ring point of the sampled check it
-    # replaced and on that check's lattice, yet |e| reaches 2 eps
-    # half way between ring points; degree 680 > 480 / pi leaves no
-    # norming bound
-    eps, d, m = 1e-3, 29, 480
+    # e = eps u^200 (1 - u^m) vanishes, to rounding, on the m-point ring
+    # of a degree-29 fit, m = 2048, yet |e| reaches 2 eps half way between
+    # ring points; degree 200 + m > m / pi leaves no norming bound
+    eps, d = 1e-3, 29
+    m = approx._ring_points(d)
     disc = ClosedDisc(0.0, 1.0)
     coefficients = np.zeros(201 + m, dtype=complex)
     coefficients[200], coefficients[200 + m] = eps, -eps
@@ -738,15 +802,16 @@ def test_certificate_is_not_fooled_by_an_error_vanishing_on_the_ring():
     grid = _circle(disc.center, disc.radius, max(32, d + 1))
     fn, _ = _fit_to(grid, np.zeros(grid.size), np.ones(grid.size), d)
     ring = _circle(0.0, 1.0, m)
-    assert np.max(np.abs(spec.values(ring))) < 1e-12 * eps
+    assert np.max(np.abs(spec.values(ring))) < 1e-11 * eps
     assert abs(spec.values(np.exp(1j * np.pi / m))) == pytest.approx(2.0 * eps)
     assert _verify(fn, PiecewiseTarget((TargetPiece(disc, spec, eps),))) == [math.inf]
 
 
 def test_fit_without_a_norming_bound_fails():
-    # z^60 against m = 16 (8 + 1) = 144 <= 60 pi ring points: the budget
-    # is loose, but no step may certify it
-    target = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(60), 1e3),))
+    # z^D against the m <= D pi ring points of the cap 8: the budget is
+    # loose, but no step may certify it
+    unnormed = math.ceil(approx._ring_points(8) / math.pi)
+    target = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(unnormed), 1e3),))
     cand = fit_on_compacts(target, max_degree=8)
     assert cand.certificates[0].achieved == math.inf
     assert cand.status == CandidateStatus.FAILED and cand.reason == "NON-CONVERGED"
@@ -852,6 +917,34 @@ def _far_small_disc_fit():
     return target, _ring_fit(target, 256)
 
 
+@_NEEDS_LONG_DOUBLE
+@pytest.mark.parametrize("n", [1, 3, 369, 32768])
+def test_verify_points_lie_within_the_position_bound(n):
+    # _verify places its nodes and ring points at c + r u for u on the
+    # computed unit circle; each lies within 2 u (|c| + 16 r) of its place
+    tau = 8 * np.arctan(np.longdouble(1.0))
+    exact = np.exp(1j * tau * np.clongdouble(np.arange(n)) / n)
+    unit = _circle(0.0, 1.0, n)
+    for c in (0.0, 320.0 + 5.0j, -7.25 + 1e3j, 1e12):
+        for r in (1.0, 1e-3, 4.0, 0.37):
+            moved = np.abs((c + r * unit).astype(np.clongdouble) - (c + np.longdouble(r) * exact))
+            assert np.all(moved.astype(float) <= 2.0 * approx._U * (abs(c) + 16.0 * r))
+
+
+def test_far_disc_bound_counts_the_node_positions():
+    # at |c| = 1e12 the points c + r u round by up to 2 u |c|, about
+    # 2.2e-4 on a unit disc.  The fit of the local coordinate z - c has a
+    # ring maximum near 6e-5, under the budget 2e-4, but moving the
+    # degree-1 fit's two nodes and the target's ring points by that much
+    # moves their values by as much, so no step is certified
+    c = 1e12
+    disc = ClosedDisc(c, 1.0)
+    target = PiecewiseTarget((TargetPiece(disc, _local_target([0.0, 1.0], disc), 2e-4),))
+    cand = fit_on_compacts(target, 8)
+    assert cand.status == CandidateStatus.FAILED and cand.degree >= 1
+    assert cand.certificates[0].achieved >= (1.0 + math.sqrt(2.0)) * 2.0 * approx._U * c
+
+
 def test_local_taylor_agrees_with_newton_evaluation(dense_member3):
     # the member's fit carried on to the degree cap 256
     target, _ = dense_member3
@@ -864,10 +957,10 @@ def test_local_taylor_agrees_with_newton_evaluation(dense_member3):
             disc = piece.region
             assert isinstance(disc, ClosedDisc) and disc.radius > 0.0
             local = _local_taylor(fn.evaluate(_circle(disc.center, disc.radius, fn.degree + 1)))
-            # the verification ring of _verify
-            ring = _circle(0.0, 1.0, 16 * (fn.degree + 1))
+            # the verification ring of _verify, by its inverse FFT
+            ring = _circle(0.0, 1.0, approx._ring_points(fn.degree))
             direct.append(fn.evaluate(disc.center + disc.radius * ring))
-            taylor.append(local.evaluate(ring))
+            taylor.append(_ring_values(local.coefficients, ring.size))
         # rounding of either path is on the scale of the fit's largest value
         scale = max(np.max(np.abs(d)) for d in direct)
         for d, t in zip(direct, taylor):
@@ -912,7 +1005,9 @@ def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
     value, rounding = fn.evaluate_with_rounding(z)
     assert value[0] == fn.evaluate(z[0])
     assert 0.0 < rounding[0] < 1e-12
-    assert bounds[1] == abs(value[0] - z[0]) + rounding[0]
+    wanted, slack = Monomial(1).values_with_rounding(z)
+    assert wanted[0] == z[0] and 0.0 < slack[0] < 1e-12
+    assert bounds[1] == (1.0 + 2.0**-49) * (abs(value[0] - z[0]) + rounding[0] + slack[0])
 
 
 @pytest.mark.parametrize(
@@ -982,7 +1077,7 @@ def test_ring_sizes_follow_the_radius_and_every_pass_is_a_bound(discs, cap, seed
     if cand.status == CandidateStatus.PASS:
         for piece, cert in zip(pieces, cand.certificates):
             disc = piece.region
-            m = 4 * 16 * (cand.degree + 1) if disc.radius > 0.0 else 1
+            m = 4 * approx._ring_points(cand.degree) if disc.radius > 0.0 else 1
             z = _circle(disc.center, disc.radius, m) if disc.radius > 0.0 else np.array([disc.center])
             error = np.max(np.abs(cand.fn.evaluate(z) - piece.spec.values(z)))
             assert cert.achieved >= error

@@ -456,22 +456,21 @@ def test_newton_encoding_round_trip_is_packed_and_bitwise():
         pass
     fn = fit()
     blob = json.loads(json.dumps(cli._encode_function(fn)))
-    # 24 nodes and 25 coefficients of 16 bytes, 24 scales of 8
-    assert [len(base64.b64decode(blob[k])) for k in ("nodes", "scales", "coefficients")] == [
-        16 * 24, 8 * 24, 16 * 25
-    ]
+    # 24 nodes and 25 coefficients of 16 bytes, 24 scale exponents of 2
+    fields = ("nodes", "scale_exponents", "coefficients")
+    assert [len(base64.b64decode(blob[k])) for k in fields] == [16 * 24, 2 * 24, 16 * 25]
     again = cli._decode_function(blob)
     for name in ("nodes", "scales", "coefficients"):
         assert getattr(again, name).tobytes() == getattr(fn, name).tobytes()
     z = np.linspace(-2.0, 2.0, 301) + 0.4j
-    assert np.array_equal(again.evaluate(z), fn.evaluate(z))
+    assert again.evaluate(z).tobytes() == fn.evaluate(z).tobytes()
 
 
 def test_load_candidate_rejects_v1_format(tmp_path, capsys):
     ini = tmp_path / "scan.ini"
     for old_format in (
         "freqdyn-candidate-v1", "freqdyn-candidate-v2", "freqdyn-candidate-v3",
-        "freqdyn-candidate-v4",
+        "freqdyn-candidate-v4", "freqdyn-candidate-v5",
     ):
         path = tmp_path / f"{old_format}.json"
         path.write_text(
@@ -492,13 +491,13 @@ def test_load_candidate_rejects_v1_format(tmp_path, capsys):
 
 
 def _packed(values, dtype="<c16") -> str:
-    """The v5 encoding of complex values (or of real ones, as "<f8"),
-    written independently of cli."""
+    """The v6 encoding of complex values (or of scale exponents, as
+    "<i2"), written independently of cli."""
     return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
 
 
 def _degree_one(**fields) -> dict:
-    function = {"nodes": _packed([0.5]), "scales": _packed([2.0], "<f8"),
+    function = {"nodes": _packed([0.5]), "scale_exponents": _packed([1], "<i2"),
                 "coefficients": _packed([1.0, -1.0j])}
     function.update(fields)
     return function
@@ -516,17 +515,18 @@ def test_function_codec_accepts_the_degree_one_fixture():
 def test_function_codec_round_trip_is_bitwise(degree):
     rng = np.random.default_rng(degree)
     nodes = rng.normal(size=(degree, 2)) @ np.array([1.0, 1.0j])
-    scales = np.ldexp(1.0, rng.integers(-1074, 1024, size=degree))
+    exponents = rng.integers(-1022, 1024, size=degree)
     coeffs = rng.normal(size=(degree + 1, 2)) @ np.array([1.0, 1.0j])
     # signed zeros and subnormals must survive: no decimal round trip
     edge = [complex(-0.0, 5e-324), complex(-5e-324, -0.0), complex(2.2e-308, -1e-310)]
     nodes[: len(edge)] = edge[: nodes.size]
     coeffs[: len(edge)] = edge[: coeffs.size]
-    scales[: 2] = [5e-324, 2.0 ** 1023][: scales.size]
+    exponents[: 2] = [-1022, 1023][: exponents.size]
+    scales = np.ldexp(1.0, exponents)
     fn = NewtonPoly(nodes=nodes, scales=scales, coefficients=coeffs)
     blob = json.loads(json.dumps(cli._encode_function(fn)))
     assert blob["nodes"] == _packed(nodes)
-    assert blob["scales"] == _packed(scales, "<f8")
+    assert blob["scale_exponents"] == _packed(exponents, "<i2")
     assert blob["coefficients"] == _packed(coeffs)
     again = cli._decode_function(blob)
     assert again.nodes.tobytes() == nodes.tobytes()
@@ -537,16 +537,17 @@ def test_function_codec_round_trip_is_bitwise(degree):
 @pytest.mark.parametrize(
     "where, bad",
     [(w, b) for w in ("nodes", "coefficients") for b in (math.nan, math.inf, complex(0.0, -math.inf))]
-    + [("scales", b) for b in (math.nan, math.inf, -math.inf)],
+    + [("scales", b) for b in (math.nan, math.inf, -math.inf, 3.0, -2.0, 0.0, 5e-324, 2.0**-1023)],
 )
-def test_function_encoding_refuses_non_finite_entries(where, bad):
+def test_function_encoding_refuses_entries_it_cannot_pack(where, bad):
     arrays = {
         "nodes": np.array([0.5], dtype=complex),
         "scales": np.array([2.0]),
         "coefficients": np.array([1.0, -1.0j]),
     }
     arrays[where][-1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    match = "power of two" if where == "scales" else "non-finite"
+    with pytest.raises(ValueError, match=match):
         cli._encode_function(NewtonPoly(**arrays))
 
 
@@ -562,24 +563,28 @@ def test_function_encoding_refuses_non_finite_entries(where, bad):
         _degree_one(coefficients=_packed([1.0, -1.0j])[:8] + "\n" + _packed([1.0, -1.0j])[8:]),
         # bad padding
         _degree_one(nodes=_packed([0.5]).rstrip("=")),
-        # one node short, one scale over, one coefficient over
+        _degree_one(scale_exponents=_packed([1], "<i2")[:2] + "*" + _packed([1], "<i2")[2:]),
+        # one node short, one exponent short or over, one coefficient over
         _degree_one(nodes=""),
-        _degree_one(scales=_packed([2.0, 4.0], "<f8")),
+        _degree_one(scale_exponents=""),
+        _degree_one(scale_exponents=_packed([1, 2], "<i2")),
         _degree_one(coefficients=_packed([1.0, -1.0j, 3.0])),
         # no coefficients at all, and byte counts of no whole entries
-        _degree_one(nodes="", scales="", coefficients=""),
+        _degree_one(nodes="", scale_exponents="", coefficients=""),
         _degree_one(coefficients=base64.b64encode(bytes(40)).decode()),
-        _degree_one(scales=base64.b64encode(bytes(12)).decode()),
+        _degree_one(scale_exponents=base64.b64encode(bytes(3)).decode()),
         # a NaN or an infinity in the packed bytes
         _degree_one(nodes=_packed([complex(0.5, math.nan)])),
-        _degree_one(scales=_packed([math.inf], "<f8")),
         _degree_one(coefficients=_packed([1.0, math.inf])),
-        # a scale that is no positive power of two: dividing by it rounds
-        _degree_one(scales=_packed([3.0], "<f8")),
-        _degree_one(scales=_packed([-2.0], "<f8")),
-        _degree_one(scales=_packed([0.0], "<f8")),
-        # complex scales, 16 bytes each, read as two reals
-        _degree_one(scales=_packed([2.0])),
+        # an exponent outside [-1022, 1023]: a scale 2^e that is no normal float
+        _degree_one(scale_exponents=_packed([-1023], "<i2")),
+        _degree_one(scale_exponents=_packed([1024], "<i2")),
+        _degree_one(scale_exponents=_packed([-32768], "<i2")),
+        # v5 scales, 8 bytes each, read as four exponents
+        _degree_one(scale_exponents=_packed([2.0], "<f8")),
+        # the v5 field name
+        {"nodes": _packed([0.5]), "scales": _packed([2.0], "<f8"),
+         "coefficients": _packed([1.0, -1.0j])},
         # a list (the v3 layout) or a number in place of a string
         _degree_one(nodes=[[0.5, 0.0]]),
         _degree_one(coefficients=7),
@@ -674,17 +679,17 @@ def test_cmd_example1_scan_matches_stored_candidate_scan(outdir):
     "command, config, expected",
     [
         (cmd_build_fhc, "existence.ini",
-         ["PASS: candidate fit PASS at degree 19 (worst error ratio 0.924)"]),
+         ["PASS: candidate fit PASS at degree 18 (worst error ratio 0.868)"]),
         (cmd_example1, "example1.ini",
-         ["PASS: island fit PASS at degree 10 (worst error ratio 0.833)"]),
+         ["PASS: island fit PASS at degree 10 (worst error ratio 0.706)"]),
         (cmd_build_fhc, "spaceable.ini",
          [f"PASS: member {mu} fit PASS at degree {d}"
-          for mu, d in ((1, 27), (2, 31), (3, 46))]),
+          for mu, d in ((1, 26), (2, 31), (3, 42))]),
         (cmd_build_fhc, "dense.ini",
          [f"PASS: member {mu} fit PASS at degree {d} (base error {e} vs {b})"
-          for mu, d, e, b in ((1, 5, "7.909e-01", "1.000e+00"),
-                              (2, 79, "3.078e-01", "5.000e-01"),
-                              (3, 99, "1.575e-01", "3.333e-01"))]),
+          for mu, d, e, b in ((1, 5, "6.825e-01", "1.000e+00"),
+                              (2, 67, "2.641e-01", "5.000e-01"),
+                              (3, 99, "1.319e-01", "3.333e-01"))]),
     ],
 )
 def test_shipped_configs_fit_lines(outdir, command, config, expected):
@@ -709,8 +714,8 @@ def test_shipped_fit_certificates_bound_a_denser_ring(
     outdir, monkeypatch, command, config, overrides, fits
 ):
     # every certificate is at least the error on a ring four times denser
-    # than the 16 (d + 1) points it was computed from, evaluated directly
-    # in Newton form
+    # than the approx._ring_points(d) points it was computed from,
+    # evaluated directly in Newton form
     captured = []
     fit = approx.fit_on_compacts
 
@@ -726,7 +731,7 @@ def test_shipped_fit_certificates_bound_a_denser_ring(
         assert cand.status == "PASS"
         for piece, cert in zip(target.pieces, cand.certificates):
             disc = piece.region
-            m = 64 * (cand.fn.degree + 1) if disc.radius > 0.0 else 1
+            m = 4 * approx._ring_points(cand.fn.degree) if disc.radius > 0.0 else 1
             z = disc.center + disc.radius * np.exp(2j * np.pi * np.arange(m) / m)
             assert cert.achieved >= np.max(np.abs(cand.fn.evaluate(z) - piece.spec.values(z)))
 
@@ -737,12 +742,12 @@ def test_cmd_build_mixed_members_and_basis(outdir):
     members = [line for line in res.lines if line.startswith("PASS: member")]
     assert members == [
         f"PASS: member {mu} fit PASS at degree {d}"
-        for mu, d in ((1, 19), (2, 31), (3, 46))
+        for mu, d in ((1, 16), (2, 31), (3, 42))
     ]
     basis = json.loads((outdir / "build_fhc" / "basis.json").read_text())
     assert basis["kind"] == "mixed"
     assert basis["indices"] == [1, 2, 3]
-    assert f"{basis['perturbation_sum']:.6f}" == "0.094797"
+    assert f"{basis['perturbation_sum']:.6f}" == "0.200673"
 
 
 def test_shipped_dense_members_are_nonzero(outdir, monkeypatch):
@@ -1156,7 +1161,7 @@ def test_cmd_scan_rejects_wrong_kind(outdir, tmp_path):
                 "kind": "spaceable",
                 "function": {
                     "nodes": "",
-                    "scales": "",
+                    "scale_exponents": "",
                     "coefficients": _packed([1.0]),
                 },
             }
