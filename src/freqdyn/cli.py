@@ -12,7 +12,8 @@ some line failed.
 
 Reports embed a short hash of the effective configuration so that any
 artifact can be traced back to the exact parameter set that produced
-it.  Identical configurations produce byte-identical artifacts; wall
+it.  Identical configurations produce byte-identical artifacts (for
+one zlib build, whose output enters ``example5``'s errors file); wall
 clock timings go to stdout only.
 """
 
@@ -29,6 +30,7 @@ import math
 import os
 import sys
 import time
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -595,6 +597,76 @@ def load_candidate(path: str):
 
 
 # ---------------------------------------------------------------------------
+# iterate errors
+
+# An errors file is this line, then one zlib stream (level 6) of the
+# second differences of errors e_1, e_2, ...: with u_i the little-endian
+# bits of e_i and u_0 = u_-1 = 0, d_i = u_i - 2 u_{i-1} + u_{i-2}
+# mod 2^64, cut into blocks of _ERRORS_BLOCK values, each block written
+# as its 8 byte planes (byte 0 of every value, then byte 1, ...).
+# Smoothly falling errors leave the high planes nearly constant, which
+# zlib packs tightly.
+ERRORS_HEADER = b"freqdyn-errors-v1\n"
+_ERRORS_BLOCK = 4096
+
+
+def _write_errors(path: str, errors: np.ndarray) -> None:
+    """Write errors as an errors file, one block at a time: the extra
+    memory is a few blocks and zlib's state, whatever the length."""
+    bits = np.asarray(errors, dtype="<f8").view("<u8")
+    packer = zlib.compressobj(6)
+    # window[:2] carries u_{i-2}, u_{i-1} into each block
+    window = np.zeros(_ERRORS_BLOCK + 2, dtype="<u8")
+    with _atomic_file(path, "wb") as fh:
+        fh.write(ERRORS_HEADER)
+        for start in range(0, bits.size, _ERRORS_BLOCK):
+            block = bits[start : start + _ERRORS_BLOCK]
+            n = block.size
+            window[2 : n + 2] = block
+            # unsigned arithmetic wraps mod 2^64
+            diff = window[2 : n + 2] - window[1 : n + 1] - window[1 : n + 1]
+            diff += window[:n]
+            fh.write(packer.compress(diff.view(np.uint8).reshape(n, 8).T.tobytes()))
+            window[:2] = window[n : n + 2]
+        fh.write(packer.flush())
+
+
+def load_errors(path: str) -> np.ndarray:
+    """Read back an errors file as a '<f8' array, bit for bit; refuse
+    another header, a corrupt, truncated or trailed zlib stream and a
+    byte count of no whole values."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.startswith(ERRORS_HEADER):
+        raise ValueError(
+            f"not an errors file of format {ERRORS_HEADER.decode().strip()}: {path}"
+        )
+    unpacker = zlib.decompressobj()
+    try:
+        raw = unpacker.decompress(memoryview(blob)[len(ERRORS_HEADER) :])
+    except zlib.error as exc:
+        raise ValueError(f"corrupt zlib stream in errors file {path}: {exc}") from None
+    if not unpacker.eof:
+        raise ValueError(f"truncated zlib stream in errors file {path}")
+    if unpacker.unused_data:
+        raise ValueError(
+            f"{len(unpacker.unused_data)} bytes after the zlib stream in errors file {path}"
+        )
+    if len(raw) % 8:
+        raise ValueError(f"{len(raw)} bytes of errors in {path}, no whole float64 values")
+    diff = np.empty(len(raw) // 8, dtype="<u8")
+    planes = np.frombuffer(raw, dtype=np.uint8)
+    for start in range(0, diff.size, _ERRORS_BLOCK):
+        n = min(_ERRORS_BLOCK, diff.size - start)
+        block = planes[8 * start : 8 * (start + n)].reshape(8, n)
+        diff[start : start + n] = np.ascontiguousarray(block.T).view("<u8")[:, 0]
+    # two wrapping running sums undo the two differences
+    np.cumsum(diff, dtype="<u8", out=diff)
+    np.cumsum(diff, dtype="<u8", out=diff)
+    return diff.view("<f8")
+
+
+# ---------------------------------------------------------------------------
 # shared pipeline pieces
 
 
@@ -980,8 +1052,8 @@ def cmd_example4(cfg: ExperimentConfig) -> CommandResult:
 def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
     """Orbit contraction of a parabolic disc map toward its fixed point."""
     # the errors and at most two arrays of their size that the
-    # monotone-tail test derives from them; errors.npy is written from
-    # the errors themselves
+    # monotone-tail test derives from them; errors.f8z is written one
+    # block of errors at a time
     _within_budget("horizons.iterates", cfg.iterates, 24 * cfg.iterates)
     out = _artifact_dir(cfg, "example5")
     m = ParabolicDisc(cfg.a_param, cfg.gamma, 1)
@@ -1025,14 +1097,10 @@ def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
             "identity control shows no decrease",
         )
     )
-    path = os.path.join(out, "errors.npy")
-    with _atomic_file(path, "wb") as fh:
-        # entry i is e_{i+1}, bit for bit; the pinned version and byte
-        # order give the same bytes on every host, and on a file object
-        # the array goes out through tofile, without a copy
-        np.lib.format.write_array(
-            fh, rep.errors.astype("<f8", copy=False), version=(1, 0), allow_pickle=False
-        )
+    path = os.path.join(out, "errors.f8z")
+    # entry i is e_{i+1}; its decoded bits are identical on every host,
+    # the file's bytes for one zlib build
+    _write_errors(path, rep.errors)
     return _finish(cfg, "example5", out, lines, [path])
 
 
