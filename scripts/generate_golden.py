@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from freqdyn.approx import Polynomial, enumerate_dense_polynomial
+from freqdyn.approx import enumerate_dense_polynomial
 from freqdyn.cli import cmd_sigma
 from freqdyn.density import build_separated_family, naturals, split
 from freqdyn.density import lower_density_estimate
@@ -56,13 +56,7 @@ def collect() -> dict:
         for l in range(1, 9)
     }
 
-    conv = iterate_convergence(
-        ParabolicDisc(1.0, 1.0, 1),
-        Polynomial.monomial(1),
-        ClosedDisc(0.0, 0.5),
-        1.0 + 0.0j,
-        200,
-    )
+    conv = iterate_convergence(ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 200)
     return {
         "sigma": sigma,
         "split_densities": split_densities,

@@ -336,37 +336,6 @@ def _eval(m: HoloMap, z: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a holomorphic map variant: {m!r}")
 
 
-def _stepper(m: HoloMap, width: int):
-    """step(z, out), which writes _eval(m, z) into out, a distinct row of
-    the given width.  A Mobius record runs the ufuncs of _eval on
-    coefficient and scratch rows prepared once, so a step allocates
-    nothing, and only a NaN may differ, in sign, where a coefficient is
-    infinite.  Any other map evaluates through _eval, which may raise
-    DomainError.
-    """
-    if not isinstance(m, Mobius):
-
-        def step(z, out):
-            out[...] = _eval(m, z)
-
-        return step
-
-    a, b, c, d = (np.full(width, x, dtype=complex) for x in (m.a, m.b, m.c, m.d))
-    den = np.empty(width, dtype=complex)
-    mul, add, div = np.multiply, np.add, np.divide
-
-    def step(z, out):
-        # _eval operand for operand: a z + b, over c z + d when c != 0
-        mul(a, z, out=out)
-        add(out, b, out=out)
-        if m.c != 0:
-            mul(c, z, out=den)
-            add(den, d, out=den)
-            div(out, den, out=out)
-
-    return step
-
-
 def _inv(m: HoloMap, w: np.ndarray) -> np.ndarray:
     if isinstance(m, Mobius):
         if m.c == 0:
@@ -478,12 +447,14 @@ def _image_disc(m: HoloMap, enc: ClosedDisc) -> ClosedDisc:
 
 
 def _mul(x, y):
-    """x y for complex values held as (real, imag) pairs of floats or
-    arrays, formed as Python's complex product forms it."""
+    """x y for complex values held as (real, imag) pairs of floats,
+    arrays or Fractions, formed as Python's complex product forms it."""
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _add(x, y, sign=1.0):
+def _add(x, y, sign=1):
+    """x + sign y for pairs as _mul takes them; an int sign keeps
+    Fractions exact."""
     return x[0] + sign * y[0], x[1] + sign * y[1]
 
 

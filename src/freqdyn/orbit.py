@@ -5,13 +5,16 @@ sup distance of f composed with each map to a target polynomial over a
 compact, and compares the resulting hit set with the index set the
 candidate was designed for: a pair passes when every designed index
 past the burn-in is a hit and the hit rate past the burn-in is
-positive.  Every sup here is a grid sup, which understates the true
+positive.  A scan's sups are grid sups, which understate the true
 value; pass thresholds therefore carry a slack factor, and burn-in
-indices are reported rather than silently skipped.
+indices are reported rather than silently skipped.  The iterate errors
+of iterate_convergence are instead closed-form upper bounds.
 """
 
 from __future__ import annotations
 
+import cmath
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,16 +23,21 @@ from ._record import record
 from .approx import PolyLike, Polynomial, SpanBasis
 from .density import IndexSet
 from .geometry import (
+    ClosedDisc,
     CompactSet,
-    DomainError,
+    Domain,
+    DomainKind,
     Exhaustion,
+    distance_to_slit,
+    enclosing_disc,
     eps_to_boundary,
     sample_grid,
 )
-from .maps import HoloMap, _outside, _stepper, apply, map_domain
+from .maps import HoloMap, Mobius, _add, _image_discs, _mul, apply, map_domain
 
 __all__ = [
     "GRID_SLACK",
+    "ITERATE_MARGIN",
     "IterateReport",
     "MONOTONE_TOL",
     "OrbitScanReport",
@@ -44,10 +52,14 @@ __all__ = [
 # multiplied by this before any pass/fail comparison.
 GRID_SLACK = 1.1
 
-# iterate_convergence checks the domain and evaluates the observable on
-# blocks of about this many iterated grid points; the block bounds its
-# working memory.
-ITERATE_BLOCK = 8192
+# iterate_convergence widens each bound by this relative margin before
+# it rounds it up; its docstring shows that the margin covers the
+# rounding the bound commits.
+ITERATE_MARGIN = 2.0 ** -40
+
+# iterate_convergence forms the image discs of this many powers at a
+# time; the block bounds its working memory.
+_POWER_BLOCK = 1024
 
 # Steps smaller than this do not break a monotone tail.
 MONOTONE_TOL = 1e-12
@@ -280,74 +292,99 @@ def combination_scan(
 
 @record(eq=False)
 class IterateReport:
-    errors: np.ndarray
-    escaped: bool
-    escaped_at: Optional[int]
+    errors: np.ndarray  # entry n - 1 bounds sup over K of |phi^n - limit|
+
+
+def _exact(z: complex) -> tuple:
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _limit_frame(m: HoloMap, limit: complex) -> tuple:
+    """(lam, c) with m, conjugated by the translation z -> z + limit,
+    exactly the record (lam, 0, c, lam): a parabolic map fixing limit,
+    or the identity when c = 0.  That holds iff the entries of m are
+    (lam + L c, -L^2 c, c, lam - L c) with L = limit and lam = (a + d)/2
+    exact, which is checked in rational arithmetic."""
+    if isinstance(m, Mobius):
+        entries = (m.a, m.b, m.c, m.d, complex(limit), (m.a + m.d) / 2)
+        if all(map(cmath.isfinite, entries)):
+            a, b, c, d, el, lam = map(_exact, entries)
+            lc = _mul(el, c)
+            if (_add(a, d) == _add(lam, lam) and _add(a, d, -1) == _add(lc, lc)
+                    and _add(b, _mul(el, lc)) == (0, 0)):
+                return entries[-1], m.c
+    raise ValueError(f"no closed-form powers of {m!r} fixing {limit}")
+
+
+def _inside(dom: Domain, disc: ClosedDisc) -> bool:
+    """True iff the closed disc lies in the open domain."""
+    z0, r = complex(disc.center), disc.radius
+    if dom.kind is DomainKind.UNIT_DISC:
+        return abs(z0) + r < 1.0
+    if dom.kind is DomainKind.RIGHT_HALF_PLANE:
+        return z0.real > r
+    if dom.kind is DomainKind.SLIT_PLANE:
+        return distance_to_slit(z0) > r
+    return True
 
 
 def iterate_convergence(
-    m: HoloMap,
-    q: Polynomial,
-    k: CompactSet,
-    limit: complex,
-    n_steps: int,
-    grid_res: int = 3,
+    m: HoloMap, k: CompactSet, limit: complex, n_steps: int
 ) -> IterateReport:
-    """e_n = sup over the grid of K of |Q(phi^n(z)) - Q(limit)|, n = 1..N.
+    """Upper bounds e_n on sup over K of |phi^n(z) - limit|, n = 1..N.
 
-    If some iterate leaves the map's domain the error list is truncated
-    and flagged; the caller judges decrease and eventual monotonicity
-    from the returned values.
+    The rule covers a Mobius record that, conjugated by the translation
+    z -> z + limit, is exactly (lam, 0, c, lam): a parabolic map fixing
+    limit, or the identity (c = 0).  Its n-th power is then (lam, 0, n c,
+    lam), in v = 1/(z - limit) the translation v -> v + n c / lam, so no
+    step is taken.  maps._image_discs maps the enclosing disc |z - z0| <= r
+    of K, moved by -limit, under these rows about a thousand at a time,
+    and e_n is |centre| + radius, widened by ITERATE_MARGIN and rounded up
+    to 32 significant bits.
 
-    Only the recurrence runs step by step: the iterates fill a block of
-    rows, and the domain check of every input row and the observable run
-    once per block.  Each step is the map's prepared `maps._stepper`,
-    built once per call, which writes the next row in place with the
-    values `apply` would give.  The escape step n is the first at which
-    iterate n - 1 fails the map's domain check or the map's own
-    evaluation refuses it, as for step-by-step `apply`, and the errors
-    hold e_1 .. e_{n-1}.
+    Why the margin covers the rounding, to first order in the unit
+    roundoff u: the rows round only n c, so a computed row is the exact
+    power for a shift within u |n c / lam| of n c / lam.  At z in K, with
+    v = 1/(z - limit), that moves v + n c / lam by at most u (|v + n c /
+    lam| + |v|), so |phi^n(z) - limit| changes by a factor of at most
+    1 + u (1 + e_n / delta), where delta = |z0 - limit| - r bounds
+    |z - limit| below.  The image disc carries its own rounding pad, and
+    |centre| + radius commits at most 3 u (the modulus within one ulp, then
+    a sum).  A run in which some e_n exceeds 2^12 delta with c != 0
+    raises, so the chain commits at most (2^12 + 4) u, and with the u of
+    the widening product less than the margin 2^-40 = 2^13 u.  Rounding
+    up to 32 bits only raises a value, and is exact for normal values.
+    A shift that overflows gives NaN bounds, which fail every comparison.
+
+    Raises ValueError for any other map, for a compact not strictly
+    inside the map's domain or whose centre less limit is inexact, and
+    for n_steps < 1.
     """
     if n_steps < 1:
         raise ValueError("need at least one iterate")
-    limit_value = complex(q.evaluate(limit))
-    grid = sample_grid(k, grid_res)
-    if grid.size == 0:
-        raise ValueError("cannot iterate over an empty compact")
-    dom = map_domain(m)
-    rows = max(1, ITERATE_BLOCK // grid.size)
-    block = np.empty((rows + 1, grid.size), dtype=complex)
-    block[0] = grid
-    row_view = list(block)
-    step = _stepper(m, grid.size)
+    lam, c = _limit_frame(m, limit)
+    enc = enclosing_disc(k)
+    if not _inside(map_domain(m), enc):
+        raise ValueError(f"{k} is not strictly inside the domain of {m!r}")
+    z0 = complex(enc.center)
+    disc = ClosedDisc(z0 - limit, enc.radius)
+    if _exact(disc.center) != _add(_exact(z0), _exact(limit), -1):
+        raise ValueError(f"the centre of {k} less {limit} is not a float")
+    reach = 2.0 ** 12 * (abs(disc.center) - disc.radius)
     errors = np.empty(n_steps)
-    done = 0
-    escaped_at = None
-    # rows after an escape may be evaluated, but are never used
-    with np.errstate(all="ignore"):
-        while done < n_steps:
-            count = min(rows, n_steps - done)
-            evaluated = count
-            for j in range(count):
-                try:
-                    step(row_view[j], row_view[j + 1])
-                except DomainError:
-                    evaluated = j
-                    break
-            bad = np.flatnonzero(_outside(dom, block[:evaluated]).any(axis=1))
-            valid = int(bad[0]) if bad.size else evaluated
-            vals = q.evaluate(block[1 : valid + 1])
-            errors[done : done + valid] = np.max(np.abs(vals - limit_value), axis=1)
-            done += valid
-            if valid < count:
-                escaped_at = done + 1
-                break
-            block[0] = block[count]
-    return IterateReport(
-        errors=errors[:done],
-        escaped=escaped_at is not None,
-        escaped_at=escaped_at,
-    )
+    for start in range(0, n_steps, _POWER_BLOCK):
+        block = errors[start : start + _POWER_BLOCK]
+        n = np.arange(start + 1, start + block.size + 1, dtype=float)
+        diag = np.full(n.size, lam)
+        with np.errstate(over="ignore"):
+            shifts = n * c
+        centres, radii = _image_discs(diag, np.zeros_like(diag), shifts, diag, disc)
+        np.add(np.abs(centres), radii, out=block)
+        if c != 0 and np.any(block > reach):
+            raise ValueError(f"the bounds on {k} exceed the reach of the margin")
+        frac, exp = np.frexp(block * (1.0 + ITERATE_MARGIN))
+        np.ldexp(np.ceil(np.ldexp(frac, 32)), exp - 32, out=block)
+    return IterateReport(errors=errors)
 
 
 def first_monotone_tail(errors: np.ndarray, tol: float = MONOTONE_TOL) -> int:

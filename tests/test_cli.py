@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 import freqdyn.cli as cli
 from freqdyn import approx, density, runaway
 from freqdyn.density import IndexSet
-from freqdyn.approx import NewtonPoly, Polynomial
-from freqdyn.geometry import ClosedDisc, Domain, sample_grid, whole_plane_exhaustion
-from freqdyn.maps import ParabolicDisc, Similarity, apply
+from freqdyn.approx import NewtonPoly
+from freqdyn.geometry import ClosedDisc, Domain, whole_plane_exhaustion
+from freqdyn.maps import Similarity
 from freqdyn.cli import (
     ExperimentConfig,
     apply_overrides,
@@ -969,20 +969,15 @@ def test_cmd_example5_errors_take_at_most_two_bytes_per_iterate(outdir):
     assert (outdir / "example5" / "errors.f8z").stat().st_size <= 2 * iterates
 
 
-def test_cmd_example5_errors_match_per_step_apply(outdir):
+def test_cmd_example5_errors_bound_the_exact_sup(outdir):
     cfg = _cfg(map_family="parabolic_disc", iterates=5000)
     assert not cmd_example5(cfg).failed
-    m = ParabolicDisc(cfg.a_param, cfg.gamma, 1)
-    q = Polynomial.monomial(1)
-    limit = complex(q.evaluate(1.0 + 0.0j))
-    current = sample_grid(ClosedDisc(0.0, 0.5), cfg.grid_res).astype(complex)
-    want = np.empty(cfg.iterates)
-    for n in range(cfg.iterates):
-        current = apply(m, current)
-        want[n] = np.max(np.abs(q.evaluate(current) - limit))
     got = load_errors(outdir / "example5" / "errors.f8z")
-    assert got.dtype == np.float64
-    assert np.array_equal(got, want)
+    # in u = 1/(z - 1) the region is D(-4/3, 2/3), moved by -i n a / 2
+    t = np.longdouble(cfg.a_param) * np.arange(1, cfg.iterates + 1, dtype=np.longdouble)
+    want = 2 / (np.sqrt(np.longdouble(64) / 9 + t * t) - np.longdouble(4) / 3)
+    assert np.all(got >= want)
+    assert np.all(got <= want * (1 + np.longdouble(2.0) ** -30))
 
 
 def test_main_example5_refuses_iterates_over_the_memory_budget(
@@ -1039,8 +1034,7 @@ def test_main_refuses_a_horizon_over_the_memory_budget(
         ("density", "density.ini", []),
         ("sepfamily", "sepfamily.ini", []),
         ("sepfamily", "sepfamily.ini", ["family.pairs=8"]),
-        # 17 bytes per iterate and about 0.6 MB of block scratch, which
-        # the 24 bytes per iterate cover from about 84000 iterates on
+        # 17 bytes per iterate: the bounds and the monotone-tail test
         ("example5", "example5.ini", ["horizons.iterates=200000"]),
     ],
 )
@@ -1138,6 +1132,19 @@ def test_main_example5_constant_errors_do_not_decrease(outdir):
     assert code == 1
     summary = (outdir / "example5" / "summary.txt").read_text().splitlines()
     assert "FAIL: errors decrease monotonically from step 1" in summary
+
+
+def test_main_example5_overflowing_shift_fails(outdir):
+    # the shift n a overflows from n = 2 on, and its NaN bounds pass nothing
+    code = main([
+        "example5", os.path.join(CONFIGS, "example5.ini"),
+        "--override", "maps.a=1e308",
+    ])
+    assert code == 1
+    summary = (outdir / "example5" / "summary.txt").read_text().splitlines()
+    assert [ln.split(":")[0] for ln in summary if ln.startswith(("PASS", "FAIL"))] == [
+        "FAIL", "FAIL", "PASS",
+    ]
 
 
 def test_cmd_runaway_weak_direct_passes(outdir):

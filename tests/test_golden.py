@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from freqdyn.approx import Polynomial, enumerate_dense_polynomial
+from freqdyn.approx import enumerate_dense_polynomial
 from freqdyn.cli import cmd_sigma
 from freqdyn.density import (
     build_separated_family,
@@ -64,11 +64,5 @@ def test_dense_polynomials_match_golden():
 
 def test_parabolic_error_matches_golden():
     want = _golden()["parabolic_error_200"]
-    conv = iterate_convergence(
-        ParabolicDisc(1.0, 1.0, 1),
-        Polynomial.monomial(1),
-        ClosedDisc(0.0, 0.5),
-        1.0 + 0.0j,
-        200,
-    )
+    conv = iterate_convergence(ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 200)
     assert float(conv.errors[-1]) == want

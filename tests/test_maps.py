@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqdyn.geometry import (
@@ -31,7 +31,6 @@ from freqdyn.maps import (
     Similarity,
     _eval,
     _inv,
-    _stepper,
     apply,
     image_enclosing_disc,
     inverse_degree,
@@ -403,44 +402,6 @@ def test_conjugated_inner_domain_mismatch():
     for kind in (PairKind.SLIT_TO_DISC, PairKind.CAYLEY_DISC_TO_HALF_PLANE):
         with pytest.raises(ValueError, match="domain must equal"):
             Conjugated(ConformalPair(kind), shift)
-
-
-def _same_bits(x, y):
-    """Bitwise equality of complex rows, a NaN matching any NaN."""
-    x, y = x.view(np.float64), y.view(np.float64)
-    nan = np.isnan(x)
-    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
-        x[~nan].view(np.uint64), y[~nan].view(np.uint64)
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    a=st.floats(1e-6, 1e306),
-    gamma=st.floats(1.0, 3.0),
-    n=st.integers(1, 10**6),
-    z=st.lists(st.complex_numbers(), max_size=40),
-)
-# s = 2 puts the pole 2 - i s (z - 1) = 0 exactly at z = 1 - i
-@example(a=2.0, gamma=1.0, n=1, z=[1.0 - 1.0j, 0.5 + 0.0j])
-# a shift just below overflow, and one that overflows to infinity
-@example(a=1.7e308, gamma=1.0, n=1, z=[0.5j, -0.0 + 1.0j])
-@example(a=1e306, gamma=3.0, n=10**6, z=[0.5j, complex("nan+1j")])
-def test_parabolic_stepper_matches_eval_bitwise(a, gamma, n, z):
-    # every row also holds the computed pole of the parabolic map
-    row = np.array(z + [1.0 - 2.0j / (a * float(n) ** gamma)], dtype=complex)
-    records = (
-        ParabolicDisc(a, gamma, n),
-        Similarity(2.0 - 1.0j, 0.5j),
-        DiscAutomorphism(np.exp(0.4j), 0.3 - 0.5j),
-        Identity(Domain.unit_disc()),
-    )
-    for m in records:
-        out = np.empty_like(row)
-        with np.errstate(all="ignore"):
-            want = _eval(m, row)
-            _stepper(m, row.size)(row, out)
-        assert _same_bits(out, want), m
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from freqdyn import orbit
 from freqdyn.approx import (
     BasisKind,
     Polynomial,
@@ -15,8 +14,8 @@ from freqdyn.approx import (
     fit_on_compacts,
 )
 from freqdyn.density import arithmetic_progression, build_separated_family
-from freqdyn.geometry import ClosedDisc, DomainError, sample_grid, whole_plane_exhaustion
-from freqdyn.maps import Identity, ParabolicDisc, Similarity, apply, iterate
+from freqdyn.geometry import ClosedDisc, Domain, whole_plane_exhaustion
+from freqdyn.maps import DiscAutomorphism, Identity, Mobius, ParabolicDisc, Similarity, apply
 from freqdyn.orbit import (
     GRID_SLACK,
     _Combination,
@@ -279,105 +278,97 @@ def test_mixed_combination_splits_delta_between_phi_and_span(
 
 def test_parabolic_iterates_converge():
     rep = iterate_convergence(
-        ParabolicDisc(a=1.0, gamma=1.0, n=1),
-        Polynomial.monomial(1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 200,
+        ParabolicDisc(a=1.0, gamma=1.0, n=1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 200
     )
-    assert not rep.escaped
     assert rep.errors.size == 200
     assert rep.errors[-1] < 0.1
     assert first_monotone_tail(rep.errors) < 150
 
 
 def test_identity_iterates_show_no_decrease():
-    rep = iterate_convergence(
-        Identity(EXH.domain), Polynomial.monomial(1),
-        ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 50,
-    )
+    rep = iterate_convergence(Identity(EXH.domain), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 50)
     assert np.all(rep.errors == rep.errors[0])
-    assert rep.errors[0] == pytest.approx(1.5)
+    assert 1.5 < rep.errors[0] < 1.5 * (1.0 + 2.0 ** -30)
 
 
-def test_iteration_flags_domain_escape():
-    # the compact pokes outside the open disc, so the very first apply
-    # refuses and the report is truncated with the flag set
-    rep = iterate_convergence(
-        ParabolicDisc(a=1.0, gamma=1.0, n=1),
-        Polynomial.monomial(1), ClosedDisc(0.5, 0.7), 1.0 + 0.0j, 10,
-    )
-    assert rep.escaped and rep.escaped_at == 1
-    assert rep.errors.size == 0
+def _exact_parabolic_sup(a, n_steps):
+    """sup over D(0, 1/2) of |Phi^n - 1| for the shift t = n a, in long
+    double: in u = 1/(z - 1) the disc is D(-4/3, 2/3) and Phi^n moves it
+    by -i t / 2, so the sup is 2 / (sqrt(64/9 + t^2) - 4/3)."""
+    t = np.longdouble(a) * np.arange(1, n_steps + 1, dtype=np.longdouble)
+    return 2 / (np.sqrt(np.longdouble(64) / 9 + t * t) - np.longdouble(4) / 3)
 
 
-def test_iterate_convergence_validation():
+@pytest.mark.parametrize("a", [1.0, 0.25, 0.1, 3.7])
+def test_parabolic_bounds_cover_the_exact_sup(a):
+    n_steps = 50_000
+    got = iterate_convergence(
+        ParabolicDisc(a, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, n_steps
+    ).errors
+    want = _exact_parabolic_sup(a, n_steps)
+    assert np.all(got >= want)
+    assert np.all(got <= want * (1 + np.longdouble(2.0) ** -30))
+    assert np.all(np.diff(got) < 0.0)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.25, 0.1, 3.7])
+def test_parabolic_bounds_cover_mapped_boundary_samples(a):
+    m = ParabolicDisc(a, 1.0, 1)
+    n_steps = 2000
+    bounds = iterate_convergence(m, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, n_steps).errors
+    points = 0.5 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    for n in range(n_steps):
+        points = apply(m, points)
+        assert np.max(np.abs(points - 1.0)) <= bounds[n]
+
+
+def test_parabolic_bounds_follow_the_fixed_point():
+    # z -> -Phi(-z) fixes -1; the disc D(0, 1/2) is symmetric about 0
+    m = ParabolicDisc(0.25, 1.5, 3)
+    mirrored = Mobius(m.a, -m.b, -m.c, m.d, Domain.unit_disc())
+    want = iterate_convergence(m, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 3000).errors
+    got = iterate_convergence(mirrored, ClosedDisc(0.0, 0.5), -1.0 + 0.0j, 3000).errors
+    assert np.array_equal(got, want)
     with pytest.raises(ValueError):
-        iterate_convergence(
-            Identity(EXH.domain), Polynomial.monomial(1),
-            ClosedDisc(0.0, 0.5), 0.0 + 0.0j, 0,
-        )
+        iterate_convergence(mirrored, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 3000)
 
 
-def _per_step_iterates(m, q, k, limit, n_steps):
-    """The step-by-step apply loop that iterate_convergence blocks up."""
-    limit_value = complex(q.evaluate(limit))
-    current = sample_grid(k, 3).astype(complex)
-    errors = []
-    with np.errstate(all="ignore"):
-        for n in range(1, n_steps + 1):
-            try:
-                current = apply(m, current)
-            except DomainError:
-                return np.asarray(errors), n
-            errors.append(float(np.max(np.abs(q.evaluate(current) - limit_value))))
-    return np.asarray(errors), None
-
-
-_PARABOLIC = ParabolicDisc(a=1.0, gamma=1.0, n=1)
-_DOUBLING = Similarity(2.0, 0.0)
-# shift 0.25 * 3**1.5 = 1.299; not the shipped a = gamma = 1
-_PARABOLIC_3 = ParabolicDisc(a=0.25, gamma=1.5, n=3)
-# w = (1 + z)/(1 - z) = -1e-9 - 40i: 1.2e-12 outside the circle, inside
-# the domain check's 1e-9 slack.  The map moves w by i * 1.299, so
-# iterate 31, at w = -1e-9 + 0.27i, lies 1.9e-9 outside and step 32
-# refuses it
-_JUST_OUTSIDE = ClosedDisc(0.9987507807632715 - 0.04996876951911302j, 0.0)
+def test_iterate_bounds_are_rounded_up_to_32_bits():
+    errors = iterate_convergence(
+        ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 5000
+    ).errors
+    frac, _ = np.frexp(errors)
+    assert np.all(np.ldexp(frac, 32) == np.floor(np.ldexp(frac, 32)))
 
 
 @pytest.mark.parametrize(
-    "m, k, n_steps, rows, escape",
+    "m, k, n_steps",
     [
-        # 1000 steps are not a whole number of 7-row blocks
-        (_PARABOLIC, ClosedDisc(0.0, 0.5), 1000, 7, None),
-        (_PARABOLIC, ClosedDisc(0.0, 0.5), 200, 1, None),
-        (Identity(EXH.domain), ClosedDisc(0.0, 0.5), 50, 7, None),
-        # the compact pokes outside the disc, so step 1 refuses
-        (_PARABOLIC, ClosedDisc(0.5, 0.7), 10, 7, 1),
-        # doubling overflows: iterate 1025 is infinite and fails the check
-        (_DOUBLING, ClosedDisc(0.0, 0.5), 1100, 7, 1026),
-        # 1025 = 25 * 41: the refused input opens a block
-        (_DOUBLING, ClosedDisc(0.0, 0.5), 1100, 41, 1026),
-        # 1026 = 38 * 27: the refused input is the last row of a block
-        (_DOUBLING, ClosedDisc(0.0, 0.5), 1100, 27, 1026),
-        # the run ends on a block boundary, infinite error and no escape
-        (_DOUBLING, ClosedDisc(0.0, 0.5), 1025, 41, None),
-        # the threefold map is z -> 8 z: iterate 342 reaches 2^1025, which
-        # is infinite, and step 343 refuses it
-        (iterate(_DOUBLING, 3), ClosedDisc(0.0, 0.5), 400, 7, 343),
-        (_PARABOLIC_3, ClosedDisc(0.0, 0.5), 1000, 7, None),
-        # one grid point, blocks of 7 rows: iterate 31 is row 3 of a block
-        (_PARABOLIC_3, _JUST_OUTSIDE, 100, 7, 32),
+        # no parabolic record fixing 1: their powers have no closed form here
+        (Similarity(2.0, 0.0), ClosedDisc(0.0, 0.5), 10),
+        (DiscAutomorphism(0.6 + 0.8j, 0.3), ClosedDisc(0.0, 0.5), 10),
+        # the compact pokes outside the open disc
+        (ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.5, 0.7), 10),
+        (Identity(Domain.unit_disc()), ClosedDisc(0.5, 0.7), 10),
+        (Identity(Domain.right_half_plane()), ClosedDisc(0.5, 0.7), 10),
+        (Identity(Domain.slit_plane()), ClosedDisc(1.0, 1.5), 10),
+        # 1e-4 from the fixed point, where the margin does not cover the shift
+        (ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.9999), 10),
+        (Identity(EXH.domain), ClosedDisc(0.0, 0.5), 0),
     ],
 )
-def test_iterate_blocks_match_per_step_apply(monkeypatch, m, k, n_steps, rows, escape):
-    # rows of 98 grid points; one row is a block of 37 points
-    points = 37 if rows == 1 else rows * sample_grid(k, 3).size
-    monkeypatch.setattr(orbit, "ITERATE_BLOCK", points)
-    q = Polynomial(np.array([0.25, 1.0, -0.5j]))
-    want, want_at = _per_step_iterates(m, q, k, 1.0 + 0.0j, n_steps)
-    assert want_at == escape
-    rep = iterate_convergence(m, q, k, 1.0 + 0.0j, n_steps)
-    assert np.array_equal(rep.errors, want, equal_nan=True)
-    assert rep.escaped_at == want_at
-    assert rep.escaped == (want_at is not None)
+def test_iterate_convergence_refuses_what_the_rule_does_not_cover(m, k, n_steps):
+    with pytest.raises(ValueError):
+        iterate_convergence(m, k, 1.0 + 0.0j, n_steps)
+
+
+def test_iterate_bounds_of_an_overflowing_shift_are_nan():
+    # the shift 2e308 overflows from n = 2 on
+    errors = iterate_convergence(
+        ParabolicDisc(1e308, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 10
+    ).errors
+    assert 0.0 < errors[0] < 1e-307
+    assert np.all(np.isnan(errors[1:]))
 
 
 def _monotone_tail_per_step(errors, tol):
