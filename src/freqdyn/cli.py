@@ -341,7 +341,6 @@ def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
         family=fam.a_of_nu,
         n_max=cfg.n_max,
         nu_max=cfg.nu_max,
-        resolution=cfg.grid_res,
     )
     return fam, fam_report, exh, schedule, rcfg
 
@@ -1397,7 +1396,7 @@ def cmd_runaway(cfg: ExperimentConfig) -> CommandResult:
     domain, k = exh.domain, exh.member(1)
     # strong mode's test, at n = 2 too: powers of two map n = 1 to the identity
     for n in range(1, min(2, cfg.n_max) + 1):
-        if not maps_into(schedule(n), domain, k, cfg.grid_res):
+        if not maps_into(schedule(n), domain, k):
             raise ValueError(
                 f"maps.family={cfg.map_family} at index {n} does not send"
                 f" level 1 into the configured domain {domain.kind.value}"

@@ -30,11 +30,14 @@ __all__ = [
     "Exhaustion",
     "chordal_distance",
     "clear_of",
+    "covering_discs",
     "disc_pairs",
+    "discs_inside",
     "disjointness",
     "distance_to_slit",
     "enclosing_disc",
     "eps_to_boundary",
+    "lies_in",
     "right_half_plane_exhaustion",
     "sample_grid",
     "sector_exhaustion",
@@ -228,6 +231,48 @@ def enclosing_disc(c: CompactSet) -> ClosedDisc:
     if isinstance(c, ClosedDisc):
         return c
     return ClosedDisc(0.0 + 0.0j, c.rmax)
+
+
+def discs_inside(domain: Domain, centers, radii) -> np.ndarray:
+    """Whether each closed disc |z - centers[k]| <= radii[k] lies in the
+    open domain, as a bool array: |c| + r < 1 on the unit disc, Re c > r
+    on the right half plane, distance_to_slit(c) > r on the slit plane.
+    A disc whose centre or radius is not finite lies in no domain.  The
+    modulus is within an ulp of |c|, so on the unit disc the rounded sum
+    is held below 1 - 2^-52, which puts the exact sum below 1."""
+    c, r = np.asarray(centers, dtype=complex), np.asarray(radii, dtype=float)
+    ok = np.isfinite(c) & np.isfinite(r)
+    if domain.kind is DomainKind.UNIT_DISC:
+        return ok & (np.hypot(c.real, c.imag) + r < 1.0 - 2.0 ** -52)
+    if domain.kind is DomainKind.RIGHT_HALF_PLANE:
+        return ok & (c.real > r)
+    if domain.kind is DomainKind.SLIT_PLANE:
+        return ok & (distance_to_slit(c) > r)
+    return ok
+
+
+def covering_discs(c: CompactSet) -> tuple:
+    """(centre, radius) of discs that each contain c: its enclosing disc
+    and, for a sector, the disc about x = (rmin + rmax)/2 through its
+    farther corner r e^{i half_angle}, widened by 2^-48 (rmax + x) for
+    rounding.  A corner is farthest: for x >= 0 the squared distance
+    r^2 - 2 r x cos t + x^2 to r e^{it} grows with |t| and is convex in r."""
+    e = enclosing_disc(c)
+    if not isinstance(c, AnnularSector):
+        return ((complex(e.center), e.radius),)
+    x, corner = 0.5 * (c.rmin + c.rmax), cmath.rect(1.0, c.half_angle)
+    far = max(abs(c.rmin * corner - x), abs(c.rmax * corner - x))
+    return (complex(e.center), e.radius), (complex(x), far + 2.0 ** -48 * (c.rmax + x))
+
+
+def lies_in(domain: Domain, c: CompactSet) -> bool:
+    """Whether the compact set lies in the open domain: a sector lies in
+    the slit plane iff its half angle is below pi (its radii are
+    positive), and otherwise the set lies in the domain when one of its
+    covering_discs does."""
+    if isinstance(c, AnnularSector) and domain.kind is DomainKind.SLIT_PLANE:
+        return c.half_angle < math.pi
+    return any(discs_inside(domain, z0, r) for z0, r in covering_discs(c))
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -28,9 +28,11 @@ from .geometry import (
     Domain,
     DomainError,
     DomainKind,
+    covering_discs,
+    discs_inside,
     distance_to_slit,
     enclosing_disc,
-    sample_grid,
+    lies_in,
 )
 
 __all__ = [
@@ -59,8 +61,6 @@ __all__ = [
 _EVAL_SLACK = 1e-9
 # The unit roundoff u of a float.
 _UNIT_ROUNDOFF = 2.0 ** -53
-# Complex entries (256 kB) per block of mapped sample points.
-ARRAY_BLOCK = 1 << 14
 
 _WHOLE_PLANE = Domain.whole_plane()
 _UNIT_DISC = Domain.unit_disc()
@@ -293,18 +293,14 @@ def map_domain(m: HoloMap) -> Domain:
     raise TypeError(f"not a holomorphic map variant: {m!r}")
 
 
-def _outside(dom: Domain, z: np.ndarray) -> np.ndarray:
-    """Mask, shaped like z, of the points a map on dom refuses as input."""
-    if dom.kind is DomainKind.SLIT_PLANE:
-        return np.atleast_1d(distance_to_slit(z) < SLIT_GUARD)
-    return ~np.atleast_1d(dom.contains(z, slack=_EVAL_SLACK))
-
-
 def _check_in_domain(dom: Domain, z: np.ndarray) -> None:
-    bad = _outside(dom, z)
+    """Raise DomainError at the first point of z a map on dom refuses as input."""
+    if dom.kind is DomainKind.SLIT_PLANE:
+        bad = np.atleast_1d(distance_to_slit(z) < SLIT_GUARD)
+    else:
+        bad = ~np.atleast_1d(dom.contains(z, slack=_EVAL_SLACK))
     if np.any(bad):
-        offender = np.atleast_1d(z)[bad][0]
-        raise DomainError(f"point {offender} rejected for domain {dom.kind.value}")
+        raise DomainError(f"point {np.atleast_1d(z)[bad][0]} rejected for domain {dom.kind.value}")
 
 
 def apply(m: HoloMap, z):
@@ -423,26 +419,30 @@ def image_enclosing_disc(m: HoloMap, c: CompactSet) -> ClosedDisc:
     about n^beta, and an iterate of one applies that rule power times.
     Any other map, Conjugated among them, raises ValueError.
     """
-    return _image_disc(m, enclosing_disc(c))
+    if isinstance(m, Mobius) and not all(map(cmath.isfinite, (m.a, m.c, m.d))):
+        raise OverflowError(f"the coefficients of {m} are not finite")
+    enc = enclosing_disc(c)
+    centre, radius = _image_disc(m, complex(enc.center), enc.radius)
+    if isinstance(m, Mobius) and m.c != 0 and not (cmath.isfinite(centre) and math.isfinite(radius)):
+        raise ValueError(f"the pole {-m.d / m.c} of the map lies on the disc {enc}")
+    return ClosedDisc(centre, radius)
 
 
-def _image_disc(m: HoloMap, enc: ClosedDisc) -> ClosedDisc:
+def _image_disc(m: HoloMap, z0: complex, r: float) -> tuple:
+    """(centre, radius) of the image of |z - z0| <= r under the rule of
+    image_enclosing_disc, not finite where that rule raises for it;
+    ValueError for a map with no rule."""
     # iterates recurse here, so image_enclosing_disc runs once per disc
     if isinstance(m, Mobius):
-        if not all(map(cmath.isfinite, (m.a, m.c, m.d))):
-            raise OverflowError(f"the coefficients of {m} are not finite")
-        (centre,), (radius,) = _image_discs(*np.array([[m.a], [m.b], [m.c], [m.d]], dtype=complex), enc)
-        if m.c != 0 and not (cmath.isfinite(centre) and math.isfinite(radius)):
-            raise ValueError(f"the pole {-m.d / m.c} of the map lies on the disc {enc}")
-        return ClosedDisc(complex(centre), float(radius))
+        (centre,), (radius,) = _image_discs(*np.array([[m.a], [m.b], [m.c], [m.d]], dtype=complex), z0, r)
+        return complex(centre), float(radius)
     if isinstance(m, RootMap):
-        big_r = abs(enc.center) + enc.radius
         n = float(m.n)
-        return ClosedDisc(complex(n ** m.beta), n ** m.alpha * big_r ** (1.0 / m.root_n))
+        return complex(n ** m.beta), n ** m.alpha * (abs(z0) + r) ** (1.0 / m.root_n)
     if isinstance(m, Iterated):
         for _ in range(m.power):
-            enc = _image_disc(m.base, enc)
-        return enc
+            z0, r = _image_disc(m.base, z0, r)
+        return z0, r
     raise ValueError(f"no closed-form image disc for {type(m).__name__}")
 
 
@@ -458,8 +458,8 @@ def _add(x, y, sign=1):
     return x[0] + sign * y[0], x[1] + sign * y[1]
 
 
-def _image_discs(a, b, c, d, enc: ClosedDisc) -> tuple:
-    """(centers, radii): row k bounds the image of enc, |z - z0| <= r,
+def _image_discs(a, b, c, d, z0: complex, r: float) -> tuple:
+    """(centers, radii): row k bounds the image of the disc |z - z0| <= r
     under z -> (a z + b) / (c z + d) with the coefficients of row k.
 
     A Moebius map sends a disc onto a disc (Needham, Visual Complex
@@ -476,7 +476,6 @@ def _image_discs(a, b, c, d, enc: ClosedDisc) -> tuple:
     Python's abs, so a row is the scalar formula bit for bit, but that a
     square is a product where Python's ** 2 may round the other way.
     """
-    z0, r = complex(enc.center), enc.radius
     z, rr = (z0.real, z0.imag), r * r
     centers = np.empty(a.size, dtype=complex)
     rest = c != 0
@@ -507,44 +506,15 @@ def _image_discs(a, b, c, d, enc: ClosedDisc) -> tuple:
     return centers, radii
 
 
-def _mobius_points_into(domains, a, b, c, d, domain: Domain, pts: np.ndarray) -> bool:
-    """_maps_points_into(m, domain, pts) for every Mobius record m with
-    coefficient rows a, b, c, d and its own domain among domains.
-
-    pts is tested once per domain; the images a z + b, divided by c z + d
-    where c != 0, are formed as _eval forms them and tested against
-    domain with the slack of _maps_points_into, ARRAY_BLOCK at a time.
-    """
-    if pts.size == 0:
-        return True
-    if any(np.any(_outside(dom, pts)) for dom in domains):
+def maps_into(m: HoloMap, d: Domain, c: CompactSet) -> bool:
+    """True iff c lies in map_domain(m) and m sends it into d, decided in
+    closed form by geometry.lies_in.  The image is c for an identity
+    record, else the disc image_enclosing_disc's rule gives for one of c's
+    covering_discs, and a disc that is not finite (an overflowed power, a
+    pole on the disc) lies in no domain.  A map with no closed-form image
+    disc raises image_enclosing_disc's ValueError."""
+    if not lies_in(map_domain(m), c):
         return False
-    step = max(1, ARRAY_BLOCK // pts.size)
-    for s in range(0, a.size, step):
-        rows = slice(s, s + step)
-        images = a[rows, None] * pts
-        images += b[rows, None]
-        frac = c[rows] != 0
-        if frac.any():
-            images[frac] /= c[rows][frac, None] * pts + d[rows][frac, None]
-        if not np.all(domain.contains(images, slack=1e-12)):
-            return False
-    return True
-
-
-def maps_into(m: HoloMap, d: Domain, c: CompactSet, resolution: int = 3) -> bool:
-    """True iff every mapped sample point of c lies in d."""
-    return _maps_points_into(m, d, sample_grid(c, resolution))
-
-
-def _maps_points_into(m: HoloMap, d: Domain, pts: np.ndarray) -> bool:
-    """True iff m is defined at every point of pts and sends each into d."""
-    if pts.size == 0:
-        return True
-    try:
-        # an overflowed power's image is non-finite, which d refuses
-        with np.errstate(all="ignore"):
-            mapped = apply(m, pts)
-    except DomainError:
-        return False
-    return bool(np.all(d.contains(mapped, slack=1e-12)))
+    if isinstance(m, Mobius) and (m.a, m.b, m.c) == (1, 0, 0):
+        return lies_in(d, c)
+    return any(discs_inside(d, *_image_disc(m, z0, r)) for z0, r in covering_discs(c))

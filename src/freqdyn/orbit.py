@@ -25,12 +25,10 @@ from .density import IndexSet
 from .geometry import (
     ClosedDisc,
     CompactSet,
-    Domain,
-    DomainKind,
     Exhaustion,
-    distance_to_slit,
     enclosing_disc,
     eps_to_boundary,
+    lies_in,
     sample_grid,
 )
 from .maps import HoloMap, Mobius, _add, _image_discs, _mul, apply, map_domain
@@ -316,18 +314,6 @@ def _limit_frame(m: HoloMap, limit: complex) -> tuple:
     raise ValueError(f"no closed-form powers of {m!r} fixing {limit}")
 
 
-def _inside(dom: Domain, disc: ClosedDisc) -> bool:
-    """True iff the closed disc lies in the open domain."""
-    z0, r = complex(disc.center), disc.radius
-    if dom.kind is DomainKind.UNIT_DISC:
-        return abs(z0) + r < 1.0
-    if dom.kind is DomainKind.RIGHT_HALF_PLANE:
-        return z0.real > r
-    if dom.kind is DomainKind.SLIT_PLANE:
-        return distance_to_slit(z0) > r
-    return True
-
-
 def iterate_convergence(
     m: HoloMap, k: CompactSet, limit: complex, n_steps: int
 ) -> IterateReport:
@@ -364,7 +350,7 @@ def iterate_convergence(
         raise ValueError("need at least one iterate")
     lam, c = _limit_frame(m, limit)
     enc = enclosing_disc(k)
-    if not _inside(map_domain(m), enc):
+    if not lies_in(map_domain(m), enc):
         raise ValueError(f"{k} is not strictly inside the domain of {m!r}")
     z0 = complex(enc.center)
     disc = ClosedDisc(z0 - limit, enc.radius)
@@ -378,7 +364,7 @@ def iterate_convergence(
         diag = np.full(n.size, lam)
         with np.errstate(over="ignore"):
             shifts = n * c
-        centres, radii = _image_discs(diag, np.zeros_like(diag), shifts, diag, disc)
+        centres, radii = _image_discs(diag, np.zeros_like(diag), shifts, diag, disc.center, disc.radius)
         np.add(np.abs(centres), radii, out=block)
         if c != 0 and np.any(block > reach):
             raise ValueError(f"the bounds on {k} exceed the reach of the margin")

@@ -25,19 +25,20 @@ from .geometry import (
     Exhaustion,
     clear_of,
     disc_pairs,
+    discs_inside,
     enclosing_disc,
-    sample_grid,
+    lies_in,
 )
 from .maps import (
     HoloMap,
     Identity,
     Mobius,
+    _image_disc,
     _image_discs,
-    _maps_points_into,
-    _mobius_points_into,
     image_enclosing_disc,
     iterate,
     map_domain,
+    maps_into,
 )
 
 __all__ = [
@@ -119,10 +120,12 @@ def check_weak_runaway(
     escapes.  A schedule without the method is decided at every index.
     The indices are taken INDEX_BLOCK at a time, their image discs by
     _block_discs, and tested against K by clear_of, which gives the
-    verdict of disjointness.  So the escape set is the one
-    image_enclosing_disc and disjointness give index by index, and an
-    error is raised at the first index that raises one (a map with no
-    closed-form image disc raises ValueError).
+    verdict of disjointness.  A block holding a disc that is not finite
+    is passed map by map to image_enclosing_disc.  So the escape set is
+    the one image_enclosing_disc and disjointness give index by index,
+    and an error is raised at the first index that raises one (a map
+    with no closed-form image disc raises ValueError).  Domain inclusion
+    is left to the caller (maps.maps_into).
     """
     if k.is_empty:
         raise ValueError(f"weak runaway needs a nonempty compact; {k} is empty")
@@ -140,40 +143,28 @@ def _escape_times(maps_schedule, horizon: int, k: CompactSet) -> np.ndarray:
     indices = np.arange(1, horizon + 1, dtype=np.int64) if moving is None else moving(horizon)
     escaped = np.zeros(indices.size, dtype=bool)
     for s in range(0, indices.size, INDEX_BLOCK):
-        ns = indices[s:s + INDEX_BLOCK].tolist()
-        escaped[s:s + len(ns)] = clear_of(*_block_discs(maps_schedule, ns, k), k)
+        ms = [maps_schedule(n) for n in indices[s:s + INDEX_BLOCK].tolist()]
+        centers, radii = _block_discs(ms, k)
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+            for m in ms:  # raises at the first map whose disc is not finite
+                image_enclosing_disc(m, k)
+        escaped[s:s + len(ms)] = clear_of(centers, radii, k)
     return indices[escaped]
 
 
-def _block_discs(maps_schedule, ns: list, source: CompactSet, domain: Optional[Domain] = None,
-                 pts: Optional[np.ndarray] = None, level: int = 0) -> tuple:
-    """(centers, radii) of the image discs of source under the maps at
-    the indices ns.
-
-    The maps are built first.  A block of Mobius records takes the array
-    rule of maps._image_discs when every disc is finite and, given a
-    domain, every map sends every point of pts into it.  Any other block
-    is decided map by map in index order: the domain check, which raises
-    ValueError naming the index and level, then image_enclosing_disc.  So
-    an error is raised at the first index whose check or disc raises one.
-    """
-    ms = [maps_schedule(n) for n in ns]
+def _block_discs(ms: list, source: CompactSet) -> tuple:
+    """(centers, radii) of the image discs of source under the maps ms, as
+    image_enclosing_disc gives them and not finite where it raises for an
+    overflow or a pole: the array rule of maps._image_discs for a block of
+    Mobius records, else maps._image_disc map by map, which raises
+    ValueError at the first map with no closed-form disc."""
+    enc = enclosing_disc(source)
+    z0, r = complex(enc.center), enc.radius
     if all(isinstance(m, Mobius) for m in ms):
         a, b, c, d = np.array([(m.a, m.b, m.c, m.d) for m in ms], dtype=complex).T
-        centers, radii = _image_discs(a, b, c, d, enclosing_disc(source))
-        # the maps' distinct domains are told apart by identity: hashing
-        # a Domain record per map would cost more than the array rule
-        if np.isfinite(centers).all() and np.isfinite(radii).all() and (
-                domain is None or _mobius_points_into(
-                    {id(m.domain): m.domain for m in ms}.values(), a, b, c, d, domain, pts)):
-            return centers, radii
-    centers, radii = np.empty(len(ns), dtype=complex), np.empty(len(ns))
-    for i, (n, m) in enumerate(zip(ns, ms)):
-        if domain is not None and not _maps_points_into(m, domain, pts):
-            raise ValueError(f"map at index {n} does not send level {level} into the domain")
-        disc = image_enclosing_disc(m, source)
-        centers[i], radii[i] = disc.center, disc.radius
-    return centers, radii
+        return _image_discs(a, b, c, d, z0, r)
+    discs = np.array([_image_disc(m, z0, r) for m in ms], dtype=complex)
+    return discs[:, 0], discs[:, 1].real
 
 
 @record
@@ -186,7 +177,6 @@ class RunawayConfig:
     family: Callable[[int], IndexSet]
     n_max: int
     nu_max: int
-    resolution: int = 3
 
     def __post_init__(self):
         if self.n_max < 1 or self.nu_max < 1:
@@ -244,24 +234,30 @@ def collect_islands(cfg: RunawayConfig) -> Islands:
     """All islands (n in A(nu), nu <= nu_max) with closed-form image discs.
 
     Each image bound is maps.image_enclosing_disc of K_nu.  Rejects the
-    configuration when some phi_n fails to send the sample grid of K_nu
-    at cfg.resolution into the domain, since every later certificate
-    would be about a map outside the declared class.
-
-    A level is taken INDEX_BLOCK indices at a time, its domain checks and
-    discs by _block_discs, so the first island that fails raises, as when
-    every island is decided on its own.
+    configuration at the first phi_n that maps.maps_into refuses for
+    K_nu, since every later certificate would be about a map outside the
+    declared class.  A level is taken INDEX_BLOCK indices at a time, its
+    discs by _block_discs.  A block passes when each disc lies in the
+    domain (geometry.discs_inside) and K_nu in each map's domain; any
+    other block is decided map by map by maps_into, which takes an
+    identity's image to be K_nu itself.
     """
     ns, nus = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     centers, radii = [np.empty(0, dtype=complex)], [np.empty(0, dtype=float)]
     for nu in range(1, cfg.nu_max + 1):
         source = cfg.exhaustion.member(nu)
-        pts = sample_grid(source, cfg.resolution)
         level = cfg.family(nu).elements
         level = level[: np.searchsorted(level, cfg.n_max, side="right")]
         for s in range(0, level.size, INDEX_BLOCK):
             block = level[s:s + INDEX_BLOCK]
-            c, r = _block_discs(cfg.maps, block.tolist(), source, cfg.domain, pts, nu)
+            ms = [cfg.maps(n) for n in block.tolist()]
+            c, r = _block_discs(ms, source)
+            kinds = {map_domain(m).kind for m in ms}
+            if not (discs_inside(cfg.domain, c, r).all()
+                    and all(lies_in(Domain(kind), source) for kind in kinds)):
+                for n, m in zip(block.tolist(), ms):
+                    if not maps_into(m, cfg.domain, source):
+                        raise ValueError(f"map at index {n} does not send level {nu} into the domain")
             ns.append(block)
             nus.append(np.full(block.size, nu, dtype=np.int64))
             centers.append(c)

@@ -118,7 +118,6 @@ def test_criterion_03_slit_plane_constants():
         family=fam.a_of_nu,
         n_max=10_000,
         nu_max=3,
-        resolution=3,
     )
     rep = check_strong_runaway(cfg)
     checks.append(("P1 densities positive", rep.p1_ok))
@@ -152,7 +151,6 @@ def test_criterion_04_powers_of_two_control():
         family=fam.a_of_nu,
         n_max=2000,
         nu_max=2,
-        resolution=3,
     )
     rep = check_strong_runaway(cfg)
     checks.append(("strong check fails P2", not rep.p2_ok))
@@ -171,7 +169,6 @@ def test_criterion_05_existence_pipeline():
         family=fam.a_of_nu,
         n_max=horizon,
         nu_max=2,
-        resolution=3,
     )
     tr = build_carleman_truncation(cfg, bases=0, max_islands=4)
     splits = {nu: double_split(fam.a_of_nu(nu), 2, 1, horizon) for nu in (1, 2)}
@@ -233,7 +230,6 @@ def test_criterion_06_spaceable_basis():
         family=fam.a_of_nu,
         n_max=horizon,
         nu_max=2,
-        resolution=3,
     )
     tr = build_carleman_truncation(cfg, bases=1, max_islands=6)
     splits = {nu: double_split(fam.a_of_nu(nu), 2, 3, horizon) for nu in (1, 2)}
@@ -307,7 +303,6 @@ def test_criterion_07_dense_members():
         family=fam.a_of_nu,
         n_max=horizon,
         nu_max=4,
-        resolution=3,
     )
     tr = build_carleman_truncation(cfg, bases=4, max_islands=6)
     levels = sorted({int(v) for v in fam.nu_values() if v <= 4})

@@ -887,7 +887,6 @@ def dense_member3():
         family=fam.a_of_nu,
         n_max=horizon,
         nu_max=4,
-        resolution=3,
     )
     tr = build_carleman_truncation(cfg, bases=4, max_islands=6)
     splits = {nu: double_split(fam.a_of_nu(nu), 2, 4, horizon) for nu in (1, 2, 3, 4)}

@@ -427,7 +427,6 @@ def test_candidate_matches_in_memory_function(existence_artifacts):
         family=fam.a_of_nu,
         n_max=cfg.n_max,
         nu_max=cfg.nu_max,
-        resolution=cfg.grid_res,
     )
     tr = runaway.build_carleman_truncation(rcfg, bases=0, max_islands=cfg.max_islands)
     splits = {
@@ -1221,6 +1220,38 @@ def test_main_runaway_accepts_maps_into_a_larger_domain(outdir, mode):
         "--override", "horizons.n_max=2000",
     ])
     assert code == 0
+
+
+# runaway with slit-plane root shifts on the powers-of-two schedule: the
+# identity between powers keeps each sector, whose enclosing disc meets
+# the slit, and at c = 1 the weak compact K_1 is the point 1
+SLIT_POWERS_OF_TWO = {
+    "weak": [
+        "NOTE: 8 escape times up to 2000",
+        "FAIL: escape set keeps lower density 0.004000 (floor 0.01)",
+    ],
+    "strong": [
+        "PASS: separated family verifies",
+        "PASS: P1: index families keep positive lower density",
+        "FAIL: P2: islands are disjoint with separated images",
+        "FAIL: P3: probe compacts avoid foreign image discs",
+        "NOTE: inspected 195 islands",
+        "NOTE: P2 disc witness ((8, 1), (16, 1))",
+        "NOTE: P3 witness 1",
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SLIT_POWERS_OF_TWO))
+def test_main_runaway_admits_identities_on_slit_sectors(outdir, mode):
+    overrides = ("domain.kind=slit_plane", "maps.family=root_shift",
+                 "maps.schedule=powers_of_two", "maps.c=1.0", "horizons.n_max=2000")
+    args = ["runaway", os.path.join(CONFIGS, f"runaway_{mode}.ini")]
+    for item in overrides:
+        args += ["--override", item]
+    assert main(args) == 1
+    summary = (outdir / "runaway" / "summary.txt").read_text().splitlines()
+    assert summary[2:] == SLIT_POWERS_OF_TWO[mode]
 
 
 def test_cmd_runaway_rejects_unknown_mode(outdir):

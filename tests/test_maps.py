@@ -355,6 +355,93 @@ def test_maps_into():
     assert not maps_into(m, Domain.unit_disc(), exh.member(5))
 
 
+def test_maps_into_keeps_an_identity_on_its_sectors():
+    slit = Domain.slit_plane()
+    for nu in (1, 2, 5, 40):
+        sector = sector_exhaustion(1.0, 0.0, 1.0, 1).member(nu)
+        # the enclosing disc |z| <= rmax meets the slit; the sector does not
+        assert maps_into(Identity(slit), slit, sector), nu
+    assert not maps_into(Identity(slit), slit, AnnularSector(0.5, 2.0, math.pi))
+
+
+def _sampled_maps_into(m, d, c, resolution):
+    """The sampled check, with no slack: m is defined at every point of
+    sample_grid(c, resolution) and sends it into d."""
+    try:
+        with np.errstate(all="ignore"):
+            images = apply(m, sample_grid(c, resolution))
+    except DomainError:
+        return False
+    return bool(np.all(d.contains(images)))
+
+
+def _inclusion_cases(rng):
+    """(map, domain, compact) triples over the four domain kinds, many of
+    them within a small distance of the domain's boundary."""
+    def near(scale):  # a gap from 1e-14 to 1e-1 times scale
+        return scale * 10.0 ** rng.uniform(-14.0, -1.0)
+
+    cases = []
+    for _ in range(60):
+        z0 = complex(*rng.normal(size=2))
+        r = abs(z0) * rng.uniform(0.0, 0.5)
+        k = ClosedDisc(z0, r)
+        a, b = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        plane = Domain.whole_plane()
+        cases += [
+            (Similarity(a, b), plane, k),
+            (iterate(Similarity(a, b), 40), plane, k),
+            (iterate(Similarity(1e9 * a, b), 40), plane, k),  # overflows
+        ]
+
+        rho = rng.uniform(0.0, 0.9)
+        z0 = rho * np.exp(2j * np.pi * rng.uniform())
+        k = ClosedDisc(z0, max(0.0, 1.0 - rho - near(1.0)))
+        disc = Domain.unit_disc()
+        cases += [
+            (DiscAutomorphism(np.exp(2j * np.pi * rng.uniform()), 0.3 * z0), disc, k),
+            (ParabolicDisc(rng.uniform(0.1, 3.0), 1.0, int(rng.integers(1, 50))), disc, k),
+            (Similarity(1.0, near(1.0) - (1.0 - rho) * z0 / max(rho, 1e-3)), disc, k),
+            (Identity(disc), disc, k),
+        ]
+
+        x = rng.uniform(0.1, 10.0)
+        k = ClosedDisc(complex(x, rng.normal()), x - near(x))
+        half = Domain.right_half_plane()
+        cases += [
+            (HalfPlaneShift(rng.uniform(0.1, 2.0), 1.0, int(rng.integers(1, 20))), half, k),
+            (Similarity(1.0, complex(near(x) - rng.uniform(0.0, 1e-12), rng.normal())), half, k),
+            (Similarity(rng.uniform(0.5, 2.0), -near(x)), half, k),
+        ]
+
+        rmin = rng.uniform(0.05, 1.0)
+        sector = AnnularSector(rmin, rmin * rng.uniform(1.0, 20.0), np.pi * rng.uniform(0.0, 0.9))
+        slit = Domain.slit_plane()
+        root = RootShift(0.0, 1.0, int(rng.integers(2, 4)), int(rng.integers(1, 9)))
+        cases += [
+            (RootShift(0.0, 1.0, 1, int(rng.integers(1, 30))), slit, sector),
+            (root, slit, sector),
+            (iterate(root, 3), slit, sector),
+            (Similarity(1.0, complex(near(1.0) - sector.rmin, rng.normal())), slit, sector),
+            (Identity(slit), slit, sector),
+            (Similarity(1.0, 1.0), half, sector),
+        ]
+    return cases
+
+
+def test_maps_into_is_sound_on_sampled_images():
+    # the oracle: a map that maps_into admits sends a fine sample grid of
+    # the compact into the domain with no slack, over every domain kind
+    admitted = refused = 0
+    for m, d, k in _inclusion_cases(np.random.default_rng(20261020)):
+        if maps_into(m, d, k):
+            admitted += 1
+            assert _sampled_maps_into(m, d, k, 5), (m, d, k)
+        else:
+            refused += 1
+    assert admitted > 300 and refused > 100, (admitted, refused)
+
+
 def test_every_family_self_maps():
     cases = [
         (Similarity(a=1.0 + 1.0j, b=2.0), ClosedDisc(0.0 + 0.0j, 3.0)),

@@ -15,6 +15,7 @@ from freqdyn.geometry import (
     AnnularSector,
     ClosedDisc,
     Domain,
+    Exhaustion,
     disc_pairs,
     disjointness,
     enclosing_disc,
@@ -31,10 +32,10 @@ from freqdyn.maps import (
     ParabolicDisc,
     RootShift,
     Similarity,
-    _maps_points_into,
     apply,
     image_enclosing_disc,
     iterate,
+    maps_into,
 )
 from freqdyn.runaway import (
     HorizonExhausted,
@@ -548,20 +549,39 @@ def test_membership_guard_rejects_escaping_maps():
         collect_islands(cfg)
 
 
+def test_membership_guard_refuses_an_image_disc_touching_the_boundary():
+    # z - (0.5 + 5e-13) sends D(1, 1/2) onto D(0.5 - 5e-13, 1/2), which
+    # crosses Re z = 0 by 5e-13: a sample check with slack 1e-12 passes it
+    m = Similarity(1.0, -(0.5 + 5e-13))
+    k = ClosedDisc(1.0, 0.5)
+    half = Domain.right_half_plane()
+    assert not maps_into(m, half, k)
+    assert maps_into(Similarity(1.0, -0.49), half, k)
+    cfg = RunawayConfig(
+        domain=half,
+        maps=lambda n: m,
+        exhaustion=Exhaustion(half, "one disc", lambda nu: k),
+        family=lambda nu: arithmetic_progression(1, 1, 10),
+        n_max=10,
+        nu_max=1,
+    )
+    with pytest.raises(ValueError, match="map at index 1 does not send level 1"):
+        collect_islands(cfg)
+
+
 def _scalar_islands(cfg):
-    """Reference: the islands decided one at a time, each by the domain
-    check and a scalar disc rule, the frozen oracle_image_disc for a
-    Mobius record and image_enclosing_disc otherwise: (n, nu, centre,
-    radius) per island."""
+    """Reference: the islands decided one at a time, each by maps_into
+    and a scalar disc rule, the frozen oracle_image_disc for a Mobius
+    record and image_enclosing_disc otherwise: (n, nu, centre, radius)
+    per island."""
     out = []
     for nu in range(1, cfg.nu_max + 1):
         source = cfg.exhaustion.member(nu)
-        pts = sample_grid(source, cfg.resolution)
         for n in cfg.family(nu):
             if n > cfg.n_max:
                 break
             m = cfg.maps(n)
-            if not _maps_points_into(m, cfg.domain, pts):
+            if not maps_into(m, cfg.domain, source):
                 raise ValueError(
                     f"map at index {n} does not send level {nu} into the domain"
                 )
@@ -599,9 +619,9 @@ def test_collect_islands_raises_where_the_scalar_loop_raises():
         return Similarity(1.0, complex(math.inf) if n == 11 else 0.0)
 
     schedules = (
-        (shifts, "index 26 does not send"),
+        (shifts, "index 25 does not send"),
         (with_root, "index 20 does not send"),
-        (with_automorphisms, "index 26 does not send"),
+        (with_automorphisms, "index 25 does not send"),
         (overflowing, "index 40 does not send"),
         (unbounded, "index 11 does not send"),
     )
@@ -700,22 +720,31 @@ def test_shipped_runaway_p2_p3_fields_match_the_oracle(config, overrides):
     assert rep.p3_ok == (p3_witness is None)
 
 
-def test_collect_islands_samples_each_level_once(monkeypatch):
-    from freqdyn import maps
-
+def test_collect_islands_decides_passing_blocks_without_maps_into(monkeypatch):
     calls = []
 
-    def counting(c, resolution):
-        calls.append(c)
-        return sample_grid(c, resolution)
+    def counting(*args):
+        calls.append(args)
+        return maps_into(*args)
 
-    # translations have exact image discs, so every sample is a domain check
-    monkeypatch.setattr(runaway, "sample_grid", counting)
-    monkeypatch.setattr(maps, "sample_grid", counting)
+    monkeypatch.setattr(runaway, "maps_into", counting)
+    # translations whose discs lie in the plane pass by the array rule alone
     cfg = _family_config(2000, nu_max=3)
+    assert len(collect_islands(cfg)) > 10 * cfg.nu_max
+    assert calls == []
+    # an identity's image is its sector, whose enclosing disc meets the
+    # slit, so that block is decided map by map and passes
+    exh = geometry.sector_exhaustion(1.0, 0.0, 1.0, 1)
+    cfg = RunawayConfig(
+        domain=exh.domain,
+        maps=powers_of_two_schedule(RootShift(0.0, 1.0, 1, 1)),
+        exhaustion=exh,
+        family=lambda nu: arithmetic_progression(nu + 1, 4, 100),
+        n_max=100,
+        nu_max=2,
+    )
     islands = collect_islands(cfg)
-    assert len(islands) > 10 * cfg.nu_max
-    assert len(calls) <= cfg.nu_max
+    assert len(islands) == 2 * 25 and calls
 
 
 def test_config_domain_mismatch_rejected():
