@@ -66,6 +66,7 @@ __all__ = [
     "verify_basis_perturbation",
 ]
 
+# min_envelope samples a region on sample_grid at this resolution.
 _EPS_RESOLUTION = 3
 
 _U = np.finfo(float).eps / 2  # unit roundoff
@@ -465,17 +466,17 @@ class PiecewiseTarget:
             raise ValueError(f"target regions {i} and {j} are not disjoint")
 
 
-def min_envelope(domain: Domain, region: CompactSet, resolution: int = _EPS_RESOLUTION) -> float:
+def min_envelope(domain: Domain, region: CompactSet) -> float:
     """Minimum chordal boundary distance over the region.
 
     Using the per-region minimum instead of the pointwise envelope makes
     every certificate a strictly stronger statement.  The minimum over
-    sample_grid(region, resolution) can exceed the true one between grid
+    sample_grid(region, _EPS_RESOLUTION) can exceed the true one between grid
     points.  On the whole plane and the unit disc, where the distance
     falls as |z| grows, a disc takes the closed form at |c| + r instead,
     unless a grid point rounded just outside the disc undercuts it.
     """
-    pts = sample_grid(region, resolution)
+    pts = sample_grid(region, _EPS_RESOLUTION)
     if pts.size == 0:
         raise ValueError("cannot sample an empty region for the envelope")
     sampled = float(np.min(eps_to_boundary(domain, pts)))
@@ -785,7 +786,6 @@ def _island_pieces(
     splits: dict,
     block: int,
     tau: Callable[[float], float],
-    resolution: int,
 ) -> list:
     """The labelled polynomial composed with the inverse map on islands
     whose p-block is block, zero on the rest, at tolerance tau(envelope)."""
@@ -795,16 +795,12 @@ def _island_pieces(
         spec = Zero()
         if key is not None and key[1] == block:
             spec = ComposedInverse(enumerate_dense_polynomial(key[0]), island.map)
-        eps_min = min_envelope(tr.domain, island.image_bound, resolution)
+        eps_min = min_envelope(tr.domain, island.image_bound)
         pieces.append(TargetPiece(island.image_bound, spec, tau(eps_min)))
     return pieces
 
 
-def assemble_existence_target(
-    tr: CarlemanTruncation,
-    splits: dict,
-    resolution: int = _EPS_RESOLUTION,
-) -> PiecewiseTarget:
+def assemble_existence_target(tr: CarlemanTruncation, splits: dict) -> PiecewiseTarget:
     """One piece per island: the l-th enumerated polynomial composed with
     the island's inverse map, at tolerance min over the island of the
     boundary envelope.
@@ -815,7 +811,7 @@ def assemble_existence_target(
     """
     if tr.bases:
         raise ValueError("the existence build uses a truncation without bases")
-    return PiecewiseTarget(tuple(_island_pieces(tr, splits, 1, lambda e: e, resolution)))
+    return PiecewiseTarget(tuple(_island_pieces(tr, splits, 1, lambda e: e)))
 
 
 def _member_target(
@@ -825,24 +821,20 @@ def _member_target(
     base_spec,
     block: int,
     scale: float,
-    resolution: int,
 ) -> PiecewiseTarget:
     """base_spec on the base, the labelled polynomial composed with its
     inverse on islands whose p-block is block, zero on the rest; every
     tolerance is scale * min(1, envelope)."""
     tau = lambda e: scale * min(1.0, e)
-    eps_base = min_envelope(tr.domain, base, resolution)
+    eps_base = min_envelope(tr.domain, base)
     # a sector base is fitted on its enclosing disc at the sector's budget: base
     # targets are entire, and islands clear a sector only through that disc
     base_piece = TargetPiece(enclosing_disc(base), base_spec, tau(eps_base))
-    return PiecewiseTarget((base_piece, *_island_pieces(tr, splits, block, tau, resolution)))
+    return PiecewiseTarget((base_piece, *_island_pieces(tr, splits, block, tau)))
 
 
 def assemble_spaceable_target(
-    mu: int,
-    tr: CarlemanTruncation,
-    splits: dict,
-    resolution: int = _EPS_RESOLUTION,
+    mu: int, tr: CarlemanTruncation, splits: dict
 ) -> PiecewiseTarget:
     """Monomial z^mu on the base compact, labelled targets on the islands.
 
@@ -856,16 +848,11 @@ def assemble_spaceable_target(
         raise ValueError("member index must be at least 1")
     if len(tr.bases) != 1:
         raise ValueError("the spaceable build uses exactly one base compact")
-    return _member_target(
-        tr, splits, tr.bases[0], Monomial(mu), mu, 3.0 ** (-mu), resolution
-    )
+    return _member_target(tr, splits, tr.bases[0], Monomial(mu), mu, 3.0 ** (-mu))
 
 
 def assemble_dense_target(
-    mu: int,
-    tr: CarlemanTruncation,
-    splits: dict,
-    resolution: int = _EPS_RESOLUTION,
+    mu: int, tr: CarlemanTruncation, splits: dict
 ) -> PiecewiseTarget:
     """The (mu + 1)-th enumerated polynomial on the base at level mu + 1,
     at tolerance scaled by 1/mu; islands in p-block mu + 1 carry their
@@ -878,16 +865,11 @@ def assemble_dense_target(
     if len(tr.bases) < mu + 1:
         raise ValueError("the dense build needs base compacts up to level mu + 1")
     base_spec = FixedPoly(enumerate_dense_polynomial(mu + 1))
-    return _member_target(
-        tr, splits, tr.bases[mu], base_spec, mu + 1, 1.0 / mu, resolution
-    )
+    return _member_target(tr, splits, tr.bases[mu], base_spec, mu + 1, 1.0 / mu)
 
 
 def assemble_mixed_target(
-    mu: int,
-    tr: CarlemanTruncation,
-    quad_splits: dict,
-    resolution: int = _EPS_RESOLUTION,
+    mu: int, tr: CarlemanTruncation, quad_splits: dict
 ) -> PiecewiseTarget:
     """Spaceable-shaped member fed from a fourth-level split.
 
@@ -896,7 +878,7 @@ def assemble_mixed_target(
     carries z^mu on the base and the labelled polynomial on islands
     whose q equals mu.
     """
-    return assemble_spaceable_target(mu, tr, quad_splits, resolution)
+    return assemble_spaceable_target(mu, tr, quad_splits)
 
 
 # ---------------------------------------------------------------------------

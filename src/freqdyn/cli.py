@@ -1,14 +1,15 @@
 """Config-driven experiment harness.
 
-Every subcommand reads one INI file, optionally patched by repeatable
-``--override section.key=value`` flags, runs a fixed pipeline, and
-writes its artifacts under ``<output root>/<command>/``.  The output
-root is the ``dir`` entry of the ``[output]`` section unless the
-``FREQDYN_OUT`` environment variable is set.  Artifacts are written to
-a temporary file and renamed into place, so a crashed run never leaves
-a half-written report.  Summaries contain one ``PASS:`` or ``FAIL:``
-line per checked property and the process exits nonzero exactly when
-some line failed.
+Every subcommand reads one INI file (`freqdyn.config`), optionally
+patched by repeatable ``--override section.key=value`` flags, runs a
+fixed pipeline, and writes its artifacts under
+``<output root>/<command>/``.  The output root is the ``dir`` entry of
+the ``[output]`` section unless the ``FREQDYN_OUT`` environment variable
+is set.  Artifacts are written to a temporary file and renamed into
+place (`freqdyn.artifacts`), so a crashed run never leaves a
+half-written report.  Summaries contain one ``PASS:`` or ``FAIL:`` line
+per checked property and the process exits nonzero exactly when some
+line failed.
 
 Reports embed a short hash of the effective configuration so that any
 artifact can be traced back to the exact parameter set that produced
@@ -20,61 +21,27 @@ clock timings go to stdout only.
 from __future__ import annotations
 
 import argparse
-import base64
-import configparser
-import contextlib
-import csv
-import dataclasses
-import json
-import math
 import os
 import sys
 import time
-import zlib
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-# SHA-256 from the interpreter's built-in module, as `random` takes
-# SHA-512: hashlib would load OpenSSL's libcrypto, about 3.6 MB resident,
-# for one digest of the config text.  The digest is the same.
-try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
-    except ImportError:  # built without builtin hashes
-        from hashlib import sha256
-
-from . import approx, density, orbit, runaway
+from . import approx, artifacts, config, density, orbit, runaway
 from ._record import record
-from .approx import (
-    BasisKind,
-    FhcCandidate,
-    NewtonPoly,
-    enumerate_dense_polynomial,
-)
+from .approx import BasisKind, enumerate_dense_polynomial
+from .artifacts import _write_csv, _write_json, load_candidate
+from .config import ExperimentConfig, apply_overrides, config_hash, load_config
 from .density import IndexSet
-from .geometry import (
-    ClosedDisc,
-    Domain,
-    DomainKind,
-    Exhaustion,
-    right_half_plane_exhaustion,
-    sector_exhaustion,
-    unit_disc_exhaustion,
-    whole_plane_exhaustion,
-)
+from .geometry import ClosedDisc, Domain, DomainKind
 from .maps import (
     ConformalPair,
     HalfPlaneShift,
-    HoloMap,
     Identity,
     PairKind,
     ParabolicDisc,
     RootShift,
-    Similarity,
     Conjugated,
     apply,
     maps_into,
@@ -114,13 +81,10 @@ FIXED_POINT_TOL = 1e-12
 # much lower density; zero-density escapes are the classical failure.
 WEAK_DENSITY_FLOOR = 0.01
 
-# Map indices probed when checking conjugation formulas pointwise.
-PROBE_STEPS = (1, 2, 3, 5, 10, 100)
-# Points and outer radius of the disc mesh those checks run on.
+# Points and outer radius of the disc mesh that example2 and example3
+# check their conjugation formulas on, at the indices config.PROBE_STEPS.
 MESH_POINTS = 1000
 MESH_RADIUS = 0.95
-
-CANDIDATE_FORMAT = "freqdyn-candidate-v6"
 
 # example5, density, split and sepfamily refuse, before any work, a
 # horizon whose arrays would exceed this many bytes (_within_budget), and
@@ -133,220 +97,7 @@ DENSITY_BLOCK_BYTES = 64 * density.DENSITY_BLOCK
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-
-def _entry(key: str, default):
-    """A config field read from the INI entry key = "section.key"."""
-    return dataclasses.field(default=default, metadata={"key": key})
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat view of one INI experiment description.
-
-    Each field names its ``section.key`` entry; the type of its default
-    is the type the entry parses to.  Unused entries are harmless; each
-    subcommand reads only the fields its pipeline needs.
-    """
-
-    domain_kind: str = _entry("domain.kind", "whole_plane")
-    map_family: str = _entry("maps.family", "translation")
-    schedule: str = _entry("maps.schedule", "direct")
-    alpha: float = _entry("maps.alpha", 0.0)
-    beta: float = _entry("maps.beta", 1.0)
-    root_n: int = _entry("maps.root_n", 1)
-    a_param: float = _entry("maps.a", 1.0)
-    gamma: float = _entry("maps.gamma", 1.0)
-    c_const: float = _entry("maps.c", 0.25)
-    b_power: float = _entry("maps.b_power", 2.0)
-    omega_power: float = _entry("maps.omega_power", 1.0)
-    pairs: int = _entry("family.pairs", 3)
-    multiplier: int = _entry("family.multiplier", 8)
-    n_max: int = _entry("horizons.n_max", 10000)
-    nu_max: int = _entry("horizons.nu_max", 2)
-    l_max: int = _entry("horizons.l_max", 2)
-    mu_max: int = _entry("horizons.mu_max", 3)
-    iterates: int = _entry("horizons.iterates", 200)
-    delta: float = _entry("tolerances.delta", 0.0)
-    grid_res: int = _entry("tolerances.grid_res", 3)
-    max_degree: int = _entry("tolerances.max_degree", 256)
-    split_parts: int = _entry("split.parts", 4)
-    set_kind: str = _entry("set.kind", "naturals")
-    set_first: int = _entry("set.first", 1)
-    set_step: int = _entry("set.step", 1)
-    build_kind: str = _entry("build.kind", "existence")
-    bases: int = _entry("build.bases", 0)
-    max_islands: int = _entry("build.max_islands", 4)
-    runaway_mode: str = _entry("runaway.mode", "strong")
-    candidate_path: str = _entry("scan.candidate", "")
-    out_dir: str = _entry("output.dir", "out")
-
-
-# (section, key, attribute, type) of every field; the one table that
-# parsing, overrides and the configuration hash read.
-_FIELDS = tuple(
-    (*f.metadata["key"].split("."), f.name, type(f.default))
-    for f in dataclasses.fields(ExperimentConfig)
-)
-_KEY_TABLE = {(s, k): (attr, kind) for s, k, attr, kind in _FIELDS}
-
-
-def _parse_value(kind, raw: str):
-    raw = raw.strip()
-    if kind is str:
-        return raw
-    if kind is int:
-        try:
-            return int(raw, 10)
-        except ValueError:
-            pass
-    val = float(raw)
-    if not math.isfinite(val):
-        raise ValueError(f"expected a finite number, got {raw!r}")
-    if kind is int:
-        out = int(round(val))
-        if abs(val - out) > 0.0:
-            raise ValueError(f"expected an integer, got {raw!r}")
-        return out
-    return val
-
-
-def load_config(path: str) -> ExperimentConfig:
-    """Parse an INI file; unknown sections or keys are hard errors."""
-    parser = configparser.ConfigParser(interpolation=None)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            parser.read_file(fh)
-        except configparser.Error as exc:
-            # configparser spreads its messages over several lines
-            raise ValueError(f"malformed config file: {' '.join(str(exc).split())}") from None
-    if parser.defaults():
-        raise ValueError("the DEFAULT section is not supported, use explicit sections")
-    updates = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            entry = _KEY_TABLE.get((section, key))
-            if entry is None:
-                raise ValueError(f"unknown config entry [{section}] {key}")
-            attr, kind = entry
-            updates[attr] = _parse_value(kind, raw)
-    return dataclasses.replace(ExperimentConfig(), **updates)
-
-
-def apply_overrides(
-    cfg: ExperimentConfig, overrides: Sequence[str]
-) -> ExperimentConfig:
-    """Apply command line ``section.key=value`` patches in order."""
-    updates = {}
-    for item in overrides:
-        lhs, sep, raw = item.partition("=")
-        if not sep:
-            raise ValueError(f"override must look like section.key=value: {item!r}")
-        section, dot, key = lhs.strip().partition(".")
-        if not dot:
-            raise ValueError(f"override key must be section.key: {lhs.strip()!r}")
-        entry = _KEY_TABLE.get((section.strip(), key.strip()))
-        if entry is None:
-            raise ValueError(f"unknown override target {lhs.strip()!r}")
-        attr, kind = entry
-        updates[attr] = _parse_value(kind, raw)
-    if not updates:
-        return cfg
-    return dataclasses.replace(cfg, **updates)
-
-
-def _canonical(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    """Short digest of the effective configuration, defaults included.
-
-    The output root is left out: where a run writes changes none of it.
-    """
-    lines = sorted(
-        f"{section}.{key}={_canonical(getattr(cfg, attr))}"
-        for section, key, attr, _ in _FIELDS
-        if attr != "out_dir"
-    )
-    digest = sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    return digest[:12]
-
-
-def _candidate_hash(cfg: ExperimentConfig) -> str:
-    """config_hash without scan.candidate, which a build config leaves
-    empty: the hash a candidate stores and a scan of it compares."""
-    return config_hash(dataclasses.replace(cfg, candidate_path=""))
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-# domain.kind -> the exhaustion of that domain, whose domain every
-# command takes as the configured one
-_DOMAIN_KINDS = {
-    "whole_plane": lambda cfg: whole_plane_exhaustion(),
-    "unit_disc": lambda cfg: unit_disc_exhaustion(),
-    "right_half_plane": lambda cfg: right_half_plane_exhaustion(),
-    "slit_plane": lambda cfg: sector_exhaustion(
-        cfg.c_const, cfg.alpha, cfg.beta, cfg.root_n
-    ),
-}
-
-
-def build_exhaustion(cfg: ExperimentConfig) -> Exhaustion:
-    build = _DOMAIN_KINDS.get(cfg.domain_kind)
-    if build is None:
-        raise ValueError(f"unknown domain kind {cfg.domain_kind!r}")
-    return build(cfg)
-
-
-def build_schedule(cfg: ExperimentConfig) -> Callable[[int], HoloMap]:
-    fam = cfg.map_family
-    if fam == "translation":
-        base = lambda n: Similarity(1.0, complex(n))
-    elif fam == "root_shift":
-        base = lambda n: RootShift(cfg.alpha, cfg.beta, cfg.root_n, n)
-    elif fam == "half_plane_shift":
-        base = lambda n: HalfPlaneShift(cfg.a_param, cfg.gamma, n)
-    elif fam == "parabolic_disc":
-        base = lambda n: ParabolicDisc(cfg.a_param, cfg.gamma, n)
-    elif fam == "identity":
-        dom = build_exhaustion(cfg).domain
-        base = lambda n: Identity(dom)
-    else:
-        raise ValueError(f"unknown map family {cfg.map_family!r}")
-    if cfg.schedule == "powers_of_two":
-        return runaway.powers_of_two_schedule(base(1))
-    if cfg.schedule != "direct":
-        raise ValueError(f"unknown schedule {cfg.schedule!r}")
-    return base
-
-
-def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
-    fam = density.build_separated_family(
-        pairs if pairs else cfg.pairs, cfg.n_max, cfg.multiplier
-    )
-    fam_report = fam.report
-    exh = build_exhaustion(cfg)
-    schedule = build_schedule(cfg)
-    rcfg = runaway.RunawayConfig(
-        domain=exh.domain,
-        maps=schedule,
-        exhaustion=exh,
-        family=fam.a_of_nu,
-        n_max=cfg.n_max,
-        nu_max=cfg.nu_max,
-    )
-    return fam, fam_report, exh, schedule, rcfg
-
-
-# ---------------------------------------------------------------------------
-# artifacts
+# results
 
 
 @record
@@ -384,290 +135,43 @@ def _artifact_dir(cfg: ExperimentConfig, name: str) -> str:
     return path
 
 
-@contextlib.contextmanager
-def _atomic_file(path: str, mode: str = "w"):
-    """A file written as path.tmp and renamed to path once the block
-    completes; a block that raises removes it and leaves path as it was.
-    mode "w" opens it as UTF-8 text, "wb" as binary."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, path)
-
-
-def _atomic_write(path: str, data: str) -> None:
-    with _atomic_file(path) as fh:
-        fh.write(data)
-
-
-def _json_default(value):
-    """Encode the values json cannot: numpy scalars and arrays, complex."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
-
-
-def _unbounded_as_null(value: float):
-    """JSON has no infinity: an infinite value is written as null."""
-    return None if math.isinf(value) else float(value)
-
-
 def _sigma_payload(rep: SigmaReport) -> dict:
     payload = {name: getattr(rep, name) for name in rep._fields}
-    payload["limit_at_one"] = _unbounded_as_null(rep.limit_at_one)
+    payload["limit_at_one"] = artifacts._unbounded_as_null(rep.limit_at_one)
     return payload
-
-
-def _write_json(path: str, payload) -> None:
-    # compact separators keep json on its C encoder; indent would not
-    text = json.dumps(
-        payload,
-        default=_json_default,
-        separators=(",", ":"),
-        sort_keys=True,
-        allow_nan=False,
-    )
-    _atomic_write(path, text + "\n")
-
-
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    # rows stream to the file, so the whole text is never held in memory
-    with _atomic_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _finish(
-    cfg: ExperimentConfig, name: str, out: str, lines, artifacts
+    cfg: ExperimentConfig, name: str, out: str, lines, paths
 ) -> CommandResult:
     head = [f"# freqdyn {name}", f"# config {config_hash(cfg)}"]
     summary = os.path.join(out, "summary.txt")
-    _atomic_write(summary, "\n".join(head + list(lines)) + "\n")
+    artifacts._atomic_write(summary, "\n".join(head + list(lines)) + "\n")
     return CommandResult(
-        name=name, lines=tuple(lines), artifacts=tuple([summary] + list(artifacts))
+        name=name, lines=tuple(lines), artifacts=tuple([summary] + list(paths))
     )
-
-
-# ---------------------------------------------------------------------------
-# candidate serialization
-
-
-# Packed arrays are little-endian complex128 (nodes, coefficients) or
-# int16 (scale exponents), so a file decodes to the same bits on any host.
-_PACKED = np.dtype("<c16")
-_PACKED_EXPONENT = np.dtype("<i2")
-# A scale is 2^e with e in this range, a normal float.
-_EXPONENTS = (-1022, 1023)
-
-
-def _pack(values, dtype=_PACKED) -> str:
-    values = np.asarray(values, dtype=dtype)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("a candidate function holds a non-finite entry")
-    return base64.b64encode(values.tobytes()).decode("ascii")
-
-
-def _unpack(text, name: str, dtype=_PACKED) -> np.ndarray:
-    try:
-        # validate=True refuses characters outside the alphabet and bad
-        # padding; a value that is no string raises TypeError
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"{name} is no valid base64: {exc}") from None
-    # frombuffer raises ValueError on a byte count of no whole entries
-    values = np.frombuffer(raw, dtype=dtype).astype(dtype.type)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} holds a non-finite entry")
-    return values
-
-
-def _scale_exponents(scales: np.ndarray) -> np.ndarray:
-    """e with scales == 2^e, refusing a scale that is no such power."""
-    exponents = np.frexp(scales)[1] - 1
-    lo, hi = _EXPONENTS
-    if not np.all((exponents >= lo) & (exponents <= hi) & (np.ldexp(1.0, exponents) == scales)):
-        raise ValueError(f"a scale is no power of two 2^e with e in [{lo}, {hi}]")
-    return exponents
-
-
-def _encode_function(fn: NewtonPoly) -> dict:
-    return {
-        "nodes": _pack(fn.nodes),
-        "scale_exponents": _pack(_scale_exponents(fn.scales), _PACKED_EXPONENT),
-        "coefficients": _pack(fn.coefficients),
-    }
-
-
-def _decode_function(blob: dict) -> NewtonPoly:
-    """A NewtonPoly from its three packed arrays: d nodes, d scale
-    exponents e_k in [-1022, 1023], the scales being 2^e_k exactly (the
-    rounding bound of NewtonPoly assumes that dividing by one is exact),
-    and d + 1 coefficients."""
-    nodes = _unpack(blob["nodes"], "nodes")
-    exponents = _unpack(blob["scale_exponents"], "scale_exponents", _PACKED_EXPONENT)
-    coeffs = _unpack(blob["coefficients"], "coefficients")
-    degree = coeffs.size - 1
-    if degree < 0:
-        raise ValueError("no coefficients")
-    if nodes.size != degree or exponents.size != degree:
-        raise ValueError(
-            f"{nodes.size} nodes and {exponents.size} scale exponents for degree"
-            f" {degree}, expected {degree} of each"
-        )
-    lo, hi = _EXPONENTS
-    if not np.all((exponents >= lo) & (exponents <= hi)):
-        raise ValueError(f"a scale exponent is outside [{lo}, {hi}]")
-    return NewtonPoly(nodes=nodes, scales=np.ldexp(1.0, exponents), coefficients=coeffs)
-
-
-def _encode_candidate(
-    cand: FhcCandidate, cfg: ExperimentConfig, kind: str, islands, extra=None
-) -> dict:
-    payload = {
-        "format": CANDIDATE_FORMAT,
-        "config": _candidate_hash(cfg),
-        "kind": kind,
-        "status": cand.status,
-        "reason": cand.reason,
-        "degree": int(cand.degree),
-        "certificates": [
-            {
-                "achieved": _unbounded_as_null(c.achieved),
-                "envelope": float(c.envelope),
-            }
-            for c in cand.certificates
-        ],
-        "islands": [[int(isl.n), int(isl.nu)] for isl in islands],
-        "function": _encode_function(cand.fn),
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _check_metadata(blob: dict, path: str) -> None:
-    """Refuse islands other than [n, nu] pairs of positive integers and
-    certificates without a finite positive envelope."""
-    islands, certs = blob.get("islands", []), blob.get("certificates", [])
-    # type(), not isinstance(): JSON true and false load as bool
-    if not isinstance(islands, list) or not all(
-        isinstance(i, list) and len(i) == 2 and all(type(v) is int and v > 0 for v in i)
-        for i in islands
-    ):
-        raise ValueError(f"candidate file {path}: islands must be [n, nu] positive integers")
-    if not isinstance(certs, list) or not all(
-        isinstance(c, dict) and type(c.get("envelope")) in (int, float)
-        and 0.0 < c["envelope"] < math.inf for c in certs
-    ):
-        raise ValueError(f"candidate file {path}: certificates need finite positive envelopes")
-
-
-def load_candidate(path: str):
-    """Read back a stored candidate; returns (function, metadata) with the
-    islands and certificate envelopes checked."""
-    with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if not isinstance(blob, dict) or blob.get("format") != CANDIDATE_FORMAT:
-        raise ValueError(
-            f"not a candidate file of format {CANDIDATE_FORMAT}: {path};"
-            " rebuild it with build_fhc"
-        )
-    _check_metadata(blob, path)
-    encoded = blob.get("function")
-    if encoded is None:
-        raise ValueError(f"candidate file carries no function: {path}")
-    try:
-        return _decode_function(encoded), blob
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"malformed function in candidate file {path}: {exc!r}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# iterate errors
-
-# An errors file is this line, then one zlib stream (level 6) of the
-# second differences of errors e_1, e_2, ...: with u_i the little-endian
-# bits of e_i and u_0 = u_-1 = 0, d_i = u_i - 2 u_{i-1} + u_{i-2}
-# mod 2^64, cut into blocks of _ERRORS_BLOCK values, each block written
-# as its 8 byte planes (byte 0 of every value, then byte 1, ...) and
-# ended by a sync flush.  Smoothly falling errors leave the high planes
-# nearly constant, which zlib packs tightly.
-ERRORS_HEADER = b"freqdyn-errors-v1\n"
-_ERRORS_BLOCK = 4096
-
-
-def _write_errors(path: str, errors: np.ndarray) -> None:
-    """Write errors as an errors file, one block at a time: the extra
-    memory is a few blocks and zlib's state, whatever the length."""
-    bits = np.asarray(errors, dtype="<f8").view("<u8")
-    packer = zlib.compressobj(6)
-    # window[:2] carries u_{i-2}, u_{i-1} into each block
-    window = np.zeros(_ERRORS_BLOCK + 2, dtype="<u8")
-    with _atomic_file(path, "wb") as fh:
-        fh.write(ERRORS_HEADER)
-        for start in range(0, bits.size, _ERRORS_BLOCK):
-            block = bits[start : start + _ERRORS_BLOCK]
-            n = block.size
-            window[2 : n + 2] = block
-            # unsigned arithmetic wraps mod 2^64
-            diff = window[2 : n + 2] - window[1 : n + 1] - window[1 : n + 1]
-            diff += window[:n]
-            fh.write(packer.compress(diff.view(np.uint8).reshape(n, 8).T.tobytes()))
-            # else zlib holds back up to ~32 kB of packed output
-            fh.write(packer.flush(zlib.Z_SYNC_FLUSH))
-            window[:2] = window[n : n + 2]
-        fh.write(packer.flush())
-
-
-def load_errors(path: str) -> np.ndarray:
-    """Read back an errors file as a '<f8' array, bit for bit; refuse
-    another header, a corrupt, truncated or trailed zlib stream and a
-    byte count of no whole values."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(ERRORS_HEADER):
-        raise ValueError(
-            f"not an errors file of format {ERRORS_HEADER.decode().strip()}: {path}"
-        )
-    unpacker = zlib.decompressobj()
-    try:
-        raw = unpacker.decompress(memoryview(blob)[len(ERRORS_HEADER) :])
-    except zlib.error as exc:
-        raise ValueError(f"corrupt zlib stream in errors file {path}: {exc}") from None
-    if not unpacker.eof:
-        raise ValueError(f"truncated zlib stream in errors file {path}")
-    if unpacker.unused_data:
-        raise ValueError(
-            f"{len(unpacker.unused_data)} bytes after the zlib stream in errors file {path}"
-        )
-    if len(raw) % 8:
-        raise ValueError(f"{len(raw)} bytes of errors in {path}, no whole float64 values")
-    diff = np.empty(len(raw) // 8, dtype="<u8")
-    planes = np.frombuffer(raw, dtype=np.uint8)
-    for start in range(0, diff.size, _ERRORS_BLOCK):
-        n = min(_ERRORS_BLOCK, diff.size - start)
-        block = planes[8 * start : 8 * (start + n)].reshape(8, n)
-        diff[start : start + n] = np.ascontiguousarray(block.T).view("<u8")[:, 0]
-    # two wrapping running sums undo the two differences
-    np.cumsum(diff, dtype="<u8", out=diff)
-    np.cumsum(diff, dtype="<u8", out=diff)
-    return diff.view("<f8")
 
 
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
+
+
+def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
+    fam = density.build_separated_family(
+        pairs if pairs else cfg.pairs, cfg.n_max, cfg.multiplier
+    )
+    fam_report = fam.report
+    exh = config.build_exhaustion(cfg)
+    schedule = config.build_schedule(cfg)
+    rcfg = runaway.RunawayConfig(
+        domain=exh.domain,
+        maps=schedule,
+        exhaustion=exh,
+        family=fam.a_of_nu,
+        n_max=cfg.n_max,
+        nu_max=cfg.nu_max,
+    )
+    return fam, fam_report, exh, schedule, rcfg
 
 
 def _splits(kind: str, fam, cfg: ExperimentConfig) -> dict:
@@ -722,7 +226,7 @@ def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
 
     A fit to the zero function fails: it is not frequently hypercyclic.
     """
-    target = approx.assemble_existence_target(tr, splits, cfg.grid_res)
+    target = approx.assemble_existence_target(tr, splits)
     _within_fit_budget(cfg, [target])
     cand = approx.fit_on_compacts(target, cfg.max_degree)
     zero = not np.any(cand.fn.coefficients)
@@ -739,7 +243,10 @@ def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
             " hypercyclic"
         )
     path = os.path.join(out, "candidate.json")
-    _write_json(path, _encode_candidate(cand, cfg, "existence", tr.islands))
+    payload = artifacts._encode_candidate(
+        cand, config._candidate_hash(cfg), "existence", tr.islands
+    )
+    _write_json(path, payload)
     return cand, lines, path
 
 
@@ -761,15 +268,13 @@ def _island_pairs(islands, splits, horizon: int):
 SCAN_HEADER = ("nu", "l", "n", "designed", "error", "eps_sup", "hit", "prefix_ratio")
 
 
-def _scan_candidate(
-    fn, islands, envelopes, cfg: ExperimentConfig, splits, exh, schedule, out: str
-):
+def _scan_candidate(fn, islands, envelopes, splits, exh, schedule, out: str):
     """Scan an existence candidate over the designed blocks of its (n, nu)
     islands, up to the largest island index, and write scan.csv.
 
     Blocks whose compact is empty are dropped; returns None when
-    none is left, else (report, path).  A zero configured delta means
-    twice the largest certificate envelope.
+    none is left, else (report, path).  The scan's delta is twice the
+    largest certificate envelope.
     """
     horizon = max((int(n) for n, _ in islands), default=0)
     pairs = [
@@ -779,14 +284,11 @@ def _scan_candidate(
     ]
     if not pairs:
         return None
-    delta = cfg.delta
-    if delta <= 0.0:
-        if not envelopes:
-            raise ValueError("candidate carries no certificates, set a delta")
-        delta = 2.0 * max(envelopes)
+    if not envelopes:
+        raise ValueError("candidate carries no certificates to take a delta from")
     report = orbit.scan(
-        fn, schedule, exh, enumerate_dense_polynomial, delta, horizon, pairs,
-        cfg.grid_res,
+        fn, schedule, exh, enumerate_dense_polynomial, 2.0 * max(envelopes),
+        horizon, pairs,
     )
     path = os.path.join(out, "scan.csv")
     _write_csv(path, SCAN_HEADER, _scan_rows(report))
@@ -901,10 +403,10 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
         "p2_ok": rep.p2_ok,
         "p3_ok": rep.p3_ok,
         "islands": len(rep.islands),
-        "disc_gap": _unbounded_as_null(gap),
+        "disc_gap": artifacts._unbounded_as_null(gap),
         "disc_pairs_checked": rep.disc_pairs_checked,
     }
-    artifacts = []
+    paths = []
     if rep.p1_ok and rep.p2_ok and rep.p3_ok:
         tr = runaway.build_carleman_truncation(
             rcfg, bases=0, report=rep, max_islands=cfg.max_islands
@@ -912,15 +414,13 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
         splits = _splits("existence", fam, cfg)
         cand, fit_lines, cpath = _fit_existence(cfg, tr, splits, out, "island fit")
         lines.extend(fit_lines)
-        artifacts.append(cpath)
+        paths.append(cpath)
         payload["fit_status"] = cand.status
         payload["fit_degree"] = int(cand.degree)
 
         islands = [(isl.n, isl.nu) for isl in tr.islands]
         envelopes = [c.envelope for c in cand.certificates]
-        scanned = _scan_candidate(
-            cand.fn, islands, envelopes, cfg, splits, exh, schedule, out
-        )
+        scanned = _scan_candidate(cand.fn, islands, envelopes, splits, exh, schedule, out)
         if scanned is None:
             lines.append(
                 "NOTE: orbit scan skipped, every truncation compact is empty at"
@@ -929,13 +429,13 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
         else:
             scan_rep, spath = scanned
             lines.extend(_scan_lines(scan_rep))
-            artifacts.append(spath)
+            paths.append(spath)
     else:
         lines.append("NOTE: truncation and fit skipped, the runaway check failed")
     rpath = os.path.join(out, "report.json")
     _write_json(rpath, payload)
-    artifacts.append(rpath)
-    return _finish(cfg, "example1", out, lines, artifacts)
+    paths.append(rpath)
+    return _finish(cfg, "example1", out, lines, paths)
 
 
 def cmd_example2(cfg: ExperimentConfig) -> CommandResult:
@@ -947,7 +447,7 @@ def cmd_example2(cfg: ExperimentConfig) -> CommandResult:
     rows = []
     worst_resid = 0.0
     worst_mod = 0.0
-    for n in PROBE_STEPS:
+    for n in config.PROBE_STEPS:
         inner = RootShift(cfg.alpha, cfg.beta, cfg.root_n, n)
         phi = Conjugated(pair, inner)
         lhs = apply(phi, pair.forward(w))
@@ -980,7 +480,7 @@ def cmd_example3(cfg: ExperimentConfig) -> CommandResult:
     worst_resid = 0.0
     worst_fp = 0.0
     worst_mod = 0.0
-    for n in PROBE_STEPS:
+    for n in config.PROBE_STEPS:
         direct = ParabolicDisc(cfg.a_param, cfg.gamma, n)
         conj = Conjugated(pair, HalfPlaneShift(cfg.a_param, cfg.gamma, n))
         vals = apply(direct, mesh)
@@ -1084,7 +584,7 @@ def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
     path = os.path.join(out, "errors.f8z")
     # entry i bounds e_{i+1}; its decoded bits are identical on every
     # host, the file's bytes for one zlib build
-    _write_errors(path, rep.errors)
+    artifacts._write_errors(path, rep.errors)
     return _finish(cfg, "example5", out, lines, [path])
 
 
@@ -1095,9 +595,7 @@ def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
 # and passes through any wrapper installed there.
 _BUILD_KINDS = {
     "existence": (lambda cfg: 0, None, None),
-    "dense": (
-        lambda cfg: max(cfg.bases, cfg.mu_max + 1), "assemble_dense_target", None
-    ),
+    "dense": (lambda cfg: cfg.mu_max + 1, "assemble_dense_target", None),
     "spaceable": (lambda cfg: 1, "assemble_spaceable_target", BasisKind.SPACEABLE),
     "mixed": (lambda cfg: 1, "assemble_mixed_target", BasisKind.MIXED),
 }
@@ -1140,10 +638,10 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
         return _finish(cfg, "build_fhc", out, lines + fit_lines, [path])
 
     assemble = getattr(approx, assembler)
-    targets = [assemble(mu, tr, splits, cfg.grid_res) for mu in range(1, cfg.mu_max + 1)]
+    targets = [assemble(mu, tr, splits) for mu in range(1, cfg.mu_max + 1)]
     _within_fit_budget(cfg, targets)
     members = []
-    artifacts = []
+    paths = []
     for mu, target in enumerate(targets, 1):
         cand = approx.fit_on_compacts(target, cfg.max_degree)
         members.append(cand)
@@ -1156,9 +654,12 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
         lines.append(_verdict(cand.status == "PASS", text))
         path = os.path.join(out, f"member{mu}.json")
         _write_json(
-            path, _encode_candidate(cand, cfg, kind, tr.islands, extra={"mu": mu})
+            path,
+            artifacts._encode_candidate(
+                cand, config._candidate_hash(cfg), kind, tr.islands, extra={"mu": mu}
+            ),
         )
-        artifacts.append(path)
+        paths.append(path)
     ok = all(cand.status == "PASS" for cand in members)
     if span_kind is None:
         if not ok:
@@ -1196,8 +697,8 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
                     "members": [f"member{mu}.json" for mu in basis.indices],
                 },
             )
-            artifacts.append(path)
-    return _finish(cfg, "build_fhc", out, lines, artifacts)
+            paths.append(path)
+    return _finish(cfg, "build_fhc", out, lines, paths)
 
 
 def cmd_scan(cfg: ExperimentConfig) -> CommandResult:
@@ -1209,7 +710,7 @@ def cmd_scan(cfg: ExperimentConfig) -> CommandResult:
     if meta.get("kind") != "existence":
         raise ValueError("orbit scans expect an existence candidate")
     lines = []
-    if meta.get("config") != _candidate_hash(cfg):
+    if meta.get("config") != config._candidate_hash(cfg):
         lines.append(
             "NOTE: candidate was built under a different configuration,"
             f" hash {meta.get('config')}"
@@ -1218,11 +719,11 @@ def cmd_scan(cfg: ExperimentConfig) -> CommandResult:
     if not islands:
         raise ValueError("candidate file lists no islands to scan")
     fam = density.build_separated_family(cfg.pairs, cfg.n_max, cfg.multiplier)
-    exh = build_exhaustion(cfg)
-    schedule = build_schedule(cfg)
+    exh = config.build_exhaustion(cfg)
+    schedule = config.build_schedule(cfg)
     envelopes = [c["envelope"] for c in meta.get("certificates", [])]
     splits = _splits("existence", fam, cfg)
-    scanned = _scan_candidate(fn, islands, envelopes, cfg, splits, exh, schedule, out)
+    scanned = _scan_candidate(fn, islands, envelopes, splits, exh, schedule, out)
     if scanned is None:
         raise ValueError("every designed compact has an empty grid at this radius")
     report, path = scanned
@@ -1391,8 +892,8 @@ def cmd_runaway(cfg: ExperimentConfig) -> CommandResult:
         return _finish(cfg, "runaway", out, lines, [path])
     if cfg.runaway_mode != "weak":
         raise ValueError(f"unknown runaway mode {cfg.runaway_mode!r}")
-    schedule = build_schedule(cfg)
-    exh = build_exhaustion(cfg)
+    schedule = config.build_schedule(cfg)
+    exh = config.build_exhaustion(cfg)
     domain, k = exh.domain, exh.member(1)
     # strong mode's test, at n = 2 too: powers of two map n = 1 to the identity
     for n in range(1, min(2, cfg.n_max) + 1):
@@ -1422,46 +923,6 @@ def cmd_runaway(cfg: ExperimentConfig) -> CommandResult:
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-# The [maps] keys each map family raises its index n to.
-_FAMILY_EXPONENTS = {
-    "root_shift": ("alpha", "beta"),
-    "half_plane_shift": ("gamma",),
-    "parabolic_disc": ("gamma",),
-}
-
-# Commands that build their maps from maps.family and the schedule.
-_SCHEDULE_COMMANDS = ("example1", "build_fhc", "scan", "runaway")
-
-
-def _check_exponents(command: str, cfg: ExperimentConfig) -> None:
-    """Refuse an exponent key whose power of the largest mapped index overflows.
-
-    example2 and example3 map the indices in PROBE_STEPS; example4 and
-    the schedule commands map indices up to n_max, except that the
-    powers-of-two schedule only iterates the map at n = 1.
-    """
-    if command == "example2":
-        keys, horizon = _FAMILY_EXPONENTS["root_shift"], max(PROBE_STEPS)
-    elif command == "example3":
-        keys, horizon = _FAMILY_EXPONENTS["parabolic_disc"], max(PROBE_STEPS)
-    elif command == "example4":
-        keys, horizon = ("b_power", "omega_power"), cfg.n_max
-    elif command in _SCHEDULE_COMMANDS and cfg.schedule != "powers_of_two":
-        keys, horizon = _FAMILY_EXPONENTS.get(cfg.map_family, ()), cfg.n_max
-    else:
-        return
-    if horizon < 2:
-        return  # 1 ** p never overflows; the command refuses a smaller horizon
-    for key in keys:
-        value = getattr(cfg, _KEY_TABLE[("maps", key)][0])
-        try:
-            float(horizon) ** value
-        except OverflowError:
-            raise ValueError(
-                f"maps.{key}={_canonical(value)} overflows at horizon {horizon}"
-            ) from None
 
 
 def _remove_if_empty(path: str) -> None:
@@ -1508,7 +969,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = None
     try:
         cfg = apply_overrides(load_config(args.config), args.override)
-        _check_exponents(args.command, cfg)
+        config._check_exponents(args.command, cfg)
         result = _COMMANDS[args.command](cfg)
     except (OSError, ValueError, RuntimeError, OverflowError, MemoryError) as exc:
         # a bare MemoryError carries no message of its own

@@ -373,36 +373,10 @@ def _sweep(coord: np.ndarray, centers: np.ndarray, radii: np.ndarray,
     return order, ends - np.arange(1, m + 1)
 
 
-def disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
-    """The inequality of `disjointness` over all pairs of finite discs
-    i < j, decided by a sweep along the real or the imaginary axis
-    (Shamos and Hoey, Geometric intersection problems, FOCS 1976).
-
-    Returns (first_bad, gap, closest, checked), what the test of every
-    pair gives.  first_bad is the first pair in row-major order whose
-    discs meet, |c_i - c_j| <= r_i + r_j, or None.  gap is the least
-    |c_i - c_j| - (r_i + r_j), and closest the first pair in row-major
-    order attaining it; below two discs gap is inf and closest None.
-    checked counts the pairs decided, m (m - 1) / 2.  |c_i - c_j| comes
-    from np.hypot, as in `disjointness` and `clear_of`.
-
-    Along an axis, the discs are sorted by lo = x - r, x being the centre's
-    coordinate on it, and the gaps of neighbours in that order bound the
-    least gap by some G.  A pair whose extents on the axis lie more than
-    T = max(G, 0) apart has a gap above T, so it neither meets nor attains
-    the least gap.  Only the pairs with lo_j <= hi_i + T (hi = x + r),
-    widened by a rounding margin of 2^-40 times the coordinates' scale,
-    are candidates.  Both axes count their candidates, and the one with
-    fewer is evaluated, PAIR_CHUNK pairs at a time; a tie keeps the real
-    axis.  Either axis gives the same result, since every pair is decided
-    by the same np.hypot of both coordinates.  Memory is O(discs); time is
-    O(m log m) plus the evaluated pairs, which are all pairs only when
-    every extent meets every other on both axes, as on a diagonal.
-    """
+def _distinct_disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
+    """(first_bad, gap, closest) of `disc_pairs` by the sweep, first_bad
+    and closest as keys i m + j, for at least two discs."""
     m = centers.size
-    checked = m * (m - 1) // 2
-    if m < 2:
-        return None, math.inf, None, checked
     scale = (np.max(np.abs(centers.real)) + np.max(np.abs(centers.imag))
              + 2.0 * np.max(radii))
     order, counts = _sweep(centers.real, centers, radii, scale)
@@ -427,6 +401,77 @@ def disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
             best, closest = low, int(key[gap == low].min())
         elif low == best and closest is not None:
             closest = min(closest, int(key[gap == low].min()))
+    return first_bad, best, closest
+
+
+def disc_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
+    """The inequality of `disjointness` over all pairs of finite discs
+    i < j, decided by a sweep along the real or the imaginary axis
+    (Shamos and Hoey, Geometric intersection problems, FOCS 1976).
+
+    Returns (first_bad, gap, closest, checked), what the test of every
+    pair gives.  first_bad is the first pair in row-major order whose
+    discs meet, |c_i - c_j| <= r_i + r_j, or None.  gap is the least
+    |c_i - c_j| - (r_i + r_j), and closest the first pair in row-major
+    order attaining it; below two discs gap is inf and closest None.
+    checked counts the pairs decided, m (m - 1) / 2.  |c_i - c_j| comes
+    from np.hypot, as in `disjointness` and `clear_of`.
+
+    Discs of equal centre and radius form one group, and only the
+    lowest index of each group enters the sweep.  Every pair across
+    groups U and V has one verdict and gap, and its first pair in
+    row-major order is (min U, min V) in order.  A group of two or more
+    meets itself, at gap 0 - 2r, first at its two lowest indices.
+
+    Along an axis, the discs are sorted by lo = x - r, x being the centre's
+    coordinate on it, and the gaps of neighbours in that order bound the
+    least gap by some G.  A pair whose extents on the axis lie more than
+    T = max(G, 0) apart has a gap above T, so it neither meets nor attains
+    the least gap.  Only the pairs with lo_j <= hi_i + T (hi = x + r),
+    widened by a rounding margin of 2^-40 times the coordinates' scale,
+    are candidates.  Both axes count their candidates, and the one with
+    fewer is evaluated, PAIR_CHUNK pairs at a time; a tie keeps the real
+    axis.  Either axis gives the same result, since every pair is decided
+    by the same np.hypot of both coordinates.  Memory is O(discs); time is
+    O(m log m) plus the evaluated pairs of distinct discs, which are all
+    pairs only when every extent meets every other on both axes, as on a
+    diagonal.
+    """
+    m = centers.size
+    checked = m * (m - 1) // 2
+    if m < 2:
+        return None, math.inf, None, checked
+    # lexsort is stable, so each group starts at its lowest index
+    order = np.lexsort((radii, centers.imag, centers.real))
+    re, im, r = centers.real[order], centers.imag[order], radii[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (re[1:] != re[:-1]) | (im[1:] != im[:-1]) | (r[1:] != r[:-1]))
+    ))
+    first_bad = closest = None
+    best = math.inf
+    reps = np.sort(order[starts])
+    if reps.size > 1:
+        # reps ascend, so row-major order of their pairs is that of the
+        # pairs they stand for
+        first_bad, best, closest = _distinct_disc_pairs(centers[reps], radii[reps])
+        u = reps.size
+        if first_bad is not None:
+            first_bad = int(reps[first_bad // u]) * m + int(reps[first_bad % u])
+        if closest is not None:
+            closest = int(reps[closest // u]) * m + int(reps[closest % u])
+    # starts of the groups of two or more
+    multi = starts[np.diff(np.append(starts, m)) > 1]
+    if multi.size:
+        keys = order[multi] * m + order[multi + 1]
+        gaps = 0.0 - (r[multi] + r[multi])
+        bad = int(keys.min())
+        first_bad = bad if first_bad is None else min(first_bad, bad)
+        low = float(gaps.min())
+        key = int(keys[gaps == low].min())
+        if low < best:
+            best, closest = low, key
+        elif low == best:
+            closest = min(closest, key)
     first_bad = None if first_bad is None else divmod(first_bad, m)
     closest = None if closest is None else divmod(closest, m)
     return first_bad, best, closest, checked

@@ -34,6 +34,7 @@ from .geometry import (
 from .maps import HoloMap, Mobius, _add, _image_discs, _mul, apply, map_domain
 
 __all__ = [
+    "GRID_RESOLUTION",
     "GRID_SLACK",
     "ITERATE_MARGIN",
     "IterateReport",
@@ -49,6 +50,8 @@ __all__ = [
 # Grid sup-norms understate true sup-norms; measured errors are
 # multiplied by this before any pass/fail comparison.
 GRID_SLACK = 1.1
+# scan takes its sups on sample_grid of each level at this resolution.
+GRID_RESOLUTION = 3
 
 # iterate_convergence widens each bound by this relative margin before
 # it rounds it up; its docstring shows that the margin covers the
@@ -147,7 +150,6 @@ def scan(
     delta: float,
     horizon: int,
     pairs: Sequence,
-    grid_res: int = 3,
     envelope_constant: float = 1.0,
 ) -> OrbitScanReport:
     """Measure hit sets {n : GRID_SLACK * error_n < delta} for each (nu, l) pair.
@@ -172,7 +174,7 @@ def scan(
 
     entries = []
     for nu, blocks in sorted(by_nu.items()):
-        grid = sample_grid(exhaustion.member(nu), grid_res)
+        grid = sample_grid(exhaustion.member(nu), GRID_RESOLUTION)
         if grid.size == 0:
             raise ValueError(f"level {nu} compact has an empty grid")
         mapped = np.empty((horizon, grid.size), dtype=complex)
@@ -221,7 +223,6 @@ def combination_scan(
     delta: float,
     horizon: int,
     pairs: Sequence,
-    grid_res: int = 3,
     envelope_constant: Optional[float] = None,
     phi: Optional[PolyLike] = None,
 ) -> OrbitScanReport:
@@ -255,11 +256,11 @@ def combination_scan(
         half = delta / 2.0
         rep_phi = scan(
             phi, maps_schedule, exhaustion, dense_seq, half, horizon, pairs,
-            grid_res, envelope_constant,
+            envelope_constant,
         )
         rep_h = scan(
             comb, maps_schedule, exhaustion, lambda l: Polynomial.zero(), half,
-            horizon, pairs, grid_res, envelope_constant,
+            horizon, pairs, envelope_constant,
         )
         entries = tuple(
             _pair_scan(
@@ -277,7 +278,7 @@ def combination_scan(
     else:
         entries = scan(
             comb, maps_schedule, exhaustion, dense_seq, delta, horizon, pairs,
-            grid_res, envelope_constant,
+            envelope_constant,
         ).entries
     return OrbitScanReport(
         entries=entries,

@@ -19,7 +19,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import freqdyn.cli as cli
-from freqdyn import approx, density, runaway
+from freqdyn import approx, artifacts, density, runaway
+from freqdyn.artifacts import load_candidate, load_errors
+from freqdyn.config import (
+    _DOMAIN_KINDS,
+    _FIELDS,
+    _KEY_TABLE,
+    _canonical,
+    build_exhaustion,
+    build_schedule,
+)
 from freqdyn.density import IndexSet
 from freqdyn.approx import NewtonPoly
 from freqdyn.geometry import ClosedDisc, Domain, whole_plane_exhaustion
@@ -40,9 +49,7 @@ from freqdyn.cli import (
     cmd_sigma,
     cmd_split,
     config_hash,
-    load_candidate,
     load_config,
-    load_errors,
     main,
 )
 
@@ -86,7 +93,7 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.n_max == 10000
     assert cfg.out_dir == "results"
     # untouched entries keep their defaults
-    assert cfg.grid_res == ExperimentConfig().grid_res
+    assert cfg.max_degree == ExperimentConfig().max_degree
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -139,7 +146,7 @@ def test_config_hash_stable_and_sensitive():
     h0 = config_hash(base)
     assert h0 == config_hash(ExperimentConfig())
     assert len(h0) == 12
-    for _, _, attr, kind in cli._FIELDS:
+    for _, _, attr, kind in _FIELDS:
         cur = getattr(base, attr)
         if kind is int:
             new = cur + 1
@@ -292,8 +299,8 @@ def _hashlib_config_hashes(cfgs) -> list:
     out = []
     for cfg in cfgs:
         lines = sorted(
-            f"{section}.{key}={cli._canonical(getattr(cfg, attr))}"
-            for section, key, attr, _ in cli._FIELDS
+            f"{section}.{key}={_canonical(getattr(cfg, attr))}"
+            for section, key, attr, _ in _FIELDS
             if attr != "out_dir"
         )
         out.append(hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12])
@@ -375,7 +382,7 @@ def test_csv_whose_rows_raise_keeps_the_earlier_file(tmp_path):
         raise RuntimeError("row failed")
 
     with pytest.raises(RuntimeError, match="row failed"):
-        cli._write_csv(str(path), ("n", "x"), rows())
+        artifacts._write_csv(str(path), ("n", "x"), rows())
     assert path.read_text() == "earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
@@ -383,8 +390,8 @@ def test_csv_whose_rows_raise_keeps_the_earlier_file(tmp_path):
 def test_binary_write_that_raises_leaves_no_file(tmp_path):
     path = tmp_path / "errors.f8z"
     with pytest.raises(RuntimeError, match="write failed"):
-        with cli._atomic_file(str(path), "wb") as fh:
-            fh.write(cli.ERRORS_HEADER)
+        with artifacts._atomic_file(str(path), "wb") as fh:
+            fh.write(artifacts.ERRORS_HEADER)
             raise RuntimeError("write failed")
     assert list(tmp_path.iterdir()) == []
 
@@ -434,7 +441,7 @@ def test_candidate_matches_in_memory_function(existence_artifacts):
         for nu in sorted({int(v) for v in fam.nu_values() if v <= cfg.nu_max})
     }
     cand = approx.fit_on_compacts(
-        approx.assemble_existence_target(tr, splits, cfg.grid_res), cfg.max_degree
+        approx.assemble_existence_target(tr, splits), cfg.max_degree
     )
     stored, _ = load_candidate(str(path))
     z = np.linspace(-3, 35, 101) + 0.17j
@@ -456,11 +463,11 @@ def test_newton_encoding_round_trip_is_packed_and_bitwise():
     for _, _, fit in _fit_leja(pts, np.exp(pts), np.full(pts.size, 3.0), 24):
         pass
     fn = fit()
-    blob = json.loads(json.dumps(cli._encode_function(fn)))
+    blob = json.loads(json.dumps(artifacts._encode_function(fn)))
     # 24 nodes and 25 coefficients of 16 bytes, 24 scale exponents of 2
     fields = ("nodes", "scale_exponents", "coefficients")
     assert [len(base64.b64decode(blob[k])) for k in fields] == [16 * 24, 2 * 24, 16 * 25]
-    again = cli._decode_function(blob)
+    again = artifacts._decode_function(blob)
     for name in ("nodes", "scales", "coefficients"):
         assert getattr(again, name).tobytes() == getattr(fn, name).tobytes()
     z = np.linspace(-2.0, 2.0, 301) + 0.4j
@@ -488,7 +495,7 @@ def test_load_candidate_rejects_v1_format(tmp_path, capsys):
         assert main(["scan", str(ini)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert cli.CANDIDATE_FORMAT in err[0] and "rebuild" in err[0]
+        assert artifacts.CANDIDATE_FORMAT in err[0] and "rebuild" in err[0]
 
 
 def _packed(values, dtype="<c16") -> str:
@@ -505,7 +512,7 @@ def _degree_one(**fields) -> dict:
 
 
 def test_function_codec_accepts_the_degree_one_fixture():
-    fn = cli._decode_function(_degree_one())
+    fn = artifacts._decode_function(_degree_one())
     assert fn.nodes.tolist() == [0.5] and fn.scales.tolist() == [2.0]
     assert fn.coefficients.tolist() == [1.0, -1.0j]
     # 1 - 1j (z - 0.5) / 2
@@ -525,11 +532,11 @@ def test_function_codec_round_trip_is_bitwise(degree):
     exponents[: 2] = [-1022, 1023][: exponents.size]
     scales = np.ldexp(1.0, exponents)
     fn = NewtonPoly(nodes=nodes, scales=scales, coefficients=coeffs)
-    blob = json.loads(json.dumps(cli._encode_function(fn)))
+    blob = json.loads(json.dumps(artifacts._encode_function(fn)))
     assert blob["nodes"] == _packed(nodes)
     assert blob["scale_exponents"] == _packed(exponents, "<i2")
     assert blob["coefficients"] == _packed(coeffs)
-    again = cli._decode_function(blob)
+    again = artifacts._decode_function(blob)
     assert again.nodes.tobytes() == nodes.tobytes()
     assert again.scales.tobytes() == scales.tobytes()
     assert again.coefficients.tobytes() == coeffs.tobytes()
@@ -549,7 +556,7 @@ def test_function_encoding_refuses_entries_it_cannot_pack(where, bad):
     arrays[where][-1] = bad
     match = "power of two" if where == "scales" else "non-finite"
     with pytest.raises(ValueError, match=match):
-        cli._encode_function(NewtonPoly(**arrays))
+        artifacts._encode_function(NewtonPoly(**arrays))
 
 
 @pytest.mark.parametrize(
@@ -594,7 +601,7 @@ def test_function_encoding_refuses_entries_it_cannot_pack(where, bad):
 def test_load_candidate_rejects_malformed_function(tmp_path, capsys, function):
     path = tmp_path / "bad.json"
     path.write_text(
-        json.dumps({"format": cli.CANDIDATE_FORMAT, "kind": "existence",
+        json.dumps({"format": artifacts.CANDIDATE_FORMAT, "kind": "existence",
                     "function": function})
     )
     ini = tmp_path / "scan.ini"
@@ -629,7 +636,7 @@ def test_errors_file_round_trips_every_bit_pattern(tmp_path_factory, n, seed, pa
         if n:
             bits[index % n] = pattern
     path = tmp_path_factory.mktemp("errors") / "errors.f8z"
-    cli._write_errors(str(path), bits.view("<f8"))
+    artifacts._write_errors(str(path), bits.view("<f8"))
     got = load_errors(str(path))
     assert got.dtype == np.dtype("<f8")
     assert np.array_equal(got.view("<u8"), bits)
@@ -637,7 +644,7 @@ def test_errors_file_round_trips_every_bit_pattern(tmp_path_factory, n, seed, pa
 
 def _errors_blob(tmp_path) -> bytes:
     path = tmp_path / "good.f8z"
-    cli._write_errors(str(path), np.linspace(1.0, 0.0, 5000))
+    artifacts._write_errors(str(path), np.linspace(1.0, 0.0, 5000))
     return path.read_bytes()
 
 
@@ -651,14 +658,14 @@ def _npy_bytes(blob) -> bytes:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda blob: blob[len(cli.ERRORS_HEADER):], "not an errors file"),
+        (lambda blob: blob[len(artifacts.ERRORS_HEADER):], "not an errors file"),
         (_npy_bytes, "not an errors file of format freqdyn-errors-v1"),
-        (lambda blob: b"freqdyn-errors-v2\n" + blob[len(cli.ERRORS_HEADER):],
+        (lambda blob: b"freqdyn-errors-v2\n" + blob[len(artifacts.ERRORS_HEADER):],
          "not an errors file"),
         (lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]), "corrupt zlib stream"),
         (lambda blob: blob[:-10], "truncated zlib stream"),
         (lambda blob: blob + b"\x00", "1 bytes after the zlib stream"),
-        (lambda blob: cli.ERRORS_HEADER + zlib.compress(b"1234567"),
+        (lambda blob: artifacts.ERRORS_HEADER + zlib.compress(b"1234567"),
          "no whole float64 values"),
     ],
     ids=["no-header", "npy", "other-header", "corrupt", "truncated", "trailing", "partial-value"],
@@ -933,7 +940,7 @@ def test_cmd_example5_writes_errors_without_a_copy(outdir, monkeypatch):
     # the peak inside each atomic write, above what was held before it:
     # the peak of the whole command sits in the monotone-tail test, so
     # a copy of the errors at write time stays below it
-    real = cli._atomic_file
+    real = artifacts._atomic_file
     extra = {}
 
     @contextlib.contextmanager
@@ -946,7 +953,7 @@ def test_cmd_example5_writes_errors_without_a_copy(outdir, monkeypatch):
             tracemalloc.get_traced_memory()[1] - held
         )
 
-    monkeypatch.setattr(cli, "_atomic_file", measured)
+    monkeypatch.setattr(artifacts, "_atomic_file", measured)
     for iterates in (50_000, 200_000):
         tracemalloc.start()
         try:
@@ -1274,7 +1281,7 @@ def test_cmd_scan_rejects_wrong_kind(outdir, tmp_path):
     path.write_text(
         json.dumps(
             {
-                "format": cli.CANDIDATE_FORMAT,
+                "format": artifacts.CANDIDATE_FORMAT,
                 "kind": "spaceable",
                 "function": {
                     "nodes": "",
@@ -1345,11 +1352,11 @@ def test_cmd_density_rejects_unknown_kind(outdir):
 
 def test_build_schedule_rejects_unknown(outdir):
     with pytest.raises(ValueError, match="map family"):
-        cli.build_schedule(_cfg(map_family="rotation"))
+        build_schedule(_cfg(map_family="rotation"))
     with pytest.raises(ValueError, match="schedule"):
-        cli.build_schedule(_cfg(schedule="thirds"))
+        build_schedule(_cfg(schedule="thirds"))
     with pytest.raises(ValueError, match="domain kind"):
-        cli.build_exhaustion(_cfg(domain_kind="strip"))
+        build_exhaustion(_cfg(domain_kind="strip"))
 
 
 # ---------------------------------------------------------------------------
@@ -1431,13 +1438,78 @@ def test_scan_rejects_malformed_candidate_metadata(
 def test_main_rejects_non_finite_values(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
     path = tmp_path / "sigma.ini"
-    path.write_text(f"[maps]\nalpha = 0\nbeta = 1\n[tolerances]\ndelta = {raw}\n")
+    path.write_text(f"[maps]\nalpha = 0\nbeta = 1\na = {raw}\n")
     assert main(["sigma", str(path)]) == 2
     path.write_text("[maps]\nalpha = 0\nbeta = 1\n")
     assert main(["sigma", str(path), "--override", f"horizons.n_max={raw}"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 2 and all("finite" in line for line in err)
     assert not (tmp_path / "out" / "sigma").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, entry",
+    [
+        ("example1", "example1.ini", "tolerances.grid_res=3"),
+        ("scan", "scan.ini", "tolerances.delta=0.0"),
+        ("build_fhc", "dense.ini", "build.bases=4"),
+    ],
+)
+def test_main_refuses_the_removed_keys(
+    tmp_path, monkeypatch, capsys, command, config, entry
+):
+    # orbit.GRID_RESOLUTION, twice the largest envelope and mu_max + 1
+    # replaced them; a config that still sets one is refused
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    lhs, value = entry.split("=")
+    section, key = lhs.split(".")
+    ini = tmp_path / config
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    shipped = os.path.join(CONFIGS, config)
+    for argv in ([command, str(ini)], [command, shipped, "--override", entry]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
+def test_scan_refuses_a_candidate_without_certificates(
+    existence_artifacts, tmp_path, monkeypatch, capsys
+):
+    # the scan's delta is twice the largest certificate envelope
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    _, _, candidate = existence_artifacts
+    blob = json.loads(candidate.read_text())
+    blob["certificates"] = []
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(blob))
+    ini = tmp_path / "scan.ini"
+    ini.write_text(f"[horizons]\nn_max = 2000\n[scan]\ncandidate = {path}\n")
+    assert main(["scan", str(ini)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "certificates" in err[0]
+    assert "set a delta" not in err[0]
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "scan").exists()
+
+
+def test_readme_keys_table_matches_the_config_fields():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("Recognized sections and keys:", 1)[1].split("\n\n")[1]
+    documented = [
+        (row.split("|")[1].strip().strip("`"),
+         [k.strip().strip("`") for k in row.split("|")[2].split(",")])
+        for row in table.splitlines()[2:]
+    ]
+    fields = {}
+    for section, key, _, _ in _FIELDS:
+        fields.setdefault(section, []).append(key)
+    assert documented == list(fields.items())
 
 
 @pytest.mark.parametrize("kind", ["dense", "spaceable", "mixed"])
@@ -1565,7 +1637,7 @@ def test_main_exit_2_removes_only_an_empty_output_dir(tmp_path, monkeypatch):
 
 def test_write_json_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
-        cli._write_json(str(tmp_path / "r.json"), {"sigma": float("nan")})
+        artifacts._write_json(str(tmp_path / "r.json"), {"sigma": float("nan")})
 
 
 def _strict_json(path):
@@ -1615,17 +1687,17 @@ def test_unbounded_values_are_written_as_null(tmp_path):
     assert len(rep.islands) == 1
     assert rep.disc_gap == math.inf and rep.disc_pairs_checked == 0
     path = tmp_path / "r.json"
-    cli._write_json(
+    artifacts._write_json(
         str(path),
         {
-            "gap": cli._unbounded_as_null(math.inf),
-            "low": cli._unbounded_as_null(-math.inf),
-            "x": cli._unbounded_as_null(np.float64(0.5)),
+            "gap": artifacts._unbounded_as_null(math.inf),
+            "low": artifacts._unbounded_as_null(-math.inf),
+            "x": artifacts._unbounded_as_null(np.float64(0.5)),
         },
     )
     assert _strict_json(path) == {"gap": None, "low": None, "x": 0.5}
     with pytest.raises(ValueError):
-        cli._write_json(str(path), {"x": cli._unbounded_as_null(math.nan)})
+        artifacts._write_json(str(path), {"x": artifacts._unbounded_as_null(math.nan)})
 
 
 def test_main_override_changes_result(tmp_path, monkeypatch):
@@ -1709,7 +1781,7 @@ _COMMAND_CONFIGS = {
 
 # valid choices of each string key; "bogus" is added as the invalid one
 _STRING_CHOICES = {
-    ("domain", "kind"): sorted(cli._DOMAIN_KINDS),
+    ("domain", "kind"): sorted(_DOMAIN_KINDS),
     ("maps", "family"): [
         "translation", "root_shift", "half_plane_shift", "parabolic_disc", "identity",
     ],
@@ -1729,7 +1801,6 @@ _INT_BOUNDS = {
     ("tolerances", "max_degree"): (-2, 32),
     ("family", "pairs"): (-2, 12),
     ("family", "multiplier"): (-2, 30),
-    ("tolerances", "grid_res"): (-2, 5),
     ("set", "first"): (-3, 50),
     ("set", "step"): (-3, 50),
 }
@@ -1754,11 +1825,11 @@ def _override_value(section, key, kind):
 @st.composite
 def _main_runs(draw):
     command = draw(st.sampled_from(sorted(_COMMAND_CONFIGS)))
-    free = [(s, k, kind) for s, k, _, kind in cli._FIELDS if (s, k) not in _ALWAYS]
+    free = [(s, k, kind) for s, k, _, kind in _FIELDS if (s, k) not in _ALWAYS]
     picked = draw(st.lists(st.sampled_from(free), max_size=4, unique=True))
     overrides = [
         f"{s}.{k}={draw(_override_value(s, k, kind))}"
-        for s, k, kind in [(s, k, cli._KEY_TABLE[s, k][1]) for s, k in _ALWAYS] + picked
+        for s, k, kind in [(s, k, _KEY_TABLE[s, k][1]) for s, k in _ALWAYS] + picked
     ]
     return command, overrides
 

@@ -423,6 +423,31 @@ def test_disc_pairs_sweeps_the_axis_with_fewer_pairs(monkeypatch):
         assert sum(evaluated) <= 3 * m
 
 
+def test_disc_pairs_sweeps_one_disc_per_group(monkeypatch):
+    evaluated = []
+    pair_gaps = geometry._pair_gaps
+
+    def counting(centers, radii, i, j):
+        evaluated.append(len(i))
+        return pair_gaps(centers, radii, i, j)
+
+    monkeypatch.setattr(geometry, "_pair_gaps", counting)
+    m = 3000
+    # 3000 copies of one disc: every pair was evaluated, 4,498,500 of them
+    assert disc_pairs(np.zeros(m, dtype=complex), np.ones(m)) == (
+        (0, 1), -2.0, (0, 1), m * (m - 1) // 2)
+    assert sum(evaluated) <= 3 * m
+    # 17 discs, some meeting, each repeated in shuffled index order, as
+    # the identity islands of a powers-of-two schedule share their discs
+    rng = np.random.default_rng(17)
+    pick = rng.integers(0, 17, m)
+    centers = (rng.integers(-8, 8, 17) + 1j * rng.integers(-8, 8, 17))[pick]
+    radii = (rng.integers(0, 6, 17) * 0.5)[pick]
+    evaluated.clear()
+    assert disc_pairs(centers, radii) == _row_disc_pairs(centers, radii)
+    assert sum(evaluated) <= 3 * m
+
+
 def test_disc_pairs_heavy_overlap_in_linear_memory():
     rng = np.random.default_rng(3000)
     identical = (np.zeros(3000, dtype=complex), np.ones(3000))
