@@ -40,15 +40,12 @@ __all__ = [
     "CandidateStatus",
     "ComposedInverse",
     "FhcCandidate",
-    "FixedPoly",
-    "Monomial",
     "NewtonPoly",
     "PieceCertificate",
     "PiecewiseTarget",
     "Polynomial",
     "SpanBasis",
     "TargetPiece",
-    "Zero",
     "assemble_dense_target",
     "assemble_existence_target",
     "assemble_mixed_target",
@@ -359,30 +356,6 @@ def l2_distance_on_circle(f: PolyLike, g: PolyLike) -> float:
 # Piecewise targets
 
 
-@record
-class Monomial:
-    mu: int
-    degree = property(lambda self: self.mu)
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=complex) ** self.mu
-
-    def values_with_rounding(self, z: np.ndarray) -> tuple:
-        return Polynomial.monomial(self.mu).evaluate_with_rounding(z)
-
-
-@record(eq=False)
-class FixedPoly:
-    poly: Polynomial
-    degree = property(lambda self: self.poly.degree)
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        return self.poly.evaluate(z)
-
-    def values_with_rounding(self, z: np.ndarray) -> tuple:
-        return self.poly.evaluate_with_rounding(z)
-
-
 @record(eq=False)
 class ComposedInverse:
     """Target P(phi^{-1}(z)) on an island; the inverse formula is applied
@@ -398,10 +371,10 @@ class ComposedInverse:
         k = inverse_degree(self.map)
         return None if k is None else self.poly.degree * k
 
-    def values(self, z: np.ndarray) -> np.ndarray:
+    def evaluate(self, z: np.ndarray) -> np.ndarray:
         return self.poly.evaluate(raw_inverse(self.map, z))
 
-    def values_with_rounding(self, z: np.ndarray) -> tuple:
+    def evaluate_with_rounding(self, z: np.ndarray) -> tuple:
         """Values and a bound on their rounding, to first order in u.
 
         A constant P takes no rounding.  Through an affine map z -> a z + b
@@ -424,18 +397,9 @@ class ComposedInverse:
         return values, rounding + shift * slope.evaluate(np.abs(x) + shift).real
 
 
-@record
-class Zero:
-    degree = 0
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(z), dtype=complex)
-
-    def values_with_rounding(self, z: np.ndarray) -> tuple:
-        return self.values(np.ravel(z)), np.zeros(np.size(z))
-
-
-PieceSpec = Union[Monomial, FixedPoly, ComposedInverse, Zero]
+# A piece's target: degree, evaluate and evaluate_with_rounding, the
+# values being those that _piece_data fits and _verify certifies.
+PieceSpec = Union[Polynomial, ComposedInverse]
 
 
 @record(eq=False)
@@ -573,7 +537,7 @@ def _piece_data(target: PiecewiseTarget, max_degree: int):
         c, r = piece.region.center, piece.region.radius
         grid = _circle(c, r, n) if r > 0.0 else np.array([complex(c)])
         pts.append(grid)
-        vals.append(piece.spec.values(grid))
+        vals.append(piece.spec.evaluate(grid))
         weights.append(np.full(grid.size, 1.0 / piece.tau))
     return np.concatenate(pts), np.concatenate(vals), np.concatenate(weights)
 
@@ -685,10 +649,10 @@ def _piece_bound(fn: NewtonPoly, piece: TargetPiece, nodes: np.ndarray, ring: np
     c, r, spec = piece.region.center, piece.region.radius, piece.spec
     if r == 0.0:
         value, rounding = fn.evaluate_with_rounding(c)
-        wanted, slack = spec.values_with_rounding(c)
+        wanted, slack = spec.evaluate_with_rounding(c)
         return abs(value[0] - wanted[0]) + rounding[0] + slack[0]
     d, m = fn.degree, ring.size
-    wanted, slack = spec.values_with_rounding(c + r * ring)
+    wanted, slack = spec.evaluate_with_rounding(c + r * ring)
     target_error = np.max(slack)
     del slack
     values, rounding = fn.evaluate_with_rounding(c + r * nodes)
@@ -792,7 +756,7 @@ def _island_pieces(
     pieces = []
     for island in tr.islands:
         key = island_label(splits, island.n, island.nu)
-        spec = Zero()
+        spec = Polynomial.zero()
         if key is not None and key[1] == block:
             spec = ComposedInverse(enumerate_dense_polynomial(key[0]), island.map)
         eps_min = min_envelope(tr.domain, island.image_bound)
@@ -848,7 +812,7 @@ def assemble_spaceable_target(
         raise ValueError("member index must be at least 1")
     if len(tr.bases) != 1:
         raise ValueError("the spaceable build uses exactly one base compact")
-    return _member_target(tr, splits, tr.bases[0], Monomial(mu), mu, 3.0 ** (-mu))
+    return _member_target(tr, splits, tr.bases[0], Polynomial.monomial(mu), mu, 3.0 ** (-mu))
 
 
 def assemble_dense_target(
@@ -864,7 +828,7 @@ def assemble_dense_target(
         raise ValueError("member index must be at least 1")
     if len(tr.bases) < mu + 1:
         raise ValueError("the dense build needs base compacts up to level mu + 1")
-    base_spec = FixedPoly(enumerate_dense_polynomial(mu + 1))
+    base_spec = enumerate_dense_polynomial(mu + 1)
     return _member_target(tr, splits, tr.bases[mu], base_spec, mu + 1, 1.0 / mu)
 
 
@@ -887,7 +851,6 @@ def assemble_mixed_target(
 
 class BasisKind:
     SPACEABLE = "spaceable"
-    DENSE = "dense"
     MIXED = "mixed"
 
 
@@ -896,7 +859,7 @@ class SpanBasis:
     members: tuple  # of FhcCandidate
     indices: tuple  # member index mu per candidate
     kind: str
-    perturbation_sum: Optional[float]
+    perturbation_sum: float
     gram_lambda_min: float
     coeff_bound: float  # the constant H = 1 / lambda_min
 
@@ -933,8 +896,9 @@ def gram_independence(members) -> tuple:
 def build_span_basis(members, indices, kind: str) -> SpanBasis:
     """Assemble candidates into a span basis, enforcing the invariants.
 
-    Spaceable and mixed bases must have total circle perturbation below
-    one half; every kind requires a numerically independent Gram matrix.
+    A basis of either kind, spaceable or mixed, must have total circle
+    perturbation below one half and a numerically independent Gram
+    matrix.  Dense members form no basis.
     """
     members = tuple(members)
     indices = tuple(indices)
@@ -943,13 +907,11 @@ def build_span_basis(members, indices, kind: str) -> SpanBasis:
     for cand in members:
         if cand.status != CandidateStatus.PASS:
             raise ValueError("cannot build a basis from FAILED candidates")
-    pert = None
-    if kind in (BasisKind.SPACEABLE, BasisKind.MIXED):
-        pert = verify_basis_perturbation(members, indices)
-        if not pert < 0.5:
-            raise ValueError(
-                f"perturbation sum {pert:.6f} violates the < 1/2 requirement"
-            )
+    pert = verify_basis_perturbation(members, indices)
+    if not pert < 0.5:
+        raise ValueError(
+            f"perturbation sum {pert:.6f} violates the < 1/2 requirement"
+        )
     lam, h = gram_independence(members)
     if lam <= 1e-12:
         raise ValueError("members are numerically dependent on the circle")

@@ -36,15 +36,18 @@ from .config import ExperimentConfig, apply_overrides, config_hash, load_config
 from .density import IndexSet
 from .geometry import ClosedDisc, Domain, DomainKind
 from .maps import (
-    ConformalPair,
+    Conjugated,
     HalfPlaneShift,
     Identity,
-    PairKind,
     ParabolicDisc,
     RootShift,
-    Conjugated,
     apply,
+    cayley_conjugate,
+    disc_to_slit,
+    exact_entries,
     maps_into,
+    projectively_equal,
+    slit_to_disc,
 )
 from .sigma import SIGMA_TOL, SigmaReport, cmd_sigma
 
@@ -75,14 +78,13 @@ ENV_OUTPUT = "FREQDYN_OUT"
 # Conformal conjugation identities must close to this residual; it sits
 # far above double-precision round-off and far below any model error.
 CONJUGATION_TOL = 1e-10
-FIXED_POINT_TOL = 1e-12
 
 # A weak runaway verdict needs the escape times to keep at least this
 # much lower density; zero-density escapes are the classical failure.
 WEAK_DENSITY_FLOOR = 0.01
 
-# Points and outer radius of the disc mesh that example2 and example3
-# check their conjugation formulas on, at the indices config.PROBE_STEPS.
+# Points and outer radius of the disc mesh that example2 checks its
+# conjugation formula on, at the indices config.PROBE_STEPS.
 MESH_POINTS = 1000
 MESH_RADIUS = 0.95
 
@@ -160,7 +162,6 @@ def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
     fam = density.build_separated_family(
         pairs if pairs else cfg.pairs, cfg.n_max, cfg.multiplier
     )
-    fam_report = fam.report
     exh = config.build_exhaustion(cfg)
     schedule = config.build_schedule(cfg)
     rcfg = runaway.RunawayConfig(
@@ -171,7 +172,7 @@ def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
         n_max=cfg.n_max,
         nu_max=cfg.nu_max,
     )
-    return fam, fam_report, exh, schedule, rcfg
+    return fam, exh, schedule, rcfg
 
 
 def _splits(kind: str, fam, cfg: ExperimentConfig) -> dict:
@@ -378,10 +379,10 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
             " certified value"
         )
     auto_pairs = cfg.nu_max * (cfg.nu_max + 1) // 2
-    fam, fam_report, exh, schedule, rcfg = _prepare_runaway(
+    fam, exh, schedule, rcfg = _prepare_runaway(
         cfg, pairs=max(cfg.pairs, auto_pairs)
     )
-    lines.append(_verdict(fam_report.passed, "separated family verifies"))
+    lines.append(_verdict(fam.report.passed, "separated family verifies"))
     rep = runaway.check_strong_runaway(rcfg)
     verdicts, notes = _runaway_lines(rep)
     lines.extend(verdicts + notes)
@@ -441,17 +442,16 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
 def cmd_example2(cfg: ExperimentConfig) -> CommandResult:
     """Conjugate the slit-plane shifts onto the disc and check the identity."""
     out = _artifact_dir(cfg, "example2")
-    pair = ConformalPair(PairKind.SLIT_TO_DISC)
     mesh = _disc_mesh()
-    w = pair.backward(mesh)
+    w = disc_to_slit(mesh)
     rows = []
     worst_resid = 0.0
     worst_mod = 0.0
     for n in config.PROBE_STEPS:
         inner = RootShift(cfg.alpha, cfg.beta, cfg.root_n, n)
-        phi = Conjugated(pair, inner)
-        lhs = apply(phi, pair.forward(w))
-        rhs = pair.forward(apply(inner, w))
+        phi = Conjugated(inner)
+        lhs = apply(phi, slit_to_disc(w))
+        rhs = slit_to_disc(apply(inner, w))
         resid = float(np.max(np.abs(lhs - rhs)))
         mod = float(np.max(np.abs(apply(phi, mesh))))
         worst_resid = max(worst_resid, resid)
@@ -472,42 +472,31 @@ def cmd_example2(cfg: ExperimentConfig) -> CommandResult:
 
 
 def cmd_example3(cfg: ExperimentConfig) -> CommandResult:
-    """Parabolic disc maps against their half-plane conjugation."""
+    """Parabolic disc maps against their half-plane conjugation, decided
+    in exact arithmetic on the records' entries."""
     out = _artifact_dir(cfg, "example3")
-    pair = ConformalPair(PairKind.CAYLEY_DISC_TO_HALF_PLANE).reversed()
-    mesh = _disc_mesh()
     rows = []
-    worst_resid = 0.0
-    worst_fp = 0.0
-    worst_mod = 0.0
     for n in config.PROBE_STEPS:
         direct = ParabolicDisc(cfg.a_param, cfg.gamma, n)
-        conj = Conjugated(pair, HalfPlaneShift(cfg.a_param, cfg.gamma, n))
-        vals = apply(direct, mesh)
-        resid = float(np.max(np.abs(vals - apply(conj, mesh))))
-        # the map is defined on the closed disc, so the boundary fixed
-        # point can be evaluated directly
-        fp_err = abs(apply(direct, 1.0 + 0.0j) - 1.0)
-        mod = float(np.max(np.abs(vals)))
-        worst_resid = max(worst_resid, resid)
-        worst_fp = max(worst_fp, fp_err)
-        worst_mod = max(worst_mod, mod)
-        rows.append((n, f"{resid:.6e}", f"{fp_err:.3e}", f"{mod:.12f}"))
+        conj = cayley_conjugate(HalfPlaneShift(cfg.a_param, cfg.gamma, n))
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = exact_entries(direct)
+        rows.append((
+            n,
+            projectively_equal(conj, direct),
+            # Phi_n(1) = (a + b) / (c + d)
+            (ar + br, ai + bi) == (cr + dr, ci + di),
+            # (a z + b) / (conj(b) z + conj(a)) with |a| > |b| maps the
+            # disc onto itself
+            (ar, ai, cr, ci) == (dr, -di, br, -bi) and ar * ar + ai * ai > br * br + bi * bi,
+        ))
+    conjugate, fixed, automorphism = (all(col) for col in list(zip(*rows))[1:])
     lines = [
-        _verdict(
-            worst_resid < CONJUGATION_TOL,
-            f"closed form matches the conjugated chain to {worst_resid:.3e}"
-            f" on {mesh.size} points",
-        ),
-        _verdict(
-            worst_fp <= FIXED_POINT_TOL,
-            f"boundary fixed point error {worst_fp:.3e}",
-        ),
-        _verdict(worst_mod < 1.0, f"maps stay inside the disc"
-                 f" (max modulus {worst_mod:.6f})"),
+        _verdict(conjugate, "Cayley conjugate of the half-plane shift equals Phi_n exactly"),
+        _verdict(fixed, "Phi_n fixes the boundary point 1 exactly"),
+        _verdict(automorphism, "Phi_n is an automorphism of the disc exactly"),
     ]
     path = os.path.join(out, "residuals.csv")
-    _write_csv(path, ("n", "residual", "fixed_point_error", "max_modulus"), rows)
+    _write_csv(path, ("n", "conjugate", "fixed_point", "automorphism"), rows)
     return _finish(cfg, "example3", out, lines, [path])
 
 
@@ -612,8 +601,8 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
             f"horizons.mu_max must be at least 1 for a {kind} build, got {cfg.mu_max}"
         )
     out = _artifact_dir(cfg, "build_fhc")
-    fam, fam_report, exh, schedule, rcfg = _prepare_runaway(cfg)
-    lines = [_verdict(fam_report.passed, "separated family verifies")]
+    fam, exh, schedule, rcfg = _prepare_runaway(cfg)
+    lines = [_verdict(fam.report.passed, "separated family verifies")]
     rep = runaway.check_strong_runaway(rcfg)
     lines.append(
         _verdict(
@@ -865,11 +854,11 @@ def cmd_runaway(cfg: ExperimentConfig) -> CommandResult:
     """Verify the strong or weak runaway property for a schedule."""
     out = _artifact_dir(cfg, "runaway")
     if cfg.runaway_mode == "strong":
-        fam, fam_report, exh, schedule, rcfg = _prepare_runaway(cfg)
+        fam, exh, schedule, rcfg = _prepare_runaway(cfg)
         rep = runaway.check_strong_runaway(rcfg)
         verdicts, notes = _runaway_lines(rep)
         lines = (
-            [_verdict(fam_report.passed, "separated family verifies")]
+            [_verdict(fam.report.passed, "separated family verifies")]
             + verdicts
             + [f"NOTE: inspected {len(rep.islands)} islands"]
             + notes

@@ -325,20 +325,22 @@ def disjointness(a: CompactSet, b: CompactSet) -> bool:
     The closed discs D(c1, r1) and D(c2, r2) are disjoint if and only if
     |c1 - c2| > r1 + r2, so True certifies that a and b are disjoint.
     For two discs the test is exact; a sector stands in for its
-    enclosing disc, so False only says that the discs meet.
+    enclosing disc, so False only says that the discs meet.  The test is
+    that of clear_of for the one disc enclosing a.
     """
-    ea, eb = enclosing_disc(a), enclosing_disc(b)
-    return bool(abs(ea.center - eb.center) > ea.radius + eb.radius)
+    ea = enclosing_disc(a)
+    return bool(clear_of(np.array([ea.center], dtype=complex), np.array([ea.radius]), b)[0])
 
 
 def clear_of(centers: np.ndarray, radii: np.ndarray, c: CompactSet) -> np.ndarray:
-    """disjointness(ClosedDisc(centers[i], radii[i]), c) for every i, as
-    one bool array.
+    """Whether each disc D(centers[i], radii[i]) is disjoint from c's
+    enclosing disc D(c0, r0), |centers[i] - c0| > radii[i] + r0, as one
+    bool array.
 
     |d| comes from np.hypot of the real and imaginary parts, the C
-    hypot that Python's complex abs calls, so every entry is the verdict
-    of disjointness; np.abs of a complex array can differ from that abs
-    in the last bit.
+    hypot that Python's complex abs calls, so an entry is the verdict
+    that abs of the scalar difference gives; np.abs of a complex array
+    can differ from that abs in the last bit.
     """
     e = enclosing_disc(c)
     d = centers - e.center

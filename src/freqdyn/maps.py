@@ -1,9 +1,11 @@
 """Holomorphic self-map families of the four supported domains.
 
 Every Moebius map z -> (a z + b)/(c z + d) is one `Mobius` record with a
-declared domain, built by the family constructors; a root shift of
-higher order, a conformal conjugate and their iterates keep records of
-their own.  Module functions provide evaluation, inverses, iteration (a
+declared domain, built by the family constructors; its conjugate by
+the Cayley map is a product of matrices, decided equal to another record
+in exact arithmetic.  A root shift of higher order, the square-root
+conjugate of a slit-plane map and their iterates keep records of their
+own.  Module functions provide evaluation, inverses, iteration (a
 matrix power for a Moebius map) and closed-form disc bounds for images
 of compact sets, one rule on coefficient arrays for every Moebius map.
 Evaluation near the slit (-inf, 0] is refused within a guard distance
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -36,7 +37,8 @@ from .geometry import (
 )
 
 __all__ = [
-    "ConformalPair",
+    "CAYLEY",
+    "CAYLEY_INVERSE",
     "Conjugated",
     "DiscAutomorphism",
     "HalfPlaneShift",
@@ -44,17 +46,21 @@ __all__ = [
     "Identity",
     "Iterated",
     "Mobius",
-    "PairKind",
     "ParabolicDisc",
     "RootMap",
     "RootShift",
     "Similarity",
     "apply",
+    "cayley_conjugate",
+    "disc_to_slit",
+    "exact_entries",
     "image_enclosing_disc",
     "inverse_degree",
     "iterate",
     "map_domain",
     "maps_into",
+    "projectively_equal",
+    "slit_to_disc",
 ]
 
 # Membership slack used when validating map inputs.
@@ -84,20 +90,34 @@ class Mobius:
     def __post_init__(self):
         if self.c == 0 and self.d != 1:
             raise ValueError("an affine Moebius record (c = 0) needs d = 1")
-        if (self.a == 0) if self.c == 0 else _det_vanishes(self.a, self.b, self.c, self.d):
+        if (self.a == 0) if self.c == 0 else _det_vanishes(self):
             raise ValueError("a Moebius map needs ad - bc != 0")
 
 
-def _det_vanishes(a, b, c, d) -> bool:
+def _det_vanishes(m: Mobius) -> bool:
     """ad - bc = 0 exactly for c != 0: in floats when the float
     determinant exceeds a bound on its rounding, else by exact products.
     Entries not all finite (an overflowed matrix power) pass."""
+    a, b, c, d = m.a, m.b, m.c, m.d
     if (abs(a * d - b * c) > 8.0 * _UNIT_ROUNDOFF * (abs(a) * abs(d) + abs(b) * abs(c)) + 2.0 ** -1000
             or not all(map(cmath.isfinite, (a, b, c, d)))):
         return False
-    (ar, ai), (br, bi), (cr, ci), (dr, di) = (
-        map(Fraction, (complex(x).real, complex(x).imag)) for x in (a, b, c, d))
-    return ar * dr - ai * di == br * cr - bi * ci and ar * di + ai * dr == br * ci + bi * cr
+    a, b, c, d = exact_entries(m)
+    return _mul(a, d) == _mul(b, c)
+
+
+def exact_entries(m: Mobius) -> list:
+    """The finite entries a, b, c, d of a record as exact (real, imag)
+    pairs of Fractions."""
+    return [(Fraction(x.real), Fraction(x.imag)) for x in map(complex, (m.a, m.b, m.c, m.d))]
+
+
+def projectively_equal(f: Mobius, g: Mobius) -> bool:
+    """Whether f and g are one map: their matrices are proportional, every
+    2 x 2 minor of the rows (a, b, c, d) vanishing in exact arithmetic on
+    the float entries.  Domains are not compared."""
+    u, v = exact_entries(f), exact_entries(g)
+    return all(_mul(u[i], v[j]) == _mul(u[j], v[i]) for i in range(4) for j in range(i + 1, 4))
 
 
 def Identity(domain: Domain = _WHOLE_PLANE) -> Mobius:
@@ -176,85 +196,45 @@ def RootShift(alpha: float, beta: float, root_n: int, n: int) -> Union[Mobius, R
     return Mobius(complex(x ** alpha), complex(x ** beta), 0.0, 1.0, _SLIT_PLANE)
 
 
-class PairKind(Enum):
-    CAYLEY_DISC_TO_HALF_PLANE = "cayley_disc_to_half_plane"
-    SLIT_TO_DISC = "slit_to_disc"
+# The Cayley map z -> (1 + z) / (1 - z) of the unit disc onto the right
+# half plane and its inverse w -> (w - 1) / (w + 1), each declared on its
+# source domain: conformal bijections, not self-maps.
+CAYLEY = Mobius(1.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, 1.0 + 0.0j, _UNIT_DISC)
+CAYLEY_INVERSE = Mobius(1.0 + 0.0j, -1.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j, _RIGHT_HALF_PLANE)
 
 
-@record
-class ConformalPair:
-    """A conformal equivalence f : source -> target with explicit inverse.
+def cayley_conjugate(m: Mobius) -> Mobius:
+    """The disc map CAYLEY^-1 o m o CAYLEY of a record m on the right half
+    plane: a product of matrices, exact wherever the entries' products
+    and sums are."""
+    if m.domain != _RIGHT_HALF_PLANE:
+        raise ValueError("a Cayley conjugate needs a map of the right half plane")
+    return _compose(_compose(CAYLEY_INVERSE, m), CAYLEY)
 
-    CAYLEY_DISC_TO_HALF_PLANE is f(z) = (1 + z)/(1 - z) from the unit
-    disc onto Re z > 0; SLIT_TO_DISC is f(z) = (sqrt(z) - 1)/(sqrt(z) + 1)
-    from the slit plane onto the disc.  reversed() swaps orientation.
-    """
 
-    kind: PairKind
-    flipped: bool = False
+def slit_to_disc(z):
+    """f(z) = (sqrt(z) - 1) / (sqrt(z) + 1), the slit plane onto the disc,
+    principal branch."""
+    s = np.sqrt(np.asarray(z, dtype=complex))
+    return (s - 1.0) / (s + 1.0)
 
-    @property
-    def source(self) -> Domain:
-        return self.target_raw if self.flipped else self.source_raw
 
-    @property
-    def target(self) -> Domain:
-        return self.source_raw if self.flipped else self.target_raw
-
-    @property
-    def source_raw(self) -> Domain:
-        if self.kind is PairKind.CAYLEY_DISC_TO_HALF_PLANE:
-            return Domain.unit_disc()
-        return Domain.slit_plane()
-
-    @property
-    def target_raw(self) -> Domain:
-        if self.kind is PairKind.CAYLEY_DISC_TO_HALF_PLANE:
-            return Domain.right_half_plane()
-        return Domain.unit_disc()
-
-    def reversed(self) -> "ConformalPair":
-        return ConformalPair(self.kind, not self.flipped)
-
-    def _fwd_raw(self, z):
-        if np.isscalar(z) and _scalar_is_inf(z):
-            # Both raw maps send infinity to a boundary point.
-            return -1.0 + 0.0j if self.kind is PairKind.CAYLEY_DISC_TO_HALF_PLANE else 1.0 + 0.0j
-        z = np.asarray(z, dtype=complex)
-        if self.kind is PairKind.CAYLEY_DISC_TO_HALF_PLANE:
-            out = (1.0 + z) / (1.0 - z)
-        else:
-            s = np.sqrt(z)
-            out = (s - 1.0) / (s + 1.0)
-        return complex(out) if out.ndim == 0 else out
-
-    def _bwd_raw(self, z):
-        if np.isscalar(z) and _scalar_is_inf(z):
-            return 1.0 + 0.0j
-        z = np.asarray(z, dtype=complex)
-        if self.kind is PairKind.CAYLEY_DISC_TO_HALF_PLANE:
-            out = (z - 1.0) / (z + 1.0)
-        else:
-            out = ((1.0 + z) / (1.0 - z)) ** 2
-        return complex(out) if out.ndim == 0 else out
-
-    def forward(self, z):
-        return self._bwd_raw(z) if self.flipped else self._fwd_raw(z)
-
-    def backward(self, z):
-        return self._fwd_raw(z) if self.flipped else self._bwd_raw(z)
+def disc_to_slit(w):
+    """The inverse of slit_to_disc, w -> ((1 + w) / (1 - w))^2."""
+    w = np.asarray(w, dtype=complex)
+    return ((1.0 + w) / (1.0 - w)) ** 2
 
 
 @record
 class Conjugated:
-    """pair.forward o inner o pair.backward, acting on pair.target."""
+    """slit_to_disc o inner o disc_to_slit on the unit disc, for a map
+    inner of the slit plane."""
 
-    pair: ConformalPair
     inner: "HoloMap"
 
     def __post_init__(self):
-        if map_domain(self.inner) != self.pair.source:
-            raise ValueError("inner map domain must equal the pair's source")
+        if map_domain(self.inner) != _SLIT_PLANE:
+            raise ValueError("inner map domain must be the slit plane")
 
 
 @record
@@ -275,11 +255,6 @@ class Iterated:
 HoloMap = Union[Mobius, RootMap, Conjugated, Iterated]
 
 
-def _scalar_is_inf(z) -> bool:
-    z = complex(z)
-    return math.isinf(z.real) or math.isinf(z.imag)
-
-
 def map_domain(m: HoloMap) -> Domain:
     """The declared domain on which the map acts as a self-map."""
     if isinstance(m, Mobius):
@@ -287,7 +262,7 @@ def map_domain(m: HoloMap) -> Domain:
     if isinstance(m, RootMap):
         return _SLIT_PLANE
     if isinstance(m, Conjugated):
-        return m.pair.target
+        return _UNIT_DISC
     if isinstance(m, Iterated):
         return map_domain(m.base)
     raise TypeError(f"not a holomorphic map variant: {m!r}")
@@ -320,9 +295,9 @@ def _eval(m: HoloMap, z: np.ndarray) -> np.ndarray:
     if isinstance(m, RootMap):
         return float(m.n) ** m.alpha * z ** (1.0 / m.root_n) + float(m.n) ** m.beta
     if isinstance(m, Conjugated):
-        inner_in = m.pair.backward(z)
-        _check_in_domain(map_domain(m.inner), inner_in)
-        return m.pair.forward(_eval(m.inner, inner_in))
+        inner_in = disc_to_slit(z)
+        _check_in_domain(_SLIT_PLANE, inner_in)
+        return slit_to_disc(_eval(m.inner, inner_in))
     if isinstance(m, Iterated):
         out = z
         for _ in range(m.power):
@@ -340,8 +315,7 @@ def _inv(m: HoloMap, w: np.ndarray) -> np.ndarray:
     if isinstance(m, RootMap):
         return ((w - float(m.n) ** m.beta) / float(m.n) ** m.alpha) ** m.root_n
     if isinstance(m, Conjugated):
-        inner_w = m.pair.backward(w)
-        return m.pair.forward(_inv(m.inner, inner_w))
+        return slit_to_disc(_inv(m.inner, disc_to_slit(w)))
     if isinstance(m, Iterated):
         out = w
         for _ in range(m.power):
@@ -382,9 +356,9 @@ def iterate(m: HoloMap, power: int) -> HoloMap:
 
 
 def _compose(f: Mobius, g: Mobius) -> Mobius:
-    """f o g for two records on one domain: the product of their matrices,
-    (a a', a b' + b) for affine ones, else rescaled by a power of two,
-    which changes no value."""
+    """f o g on g's domain for two records, f defined on g's image: the
+    product of their matrices, (a a', a b' + b) for affine ones, else
+    rescaled by a power of two, which changes no value."""
     if f.c == 0 and g.c == 0:
         return Mobius(f.a * g.a, f.a * g.b + f.b, 0.0, 1.0, g.domain)
     a, b = f.a * g.a + f.b * g.c, f.a * g.b + f.b * g.d

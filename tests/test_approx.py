@@ -13,13 +13,10 @@ from freqdyn.approx import (
     BasisKind,
     CandidateStatus,
     ComposedInverse,
-    FixedPoly,
-    Monomial,
     NewtonPoly,
     PiecewiseTarget,
     Polynomial,
     TargetPiece,
-    Zero,
     _cantor_unpair,
     _circle,
     _fit_leja,
@@ -130,7 +127,7 @@ def test_newton_fit_saturates_on_few_distinct_points():
 def test_fit_small_budget_does_not_saturate_the_basis():
     # the weights 1 / tau scale the node polynomial, not the points: a
     # budget of 1e-13 must not stop the pass before z^3 is reached
-    target = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(3), 1e-13),))
+    target = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.monomial(3), 1e-13),))
     cand = fit_on_compacts(target, max_degree=256)
     assert cand.status == CandidateStatus.PASS
     assert cand.degree == 3
@@ -143,7 +140,7 @@ def _dense_shaped_fit(offset):
     taus = (0.162, 0.0736, 0.0391, 0.0256, 0.0202, 0.0163, 0.0136)
     target = PiecewiseTarget(
         tuple(
-            TargetPiece(ClosedDisc(complex(c + offset), r), Zero(), tau)
+            TargetPiece(ClosedDisc(complex(c + offset), r), Polynomial.zero(), tau)
             for (c, r), tau in zip(discs, taus)
         )
     )
@@ -196,7 +193,7 @@ def _island_chain(count=24, tau=1e-3):
     third target the constant 1 and the rest 0, budgets tau to 4 tau."""
     pieces = []
     for j in range(count):
-        spec = FixedPoly(Polynomial([1.0])) if j % 3 == 0 else Zero()
+        spec = Polynomial([1.0]) if j % 3 == 0 else Polynomial.zero()
         disc = ClosedDisc(complex(8.0 * j, 2.0 * (j % 2)), 3.0 if j == 0 else 1.0)
         pieces.append(TargetPiece(disc, spec, tau * (1 + j % 4)))
     return PiecewiseTarget(tuple(pieces))
@@ -256,8 +253,8 @@ def test_target_rounding_bound_covers_a_composed_inverse():
     a, b = 0.37 + 0.21j, 5.0 - 3.0j
     spec = ComposedInverse(Polynomial(coefficients), Similarity(a, b))
     z = _circle(b + 2.0 * a, 3.0 * abs(a), 4096)
-    values, bound = spec.values_with_rounding(z)
-    assert np.array_equal(values, spec.values(z))
+    values, bound = spec.evaluate_with_rounding(z)
+    assert np.array_equal(values, spec.evaluate(z))
     x = (z.astype(np.clongdouble) - np.clongdouble(b)) / np.clongdouble(a)
     error = np.abs(values.astype(np.clongdouble) - _extended_horner(coefficients, x))
     assert np.all(error.astype(float) <= bound)
@@ -267,11 +264,11 @@ def test_target_rounding_bound_covers_a_composed_inverse():
 def test_target_rounding_is_nil_on_constants_and_inf_through_a_root():
     z = _circle(3.0, 0.5, 64)
     root = RootShift(0.0, 1.0, 2, 3)
-    for spec in (Zero(), FixedPoly(Polynomial([1.0])), ComposedInverse(Polynomial([1.0]), root)):
-        values, bound = spec.values_with_rounding(z)
-        assert np.array_equal(values, spec.values(z)) and not np.any(bound)
+    for spec in (Polynomial.zero(), Polynomial([1.0]), ComposedInverse(Polynomial([1.0]), root)):
+        values, bound = spec.evaluate_with_rounding(z)
+        assert np.array_equal(values, spec.evaluate(z)) and not np.any(bound)
     # no rounding bound is known through a non-affine inverse
-    _, bound = ComposedInverse(Polynomial([0.0, 1.0]), root).values_with_rounding(z)
+    _, bound = ComposedInverse(Polynomial([0.0, 1.0]), root).evaluate_with_rounding(z)
     assert np.all(bound == math.inf)
 
 
@@ -427,8 +424,8 @@ def test_piecewise_target_rejects_overlap():
     with pytest.raises(ValueError, match="disjoint"):
         PiecewiseTarget(
             (
-                TargetPiece(ClosedDisc(0.0, 1.0), Zero(), 1.0),
-                TargetPiece(ClosedDisc(1.5, 1.0), Zero(), 1.0),
+                TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.zero(), 1.0),
+                TargetPiece(ClosedDisc(1.5, 1.0), Polynomial.zero(), 1.0),
             )
         )
     # the first meeting pair in row-major order is named; touching discs meet
@@ -436,12 +433,12 @@ def test_piecewise_target_rejects_overlap():
              ClosedDisc(0.5, 1.0))
     for regions, pair in ((discs, "0 and 3"), (discs[:3], "1 and 2")):
         with pytest.raises(ValueError, match=f"target regions {pair} are not disjoint"):
-            PiecewiseTarget(tuple(TargetPiece(d, Zero(), 1.0) for d in regions))
+            PiecewiseTarget(tuple(TargetPiece(d, Polynomial.zero(), 1.0) for d in regions))
 
 
 def test_target_piece_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
-        TargetPiece(ClosedDisc(0.0, 1.0), Zero(), 0.0)
+        TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.zero(), 0.0)
 
 
 def test_min_envelope_whole_plane_disc():
@@ -474,7 +471,7 @@ def test_min_envelope_of_an_off_axis_disc_is_the_true_minimum(domain, disc):
 
 def test_target_piece_is_a_disc():
     with pytest.raises(ValueError, match="disc, not a AnnularSector"):
-        TargetPiece(AnnularSector(0.5, 2.0, 2.5), Monomial(3), 1.0)
+        TargetPiece(AnnularSector(0.5, 2.0, 2.5), Polynomial.monomial(3), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +481,8 @@ def test_target_piece_is_a_disc():
 def _two_disc_target(tau=1e-8):
     return PiecewiseTarget(
         (
-            TargetPiece(ClosedDisc(0.0, 0.5), FixedPoly(Polynomial([1.0, 2.0])), tau),
-            TargetPiece(ClosedDisc(3.0, 0.5), FixedPoly(Polynomial([0.0, 0.0, 1.0])), tau),
+            TargetPiece(ClosedDisc(0.0, 0.5), Polynomial([1.0, 2.0]), tau),
+            TargetPiece(ClosedDisc(3.0, 0.5), Polynomial([0.0, 0.0, 1.0]), tau),
         )
     )
 
@@ -511,7 +508,7 @@ def test_fit_is_deterministic():
 
 def test_fit_reports_nonconvergence_at_degree_cap():
     target = PiecewiseTarget(
-        (TargetPiece(ClosedDisc(0.0, 1.0), Monomial(10), 1e-8),)
+        (TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.monomial(10), 1e-8),)
     )
     cand = fit_on_compacts(target, max_degree=8)
     assert cand.status == CandidateStatus.FAILED
@@ -536,7 +533,7 @@ def test_fit_linear_in_target_values():
 
     def fit_for(p1, p2):
         t = PiecewiseTarget(
-            (TargetPiece(r1, FixedPoly(p1), 100.0), TargetPiece(r2, FixedPoly(p2), 100.0))
+            (TargetPiece(r1, p1, 100.0), TargetPiece(r2, p2, 100.0))
         )
         return fit_on_compacts(t)
 
@@ -555,10 +552,10 @@ def test_fit_on_far_separated_discs():
     # widely separated discs with tight budgets make the monomial
     # Vandermonde matrix degenerate; the Newton fit must still certify
     pieces = [
-        TargetPiece(ClosedDisc(0.0, 1.0), Monomial(1), 1e-3),
+        TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.monomial(1), 1e-3),
     ]
     for j, c in enumerate((8.0, 16.0, 24.0, 32.0, 40.0)):
-        pieces.append(TargetPiece(ClosedDisc(c, 1.0), Zero(), 1e-3))
+        pieces.append(TargetPiece(ClosedDisc(c, 1.0), Polynomial.zero(), 1e-3))
     cand = fit_on_compacts(PiecewiseTarget(tuple(pieces)))
     assert cand.status == CandidateStatus.PASS
 
@@ -567,16 +564,16 @@ def _three_disc_target(tau=1e-3):
     # z^2, 0 and z on separated discs: the degree-128 fit leaves errors
     # near 1e-4, far above rounding
     pieces = (
-        (ClosedDisc(0.0, 1.0), Monomial(2)),
-        (ClosedDisc(4.0, 1.0), Zero()),
-        (ClosedDisc(8.0, 1.0), Monomial(1)),
+        (ClosedDisc(0.0, 1.0), Polynomial.monomial(2)),
+        (ClosedDisc(4.0, 1.0), Polynomial.zero()),
+        (ClosedDisc(8.0, 1.0), Polynomial.monomial(1)),
     )
     return PiecewiseTarget(tuple(TargetPiece(r, f, tau) for r, f in pieces))
 
 
 def _one_disc_target(coefficients, tau):
     return PiecewiseTarget(
-        (TargetPiece(ClosedDisc(0.0, 1.0), FixedPoly(Polynomial(coefficients)), tau),)
+        (TargetPiece(ClosedDisc(0.0, 1.0), Polynomial(coefficients), tau),)
     )
 
 
@@ -676,7 +673,7 @@ def test_fit_memory_follows_the_degree_reached():
 def test_fit_at_its_degree_cap_peaks_below_fit_bytes(discs, mu, cap):
     # z^mu is out of reach below the cap, so the fit runs to it
     target = PiecewiseTarget(
-        tuple(TargetPiece(ClosedDisc(c, r), Monomial(mu), 1e-12) for c, r in discs)
+        tuple(TargetPiece(ClosedDisc(c, r), Polynomial.monomial(mu), 1e-12) for c, r in discs)
     )
     tracemalloc.start()
     try:
@@ -711,7 +708,7 @@ def test_fit_residual_at_the_budget_leaves_a_bound_at_the_budget(discs, offset, 
     for j, (radius, target_degree, log_tau) in enumerate(discs):
         coefficients = rng.normal(size=target_degree + 1) + 1j * rng.normal(size=target_degree + 1)
         disc = ClosedDisc(complex(offset) + 3.0 * j, radius)
-        pieces.append(TargetPiece(disc, FixedPoly(Polynomial(coefficients)), 10.0 ** log_tau))
+        pieces.append(TargetPiece(disc, Polynomial(coefficients), 10.0 ** log_tau))
     target = PiecewiseTarget(tuple(pieces))
     pts, vals, weights = _piece_data(target, degree)
     fn, rho = _fit_to(pts, vals, weights, min(degree, pts.size - 1))
@@ -780,13 +777,13 @@ def test_certificate_bounds_the_error_on_a_finer_ring(cx, cy, radius, d, share, 
     disc = ClosedDisc(complex(cx, cy), radius)
     normal = lambda n: rng.normal(size=n) + 1j * rng.normal(size=n)
     grid = _circle(disc.center, disc.radius, max(32, d + 1))
-    fitted = _local_target(normal(d + 1), disc).values(grid)
+    fitted = _local_target(normal(d + 1), disc).evaluate(grid)
     fn, _ = _fit_to(grid, fitted, np.ones(grid.size), d)
     spec = _local_target(normal(int(share * 5 * (d + 1)) + 1), disc)
     target = PiecewiseTarget((TargetPiece(disc, spec, 1.0),))
     [bound] = _verify(fn, target)
     fine = _circle(disc.center, disc.radius, 8 * approx._ring_points(fn.degree))
-    assert bound >= np.max(np.abs(fn.evaluate(fine) - spec.values(fine)))
+    assert bound >= np.max(np.abs(fn.evaluate(fine) - spec.evaluate(fine)))
 
 
 def test_certificate_is_not_fooled_by_an_error_vanishing_on_the_ring():
@@ -798,12 +795,12 @@ def test_certificate_is_not_fooled_by_an_error_vanishing_on_the_ring():
     disc = ClosedDisc(0.0, 1.0)
     coefficients = np.zeros(201 + m, dtype=complex)
     coefficients[200], coefficients[200 + m] = eps, -eps
-    spec = FixedPoly(Polynomial(coefficients))
+    spec = Polynomial(coefficients)
     grid = _circle(disc.center, disc.radius, max(32, d + 1))
     fn, _ = _fit_to(grid, np.zeros(grid.size), np.ones(grid.size), d)
     ring = _circle(0.0, 1.0, m)
-    assert np.max(np.abs(spec.values(ring))) < 1e-11 * eps
-    assert abs(spec.values(np.exp(1j * np.pi / m))) == pytest.approx(2.0 * eps)
+    assert np.max(np.abs(spec.evaluate(ring))) < 1e-11 * eps
+    assert abs(spec.evaluate(np.exp(1j * np.pi / m))) == pytest.approx(2.0 * eps)
     assert _verify(fn, PiecewiseTarget((TargetPiece(disc, spec, eps),))) == [math.inf]
 
 
@@ -811,7 +808,7 @@ def test_fit_without_a_norming_bound_fails():
     # z^D against the m <= D pi ring points of the cap 8: the budget is
     # loose, but no step may certify it
     unnormed = math.ceil(approx._ring_points(8) / math.pi)
-    target = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(unnormed), 1e3),))
+    target = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.monomial(unnormed), 1e3),))
     cand = fit_on_compacts(target, max_degree=8)
     assert cand.certificates[0].achieved == math.inf
     assert cand.status == CandidateStatus.FAILED and cand.reason == "NON-CONVERGED"
@@ -819,7 +816,7 @@ def test_fit_without_a_norming_bound_fails():
 
 def test_target_degrees():
     p = Polynomial([1.0, 0.0, 2.0])
-    assert Zero().degree == 0 and Monomial(4).degree == 4 and FixedPoly(p).degree == 2
+    assert Polynomial.zero().degree == 0 and Polynomial.monomial(4).degree == 4 and p.degree == 2
     assert ComposedInverse(p, Similarity(2.0, 1.0)).degree == 2
     assert ComposedInverse(p, RootShift(0.0, 1.0, 3, 5)).degree == 6
     assert ComposedInverse(p, Iterated(RootShift(0.0, 1.0, 2, 1), 3)).degree == 16
@@ -830,7 +827,7 @@ def test_fit_refuses_a_target_through_a_non_polynomial_inverse():
     spec = ComposedInverse(Polynomial([0.0, 1.0]), ParabolicDisc(1.0, 1.0, 2))
     target = PiecewiseTarget(
         (
-            TargetPiece(ClosedDisc(-0.5, 0.1), Zero(), 1e-3),
+            TargetPiece(ClosedDisc(-0.5, 0.1), Polynomial.zero(), 1e-3),
             TargetPiece(ClosedDisc(0.5, 0.1), spec, 1e-3),
         )
     )
@@ -898,7 +895,7 @@ def _ring_fit(target, degree):
     """The degree fit on rings of degree + 1 points on every disc, weighted
     by 1 / tau: every ring as large as the largest of _piece_data's."""
     rings = [_circle(p.region.center, p.region.radius, degree + 1) for p in target.pieces]
-    vals = [p.spec.values(ring) for p, ring in zip(target.pieces, rings)]
+    vals = [p.spec.evaluate(ring) for p, ring in zip(target.pieces, rings)]
     weights = [np.full(degree + 1, 1.0 / p.tau) for p in target.pieces]
     fn, _ = _fit_to(np.concatenate(rings), np.concatenate(vals), np.concatenate(weights), degree)
     return fn
@@ -909,8 +906,8 @@ def _far_small_disc_fit():
     # together with a unit disc
     target = PiecewiseTarget(
         (
-            TargetPiece(ClosedDisc(0.0, 1.0), Monomial(3), 1e-3),
-            TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), Monomial(1), 1e-3),
+            TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.monomial(3), 1e-3),
+            TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), Polynomial.monomial(1), 1e-3),
         )
     )
     return target, _ring_fit(target, 256)
@@ -982,8 +979,8 @@ def test_dense_member3_fit_grid_is_thin(dense_member3):
 def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
     target = PiecewiseTarget(
         (
-            TargetPiece(ClosedDisc(0.0, 1.0), Monomial(2), 1e-3),
-            TargetPiece(ClosedDisc(3.0 + 1.0j, 0.0), Monomial(1), 1e-3),
+            TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.monomial(2), 1e-3),
+            TargetPiece(ClosedDisc(3.0 + 1.0j, 0.0), Polynomial.monomial(1), 1e-3),
         )
     )
     pts, vals, weights = _piece_data(target, 16)
@@ -1004,7 +1001,7 @@ def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
     value, rounding = fn.evaluate_with_rounding(z)
     assert value[0] == fn.evaluate(z[0])
     assert 0.0 < rounding[0] < 1e-12
-    wanted, slack = Monomial(1).values_with_rounding(z)
+    wanted, slack = Polynomial.monomial(1).evaluate_with_rounding(z)
     assert wanted[0] == z[0] and 0.0 < slack[0] < 1e-12
     assert bounds[1] == (1.0 + 2.0**-49) * (abs(value[0] - z[0]) + rounding[0] + slack[0])
 
@@ -1024,12 +1021,26 @@ def test_piece_grid_point_sets(region, degree):
     for power in (2, 40):
         m = max(32, power + 1, math.ceil((degree + 1) / 4)) if region.radius > 0.0 else 1
         target = PiecewiseTarget(
-            (TargetPiece(base, Monomial(1), 0.25), TargetPiece(region, Monomial(power), 0.5))
+            (TargetPiece(base, Polynomial.monomial(1), 0.25), TargetPiece(region, Polynomial.monomial(power), 0.5))
         )
         pts, vals, weights = _piece_data(target, degree)
         assert np.array_equal(pts, np.concatenate([ring(base, n), ring(region, m)]))
-        assert np.array_equal(vals, np.concatenate([ring(base, n), ring(region, m) ** power]))
+        horner = Polynomial.monomial(power).evaluate(ring(region, m))
+        assert np.array_equal(vals, np.concatenate([ring(base, n), horner]))
         assert np.array_equal(weights, np.concatenate([np.full(n, 4.0), np.full(m, 2.0)]))
+
+
+def test_fitted_values_are_the_certified_values():
+    # a monomial target is fitted at the values _verify certifies, bit
+    # for bit: both come from Horner's rule, where z ** 3 differs from it
+    # at about half of these points
+    p = Polynomial.monomial(3)
+    target = PiecewiseTarget((TargetPiece(ClosedDisc(0.3 + 0.1j, 1.7), p, 1.0),))
+    pts, vals, _ = _piece_data(target, 4095)
+    assert np.array_equal(pts, _circle(0.3 + 0.1j, 1.7, 4096))
+    wanted, _ = p.evaluate_with_rounding(pts)
+    assert np.array_equal(vals.view(np.uint64), wanted.view(np.uint64))
+    assert np.count_nonzero(pts ** 3 != wanted) > 1000
 
 
 @settings(max_examples=40, deadline=None)
@@ -1053,7 +1064,7 @@ def test_ring_sizes_follow_the_radius_and_every_pass_is_a_bound(discs, cap, seed
     for j, (radius, target_degree, log_tau) in enumerate(discs):
         coefficients = rng.normal(size=target_degree + 1) + 1j * rng.normal(size=target_degree + 1)
         disc = ClosedDisc(10.0 * j, radius)
-        pieces.append(TargetPiece(disc, FixedPoly(Polynomial(coefficients)), 10.0 ** log_tau))
+        pieces.append(TargetPiece(disc, Polynomial(coefficients), 10.0 ** log_tau))
     target = PiecewiseTarget(tuple(pieces))
     pts, _, _ = _piece_data(target, cap)
     centres = np.array([p.region.center for p in pieces])
@@ -1078,7 +1089,7 @@ def test_ring_sizes_follow_the_radius_and_every_pass_is_a_bound(discs, cap, seed
             disc = piece.region
             m = 4 * approx._ring_points(cand.degree) if disc.radius > 0.0 else 1
             z = _circle(disc.center, disc.radius, m) if disc.radius > 0.0 else np.array([disc.center])
-            error = np.max(np.abs(cand.fn.evaluate(z) - piece.spec.values(z)))
+            error = np.max(np.abs(cand.fn.evaluate(z) - piece.spec.evaluate(z)))
             assert cert.achieved >= error
 
 
@@ -1088,8 +1099,8 @@ def _overflow_at_the_cap_target():
     # on its verification nodes
     return PiecewiseTarget(
         (
-            TargetPiece(ClosedDisc(0.0, 1.0), Monomial(3), 1e-9),
-            TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), Monomial(1), 1e-12),
+            TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.monomial(3), 1e-9),
+            TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), Polynomial.monomial(1), 1e-12),
         )
     )
 
@@ -1174,7 +1185,7 @@ def test_double_split_block_densities():
 
 
 def _monomial_member(mu, tau=1e-6):
-    t = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.2), Monomial(mu), tau),))
+    t = PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.2), Polynomial.monomial(mu), tau),))
     return fit_on_compacts(t)
 
 
@@ -1210,16 +1221,16 @@ def test_build_span_basis_rejects_large_perturbation():
 def test_build_span_basis_rejects_dependent_members():
     members = [_monomial_member(1), _monomial_member(1)]
     with pytest.raises(ValueError, match="dependent"):
-        build_span_basis(members, (1, 1), BasisKind.DENSE)
+        build_span_basis(members, (1, 1), BasisKind.SPACEABLE)
 
 
 def test_build_span_basis_rejects_failed_candidates():
     bad = fit_on_compacts(
-        PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Monomial(10), 1e-9),)),
+        PiecewiseTarget((TargetPiece(ClosedDisc(0.0, 1.0), Polynomial.monomial(10), 1e-9),)),
         max_degree=8,
     )
     with pytest.raises(ValueError, match="FAILED"):
-        build_span_basis([bad], [1], BasisKind.DENSE)
+        build_span_basis([bad], [1], BasisKind.SPACEABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -1287,7 +1298,8 @@ def test_assemble_spaceable_members_and_basis(translation_setup):
     for mu in (1, 2):
         target = assemble_spaceable_target(mu, tr, splits)
         # base piece carries the monomial, budget 3^-mu
-        assert isinstance(target.pieces[0].spec, Monomial)
+        assert np.array_equal(target.pieces[0].spec.coefficients,
+                              Polynomial.monomial(mu).coefficients)
         assert target.pieces[0].tau == pytest.approx(3.0 ** (-mu))
         members.append(fit_on_compacts(target))
     basis = build_span_basis(members, (1, 2), BasisKind.SPACEABLE)

@@ -25,6 +25,7 @@ from freqdyn.config import (
     _DOMAIN_KINDS,
     _FIELDS,
     _KEY_TABLE,
+    PROBE_STEPS,
     _canonical,
     build_exhaustion,
     build_schedule,
@@ -32,7 +33,7 @@ from freqdyn.config import (
 from freqdyn.density import IndexSet
 from freqdyn.approx import NewtonPoly
 from freqdyn.geometry import ClosedDisc, Domain, whole_plane_exhaustion
-from freqdyn.maps import Similarity
+from freqdyn.maps import Mobius, Similarity
 from freqdyn.cli import (
     ExperimentConfig,
     apply_overrides,
@@ -423,7 +424,7 @@ def test_candidate_matches_in_memory_function(existence_artifacts):
     cfg, _, path = existence_artifacts
     from freqdyn import approx, density, runaway
     from freqdyn.geometry import whole_plane_exhaustion
-    from freqdyn.maps import Similarity
+    from freqdyn.maps import Mobius, Similarity
 
     fam = density.build_separated_family(cfg.pairs, cfg.n_max, cfg.multiplier)
     exh = whole_plane_exhaustion()
@@ -808,7 +809,7 @@ def test_shipped_fit_certificates_bound_a_denser_ring(
             disc = piece.region
             m = 4 * approx._ring_points(cand.fn.degree) if disc.radius > 0.0 else 1
             z = disc.center + disc.radius * np.exp(2j * np.pi * np.arange(m) / m)
-            assert cert.achieved >= np.max(np.abs(cand.fn.evaluate(z) - piece.spec.values(z)))
+            assert cert.achieved >= np.max(np.abs(cand.fn.evaluate(z) - piece.spec.evaluate(z)))
 
 
 def test_cmd_build_mixed_members_and_basis(outdir):
@@ -833,7 +834,7 @@ def test_shipped_dense_members_are_nonzero(outdir, monkeypatch):
 
     def capture(mu, *args):
         target = assemble(mu, *args)
-        bases.append(target.pieces[0].spec.poly)
+        bases.append(target.pieces[0].spec)
         return target
 
     monkeypatch.setattr(approx, "assemble_dense_target", capture)
@@ -852,8 +853,8 @@ def test_member_with_an_overflowing_fit_step_is_written(outdir, monkeypatch):
     # a NaN certificate would stop the write and exit 2
     target = approx.PiecewiseTarget(
         (
-            approx.TargetPiece(ClosedDisc(0.0, 1.0), approx.Monomial(3), 1e-9),
-            approx.TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), approx.Monomial(1), 1e-12),
+            approx.TargetPiece(ClosedDisc(0.0, 1.0), approx.Polynomial.monomial(3), 1e-9),
+            approx.TargetPiece(ClosedDisc(300.0 + 400.0j, 1e-3), approx.Polynomial.monomial(1), 1e-12),
         )
     )
     monkeypatch.setattr(approx, "assemble_dense_target", lambda *args: target)
@@ -902,7 +903,29 @@ def test_cmd_example2_residuals(outdir):
 
 def test_cmd_example3_residuals(outdir):
     res = cmd_example3(_cfg(map_family="parabolic_disc"))
-    assert not res.failed
+    assert [line[:5] for line in res.lines] == ["PASS:"] * 3
+    assert all("exactly" in line and "points" not in line for line in res.lines)
+    rows = (outdir / "example3" / "residuals.csv").read_text().splitlines()
+    assert rows[0] == "n,conjugate,fixed_point,automorphism"
+    assert rows[1:] == [f"{n},True,True,True" for n in PROBE_STEPS]
+
+
+def test_example3_fails_when_the_closed_form_moves_one_ulp(outdir, monkeypatch, capsys):
+    # every line is decided exactly, so one ulp in b breaks the
+    # conjugacy, the fixed point and the automorphism form at once
+    parabolic = cli.ParabolicDisc
+
+    def nudged(a, gamma, n):
+        m = parabolic(a, gamma, n)
+        b = complex(m.b.real, np.nextafter(m.b.imag, math.inf))
+        return Mobius(m.a, b, m.c, m.d, m.domain)
+
+    monkeypatch.setattr(cli, "ParabolicDisc", nudged)
+    assert main(["example3", os.path.join(CONFIGS, "example3.ini")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:5] for line in lines[:3]] == ["FAIL:"] * 3
+    summary = (outdir / "example3" / "summary.txt").read_text().splitlines()
+    assert summary[2] == lines[0]
 
 
 def test_cmd_example4_criteria(outdir):

@@ -17,14 +17,14 @@ from freqdyn.geometry import (
     unit_disc_exhaustion,
 )
 from freqdyn.maps import (
-    ConformalPair,
+    CAYLEY,
+    CAYLEY_INVERSE,
     Conjugated,
     DiscAutomorphism,
     HalfPlaneShift,
     Identity,
     Iterated,
     Mobius,
-    PairKind,
     ParabolicDisc,
     RootMap,
     RootShift,
@@ -32,11 +32,13 @@ from freqdyn.maps import (
     _eval,
     _inv,
     apply,
+    cayley_conjugate,
     image_enclosing_disc,
     inverse_degree,
     iterate,
     map_domain,
     maps_into,
+    projectively_equal,
     raw_inverse,
 )
 
@@ -140,19 +142,42 @@ def test_validation_errors():
 # Conjugation
 
 
+def test_cayley_records_are_mutually_inverse():
+    z = sample_grid(ClosedDisc(0.0, 0.9), 3)
+    assert np.max(np.abs(apply(CAYLEY_INVERSE, apply(CAYLEY, z)) - z)) < 1e-13
+    assert np.all(apply(CAYLEY, z).real > 0.0)
+    product = cayley_conjugate(Identity(Domain.right_half_plane()))
+    assert product.domain == Domain.unit_disc()
+    assert projectively_equal(product, Identity(Domain.unit_disc()))
+
+
 def test_cayley_conjugated_shift_equals_parabolic():
     # The vertical translation on Re z > 0, read through the Cayley map,
-    # is exactly the parabolic disc map with the same parameters.
-    for n in (1, 2, 5):
-        shift = HalfPlaneShift(a=1.0, gamma=1.0, n=n)
-        conj = Conjugated(
-            ConformalPair(PairKind.CAYLEY_DISC_TO_HALF_PLANE).reversed(), shift
-        )
-        assert map_domain(conj) == Domain.unit_disc()
-        para = ParabolicDisc(a=1.0, gamma=1.0, n=n)
-        grid = sample_grid(ClosedDisc(0.0 + 0.0j, 0.9), 4)
-        diff = np.abs(apply(conj, grid) - apply(para, grid))
-        assert np.max(diff) < 1e-10
+    # is exactly the parabolic disc map with the same parameters: the
+    # matrices are proportional in exact arithmetic on their float
+    # entries, for shifts from 10^-3 up to 10^21.
+    rng = np.random.default_rng(20261020)
+    for _ in range(256):
+        a = float(10.0 ** rng.uniform(-3.0, 3.0))
+        gamma = float(rng.uniform(1.0, 3.0))
+        n = int(rng.integers(1, 10**6, endpoint=True))
+        conj = cayley_conjugate(HalfPlaneShift(a, gamma, n))
+        para = ParabolicDisc(a, gamma, n)
+        assert conj.domain == Domain.unit_disc()
+        assert projectively_equal(conj, para)
+        # the conjugate is a record, so it has a closed-form image disc:
+        # the parabolic map's, since the disc rule rescales each matrix
+        # by a power of two
+        k = ClosedDisc(0.25 - 0.25j, 0.5)
+        assert image_enclosing_disc(conj, k) == image_enclosing_disc(para, k)
+    nudged = Mobius(para.a, complex(para.b.real, np.nextafter(para.b.imag, math.inf)),
+                    para.c, para.d, para.domain)
+    assert not projectively_equal(conj, nudged)
+
+
+def test_cayley_conjugate_needs_a_half_plane_map():
+    with pytest.raises(ValueError, match="right half plane"):
+        cayley_conjugate(ParabolicDisc(1.0, 1.0, 1))
 
 
 def test_slit_to_disc_conjugation_closed_form():
@@ -160,9 +185,8 @@ def test_slit_to_disc_conjugation_closed_form():
     # composite against the directly expanded formula.
     alpha, beta, root_n, n = 0.5, 1.5, 2, 4
     shift = RootShift(alpha=alpha, beta=beta, root_n=root_n, n=n)
-    pair = ConformalPair(PairKind.SLIT_TO_DISC)
-    assert pair.source == map_domain(shift)
-    conj = Conjugated(pair, shift)
+    assert map_domain(shift) == Domain.slit_plane()
+    conj = Conjugated(shift)
     assert map_domain(conj) == Domain.unit_disc()
     grid = sample_grid(ClosedDisc(0.0 + 0.0j, 0.6), 3)
     u = float(n) ** alpha * ((1.0 + grid) / (1.0 - grid)) ** (2.0 / root_n) + float(n) ** beta
@@ -173,10 +197,11 @@ def test_slit_to_disc_conjugation_closed_form():
 
 
 def test_conjugated_round_trip():
-    shift = HalfPlaneShift(a=1.0, gamma=1.0, n=3)
-    conj = Conjugated(ConformalPair(PairKind.CAYLEY_DISC_TO_HALF_PLANE).reversed(), shift)
-    for z in (0.0 + 0.0j, 0.4 - 0.3j, -0.7 + 0.1j):
-        assert raw_inverse(conj, apply(conj, z)) == pytest.approx(z, abs=1e-10)
+    cayley = cayley_conjugate(HalfPlaneShift(a=1.0, gamma=1.0, n=3))
+    root = Conjugated(RootShift(alpha=0.0, beta=1.0, root_n=1, n=3))
+    for conj in (cayley, root):
+        for z in (0.0 + 0.0j, 0.4 - 0.3j, -0.7 + 0.1j):
+            assert raw_inverse(conj, apply(conj, z)) == pytest.approx(z, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +284,12 @@ def test_mobius_table_matches_eval():
         assert inverse_degree(m) == (1 if m.c == 0 else None)
     m = ParabolicDisc(0.5, 2.0, 3)
     assert m.a * m.d - m.b * m.c == 4.0
-    # a root and the conjugated maps are no records; a parabolic iterate
-    # is the record of the summed shift, up to a power of two
+    # a root and the square-root conjugate are no records, the Cayley
+    # conjugate is; a parabolic iterate is the record of the summed
+    # shift, up to a power of two
     assert isinstance(RootShift(0.5, 1.5, 2, 4), RootMap)
-    pair = ConformalPair(PairKind.CAYLEY_DISC_TO_HALF_PLANE).reversed()
-    assert not isinstance(Conjugated(pair, HalfPlaneShift(1.0, 1.0, 1)), Mobius)
+    assert not isinstance(Conjugated(RootShift(0.0, 1.0, 1, 1)), Mobius)
+    assert isinstance(cayley_conjugate(HalfPlaneShift(1.0, 1.0, 1)), Mobius)
     square, twice = iterate(ParabolicDisc(1.0, 1.0, 1), 2), ParabolicDisc(1.0, 1.0, 2)
     ratios = {x / y for x, y in zip((square.a, square.b, square.c, square.d),
                                     (twice.a, twice.b, twice.c, twice.d))}
@@ -335,7 +361,7 @@ def test_iterated_image_disc_is_one_call(monkeypatch):
 
 
 def test_image_disc_refuses_maps_without_closed_form():
-    conj = Conjugated(ConformalPair(PairKind.SLIT_TO_DISC), RootShift(0.5, 1.5, 2, 4))
+    conj = Conjugated(RootShift(0.5, 1.5, 2, 4))
     with pytest.raises(ValueError, match="no closed-form image disc for Conjugated"):
         image_enclosing_disc(conj, ClosedDisc(0.0, 0.5))
     with pytest.raises(ValueError, match="no closed-form image disc"):
@@ -484,11 +510,10 @@ def test_iterated_similarity_image_disc_closed_form():
 
 
 def test_conjugated_inner_domain_mismatch():
-    shift = HalfPlaneShift(1.0, 1.0, 1)
-    # both sources differ from the half plane the shift acts on
-    for kind in (PairKind.SLIT_TO_DISC, PairKind.CAYLEY_DISC_TO_HALF_PLANE):
-        with pytest.raises(ValueError, match="domain must equal"):
-            Conjugated(ConformalPair(kind), shift)
+    # the square-root conjugate takes maps of the slit plane only
+    for inner in (HalfPlaneShift(1.0, 1.0, 1), ParabolicDisc(1.0, 1.0, 1)):
+        with pytest.raises(ValueError, match="domain must be the slit plane"):
+            Conjugated(inner)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from freqdyn.density import DensityReport, IndexSet
-from freqdyn.geometry import AnnularSector, ClosedDisc
-from freqdyn.maps import ConformalPair, PairKind
+from freqdyn.geometry import AnnularSector, ClosedDisc, Domain, DomainKind
+from freqdyn.maps import Mobius
 
 
 def test_value_class_equality_and_hash():
@@ -49,9 +49,7 @@ def test_fields_cannot_be_set_or_deleted(obj, name):
 def test_repr_is_the_dataclass_format():
     assert repr(AnnularSector(1.0, 0.25, 0.5)) == "AnnularSector(rmin=1.0, rmax=0.25, half_angle=0.5)"
     assert repr(ClosedDisc(1j, 2.0)) == "ClosedDisc(center=1j, radius=2.0)"
-    assert str(ConformalPair(PairKind.SLIT_TO_DISC)) == (
-        "ConformalPair(kind=<PairKind.SLIT_TO_DISC: 'slit_to_disc'>, flipped=False)"
-    )
+    assert str(Domain.slit_plane()) == "Domain(kind=<DomainKind.SLIT_PLANE: 'slit_plane'>)"
     s = IndexSet(np.array([4]), 9, "four")
     assert repr(s) == (
         "IndexSet(elements=array([4]), n_max=9, descriptor='four',"
@@ -66,10 +64,12 @@ def test_construction_by_position_keyword_and_default():
     t = IndexSet(np.array([1, 2]), n_max=4, closed_form_density=0.5)
     assert (t.descriptor, t.closed_form_density) == (None, 0.5)
     assert IndexSet(np.array([1]), 4, "d", 0.25).closed_form_density == 0.25
-    pair = ConformalPair(PairKind.SLIT_TO_DISC)
-    assert pair.flipped is False
-    assert pair.reversed() == ConformalPair(PairKind.SLIT_TO_DISC, flipped=True)
-    assert pair.reversed().reversed() == pair
+    # records compare by value through fields that are records and enums
+    disc = Domain.unit_disc()
+    assert disc == Domain(kind=DomainKind.UNIT_DISC) and disc != Domain.slit_plane()
+    m = Mobius(1j, 0j, 0.0, 1.0, disc)
+    assert m == Mobius(1j, 0j, 0.0, 1.0, domain=Domain(DomainKind.UNIT_DISC))
+    assert m != Mobius(1j, 0j, 0.0, 1.0, Domain.slit_plane())
     rep = DensityReport(0.1, 0.2, 1, 10, False)
     assert rep.checkpoints == () and rep.closed_form is None
 
