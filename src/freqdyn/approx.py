@@ -55,12 +55,10 @@ __all__ = [
     "enumerate_dense_polynomial",
     "fit_bytes",
     "fit_on_compacts",
-    "gram_independence",
     "island_label",
     "l2_circle_norm",
     "l2_distance_on_circle",
     "min_envelope",
-    "verify_basis_perturbation",
 ]
 
 # min_envelope samples a region on sample_grid at this resolution.
@@ -849,77 +847,60 @@ def assemble_mixed_target(
 # Span bases
 
 
-class BasisKind:
-    SPACEABLE = "spaceable"
-    MIXED = "mixed"
-
-
 @record(eq=False)
 class SpanBasis:
     members: tuple  # of FhcCandidate
     indices: tuple  # member index mu per candidate
     kind: str
     perturbation_sum: float
-    gram_lambda_min: float
+    gram_lambda_min: float  # the lower bound (1 - s2)^2 of build_span_basis
     coeff_bound: float  # the constant H = 1 / lambda_min
 
     def member(self, mu: int) -> FhcCandidate:
         return self.members[self.indices.index(mu)]
 
 
-def verify_basis_perturbation(members, indices) -> float:
-    """Sum over members of the circle distance to their monomials."""
-    total = 0.0
-    for cand, mu in zip(members, indices):
-        total += l2_distance_on_circle(cand.fn, Polynomial.monomial(mu))
-    return float(total)
-
-
-def gram_independence(members) -> tuple:
-    """Smallest Gram eigenvalue on the circle and the bound H = 1/lambda.
-
-    The Gram matrix is formed from the members' monomial coefficients,
-    by Parseval; a positive smallest eigenvalue certifies numerical
-    linear independence of the members, and its inverse bounds the
-    squared coefficient sums of any normalized combination drawn from
-    the span.
-    """
-    if not members:
-        raise ValueError("need at least one member")
-    rows = _circle_coefficients([m.fn for m in members])
-    gram = rows @ np.conj(rows.T)
-    lam = float(np.min(np.linalg.eigvalsh(gram)))
-    h = float("inf") if lam <= 0.0 else 1.0 / lam
-    return lam, h
-
-
 def build_span_basis(members, indices, kind: str) -> SpanBasis:
-    """Assemble candidates into a span basis, enforcing the invariants.
+    """Assemble PASS candidates into a span basis of kind, spaceable or
+    mixed, where member k stands for the monomial z^mu_k, mu_k =
+    indices[k].
 
-    A basis of either kind, spaceable or mixed, must have total circle
-    perturbation below one half and a numerically independent Gram
-    matrix.  Dense members form no basis.
+    The indices must be distinct, so the monomials are orthonormal in L2
+    of the unit circle, and the members' circle distances d_k to their
+    monomials must sum below one half (Bonilla and Grosse-Erdmann, ETDS
+    27, 2007).  The same distances bound the Gram matrix from below: for
+    a unit vector c, ||sum c_k f_k|| >= 1 - sum |c_k| d_k >= 1 - s2 by
+    Cauchy-Schwarz, s2 the 2-norm of the d_k (the Paley-Wiener stability
+    argument; Young, An Introduction to Nonharmonic Fourier Series,
+    ch. 1).  So lambda_min >= (1 - s2)^2, and H = 1 / lambda bounds the
+    squared coefficient sum of any unit-norm element of the span.  Both
+    are formed in floats.
     """
     members = tuple(members)
     indices = tuple(indices)
     if len(members) != len(indices) or not members:
         raise ValueError("members and indices must align and be nonempty")
+    repeated = sorted({mu for mu in indices if indices.count(mu) > 1})
+    if repeated:
+        raise ValueError(f"member indices {repeated} repeat; the basis needs distinct monomials")
     for cand in members:
         if cand.status != CandidateStatus.PASS:
             raise ValueError("cannot build a basis from FAILED candidates")
-    pert = verify_basis_perturbation(members, indices)
+    dists = [
+        l2_distance_on_circle(cand.fn, Polynomial.monomial(mu))
+        for cand, mu in zip(members, indices)
+    ]
+    pert = sum(dists)
     if not pert < 0.5:
         raise ValueError(
             f"perturbation sum {pert:.6f} violates the < 1/2 requirement"
         )
-    lam, h = gram_independence(members)
-    if lam <= 1e-12:
-        raise ValueError("members are numerically dependent on the circle")
+    lam = (1.0 - math.hypot(*dists)) ** 2
     return SpanBasis(
         members=members,
         indices=indices,
         kind=kind,
         perturbation_sum=pert,
         gram_lambda_min=lam,
-        coeff_bound=h,
+        coeff_bound=1.0 / lam,
     )

@@ -30,13 +30,12 @@ import numpy as np
 
 from . import approx, artifacts, config, density, orbit, runaway
 from ._record import record
-from .approx import BasisKind, enumerate_dense_polynomial
+from .approx import enumerate_dense_polynomial
 from .artifacts import _write_csv, _write_json, load_candidate
 from .config import ExperimentConfig, apply_overrides, config_hash, load_config
 from .density import IndexSet
 from .geometry import ClosedDisc, Domain, DomainKind
 from .maps import (
-    Conjugated,
     HalfPlaneShift,
     Identity,
     ParabolicDisc,
@@ -90,7 +89,7 @@ MESH_RADIUS = 0.95
 
 # example5, density, split and sepfamily refuse, before any work, a
 # horizon whose arrays would exceed this many bytes (_within_budget), and
-# build_fhc a degree cap whose fit would (_within_fit_budget).
+# build_fhc and example1 a degree cap whose fit would (_fit_all).
 MEMORY_BUDGET = 2 * 1024**3
 # lower_density_estimate's temporaries for one block of elements, which
 # density, split and sepfamily add to their estimates (48 bytes per
@@ -175,16 +174,27 @@ def _prepare_runaway(cfg: ExperimentConfig, pairs: Optional[int] = None):
     return fam, exh, schedule, rcfg
 
 
+# Build kinds: (base compacts and p-blocks of the splits for mu_max,
+# target assembler).  An existence build fits one candidate, the others
+# members mu = 1..mu_max; dense member mu takes base K_{mu+1} and block
+# mu + 1.  Assemblers are named, not bound, so each call resolves them
+# on approx and passes through any wrapper installed there.
+_BUILD_KINDS = {
+    "existence": (lambda mu_max: (0, 1), "assemble_existence_target"),
+    "dense": (lambda mu_max: (mu_max + 1, mu_max + 1), "assemble_dense_target"),
+    "spaceable": (lambda mu_max: (1, mu_max), "assemble_spaceable_target"),
+    "mixed": (lambda mu_max: (1, mu_max), "assemble_mixed_target"),
+}
+
+
 def _splits(kind: str, fam, cfg: ExperimentConfig) -> dict:
     """Per-level index splits that label the island targets of a build.
 
-    Each family set splits into p-blocks and each block into l_max
-    labels, keyed (l, p): an existence candidate takes one block, dense
-    one block more than members (block mu + 1 feeds member mu), the
-    other builds one block per member; mixed members subdivide the first
-    part of a split in two.
+    Each family set splits into the p-blocks _BUILD_KINDS gives and each
+    block into l_max labels, keyed (l, p); mixed members subdivide the
+    first part of a split in two.
     """
-    blocks = {"existence": 1, "dense": cfg.mu_max + 1}.get(kind, cfg.mu_max)
+    blocks = _BUILD_KINDS[kind][0](cfg.mu_max)[1]
     out = {}
     for nu in sorted({int(nu) for nu in fam.nu_values() if int(nu) <= cfg.nu_max}):
         a = fam.a_of_nu(nu)
@@ -214,41 +224,39 @@ def _runaway_lines(rep) -> tuple:
     return verdicts, notes
 
 
-def _within_fit_budget(cfg: ExperimentConfig, targets) -> None:
-    """Refuse a degree cap whose fit (approx.fit_bytes) on the largest of
-    targets would pass MEMORY_BUDGET, before any fit runs."""
-    need = max(approx.fit_bytes(target, cfg.max_degree) for target in targets)
-    _within_budget("tolerances.max_degree", cfg.max_degree, need)
+def _fit_all(cfg: ExperimentConfig, kind: str, tr, entries, out: str):
+    """Fit the (file stem, label, target, extra) entries of a build of
+    kind on truncation tr; returns (candidates, summary lines, paths).
 
-
-def _fit_existence(cfg: ExperimentConfig, tr, splits, out: str, label: str):
-    """Fit one candidate on the islands of a base-free truncation and
-    write candidate.json; returns (candidate, summary lines, path).
-
+    A degree cap whose fit (approx.fit_bytes) on the largest target would
+    pass MEMORY_BUDGET is refused before any fit runs.  Each fit gets a
+    verdict line and <stem>.json, with the extra fields in its payload.
     A fit to the zero function fails: it is not frequently hypercyclic.
     """
-    target = approx.assemble_existence_target(tr, splits)
-    _within_fit_budget(cfg, [target])
-    cand = approx.fit_on_compacts(target, cfg.max_degree)
-    zero = not np.any(cand.fn.coefficients)
-    lines = [
-        _verdict(
-            cand.status == "PASS" and not zero,
-            f"{label} {cand.status} at degree {cand.degree}"
-            f" (worst error ratio {cand.max_ratio:.3g})",
-        )
-    ]
-    if zero:
-        lines.append(
-            "NOTE: the candidate is the zero function, which is not frequently"
-            " hypercyclic"
-        )
-    path = os.path.join(out, "candidate.json")
-    payload = artifacts._encode_candidate(
-        cand, config._candidate_hash(cfg), "existence", tr.islands
-    )
-    _write_json(path, payload)
-    return cand, lines, path
+    need = max(approx.fit_bytes(target, cfg.max_degree) for _, _, target, _ in entries)
+    _within_budget("tolerances.max_degree", cfg.max_degree, need)
+    built_under = config._candidate_hash(cfg)
+    cands, lines, paths = [], [], []
+    for stem, label, target, extra in entries:
+        cand = approx.fit_on_compacts(target, cfg.max_degree)
+        zero = not np.any(cand.fn.coefficients)
+        text = f"{label} {cand.status} at degree {cand.degree}"
+        if kind == "existence":
+            text += f" (worst error ratio {cand.max_ratio:.3g})"
+        elif kind == "dense":
+            base_error = cand.certificates[0].achieved
+            text += f" (base error {base_error:.3e} vs {1.0 / extra['mu']:.3e})"
+        lines.append(_verdict(cand.status == "PASS" and not zero, text))
+        if zero:
+            lines.append(
+                "NOTE: the candidate is the zero function, which is not frequently"
+                " hypercyclic"
+            )
+        path = os.path.join(out, f"{stem}.json")
+        _write_json(path, artifacts._encode_candidate(cand, built_under, kind, tr.islands, extra))
+        cands.append(cand)
+        paths.append(path)
+    return cands, lines, paths
 
 
 def _island_pairs(islands, splits, horizon: int):
@@ -413,9 +421,11 @@ def cmd_example1(cfg: ExperimentConfig) -> CommandResult:
             rcfg, bases=0, report=rep, max_islands=cfg.max_islands
         )
         splits = _splits("existence", fam, cfg)
-        cand, fit_lines, cpath = _fit_existence(cfg, tr, splits, out, "island fit")
+        target = approx.assemble_existence_target(tr, splits)
+        (cand,), fit_lines, paths = _fit_all(
+            cfg, "existence", tr, [("candidate", "island fit", target, None)], out
+        )
         lines.extend(fit_lines)
-        paths.append(cpath)
         payload["fit_status"] = cand.status
         payload["fit_degree"] = int(cand.degree)
 
@@ -449,11 +459,11 @@ def cmd_example2(cfg: ExperimentConfig) -> CommandResult:
     worst_mod = 0.0
     for n in config.PROBE_STEPS:
         inner = RootShift(cfg.alpha, cfg.beta, cfg.root_n, n)
-        phi = Conjugated(inner)
-        lhs = apply(phi, slit_to_disc(w))
+        # rhs is the conjugate slit_to_disc o inner o disc_to_slit on the mesh
+        lhs = slit_to_disc(apply(inner, disc_to_slit(slit_to_disc(w))))
         rhs = slit_to_disc(apply(inner, w))
         resid = float(np.max(np.abs(lhs - rhs)))
-        mod = float(np.max(np.abs(apply(phi, mesh))))
+        mod = float(np.max(np.abs(rhs)))
         worst_resid = max(worst_resid, resid)
         worst_mod = max(worst_mod, mod)
         rows.append((n, f"{resid:.6e}", f"{mod:.12f}"))
@@ -577,25 +587,12 @@ def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
     return _finish(cfg, "example5", out, lines, [path])
 
 
-# Build kinds: (base compacts for a config, member target assembler, kind
-# of the span basis the members form).  The existence build fits a single
-# candidate instead of members, and dense members form no basis.
-# Assemblers are named, not bound, so each call resolves them on approx
-# and passes through any wrapper installed there.
-_BUILD_KINDS = {
-    "existence": (lambda cfg: 0, None, None),
-    "dense": (lambda cfg: cfg.mu_max + 1, "assemble_dense_target", None),
-    "spaceable": (lambda cfg: 1, "assemble_spaceable_target", BasisKind.SPACEABLE),
-    "mixed": (lambda cfg: 1, "assemble_mixed_target", BasisKind.MIXED),
-}
-
-
 def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
     """Certify a runaway family and fit candidates on its truncation."""
     kind = cfg.build_kind
     if kind not in _BUILD_KINDS:
         raise ValueError(f"unknown build kind {kind!r}")
-    base_count, assembler, span_kind = _BUILD_KINDS[kind]
+    counts, assembler = _BUILD_KINDS[kind]
     if kind != "existence" and cfg.mu_max < 1:
         raise ValueError(
             f"horizons.mu_max must be at least 1 for a {kind} build, got {cfg.mu_max}"
@@ -615,64 +612,39 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
         return _finish(cfg, "build_fhc", out, lines, [])
 
     tr = runaway.build_carleman_truncation(
-        rcfg, bases=base_count(cfg), report=rep, max_islands=cfg.max_islands
+        rcfg, bases=counts(cfg.mu_max)[0], report=rep, max_islands=cfg.max_islands
     )
     lines.append(
         f"NOTE: truncation keeps {len(tr.islands)} islands and"
         f" {len(tr.bases)} base compacts (k_base {tr.k_base})"
     )
     splits = _splits(kind, fam, cfg)
-    if kind == "existence":
-        _, fit_lines, path = _fit_existence(cfg, tr, splits, out, "candidate fit")
-        return _finish(cfg, "build_fhc", out, lines + fit_lines, [path])
-
     assemble = getattr(approx, assembler)
-    targets = [assemble(mu, tr, splits) for mu in range(1, cfg.mu_max + 1)]
-    _within_fit_budget(cfg, targets)
-    members = []
-    paths = []
-    for mu, target in enumerate(targets, 1):
-        cand = approx.fit_on_compacts(target, cfg.max_degree)
-        members.append(cand)
-        text = f"member {mu} fit {cand.status} at degree {cand.degree}"
-        if span_kind is None:
-            text += (
-                f" (base error {cand.certificates[0].achieved:.3e}"
-                f" vs {1.0 / mu:.3e})"
-            )
-        lines.append(_verdict(cand.status == "PASS", text))
-        path = os.path.join(out, f"member{mu}.json")
-        _write_json(
-            path,
-            artifacts._encode_candidate(
-                cand, config._candidate_hash(cfg), kind, tr.islands, extra={"mu": mu}
-            ),
-        )
-        paths.append(path)
-    ok = all(cand.status == "PASS" for cand in members)
-    if span_kind is None:
-        if not ok:
-            lines.append("NOTE: some member failed, no collection written")
-    elif not ok:
-        lines.append(_verdict(False, "span basis skipped, a member fit failed"))
+    if kind == "existence":
+        entries = [("candidate", "candidate fit", assemble(tr, splits), None)]
     else:
+        entries = [
+            (f"member{mu}", f"member {mu} fit", assemble(mu, tr, splits), {"mu": mu})
+            for mu in range(1, cfg.mu_max + 1)
+        ]
+    members, fit_lines, paths = _fit_all(cfg, kind, tr, entries, out)
+    lines.extend(fit_lines)
+    ok = not any(line.startswith("FAIL:") for line in fit_lines)
+    if kind == "dense" and not ok:
+        lines.append("NOTE: some member failed, no collection written")
+    elif kind in ("spaceable", "mixed") and not ok:
+        lines.append(_verdict(False, "span basis skipped, a member fit failed"))
+    elif kind in ("spaceable", "mixed"):
         try:
-            basis = approx.build_span_basis(
-                members, list(range(1, cfg.mu_max + 1)), span_kind
-            )
+            basis = approx.build_span_basis(members, range(1, cfg.mu_max + 1), kind)
         except ValueError as exc:
             lines.append(_verdict(False, f"span basis rejected: {exc}"))
         else:
-            lines.append(
-                _verdict(
-                    basis.perturbation_sum < 0.5,
-                    f"circle perturbation sum {basis.perturbation_sum:.6f}",
-                )
-            )
-            lines.append(
-                f"NOTE: Gram lower eigenvalue {basis.gram_lambda_min:.6f},"
-                f" coefficient bound {basis.coeff_bound:.6f}"
-            )
+            lines += [
+                _verdict(True, f"circle perturbation sum {basis.perturbation_sum:.6f}"),
+                f"NOTE: Gram lower bound {basis.gram_lambda_min:.6f},"
+                f" coefficient bound {basis.coeff_bound:.6f}",
+            ]
             path = os.path.join(out, "basis.json")
             _write_json(
                 path,

@@ -3,11 +3,12 @@
 Every Moebius map z -> (a z + b)/(c z + d) is one `Mobius` record with a
 declared domain, built by the family constructors; its conjugate by
 the Cayley map is a product of matrices, decided equal to another record
-in exact arithmetic.  A root shift of higher order, the square-root
-conjugate of a slit-plane map and their iterates keep records of their
-own.  Module functions provide evaluation, inverses, iteration (a
-matrix power for a Moebius map) and closed-form disc bounds for images
-of compact sets, one rule on coefficient arrays for every Moebius map.
+in exact arithmetic.  A root shift of higher order and its iterates keep
+records of their own.  Module functions provide evaluation, inverses,
+iteration (a matrix power for a Moebius map) and closed-form disc bounds
+for images of compact sets, one rule on coefficient arrays for every
+Moebius map.  The square-root conjugation of the slit plane onto the
+disc is a pair of module functions, slit_to_disc and disc_to_slit.
 Evaluation near the slit (-inf, 0] is refused within a guard distance
 because the principal branch is unstable there.
 """
@@ -39,7 +40,6 @@ from .geometry import (
 __all__ = [
     "CAYLEY",
     "CAYLEY_INVERSE",
-    "Conjugated",
     "DiscAutomorphism",
     "HalfPlaneShift",
     "HoloMap",
@@ -226,18 +226,6 @@ def disc_to_slit(w):
 
 
 @record
-class Conjugated:
-    """slit_to_disc o inner o disc_to_slit on the unit disc, for a map
-    inner of the slit plane."""
-
-    inner: "HoloMap"
-
-    def __post_init__(self):
-        if map_domain(self.inner) != _SLIT_PLANE:
-            raise ValueError("inner map domain must be the slit plane")
-
-
-@record
 class Iterated:
     """The power-fold composition of a base self-map that is no Mobius
     record; a Mobius record's iterate is its matrix power (iterate)."""
@@ -252,7 +240,7 @@ class Iterated:
             raise ValueError("the iterate of a Moebius map is its matrix power; use iterate")
 
 
-HoloMap = Union[Mobius, RootMap, Conjugated, Iterated]
+HoloMap = Union[Mobius, RootMap, Iterated]
 
 
 def map_domain(m: HoloMap) -> Domain:
@@ -261,8 +249,6 @@ def map_domain(m: HoloMap) -> Domain:
         return m.domain
     if isinstance(m, RootMap):
         return _SLIT_PLANE
-    if isinstance(m, Conjugated):
-        return _UNIT_DISC
     if isinstance(m, Iterated):
         return map_domain(m.base)
     raise TypeError(f"not a holomorphic map variant: {m!r}")
@@ -294,10 +280,6 @@ def _eval(m: HoloMap, z: np.ndarray) -> np.ndarray:
         return (m.a * z + m.b) / (m.c * z + m.d)
     if isinstance(m, RootMap):
         return float(m.n) ** m.alpha * z ** (1.0 / m.root_n) + float(m.n) ** m.beta
-    if isinstance(m, Conjugated):
-        inner_in = disc_to_slit(z)
-        _check_in_domain(_SLIT_PLANE, inner_in)
-        return slit_to_disc(_eval(m.inner, inner_in))
     if isinstance(m, Iterated):
         out = z
         for _ in range(m.power):
@@ -314,8 +296,6 @@ def _inv(m: HoloMap, w: np.ndarray) -> np.ndarray:
         return (m.d * w - m.b) / (m.a - m.c * w)
     if isinstance(m, RootMap):
         return ((w - float(m.n) ** m.beta) / float(m.n) ** m.alpha) ** m.root_n
-    if isinstance(m, Conjugated):
-        return slit_to_disc(_inv(m.inner, disc_to_slit(w)))
     if isinstance(m, Iterated):
         out = w
         for _ in range(m.power):
@@ -376,8 +356,8 @@ def inverse_degree(m: HoloMap) -> Optional[int]:
     if isinstance(m, RootMap):
         return m.root_n
     if isinstance(m, Iterated):
-        base = inverse_degree(m.base)
-        return None if base is None else base ** m.power
+        # the base of an iterate is no Mobius record, so it has a degree
+        return inverse_degree(m.base) ** m.power
     return None
 
 
@@ -391,7 +371,6 @@ def image_enclosing_disc(m: HoloMap, c: CompactSet) -> ClosedDisc:
     on the disc, ClosedDisc's ValueError otherwise.  A root shift with
     root_n = N > 1 maps |z| <= R into the disc of radius n^alpha R^(1/N)
     about n^beta, and an iterate of one applies that rule power times.
-    Any other map, Conjugated among them, raises ValueError.
     """
     if isinstance(m, Mobius) and not all(map(cmath.isfinite, (m.a, m.c, m.d))):
         raise OverflowError(f"the coefficients of {m} are not finite")
@@ -404,8 +383,7 @@ def image_enclosing_disc(m: HoloMap, c: CompactSet) -> ClosedDisc:
 
 def _image_disc(m: HoloMap, z0: complex, r: float) -> tuple:
     """(centre, radius) of the image of |z - z0| <= r under the rule of
-    image_enclosing_disc, not finite where that rule raises for it;
-    ValueError for a map with no rule."""
+    image_enclosing_disc, not finite where that rule raises for it."""
     # iterates recurse here, so image_enclosing_disc runs once per disc
     if isinstance(m, Mobius):
         (centre,), (radius,) = _image_discs(*np.array([[m.a], [m.b], [m.c], [m.d]], dtype=complex), z0, r)
@@ -417,7 +395,7 @@ def _image_disc(m: HoloMap, z0: complex, r: float) -> tuple:
         for _ in range(m.power):
             z0, r = _image_disc(m.base, z0, r)
         return z0, r
-    raise ValueError(f"no closed-form image disc for {type(m).__name__}")
+    raise TypeError(f"not a holomorphic map variant: {m!r}")
 
 
 def _mul(x, y):
@@ -485,8 +463,7 @@ def maps_into(m: HoloMap, d: Domain, c: CompactSet) -> bool:
     closed form by geometry.lies_in.  The image is c for an identity
     record, else the disc image_enclosing_disc's rule gives for one of c's
     covering_discs, and a disc that is not finite (an overflowed power, a
-    pole on the disc) lies in no domain.  A map with no closed-form image
-    disc raises image_enclosing_disc's ValueError."""
+    pole on the disc) lies in no domain."""
     if not lies_in(map_domain(m), c):
         return False
     if isinstance(m, Mobius) and (m.a, m.b, m.c) == (1, 0, 0):

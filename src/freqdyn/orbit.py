@@ -80,12 +80,6 @@ class PairScan:
     hit_rate: float  # fraction of post-burn-in indices that are hits
     passed: bool
 
-    @property
-    def designed_elements(self) -> np.ndarray:
-        horizon = self.errors.size
-        els = self.designed.elements
-        return els[els <= horizon]
-
 
 @record(eq=False)
 class OrbitScanReport:
@@ -98,12 +92,6 @@ class OrbitScanReport:
     @property
     def passed(self) -> bool:
         return bool(self.entries) and all(e.passed for e in self.entries)
-
-    def entry(self, nu: int, l: int) -> PairScan:
-        for e in self.entries:
-            if e.nu == nu and e.l == l:
-                return e
-        raise KeyError((nu, l))
 
 
 def _pair_scan(

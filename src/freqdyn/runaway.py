@@ -123,9 +123,8 @@ def check_weak_runaway(
     verdict of disjointness.  A block holding a disc that is not finite
     is passed map by map to image_enclosing_disc.  So the escape set is
     the one image_enclosing_disc and disjointness give index by index,
-    and an error is raised at the first index that raises one (a map
-    with no closed-form image disc raises ValueError).  Domain inclusion
-    is left to the caller (maps.maps_into).
+    and an error is raised at the first index that raises one.  Domain
+    inclusion is left to the caller (maps.maps_into).
     """
     if k.is_empty:
         raise ValueError(f"weak runaway needs a nonempty compact; {k} is empty")
@@ -156,8 +155,7 @@ def _block_discs(ms: list, source: CompactSet) -> tuple:
     """(centers, radii) of the image discs of source under the maps ms, as
     image_enclosing_disc gives them and not finite where it raises for an
     overflow or a pole: the array rule of maps._image_discs for a block of
-    Mobius records, else maps._image_disc map by map, which raises
-    ValueError at the first map with no closed-form disc."""
+    Mobius records, else maps._image_disc map by map."""
     enc = enclosing_disc(source)
     z0, r = complex(enc.center), enc.radius
     if all(isinstance(m, Mobius) for m in ms):

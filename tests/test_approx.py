@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from freqdyn import approx
 from freqdyn.approx import (
-    BasisKind,
     CandidateStatus,
     ComposedInverse,
     NewtonPoly,
@@ -32,12 +31,10 @@ from freqdyn.approx import (
     double_split,
     enumerate_dense_polynomial,
     fit_on_compacts,
-    gram_independence,
     island_label,
     l2_circle_norm,
     l2_distance_on_circle,
     min_envelope,
-    verify_basis_perturbation,
 )
 from freqdyn.density import arithmetic_progression, naturals, split
 from freqdyn.geometry import (
@@ -863,7 +860,7 @@ def test_slit_plane_spaceable_base_is_the_sector_enclosing_disc():
         members.append(fit_on_compacts(target))
         assert members[-1].status == CandidateStatus.PASS
     # fitted on the whole disc, the members stay close to z^mu on |z| = 1
-    assert build_span_basis(members, (1, 2), BasisKind.SPACEABLE).perturbation_sum < 0.5
+    assert build_span_basis(members, (1, 2), "spaceable").perturbation_sum < 0.5
 
 
 @pytest.fixture(scope="module")
@@ -1192,19 +1189,19 @@ def _monomial_member(mu, tau=1e-6):
 def test_perturbation_sum_near_zero_for_exact_monomials():
     members = [_monomial_member(mu) for mu in (1, 2, 3)]
     assert all(m.status == CandidateStatus.PASS for m in members)
-    assert verify_basis_perturbation(members, (1, 2, 3)) < 1e-4
+    assert build_span_basis(members, (1, 2, 3), "spaceable").perturbation_sum < 1e-4
 
 
 def test_gram_of_near_monomials_is_near_identity():
     members = [_monomial_member(mu) for mu in (1, 2, 3)]
-    lam, h = gram_independence(members)
-    assert lam == pytest.approx(1.0, abs=1e-3)
-    assert h == pytest.approx(1.0, abs=1e-3)
+    basis = build_span_basis(members, (1, 2, 3), "spaceable")
+    assert basis.gram_lambda_min == pytest.approx(1.0, abs=1e-3)
+    assert basis.coeff_bound == pytest.approx(1.0, abs=1e-3)
 
 
 def test_build_span_basis_round_trip():
     members = [_monomial_member(mu) for mu in (1, 2, 3)]
-    basis = build_span_basis(members, (1, 2, 3), BasisKind.SPACEABLE)
+    basis = build_span_basis(members, (1, 2, 3), "spaceable")
     assert basis.perturbation_sum < 0.5
     assert basis.gram_lambda_min > 0.2
     assert basis.member(2) is members[1]
@@ -1215,13 +1212,46 @@ def test_build_span_basis_rejects_large_perturbation():
     # distance at sqrt(2), well over the allowance
     members = [_monomial_member(2), _monomial_member(3)]
     with pytest.raises(ValueError, match="perturbation"):
-        build_span_basis(members, (1, 2), BasisKind.SPACEABLE)
+        build_span_basis(members, (1, 2), "spaceable")
 
 
-def test_build_span_basis_rejects_dependent_members():
+def test_build_span_basis_rejects_repeated_indices():
+    # two near-copies of z would pass the perturbation sum; the Gram
+    # bound needs distinct monomials, so the repeat is refused by name
     members = [_monomial_member(1), _monomial_member(1)]
-    with pytest.raises(ValueError, match="dependent"):
-        build_span_basis(members, (1, 1), BasisKind.SPACEABLE)
+    with pytest.raises(ValueError, match=r"indices \[1\] repeat"):
+        build_span_basis(members, (1, 1), "spaceable")
+    members = [_monomial_member(mu) for mu in (1, 2, 1, 3, 2)]
+    with pytest.raises(ValueError, match=r"indices \[1, 2\] repeat"):
+        build_span_basis(members, (1, 2, 1, 3, 2), "spaceable")
+
+
+def _parseval_lambda_min(members) -> float:
+    """The least eigenvalue of the members' Gram matrix in L2 of the unit
+    circle, from their monomial coefficients (Parseval)."""
+    rows = approx._circle_coefficients([m.fn for m in members])
+    return float(np.min(np.linalg.eigvalsh(rows @ np.conj(rows.T))))
+
+
+def test_gram_lower_bound_is_below_the_least_eigenvalue():
+    # 60 seeded sets of perturbed monomials z^mu + e_mu with distinct mu
+    # and circle distances summing below 1/2: the closed-form (1 - s2)^2
+    # never exceeds the least eigenvalue of the Gram matrix
+    rng = np.random.default_rng(20071)
+    for _ in range(60):
+        size = int(rng.integers(1, 7))
+        indices = tuple(int(mu) for mu in rng.choice(np.arange(1, 12), size, replace=False))
+        budget = rng.uniform(0.0, 0.499) * rng.dirichlet(np.ones(size))
+        members = []
+        for mu, dist in zip(indices, budget):
+            noise = rng.normal(size=14) + 1j * rng.normal(size=14)
+            coeffs = dist * noise / np.linalg.norm(noise)
+            coeffs[mu] += 1.0
+            members.append(approx.FhcCandidate(Polynomial(coeffs), (), "PASS", None))
+        basis = build_span_basis(members, indices, "spaceable")
+        assert basis.perturbation_sum < 0.5
+        assert basis.gram_lambda_min <= _parseval_lambda_min(members)
+        assert basis.coeff_bound == 1.0 / basis.gram_lambda_min
 
 
 def test_build_span_basis_rejects_failed_candidates():
@@ -1230,7 +1260,7 @@ def test_build_span_basis_rejects_failed_candidates():
         max_degree=8,
     )
     with pytest.raises(ValueError, match="FAILED"):
-        build_span_basis([bad], [1], BasisKind.SPACEABLE)
+        build_span_basis([bad], [1], "spaceable")
 
 
 # ---------------------------------------------------------------------------
@@ -1302,7 +1332,7 @@ def test_assemble_spaceable_members_and_basis(translation_setup):
                               Polynomial.monomial(mu).coefficients)
         assert target.pieces[0].tau == pytest.approx(3.0 ** (-mu))
         members.append(fit_on_compacts(target))
-    basis = build_span_basis(members, (1, 2), BasisKind.SPACEABLE)
+    basis = build_span_basis(members, (1, 2), "spaceable")
     assert basis.perturbation_sum < 0.5
     assert basis.gram_lambda_min > 0.2
 

@@ -883,6 +883,73 @@ def test_zero_existence_candidate_fails(tmp_path, monkeypatch):
     assert not np.any(stored.coefficients)
 
 
+def test_zero_dense_member_fails(outdir, monkeypatch):
+    # every fit takes the zero-function rule, a member as an existence
+    # candidate: a member that fits the zero target meets its budget and
+    # still fails
+    target = approx.PiecewiseTarget(
+        (approx.TargetPiece(ClosedDisc(0.0, 1.0), approx.Polynomial.zero(), 1e-3),)
+    )
+    monkeypatch.setattr(approx, "assemble_dense_target", lambda *args: target)
+    res = cmd_build_fhc(_shipped("dense.ini", "horizons.mu_max=1"))
+    assert res.failed
+    assert list(res.lines[-3:]) == [
+        "FAIL: member 1 fit PASS at degree 0 (base error 0.000e+00 vs 1.000e+00)",
+        "NOTE: the candidate is the zero function, which is not frequently"
+        " hypercyclic",
+        "NOTE: some member failed, no collection written",
+    ]
+    stored, meta = load_candidate(str(outdir / "build_fhc" / "member1.json"))
+    assert not np.any(stored.coefficients) and meta["mu"] == 1
+
+
+@pytest.mark.parametrize(
+    "kind, files, verdicts",
+    [
+        ("existence", ["candidate.json"], 3),
+        ("dense", ["member1.json", "member2.json"], 4),
+        ("spaceable", ["basis.json", "member1.json", "member2.json"], 5),
+        ("mixed", ["basis.json", "member1.json", "member2.json"], 5),
+    ],
+)
+def test_tiny_build_of_each_kind(outdir, kind, files, verdicts):
+    # one fit loop for every kind: one verdict and one candidate file per
+    # fit, stamped with the build kind and, for a member, its index
+    res = cmd_build_fhc(
+        _shipped("dense.ini", f"build.kind={kind}", "horizons.mu_max=2",
+                 "build.max_islands=2")
+    )
+    assert sum(line.startswith("PASS:") for line in res.lines) == verdicts
+    assert not any(line.startswith("FAIL:") for line in res.lines)
+    out = outdir / "build_fhc"
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + ["summary.txt"])
+    for name in files:
+        if name == "basis.json":
+            continue
+        _, meta = load_candidate(str(out / name))
+        assert meta["kind"] == kind
+        assert meta.get("mu") == (None if kind == "existence" else int(name[6]))
+
+
+@pytest.mark.parametrize("overrides", [(), ("build.kind=mixed",)], ids=["spaceable", "mixed"])
+def test_shipped_gram_bound_is_below_the_least_eigenvalue(outdir, monkeypatch, overrides):
+    # the closed-form (1 - s2)^2 of each shipped span basis never exceeds
+    # the least eigenvalue of its members' Gram matrix on the circle
+    built = []
+    build = approx.build_span_basis
+
+    def capture(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(approx, "build_span_basis", capture)
+    assert not cmd_build_fhc(_shipped("spaceable.ini", *overrides)).failed
+    (basis,) = built
+    rows = approx._circle_coefficients([m.fn for m in basis.members])
+    least = float(np.min(np.linalg.eigvalsh(rows @ np.conj(rows.T))))
+    assert 0.5 < basis.gram_lambda_min <= least
+
+
 def test_run_examples_script_runs_every_shipped_example(tmp_path, monkeypatch, capsys):
     # the script sets and finally unsets FREQDYN_OUT; monkeypatch restores it
     monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "unused"))

@@ -19,7 +19,6 @@ from freqdyn.geometry import (
 from freqdyn.maps import (
     CAYLEY,
     CAYLEY_INVERSE,
-    Conjugated,
     DiscAutomorphism,
     HalfPlaneShift,
     Identity,
@@ -33,6 +32,7 @@ from freqdyn.maps import (
     _inv,
     apply,
     cayley_conjugate,
+    disc_to_slit,
     image_enclosing_disc,
     inverse_degree,
     iterate,
@@ -40,6 +40,7 @@ from freqdyn.maps import (
     maps_into,
     projectively_equal,
     raw_inverse,
+    slit_to_disc,
 )
 
 disc_points = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
@@ -186,22 +187,25 @@ def test_slit_to_disc_conjugation_closed_form():
     alpha, beta, root_n, n = 0.5, 1.5, 2, 4
     shift = RootShift(alpha=alpha, beta=beta, root_n=root_n, n=n)
     assert map_domain(shift) == Domain.slit_plane()
-    conj = Conjugated(shift)
-    assert map_domain(conj) == Domain.unit_disc()
     grid = sample_grid(ClosedDisc(0.0 + 0.0j, 0.6), 3)
+    conj = slit_to_disc(apply(shift, disc_to_slit(grid)))
     u = float(n) ** alpha * ((1.0 + grid) / (1.0 - grid)) ** (2.0 / root_n) + float(n) ** beta
     s = np.sqrt(u)
     direct = (s - 1.0) / (s + 1.0)
-    assert np.max(np.abs(apply(conj, grid) - direct)) < 1e-10
-    assert np.all(np.abs(apply(conj, grid)) < 1.0)
+    assert np.max(np.abs(conj - direct)) < 1e-10
+    assert np.all(np.abs(conj) < 1.0)
 
 
 def test_conjugated_round_trip():
     cayley = cayley_conjugate(HalfPlaneShift(a=1.0, gamma=1.0, n=3))
-    root = Conjugated(RootShift(alpha=0.0, beta=1.0, root_n=1, n=3))
-    for conj in (cayley, root):
-        for z in (0.0 + 0.0j, 0.4 - 0.3j, -0.7 + 0.1j):
-            assert raw_inverse(conj, apply(conj, z)) == pytest.approx(z, abs=1e-10)
+    root = RootShift(alpha=0.0, beta=1.0, root_n=1, n=3)
+    for z in (0.0 + 0.0j, 0.4 - 0.3j, -0.7 + 0.1j):
+        assert raw_inverse(cayley, apply(cayley, z)) == pytest.approx(z, abs=1e-10)
+        # the square-root conjugate slit_to_disc o root o disc_to_slit and
+        # its inverse, composed from the module functions
+        w = slit_to_disc(apply(root, disc_to_slit(z)))
+        back = slit_to_disc(raw_inverse(root, disc_to_slit(w)))
+        assert complex(back) == pytest.approx(z, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +288,9 @@ def test_mobius_table_matches_eval():
         assert inverse_degree(m) == (1 if m.c == 0 else None)
     m = ParabolicDisc(0.5, 2.0, 3)
     assert m.a * m.d - m.b * m.c == 4.0
-    # a root and the square-root conjugate are no records, the Cayley
-    # conjugate is; a parabolic iterate is the record of the summed
-    # shift, up to a power of two
+    # a root is no record, the Cayley conjugate is; a parabolic iterate
+    # is the record of the summed shift, up to a power of two
     assert isinstance(RootShift(0.5, 1.5, 2, 4), RootMap)
-    assert not isinstance(Conjugated(RootShift(0.0, 1.0, 1, 1)), Mobius)
     assert isinstance(cayley_conjugate(HalfPlaneShift(1.0, 1.0, 1)), Mobius)
     square, twice = iterate(ParabolicDisc(1.0, 1.0, 1), 2), ParabolicDisc(1.0, 1.0, 2)
     ratios = {x / y for x, y in zip((square.a, square.b, square.c, square.d),
@@ -360,12 +362,7 @@ def test_iterated_image_disc_is_one_call(monkeypatch):
     assert len(calls) == 1
 
 
-def test_image_disc_refuses_maps_without_closed_form():
-    conj = Conjugated(RootShift(0.5, 1.5, 2, 4))
-    with pytest.raises(ValueError, match="no closed-form image disc for Conjugated"):
-        image_enclosing_disc(conj, ClosedDisc(0.0, 0.5))
-    with pytest.raises(ValueError, match="no closed-form image disc"):
-        image_enclosing_disc(Iterated(conj, 2), ClosedDisc(0.0, 0.5))
+def test_image_disc_refuses_a_pole_on_the_disc():
     # the pole 1/conj(a) = 2 lies on the disc |z| <= 3
     with pytest.raises(ValueError, match="pole"):
         image_enclosing_disc(DiscAutomorphism(1.0, 0.5), ClosedDisc(0.0, 3.0))
@@ -507,13 +504,6 @@ def test_iterated_similarity_image_disc_closed_form():
     # a^3 = 8, b (a^2 + a + 1) = 7
     assert bound.center == pytest.approx(7.0 + 0.0j)
     assert bound.radius == pytest.approx(8.0)
-
-
-def test_conjugated_inner_domain_mismatch():
-    # the square-root conjugate takes maps of the slit plane only
-    for inner in (HalfPlaneShift(1.0, 1.0, 1), ParabolicDisc(1.0, 1.0, 1)):
-        with pytest.raises(ValueError, match="domain must be the slit plane"):
-            Conjugated(inner)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from freqdyn.approx import (
-    BasisKind,
     Polynomial,
     assemble_existence_target,
     assemble_spaceable_target,
@@ -72,7 +71,7 @@ def spaceable_setup():
         members.append(fit_on_compacts(t))
         if mu == 1:
             max_tau = max(p.tau for p in t.pieces)
-    basis = build_span_basis(members, (1, 2, 3), BasisKind.SPACEABLE)
+    basis = build_span_basis(members, (1, 2, 3), "spaceable")
     horizon_scan = max(i.n for i in tr.islands)
     pairs = [
         (nu, l, splits[nu][(l, 1)])
@@ -146,7 +145,8 @@ def test_existence_scan_passes(existence_setup):
     rep = scan(cand.fn, _translations, EXH, enumerate_dense_polynomial, delta, horizon, pairs)
     assert rep.passed
     for entry in rep.entries:
-        tail = entry.designed_elements[entry.designed_elements > entry.burn_in]
+        designed = entry.designed.elements[entry.designed.elements <= horizon]
+        tail = designed[designed > entry.burn_in]
         assert all(int(n) in entry.hits for n in tail)
         assert entry.hit_rate > 0.0
 
@@ -177,8 +177,7 @@ def test_hits_monotone_in_compact(existence_setup):
         cand.fn, _translations, EXH, enumerate_dense_polynomial, delta, horizon,
         [(1, 1, designed), (2, 1, designed)],
     )
-    inner = both.entry(1, 1)
-    outer = both.entry(2, 1)
+    inner, outer = both.entries
     # the sup over the larger compact dominates, so its hit set is smaller
     assert set(outer.hits).issubset(set(inner.hits))
 
@@ -189,7 +188,8 @@ def test_passed_entries_cover_designed_rate(existence_setup):
     for entry in rep.entries:
         if not entry.passed:
             continue
-        tail = entry.designed_elements[entry.designed_elements > entry.burn_in]
+        designed = entry.designed.elements[entry.designed.elements <= horizon]
+        tail = designed[designed > entry.burn_in]
         window = horizon - entry.burn_in
         assert entry.hit_rate >= len(tail) / window - 1e-12
 
@@ -240,7 +240,8 @@ def test_combination_scan_passes_with_sp2_bound(spaceable_setup):
     assert rep.passed
     bound_const = 1.0 + np.sqrt(rep.coeff_square_sum)
     for entry in rep.entries:
-        tail = entry.designed_elements[entry.designed_elements > entry.burn_in]
+        designed = entry.designed.elements[entry.designed.elements <= horizon]
+        tail = designed[designed > entry.burn_in]
         for n in tail:
             assert entry.errors[n - 1] <= bound_const * entry.eps_sup[n - 1] * GRID_SLACK
 
@@ -249,7 +250,7 @@ def test_mixed_combination_splits_delta_between_phi_and_span(
     spaceable_setup, existence_setup
 ):
     basis, delta, horizon, pairs = spaceable_setup
-    mixed = build_span_basis(basis.members, basis.indices, BasisKind.MIXED)
+    mixed = build_span_basis(basis.members, basis.indices, "mixed")
     phi = existence_setup[0].fn
     coeffs = (1.0, 0.1, 0.01)
     env = 1.25
