@@ -246,9 +246,10 @@ _SCHEDULE_COMMANDS = ("example1", "build_fhc", "scan", "runaway")
 def _check_exponents(command: str, cfg: ExperimentConfig) -> None:
     """Refuse an exponent key whose power of the largest mapped index overflows.
 
-    example2 and example3 map the indices in PROBE_STEPS; example4 and
-    the schedule commands map indices up to n_max, except that the
-    powers-of-two schedule only iterates the map at n = 1.
+    example2 and example3 map the indices in PROBE_STEPS; the schedule
+    commands map indices up to n_max, except that the powers-of-two
+    schedule only iterates the map at n = 1; example4's infima
+    (k + 1)^p - 1 run to k = n_max // 2 at most.
     """
     if command == "example2":
         keys, horizon = _FAMILY_EXPONENTS["root_shift"], max(PROBE_STEPS)

@@ -10,7 +10,7 @@ presented as limits.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ __all__ = [
     "verify_separated_family",
 ]
 
-# Thresholds used by the finite growth criteria.
+# Thresholds whose crossings describe the translation-separation infima.
 GROWTH_THRESHOLDS = (1.0, 10.0, 100.0)
 # Most points build_separated_family enumerates in one period of a class;
 # the first, largest class holds 3^(ceil(P/2) - 1) of them for P pairs.
@@ -417,23 +417,20 @@ def verify_separated_family(family: SeparatedFamily, burn_in: Optional[int] = No
 
 
 # ---------------------------------------------------------------------------
-# Finite growth criteria
+# Growth criteria of the translation family b_n = n^p
 
 
-def _seq_values(seq, count: int, dtype) -> np.ndarray:
-    """The first count values of seq as a dtype array.
+def _exponent(p: float):
+    """p as an int when it is one, so that powers of ints stay exact."""
+    return int(p) if float(p).is_integer() else float(p)
 
-    A callable is asked for seq(1), ..., seq(count) only after the whole
-    output is allocated, so a horizon too large to hold fails at once.
-    """
-    if callable(seq):
-        return np.fromiter(
-            (seq(n) for n in range(1, count + 1)), dtype=dtype, count=count
-        )
-    arr = np.asarray(seq)
-    if arr.size < count:
-        raise ValueError(f"sequence shorter than the horizon ({arr.size} < {count})")
-    return arr[:count].astype(dtype)
+
+def _gap_holds(k: int, p, q) -> bool:
+    """(k + 1)^p - 1 >= 2 k^q: exact for int exponents, otherwise
+    compared in logarithms, where no power overflows."""
+    if isinstance(p, int) and isinstance(q, int):
+        return (k + 1) ** p - 1 >= 2 * k ** q
+    return p * math.log(k + 1) >= np.logaddexp(math.log(2.0) + q * math.log(k), 0.0)
 
 
 @record
@@ -441,60 +438,43 @@ class SimilarityCriterionReport:
     passed: bool
     growth_ok: bool
     pairwise_ok: bool
-    crossings: tuple  # of (threshold, last index at or below it)
+    gaps: int  # the gaps k = 1..gaps decide the pairwise check
     witness: Optional[tuple]
 
 
-def check_similarity_criterion(a_seq, b_seq, omega_seq, horizon: int) -> SimilarityCriterionReport:
-    """Finite-horizon run of the similarity-family runaway criterion.
+def check_similarity_criterion(p: float, q: float) -> SimilarityCriterionReport:
+    """The similarity-family runaway criterion for a_n = 1, b_n = n^p and
+    omega_k = k^q, decided for every n.
 
-    Checks (i) |b_n| - omega_n |a_n| eventually exceeds each threshold in
-    GROWTH_THRESHOLDS (the last crossing index must fall before the
-    horizon) and (ii) |b_m - b_n| >= omega_{m-n} (|a_m| + |a_n|) for all
-    m > n up to the horizon.  Sequences may be callables of n >= 1 or
-    array-likes.  a_n = 0 anywhere and non-monotone omega are rejected.
-
-    The pairwise check streams over the gap k = m - n, so it needs
-    O(horizon) memory.  The witness is the lexicographically least
-    violating (m, n), both 1-based.
+    (i) Growth: |b_n| - omega_n |a_n| = n^p - n^q increases to infinity
+    iff p > q.  (ii) Pairwise separation, |b_m - b_n| >= omega_{m-n}
+    (|a_m| + |a_n|) for all m > n.  For p >= 1, (n + k)^p - n^p does not
+    decrease in n at a fixed gap k = m - n, so (ii) holds iff
+    (k + 1)^p - 1 >= 2 k^q for every k >= 1, and the lexicographically
+    least violating pair is (k + 1, 1) at the least failing gap k.  Gaps
+    are scanned from k = 1 until one fails or k^(p - q) >= 2, past which
+    (k + 1)^p - 1 >= k^p >= 2 k^q: for p > q only k < 2^(1/(p - q)) are
+    checked, k = 1 alone for integers, and for p <= q some gap fails.
+    For p < 1 the first gap fails, as |2^p - 1| < 2, and (2, 1) is the
+    least pair of all.  Integer exponents are decided in exact integers,
+    others in double precision.  q < 0, a decreasing omega, is refused.
     """
-    a = _seq_values(a_seq, horizon, complex)
-    b = _seq_values(b_seq, horizon, complex)
-    omega = _seq_values(omega_seq, horizon, float)
-    if np.any(np.abs(a) == 0.0):
-        raise ValueError("a_n must be nonzero for every n")
-    if np.any(np.diff(omega) < 0.0):
-        raise ValueError("omega must be nondecreasing on the inspected range")
-    q = np.abs(b) - omega * np.abs(a)
-    crossings = []
-    growth_ok = True
-    for t in GROWTH_THRESHOLDS:
-        below = np.nonzero(q <= t)[0]
-        last = int(below[-1]) + 1 if below.size else 0
-        crossings.append((t, last))
-        if last >= horizon:
-            growth_ok = False
-    # pairwise separation, one diagonal m - n = k of the upper triangle at
-    # a time; a hit at gap k has m >= k + 1, so once k reaches the best m
-    # found no later gap can give a smaller witness
-    absa = np.abs(a)
-    witness = None
-    for k in range(1, horizon):
-        if witness is not None and k >= witness[0]:
+    if q < 0:
+        raise ValueError("omega must be nondecreasing: need q >= 0")
+    p, q = _exponent(p), _exponent(q)
+    k, witness = 1, None
+    # k^(p - q) >= 2 in floats: a gap that it misjudges holds with room
+    while not (p > q and (p - q) * math.log(k) >= math.log(2.0)):
+        if not _gap_holds(k, p, q):
+            witness = (k + 1, 1)
             break
-        diff = np.abs(b[:-k] - b[k:])
-        need = omega[k - 1] * (absa[k:] + absa[:-k])
-        hits = np.flatnonzero(diff < need - 1e-9)
-        if hits.size:
-            n = int(hits[0]) + 1
-            if witness is None or (n + k, n) < witness:
-                witness = (n + k, n)
-    pairwise_ok = witness is None
+        k += 1
+    growth_ok = p > q
     return SimilarityCriterionReport(
-        passed=growth_ok and pairwise_ok,
+        passed=growth_ok and witness is None,
         growth_ok=growth_ok,
-        pairwise_ok=pairwise_ok,
-        crossings=tuple(crossings),
+        pairwise_ok=witness is None,
+        gaps=k if witness else k - 1,
         witness=witness,
     )
 
@@ -504,40 +484,35 @@ class TranslationSeparationReport:
     passed: bool
     slow_growth: bool
     k_max: int
-    crossings: tuple  # of (threshold, last k with infimum <= threshold)
+    crossings: tuple  # of (threshold, last k <= k_max with infimum <= threshold)
     infima: tuple
 
 
-def check_translation_separation(b_seq, horizon: int, k_max: Optional[int] = None) -> TranslationSeparationReport:
-    """Finite proxy for inf_n |b_{n+k} - b_n| -> infinity as k grows.
+def check_translation_separation(p: float, horizon: int, k_max: Optional[int] = None) -> TranslationSeparationReport:
+    """inf_n |b_{n+k} - b_n| -> infinity as k grows, for b_n = n^p.
 
-    For each k <= k_max the infimum over n <= horizon - k is computed;
-    the criterion passes when every threshold in GROWTH_THRESHOLDS is
-    exceeded from some k strictly below k_max onward.  Slow growth is
-    flagged when the final threshold is cleared only in the upper half
-    of the k range.
+    For p >= 1 the infimum over all n is (k + 1)^p - 1, attained at n = 1
+    and increasing to infinity, so the criterion passes; for p < 1 the
+    differences at a fixed gap tend to 0, so every infimum is 0 and it
+    fails.  The report lists the infima for k <= k_max, which defaults to
+    min(200, horizon // 2), exact for an integer p before their
+    conversion to float.  Slow growth is flagged when the infima stay at
+    or below the final threshold of GROWTH_THRESHOLDS into the upper half
+    of that k range.
     """
     if k_max is None:
         k_max = min(200, horizon // 2)
     if k_max < 1 or k_max >= horizon:
         raise ValueError("need 1 <= k_max < horizon")
-    b = _seq_values(b_seq, horizon, complex)
-    infima = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        infima[k - 1] = np.min(np.abs(b[k:] - b[:-k]))
-    crossings = []
-    passed = True
-    for t in GROWTH_THRESHOLDS:
-        below = np.nonzero(infima <= t)[0]
-        last = int(below[-1]) + 1 if below.size else 0
-        crossings.append((t, last))
-        if last >= k_max:
-            passed = False
-    slow = passed and crossings[-1][1] >= k_max / 2
+    p = _exponent(p)
+    passed = p >= 1
+    infima = tuple(float((k + 1) ** p - 1) if passed else 0.0 for k in range(1, k_max + 1))
+    # the infima never decrease in k, so a count of those at or below t is the last k
+    crossings = tuple((t, sum(x <= t for x in infima)) for t in GROWTH_THRESHOLDS)
     return TranslationSeparationReport(
         passed=passed,
-        slow_growth=bool(slow),
+        slow_growth=passed and crossings[-1][1] >= k_max / 2,
         k_max=k_max,
-        crossings=tuple(crossings),
-        infima=tuple(float(x) for x in infima),
+        crossings=crossings,
+        infima=infima,
     )

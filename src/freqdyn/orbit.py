@@ -8,12 +8,14 @@ past the burn-in is a hit and the hit rate past the burn-in is
 positive.  A scan's sups are grid sups, which understate the true
 value; pass thresholds therefore carry a slack factor, and burn-in
 indices are reported rather than silently skipped.  The iterate errors
-of iterate_convergence are instead closed-form upper bounds.
+of iterate_convergence are instead closed-form upper bounds, and
+decreasing_from decides exactly from which step the errors decrease.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -38,11 +40,10 @@ __all__ = [
     "GRID_SLACK",
     "ITERATE_MARGIN",
     "IterateReport",
-    "MONOTONE_TOL",
     "OrbitScanReport",
     "PairScan",
     "combination_scan",
-    "first_monotone_tail",
+    "decreasing_from",
     "iterate_convergence",
     "scan",
 ]
@@ -58,12 +59,12 @@ GRID_RESOLUTION = 3
 # rounding the bound commits.
 ITERATE_MARGIN = 2.0 ** -40
 
-# iterate_convergence forms the image discs of this many powers at a
-# time; the block bounds its working memory.
+# iterate_convergence bounds this many powers at a time; the block
+# bounds its working memory.
 _POWER_BLOCK = 1024
 
-# Steps smaller than this do not break a monotone tail.
-MONOTONE_TOL = 1e-12
+# The inversion w -> 1/w as one maps._image_discs row (a, b, c, d).
+_INVERSION = tuple(np.array([x], dtype=complex) for x in (0.0, 1.0, 1.0, 0.0))
 
 
 @record(eq=False)
@@ -286,12 +287,16 @@ def _exact(z: complex) -> tuple:
     return Fraction(z.real), Fraction(z.imag)
 
 
-def _limit_frame(m: HoloMap, limit: complex) -> tuple:
-    """(lam, c) with m, conjugated by the translation z -> z + limit,
-    exactly the record (lam, 0, c, lam): a parabolic map fixing limit,
-    or the identity when c = 0.  That holds iff the entries of m are
-    (lam + L c, -L^2 c, c, lam - L c) with L = limit and lam = (a + d)/2
-    exact, which is checked in rational arithmetic."""
+def _limit_frame(m: HoloMap, k: CompactSet, limit: complex) -> tuple:
+    """(S, disc): the step S = c / lam of m as an exact (real, imag) pair
+    of Fractions, and the enclosing disc of k moved by -limit.
+
+    m, conjugated by the translation z -> z + limit, must be exactly the
+    record (lam, 0, c, lam): its entries (lam + L c, -L^2 c, c, lam - L c)
+    with L = limit and lam = (a + d)/2 exact, checked in rational
+    arithmetic.  k must lie strictly inside the map's domain, and the
+    moved centre must be exact and the limit outside the disc."""
+    step = None
     if isinstance(m, Mobius):
         entries = (m.a, m.b, m.c, m.d, complex(limit), (m.a + m.d) / 2)
         if all(map(cmath.isfinite, entries)):
@@ -299,8 +304,21 @@ def _limit_frame(m: HoloMap, limit: complex) -> tuple:
             lc = _mul(el, c)
             if (_add(a, d) == _add(lam, lam) and _add(a, d, -1) == _add(lc, lc)
                     and _add(b, _mul(el, lc)) == (0, 0)):
-                return entries[-1], m.c
-    raise ValueError(f"no closed-form powers of {m!r} fixing {limit}")
+                num, den = _mul(c, (lam[0], -lam[1])), lam[0] ** 2 + lam[1] ** 2
+                step = num[0] / den, num[1] / den
+    if step is None:
+        raise ValueError(f"no closed-form powers of {m!r} fixing {limit}")
+    enc = enclosing_disc(k)
+    if not lies_in(map_domain(m), enc):
+        raise ValueError(f"{k} is not strictly inside the domain of {m!r}")
+    z0 = complex(enc.center)
+    disc = ClosedDisc(z0 - limit, enc.radius)
+    x, y = _exact(disc.center)
+    if (x, y) != _add(_exact(z0), _exact(limit), -1):
+        raise ValueError(f"the centre of {k} less {limit} is not a float")
+    if not x * x + y * y > Fraction(disc.radius) ** 2:
+        raise ValueError(f"{limit} lies in the enclosing disc of {k}")
+    return step, disc
 
 
 def iterate_convergence(
@@ -310,68 +328,67 @@ def iterate_convergence(
 
     The rule covers a Mobius record that, conjugated by the translation
     z -> z + limit, is exactly (lam, 0, c, lam): a parabolic map fixing
-    limit, or the identity (c = 0).  Its n-th power is then (lam, 0, n c,
-    lam), in v = 1/(z - limit) the translation v -> v + n c / lam, so no
-    step is taken.  maps._image_discs maps the enclosing disc |z - z0| <= r
-    of K, moved by -limit, under these rows about a thousand at a time,
-    and e_n is |centre| + radius, widened by ITERATE_MARGIN and rounded up
-    to 32 significant bits.
+    limit, or the identity (c = 0).  In v = 1/(z - limit) it is the
+    translation by S = c / lam, so phi^n is v -> v + n S, with no step
+    taken.  One maps._image_discs row sends the enclosing disc
+    |z - z0| <= r of K, moved by -limit, under w -> 1/w to a disc
+    D(v0, rho) holding the exact image D(V, R).  For z in K then
+    |phi^n(z) - limit| = 1/|v + n S| <= 1/(|v0 + n S| - rho) = E_n, formed
+    about a thousand powers at a time with s, S rounded to nearest,
+    widened by ITERATE_MARGIN and rounded up to 32 significant bits.
 
     Why the margin covers the rounding, to first order in the unit
-    roundoff u: the rows round only n c, so a computed row is the exact
-    power for a shift within u |n c / lam| of n c / lam.  At z in K, with
-    v = 1/(z - limit), that moves v + n c / lam by at most u (|v + n c /
-    lam| + |v|), so |phi^n(z) - limit| changes by a factor of at most
-    1 + u (1 + e_n / delta), where delta = |z0 - limit| - r bounds
-    |z - limit| below.  The image disc carries its own rounding pad, and
-    |centre| + radius commits at most 3 u (the modulus within one ulp, then
-    a sum).  A run in which some e_n exceeds 2^12 delta with c != 0
-    raises, so the chain commits at most (2^12 + 4) u, and with the u of
-    the widening product less than the margin 2^-40 = 2^13 u.  Rounding
+    roundoff u.  Let M = |v0 + n S| and x = M - rho = 1/E_n.  Rounding s,
+    n s and v0 + n s, the modulus (one ulp) and the difference move x by
+    at most u (2 n |S| + 3 M + x) <= u (6 x + 2 (|v0| + rho) + 3 rho), as
+    n |S| <= M + |v0|.  With delta = |z0 - limit| - r, |V| + R = 1/delta
+    and R < 1/(2 delta), so E_n, the reciprocal included, is within a
+    factor 1 + u (7 + 3.5 E_n / delta).  A run in which some E_n exceeds
+    2^11 delta raises, so the chain commits at most 7175 u, and with the
+    widening product's u less than the margin 2^-40 = 2^13 u.  Rounding
     up to 32 bits only raises a value, and is exact for normal values.
-    A shift that overflows gives NaN bounds, which fail every comparison.
+    A pole of phi^n on the disc (|v0 + n s| <= rho) or a shift that
+    overflows gives NaN bounds, which fail every comparison.
 
     Raises ValueError for any other map, for a compact not strictly
-    inside the map's domain or whose centre less limit is inexact, and
-    for n_steps < 1.
+    inside the map's domain, whose centre less limit is inexact or whose
+    enclosing disc holds the limit, and for n_steps < 1.
     """
     if n_steps < 1:
         raise ValueError("need at least one iterate")
-    lam, c = _limit_frame(m, limit)
-    enc = enclosing_disc(k)
-    if not lies_in(map_domain(m), enc):
-        raise ValueError(f"{k} is not strictly inside the domain of {m!r}")
-    z0 = complex(enc.center)
-    disc = ClosedDisc(z0 - limit, enc.radius)
-    if _exact(disc.center) != _add(_exact(z0), _exact(limit), -1):
-        raise ValueError(f"the centre of {k} less {limit} is not a float")
-    reach = 2.0 ** 12 * (abs(disc.center) - disc.radius)
+    step, disc = _limit_frame(m, k, limit)
+    s = complex(*map(float, step))
+    (v0,), (rho,) = _image_discs(*_INVERSION, disc.center, disc.radius)
+    reach = 2.0 ** 11 * (abs(disc.center) - disc.radius)
     errors = np.empty(n_steps)
     for start in range(0, n_steps, _POWER_BLOCK):
         block = errors[start : start + _POWER_BLOCK]
         n = np.arange(start + 1, start + block.size + 1, dtype=float)
-        diag = np.full(n.size, lam)
-        with np.errstate(over="ignore"):
-            shifts = n * c
-        centres, radii = _image_discs(diag, np.zeros_like(diag), shifts, diag, disc.center, disc.radius)
-        np.add(np.abs(centres), radii, out=block)
-        if c != 0 and np.any(block > reach):
+        with np.errstate(all="ignore"):
+            np.divide(1.0, np.abs(v0 + n * s) - rho, out=block)
+        # a pole of phi^n on the disc, or a shift that overflowed (1/inf = 0)
+        block[~(block > 0.0)] = np.nan
+        if np.any(block > reach):
             raise ValueError(f"the bounds on {k} exceed the reach of the margin")
         frac, exp = np.frexp(block * (1.0 + ITERATE_MARGIN))
         np.ldexp(np.ceil(np.ldexp(frac, 32)), exp - 32, out=block)
     return IterateReport(errors=errors)
 
 
-def first_monotone_tail(errors: np.ndarray, tol: float = MONOTONE_TOL) -> int:
-    """Least index from which the sequence is non-increasing within tol.
+def decreasing_from(m: HoloMap, k: CompactSet, limit: complex) -> Optional[int]:
+    """Least t >= 1 from which e_n, the sup of |phi^n - limit| over the
+    enclosing disc of K, strictly decreases; None if it never does.
 
-    Always defined: the final element alone forms a monotone tail, so
-    the caller should judge whether the returned position is early
-    enough to call the sequence eventually monotone.
+    In iterate_convergence's frame e_n = 1/(|V + n S| - R) falls from n to
+    n + 1 iff (2 n + 1) |S|^2 + 2 Re(V conj S) > 0, the rise of the
+    quadratic |V + n S|^2: for every n > -Re(V conj S) / |S|^2 - 1/2 when
+    S != 0, for none when S = 0 (the identity).  Decided in rationals,
+    with V = conj(w) / (|w|^2 - r^2) for the moved centre w.
     """
-    errors = np.asarray(errors, dtype=float)
-    if errors.size == 0:
-        raise ValueError("empty error sequence")
-    # written as a negated <= so that a NaN step also ends the tail
-    rises = np.flatnonzero(~(errors[1:] <= errors[:-1] + tol))
-    return int(rises[-1]) + 1 if rises.size else 0
+    step, disc = _limit_frame(m, k, limit)
+    norm = step[0] ** 2 + step[1] ** 2
+    if norm == 0:
+        return None
+    x, y = _exact(disc.center)
+    cross = (x * step[0] - y * step[1]) / (x * x + y * y - Fraction(disc.radius) ** 2)
+    return max(1, math.floor(-cross / norm - Fraction(1, 2)) + 1)

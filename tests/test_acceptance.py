@@ -47,7 +47,7 @@ from freqdyn.maps import (
     raw_inverse,
     slit_to_disc,
 )
-from freqdyn.orbit import combination_scan, first_monotone_tail, iterate_convergence
+from freqdyn.orbit import combination_scan, iterate_convergence
 from freqdyn.runaway import (
     RunawayConfig,
     build_carleman_truncation,
@@ -68,6 +68,13 @@ def _report(tag: str, budget: float, started: float, checks) -> None:
         line += " failing: " + "; ".join(failing)
     print(line)
     assert not failing, line
+
+
+def first_monotone_tail(errors, tol=1e-12) -> int:
+    """Least index from which the stored bounds are non-increasing within
+    tol; a NaN step also ends the tail."""
+    rises = np.flatnonzero(~(errors[1:] <= errors[:-1] + tol))
+    return int(rises[-1]) + 1 if rises.size else 0
 
 
 def test_criterion_01_density_split():

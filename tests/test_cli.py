@@ -1008,6 +1008,14 @@ def test_cmd_example4_notes_pairwise_witness(outdir):
     assert "NOTE: pairwise witness (3, 1)" in summary
 
 
+def test_cmd_example4_does_not_depend_on_the_horizon(outdir):
+    # n_max sets only k_max, which stays at 200 from n_max = 400 on
+    for omega_power in (1.0, 3.0):
+        small = cmd_example4(_cfg(n_max=400, omega_power=omega_power))
+        large = cmd_example4(_cfg(n_max=10**12, omega_power=omega_power))
+        assert large.lines == small.lines
+
+
 def test_cmd_example5_contraction(outdir):
     res = cmd_example5(_cfg(map_family="parabolic_disc", iterates=200))
     assert not res.failed
@@ -1027,9 +1035,8 @@ def test_cmd_example5_errors_are_byte_identical_across_runs(tmp_path, monkeypatc
 
 
 def test_cmd_example5_writes_errors_without_a_copy(outdir, monkeypatch):
-    # the peak inside each atomic write, above what was held before it:
-    # the peak of the whole command sits in the monotone-tail test, so
-    # a copy of the errors at write time stays below it
+    # the peak inside each atomic write, above what was held before it,
+    # so that a copy of the errors at write time shows
     real = artifacts._atomic_file
     extra = {}
 
@@ -1080,14 +1087,14 @@ def test_main_example5_refuses_iterates_over_the_memory_budget(
     tmp_path, monkeypatch, capsys
 ):
     monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
-    # 1000 iterates need 24000 bytes, 200 need 4800
-    monkeypatch.setattr(cli, "MEMORY_BUDGET", 10_000)
+    # beside the block allowance, 2000 iterates need 16000 bytes, 200 need 1600
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.ITERATE_BLOCK_BYTES + 10_000)
     argv = ["example5", os.path.join(CONFIGS, "example5.ini")]
-    assert main(argv + ["--override", "horizons.iterates=1000"]) == 2
+    assert main(argv + ["--override", "horizons.iterates=2000"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: horizons.iterates=1000 ")
+    assert len(lines) == 1 and lines[0].startswith("error: horizons.iterates=2000 ")
     assert "memory budget" in lines[0]
     assert not (tmp_path / "out" / "example5").exists()
     assert main(argv + ["--override", "horizons.iterates=200"]) == 0
@@ -1130,7 +1137,7 @@ def test_main_refuses_a_horizon_over_the_memory_budget(
         ("density", "density.ini", []),
         ("sepfamily", "sepfamily.ini", []),
         ("sepfamily", "sepfamily.ini", ["family.pairs=8"]),
-        # 17 bytes per iterate: the bounds and the monotone-tail test
+        # 8 bytes per iterate for the bounds, and ITERATE_BLOCK_BYTES
         ("example5", "example5.ini", ["horizons.iterates=200000"]),
     ],
 )
@@ -1219,19 +1226,24 @@ def test_main_split_fails_parts_that_do_not_partition(
     assert first == "FAIL: 4 parts partition 1..100000 exactly"
 
 
-def test_main_example5_constant_errors_do_not_decrease(outdir):
-    # at a = 1e-300 the map is the identity in floating point: every error is 1.5
+def test_main_example5_decides_the_monotone_line_on_the_exact_errors(outdir):
+    # at a = 1e-300 every stored bound is the same, but the exact errors
+    # of the map, whose step is 5e-301 i, strictly decrease from step 1
     code = main([
         "example5", os.path.join(CONFIGS, "example5.ini"),
         "--override", "maps.a=1e-300",
     ])
     assert code == 1
+    errors = load_errors(outdir / "example5" / "errors.f8z")
+    assert np.all(errors == errors[0])
     summary = (outdir / "example5" / "summary.txt").read_text().splitlines()
-    assert "FAIL: errors decrease monotonically from step 1" in summary
+    assert summary[2].startswith("FAIL: error after 200 steps")
+    assert "PASS: errors decrease monotonically from step 1" in summary
 
 
 def test_main_example5_overflowing_shift_fails(outdir):
-    # the shift n a overflows from n = 2 on, and its NaN bounds pass nothing
+    # the step shift n a / 2 overflows from n = 4 on; the NaN bounds fail
+    # the error line, and the monotone line, decided exactly, passes
     code = main([
         "example5", os.path.join(CONFIGS, "example5.ini"),
         "--override", "maps.a=1e308",
@@ -1239,7 +1251,7 @@ def test_main_example5_overflowing_shift_fails(outdir):
     assert code == 1
     summary = (outdir / "example5" / "summary.txt").read_text().splitlines()
     assert [ln.split(":")[0] for ln in summary if ln.startswith(("PASS", "FAIL"))] == [
-        "FAIL", "FAIL", "PASS",
+        "FAIL", "PASS", "PASS",
     ]
 
 
@@ -1705,6 +1717,23 @@ def test_main_negative_degree_cap_exits_2(tmp_path, monkeypatch, capsys, config)
     err = capsys.readouterr().err
     assert err.strip().splitlines() == ["error: max_degree must be nonnegative, got -1"]
     assert not (tmp_path / "out" / "build_fhc").exists()
+
+
+def test_main_dense_build_refuses_too_few_levels_for_its_bases(
+    tmp_path, monkeypatch, capsys
+):
+    # a dense build at mu_max = 2 takes base compacts K_1..K_3, beyond nu_max = 2
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    monkeypatch.setattr(cli, "_prepare_runaway", None)  # no work may start
+    argv = ["build_fhc", os.path.join(CONFIGS, "spaceable.ini"),
+            "--override", "build.kind=dense", "--override", "horizons.mu_max=2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: horizons.nu_max=2 ")
+    assert "horizons.mu_max=2" in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_exit_2_removes_only_an_empty_output_dir(tmp_path, monkeypatch):

@@ -5,14 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freqdyn import density
 from freqdyn.density import (
     GROWTH_THRESHOLDS,
     IndexSet,
-    _seq_values,
     arithmetic_progression,
     build_separated_family,
     check_similarity_criterion,
@@ -455,62 +454,29 @@ def test_family_lookup_errors():
 # Growth criteria
 
 
-def test_similarity_criterion_passes_for_quadratic_translations():
-    rep = check_similarity_criterion(
-        lambda n: 1.0,
-        lambda n: float(n * n),
-        lambda k: np.sqrt(k),
-        horizon=400,
-    )
-    assert rep.passed and rep.growth_ok and rep.pairwise_ok
-    for t, last in rep.crossings:
-        assert last < 400
-
-
-def test_similarity_criterion_fails_for_slow_growth():
-    rep = check_similarity_criterion(
-        lambda n: 1.0,
-        lambda n: np.log(n + 1.0),
-        lambda k: float(k),
-        horizon=300,
-    )
-    assert not rep.passed and not rep.growth_ok
-
-
-def test_similarity_criterion_finds_pairwise_witness():
-    rep = check_similarity_criterion(
-        lambda n: 1.0,
-        lambda n: float((-1) ** n),
-        lambda k: 0.5 * np.ones(()),
-        horizon=50,
-    )
-    assert not rep.pairwise_ok
-    m, n = rep.witness
-    assert m > n
-    assert abs((-1.0) ** m - (-1.0) ** n) < 0.5 * 2 - 1e-9
-
-
-def test_similarity_criterion_rejects_bad_input():
-    with pytest.raises(ValueError, match="nonzero"):
-        check_similarity_criterion(
-            lambda n: 0.0 if n == 3 else 1.0,
-            lambda n: float(n),
-            lambda k: float(k),
-            horizon=10,
-        )
-    with pytest.raises(ValueError, match="nondecreasing"):
-        check_similarity_criterion(
-            lambda n: 1.0,
-            lambda n: float(n),
-            lambda k: -float(k),
-            horizon=10,
-        )
-
-
-def test_similarity_criterion_accepts_arrays():
-    n = np.arange(1, 201, dtype=float)
-    rep = check_similarity_criterion(np.ones(200), n ** 2, np.sqrt(n), horizon=200)
-    assert rep.passed
+def _streaming_similarity(a, b, omega, horizon):
+    """Oracle: the criterion on finite sequences up to a horizon.  The
+    growth of |b_n| - omega_n |a_n| must clear every threshold before the
+    horizon, and the pairwise condition is checked for all m > n up to
+    it, one gap k = m - n at a time.  Returns (growth_ok, least violating
+    (m, n) or None)."""
+    a, b, omega = (np.asarray(x)[:horizon] for x in (a, b, omega))
+    q = np.abs(b) - omega * np.abs(a)
+    lasts = [np.nonzero(q <= t)[0] for t in GROWTH_THRESHOLDS]
+    growth_ok = all(last.size == 0 or last[-1] + 1 < horizon for last in lasts)
+    absa = np.abs(a)
+    witness = None
+    for k in range(1, horizon):
+        if witness is not None and k >= witness[0]:
+            break
+        diff = np.abs(b[:-k] - b[k:])
+        need = omega[k - 1] * (absa[k:] + absa[:-k])
+        hits = np.flatnonzero(diff < need - 1e-9)
+        if hits.size:
+            n = int(hits[0]) + 1
+            if witness is None or (n + k, n) < witness:
+                witness = (n + k, n)
+    return growth_ok, witness
 
 
 def _dense_pairwise_witness(a, b, omega):
@@ -531,6 +497,7 @@ def _dense_pairwise_witness(a, b, omega):
 
 
 def test_similarity_pairwise_check_matches_dense_reference():
+    # the streaming oracle on general sequences, against the full meshgrid
     rng = np.random.default_rng(20170501)
     violating = 0
     for _ in range(240):
@@ -546,77 +513,128 @@ def test_similarity_pairwise_check_matches_dense_reference():
         expected = _dense_pairwise_witness(
             a.astype(complex), b.astype(complex), omega.astype(float)
         )
-        rep = check_similarity_criterion(a, b, omega, horizon)
-        assert rep.witness == expected
-        assert rep.pairwise_ok == (expected is None)
+        assert _streaming_similarity(a, b, omega, horizon)[1] == expected
         violating += expected is not None
     assert 80 <= violating <= 160
 
 
-def test_similarity_criterion_memory_is_linear_in_horizon():
-    # the dense n x n check held about 60 B x horizon^2, over 500 MB here
-    tracemalloc.start()
-    try:
-        rep = check_similarity_criterion(
-            lambda n: 1.0, lambda n: float(n) ** 2, lambda k: float(k), horizon=3000
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.passed
-    assert peak < 8e6
+def _streaming_infima(b, k_max):
+    """inf over n <= horizon - k of |b_{n+k} - b_n| for k <= k_max."""
+    return np.array([np.min(np.abs(b[k:] - b[:-k])) for k in range(1, k_max + 1)])
 
 
-def test_callable_sequences_fail_at_one_allocation():
-    # an impossible horizon is refused by numpy before the sequence is
-    # called once, not after a list of 2**62 values has started to grow
-    calls = []
-
-    def counting(n):
-        calls.append(n)
-        if len(calls) > 1000:  # a regression fails here, not out of memory
-            raise RuntimeError("sequence called before the allocation")
-        return n
-
-    with pytest.raises(ValueError, match="too big"):
-        check_translation_separation(counting, horizon=2**62)
-    with pytest.raises(ValueError, match="too big"):
-        check_similarity_criterion(counting, counting, counting, horizon=2**62)
-    assert calls == []
+def _powers(p, q, horizon):
+    n = np.arange(1, horizon + 1, dtype=float)
+    return np.ones(horizon), n ** p, n ** q
 
 
-@pytest.mark.parametrize("dtype", [complex, float])
-def test_callable_sequence_values_match_a_list_of_calls(dtype):
-    for seq in (lambda n: n * n, lambda n: 1.0 / n, lambda n: 0.5 * n**1.5):
-        want = np.asarray([seq(n) for n in range(1, 301)]).astype(dtype)
-        got = _seq_values(seq, 300, dtype)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(_seq_values(np.arange(5), 3, dtype), np.arange(3).astype(dtype))
+def _near_tie(p, q, horizon):
+    """Some gap k < horizon within 1e-6 of (k + 1)^p - 1 = 2 k^q, where
+    rounding may decide either way."""
+    k = np.arange(1, horizon, dtype=float)
+    return bool(np.any(np.abs((k + 1) ** p - 1 - 2 * k ** q) <= 1e-6 * (k + 1) ** p))
+
+
+def test_similarity_criterion_passes_for_quadratic_translations():
+    rep = check_similarity_criterion(2.0, 0.5)
+    assert rep.passed and rep.growth_ok and rep.pairwise_ok
+    assert rep.witness is None and rep.gaps == 1
+
+
+def test_similarity_criterion_fails_for_slow_growth():
+    rep = check_similarity_criterion(1.0, 1.0)
+    assert not rep.passed and not rep.growth_ok
+
+
+def test_similarity_criterion_finds_pairwise_witness():
+    # (k + 1)^2 - 1 >= 2 k^3 holds at k = 1 only
+    rep = check_similarity_criterion(2.0, 3.0)
+    assert not rep.pairwise_ok
+    assert rep.witness == (3, 1) and rep.gaps == 2
+    # below p = 1 the least pair of all violates: |2^p - 1| < 2
+    for p in (0.5, 0.0, -1.0):
+        assert check_similarity_criterion(p, 0.0).witness == (2, 1)
+
+
+def test_similarity_criterion_rejects_bad_input():
+    with pytest.raises(ValueError, match="nondecreasing"):
+        check_similarity_criterion(2.0, -1.0)
+
+
+def test_similarity_checks_only_gaps_below_two_to_the_one_over_p_minus_q():
+    for p, q, gaps in ((2, 1, 1), (5, 0, 1), (2.5, 2, 3), (3.5, 3.25, 15)):
+        rep = check_similarity_criterion(float(p), float(q))
+        assert rep.passed and rep.gaps == gaps
+        assert gaps < 2 ** (1 / (p - q)) <= gaps + 1
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_similarity_schedule_failing_at_one_gap_fails_with_its_witness(p):
+    # gap k satisfies (k + 1)^p - 1 >= 2 k^q iff q <= Q(k); just above the
+    # least Q(k), gap k alone fails, and its witness is (k + 1, 1)
+    k = np.arange(2, 400, dtype=float)
+    cut = np.log(((k + 1) ** p - 1) / 2) / np.log(k)
+    lowest, second = np.sort(cut)[:2]
+    q = float((lowest + second) / 2)
+    failing = [int(g) for g in k[cut < q]]
+    assert len(failing) == 1 and 2 ** (1 / (p - q)) < 400
+    rep = check_similarity_criterion(p, q)
+    assert not rep.passed and rep.witness == (failing[0] + 1, 1)
+    assert rep.gaps == failing[0]
+    horizon = 2 * failing[0] + 2
+    assert _streaming_similarity(*_powers(p, q, horizon), horizon)[1] == rep.witness
+
+
+@given(
+    p=st.one_of(st.integers(1, 6).map(float), st.floats(1.0, 6.0)),
+    q=st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 6.0)),
+    horizon=st.integers(2, 120),
+)
+@settings(max_examples=150, deadline=None)
+def test_similarity_closed_form_matches_the_streaming_loops(p, q, horizon):
+    if not (float(p).is_integer() and float(q).is_integer()):
+        assume(not _near_tie(p, q, horizon))
+    rep = check_similarity_criterion(p, q)
+    growth_ok, witness = _streaming_similarity(*_powers(p, q, horizon), horizon)
+    assert rep.growth_ok == (p > q)
+    # the loop sees the growth clear 100 only when it does before the horizon
+    assert growth_ok == (p > q and horizon ** p - horizon ** q > 100.0)
+    if rep.witness is not None and rep.witness[0] <= horizon:
+        assert witness == rep.witness
+    else:
+        assert witness is None
+    k_max = min(200, horizon // 2)
+    if k_max >= 1:
+        sep = check_translation_separation(p, horizon)
+        assert sep.passed
+        want = _streaming_infima(_powers(p, q, horizon)[1], k_max)
+        assert np.allclose(sep.infima, want, rtol=1e-12, atol=0.0)
 
 
 def test_translation_separation_quadratic():
-    rep = check_translation_separation(lambda n: float(n * n), horizon=1000)
+    rep = check_translation_separation(2.0, horizon=1000)
     assert rep.passed and not rep.slow_growth
     assert rep.k_max == 200
     # inf over n of (n+k)^2 - n^2 is attained at n = 1
     for k, value in enumerate(rep.infima, start=1):
-        assert value == pytest.approx(k * (k + 2))
+        assert value == k * (k + 2)
 
 
 def test_translation_separation_linear_is_slow():
-    rep = check_translation_separation(lambda n: float(n), horizon=1000)
+    rep = check_translation_separation(1.0, horizon=1000)
     assert rep.passed and rep.slow_growth
     assert rep.crossings[-1] == (100.0, 100)
 
 
 def test_translation_separation_bounded_fails():
-    rep = check_translation_separation(lambda n: np.sin(0.7 * n), horizon=600)
-    assert not rep.passed
+    # (n + k)^p - n^p tends to 0 in n for p < 1, so every infimum is 0
+    rep = check_translation_separation(0.5, horizon=600)
+    assert not rep.passed and set(rep.infima) == {0.0}
 
 
 def test_translation_separation_rejects_bad_k_max():
     with pytest.raises(ValueError):
-        check_translation_separation(lambda n: float(n), horizon=100, k_max=100)
+        check_translation_separation(1.0, horizon=100, k_max=100)
 
 
 def test_growth_thresholds_are_increasing():

@@ -1,5 +1,7 @@
 """Tests for orbit scanning, span combinations, and iterate convergence."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from freqdyn.orbit import (
     GRID_SLACK,
     _Combination,
     combination_scan,
-    first_monotone_tail,
+    decreasing_from,
     iterate_convergence,
     scan,
 )
@@ -283,7 +285,7 @@ def test_parabolic_iterates_converge():
     )
     assert rep.errors.size == 200
     assert rep.errors[-1] < 0.1
-    assert first_monotone_tail(rep.errors) < 150
+    assert np.all(np.diff(rep.errors) < 0.0)
 
 
 def test_identity_iterates_show_no_decrease():
@@ -356,6 +358,8 @@ def test_iterate_bounds_are_rounded_up_to_32_bits():
         # 1e-4 from the fixed point, where the margin does not cover the shift
         (ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.9999), 10),
         (Identity(EXH.domain), ClosedDisc(0.0, 0.5), 0),
+        # the limit lies in the compact: no inversion frame
+        (Identity(EXH.domain), ClosedDisc(1.0, 0.5), 10),
     ],
 )
 def test_iterate_convergence_refuses_what_the_rule_does_not_cover(m, k, n_steps):
@@ -364,46 +368,86 @@ def test_iterate_convergence_refuses_what_the_rule_does_not_cover(m, k, n_steps)
 
 
 def test_iterate_bounds_of_an_overflowing_shift_are_nan():
-    # the shift 2e308 overflows from n = 2 on
-    errors = iterate_convergence(
-        ParabolicDisc(1e308, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 10
-    ).errors
+    # the parabolic record with lam = 1 and step c / lam = -1e308 i, whose
+    # shift n c / lam overflows from n = 2 on
+    m = Mobius(1.0 - 1e308j, 1e308j, -1e308j, 1.0 + 1e308j, Domain.unit_disc())
+    errors = iterate_convergence(m, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 10).errors
     assert 0.0 < errors[0] < 1e-307
     assert np.all(np.isnan(errors[1:]))
 
 
-def _monotone_tail_per_step(errors, tol):
-    """The backward scan that first_monotone_tail vectorises."""
-    idx = errors.size - 1
-    for i in range(errors.size - 2, -1, -1):
-        if errors[i + 1] <= errors[i] + tol:
-            idx = i
+# The rotations of ParabolicDisc that fix these points have exact entries.
+LIMITS = (1.0 + 0.0j, -1.0 + 0.0j, 1j, -1j)
+
+
+def _parabolic_fixing(limit, a):
+    """L Phi(z / L) for Phi = ParabolicDisc(a, 1, 1) and L = limit: the
+    parabolic map of the disc with step -i a / (2 L), fixing L."""
+    s = complex(a)
+    return Mobius(2.0 - 1j * s, limit * (1j * s), (-1j * s) * limit.conjugate(),
+                  2.0 + 1j * s, Domain.unit_disc())
+
+
+def _exact_frame(m, disc, limit):
+    """(V, R, S) as Fractions: the disc D(V, R) that w -> 1/w makes of
+    disc moved by -limit, and the step S = c / lam of m."""
+    w = disc.center - limit
+    x, y, r = Fraction(w.real), Fraction(w.imag), Fraction(disc.radius)
+    den = x * x + y * y - r * r
+    lam = (Fraction(m.a.real) + Fraction(m.d.real)) / 2
+    assert m.a.imag + m.d.imag == 0.0
+    return (x / den, -y / den), r / den, (Fraction(m.c.real) / lam, Fraction(m.c.imag) / lam)
+
+
+def _random_cases(seed, count):
+    """(map, disc, limit) triples: random discs of the unit disc with
+    centres on a 1/64 grid, so that moved centres stay exact, random
+    steps a, and now and then the identity."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        centre = complex(*rng.integers(-40, 41, 2)) / 64
+        if abs(centre) > 0.9:
+            continue
+        disc = ClosedDisc(centre, float(rng.uniform(0.01, 0.95) * (1 - abs(centre))))
+        limit = LIMITS[rng.integers(4)]
+        if trial % 9 == 0:
+            m = Identity(Domain.unit_disc())
         else:
-            break
-    return idx
+            m = _parabolic_fixing(limit, float(np.exp(rng.uniform(np.log(0.01), np.log(10.0)))))
+        yield m, disc, limit
 
 
-def test_first_monotone_tail_matches_backward_scan():
-    rng = np.random.default_rng(7)
-    tol = 1e-12
-    for trial in range(300):
-        seq = [float(rng.uniform(0.0, 2.0))]
-        for _ in range(int(rng.integers(0, 40))):
-            up = seq[-1] + tol
-            # steps exactly at +tol and -tol, just past +tol, and large ones
-            seq.append(
-                (up, np.nextafter(up, np.inf), seq[-1] - tol, seq[-1] - 0.25,
-                 seq[-1] + 0.25)[rng.integers(5)]
-            )
-        seq = np.array(seq)
-        if trial % 10 == 0:
-            seq[rng.integers(seq.size)] = np.nan
-        assert first_monotone_tail(seq, tol) == _monotone_tail_per_step(seq, tol)
+def test_iterate_bounds_are_at_least_the_exact_sups():
+    # bound b >= 1/(|V + n S| - R) iff (1/b + R)^2 <= |V + n S|^2, in Fractions
+    n_steps = 400
+    for m, disc, limit in _random_cases(41, 60):
+        (vx, vy), r, (sx, sy) = _exact_frame(m, disc, limit)
+        bounds = iterate_convergence(m, disc, limit, n_steps).errors
+        for n, bound in enumerate(bounds.tolist(), start=1):
+            gap = 1 / Fraction(bound) + r
+            assert gap * gap <= (vx + n * sx) ** 2 + (vy + n * sy) ** 2, (m, disc, n)
 
 
-def test_first_monotone_tail_positions():
-    assert first_monotone_tail(np.array([3.0, 2.0, 1.0])) == 0
-    assert first_monotone_tail(np.array([1.0, 2.0, 1.0])) == 1
-    assert first_monotone_tail(np.array([1.0, 2.0, 3.0])) == 2
+def test_decreasing_from_is_where_the_exact_sups_start_to_fall():
+    # e_n = 1/(|V + n S| - R) falls from n to n + 1 iff |V + n S|^2 rises
+    seen = set()
+    for m, disc, limit in _random_cases(42, 200):
+        (vx, vy), _, (sx, sy) = _exact_frame(m, disc, limit)
+        t = decreasing_from(m, disc, limit)
+        square = lambda n: (vx + n * sx) ** 2 + (vy + n * sy) ** 2
+        if sx == sy == 0:
+            assert t is None
+            continue
+        assert t >= 1
+        assert all(square(n + 1) > square(n) for n in range(t, t + 50))
+        assert t == 1 or square(t) <= square(t - 1)
+        seen.add(min(t, 3))
+    assert seen == {1, 2, 3}
+
+
+def test_decreasing_from_shipped_and_identity():
+    disc = ClosedDisc(0.0, 0.5)
+    assert decreasing_from(ParabolicDisc(1.0, 1.0, 1), disc, 1.0 + 0.0j) == 1
+    assert decreasing_from(Identity(Domain.unit_disc()), disc, 1.0 + 0.0j) is None
     with pytest.raises(ValueError):
-        first_monotone_tail(np.array([]))
+        decreasing_from(Similarity(2.0, 0.0), disc, 1.0 + 0.0j)
