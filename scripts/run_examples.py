@@ -3,15 +3,16 @@
 
 Each run writes under its own output root so repeated builds never
 overwrite one another; the stored-candidate scan is pointed at the
-existence build it consumes.  Five runs patch a shipped config: example1
+existence build it consumes.  Six runs patch a shipped config: example1
 at a radius constant large enough for its orbit scan to run, the
 spaceable config built as a mixed basis, strong runaway of parabolic
-maps on the unit disc (islands bounded by Moebius image discs), and two
-runs expected to fail with a witness: example4 with cubic frequencies
-(pairwise witness) and strong runaway on the powers-of-two schedule (P2
-disc witness).  The weak runaway example is expected to fail by
-construction.  A run that exits with its expected code counts as
-success here.
+maps on the unit disc (islands bounded by Moebius image discs), the
+existence build of half-plane shifts (island budgets from the
+spherical-cap envelope), and two runs expected to fail with a witness:
+example4 with cubic frequencies (pairwise witness) and strong runaway on
+the powers-of-two schedule (P2 disc witness).  The weak runaway example
+is expected to fail by construction.  A run that exits with its expected
+code counts as success here.
 
 To compare two versions of the package with ``diff -r``, give both runs
 the same ``--out`` path and move the first tree aside before the second
@@ -55,6 +56,13 @@ RUNS = (
     ("example4-pairwise", "example4", "example4.ini", ("maps.omega_power=3",), 1),
     ("example5", "example5", "example5.ini", (), 0),
     ("existence", "build_fhc", "existence.ini", (), 0),
+    (
+        "existence-half-plane",
+        "build_fhc",
+        "existence.ini",
+        ("domain.kind=right_half_plane", "maps.family=half_plane_shift"),
+        0,
+    ),
     ("islands", "build_fhc", "islands.ini", (), 0),
     (
         "scan",

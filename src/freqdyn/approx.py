@@ -23,16 +23,7 @@ import numpy as np
 
 from ._record import record
 from .density import IndexSet, split
-from .geometry import (
-    ClosedDisc,
-    CompactSet,
-    Domain,
-    DomainKind,
-    disc_pairs,
-    enclosing_disc,
-    eps_to_boundary,
-    sample_grid,
-)
+from .geometry import ClosedDisc, CompactSet, disc_pairs, enclosing_disc, min_envelope
 from .maps import HoloMap, Mobius, inverse_degree, raw_inverse
 from .runaway import CarlemanTruncation
 
@@ -58,11 +49,7 @@ __all__ = [
     "island_label",
     "l2_circle_norm",
     "l2_distance_on_circle",
-    "min_envelope",
 ]
-
-# min_envelope samples a region on sample_grid at this resolution.
-_EPS_RESOLUTION = 3
 
 _U = np.finfo(float).eps / 2  # unit roundoff
 
@@ -426,27 +413,6 @@ class PiecewiseTarget:
         if first_bad is not None:
             i, j = first_bad
             raise ValueError(f"target regions {i} and {j} are not disjoint")
-
-
-def min_envelope(domain: Domain, region: CompactSet) -> float:
-    """Minimum chordal boundary distance over the region.
-
-    Using the per-region minimum instead of the pointwise envelope makes
-    every certificate a strictly stronger statement.  The minimum over
-    sample_grid(region, _EPS_RESOLUTION) can exceed the true one between grid
-    points.  On the whole plane and the unit disc, where the distance
-    falls as |z| grows, a disc takes the closed form at |c| + r instead,
-    unless a grid point rounded just outside the disc undercuts it.
-    """
-    pts = sample_grid(region, _EPS_RESOLUTION)
-    if pts.size == 0:
-        raise ValueError("cannot sample an empty region for the envelope")
-    sampled = float(np.min(eps_to_boundary(domain, pts)))
-    radial = (DomainKind.WHOLE_PLANE, DomainKind.UNIT_DISC)
-    if isinstance(region, ClosedDisc) and domain.kind in radial:
-        far = abs(complex(region.center)) + region.radius
-        return min(sampled, eps_to_boundary(domain, far))
-    return sampled
 
 
 # ---------------------------------------------------------------------------

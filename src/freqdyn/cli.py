@@ -595,6 +595,11 @@ def cmd_build_fhc(cfg: ExperimentConfig) -> CommandResult:
             f"horizons.nu_max={cfg.nu_max} must be at least {bases}, the base"
             f" compacts of a {kind} build at horizons.mu_max={cfg.mu_max}"
         )
+    # dense member mu fits K_{mu+1}; its K_1 only bounds k_base
+    for nu in range(1 + (kind == "dense"), bases + 1):
+        if config.build_exhaustion(cfg).member(nu).is_empty:
+            raise ValueError(f"base compact K_{nu} of a {kind} build is empty at"
+                             f" maps.c={cfg.c_const:g} on domain.kind={cfg.domain_kind}")
     out = _artifact_dir(cfg, "build_fhc")
     fam, exh, schedule, rcfg = _prepare_runaway(cfg)
     lines = [_verdict(fam.report.passed, "separated family verifies")]

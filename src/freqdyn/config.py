@@ -248,15 +248,15 @@ def _check_exponents(command: str, cfg: ExperimentConfig) -> None:
 
     example2 and example3 map the indices in PROBE_STEPS; the schedule
     commands map indices up to n_max, except that the powers-of-two
-    schedule only iterates the map at n = 1; example4's infima
-    (k + 1)^p - 1 run to k = n_max // 2 at most.
+    schedule only iterates the map at n = 1; example4 raises only the
+    bases of its infima (k + 1)^p - 1, k <= min(200, n_max // 2), to p.
     """
     if command == "example2":
         keys, horizon = _FAMILY_EXPONENTS["root_shift"], max(PROBE_STEPS)
     elif command == "example3":
         keys, horizon = _FAMILY_EXPONENTS["parabolic_disc"], max(PROBE_STEPS)
     elif command == "example4":
-        keys, horizon = ("b_power", "omega_power"), cfg.n_max
+        keys, horizon = ("b_power",), min(200, cfg.n_max // 2) + 1
     elif command in _SCHEDULE_COMMANDS and cfg.schedule != "powers_of_two":
         keys, horizon = _FAMILY_EXPONENTS.get(cfg.map_family, ()), cfg.n_max
     else:

@@ -426,11 +426,14 @@ def _exponent(p: float):
 
 
 def _gap_holds(k: int, p, q) -> bool:
-    """(k + 1)^p - 1 >= 2 k^q: exact for int exponents, otherwise
-    compared in logarithms, where no power overflows."""
-    if isinstance(p, int) and isinstance(q, int):
+    """(k + 1)^p - 1 >= 2 k^q in logarithms, where no power overflows; int
+    exponents whose finite logarithms tie within 2^-40, past their
+    rounding, in exact integers, so that no other case forms the powers."""
+    lhs, rhs = p * math.log(k + 1), float(np.logaddexp(math.log(2.0) + q * math.log(k), 0.0))
+    near = abs(lhs - rhs) <= 2.0 ** -40 * (1.0 + abs(lhs) + abs(rhs)) < math.inf
+    if near and isinstance(p, int) and isinstance(q, int):
         return (k + 1) ** p - 1 >= 2 * k ** q
-    return p * math.log(k + 1) >= np.logaddexp(math.log(2.0) + q * math.log(k), 0.0)
+    return lhs >= rhs
 
 
 @record
@@ -488,22 +491,21 @@ class TranslationSeparationReport:
     infima: tuple
 
 
-def check_translation_separation(p: float, horizon: int, k_max: Optional[int] = None) -> TranslationSeparationReport:
+def check_translation_separation(p: float, horizon: int) -> TranslationSeparationReport:
     """inf_n |b_{n+k} - b_n| -> infinity as k grows, for b_n = n^p.
 
     For p >= 1 the infimum over all n is (k + 1)^p - 1, attained at n = 1
     and increasing to infinity, so the criterion passes; for p < 1 the
     differences at a fixed gap tend to 0, so every infimum is 0 and it
-    fails.  The report lists the infima for k <= k_max, which defaults to
+    fails.  The report lists the infima for k <= k_max =
     min(200, horizon // 2), exact for an integer p before their
     conversion to float.  Slow growth is flagged when the infima stay at
     or below the final threshold of GROWTH_THRESHOLDS into the upper half
     of that k range.
     """
-    if k_max is None:
-        k_max = min(200, horizon // 2)
-    if k_max < 1 or k_max >= horizon:
-        raise ValueError("need 1 <= k_max < horizon")
+    k_max = min(200, horizon // 2)
+    if k_max < 1:
+        raise ValueError(f"need a horizon of at least 2, got {horizon}")
     p = _exponent(p)
     passed = p >= 1
     infima = tuple(float((k + 1) ** p - 1) if passed else 0.0 for k in range(1, k_max + 1))

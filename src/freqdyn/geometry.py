@@ -38,6 +38,7 @@ __all__ = [
     "enclosing_disc",
     "eps_to_boundary",
     "lies_in",
+    "min_envelope",
     "right_half_plane_exhaustion",
     "sample_grid",
     "sector_exhaustion",
@@ -173,6 +174,37 @@ def eps_to_boundary(domain: Domain, z):
             2.0 * np.minimum(r, 1.0) / np.sqrt(1.0 + r**2),
         )
     return float(out[0]) if scalar else out
+
+
+def min_envelope(domain: Domain, c: CompactSet) -> float:
+    """The least eps_to_boundary over the compact set, in closed form.
+
+    In every domain eps(r e^{it}) does not increase in |t| and is unimodal
+    in r, so a sector takes it at a corner r e^{i half_angle}, r in {rmin,
+    rmax}.  On the whole plane and the unit disc eps falls as |z| grows, so
+    a disc takes it at |c| + r.  Elsewhere D(c, r), with a, b = |c| +- r,
+    projects to a spherical cap of angular radius atan a - atan b =
+    atan2(2r, 1 + ab) about z_C = (c/|c|) tan((atan a + atan b)/2); the
+    boundary is closed, so the cap's least chord to it is 2 sin of half
+    its centre's geodesic distance 2 asin(eps(z_C)/2) less that radius.
+    Raises ValueError for an empty compact, DomainError for one not in it.
+    """
+    if c.is_empty:
+        raise ValueError("an empty compact has no boundary envelope")
+    if not lies_in(domain, c):
+        raise DomainError(f"{c} does not lie in {domain.kind.value}")
+    if isinstance(c, AnnularSector):
+        corners = np.array([c.rmin, c.rmax]) * cmath.rect(1.0, c.half_angle)
+        return float(np.min(eps_to_boundary(domain, corners)))
+    m, r = abs(complex(c.center)), c.radius
+    if domain.kind in (DomainKind.WHOLE_PLANE, DomainKind.UNIT_DISC):
+        return eps_to_boundary(domain, m + r)
+    a, b = m + r, m - r
+    sa, sb = math.sqrt(1.0 + a * a), math.sqrt(1.0 + b * b)
+    # tan of the half sum as (sin A + sin B)/(cos A + cos B), no cancellation
+    z_c = complex(c.center) / m * ((a * sb + b * sa) / (sa + sb))
+    reach = 2.0 * math.asin(0.5 * eps_to_boundary(domain, z_c)) - math.atan2(2.0 * r, 1.0 + a * b)
+    return 2.0 * math.sin(0.5 * max(reach, 0.0))
 
 
 # ---------------------------------------------------------------------------

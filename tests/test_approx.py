@@ -1,6 +1,7 @@
 """Tests for polynomial representations, enumeration, and compact fitting."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,6 @@ from freqdyn.approx import (
     island_label,
     l2_circle_norm,
     l2_distance_on_circle,
-    min_envelope,
 )
 from freqdyn.density import arithmetic_progression, naturals, split
 from freqdyn.geometry import (
@@ -44,6 +44,7 @@ from freqdyn.geometry import (
     DomainKind,
     enclosing_disc,
     eps_to_boundary,
+    min_envelope,
     sample_grid,
     sector_exhaustion,
 )
@@ -464,6 +465,28 @@ def test_min_envelope_of_an_off_axis_disc_is_the_true_minimum(domain, disc):
     got = min_envelope(domain, disc)
     assert got == eps_to_boundary(domain, far)
     assert got <= float(np.min(eps_to_boundary(domain, _circle(disc.center, disc.radius, 4096))))
+
+
+def test_half_plane_island_budget_is_at_most_its_ring_minimum():
+    # island (24, nu=2) of the half-plane existence build, D(1.25 + 24i, 0.75):
+    # its sampled budget was 0.0017324, above the true minimum 0.0017301
+    from freqdyn import cli
+    from freqdyn.approx import assemble_existence_target
+    from freqdyn.config import apply_overrides, load_config
+    from freqdyn.runaway import build_carleman_truncation
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "existence.ini")
+    cfg = apply_overrides(
+        load_config(path), ["domain.kind=right_half_plane", "maps.family=half_plane_shift"]
+    )
+    fam, _, _, rcfg = cli._prepare_runaway(cfg)
+    tr = build_carleman_truncation(rcfg, bases=0, max_islands=cfg.max_islands)
+    target = assemble_existence_target(tr, cli._splits("existence", fam, cfg))
+    (piece,) = [p for isl, p in zip(tr.islands, target.pieces) if (isl.n, isl.nu) == (24, 2)]
+    disc = piece.region
+    assert disc == ClosedDisc(1.25 + 24j, 0.75)
+    ring = _circle(disc.center, disc.radius, 4096)
+    assert piece.tau <= float(np.min(eps_to_boundary(tr.domain, ring)))
 
 
 def test_target_piece_is_a_disc():

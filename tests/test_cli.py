@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import zlib
 
@@ -960,7 +961,7 @@ def test_run_examples_script_runs_every_shipped_example(tmp_path, monkeypatch, c
     assert script.main(["--out", str(tmp_path / "examples"), "--configs", CONFIGS]) == 0
     out = capsys.readouterr().out
     assert f"all {len(script.RUNS)} example runs behaved as expected" in out
-    assert len(script.RUNS) == 21
+    assert len(script.RUNS) == 22
 
 
 def test_cmd_example2_residuals(outdir):
@@ -1683,8 +1684,9 @@ def test_main_refuses_pair_counts_past_the_enumeration_cap(tmp_path, monkeypatch
     [
         ("example3", "example3.ini", ["maps.gamma=1000000"]),
         ("example2", "example2.ini", ["maps.beta=1000000"]),
-        ("example4", "example4.ini", ["maps.b_power=1000000"]),
-        ("example4", "example4.ini", ["maps.omega_power=1000000"]),
+        # only b_power is bounded, at the infima's largest base 201
+        ("example4", "example4.ini", ["maps.b_power=150"]),
+        ("example4", "example4.ini", ["maps.omega_power=1000000000000", "maps.b_power=1000000"]),
         ("runaway", "runaway_strong.ini",
          ["maps.family=half_plane_shift", "domain.kind=right_half_plane",
           "maps.gamma=1000000"]),
@@ -1705,6 +1707,22 @@ def test_main_overflow_exits_2_without_traceback(
     key = overrides[-1].partition("=")[0]
     assert f"{key}=" in lines[0] and "overflows at horizon" in lines[0]
     assert not (tmp_path / "out" / command).exists()
+
+
+def test_main_example4_decides_huge_exponents_without_forming_their_powers(
+    tmp_path, monkeypatch, capsys
+):
+    # omega_power is not bounded: gap 2 fails in logarithms, 2 * 2^q is never formed
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    argv = ["example4", os.path.join(CONFIGS, "example4.ini"),
+            "--override", "maps.omega_power=1000000000000"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "NOTE: pairwise witness (3, 1)" in capsys.readouterr().out
+    # b_power = 100 is below the bound at base 201 and runs
+    argv[-1] = "maps.b_power=100"
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("config", ["existence.ini", "spaceable.ini"])
@@ -1734,6 +1752,38 @@ def test_main_dense_build_refuses_too_few_levels_for_its_bases(
     assert len(lines) == 1 and lines[0].startswith("error: horizons.nu_max=2 ")
     assert "horizons.mu_max=2" in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_main_build_refuses_an_empty_base_compact_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    # at maps.c = 0.25 the slit-plane sectors K_1..K_3 are empty
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    monkeypatch.setattr(cli, "_prepare_runaway", None)  # no work may start
+    slit = ["--override", "domain.kind=slit_plane", "--override", "maps.family=root_shift"]
+    for config, level, extra in (("spaceable.ini", 1, ["horizons.nu_max=2"]),
+                                 ("dense.ini", 2, [])):
+        argv = ["build_fhc", os.path.join(CONFIGS, config), *slit,
+                "--override", "maps.c=0.25"]
+        for item in extra:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "sampl" not in err
+        kind = config.partition(".")[0]
+        assert err.strip().splitlines() == [
+            f"error: base compact K_{level} of a {kind} build is empty at maps.c=0.25"
+            " on domain.kind=slit_plane"
+        ]
+        assert not (tmp_path / "out").exists()
+    # a dense build never fits its K_1, so an empty one is no reason to refuse
+    def started(cfg):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli, "_prepare_runaway", started)
+    argv = ["build_fhc", os.path.join(CONFIGS, "dense.ini"), *slit, "--override", "maps.c=0.5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == "error: work started"
 
 
 def test_main_exit_2_removes_only_an_empty_output_dir(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for index sets, splitting, and separated families."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -556,6 +557,21 @@ def test_similarity_criterion_finds_pairwise_witness():
         assert check_similarity_criterion(p, 0.0).witness == (2, 1)
 
 
+def test_similarity_criterion_decides_int_ties_exactly_and_huge_exponents_fast():
+    # (k + 1)^p - 1 = 2 k^q exactly at (k, p, q) = (2, 2, 2) and (2, 1, 0):
+    # both gaps hold, so p = q = 2 first fails at gap 3
+    assert density._gap_holds(2, 2, 2) and density._gap_holds(2, 1, 0)
+    assert not density._gap_holds(3, 2, 2)
+    assert check_similarity_criterion(2.0, 2.0).witness == (4, 1)
+    # gap 2 fails with 2^(10^9) never formed; forming it took seconds
+    start = time.perf_counter()
+    rep = check_similarity_criterion(2.0, 1e9)
+    # 10^308 log 3 overflows: an infinite logarithm is no tie
+    assert not density._gap_holds(3, 2, 10**308)
+    assert time.perf_counter() - start < 0.1
+    assert rep.witness == (3, 1) and rep.gaps == 2
+
+
 def test_similarity_criterion_rejects_bad_input():
     with pytest.raises(ValueError, match="nondecreasing"):
         check_similarity_criterion(2.0, -1.0)
@@ -633,8 +649,9 @@ def test_translation_separation_bounded_fails():
 
 
 def test_translation_separation_rejects_bad_k_max():
-    with pytest.raises(ValueError):
-        check_translation_separation(1.0, horizon=100, k_max=100)
+    # k_max = min(200, horizon // 2) must be at least 1
+    with pytest.raises(ValueError, match="horizon of at least 2"):
+        check_translation_separation(1.0, horizon=1)
 
 
 def test_growth_thresholds_are_increasing():

@@ -20,6 +20,8 @@ from freqdyn.geometry import (
     distance_to_slit,
     enclosing_disc,
     eps_to_boundary,
+    lies_in,
+    min_envelope,
     right_half_plane_exhaustion,
     sample_grid,
     sector_exhaustion,
@@ -210,6 +212,103 @@ def test_eps_rejects_outside_points():
         eps_to_boundary(Domain.slit_plane(), -1.0 + 0.0j)
     with pytest.raises(DomainError):
         eps_to_boundary(Domain.right_half_plane(), -0.1 + 1.0j)
+
+
+# ---------------------------------------------------------------------------
+# Least envelope over a compact
+
+FOUR_DOMAINS = [Domain.whole_plane(), Domain.unit_disc(), Domain.right_half_plane(),
+                Domain.slit_plane()]
+
+
+def _seeded_discs(dom: Domain, count: int, seed: int, tangent: bool) -> list:
+    """count discs lying in dom: centres over four decades of modulus (inside
+    the unit disc for it), radii a uniform fraction of the room the domain
+    leaves, or within 10^-12..10^-3 of all of it when tangent."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        mod = rng.uniform(0.0, 0.999) if dom == Domain.unit_disc() else 10.0 ** rng.uniform(-2, 2)
+        c = complex(mod * np.exp(1j * rng.uniform(-math.pi, math.pi)))
+        room = {
+            "whole_plane": 10.0 * mod,
+            "unit_disc": 1.0 - mod,
+            "right_half_plane": c.real,
+            "slit_plane": float(distance_to_slit(c)),
+        }[dom.kind.value]
+        fraction = 1.0 - 10.0 ** rng.uniform(-12, -3) if tangent else rng.uniform(0.0, 1.0)
+        if room > 0.0 and lies_in(dom, disc := ClosedDisc(c, fraction * room)):
+            out.append(disc)
+    return out
+
+
+_STEP = 2.0 * math.pi / 4096
+
+
+def _rim_minimum(dom: Domain, disc: ClosedDisc) -> float:
+    """Least eps over 4096 rim points and about each of their local minima,
+    zoomed in eight rounds of 65 points across two of the last round's
+    spacings.  The 4096 points alone can sit 2 % above the true minimum,
+    of a disc nearly touching the slit's tip."""
+    rim = lambda t: eps_to_boundary(dom, disc.center + disc.radius * np.exp(1j * t))
+    angles = _STEP * np.arange(4096)
+    coarse = rim(angles)
+    best = float(np.min(coarse))
+    for k in np.flatnonzero((coarse <= np.roll(coarse, 1)) & (coarse <= np.roll(coarse, -1))):
+        centre, step = angles[k], _STEP
+        for _ in range(8):
+            ts = centre + step * np.linspace(-1.0, 1.0, 65)
+            values = rim(ts)
+            centre, step = ts[np.argmin(values)], step / 32.0
+            best = min(best, float(np.min(values)))
+    return best
+
+
+@pytest.mark.parametrize("dom", FOUR_DOMAINS, ids=lambda d: d.kind.value)
+def test_min_envelope_of_seeded_discs_is_their_rim_minimum(dom):
+    # the least envelope lies on the rim: rim points bound it from above
+    # and come within 1e-6 of it.  Near tangency the minimum is tiny, and
+    # a few ulps of |c| + r, which rounding the rim or |c| costs either
+    # side, outweigh 1e-12 of it.
+    for disc in _seeded_discs(dom, 500, 7, False) + _seeded_discs(dom, 100, 8, True):
+        got, rim = min_envelope(dom, disc), _rim_minimum(dom, disc)
+        floor = 2.0 ** -48 * (1.0 + abs(disc.center) + disc.radius)
+        assert got <= rim * (1.0 + 1e-12) + floor and rim - got <= 1e-6, disc
+
+
+def _seeded_sectors(dom: Domain, count: int, seed: int) -> list:
+    """count sectors lying in dom, outer radii over three decades (below 1
+    for the unit disc), radial segments among them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        top = 0.999 if dom == Domain.unit_disc() else 10.0 ** rng.uniform(-1, 2)
+        rmax = top * rng.uniform(0.01, 1.0)
+        sector = AnnularSector(rmax * rng.uniform(0.001, 1.0), rmax,
+                               rng.choice([0.0, rng.uniform(0.0, math.pi)]))
+        if lies_in(dom, sector):
+            out.append(sector)
+    return out
+
+
+@pytest.mark.parametrize("dom", FOUR_DOMAINS, ids=lambda d: d.kind.value)
+def test_min_envelope_of_a_sector_is_its_fine_grid_minimum(dom):
+    # the corners are grid points, so the rule and a resolution-40 grid
+    # agree to rounding: no interior or edge point lies lower
+    count = 40 if dom == Domain.slit_plane() else 12
+    for sector in _seeded_sectors(dom, count, seed=11):
+        got = min_envelope(dom, sector)
+        grid = float(np.min(eps_to_boundary(dom, sample_grid(sector, 40))))
+        assert abs(got - grid) <= 1e-12 * grid, sector
+
+
+def test_min_envelope_refuses_empty_and_outside_compacts():
+    slit = Domain.slit_plane()
+    with pytest.raises(ValueError, match="empty compact") as info:
+        min_envelope(slit, AnnularSector(1.0, 0.5, 1.0))
+    assert "sampl" not in str(info.value)
+    with pytest.raises(DomainError, match="does not lie in slit_plane"):
+        min_envelope(slit, ClosedDisc(-1.0 + 0.1j, 0.5))
 
 
 def test_domain_membership():
