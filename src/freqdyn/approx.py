@@ -9,8 +9,9 @@ Leja points of rings around the compacts (Leja, Ann. Polon. Math. 4,
 each degree adds one node, one scale and one coefficient, the
 interpolants are nested and well conditioned however far apart the
 compacts lie, and the pass keeps two arrays on the points.  Fixed
-polynomials (targets, the dense enumeration, span monomials) are plain
-monomial coefficient vectors.
+polynomials (targets, the dense enumeration, span monomials) are the
+Newton form at nodes 0 and scales 1, the monomial basis, so one
+Newton-Horner loop evaluates every polynomial.
 """
 
 from __future__ import annotations
@@ -64,70 +65,39 @@ _BERNSTEIN_FACTOR = 1.0 / (1.0 - math.pi / _RING_DENSITY)
 # Polynomial representations
 
 
-@record(eq=False)
-class Polynomial:
-    """Coefficients in the monomial basis z^j, ascending."""
+def _newton_horner(c, x, s, z, rounding: bool) -> tuple:
+    """The Newton-Horner recurrence y <- c_k + t y, t = (z - x_k) / s_k,
+    from y = c_d at the flat points z, and with rounding a running error
+    bound for each value, of first order in the unit roundoff u (Higham,
+    Accuracy and Stability of Numerical Algorithms, secs. 3.1 and 5.1);
+    without it the bound is None.
 
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
-        # trim trailing zeros so the stated degree is honest
-        nz = np.nonzero(coeffs)[0]
-        if nz.size:
-            coeffs = coeffs[: nz[-1] + 1]
-        else:
-            coeffs = coeffs[:1] * 0.0
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return int(self.coefficients.size - 1)
-
-    def evaluate(self, z):
-        w = np.asarray(z, dtype=complex)
-        out = np.zeros_like(w)
-        for c in self.coefficients[::-1]:
-            out = out * w + c
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
-
-    def evaluate_with_rounding(self, z) -> tuple:
-        """Values at the points z by Horner's rule, as evaluate takes them,
-        and a running error bound for each: the bound of
-        NewtonPoly.evaluate_with_rounding at nodes 0 and scales 1, whose
-        differences and quotients round nothing."""
-        z = np.asarray(z, dtype=complex).ravel()
-        size = np.abs(z)
-        y = np.full(z.shape, self.coefficients[-1])
-        error = np.zeros(z.shape)
-        step = np.empty(z.shape)
-        for c in self.coefficients[-2::-1]:
+    The step errs by at most u |t| |y_{k+1}| in the difference, 2 sqrt(2)
+    u |t| |y_{k+1}| in the complex product and u |y_k| in the sum; the
+    error carried from y_{k+1} is multiplied by |t|.  The bound doubles
+    the total, a margin for the terms of second order.  Every point takes
+    the same operations, in the order c_k + t y, so values agree bit for
+    bit however the points are chunked.
+    """
+    y = np.full(z.shape, c[-1])
+    error = np.zeros(z.shape) if rounding else None
+    for k in range(c.size - 2, -1, -1):
+        t = z - x[k]
+        t /= s[k]
+        if rounding:
+            size = np.abs(t)
             error *= size
-            np.abs(y, out=step)
-            step *= size
-            step *= 2.0 * math.sqrt(2.0) * _U
-            error += step
-            y *= z
-            y += c
-            np.abs(y, out=step)
-            step *= _U
-            error += step
-        error *= 2.0
-        return y, error
-
-    @staticmethod
-    def monomial(mu: int) -> "Polynomial":
-        if mu < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        c = np.zeros(mu + 1, dtype=complex)
-        c[mu] = 1.0
-        return Polynomial(c)
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial(np.zeros(1, dtype=complex))
+            size *= (1.0 + 2.0 * math.sqrt(2.0)) * _U
+            size *= np.abs(y)
+            error += size
+        # y <- c_k + t y, in t's buffer; the product keeps the operand
+        # order t y, since numpy's complex product need not commute bit for bit
+        t *= y
+        t += c[k]
+        y = t
+        if rounding:
+            error += _U * np.abs(y)
+    return y, None if error is None else 2.0 * error
 
 
 @record(eq=False)
@@ -147,42 +117,44 @@ class NewtonPoly:
         return int(self.coefficients.size - 1)
 
     def evaluate(self, z):
-        """Newton-Horner: y <- c_k + ((z - x_k) / s_k) y, from y = c_d."""
-        w = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-        c, x, s = self.coefficients, self.nodes, self.scales
-        y = np.full(w.shape, c[-1])
-        for k in range(self.degree - 1, -1, -1):
-            y = c[k] + (w - x[k]) / s[k] * y
-        if np.ndim(z) == 0:
+        """Values at the points z, of z's shape; a complex for a scalar."""
+        w = np.asarray(z, dtype=complex)
+        y, _ = _newton_horner(self.coefficients, self.nodes, self.scales, w.ravel(), False)
+        if w.ndim == 0:
             return complex(y[0])
-        return y.reshape(np.shape(z))
+        return y.reshape(w.shape)
 
-    def evaluate_with_rounding(self, z: np.ndarray) -> tuple:
-        """Values at the points z and a running error bound for each, of
-        first order in the unit roundoff u (Higham, Accuracy and Stability
-        of Numerical Algorithms, secs. 3.1 and 5.1).
-
-        With t = (z - x_k) / s_k, the step y_k = c_k + t y_{k+1} errs by
-        at most u |t| |y_{k+1}| in the difference, 2 sqrt(2) u |t|
-        |y_{k+1}| in the complex product and u |y_k| in the sum; the error
-        carried from y_{k+1} is multiplied by |t|.  The bound doubles the
-        total, a margin for the terms of second order.
-        """
+    def evaluate_with_rounding(self, z) -> tuple:
+        """Values at the points z, flattened, as evaluate takes them, and
+        the running error bound of _newton_horner for each."""
         z = np.asarray(z, dtype=complex).ravel()
-        c, x, s = self.coefficients, self.nodes, self.scales
-        y = np.full(z.shape, c[-1])
-        error = np.zeros(z.shape)
-        for k in range(self.degree - 1, -1, -1):
-            t = (z - x[k]) / s[k]
-            size = np.abs(t)
-            error *= size
-            error += (1.0 + 2.0 * math.sqrt(2.0)) * _U * size * np.abs(y)
-            y = c[k] + t * y
-            error += _U * np.abs(y)
-        return y, 2.0 * error
+        return _newton_horner(self.coefficients, self.nodes, self.scales, z, True)
 
 
-PolyLike = Union[Polynomial, NewtonPoly]
+class Polynomial(NewtonPoly):
+    """Coefficients in the monomial basis z^j, ascending: the Newton form
+    at nodes 0 and scales 1, whose differences and quotients round
+    nothing.  Trailing zero coefficients are trimmed, so the stated
+    degree is honest."""
+
+    def __init__(self, coefficients):
+        coeffs = np.atleast_1d(np.asarray(coefficients, dtype=complex))
+        nz = np.nonzero(coeffs)[0]
+        coeffs = coeffs[: nz[-1] + 1] if nz.size else coeffs[:1] * 0.0
+        d = coeffs.size - 1
+        super().__init__(np.zeros(d, dtype=complex), np.ones(d), coeffs)
+
+    @staticmethod
+    def monomial(mu: int) -> "Polynomial":
+        if mu < 0:
+            raise ValueError("monomial exponent must be nonnegative")
+        c = np.zeros(mu + 1, dtype=complex)
+        c[mu] = 1.0
+        return Polynomial(c)
+
+    @staticmethod
+    def zero() -> "Polynomial":
+        return Polynomial(np.zeros(1, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +276,14 @@ def _fft_error(n: int) -> float:
 
 
 def _circle_coefficients(polys) -> np.ndarray:
-    """Monomial coefficients of each polynomial as zero-padded rows.
+    """Monomial coefficients of each polynomial as zero-padded rows, from
+    its values at deg + 1 points of the unit circle (_local_taylor).
 
     By Parseval, products of rows are the inner products in L2 of the
     unit circle with normalized arclength measure.
     """
     coeffs = [
-        (p if isinstance(p, Polynomial)
-         else _local_taylor(p.evaluate(_circle(0.0, 1.0, p.degree + 1)))).coefficients
-        for p in polys
+        _local_taylor(p.evaluate(_circle(0.0, 1.0, p.degree + 1))).coefficients for p in polys
     ]
     rows = np.zeros((len(coeffs), max(c.size for c in coeffs)), dtype=complex)
     for row, c in zip(rows, coeffs):
@@ -324,14 +295,14 @@ def _l2(coefficients: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(coefficients) ** 2)))
 
 
-def l2_circle_norm(p: PolyLike) -> float:
+def l2_circle_norm(p: NewtonPoly) -> float:
     """Norm in L2 of the unit circle with normalized arclength measure:
     the square root of the sum of squared moduli of the monomial
     coefficients, exactly (Parseval)."""
     return _l2(_circle_coefficients([p])[0])
 
 
-def l2_distance_on_circle(f: PolyLike, g: PolyLike) -> float:
+def l2_distance_on_circle(f: NewtonPoly, g: NewtonPoly) -> float:
     """||f - g|| in L2 of the circle, from coefficients by Parseval."""
     rows = _circle_coefficients([f, g])
     return _l2(rows[0] - rows[1])
@@ -366,8 +337,8 @@ class ComposedInverse:
         the inverse x = (z - b) / a errs by at most u |z - b| / |a| for the
         difference and 16 u |x| for the quotient (Smith's algorithm, which
         numpy divides by, within about 10 u); moving x by h moves P(x) by at
-        most |h| sum_k k |p_k| (|x| + |h|)^(k - 1), beside the Horner bound
-        of P at the computed x.  Through any other map the bound is inf.
+        most |h| sum_k k |p_k| (|x| + |h|)^(k - 1), beside the running
+        bound of P at the computed x.  Through any other map the bound is inf.
         """
         z = np.asarray(z, dtype=complex).ravel()
         p, m = self.poly, self.map

@@ -800,8 +800,6 @@ def cmd_sepfamily(cfg: ExperimentConfig) -> CommandResult:
     fam = density.build_separated_family(cfg.pairs, cfg.n_max, cfg.multiplier)
     rep = fam.report
     lines = [_verdict(rep.passed, "separated family verifies")]
-    for violation in rep.violations:
-        lines.append(f"NOTE: violation {violation}")
     rows = []
     for label, density_rep in rep.densities:
         piece = fam.set_for(*label)

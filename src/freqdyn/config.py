@@ -25,6 +25,7 @@ except ImportError:
     except ImportError:  # built without builtin hashes
         from hashlib import sha256
 
+from .density import separation_gaps
 from .geometry import (
     Exhaustion,
     right_half_plane_exhaustion,
@@ -249,14 +250,18 @@ def _check_exponents(command: str, cfg: ExperimentConfig) -> None:
     example2 and example3 map the indices in PROBE_STEPS; the schedule
     commands map indices up to n_max, except that the powers-of-two
     schedule only iterates the map at n = 1; example4 raises only the
-    bases of its infima (k + 1)^p - 1, k <= min(200, n_max // 2), to p.
+    bases of its infima (k + 1)^p - 1, k <= separation_gaps(n_max), to p,
+    and refuses an n_max below 2, which leaves no gap.
     """
     if command == "example2":
         keys, horizon = _FAMILY_EXPONENTS["root_shift"], max(PROBE_STEPS)
     elif command == "example3":
         keys, horizon = _FAMILY_EXPONENTS["parabolic_disc"], max(PROBE_STEPS)
     elif command == "example4":
-        keys, horizon = ("b_power",), min(200, cfg.n_max // 2) + 1
+        k_max = separation_gaps(cfg.n_max)
+        if k_max < 1:
+            raise ValueError(f"horizons.n_max={cfg.n_max} is below 2, the least example4 takes")
+        keys, horizon = ("b_power",), k_max + 1
     elif command in _SCHEDULE_COMMANDS and cfg.schedule != "powers_of_two":
         keys, horizon = _FAMILY_EXPONENTS.get(cfg.map_family, ()), cfg.n_max
     else:

@@ -31,13 +31,15 @@ __all__ = [
     "diagonal_pairs",
     "lower_density_estimate",
     "naturals",
+    "separation_gaps",
     "split",
     "split_assignment",
     "verify_separated_family",
 ]
 
-# Thresholds whose crossings describe the translation-separation infima.
-GROWTH_THRESHOLDS = (1.0, 10.0, 100.0)
+# check_translation_separation flags slow growth when the infima stay at
+# or below this level into the upper half of its gaps.
+SLOW_GROWTH_LEVEL = 100.0
 # Most points build_separated_family enumerates in one period of a class;
 # the first, largest class holds 3^(ceil(P/2) - 1) of them for P pairs.
 MAX_PERIOD_POINTS = 1 << 20
@@ -487,8 +489,13 @@ class TranslationSeparationReport:
     passed: bool
     slow_growth: bool
     k_max: int
-    crossings: tuple  # of (threshold, last k <= k_max with infimum <= threshold)
     infima: tuple
+
+
+def separation_gaps(horizon: int) -> int:
+    """The largest gap k_max = min(200, horizon // 2) whose infimum
+    check_translation_separation reports at this horizon."""
+    return min(200, horizon // 2)
 
 
 def check_translation_separation(p: float, horizon: int) -> TranslationSeparationReport:
@@ -498,23 +505,21 @@ def check_translation_separation(p: float, horizon: int) -> TranslationSeparatio
     and increasing to infinity, so the criterion passes; for p < 1 the
     differences at a fixed gap tend to 0, so every infimum is 0 and it
     fails.  The report lists the infima for k <= k_max =
-    min(200, horizon // 2), exact for an integer p before their
+    separation_gaps(horizon), exact for an integer p before their
     conversion to float.  Slow growth is flagged when the infima stay at
-    or below the final threshold of GROWTH_THRESHOLDS into the upper half
-    of that k range.
+    or below SLOW_GROWTH_LEVEL into the upper half of that k range.
     """
-    k_max = min(200, horizon // 2)
+    k_max = separation_gaps(horizon)
     if k_max < 1:
         raise ValueError(f"need a horizon of at least 2, got {horizon}")
     p = _exponent(p)
     passed = p >= 1
     infima = tuple(float((k + 1) ** p - 1) if passed else 0.0 for k in range(1, k_max + 1))
-    # the infima never decrease in k, so a count of those at or below t is the last k
-    crossings = tuple((t, sum(x <= t for x in infima)) for t in GROWTH_THRESHOLDS)
+    # the infima never decrease in k, so a count of those at or below the level is the last k
+    last = sum(x <= SLOW_GROWTH_LEVEL for x in infima)
     return TranslationSeparationReport(
         passed=passed,
-        slow_growth=passed and crossings[-1][1] >= k_max / 2,
+        slow_growth=passed and last >= k_max / 2,
         k_max=k_max,
-        crossings=crossings,
         infima=infima,
     )

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._record import record
-from .approx import PolyLike, Polynomial, SpanBasis
+from .approx import NewtonPoly, Polynomial, SpanBasis
 from .density import IndexSet
 from .geometry import (
     ClosedDisc,
@@ -213,7 +213,7 @@ def combination_scan(
     horizon: int,
     pairs: Sequence,
     envelope_constant: Optional[float] = None,
-    phi: Optional[PolyLike] = None,
+    phi: Optional[NewtonPoly] = None,
 ) -> OrbitScanReport:
     """Scan a span combination, leading coefficient normalized to one.
 

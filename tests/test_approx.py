@@ -168,8 +168,15 @@ def test_newton_evaluation_matches_its_rounding_pass(offset):
     assert np.all(np.isfinite(rounding)) and np.all(rounding > 0.0)
 
 
-def test_newton_evaluation_is_pointwise():
-    fn, _ = _simple_fit(np.array([0.0, 1.0, 1.0]))
+def _monomial_form(degree=24):
+    """A Polynomial of this degree with Gaussian random coefficients."""
+    rng = np.random.default_rng(degree)
+    return Polynomial(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+
+
+@pytest.mark.parametrize("form", ["newton", "monomial"])
+def test_newton_evaluation_is_pointwise(form):
+    fn = _simple_fit(np.array([0.0, 1.0, 1.0]))[0] if form == "newton" else _monomial_form()
     zs = np.linspace(-1, 1, 20000) + 0.25j
     small = np.concatenate([fn.evaluate(zs[s : s + 100]) for s in range(0, zs.size, 100)])
     assert np.array_equal(fn.evaluate(zs), small)
@@ -177,13 +184,30 @@ def test_newton_evaluation_is_pointwise():
     assert fn.evaluate(zs.reshape(200, 100)).shape == (200, 100)
 
 
-def test_newton_evaluation_is_pointwise_at_degree_256():
+@pytest.mark.parametrize("form", ["newton", "monomial"])
+def test_newton_evaluation_is_pointwise_at_degree_256(form):
     # no matrix products: every point takes the same operations, so chunks
-    # of any width agree bit for bit
+    # of any width agree bit for bit; the monomial form of degree 24 runs
+    # through the same loop on the same points, out to |z| = 52
     fn, pts, _ = _dense_shaped_fit(0.0)
+    if form == "monomial":
+        fn = _monomial_form()
     whole = fn.evaluate(pts)
     small = np.concatenate([fn.evaluate(pts[s : s + 100]) for s in range(0, pts.size, 100)])
     assert np.array_equal(small, whole)
+
+
+def test_polynomial_is_the_newton_form_at_nodes_zero():
+    # values and bounds bit for bit those of the Newton form at nodes 0
+    # and scales 1 with the same coefficients
+    p = _monomial_form()
+    newton = NewtonPoly(np.zeros(24, dtype=complex), np.ones(24), p.coefficients)
+    rng = np.random.default_rng(5)
+    z = 50.0 * (rng.uniform(-1, 1, 4096) + 1j * rng.uniform(-1, 1, 4096))
+    assert np.array_equal(p.evaluate(z), newton.evaluate(z))
+    values, bound = p.evaluate_with_rounding(z)
+    want_values, want_bound = newton.evaluate_with_rounding(z)
+    assert np.array_equal(values, want_values) and np.array_equal(bound, want_bound)
 
 
 def _island_chain(count=24, tau=1e-3):
@@ -238,6 +262,21 @@ def _extended_horner(coefficients, x):
     for c in np.asarray(coefficients, dtype=np.clongdouble)[::-1]:
         y = y * x + c
     return y
+
+
+@_NEEDS_LONG_DOUBLE
+def test_monomial_rounding_bound_covers_the_error_out_to_radius_50():
+    # a degree-24 Polynomial on circles of radius 1/2 to 50 and at random
+    # points of the disc of radius 50, against extended precision
+    p = _monomial_form()
+    rng = np.random.default_rng(6)
+    z = np.concatenate(
+        [_circle(0.0, r, 1024) for r in (0.5, 1.0, 2.0, 10.0, 50.0)]
+        + [50.0 * np.sqrt(rng.uniform(size=4096)) * np.exp(2j * np.pi * rng.uniform(size=4096))]
+    )
+    values, bound = p.evaluate_with_rounding(z)
+    error = np.abs(values.astype(np.clongdouble) - _extended_horner(p.coefficients, z.astype(np.clongdouble)))
+    assert np.all(error.astype(float) <= bound)
 
 
 @_NEEDS_LONG_DOUBLE
@@ -1009,7 +1048,9 @@ def test_zero_radius_disc_takes_the_direct_path(monkeypatch):
     evaluate = NewtonPoly.evaluate_with_rounding
 
     def recording(self, z):
-        sizes.append(np.size(z))
+        # a Polynomial target is a NewtonPoly too; only the fit's calls count
+        if self is fn:
+            sizes.append(np.size(z))
         return evaluate(self, z)
 
     monkeypatch.setattr(NewtonPoly, "evaluate_with_rounding", recording)

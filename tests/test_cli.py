@@ -951,17 +951,38 @@ def test_shipped_gram_bound_is_below_the_least_eigenvalue(outdir, monkeypatch, o
     assert 0.5 < basis.gram_lambda_min <= least
 
 
-def test_run_examples_script_runs_every_shipped_example(tmp_path, monkeypatch, capsys):
-    # the script sets and finally unsets FREQDYN_OUT; monkeypatch restores it
-    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "unused"))
+def _run_examples_script():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_examples.py")
     spec = importlib.util.spec_from_file_location("run_examples", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_run_examples_script_runs_every_shipped_example(tmp_path, monkeypatch, capsys):
+    # the script sets and finally unsets FREQDYN_OUT; monkeypatch restores it
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "unused"))
+    script = _run_examples_script()
     assert script.main(["--out", str(tmp_path / "examples"), "--configs", CONFIGS]) == 0
     out = capsys.readouterr().out
     assert f"all {len(script.RUNS)} example runs behaved as expected" in out
     assert len(script.RUNS) == 22
+
+
+def test_run_examples_script_is_deterministic(tmp_path, monkeypatch):
+    # two runs into one --out root, the first tree moved aside before the
+    # second as the script's docstring says: every file agrees byte for byte
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "unused"))
+    script = _run_examples_script()
+    root = tmp_path / "examples"
+    trees = []
+    for aside in (tmp_path / "first", tmp_path / "second"):
+        assert script.main(["--out", str(root), "--configs", CONFIGS]) == 0
+        root.rename(aside)
+        files = sorted(p for p in aside.rglob("*") if p.is_file())
+        trees.append({p.relative_to(aside): p.read_bytes() for p in files})
+    assert len(trees[0]) == 55
+    assert trees[0] == trees[1]
 
 
 def test_cmd_example2_residuals(outdir):
@@ -1723,6 +1744,20 @@ def test_main_example4_decides_huge_exponents_without_forming_their_powers(
     # b_power = 100 is below the bound at base 201 and runs
     argv[-1] = "maps.b_power=100"
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_main_example4_refuses_a_horizon_below_two(tmp_path, monkeypatch, capsys, n_max):
+    # the infima need a gap k_max = n_max // 2 of at least 1
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    argv = ["example4", os.path.join(CONFIGS, "example4.ini"),
+            "--override", f"horizons.n_max={n_max}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        f"error: horizons.n_max={n_max} is below 2, the least example4 takes"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config", ["existence.ini", "spaceable.ini"])
