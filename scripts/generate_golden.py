@@ -19,7 +19,7 @@ from freqdyn.density import build_separated_family, naturals, split
 from freqdyn.density import lower_density_estimate
 from freqdyn.geometry import ClosedDisc
 from freqdyn.maps import ParabolicDisc
-from freqdyn.orbit import iterate_convergence
+from freqdyn.orbit import iterate_bounds, iterate_convergence
 
 DEFAULT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -56,13 +56,13 @@ def collect() -> dict:
         for l in range(1, 9)
     }
 
-    conv = iterate_convergence(ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 200)
+    rule = iterate_convergence(ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 200)
     return {
         "sigma": sigma,
         "split_densities": split_densities,
         "family_head": family_head,
         "dense_polynomials": dense_coeffs,
-        "parabolic_error_200": float(conv.errors[-1]),
+        "parabolic_error_200": float(iterate_bounds(rule, 1, 201)[-1]),
     }
 
 

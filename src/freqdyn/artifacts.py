@@ -1,11 +1,11 @@
-"""Artifact files: atomic writes, JSON and CSV, and the two codecs.
+"""Artifact files: atomic writes, JSON and CSV, and two readers.
 
 Every artifact is written to a temporary file and renamed into place,
 so a crashed run never leaves a half-written file.  A candidate file
-stores one fitted function as packed little-endian arrays, and an
-errors file stores ``example5``'s iterate errors as one zlib stream;
-both decode to the same bits on any host and refuse what they cannot
-read in full.
+stores one fitted function as packed little-endian arrays, which decode
+to the same bits on any host; an iterate report stores the closed-form
+rule of ``example5``'s bounds, which its reader evaluates.  Both readers
+refuse what they cannot read in full.
 """
 
 from __future__ import annotations
@@ -16,24 +16,24 @@ import csv
 import json
 import math
 import os
-import zlib
 from typing import Sequence
 
 import numpy as np
 
+from . import orbit
 from .approx import FhcCandidate, NewtonPoly
 
 CANDIDATE_FORMAT = "freqdyn-candidate-v6"
 
 
 @contextlib.contextmanager
-def _atomic_file(path: str, mode: str = "w"):
-    """A file written as path.tmp and renamed to path once the block
-    completes; a block that raises removes it and leaves path as it was.
-    mode "w" opens it as UTF-8 text, "wb" as binary."""
+def _atomic_file(path: str):
+    """A UTF-8 text file written as path.tmp and renamed to path once the
+    block completes; a block that raises removes it and leaves path as
+    it was."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -222,72 +222,74 @@ def load_candidate(path: str):
 
 
 # ---------------------------------------------------------------------------
-# iterate errors
+# iterate bounds
 
-# An errors file is this line, then one zlib stream (level 6) of the
-# second differences of errors e_1, e_2, ...: with u_i the little-endian
-# bits of e_i and u_0 = u_-1 = 0, d_i = u_i - 2 u_{i-1} + u_{i-2}
-# mod 2^64, cut into blocks of _ERRORS_BLOCK values, each block written
-# as its 8 byte planes (byte 0 of every value, then byte 1, ...) and
-# ended by a sync flush.  Smoothly falling errors leave the high planes
-# nearly constant, which zlib packs tightly.
-ERRORS_HEADER = b"freqdyn-errors-v1\n"
-_ERRORS_BLOCK = 4096
+BOUNDS_FORMAT = "freqdyn-iterate-bounds-v1"
+
+# The rule constants of orbit.iterate_bounds a report was written under.
+_RULE_CONSTANTS = {
+    "margin_exponent": int(math.log2(orbit.ITERATE_MARGIN)),
+    "significant_bits": orbit.ITERATE_BITS,
+}
 
 
-def _write_errors(path: str, errors: np.ndarray) -> None:
-    """Write errors as an errors file, one block at a time: the extra
-    memory is a few blocks and zlib's state, whatever the length."""
-    bits = np.asarray(errors, dtype="<f8").view("<u8")
-    packer = zlib.compressobj(6)
-    # window[:2] carries u_{i-2}, u_{i-1} into each block
-    window = np.zeros(_ERRORS_BLOCK + 2, dtype="<u8")
-    with _atomic_file(path, "wb") as fh:
-        fh.write(ERRORS_HEADER)
-        for start in range(0, bits.size, _ERRORS_BLOCK):
-            block = bits[start : start + _ERRORS_BLOCK]
-            n = block.size
-            window[2 : n + 2] = block
-            # unsigned arithmetic wraps mod 2^64
-            diff = window[2 : n + 2] - window[1 : n + 1] - window[1 : n + 1]
-            diff += window[:n]
-            fh.write(packer.compress(diff.view(np.uint8).reshape(n, 8).T.tobytes()))
-            # else zlib holds back up to ~32 kB of packed output
-            fh.write(packer.flush(zlib.Z_SYNC_FLUSH))
-            window[:2] = window[n : n + 2]
-        fh.write(packer.flush())
+def _encode_bounds(
+    rule: orbit.IterateRule, config: str, final: float, decreasing
+) -> dict:
+    """The report payload of an iterate rule, written under the
+    configuration whose hash is config, with its final bound e_N (null
+    if NaN) and the step from which the exact errors decrease."""
+    return {
+        "format": BOUNDS_FORMAT,
+        "config": config,
+        "iterates": rule.iterates,
+        "v0": rule.v0,
+        "rho": rule.rho,
+        "step": rule.step,
+        "reach": rule.reach,
+        **_RULE_CONSTANTS,
+        "final_bound": None if math.isnan(final) else final,
+        "decreasing_from": decreasing,
+    }
+
+
+def _rule_field(blob: dict, name: str, path: str, pair: bool = False):
+    """Field name of an iterate report: a finite number, or with pair a
+    [real, imag] pair of finite numbers, read as a complex."""
+    value = blob.get(name)
+    parts = value if pair and isinstance(value, list) else [value]
+    # type(), not isinstance(): JSON true and false load as bool
+    if len(parts) != 1 + pair or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in parts
+    ):
+        raise ValueError(f"iterate report {path}: {name} is missing or not finite")
+    return complex(*parts) if pair else float(value)
 
 
 def load_errors(path: str) -> np.ndarray:
-    """Read back an errors file as a '<f8' array, bit for bit; refuse
-    another header, a corrupt, truncated or trailed zlib stream and a
-    byte count of no whole values."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(ERRORS_HEADER):
-        raise ValueError(
-            f"not an errors file of format {ERRORS_HEADER.decode().strip()}: {path}"
-        )
-    unpacker = zlib.decompressobj()
+    """The bounds e_1, ..., e_N of an iterate report as a '<f8' array,
+    evaluated from its rule by orbit.iterate_bounds: the bits example5
+    computed, for one numpy and libm build.  Refuses another format,
+    other rule constants, a missing or non-finite field and
+    iterates < 1."""
     try:
-        raw = unpacker.decompress(memoryview(blob)[len(ERRORS_HEADER) :])
-    except zlib.error as exc:
-        raise ValueError(f"corrupt zlib stream in errors file {path}: {exc}") from None
-    if not unpacker.eof:
-        raise ValueError(f"truncated zlib stream in errors file {path}")
-    if unpacker.unused_data:
-        raise ValueError(
-            f"{len(unpacker.unused_data)} bytes after the zlib stream in errors file {path}"
-        )
-    if len(raw) % 8:
-        raise ValueError(f"{len(raw)} bytes of errors in {path}, no whole float64 values")
-    diff = np.empty(len(raw) // 8, dtype="<u8")
-    planes = np.frombuffer(raw, dtype=np.uint8)
-    for start in range(0, diff.size, _ERRORS_BLOCK):
-        n = min(_ERRORS_BLOCK, diff.size - start)
-        block = planes[8 * start : 8 * (start + n)].reshape(8, n)
-        diff[start : start + n] = np.ascontiguousarray(block.T).view("<u8")[:, 0]
-    # two wrapping running sums undo the two differences
-    np.cumsum(diff, dtype="<u8", out=diff)
-    np.cumsum(diff, dtype="<u8", out=diff)
-    return diff.view("<f8")
+        with open(path, "r", encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except ValueError:  # no JSON text, such as an errors.f8z of old
+        blob = None
+    if not isinstance(blob, dict) or blob.get("format") != BOUNDS_FORMAT:
+        raise ValueError(f"not an iterate report of format {BOUNDS_FORMAT}: {path}")
+    for name, want in _RULE_CONSTANTS.items():
+        if blob.get(name) != want:
+            raise ValueError(f"iterate report {path}: {name} must be {want}")
+    iterates = blob.get("iterates")
+    if type(iterates) is not int or iterates < 1:
+        raise ValueError(f"iterate report {path}: iterates must be a positive integer")
+    rule = orbit.IterateRule(
+        v0=_rule_field(blob, "v0", path, pair=True),
+        rho=_rule_field(blob, "rho", path),
+        step=_rule_field(blob, "step", path, pair=True),
+        reach=_rule_field(blob, "reach", path),
+        iterates=iterates,
+    )
+    return orbit.iterate_bounds(rule, 1, iterates + 1).astype("<f8", copy=False)

@@ -14,8 +14,8 @@ line failed.
 Reports embed a short hash of the effective configuration so that any
 artifact can be traced back to the exact parameter set that produced
 it.  Identical configurations produce byte-identical artifacts (for
-one zlib build, whose output enters ``example5``'s errors file); wall
-clock timings go to stdout only.
+one numpy and libm build, whose arithmetic gives ``example5``'s final
+bound); wall clock timings go to stdout only.
 """
 
 from __future__ import annotations
@@ -87,18 +87,14 @@ WEAK_DENSITY_FLOOR = 0.01
 MESH_POINTS = 1000
 MESH_RADIUS = 0.95
 
-# example5, density, split and sepfamily refuse, before any work, a
-# horizon whose arrays would exceed this many bytes (_within_budget), and
+# density, split and sepfamily refuse, before any work, a horizon whose
+# arrays would exceed this many bytes (_within_budget), and
 # build_fhc and example1 a degree cap whose fit would (_fit_all).
 MEMORY_BUDGET = 2 * 1024**3
 # lower_density_estimate's temporaries for one block of elements, which
 # density, split and sepfamily add to their estimates (48 bytes per
 # element of the block measured)
 DENSITY_BLOCK_BYTES = 64 * density.DENSITY_BLOCK
-# example5's memory beside its 8 bytes per iterate: one block of powers
-# in iterate_convergence, and the errors writer's blocks and zlib state
-# (0.41 MB measured)
-ITERATE_BLOCK_BYTES = 512 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +120,11 @@ def _within_budget(key: str, value: int, need: int) -> None:
             f"{key}={value} needs about {need / 2**30:.1f} GiB,"
             f" over the {MEMORY_BUDGET / 2**30:.0f} GiB memory budget"
         )
+
+
+def _at_least_one(key: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
 
 
 def _verdict(ok: bool, text: str) -> str:
@@ -198,6 +199,7 @@ def _splits(kind: str, fam, cfg: ExperimentConfig) -> dict:
     block into l_max labels, keyed (l, p); mixed members subdivide the
     first part of a split in two.
     """
+    _at_least_one("horizons.l_max", cfg.l_max)
     blocks = _BUILD_KINDS[kind][0](cfg.mu_max)[1]
     out = {}
     for nu in sorted({int(nu) for nu in fam.nu_values() if int(nu) <= cfg.nu_max}):
@@ -552,30 +554,28 @@ def cmd_example4(cfg: ExperimentConfig) -> CommandResult:
 
 def cmd_example5(cfg: ExperimentConfig) -> CommandResult:
     """Orbit contraction of a parabolic disc map toward its fixed point."""
-    # the errors and ITERATE_BLOCK_BYTES; errors.f8z is written one block
-    # of errors at a time
-    _within_budget("horizons.iterates", cfg.iterates, 8 * cfg.iterates + ITERATE_BLOCK_BYTES)
+    _at_least_one("horizons.iterates", cfg.iterates)
     out = _artifact_dir(cfg, "example5")
     region = ClosedDisc(0.0, 0.5)
     phi = ParabolicDisc(cfg.a_param, cfg.gamma, 1)
-    # upper bounds on sup |Phi_1^n(z) - 1| over the region, n = 1..N
-    rep = orbit.iterate_convergence(phi, region, 1.0 + 0.0j, cfg.iterates)
-    final = float(rep.errors[-1])
+    # the rule of upper bounds on sup |Phi_1^n(z) - 1| over the region,
+    # n = 1..N; only the block of powers that holds N is evaluated
+    n = cfg.iterates
+    rule = orbit.iterate_convergence(phi, region, 1.0 + 0.0j, n)
+    final = float(orbit.iterate_bounds(rule, n - (n - 1) % orbit._POWER_BLOCK, n + 1)[-1])
     # the exact sups strictly decrease from step t on; the identity's never do
     t = orbit.decreasing_from(phi, region, 1.0 + 0.0j)
     ident = Identity(Domain(DomainKind.UNIT_DISC))
     lines = [
-        _verdict(final < 0.1, f"error after {cfg.iterates} steps is {final:.6f}"),
+        _verdict(final < 0.1, f"error after {n} steps is {final:.6f}"),
         _verdict(t is not None, f"errors decrease monotonically from step {t}"),
         _verdict(
             orbit.decreasing_from(ident, region, 1.0 + 0.0j) is None,
             "identity control shows no decrease",
         ),
     ]
-    path = os.path.join(out, "errors.f8z")
-    # entry i bounds e_{i+1}; its decoded bits are identical on every
-    # host, the file's bytes for one zlib build
-    artifacts._write_errors(path, rep.errors)
+    path = os.path.join(out, "report.json")
+    _write_json(path, artifacts._encode_bounds(rule, config_hash(cfg), final, t))
     return _finish(cfg, "example5", out, lines, [path])
 
 
@@ -762,6 +762,7 @@ def cmd_split(cfg: ExperimentConfig) -> CommandResult:
     _within_budget(
         "horizons.n_max", cfg.n_max, 10 * cfg.n_max + DENSITY_BLOCK_BYTES
     )
+    _at_least_one("split.parts", cfg.split_parts)
     out = _artifact_dir(cfg, "split")
     parts = cfg.split_parts
     pieces = density.split(density.naturals(cfg.n_max), parts, cfg.n_max)

@@ -327,9 +327,9 @@ def build_separated_family(num_pairs: int, horizon: int, m_multiplier: int) -> S
     verify_separated_family, whose report it carries.
     """
     if num_pairs < 1:
-        raise ValueError("num_pairs must be at least 1")
+        raise ValueError(f"family.pairs must be at least 1, got {num_pairs}")
     if m_multiplier < 1:
-        raise ValueError("m_multiplier must be at least 1")
+        raise ValueError(f"family.multiplier must be at least 1, got {m_multiplier}")
     depth = (num_pairs + 1) // 2 - 1
     if 3 ** min(depth, MAX_PERIOD_POINTS.bit_length()) > MAX_PERIOD_POINTS:
         raise ValueError(
@@ -341,7 +341,8 @@ def build_separated_family(num_pairs: int, horizon: int, m_multiplier: int) -> S
     for p in range(1, num_pairs + 1):
         if _surviving_density(p, nus, m_multiplier) <= 0.0:
             raise ValueError(
-                f"pruning clears class {p}; increase m_multiplier"
+                f"pruning clears class {p} at family.multiplier={m_multiplier};"
+                " increase family.multiplier"
             )
     members = []
     for p, (l, nu) in enumerate(labels, start=1):

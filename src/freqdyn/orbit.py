@@ -8,7 +8,8 @@ past the burn-in is a hit and the hit rate past the burn-in is
 positive.  A scan's sups are grid sups, which understate the true
 value; pass thresholds therefore carry a slack factor, and burn-in
 indices are reported rather than silently skipped.  The iterate errors
-of iterate_convergence are instead closed-form upper bounds, and
+are instead closed-form upper bounds: iterate_convergence gives their
+rule, iterate_bounds evaluates it for any range of steps, and
 decreasing_from decides exactly from which step the errors decrease.
 """
 
@@ -38,12 +39,14 @@ from .maps import HoloMap, Mobius, _add, _image_discs, _mul, apply, map_domain
 __all__ = [
     "GRID_RESOLUTION",
     "GRID_SLACK",
+    "ITERATE_BITS",
     "ITERATE_MARGIN",
-    "IterateReport",
+    "IterateRule",
     "OrbitScanReport",
     "PairScan",
     "combination_scan",
     "decreasing_from",
+    "iterate_bounds",
     "iterate_convergence",
     "scan",
 ]
@@ -54,13 +57,15 @@ GRID_SLACK = 1.1
 # scan takes its sups on sample_grid of each level at this resolution.
 GRID_RESOLUTION = 3
 
-# iterate_convergence widens each bound by this relative margin before
-# it rounds it up; its docstring shows that the margin covers the
-# rounding the bound commits.
+# iterate_bounds widens each bound by this relative margin before it
+# rounds it up; iterate_convergence's docstring shows that the margin
+# covers the rounding the bound commits.
 ITERATE_MARGIN = 2.0 ** -40
+# iterate_bounds rounds each widened bound up to this many significant bits.
+ITERATE_BITS = 32
 
-# iterate_convergence bounds this many powers at a time; the block
-# bounds its working memory.
+# iterate_bounds forms this many powers at a time; the block bounds its
+# working memory.
 _POWER_BLOCK = 1024
 
 # The inversion w -> 1/w as one maps._image_discs row (a, b, c, d).
@@ -278,9 +283,17 @@ def combination_scan(
     )
 
 
-@record(eq=False)
-class IterateReport:
-    errors: np.ndarray  # entry n - 1 bounds sup over K of |phi^n - limit|
+@record
+class IterateRule:
+    """The closed-form rule of iterate_convergence: the bounds e_n,
+    n = 1..iterates, on sup over K of |phi^n - limit|, kept as the facts
+    that give them (iterate_bounds evaluates them)."""
+
+    v0: complex  # centre of a disc that holds 1/(K - limit)
+    rho: float  # its radius
+    step: complex  # S = c / lam of the map, rounded to nearest
+    reach: float  # 2^11 delta, the largest bound the margin covers
+    iterates: int
 
 
 def _exact(z: complex) -> tuple:
@@ -321,10 +334,28 @@ def _limit_frame(m: HoloMap, k: CompactSet, limit: complex) -> tuple:
     return step, disc
 
 
+def _within_reach(
+    v0: complex, rho: float, step: tuple, reach: float, n_steps: int
+) -> bool:
+    """Whether 0 < 1/(|v0 + n S| - rho) <= reach for every 1 <= n <= n_steps,
+    S the exact step: the least of the convex quadratic |v0 + n S|^2 over
+    those n, at the one nearest its vertex, against (rho + 1/reach)^2, in
+    rationals."""
+    if not reach > 0.0:
+        return False
+    x, y = _exact(v0)
+    sx, sy = step
+    norm = sx * sx + sy * sy
+    n = 1 if norm == 0 else min(max(round(-(x * sx + y * sy) / norm), 1), n_steps)
+    inverse = 1 / Fraction(reach) if math.isfinite(reach) else 0
+    return (x + n * sx) ** 2 + (y + n * sy) ** 2 >= (Fraction(rho) + inverse) ** 2
+
+
 def iterate_convergence(
     m: HoloMap, k: CompactSet, limit: complex, n_steps: int
-) -> IterateReport:
-    """Upper bounds e_n on sup over K of |phi^n(z) - limit|, n = 1..N.
+) -> IterateRule:
+    """The rule of upper bounds e_n on sup over K of |phi^n(z) - limit|,
+    n = 1..N; nothing in it grows with N.
 
     The rule covers a Mobius record that, conjugated by the translation
     z -> z + limit, is exactly (lam, 0, c, lam): a parabolic map fixing
@@ -333,9 +364,9 @@ def iterate_convergence(
     taken.  One maps._image_discs row sends the enclosing disc
     |z - z0| <= r of K, moved by -limit, under w -> 1/w to a disc
     D(v0, rho) holding the exact image D(V, R).  For z in K then
-    |phi^n(z) - limit| = 1/|v + n S| <= 1/(|v0 + n S| - rho) = E_n, formed
-    about a thousand powers at a time with s, S rounded to nearest,
-    widened by ITERATE_MARGIN and rounded up to 32 significant bits.
+    |phi^n(z) - limit| = 1/|v + n S| <= 1/(|v0 + n S| - rho) = E_n, which
+    iterate_bounds forms with s, S rounded to nearest, widens by
+    ITERATE_MARGIN and rounds up to ITERATE_BITS significant bits.
 
     Why the margin covers the rounding, to first order in the unit
     roundoff u.  Let M = |v0 + n S| and x = M - rho = 1/E_n.  Rounding s,
@@ -343,11 +374,12 @@ def iterate_convergence(
     at most u (2 n |S| + 3 M + x) <= u (6 x + 2 (|v0| + rho) + 3 rho), as
     n |S| <= M + |v0|.  With delta = |z0 - limit| - r, |V| + R = 1/delta
     and R < 1/(2 delta), so E_n, the reciprocal included, is within a
-    factor 1 + u (7 + 3.5 E_n / delta).  A run in which some E_n exceeds
-    2^11 delta raises, so the chain commits at most 7175 u, and with the
-    widening product's u less than the margin 2^-40 = 2^13 u.  Rounding
-    up to 32 bits only raises a value, and is exact for normal values.
-    A pole of phi^n on the disc (|v0 + n s| <= rho) or a shift that
+    factor 1 + u (7 + 3.5 E_n / delta).  A rule in which some E_n,
+    n <= N, exceeds the reach 2^11 delta raises, decided exactly (a pole
+    of phi^n on the disc, |v0 + n S| <= rho, counts as out of reach), so
+    the chain commits at most 7175 u, and with the widening product's u
+    less than the margin 2^-40 = 2^13 u.  Rounding up to 32 bits only
+    raises a value, and is exact for normal values.  A shift that
     overflows gives NaN bounds, which fail every comparison.
 
     Raises ValueError for any other map, for a compact not strictly
@@ -357,22 +389,52 @@ def iterate_convergence(
     if n_steps < 1:
         raise ValueError("need at least one iterate")
     step, disc = _limit_frame(m, k, limit)
-    s = complex(*map(float, step))
     (v0,), (rho,) = _image_discs(*_INVERSION, disc.center, disc.radius)
     reach = 2.0 ** 11 * (abs(disc.center) - disc.radius)
-    errors = np.empty(n_steps)
-    for start in range(0, n_steps, _POWER_BLOCK):
-        block = errors[start : start + _POWER_BLOCK]
-        n = np.arange(start + 1, start + block.size + 1, dtype=float)
+    if not _within_reach(v0, rho, step, reach, n_steps):
+        raise ValueError(f"the bounds on {k} exceed the reach of the margin")
+    return IterateRule(
+        v0=complex(v0),
+        rho=float(rho),
+        step=complex(*map(float, step)),
+        reach=reach,
+        iterates=n_steps,
+    )
+
+
+def iterate_bounds(rule: IterateRule, start: int, stop: int) -> np.ndarray:
+    """The bounds e_n of rule for start <= n < stop, as float64.
+
+    They are formed _POWER_BLOCK powers at a time, in blocks aligned at
+    n = 1, 1 + _POWER_BLOCK, ..., so a range that starts at a block, such
+    as the block that holds N, repeats the arithmetic of the range 1..N
+    exactly.  Raises ValueError unless 1 <= start <= stop <= rule.iterates + 1.
+    """
+    if not 1 <= start <= stop <= rule.iterates + 1:
+        raise ValueError(f"bounds {start}..{stop - 1} are not within 1..{rule.iterates}")
+    out = np.empty(stop - start)
+    lo = start
+    while lo < stop:
+        hi = min(stop, lo + _POWER_BLOCK - (lo - 1) % _POWER_BLOCK)
+        block = out[lo - start : hi - start]
+        # 1 / (|v0 + n s| - rho) in place, bit for bit: n is exact as
+        # n + 0j, the complex operand the product would cast it to
         with np.errstate(all="ignore"):
-            np.divide(1.0, np.abs(v0 + n * s) - rho, out=block)
+            shifted = np.arange(lo, hi, dtype=complex)
+            shifted *= rule.step
+            shifted += rule.v0
+            np.abs(shifted, out=block)
+            del shifted
+            block -= rule.rho
+            np.divide(1.0, block, out=block)
         # a pole of phi^n on the disc, or a shift that overflowed (1/inf = 0)
         block[~(block > 0.0)] = np.nan
-        if np.any(block > reach):
-            raise ValueError(f"the bounds on {k} exceed the reach of the margin")
-        frac, exp = np.frexp(block * (1.0 + ITERATE_MARGIN))
-        np.ldexp(np.ceil(np.ldexp(frac, 32)), exp - 32, out=block)
-    return IterateReport(errors=errors)
+        block *= 1.0 + ITERATE_MARGIN
+        frac, exp = np.frexp(block)
+        np.ceil(np.ldexp(frac, ITERATE_BITS, out=frac), out=frac)
+        np.ldexp(frac, exp - ITERATE_BITS, out=block)
+        lo = hi
+    return out
 
 
 def decreasing_from(m: HoloMap, k: CompactSet, limit: complex) -> Optional[int]:

@@ -47,7 +47,7 @@ from freqdyn.maps import (
     raw_inverse,
     slit_to_disc,
 )
-from freqdyn.orbit import combination_scan, iterate_convergence
+from freqdyn.orbit import combination_scan, iterate_bounds, iterate_convergence
 from freqdyn.runaway import (
     RunawayConfig,
     build_carleman_truncation,
@@ -390,22 +390,26 @@ def test_criterion_08_conjugation_identities():
 def test_criterion_09_parabolic_convergence():
     started = time.perf_counter()
     region = ClosedDisc(0.0, 0.5)
-    rep = iterate_convergence(ParabolicDisc(1.0, 1.0, 1), region, 1.0 + 0.0j, 200)
-    final = float(rep.errors[-1])
-    tail = first_monotone_tail(rep.errors)
+    errors = iterate_bounds(
+        iterate_convergence(ParabolicDisc(1.0, 1.0, 1), region, 1.0 + 0.0j, 200), 1, 201
+    )
+    final = float(errors[-1])
+    tail = first_monotone_tail(errors)
     checks = [
-        ("every error bound is finite", bool(np.all(np.isfinite(rep.errors)))),
+        ("every error bound is finite", bool(np.all(np.isfinite(errors)))),
         (f"error {final:.4f} < 0.1 at n = 200", final < 0.1),
         (f"monotone from step {tail + 1}", tail <= 150),
     ]
-    control = iterate_convergence(
-        Identity(geometry.Domain.unit_disc()), region, 1.0 + 0.0j, 50
+    control = iterate_bounds(
+        iterate_convergence(Identity(geometry.Domain.unit_disc()), region, 1.0 + 0.0j, 50),
+        1,
+        51,
     )
-    diffs = np.diff(control.errors)
+    diffs = np.diff(control)
     checks.append(
         (
             "identity control never decreases",
-            bool(np.all(diffs >= -1e-12)) and float(control.errors[0]) > 0.0,
+            bool(np.all(diffs >= -1e-12)) and float(control[0]) > 0.0,
         )
     )
     _report("criterion 09 parabolic convergence", 5.0, started, checks)

@@ -34,7 +34,7 @@ from freqdyn.config import (
 from freqdyn.density import IndexSet
 from freqdyn.approx import NewtonPoly
 from freqdyn.geometry import ClosedDisc, Domain, whole_plane_exhaustion
-from freqdyn.maps import Mobius, Similarity
+from freqdyn.maps import Mobius, ParabolicDisc, Similarity
 from freqdyn.cli import (
     ExperimentConfig,
     apply_overrides,
@@ -54,6 +54,8 @@ from freqdyn.cli import (
     load_config,
     main,
 )
+
+from iterate_oracle import blocked_bounds
 
 
 def _cfg(**kw):
@@ -389,15 +391,6 @@ def test_csv_whose_rows_raise_keeps_the_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
-def test_binary_write_that_raises_leaves_no_file(tmp_path):
-    path = tmp_path / "errors.f8z"
-    with pytest.raises(RuntimeError, match="write failed"):
-        with artifacts._atomic_file(str(path), "wb") as fh:
-            fh.write(artifacts.ERRORS_HEADER)
-            raise RuntimeError("write failed")
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_summary_carries_config_hash(outdir):
     cfg = _cfg(n_max=1000)
     cmd_density(cfg)
@@ -614,69 +607,101 @@ def test_load_candidate_rejects_malformed_function(tmp_path, capsys, function):
 
 
 # ---------------------------------------------------------------------------
-# iterate errors
-
-_SIGN = st.integers(0, 1).map(lambda s: s << 63)
-_FRACTION = st.integers(1, 2**52 - 1)
-# bit patterns of +-0, +-inf, NaNs with payloads and subnormals
-_SPECIAL_BITS = st.one_of(
-    st.sampled_from([0, 1 << 63, 0x7FF << 52, 0xFFF << 52]),
-    st.tuples(_SIGN, _FRACTION).map(lambda t: t[0] | 0x7FF << 52 | t[1]),
-    st.tuples(_SIGN, _FRACTION).map(lambda t: t[0] | t[1]),
-)
+# iterate reports
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.sampled_from([0, 1, 2, 4095, 4096, 4097, 3 * 4096 + 5]),
-    seed=st.integers(0, 2**32 - 1),
-    patches=st.lists(st.tuples(st.integers(0, 2**20), _SPECIAL_BITS), max_size=16),
-)
-def test_errors_file_round_trips_every_bit_pattern(tmp_path_factory, n, seed, patches):
-    bits = np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
-    for index, pattern in patches:
-        if n:
-            bits[index % n] = pattern
-    path = tmp_path_factory.mktemp("errors") / "errors.f8z"
-    artifacts._write_errors(str(path), bits.view("<f8"))
-    got = load_errors(str(path))
+@contextlib.contextmanager
+def _output_root(path):
+    """FREQDYN_OUT set to path for the block, for tests that cannot take
+    the function-scoped outdir fixture (Hypothesis runs)."""
+    old = os.environ.get(cli.ENV_OUTPUT)
+    os.environ[cli.ENV_OUTPUT] = str(path)
+    try:
+        yield path
+    finally:
+        if old is None:
+            os.environ.pop(cli.ENV_OUTPUT)
+        else:
+            os.environ[cli.ENV_OUTPUT] = old
+
+
+def _check_report_against_the_loop(cfg, root):
+    """load_errors of the report example5 wrote under root gives the bits
+    of the blocked loop, and the report's final bound is the last."""
+    path = root / "example5" / "report.json"
+    want = blocked_bounds(
+        ParabolicDisc(cfg.a_param, cfg.gamma, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j,
+        cfg.iterates,
+    )
+    got = load_errors(path)
     assert got.dtype == np.dtype("<f8")
-    assert np.array_equal(got.view("<u8"), bits)
+    assert np.array_equal(got.view("<u8"), want.view("<u8"))
+    final = json.loads(path.read_text())["final_bound"]
+    assert final == got[-1] if final is not None else np.isnan(got[-1])
 
 
-def _errors_blob(tmp_path) -> bytes:
-    path = tmp_path / "good.f8z"
-    artifacts._write_errors(str(path), np.linspace(1.0, 0.0, 5000))
-    return path.read_bytes()
+@pytest.mark.parametrize("iterates", [1, 200, 1023, 1024, 1025, 50_000])
+def test_load_errors_matches_the_blocked_loop(outdir, iterates):
+    cfg = _cfg(map_family="parabolic_disc", iterates=iterates)
+    # the error line fails until the bounds fall below 0.1
+    assert cmd_example5(cfg).failed == (iterates < 200)
+    _check_report_against_the_loop(cfg, outdir)
 
 
-def _npy_bytes(blob) -> bytes:
-    """An .npy file of errors, the format errors.f8z replaced."""
-    fh = io.BytesIO()
-    np.save(fh, np.linspace(1.0, 0.0, 5000))
-    return fh.getvalue()
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(1e-6, 1e6), iterates=st.integers(1, 5000))
+def test_load_errors_matches_the_blocked_loop_at_any_step(tmp_path_factory, a, iterates):
+    cfg = _cfg(map_family="parabolic_disc", a_param=a, iterates=iterates)
+    with _output_root(tmp_path_factory.mktemp("example5")) as root:
+        cmd_example5(cfg)
+    _check_report_against_the_loop(cfg, root)
+
+
+def _edit_report(edit):
+    def rewrite(text: str) -> str:
+        return json.dumps(edit(json.loads(text)))
+    return rewrite
+
+
+def _without(key):
+    return _edit_report(lambda blob: {k: v for k, v in blob.items() if k != key})
+
+
+def _with(key, value):
+    return _edit_report(lambda blob: {**blob, key: value})
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda blob: blob[len(artifacts.ERRORS_HEADER):], "not an errors file"),
-        (_npy_bytes, "not an errors file of format freqdyn-errors-v1"),
-        (lambda blob: b"freqdyn-errors-v2\n" + blob[len(artifacts.ERRORS_HEADER):],
-         "not an errors file"),
-        (lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]), "corrupt zlib stream"),
-        (lambda blob: blob[:-10], "truncated zlib stream"),
-        (lambda blob: blob + b"\x00", "1 bytes after the zlib stream"),
-        (lambda blob: artifacts.ERRORS_HEADER + zlib.compress(b"1234567"),
-         "no whole float64 values"),
+        (_with("format", "freqdyn-errors-v1"),
+         "not an iterate report of format freqdyn-iterate-bounds-v1"),
+        (_without("format"), "not an iterate report"),
+        (_edit_report(lambda blob: [blob]), "not an iterate report"),
+        # an errors.f8z of the format the report replaced
+        (lambda text: "freqdyn-errors-v1\n" + zlib.compress(b"12345678").decode("latin-1"),
+         "not an iterate report"),
+        (_with("margin_exponent", -30), "margin_exponent must be -40"),
+        (_with("significant_bits", 53), "significant_bits must be 32"),
+        (_without("iterates"), "iterates must be a positive integer"),
+        (_with("iterates", 0), "iterates must be a positive integer"),
+        (_with("iterates", 200.0), "iterates must be a positive integer"),
+        (_without("rho"), "rho is missing or not finite"),
+        (_with("rho", float("nan")), "rho is missing or not finite"),
+        (_with("reach", True), "reach is missing or not finite"),
+        (_with("reach", "1024"), "reach is missing or not finite"),
+        (_without("v0"), "v0 is missing or not finite"),
+        (_with("v0", [-1.5]), "v0 is missing or not finite"),
+        (_with("v0", -1.5), "v0 is missing or not finite"),
+        (_with("step", [0.0, float("-inf")]), "step is missing or not finite"),
     ],
-    ids=["no-header", "npy", "other-header", "corrupt", "truncated", "trailing", "partial-value"],
 )
-def test_load_errors_refuses(tmp_path, edit, message):
-    path = tmp_path / "bad.f8z"
-    path.write_bytes(edit(_errors_blob(tmp_path)))
+def test_load_errors_refuses_a_malformed_report(outdir, edit, message):
+    assert not cmd_example5(_cfg(map_family="parabolic_disc", iterates=200)).failed
+    path = outdir / "example5" / "report.json"
+    path.write_text(edit(path.read_text()), encoding="latin-1")
     with pytest.raises(ValueError, match=message) as info:
-        load_errors(str(path))
+        load_errors(path)
     assert "\n" not in str(info.value)
 
 
@@ -1041,7 +1066,7 @@ def test_cmd_example4_does_not_depend_on_the_horizon(outdir):
 def test_cmd_example5_contraction(outdir):
     res = cmd_example5(_cfg(map_family="parabolic_disc", iterates=200))
     assert not res.failed
-    errors = load_errors(outdir / "example5" / "errors.f8z")
+    errors = load_errors(outdir / "example5" / "report.json")
     assert errors.dtype == np.dtype("<f8")
     assert errors.shape == (200,)
 
@@ -1052,52 +1077,27 @@ def test_cmd_example5_errors_are_byte_identical_across_runs(tmp_path, monkeypatc
     for sub in ("a", "b"):
         monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / sub))
         cmd_example5(cfg)
-        blobs.append((tmp_path / sub / "example5" / "errors.f8z").read_bytes())
+        blobs.append((tmp_path / sub / "example5" / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
 
 
-def test_cmd_example5_writes_errors_without_a_copy(outdir, monkeypatch):
-    # the peak inside each atomic write, above what was held before it,
-    # so that a copy of the errors at write time shows
-    real = artifacts._atomic_file
-    extra = {}
-
-    @contextlib.contextmanager
-    def measured(path, mode="w"):
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        with real(path, mode) as fh:
-            yield fh
-        extra[iterates, os.path.basename(path)] = (
-            tracemalloc.get_traced_memory()[1] - held
-        )
-
-    monkeypatch.setattr(artifacts, "_atomic_file", measured)
-    for iterates in (50_000, 200_000):
-        tracemalloc.start()
-        try:
-            result = cmd_example5(_cfg(map_family="parabolic_disc", iterates=iterates))
-        finally:
-            tracemalloc.stop()
-        assert not result.failed
-    small, large = extra[50_000, "errors.f8z"], extra[200_000, "errors.f8z"]
-    # a copy would take 8 bytes per iterate, 1.2 MB more at the larger run;
-    # the encoder holds a few blocks of 4096 values and zlib's output
-    # (zlib's own state, made before the file opens, is not in the measure)
-    assert large < small + 16 * 1024
-    assert max(small, large) < 256 * 1024
-
-
-def test_cmd_example5_errors_take_at_most_two_bytes_per_iterate(outdir):
-    iterates = 50_000
-    assert not cmd_example5(_cfg(map_family="parabolic_disc", iterates=iterates)).failed
-    assert (outdir / "example5" / "errors.f8z").stat().st_size <= 2 * iterates
+def test_cmd_example5_report_holds_the_rule(outdir):
+    cfg = _cfg(map_family="parabolic_disc", iterates=50_000)
+    assert not cmd_example5(cfg).failed
+    blob = json.loads((outdir / "example5" / "report.json").read_text())
+    # in u = 1/(z - 1) the region is D(-4/3, 2/3), moved by -i a / 2 a step
+    assert blob["v0"] == [-4.0 / 3.0, 0.0] and abs(blob["rho"] - 2.0 / 3.0) < 1e-14
+    assert blob["step"] == [0.0, -0.5] and blob["reach"] == 1024.0
+    assert (blob["margin_exponent"], blob["significant_bits"]) == (-40, 32)
+    assert (blob["iterates"], blob["decreasing_from"]) == (50_000, 1)
+    assert blob["config"] == config_hash(cfg) and "degree" not in blob
+    assert len((outdir / "example5" / "report.json").read_bytes()) < 300
 
 
 def test_cmd_example5_errors_bound_the_exact_sup(outdir):
     cfg = _cfg(map_family="parabolic_disc", iterates=5000)
     assert not cmd_example5(cfg).failed
-    got = load_errors(outdir / "example5" / "errors.f8z")
+    got = load_errors(outdir / "example5" / "report.json")
     # in u = 1/(z - 1) the region is D(-4/3, 2/3), moved by -i n a / 2
     t = np.longdouble(cfg.a_param) * np.arange(1, cfg.iterates + 1, dtype=np.longdouble)
     want = 2 / (np.sqrt(np.longdouble(64) / 9 + t * t) - np.longdouble(4) / 3)
@@ -1105,21 +1105,53 @@ def test_cmd_example5_errors_bound_the_exact_sup(outdir):
     assert np.all(got <= want * (1 + np.longdouble(2.0) ** -30))
 
 
-def test_main_example5_refuses_iterates_over_the_memory_budget(
-    tmp_path, monkeypatch, capsys
+def test_main_example5_does_not_grow_with_the_iterates(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
+    out = tmp_path / "out" / "example5"
+    argv = ["example5", os.path.join(CONFIGS, "example5.ini"), "--override"]
+    # a first run builds what every later one reuses (compiled patterns)
+    assert main(argv + ["horizons.iterates=200"]) == 0
+    rules = []
+    for iterates in (200, 10**12):
+        tracemalloc.start()
+        try:
+            assert main(argv + [f"horizons.iterates={iterates}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, iterates
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert [ln[0] for ln in summary if ln.startswith(("PASS", "FAIL"))] == list("PPP")
+        report = json.loads((out / "report.json").read_text())
+        final = report.pop("final_bound")
+        rules.append({k: v for k, v in report.items() if k not in ("config", "iterates")})
+    # 2 / (a n) to first order: 2e-12 at 10^12 steps
+    assert abs(final - 2e-12) < 1e-20
+    assert rules[0] == rules[1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, config, override, message",
+    [
+        ("sepfamily", "sepfamily.ini", "family.multiplier=0",
+         "family.multiplier must be at least 1, got 0"),
+        ("sepfamily", "sepfamily.ini", "family.multiplier=1",
+         "pruning clears class 1 at family.multiplier=1; increase family.multiplier"),
+        ("sepfamily", "sepfamily.ini", "family.pairs=0", "family.pairs must be at least 1, got 0"),
+        ("build_fhc", "existence.ini", "horizons.l_max=0",
+         "horizons.l_max must be at least 1, got 0"),
+        ("split", "split.ini", "split.parts=0", "split.parts must be at least 1, got 0"),
+        ("example5", "example5.ini", "horizons.iterates=0",
+         "horizons.iterates must be at least 1, got 0"),
+    ],
+)
+def test_main_refusals_name_their_config_key(
+    tmp_path, monkeypatch, capsys, command, config, override, message
 ):
     monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "out"))
-    # beside the block allowance, 2000 iterates need 16000 bytes, 200 need 1600
-    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.ITERATE_BLOCK_BYTES + 10_000)
-    argv = ["example5", os.path.join(CONFIGS, "example5.ini")]
-    assert main(argv + ["--override", "horizons.iterates=2000"]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: horizons.iterates=2000 ")
-    assert "memory budget" in lines[0]
-    assert not (tmp_path / "out" / "example5").exists()
-    assert main(argv + ["--override", "horizons.iterates=200"]) == 0
+    assert main([command, os.path.join(CONFIGS, config), "--override", override]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize(
@@ -1159,8 +1191,6 @@ def test_main_refuses_a_horizon_over_the_memory_budget(
         ("density", "density.ini", []),
         ("sepfamily", "sepfamily.ini", []),
         ("sepfamily", "sepfamily.ini", ["family.pairs=8"]),
-        # 8 bytes per iterate for the bounds, and ITERATE_BLOCK_BYTES
-        ("example5", "example5.ini", ["horizons.iterates=200000"]),
     ],
 )
 def test_commands_peak_below_their_memory_estimates(
@@ -1256,7 +1286,7 @@ def test_main_example5_decides_the_monotone_line_on_the_exact_errors(outdir):
         "--override", "maps.a=1e-300",
     ])
     assert code == 1
-    errors = load_errors(outdir / "example5" / "errors.f8z")
+    errors = load_errors(outdir / "example5" / "report.json")
     assert np.all(errors == errors[0])
     summary = (outdir / "example5" / "summary.txt").read_text().splitlines()
     assert summary[2].startswith("FAIL: error after 200 steps")
@@ -1275,6 +1305,10 @@ def test_main_example5_overflowing_shift_fails(outdir):
     assert [ln.split(":")[0] for ln in summary if ln.startswith(("PASS", "FAIL"))] == [
         "FAIL", "PASS", "PASS",
     ]
+    # the NaN final bound is written as null, and read back as NaN
+    report = outdir / "example5" / "report.json"
+    assert json.loads(report.read_text())["final_bound"] is None
+    assert np.isnan(load_errors(report)[-1])
 
 
 def test_cmd_runaway_weak_direct_passes(outdir):

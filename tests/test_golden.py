@@ -20,7 +20,7 @@ from freqdyn.density import (
 )
 from freqdyn.geometry import ClosedDisc
 from freqdyn.maps import ParabolicDisc
-from freqdyn.orbit import iterate_convergence
+from freqdyn.orbit import iterate_bounds, iterate_convergence
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden.json")
 
@@ -64,5 +64,5 @@ def test_dense_polynomials_match_golden():
 
 def test_parabolic_error_matches_golden():
     want = _golden()["parabolic_error_200"]
-    conv = iterate_convergence(ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 200)
-    assert float(conv.errors[-1]) == want
+    rule = iterate_convergence(ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 200)
+    assert float(iterate_bounds(rule, 1, 201)[-1]) == want

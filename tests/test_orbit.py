@@ -1,9 +1,13 @@
 """Tests for orbit scanning, span combinations, and iterate convergence."""
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freqdyn.approx import (
     Polynomial,
@@ -16,16 +20,28 @@ from freqdyn.approx import (
 )
 from freqdyn.density import arithmetic_progression, build_separated_family
 from freqdyn.geometry import ClosedDisc, Domain, whole_plane_exhaustion
-from freqdyn.maps import DiscAutomorphism, Identity, Mobius, ParabolicDisc, Similarity, apply
+from freqdyn import orbit
+from freqdyn.maps import (
+    DiscAutomorphism,
+    Identity,
+    Mobius,
+    ParabolicDisc,
+    Similarity,
+    _image_discs,
+    apply,
+)
 from freqdyn.orbit import (
     GRID_SLACK,
     _Combination,
     combination_scan,
     decreasing_from,
+    iterate_bounds,
     iterate_convergence,
     scan,
 )
 from freqdyn.runaway import RunawayConfig, build_carleman_truncation
+
+from iterate_oracle import blocked_bounds
 
 HORIZON = 2000
 
@@ -279,19 +295,126 @@ def test_mixed_combination_splits_delta_between_phi_and_span(
 # iterate convergence
 
 
+def _bounds(m, k, limit, n_steps):
+    """Every bound e_1, ..., e_N of the rule of m on k."""
+    return iterate_bounds(iterate_convergence(m, k, limit, n_steps), 1, n_steps + 1)
+
+
 def test_parabolic_iterates_converge():
-    rep = iterate_convergence(
+    errors = _bounds(
         ParabolicDisc(a=1.0, gamma=1.0, n=1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 200
     )
-    assert rep.errors.size == 200
-    assert rep.errors[-1] < 0.1
-    assert np.all(np.diff(rep.errors) < 0.0)
+    assert errors.size == 200
+    assert errors[-1] < 0.1
+    assert np.all(np.diff(errors) < 0.0)
 
 
 def test_identity_iterates_show_no_decrease():
-    rep = iterate_convergence(Identity(EXH.domain), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 50)
-    assert np.all(rep.errors == rep.errors[0])
-    assert 1.5 < rep.errors[0] < 1.5 * (1.0 + 2.0 ** -30)
+    errors = _bounds(Identity(EXH.domain), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 50)
+    assert np.all(errors == errors[0])
+    assert 1.5 < errors[0] < 1.5 * (1.0 + 2.0 ** -30)
+
+
+@pytest.mark.parametrize("n_steps", [1, 200, 1023, 1024, 1025, 5000])
+@pytest.mark.parametrize("a", [1.0, 0.1, 3.7])
+def test_iterate_bounds_match_the_blocked_loop_on_every_range(a, n_steps):
+    m, disc = ParabolicDisc(a, 1.0, 1), ClosedDisc(0.0, 0.5)
+    want = blocked_bounds(m, disc, 1.0 + 0.0j, n_steps)
+    rule = iterate_convergence(m, disc, 1.0 + 0.0j, n_steps)
+    assert rule.iterates == n_steps
+    assert np.array_equal(iterate_bounds(rule, 1, n_steps + 1).view("<u8"), want.view("<u8"))
+    # the block that holds N repeats the loop's arithmetic by construction;
+    # on one numpy build any other range gives the same bits as well
+    rng = np.random.default_rng(n_steps)
+    ranges = [(n_steps - (n_steps - 1) % 1024, n_steps + 1), (n_steps, n_steps + 1)]
+    ranges += [tuple(sorted(rng.integers(1, n_steps + 2, 2))) for _ in range(5)]
+    for start, stop in ranges:
+        got = iterate_bounds(rule, start, stop)
+        assert np.array_equal(got.view("<u8"), want[start - 1 : stop - 1].view("<u8"))
+
+
+def test_iterate_bounds_refuse_steps_outside_the_rule():
+    rule = iterate_convergence(ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 10)
+    assert iterate_bounds(rule, 4, 4).size == 0
+    for start, stop in [(0, 5), (1, 12), (6, 5)]:
+        with pytest.raises(ValueError, match="not within 1..10"):
+            iterate_bounds(rule, start, stop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(1e-3, 1e3),
+    radius=st.floats(0.99, 0.9999),
+    n_steps=st.integers(1, 3000),
+)
+# radii at the edge, where the two disagree: the loop raises and the
+# exact decision does not, then the other way round
+@example(a=0.001, radius=0.9990239141012789, n_steps=10)
+@example(a=0.1, radius=0.9990239188575039, n_steps=10)
+def test_reach_decision_agrees_with_the_blocked_loop(a, radius, n_steps):
+    # e_1 is about 1 + radius and the reach 2^11 (1 - radius), so discs
+    # about 2/2049 from the fixed point sit on the edge of the reach
+    m, disc = ParabolicDisc(a, 1.0, 1), ClosedDisc(0.0, radius)
+    try:
+        want = blocked_bounds(m, disc, 1.0 + 0.0j, n_steps)
+    except ValueError:
+        want = None
+    try:
+        got = _bounds(m, disc, 1.0 + 0.0j, n_steps)
+    except ValueError:
+        got = None
+    if (want is None) != (got is None):
+        # only within 2^-40 relative of the reach may the two disagree
+        reach = 2.0 ** 11 * (1.0 - radius)
+        assert abs(_first_bound(m, disc) - reach) <= 2.0 ** -40 * reach, (a, radius, n_steps)
+    elif got is not None:
+        assert np.array_equal(got.view("<u8"), want.view("<u8"))
+
+
+def _first_bound(m, disc):
+    """1/(|v0 + S| - rho) of the rule of m on disc, to 40 digits: the
+    largest bound when disc is centred at 0, as |v0 + n S| then rises
+    with n."""
+    step, moved = orbit._limit_frame(m, disc, 1.0 + 0.0j)
+    (v0,), (rho,) = _image_discs(*orbit._INVERSION, moved.center, moved.radius)
+    square = (Fraction(v0.real) + step[0]) ** 2 + (Fraction(v0.imag) + step[1]) ** 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        modulus = (Decimal(square.numerator) / square.denominator).sqrt()
+        return float(1 / (modulus - Decimal(float(rho))))
+
+
+_EIGHTHS = st.integers(-40, 40).map(lambda k: Fraction(k, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v0=st.tuples(_EIGHTHS, _EIGHTHS),
+    step=st.tuples(_EIGHTHS, _EIGHTHS),
+    rho=st.integers(0, 40).map(lambda k: k / 8),
+    reach=st.floats(0.01, 100.0),
+    n_steps=st.integers(1, 60),
+)
+def test_within_reach_takes_the_least_gap_over_every_step(v0, step, rho, reach, n_steps):
+    # against every step in turn: 1/(|v0 + n S| - rho) lies in (0, reach]
+    # iff |v0 + n S| >= rho + 1/reach
+    gap = (Fraction(rho) + 1 / Fraction(reach)) ** 2
+    want = all(
+        (v0[0] + n * step[0]) ** 2 + (v0[1] + n * step[1]) ** 2 >= gap
+        for n in range(1, n_steps + 1)
+    )
+    got = orbit._within_reach(complex(*map(float, v0)), rho, step, reach, n_steps)
+    assert got == want
+
+
+def test_iterate_convergence_refuses_a_pole_on_the_disc():
+    # lam = 1, c = S = 3/2 fixing 1: in u = 1/(z - 1), D(0, 1/2) is
+    # D(-4/3, 2/3), which one step moves onto 0, a pole of Phi on the disc
+    m = Mobius(2.5, -1.5, 1.5, -0.5, Domain.unit_disc())
+    disc = ClosedDisc(0.0, 0.5)
+    assert np.isnan(blocked_bounds(m, disc, 1.0 + 0.0j, 10)[0])
+    with pytest.raises(ValueError, match="exceed the reach"):
+        iterate_convergence(m, disc, 1.0 + 0.0j, 10)
 
 
 def _exact_parabolic_sup(a, n_steps):
@@ -305,9 +428,7 @@ def _exact_parabolic_sup(a, n_steps):
 @pytest.mark.parametrize("a", [1.0, 0.25, 0.1, 3.7])
 def test_parabolic_bounds_cover_the_exact_sup(a):
     n_steps = 50_000
-    got = iterate_convergence(
-        ParabolicDisc(a, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, n_steps
-    ).errors
+    got = _bounds(ParabolicDisc(a, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, n_steps)
     want = _exact_parabolic_sup(a, n_steps)
     assert np.all(got >= want)
     assert np.all(got <= want * (1 + np.longdouble(2.0) ** -30))
@@ -318,7 +439,7 @@ def test_parabolic_bounds_cover_the_exact_sup(a):
 def test_parabolic_bounds_cover_mapped_boundary_samples(a):
     m = ParabolicDisc(a, 1.0, 1)
     n_steps = 2000
-    bounds = iterate_convergence(m, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, n_steps).errors
+    bounds = _bounds(m, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, n_steps)
     points = 0.5 * np.exp(2j * np.pi * np.arange(4096) / 4096)
     for n in range(n_steps):
         points = apply(m, points)
@@ -329,17 +450,15 @@ def test_parabolic_bounds_follow_the_fixed_point():
     # z -> -Phi(-z) fixes -1; the disc D(0, 1/2) is symmetric about 0
     m = ParabolicDisc(0.25, 1.5, 3)
     mirrored = Mobius(m.a, -m.b, -m.c, m.d, Domain.unit_disc())
-    want = iterate_convergence(m, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 3000).errors
-    got = iterate_convergence(mirrored, ClosedDisc(0.0, 0.5), -1.0 + 0.0j, 3000).errors
+    want = _bounds(m, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 3000)
+    got = _bounds(mirrored, ClosedDisc(0.0, 0.5), -1.0 + 0.0j, 3000)
     assert np.array_equal(got, want)
     with pytest.raises(ValueError):
         iterate_convergence(mirrored, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 3000)
 
 
 def test_iterate_bounds_are_rounded_up_to_32_bits():
-    errors = iterate_convergence(
-        ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 5000
-    ).errors
+    errors = _bounds(ParabolicDisc(1.0, 1.0, 1), ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 5000)
     frac, _ = np.frexp(errors)
     assert np.all(np.ldexp(frac, 32) == np.floor(np.ldexp(frac, 32)))
 
@@ -371,7 +490,7 @@ def test_iterate_bounds_of_an_overflowing_shift_are_nan():
     # the parabolic record with lam = 1 and step c / lam = -1e308 i, whose
     # shift n c / lam overflows from n = 2 on
     m = Mobius(1.0 - 1e308j, 1e308j, -1e308j, 1.0 + 1e308j, Domain.unit_disc())
-    errors = iterate_convergence(m, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 10).errors
+    errors = _bounds(m, ClosedDisc(0.0, 0.5), 1.0 + 0.0j, 10)
     assert 0.0 < errors[0] < 1e-307
     assert np.all(np.isnan(errors[1:]))
 
@@ -422,7 +541,7 @@ def test_iterate_bounds_are_at_least_the_exact_sups():
     n_steps = 400
     for m, disc, limit in _random_cases(41, 60):
         (vx, vy), r, (sx, sy) = _exact_frame(m, disc, limit)
-        bounds = iterate_convergence(m, disc, limit, n_steps).errors
+        bounds = _bounds(m, disc, limit, n_steps)
         for n, bound in enumerate(bounds.tolist(), start=1):
             gap = 1 / Fraction(bound) + r
             assert gap * gap <= (vx + n * sx) ** 2 + (vy + n * sy) ** 2, (m, disc, n)
